@@ -11,7 +11,8 @@ use redeye_nn::{build_network, summarize, zoo, WeightInit};
 use redeye_system::scenario;
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, PackBuffersI8, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
+    matmul_naive, ConvGeom, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel, Tensor,
+    Workspace,
 };
 
 /// Fig. 7 / Table I path: the analytic GoogLeNet estimator at all depths.
@@ -195,6 +196,66 @@ fn bench_circuits(c: &mut Criterion) {
     let tc = TunableCap::new(8).unwrap();
     c.bench_function("circuit/tunable_cap_apply", |b| {
         b.iter(|| tc.apply(0.5, 171).unwrap());
+    });
+
+    bench_comparator_window(c);
+}
+
+/// The max-pool stage on its own: 3×3 windows (8 decisions each) through
+/// the screened `Comparator::max_window` and through the exact `compare`
+/// chain it must reproduce. A third of the windows are textured plateaus
+/// (clear differences), a third ReLU zeros (exact ties) and a third
+/// near-ties within 2σ of the comparator noise.
+fn bench_comparator_window(c: &mut Criterion) {
+    const WINDOWS: usize = 3072;
+    let volts_per_unit = 0.9;
+    let near = (6e-4 / volts_per_unit) as f32;
+    let mut rng = Rng::seed_from(12);
+    let taps: Vec<f32> = (0..WINDOWS)
+        .flat_map(|w| {
+            let base = rng.uniform(0.05, 0.35);
+            (0..9)
+                .map(|_| match w % 3 {
+                    0 => base + rng.uniform(-0.05, 0.05),
+                    1 => 0.0,
+                    _ => base + near * rng.uniform(-1.0, 1.0),
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let stream = NoiseStream::new(5);
+    let mut screened = Comparator::new();
+    c.bench_function("circuit/comparator_window/screened", |b| {
+        b.iter(|| {
+            taps.chunks_exact(9)
+                .enumerate()
+                .map(|(i, w)| {
+                    screened
+                        .max_window(w, volts_per_unit, &stream.at(i as u64))
+                        .value
+                })
+                .sum::<f32>()
+        });
+    });
+    let mut exact = Comparator::new();
+    c.bench_function("circuit/comparator_window/exact", |b| {
+        b.iter(|| {
+            taps.chunks_exact(9)
+                .enumerate()
+                .map(|(i, w)| {
+                    let mut site = stream.at(i as u64);
+                    w[1..].iter().fold(w[0], |best, &v| {
+                        let a = f64::from(v) * volts_per_unit;
+                        let m = f64::from(best) * volts_per_unit;
+                        if exact.compare(a, m, &mut site).a_greater {
+                            v
+                        } else {
+                            best
+                        }
+                    })
+                })
+                .sum::<f32>()
+        });
     });
 }
 

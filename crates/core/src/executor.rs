@@ -170,7 +170,8 @@ const ANALOG_PARALLEL_MIN: usize = 4096;
 /// Everything about a conv instruction's weights that does not depend on
 /// the frame — the reconstructed f32 weight matrix, the staged i8 DAC
 /// codes with their row-wise L1 bound for the [`MacDomain::CodeI8`] fast
-/// path, and the SAR ADC's bit-weight table — is computed **once** at
+/// path, the SAR ADC's bit-weight table and the comparator's screening
+/// table — is computed **once** at
 /// engine construction and shared read-only by every frame, context, and
 /// worker thereafter. A fleet of simulated devices sharing one engine (see
 /// [`crate::FleetEngine`]) therefore packs weights exactly once, no matter
@@ -187,6 +188,9 @@ pub struct FrameEngine {
     /// program's resolution is invalid, in which case quantization fails
     /// with the constructor's error.
     sar: Option<SarAdc>,
+    /// Pack-once comparator template: its screening table is built once
+    /// and cloned into each pooling band.
+    comparator: Comparator,
     /// Number of column slices available for this program's sensor array.
     columns: f64,
     /// GEMM thread budget for conv instructions.
@@ -223,6 +227,7 @@ impl FrameEngine {
             stream: NoiseStream::new(seed),
             conv_packs,
             sar,
+            comparator: Comparator::new(),
             columns,
             gemm_threads: 1,
             analog_threads: 1,
@@ -380,6 +385,7 @@ impl FrameEngine {
             conv_ordinal: 0,
             conv_packs: &self.conv_packs,
             sar: self.sar.as_ref(),
+            comparator: &self.comparator,
             columns: self.columns,
             gemm_threads: self.gemm_threads,
             analog_threads: self.analog_threads,
@@ -774,6 +780,8 @@ struct FramePass<'a> {
     conv_packs: &'a [ConvPack],
     /// The engine's pack-once SAR ADC template.
     sar: Option<&'a SarAdc>,
+    /// The engine's pack-once comparator template.
+    comparator: &'a Comparator,
     columns: f64,
     gemm_threads: usize,
     analog_threads: usize,
@@ -1039,12 +1047,18 @@ impl FramePass<'_> {
     }
 
     /// Max pooling through the dynamic comparator, with real forced
-    /// decisions under metastability. Each output element is one noise site
-    /// drawing its comparator samples sequentially, so the output shards
-    /// freely over the analog thread budget; per-band decision/forced counts
-    /// are summed in band order and energy is charged as a
-    /// `count × per-decision` product, keeping the ledger independent of the
-    /// thread count.
+    /// decisions under metastability. Each output element is one noise
+    /// site: its window's taps are gathered into a per-band buffer and
+    /// decided by [`Comparator::max_window`], which screens every decision
+    /// at the draw `Comparator::compare` would consume and settles the
+    /// provably clear ones — beyond any noise term, exact ties that cannot
+    /// time out, or a draw whose radius is too small to matter — without
+    /// evaluating the draw, so the output is bit-identical to chaining
+    /// `compare` over the taps. Sites share no draw state, so the output
+    /// shards freely over the analog thread budget; per-band
+    /// decision/forced counts are summed in band order and energy is
+    /// charged as a `count × per-decision` product, keeping the ledger
+    /// independent of the thread count.
     fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Tensor {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
@@ -1057,49 +1071,45 @@ impl FramePass<'_> {
         let (in_h, in_w) = (geom.in_h(), geom.in_w());
         let (out_h, out_w) = (geom.out_h(), geom.out_w());
         let plane_out = out_h * out_w;
+        let (window, stride, pad) = (geom.window(), geom.stride(), geom.pad());
         let src = x.as_slice();
+        let template = self.comparator;
         let mut out = vec![0.0f32; geom.out_len()];
         let stats = shard_mut(&mut out, self.analog_threads, 1, |first, band| {
-            let mut comparator = Comparator::new();
+            let mut comparator = template.clone();
+            let mut taps = Vec::with_capacity(window * window);
             for (i, slot) in band.iter_mut().enumerate() {
                 let idx = first + i;
                 let (c, rem) = (idx / plane_out, idx % plane_out);
-                let (oy, ox) = (rem / out_w, rem % out_w);
-                let plane = c * in_h * in_w;
-                let mut site = stream.at(idx as u64);
+                let plane = &src[c * in_h * in_w..(c + 1) * in_h * in_w];
+                // Window origin in padded coordinates; padded row/column
+                // `p` is input row/column `p − pad`.
+                let (y0, x0) = (rem / out_w * stride, rem % out_w * stride);
                 // The column pipeline runs a fixed comparison schedule:
                 // every window tap is compared, with out-of-bounds
                 // (padding) taps presenting the lower rail. This keeps
                 // the per-output decision count at window²−1 regardless
                 // of border effects, matching the analytic model.
-                let mut best: Option<f32> = None;
-                for ky in 0..geom.window() {
-                    for kx in 0..geom.window() {
-                        let y = (oy * geom.stride() + ky) as isize - geom.pad() as isize;
-                        let xx = (ox * geom.stride() + kx) as isize - geom.pad() as isize;
-                        let v = if y < 0 || y >= in_h as isize || xx < 0 || xx >= in_w as isize {
-                            -max_abs
-                        } else {
-                            src[plane + y as usize * in_w + xx as usize]
-                        };
-                        best = Some(match best {
-                            None => v,
-                            Some(m) => {
-                                let d = comparator.compare(
-                                    f64::from(v) * volts_per_unit,
-                                    f64::from(m) * volts_per_unit,
-                                    &mut site,
-                                );
-                                if d.a_greater {
-                                    v
-                                } else {
-                                    m
-                                }
-                            }
-                        });
+                taps.clear();
+                for y in y0..y0 + window {
+                    let row = y
+                        .checked_sub(pad)
+                        .filter(|&r| r < in_h)
+                        .map(|r| &plane[r * in_w..(r + 1) * in_w]);
+                    let tap = |x: usize| {
+                        let col = x.checked_sub(pad)?;
+                        row?.get(col).copied()
+                    };
+                    match row.zip(x0.checked_sub(pad)) {
+                        Some((row, col)) if col + window <= in_w => {
+                            taps.extend_from_slice(&row[col..col + window]);
+                        }
+                        _ => taps.extend((x0..x0 + window).map(|x| tap(x).unwrap_or(-max_abs))),
                     }
                 }
-                *slot = best.unwrap_or(0.0);
+                *slot = comparator
+                    .max_window(&taps, volts_per_unit, &stream.at(idx as u64))
+                    .value;
             }
             (comparator.decisions_made(), comparator.forced_decisions())
         });

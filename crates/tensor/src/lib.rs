@@ -51,7 +51,7 @@ pub use gemm::{
 };
 pub use gemm_i8::gemm_i8_into;
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};
-pub use noise_stream::{NoiseSource, NoiseStream, SiteRng};
+pub use noise_stream::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, SiteRng};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use simd::SimdLevel;

@@ -301,6 +301,24 @@ impl SiteRng {
         unit_f64(self.next_u64())
     }
 
+    /// The 24-bit index of the uniform `ahead` draws past the current
+    /// counter, without advancing it: after `ahead` draws, [`next_f32`]
+    /// returns exactly `index · 2⁻²⁴`.
+    ///
+    /// A Box–Muller pair whose first uniform is draw `k` has its `u1` index
+    /// at `k` and its `u2` index at `k + 1`; [`box_muller_radius`] and
+    /// [`box_muller_angle`] map them to the values
+    /// [`NoiseSource::standard_normal`] combines.
+    ///
+    /// [`next_f32`]: SiteRng::next_f32
+    #[inline]
+    pub fn uniform_index(&self, ahead: u64) -> u32 {
+        let state = self
+            .state
+            .wrapping_add(ahead.wrapping_add(1).wrapping_mul(GOLDEN));
+        (mix(state) >> 40) as u32
+    }
+
     /// A standard-normal `f64` sample via a full-precision Box–Muller
     /// transform (no narrowing through `f32`).
     pub fn standard_normal_f64(&mut self) -> f64 {
@@ -310,15 +328,34 @@ impl SiteRng {
     }
 }
 
+/// The Box–Muller radius `sqrt(−2·ln u1)` of [`SiteRng`]'s scalar normal
+/// draws for the `u1` uniform with 24-bit index `u1_index`
+/// (see [`SiteRng::uniform_index`]), with `u1` floored at the smallest
+/// normal `f32`.
+///
+/// Non-increasing in the index, so the largest radius any draw can have is
+/// `box_muller_radius(0)` ≈ 13.2.
+#[inline]
+pub fn box_muller_radius(u1_index: u32) -> f32 {
+    let u1 = unit_f32(u64::from(u1_index) << 40).max(f32::MIN_POSITIVE);
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// The Box–Muller `(sin, cos)` of the angle `2π·u2` for the `u2` uniform
+/// with 24-bit index `u2_index`. [`SiteRng`]'s scalar normal pair is
+/// `(radius·cos, radius·sin)`, cosine half first.
+#[inline]
+pub fn box_muller_angle(u2_index: u32) -> (f32, f32) {
+    (2.0 * PI * unit_f32(u64::from(u2_index) << 40)).sin_cos()
+}
+
 impl NoiseSource for SiteRng {
     fn standard_normal(&mut self) -> f32 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
-        let u1 = self.next_f32().max(f32::MIN_POSITIVE);
-        let u2 = self.next_f32();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (sin, cos) = (2.0 * PI * u2).sin_cos();
+        let r = box_muller_radius((self.next_u64() >> 40) as u32);
+        let (sin, cos) = box_muller_angle((self.next_u64() >> 40) as u32);
         self.spare_normal = Some(r * sin);
         r * cos
     }
@@ -438,6 +475,29 @@ mod tests {
         s.fill_uniform_at(0, -1.0, 3.0, &mut parts[..123]);
         s.fill_uniform_at(123, -1.0, 3.0, &mut parts[123..]);
         assert_eq!(whole, parts);
+    }
+
+    #[test]
+    fn uniform_index_peeks_without_advancing() {
+        let site = NoiseStream::new(8).at(3);
+        let mut walk = site.clone();
+        for ahead in 0..16 {
+            let index = site.uniform_index(ahead);
+            assert_eq!(walk.next_f32(), index as f32 / (1u32 << 24) as f32);
+        }
+        // A scalar normal pair is the radius of draw 0 times the angle of
+        // draw 1, cosine half first.
+        let mut normal = site.clone();
+        let r = box_muller_radius(site.uniform_index(0));
+        let (sin, cos) = box_muller_angle(site.uniform_index(1));
+        assert_eq!(normal.standard_normal().to_bits(), (r * cos).to_bits());
+        assert_eq!(normal.standard_normal().to_bits(), (r * sin).to_bits());
+        assert_eq!(normal.next_u64(), {
+            let mut skipped = site.clone();
+            skipped.next_u64();
+            skipped.next_u64();
+            skipped.next_u64()
+        });
     }
 
     #[test]

@@ -1,0 +1,149 @@
+//! Execution contracts at the system boundary: one frame is a pure function
+//! of `(program, seed, frame, input)`, whichever driver runs it.
+//!
+//! A small micronet prefix with two comparator max-pool layers runs through
+//! the serial engine, the two-worker batch pool and the fleet's reference
+//! device. All three must agree on every frame's digest (features and ADC
+//! codes), ledger and forced-decision count, and the digests are pinned, so
+//! a change that flips a single comparator decision, noise sample or SAR
+//! code fails here.
+
+use redeye::core::{
+    compile, frame_digest, BatchExecutor, CompileOptions, DeviceScratch, FleetEngine, FrameCtx,
+    FrameEngine, FrameOutput, Program, WeightBank,
+};
+use redeye::nn::{build_network, zoo, WeightInit};
+use redeye::tensor::{Rng, Tensor};
+
+const SEED: u64 = 11;
+const FRAMES: usize = 4;
+/// Fold of the `FRAMES` frame digests for `SEED`.
+const PINNED_FOLD: u64 = 0x76c6_7794_66d7_e4e6;
+
+/// micronet through `pool2`: conv, max pool, LRN, conv, max pool.
+fn program() -> Program {
+    let prefix = zoo::micronet(4, 10)
+        .prefix_through("pool2")
+        .expect("micronet has pool2");
+    let mut net = build_network(&prefix, WeightInit::HeNormal, &mut Rng::seed_from(41))
+        .expect("micronet prefix builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&prefix, &mut bank, &CompileOptions::default()).expect("micronet prefix compiles")
+}
+
+/// Piecewise-constant scenes: 4×4 plateaus in `[0.05, 0.35]` under a 0.9
+/// square, the last frame dimmed to low light. Plateaus make exact ties
+/// and near-ties for the comparator.
+fn scenes() -> Vec<Tensor> {
+    let mut rng = Rng::seed_from(SEED);
+    (0..FRAMES)
+        .map(|f| {
+            let levels: Vec<f32> = (0..3 * 8 * 8).map(|_| rng.uniform(0.05, 0.35)).collect();
+            let gain = if f == FRAMES - 1 { 0.12 } else { 1.0 };
+            let mut t = Tensor::zeros(&[3, 32, 32]);
+            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+                let (c, y, x) = (i / 1024, i / 32 % 32, i % 32);
+                let square = (4 + 3 * f..14 + 3 * f).contains(&y) && (6 + f..16 + f).contains(&x);
+                *v = gain
+                    * if square {
+                        0.9
+                    } else {
+                        levels[c * 64 + y / 4 * 8 + x / 4]
+                    };
+            }
+            t
+        })
+        .collect()
+}
+
+/// What one driver produced for one frame.
+#[derive(Debug, PartialEq)]
+struct Frame {
+    digest: u64,
+    ledger: redeye::core::EnergyLedger,
+    forced: u64,
+}
+
+impl From<&FrameOutput> for Frame {
+    fn from(out: &FrameOutput) -> Frame {
+        Frame {
+            digest: frame_digest(out),
+            ledger: out.ledger,
+            forced: out.forced,
+        }
+    }
+}
+
+fn serial(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
+    let engine = FrameEngine::new(program.clone(), SEED);
+    let mut ctx = FrameCtx::new();
+    (0..FRAMES)
+        .map(|f| {
+            Frame::from(
+                &engine
+                    .run_frame(f as u64, &inputs[f], &mut ctx)
+                    .expect("serial frame"),
+            )
+        })
+        .collect()
+}
+
+fn batch(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
+    let mut exec = BatchExecutor::new(program.clone(), SEED, 2).expect("batch pool starts");
+    let result = exec.execute_batch(inputs).expect("batch runs");
+    let mut forced_before = 0;
+    result
+        .frames
+        .into_iter()
+        .map(|r| {
+            let out = FrameOutput {
+                features: r.features,
+                codes: r.codes,
+                ledger: r.ledger,
+                elapsed: r.elapsed,
+                forced: r.forced_decisions - forced_before,
+                rail_clips: r.rail_clips,
+                code_mac_hits: r.code_mac_hits,
+            };
+            forced_before = r.forced_decisions;
+            Frame::from(&out)
+        })
+        .collect()
+}
+
+fn fleet_reference(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
+    let fleet = FleetEngine::new(program.clone(), SEED).expect("fleet engine builds");
+    let device = fleet.reference_device(0);
+    let mut scratch = DeviceScratch::new();
+    (0..FRAMES)
+        .map(|f| {
+            let frame = device
+                .run_frame(f as u64, &inputs[f], &mut scratch)
+                .expect("reference device frame");
+            let got = Frame::from(&frame.output);
+            assert_eq!(
+                frame.digest, got.digest,
+                "device digest is the frame digest"
+            );
+            got
+        })
+        .collect()
+}
+
+#[test]
+fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
+    let program = program();
+    let inputs = scenes();
+    let want = serial(&program, &inputs);
+    assert_eq!(batch(&program, &inputs), want, "two-worker batch pool");
+    assert_eq!(
+        fleet_reference(&program, &inputs),
+        want,
+        "fleet reference device"
+    );
+    assert!(want.iter().all(|f| f.ledger.comparisons > 0));
+    let fold = want.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
+        (h ^ f.digest).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
+}
