@@ -14,7 +14,9 @@
 //! - a bit-accurate SAR ADC with capacitor mismatch and MSB-cutting variable
 //!   resolution (§IV-A);
 //! - a dynamic comparator with metastability-forced decisions (§IV-A);
-//! - process-corner scaling of the extracted parameters (§IV-B).
+//! - process-corner scaling of the extracted parameters (§IV-B);
+//! - the per-frame `count × unit cost` energy and timing model every
+//!   consumer charges through ([`cost`]).
 //!
 //! Absolute constants are calibrated to the paper's published anchors (e.g.
 //! 1.4 mJ per Depth5 frame at 40 dB); see [`calib`].
@@ -36,6 +38,7 @@
 pub mod calib;
 mod comparator;
 mod corners;
+pub mod cost;
 mod damping;
 mod error;
 mod mac;

@@ -9,15 +9,15 @@
 //!
 //! The column-parallel topology (§III-B) processes all 227 columns
 //! simultaneously, so frame time is the per-column sequential work times the
-//! per-operation settling times of [`redeye_analog::calib`].
+//! per-operation settling times of [`redeye_analog::calib`]. The counts are
+//! charged through the shared cost model ([`redeye_analog::cost`]), the
+//! same one the executor's ledger and the static cost pass use.
 
 use crate::{CoreError, EnergyLedger, Result};
-use redeye_analog::calib::{
-    COLUMN_COUNT, COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, CONTROLLER_CLOCK_MHZ,
-    CONTROLLER_UW_PER_MHZ, MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB, MEMORY_WRITE_ENERGY_40DB,
-    SAR_ARRAY_STEP_ENERGY, SAR_BIT_LOGIC_ENERGY, SAR_BIT_TIME,
-};
-use redeye_analog::{DampingConfig, Joules, ProcessCorner, Seconds, SnrDb, Watts};
+use redeye_analog::calib::COLUMN_COUNT;
+use redeye_analog::cost::FrameCost;
+pub use redeye_analog::cost::{controller_power, TimingBreakdown};
+use redeye_analog::{ProcessCorner, SarAdc, SnrDb};
 use redeye_nn::{summarize, NetworkSpec, PrefixTotals};
 use serde::{Deserialize, Serialize};
 
@@ -49,29 +49,6 @@ impl Default for RedEyeConfig {
 /// produce the same categories).
 pub type EnergyBreakdown = EnergyLedger;
 
-/// Itemized per-frame timing under column parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TimingBreakdown {
-    /// MAC settling time (convolution + normalization).
-    pub processing: Seconds,
-    /// Comparator time (max pooling).
-    pub pooling: Seconds,
-    /// SAR conversion time (readout).
-    pub quantization: Seconds,
-}
-
-impl TimingBreakdown {
-    /// Total frame time.
-    pub fn frame_time(&self) -> Seconds {
-        self.processing + self.pooling + self.quantization
-    }
-
-    /// Achievable frame rate.
-    pub fn fps(&self) -> f64 {
-        1.0 / self.frame_time().value()
-    }
-}
-
 /// The full analytic estimate for one partitioned configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimate {
@@ -85,16 +62,6 @@ pub struct Estimate {
     pub readout_bits: u64,
     /// Feature payload in bytes (bit-packed).
     pub feature_bytes: usize,
-}
-
-/// SAR conversion energy at `bits` resolution (array + comparator/logic).
-pub fn sar_conversion_energy(bits: u32) -> Joules {
-    SAR_ARRAY_STEP_ENERGY * 2f64.powi(bits as i32) + SAR_BIT_LOGIC_ENERGY * f64::from(bits)
-}
-
-/// Controller power at the 30-fps clock (§V-D: ≈12 mW).
-pub fn controller_power() -> Watts {
-    Watts::new(CONTROLLER_UW_PER_MHZ * 1e-6 * CONTROLLER_CLOCK_MHZ * 1e6 / 1e6)
 }
 
 /// A per-layer noise-admission plan: a default SNR plus named overrides
@@ -186,7 +153,8 @@ pub fn predicted_output_snr(spec: &NetworkSpec, cut: &str, plan: &NoisePlan) -> 
 ///
 /// # Errors
 ///
-/// Returns an error if `cut` does not name a summarized layer.
+/// Returns an error if `cut` does not name a summarized layer or
+/// `adc_bits` is not a SAR resolution (1–10).
 pub fn estimate_prefix_per_layer(
     summary: &redeye_nn::NetworkSummary,
     cut: &str,
@@ -199,78 +167,42 @@ pub fn estimate_prefix_per_layer(
         .iter()
         .position(|l| l.name == cut)
         .ok_or_else(|| CoreError::Nn(redeye_nn::NnError::UnknownLayer { name: cut.into() }))?;
-    let power_f = corner.power_factor();
-    let timing_f = corner.timing_factor();
-    let cols = COLUMN_COUNT as f64;
-
-    let mut energy = EnergyLedger::new();
-    let mut timing = TimingBreakdown::default();
+    let adc = SarAdc::new(adc_bits)?;
+    let mut cost = FrameCost::new(COLUMN_COUNT);
     for layer in &summary.layers[..=pos] {
-        let scale = DampingConfig::from_snr(plan.snr_for(&layer.name)).energy_scale();
-        energy.processing += MAC_ENERGY_40DB * (layer.macs as f64 * scale * power_f);
-        energy.pooling += COMPARATOR_ENERGY * (layer.comparisons as f64 * power_f);
-        energy.memory += MEMORY_WRITE_ENERGY_40DB * (layer.writes as f64 * scale * power_f);
-        energy.macs += layer.macs;
-        energy.comparisons += layer.comparisons;
-        energy.writes += layer.writes;
-        timing.processing += MAC_SETTLE_TIME_40DB * (layer.macs as f64 / cols * timing_f);
-        timing.pooling += COMPARATOR_DECISION_TIME * (layer.comparisons as f64 / cols * timing_f);
+        let snr = plan.snr_for(&layer.name);
+        cost.mac(layer.macs, snr);
+        cost.compare(layer.comparisons);
+        cost.write(layer.writes, snr);
     }
-    let out_len = summary.layers[pos].out_len;
-    energy.quantization = sar_conversion_energy(adc_bits) * (out_len as f64 * power_f);
-    energy.conversions = out_len;
-    energy.readout_bits = out_len * u64::from(adc_bits);
-    timing.quantization = SAR_BIT_TIME * (out_len as f64 / cols * f64::from(adc_bits) * timing_f);
-    energy.controller = controller_power() * timing.frame_time();
-    Ok(Estimate {
-        readout_values: out_len,
-        readout_bits: energy.readout_bits,
-        feature_bytes: crate::FeatureSram::bytes_needed(out_len, adc_bits),
-        energy,
-        timing,
-    })
+    cost.convert(&adc, summary.layers[pos].out_len);
+    Ok(estimate_at(&cost, corner, adc_bits))
 }
 
 /// Estimates one frame of RedEye execution over a network prefix described
 /// by its operation totals.
-pub fn estimate_prefix(totals: &PrefixTotals, config: &RedEyeConfig) -> Estimate {
-    let damping = DampingConfig::from_snr(config.snr);
-    let scale = damping.energy_scale();
-    let power_f = config.corner.power_factor();
-    let timing_f = config.corner.timing_factor();
+///
+/// # Errors
+///
+/// Returns an error if `config.adc_bits` is not a SAR resolution (1–10).
+pub fn estimate_prefix(totals: &PrefixTotals, config: &RedEyeConfig) -> Result<Estimate> {
+    let mut cost = FrameCost::new(COLUMN_COUNT);
+    cost.mac(totals.macs, config.snr);
+    cost.compare(totals.comparisons);
+    cost.write(totals.writes, config.snr);
+    cost.convert(&SarAdc::new(config.adc_bits)?, totals.out_len);
+    Ok(estimate_at(&cost, config.corner, config.adc_bits))
+}
 
-    let processing = MAC_ENERGY_40DB * (totals.macs as f64 * scale * power_f);
-    let pooling = COMPARATOR_ENERGY * (totals.comparisons as f64 * power_f);
-    let memory = MEMORY_WRITE_ENERGY_40DB * (totals.writes as f64 * scale * power_f);
-    let quantization = sar_conversion_energy(config.adc_bits) * (totals.out_len as f64 * power_f);
-
-    let cols = COLUMN_COUNT as f64;
-    let timing = TimingBreakdown {
-        processing: MAC_SETTLE_TIME_40DB * (totals.macs as f64 / cols * timing_f),
-        pooling: COMPARATOR_DECISION_TIME * (totals.comparisons as f64 / cols * timing_f),
-        quantization: SAR_BIT_TIME
-            * (totals.out_len as f64 / cols * f64::from(config.adc_bits) * timing_f),
-    };
-    let controller = controller_power() * timing.frame_time();
-
-    let readout_bits = totals.out_len * u64::from(config.adc_bits);
+/// Reads a charged frame's estimate off the cost model at `corner`.
+fn estimate_at(cost: &FrameCost, corner: ProcessCorner, adc_bits: u32) -> Estimate {
+    let (energy, timing) = cost.at_corner(corner);
     Estimate {
-        energy: EnergyLedger {
-            processing,
-            pooling,
-            memory,
-            quantization,
-            controller,
-            macs: totals.macs,
-            comparisons: totals.comparisons,
-            writes: totals.writes,
-            conversions: totals.out_len,
-            readout_bits,
-        },
+        readout_values: energy.conversions,
+        readout_bits: energy.readout_bits,
+        feature_bytes: crate::FeatureSram::bytes_needed(energy.conversions, adc_bits),
+        energy,
         timing,
-        readout_values: totals.out_len,
-        readout_bits,
-        feature_bytes: crate::FeatureSram::bytes_needed(totals.out_len, config.adc_bits),
     }
 }
 
@@ -278,16 +210,15 @@ pub fn estimate_prefix(totals: &PrefixTotals, config: &RedEyeConfig) -> Estimate
 ///
 /// # Errors
 ///
-/// Returns an error if `cut` does not name a layer of `spec` or the spec's
-/// geometry is inconsistent.
+/// Returns an error if `cut` does not name a layer of `spec`, the spec's
+/// geometry is inconsistent, or `config.adc_bits` is not a SAR resolution.
 pub fn estimate_spec_prefix(
     spec: &NetworkSpec,
     cut: &str,
     config: &RedEyeConfig,
 ) -> Result<Estimate> {
     let summary = summarize(spec)?;
-    let totals = summary.prefix_totals(cut)?;
-    Ok(estimate_prefix(&totals, config))
+    estimate_prefix(&summary.prefix_totals(cut)?, config)
 }
 
 /// Estimates one frame of GoogLeNet at one of the paper's five depths.
@@ -315,7 +246,7 @@ pub fn estimate_all_depths(config: &RedEyeConfig) -> Result<Vec<(crate::Depth, E
             let totals = summary
                 .prefix_totals(d.cut_layer())
                 .map_err(CoreError::from)?;
-            Ok((d, estimate_prefix(&totals, config)))
+            Ok((d, estimate_prefix(&totals, config)?))
         })
         .collect()
 }
@@ -324,6 +255,7 @@ pub fn estimate_all_depths(config: &RedEyeConfig) -> Result<Vec<(crate::Depth, E
 mod tests {
     use super::*;
     use crate::Depth;
+    use redeye_analog::calib::MAC_ENERGY_40DB;
 
     #[test]
     fn table1_depth5_anchors() {

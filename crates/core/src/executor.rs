@@ -40,11 +40,9 @@
 //! worker ran it or what ran before.
 
 use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
-use redeye_analog::calib::{
-    COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB,
-    MEMORY_WRITE_ENERGY_40DB, SWING,
-};
-use redeye_analog::{Comparator, DampingConfig, SarAdc, Seconds, SnrDb};
+use redeye_analog::calib::SWING;
+use redeye_analog::cost::FrameCost;
+use redeye_analog::{Comparator, SarAdc, Seconds, SnrDb};
 use redeye_tensor::{
     conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, ConvGeom,
     NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
@@ -191,8 +189,6 @@ pub struct FrameEngine {
     /// Pack-once comparator template: its screening table is built once
     /// and cloned into each pooling band.
     comparator: Comparator,
-    /// Number of column slices available for this program's sensor array.
-    columns: f64,
     /// GEMM thread budget for conv instructions.
     gemm_threads: usize,
     /// Thread budget for the per-site analog stages (layer noise,
@@ -218,7 +214,6 @@ impl FrameEngine {
     /// Creates an engine for `program`, seeding all stochastic behaviour
     /// from `seed`.
     pub fn new(program: Program, seed: u64) -> Self {
-        let columns = program.input[2].max(1) as f64;
         let mut conv_packs = Vec::new();
         collect_conv_packs(&program.instructions, &mut conv_packs);
         let sar = SarAdc::new(program.adc_bits).ok();
@@ -228,7 +223,6 @@ impl FrameEngine {
             conv_packs,
             sar,
             comparator: Comparator::new(),
-            columns,
             gemm_threads: 1,
             analog_threads: 1,
             noise_mode: NoiseMode::default(),
@@ -346,6 +340,7 @@ impl FrameEngine {
     /// program or a shape error surfaces from a corrupt program.
     pub fn run_frame(&self, frame: u64, input: &Tensor, ctx: &mut FrameCtx) -> Result<FrameOutput> {
         self.run_frame_with(&self.stream, 1.0, frame, input, ctx)
+            .map(|(out, _)| out)
     }
 
     /// Device-parameterized frame entry point: executes under an explicit
@@ -359,6 +354,9 @@ impl FrameEngine {
     /// their nominal internal noise — the corner scaling applies to the
     /// aggregate layer-SNR Gaussian stage, where §III-D folds the damped
     /// node noise.
+    ///
+    /// Also returns the frame's charged cost, from which a device reads
+    /// its process-corner energy and time.
     pub(crate) fn run_frame_with(
         &self,
         root: &NoiseStream,
@@ -366,7 +364,7 @@ impl FrameEngine {
         frame: u64,
         input: &Tensor,
         ctx: &mut FrameCtx,
-    ) -> Result<FrameOutput> {
+    ) -> Result<(FrameOutput, FrameCost)> {
         self.verify()?;
         if input.dims() != self.program.input {
             return Err(CoreError::BadProgram {
@@ -386,15 +384,15 @@ impl FrameEngine {
             conv_packs: &self.conv_packs,
             sar: self.sar.as_ref(),
             comparator: &self.comparator,
-            columns: self.columns,
             gemm_threads: self.gemm_threads,
             analog_threads: self.analog_threads,
             noise_mode: self.noise_mode,
             noise_scale,
             mac_domain: self.mac_domain,
             simd: self.simd,
-            ledger: EnergyLedger::new(),
-            elapsed: Seconds::zero(),
+            // The array parallelizes across the input width worth of
+            // column slices (gain staging maps the image onto the array).
+            cost: FrameCost::new(self.program.input[2]),
             forced: 0,
             code_mac_hits: 0,
         };
@@ -408,14 +406,13 @@ impl FrameEngine {
         let (features, codes, rail_clips) =
             pass.quantize(self.program.adc_bits, owned.as_ref().unwrap_or(input))?;
         let FramePass {
-            mut ledger,
-            elapsed,
+            cost,
             forced,
             code_mac_hits,
             ..
         } = pass;
-        ledger.controller = crate::estimate::controller_power() * elapsed;
-        Ok(FrameOutput {
+        let (ledger, elapsed) = cost.finish();
+        let out = FrameOutput {
             features,
             codes,
             ledger,
@@ -423,7 +420,8 @@ impl FrameEngine {
             forced,
             rail_clips,
             code_mac_hits,
-        })
+        };
+        Ok((out, cost))
     }
 }
 
@@ -763,8 +761,8 @@ impl Executor {
 }
 
 /// State for one frame's pass through the program: borrows the executor's
-/// scratch workspace and carries the frame's noise stream, energy ledger,
-/// and clock. Instruction substreams are keyed by a DFS ordinal, so the
+/// scratch workspace and carries the frame's noise stream and cost
+/// accumulator. Instruction substreams are keyed by a DFS ordinal, so the
 /// noise a given instruction draws is independent of how any *other*
 /// instruction is scheduled or sharded.
 struct FramePass<'a> {
@@ -782,7 +780,6 @@ struct FramePass<'a> {
     sar: Option<&'a SarAdc>,
     /// The engine's pack-once comparator template.
     comparator: &'a Comparator,
-    columns: f64,
     gemm_threads: usize,
     analog_threads: usize,
     noise_mode: NoiseMode,
@@ -792,8 +789,8 @@ struct FramePass<'a> {
     /// f32 microkernel level for the conv GEMM (bit-identical across
     /// levels; see [`SimdLevel`]).
     simd: SimdLevel,
-    ledger: EnergyLedger,
-    elapsed: Seconds,
+    /// Energy and time charged so far, in DFS instruction order.
+    cost: FrameCost,
     forced: u64,
     /// Conv instructions the code-domain fast path handled this frame.
     code_mac_hits: u64,
@@ -929,9 +926,8 @@ impl FramePass<'_> {
                 let out = self.add_layer_noise(out, *snr);
                 let out = clip_and_rectify(out, *relu);
 
-                let macs = geom.macs(*out_c);
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
+                self.cost.mac(geom.macs(*out_c), *snr);
+                self.cost.write(out.len() as u64, *snr);
                 Ok(out.into_reshaped(&[*out_c, geom.out_h(), geom.out_w()])?)
             }
             Instruction::MaxPool {
@@ -948,7 +944,7 @@ impl FramePass<'_> {
                 }
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
                 let out = self.comparator_maxpool(x, &geom);
-                self.charge_writes(out.len() as u64, SnrDb::new(40.0));
+                self.cost.write(out.len() as u64, SnrDb::new(40.0));
                 Ok(out)
             }
             Instruction::AvgPool {
@@ -967,9 +963,9 @@ impl FramePass<'_> {
                 let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
                 let out = average_pool(x, &geom);
                 let out = self.add_layer_noise(out, *snr);
-                let macs = out.len() as u64 * (*window * *window) as u64;
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
+                self.cost
+                    .mac(out.len() as u64 * (*window * *window) as u64, *snr);
+                self.cost.write(out.len() as u64, *snr);
                 Ok(out)
             }
             Instruction::Lrn {
@@ -982,9 +978,8 @@ impl FramePass<'_> {
             } => {
                 let out = lrn(x, *size, *alpha, *beta, *k)?;
                 let out = self.add_layer_noise(out, *snr);
-                let macs = out.len() as u64 * (*size as u64 + 1);
-                self.charge_macs(macs, *snr);
-                self.charge_writes(out.len() as u64, *snr);
+                self.cost.mac(out.len() as u64 * (*size as u64 + 1), *snr);
+                self.cost.write(out.len() as u64, *snr);
                 Ok(out)
             }
             Instruction::Inception { branches, .. } => {
@@ -1031,19 +1026,6 @@ impl FramePass<'_> {
             }
         }
         out
-    }
-
-    fn charge_macs(&mut self, macs: u64, snr: SnrDb) {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        self.ledger.processing += MAC_ENERGY_40DB * (macs as f64 * scale);
-        self.ledger.macs += macs;
-        self.elapsed += MAC_SETTLE_TIME_40DB * (macs as f64 / self.columns);
-    }
-
-    fn charge_writes(&mut self, writes: u64, snr: SnrDb) {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        self.ledger.memory += MEMORY_WRITE_ENERGY_40DB * (writes as f64 * scale);
-        self.ledger.writes += writes;
     }
 
     /// Max pooling through the dynamic comparator, with real forced
@@ -1116,9 +1098,7 @@ impl FramePass<'_> {
         let decisions: u64 = stats.iter().map(|s| s.0).sum();
         let forced: u64 = stats.iter().map(|s| s.1).sum();
         self.forced += forced;
-        self.ledger.pooling += COMPARATOR_ENERGY * decisions as f64;
-        self.ledger.comparisons += decisions;
-        self.elapsed += COMPARATOR_DECISION_TIME * (decisions as f64 / self.columns);
+        self.cost.compare(decisions);
         Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool output volume")
     }
 
@@ -1195,10 +1175,7 @@ impl FramePass<'_> {
             })
             .expect("quantize thread scope");
         }
-        self.ledger.quantization += template.energy_per_conversion() * n as f64;
-        self.ledger.conversions += n as u64;
-        self.ledger.readout_bits += n as u64 * u64::from(bits);
-        self.elapsed += template.time_per_conversion() * (n as f64 / self.columns);
+        self.cost.convert(template, n as u64);
         Ok((Tensor::from_vec(deq, x.dims())?, codes, rail_clips))
     }
 }

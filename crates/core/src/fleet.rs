@@ -242,9 +242,10 @@ impl DeviceScratch {
 pub struct DeviceFrame {
     /// The engine's frame output (features, codes, nominal ledger).
     pub output: FrameOutput,
-    /// Frame energy after the corner's power factor.
+    /// Frame energy at the device's corner (analog energy by the power
+    /// factor, controller energy by the power and timing factors).
     pub energy: Joules,
-    /// Frame time after the corner's timing factor.
+    /// Frame time at the device's corner (by the timing factor).
     pub frame_time: Seconds,
     /// Bits the sensor radios out for this frame (the ADC readout).
     pub payload_bits: u64,
@@ -276,7 +277,7 @@ impl DeviceCtx {
         scratch: &mut DeviceScratch,
     ) -> Result<DeviceFrame> {
         let calib = self.profile.calib;
-        let output = if calib.is_unity() {
+        let (output, cost) = if calib.is_unity() {
             // Reference devices skip the staging copy entirely, so the
             // fleet path stays bit-identical to the plain engine.
             self.engine.run_frame_with(
@@ -302,9 +303,9 @@ impl DeviceCtx {
                 &mut scratch.ctx,
             )?
         };
-        let corner = self.profile.corner;
-        let energy = output.ledger.total() * corner.power_factor();
-        let frame_time = output.elapsed * corner.timing_factor();
+        let (ledger, timing) = cost.at_corner(self.profile.corner);
+        let energy = ledger.total();
+        let frame_time = timing.frame_time();
         let payload_bits = output.ledger.readout_bits;
         let digest = frame_digest(&output);
         Ok(DeviceFrame {
@@ -660,10 +661,14 @@ mod tests {
             .expect("some off-corner device in 200");
         let frame = off_tt.run_frame(0, &input, &mut scratch).unwrap();
         let corner = off_tt.profile().corner;
-        let nominal_e = frame.output.ledger.total().value();
-        let nominal_t = frame.output.elapsed.value();
-        assert!((frame.energy.value() / nominal_e - corner.power_factor()).abs() < 1e-12);
-        assert!((frame.frame_time.value() / nominal_t - corner.timing_factor()).abs() < 1e-12);
+        let (pf, tf) = (corner.power_factor(), corner.timing_factor());
+        // Analog energy scales by the power factor, time by the timing
+        // factor, and the time-proportional controller energy by both.
+        let nominal = &frame.output.ledger;
+        let want_e = nominal.analog_total().value() * pf + nominal.controller.value() * pf * tf;
+        let want_t = frame.output.elapsed.value() * tf;
+        assert!((frame.energy.value() / want_e - 1.0).abs() < 1e-12);
+        assert!((frame.frame_time.value() / want_t - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -55,7 +55,6 @@
 pub mod area;
 mod batch;
 pub mod compile;
-mod energy;
 mod error;
 pub mod estimate;
 mod executor;
@@ -69,7 +68,6 @@ pub mod topology;
 
 pub use batch::{auto_workers, BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
-pub use energy::EnergyLedger;
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
 pub use executor::{
@@ -80,6 +78,7 @@ pub use fleet::{
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,
 };
 pub use partition::{partition_googlenet, Depth};
+pub use redeye_analog::cost::EnergyLedger;
 pub use redeye_tensor::SimdLevel;
 pub use redeye_verify::{
     analyze_cost, analyze_ranges, verify, verify_with_limits, verify_with_options, CostBounds,

@@ -5,24 +5,30 @@
 //!
 //! 1. **Cost bracket** — the RE07xx static bounds must bracket the dynamic
 //!    ledger (`lower ≤ ledger ≤ upper`), and the nominal (typical-corner)
-//!    point must *equal* the ledger: the cost pass re-derives exactly the
-//!    `count × unit-cost` products the executor charges, in the same
-//!    depth-first order, so any drift between the two models is a bug in
-//!    one of them. The static op counts must equal the ledger's counters.
+//!    point must *equal* the ledger bit for bit: the cost pass charges the
+//!    same `redeye_analog::cost` model the executor does, in the same
+//!    depth-first order. The static op counts must equal the ledger's
+//!    counters.
 //! 2. **Saturation soundness** — a program the RE06xx signal-range pass
 //!    declares clean (no RE06xx diagnostics at all) must execute without
 //!    any feature clipping at the SAR quantizer's 0 V rail, across several
 //!    noise seeds.
+//!
+//! A directed check holds fleet devices to the same model: a device at each
+//! process corner charges exactly the static point for that corner, inside
+//! the corner bounds.
 //!
 //! Plus directed completeness checks: a program the range pass *warns*
 //! about really does clip at run time, and the executor/compiler refuse
 //! over-budget programs.
 
 use proptest::prelude::*;
-use redeye_analog::{Joules, SnrDb};
+use redeye_analog::{Joules, ProcessCorner, SnrDb};
+use redeye_core::estimate::controller_power;
 use redeye_core::{
     analyze_cost, compile, verify, verify_with_options, CompileOptions, CoreError, CostBudget,
-    Executor, Instruction, Program, Severity, VerifyOptions, WeightBank,
+    DeviceCalib, DeviceProfile, DeviceScratch, Executor, FleetEngine, Instruction, Program,
+    Severity, VerifyOptions, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -58,7 +64,7 @@ fn range_clean(report: &redeye_core::Report) -> bool {
 
 proptest! {
     /// Static energy/latency bounds bracket the dynamic ledger, the nominal
-    /// point reproduces it to floating-point exactness, and the op counts
+    /// point reproduces it bit for bit, and the op counts
     /// agree — for every zoo cut, SNR, ADC depth, and weight seed.
     #[test]
     fn static_cost_bounds_bracket_dynamic_ledger(
@@ -94,17 +100,10 @@ proptest! {
             bounds.lower.time.value(),
             bounds.upper.time.value()
         );
-        // The nominal point is the same arithmetic in the same order.
-        let nominal = bounds.nominal.energy.value();
-        prop_assert!(
-            (nominal - energy).abs() <= nominal.abs() * 1e-12,
-            "nominal {nominal} != ledger {energy}"
-        );
-        let nominal_t = bounds.nominal.time.value();
-        prop_assert!(
-            (nominal_t - time).abs() <= nominal_t.abs() * 1e-12,
-            "nominal time {nominal_t} != frame time {time}"
-        );
+        // Both sides charge the same cost model in the same DFS order, so
+        // the nominal point is the ledger, bit for bit.
+        prop_assert_eq!(bounds.nominal.energy.value().to_bits(), energy.to_bits());
+        prop_assert_eq!(bounds.nominal.time.value().to_bits(), time.to_bits());
         prop_assert_eq!(bounds.macs, result.ledger.macs);
         prop_assert_eq!(bounds.comparisons, result.ledger.comparisons);
         prop_assert_eq!(bounds.writes, result.ledger.writes);
@@ -275,4 +274,65 @@ fn compile_and_verify_respect_budget() {
         "expected corner-overrun warning:\n{}",
         report.render()
     );
+}
+
+/// A unity-calibrated fleet device at each process corner charges the
+/// static model's point for that corner — analog energy by the power
+/// factor, time by the timing factor, the time-proportional controller
+/// energy by both — and so lies inside the RE07xx corner bounds.
+#[test]
+fn fleet_corner_devices_sit_on_the_static_corner_points() {
+    let program = compiled(
+        &zoo::micronet(8, 10),
+        "pool1",
+        5,
+        &CompileOptions::default(),
+    );
+    let bounds = analyze_cost(&program).expect("cost derivable");
+    let (nominal_e, nominal_t) = (bounds.nominal.energy.value(), bounds.nominal.time.value());
+    let controller = controller_power().value() * nominal_t;
+    let analog = nominal_e - controller;
+
+    let input = frame_for(&program, 3);
+    let fleet = FleetEngine::new(program, 21).expect("fleet engine builds");
+    let mut scratch = DeviceScratch::new();
+    for (id, corner) in (0u64..).zip(ProcessCorner::ALL) {
+        let device = fleet.device_from(DeviceProfile {
+            id,
+            corner,
+            calib: DeviceCalib::UNITY,
+            noise_seed: 100 + id,
+        });
+        let frame = device
+            .run_frame(0, &input, &mut scratch)
+            .expect("device frame");
+        let (pf, tf) = (corner.power_factor(), corner.timing_factor());
+        let (energy, time) = (frame.energy, frame.frame_time);
+        let want_e = analog * pf + controller * pf * tf;
+        let want_t = nominal_t * tf;
+        assert!(
+            (energy.value() / want_e - 1.0).abs() < 1e-12,
+            "{corner}: energy {} J, static corner point {want_e} J",
+            energy.value()
+        );
+        assert!(
+            (time.value() / want_t - 1.0).abs() < 1e-12,
+            "{corner}: time {} s, static corner point {want_t} s",
+            time.value()
+        );
+        assert!(
+            bounds.lower.energy <= energy && energy <= bounds.upper.energy,
+            "{corner}: energy {} J outside [{}, {}]",
+            energy.value(),
+            bounds.lower.energy.value(),
+            bounds.upper.energy.value()
+        );
+        assert!(
+            bounds.lower.time <= time && time <= bounds.upper.time,
+            "{corner}: time {} s outside [{}, {}]",
+            time.value(),
+            bounds.lower.time.value(),
+            bounds.upper.time.value()
+        );
+    }
 }

@@ -217,7 +217,7 @@ fn pack_b_conv_panel(
 ///
 /// The layout is `KC`-block major: block `bi` holds all `⌈m/MR⌉` MR-row
 /// panels for inner columns `[bi·KC, bi·KC + kc)`, exactly the bytes
-/// [`pack_a_block`] would produce for those coordinates (rows past `m`
+/// `pack_a_block` would produce for those coordinates (rows past `m`
 /// zero-padded). Band/`MC` sub-blocking never changes panel contents —
 /// band boundaries are MR-aligned — so a GEMM reading these panels is
 /// bit-identical to one packing A on the fly.

@@ -1,19 +1,19 @@
 //! Pass 7 — static cost model (RE07xx).
 //!
-//! Recomputes, from shapes alone, exactly the per-op `count × unit-cost`
-//! products the executor's [`EnergyLedger`] charges at run time — same
-//! calibration constants (`redeye_analog::calib`), same damping energy
-//! scale, same column-parallel timing divisor, same depth-first
-//! accumulation order. The resulting *nominal* estimate therefore matches
-//! a real `FrameEngine` ledger bit-for-bit (the executor's charges are a
+//! Walks the shape pass's sites in depth-first order — the order the
+//! executor runs instructions in — and charges each site's op counts
+//! through the shared cost model ([`FrameCost`]), the same accumulator the
+//! executor's ledger is filled by. The nominal estimate therefore equals a
+//! real `FrameEngine` ledger by construction (the executor's charges are a
 //! pure function of the program; noise never reaches the ledger).
 //!
 //! Around the nominal, the pass brackets the cost across every process
-//! corner (`redeye_analog::ProcessCorner::ALL`): analog and controller
-//! energy scale by the corner's power factor, time (and with it the
-//! time-proportional controller energy) by its timing factor. The `lower ≤
-//! nominal = ledger ≤ upper` bracket is the differential contract the
-//! static-vs-dynamic test harness enforces.
+//! corner (`redeye_analog::ProcessCorner::ALL`) with the model's one corner
+//! rule, [`FrameCost::at_corner`]: analog energy scales by the corner's
+//! power factor, time by its timing factor, and the time-proportional
+//! controller energy by both. The `lower ≤ nominal = ledger ≤ upper`
+//! bracket is the differential contract the static-vs-dynamic test harness
+//! enforces.
 //!
 //! Against a configurable [`CostBudget`] the pass emits:
 //!
@@ -21,19 +21,12 @@
 //! - `RE0702` (warning): only the upper energy bound exceeds the cap.
 //! - `RE0703` (error): even the lower frame-time bound exceeds the cap.
 //! - `RE0704` (warning): only the upper frame-time bound exceeds the cap.
-//!
-//! [`EnergyLedger`]: https://docs.rs/redeye-core
 
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
 use crate::shape::Site;
 use crate::{Instruction, Program};
-use redeye_analog::calib::{
-    COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, CONTROLLER_CLOCK_MHZ, CONTROLLER_UW_PER_MHZ,
-    MAC_ENERGY_40DB, MAC_SETTLE_TIME_40DB, MEMORY_WRITE_ENERGY_40DB,
-};
-use redeye_analog::{
-    resolution_admissible, DampingConfig, Joules, ProcessCorner, SarAdc, Seconds, SnrDb, Watts,
-};
+use redeye_analog::cost::FrameCost;
+use redeye_analog::{Joules, ProcessCorner, SarAdc, Seconds, SnrDb};
 use redeye_tensor::ConvGeom;
 use serde::Serialize;
 
@@ -167,44 +160,22 @@ pub(crate) fn run(
     Some(bounds)
 }
 
-/// Accumulates the nominal ledger in executor order, then brackets it over
-/// the process corners.
+/// Charges the program's sites through the shared cost model in executor
+/// order, then brackets the nominal point over the process corners.
 pub(crate) fn compute(
     program: &Program,
     sites: &[Site<'_>],
     final_shape: Option<[usize; 3]>,
 ) -> Option<CostBounds> {
     let out_shape = final_shape?;
-    if !resolution_admissible(program.adc_bits) {
-        return None;
-    }
+    let adc = SarAdc::new(program.adc_bits).ok()?;
     // The executor parallelizes across the *input width* worth of column
     // slices (gain staging maps the image onto the array).
-    let columns = program.input[2].max(1) as f64;
-
-    let mut processing = Joules::zero();
-    let mut pooling = Joules::zero();
-    let mut memory = Joules::zero();
-    let mut quantization = Joules::zero();
-    let mut elapsed = Seconds::zero();
-    let (mut macs_total, mut comparisons, mut writes_total) = (0u64, 0u64, 0u64);
-
-    let mut charge_macs =
-        |processing: &mut Joules, elapsed: &mut Seconds, macs: u64, snr: SnrDb| {
-            let scale = DampingConfig::from_snr(snr).energy_scale();
-            *processing += MAC_ENERGY_40DB * (macs as f64 * scale);
-            *elapsed += MAC_SETTLE_TIME_40DB * (macs as f64 / columns);
-            macs_total += macs;
-        };
-    let mut charge_writes = |memory: &mut Joules, writes: u64, snr: SnrDb| {
-        let scale = DampingConfig::from_snr(snr).energy_scale();
-        *memory += MEMORY_WRITE_ENERGY_40DB * (writes as f64 * scale);
-        writes_total += writes;
-    };
+    let mut cost = FrameCost::new(program.input[2]);
 
     // Sites are in depth-first visit order — the order the executor runs
-    // (and charges) instructions in, which makes the floating-point
-    // accumulation below reproduce the ledger exactly.
+    // (and charges) instructions in, so the accumulation below reproduces
+    // the ledger exactly.
     for site in sites {
         let in_shape = site.in_shape?;
         let out_len = match site.inst {
@@ -225,77 +196,56 @@ pub(crate) fn compute(
             } => {
                 let [c, h, w] = in_shape;
                 let geom = ConvGeom::new(c, h, w, *kernel, *kernel, *stride, *pad).ok()?;
-                charge_macs(&mut processing, &mut elapsed, geom.macs(*out_c), *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                cost.mac(geom.macs(*out_c), *snr);
+                cost.write(out_len, *snr);
             }
             Instruction::MaxPool { window, .. } => {
                 // Fixed comparison schedule: window²−1 decisions per output,
                 // padding taps included.
-                let decisions = out_len * ((window * window) as u64 - 1);
-                pooling += COMPARATOR_ENERGY * decisions as f64;
-                comparisons += decisions;
-                elapsed += COMPARATOR_DECISION_TIME * (decisions as f64 / columns);
-                charge_writes(&mut memory, out_len, SnrDb::new(40.0));
+                cost.compare(out_len * ((window * window) as u64 - 1));
+                cost.write(out_len, SnrDb::new(40.0));
             }
             Instruction::AvgPool { window, snr, .. } => {
-                let macs = out_len * (*window * *window) as u64;
-                charge_macs(&mut processing, &mut elapsed, macs, *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                cost.mac(out_len * (*window * *window) as u64, *snr);
+                cost.write(out_len, *snr);
             }
             Instruction::Lrn { size, snr, .. } => {
-                let macs = out_len * (*size as u64 + 1);
-                charge_macs(&mut processing, &mut elapsed, macs, *snr);
-                charge_writes(&mut memory, out_len, *snr);
+                cost.mac(out_len * (*size as u64 + 1), *snr);
+                cost.write(out_len, *snr);
             }
             Instruction::Inception { .. } => unreachable!(),
         }
     }
 
     // The SAR readout of the final feature map.
-    let template = SarAdc::new(program.adc_bits).ok()?;
-    let n = out_shape[0] * out_shape[1] * out_shape[2];
-    quantization += template.energy_per_conversion() * n as f64;
-    elapsed += template.time_per_conversion() * (n as f64 / columns);
-    let conversions = n as u64;
-    let readout_bits = conversions * u64::from(program.adc_bits);
+    cost.convert(&adc, (out_shape[0] * out_shape[1] * out_shape[2]) as u64);
 
-    // Controller energy is time-proportional (idle + sequencing power).
-    let controller_power =
-        Watts::new(CONTROLLER_UW_PER_MHZ * 1e-6 * CONTROLLER_CLOCK_MHZ * 1e6 / 1e6);
-    let analog = processing + pooling + memory + quantization;
-    let controller = controller_power * elapsed;
+    let (ledger, time) = cost.finish();
     let nominal = CostEstimate {
-        energy: analog + controller,
-        time: elapsed,
+        energy: ledger.total(),
+        time,
     };
-
-    let (mut lo_e, mut hi_e) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut lo_t, mut hi_t) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut lower, mut upper) = (nominal, nominal);
     for corner in ProcessCorner::ALL {
-        let pf = corner.power_factor();
-        let tf = corner.timing_factor();
-        let time = elapsed.value() * tf;
-        let energy = analog.value() * pf + controller_power.value() * pf * time;
-        lo_e = lo_e.min(energy);
-        hi_e = hi_e.max(energy);
-        lo_t = lo_t.min(time);
-        hi_t = hi_t.max(time);
+        let (at, timing) = cost.at_corner(corner);
+        let (energy, time) = (at.total(), timing.frame_time());
+        lower = CostEstimate {
+            energy: lower.energy.min(energy),
+            time: lower.time.min(time),
+        };
+        upper = CostEstimate {
+            energy: upper.energy.max(energy),
+            time: upper.time.max(time),
+        };
     }
-
     Some(CostBounds {
-        lower: CostEstimate {
-            energy: Joules::new(lo_e),
-            time: Seconds::new(lo_t),
-        },
+        lower,
         nominal,
-        upper: CostEstimate {
-            energy: Joules::new(hi_e),
-            time: Seconds::new(hi_t),
-        },
-        macs: macs_total,
-        comparisons,
-        writes: writes_total,
-        conversions,
-        readout_bits,
+        upper,
+        macs: ledger.macs,
+        comparisons: ledger.comparisons,
+        writes: ledger.writes,
+        conversions: ledger.conversions,
+        readout_bits: ledger.readout_bits,
     })
 }

@@ -7,10 +7,14 @@
 //! codes), ledger and forced-decision count, and the digests are pinned, so
 //! a change that flips a single comparator decision, noise sample or SAR
 //! code fails here.
+//!
+//! The same program pins "static cost = dynamic ledger": `analyze_cost`'s
+//! nominal point equals every serial frame's ledger and frame time exactly,
+//! with the same op counts.
 
 use redeye::core::{
-    compile, frame_digest, BatchExecutor, CompileOptions, DeviceScratch, FleetEngine, FrameCtx,
-    FrameEngine, FrameOutput, Program, WeightBank,
+    analyze_cost, compile, frame_digest, BatchExecutor, CompileOptions, DeviceScratch, FleetEngine,
+    FrameCtx, FrameEngine, FrameOutput, Program, WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
 use redeye::tensor::{Rng, Tensor};
@@ -146,4 +150,37 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
         (h ^ f.digest).wrapping_mul(0x0100_0000_01b3)
     });
     assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
+}
+
+#[test]
+fn static_cost_equals_every_serial_frame_ledger() {
+    let program = program();
+    let bounds = analyze_cost(&program).expect("micronet cost is statically derivable");
+    let engine = FrameEngine::new(program, SEED);
+    let mut ctx = FrameCtx::new();
+    for (f, input) in scenes().iter().enumerate() {
+        let out = engine
+            .run_frame(f as u64, input, &mut ctx)
+            .expect("serial frame");
+        let l = &out.ledger;
+        assert_eq!(bounds.nominal.energy, l.total(), "frame {f} energy");
+        assert_eq!(bounds.nominal.time, out.elapsed, "frame {f} time");
+        assert_eq!(
+            (
+                bounds.macs,
+                bounds.comparisons,
+                bounds.writes,
+                bounds.conversions,
+                bounds.readout_bits
+            ),
+            (
+                l.macs,
+                l.comparisons,
+                l.writes,
+                l.conversions,
+                l.readout_bits
+            ),
+            "frame {f} op counts"
+        );
+    }
 }

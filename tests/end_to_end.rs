@@ -128,7 +128,7 @@ fn estimate_matches_executor_counters_on_googlenet_front() {
 
     let summary = redeye::nn::summarize(&spec).unwrap();
     let totals = summary.prefix_totals("pool2").unwrap();
-    let est = estimate::estimate_prefix(&totals, &RedEyeConfig::default());
+    let est = estimate::estimate_prefix(&totals, &RedEyeConfig::default()).unwrap();
 
     let mut executor = Executor::new(program, 1);
     let result = executor.execute(&Tensor::full(&[3, 32, 32], 0.4)).unwrap();
