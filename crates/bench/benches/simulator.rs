@@ -11,8 +11,8 @@ use redeye_nn::{build_network, summarize, zoo, WeightInit};
 use redeye_system::scenario;
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel, Tensor,
-    Workspace,
+    matmul_naive, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel,
+    Tensor, Workspace,
 };
 
 /// Fig. 7 / Table I path: the analytic GoogLeNet estimator at all depths.
@@ -259,6 +259,25 @@ fn bench_comparator_window(c: &mut Criterion) {
     });
 }
 
+/// The layer-noise stage on one Depth3 plane (conv2's 192×56×56 output):
+/// the blocked polar `add_scaled_normal` of `NoiseMode::Batched`, and the
+/// per-site Box–Muller loop of `NoiseMode::Scalar`.
+fn bench_noise(c: &mut Criterion) {
+    let stream = NoiseStream::new(3);
+    let sigma = 0.05f32;
+    let mut plane = vec![0.0f32; 192 * 56 * 56];
+    c.bench_function("noise/add_scaled_normal/batched", |b| {
+        b.iter(|| stream.add_scaled_normal(0, sigma, &mut plane));
+    });
+    c.bench_function("noise/add_scaled_normal/scalar_sites", |b| {
+        b.iter(|| {
+            for (i, v) in plane.iter_mut().enumerate() {
+                *v += sigma * stream.at(i as u64).standard_normal();
+            }
+        });
+    });
+}
+
 /// §IV-A ablation: charge-sharing vs naïve DAC sampling energy, all codes.
 fn bench_ablation(c: &mut Criterion) {
     let tc = TunableCap::new(8).unwrap();
@@ -429,6 +448,7 @@ criterion_group!(
     bench_frame_throughput,
     bench_fleet,
     bench_circuits,
+    bench_noise,
     bench_ablation,
     bench_gemm,
     bench_gemm_i8,

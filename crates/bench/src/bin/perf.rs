@@ -6,8 +6,9 @@
 //!   retained naive reference at the paper-relevant square sizes, one
 //!   MicroNet forward epoch, and the frame-parallel accuracy sweep at 1 vs
 //!   4 worker threads.
-//! - **Analog** (`BENCH_analog.json`): Gaussian noise kernels (scalar
-//!   Box–Muller vs batched polar) plus whole GoogLeNet frames at
+//! - **Analog** (`BENCH_analog.json`): the layer-noise stage at the
+//!   Depth3 sample count (scalar Box–Muller vs the blocked polar
+//!   `add_scaled_normal`) plus whole GoogLeNet frames at
 //!   Depth1/Depth3/Depth5 across analog thread budgets.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batched
@@ -228,25 +229,27 @@ fn bench_accuracy_sweep(rows: &mut Vec<Row>) {
     });
 }
 
-/// Times the Gaussian noise kernels at a Depth3-scale plane: the scalar
-/// per-site Box–Muller baseline against the pair-amortized batched fill,
-/// serial and sharded.
+/// Times the executor's layer-noise stage at Depth3 scale: the scalar
+/// per-site Box–Muller baseline (`NoiseMode::Scalar`) against the blocked
+/// polar `add_scaled_normal` (`NoiseMode::Batched`), serial and sharded on
+/// even offsets as the executor shards it.
 fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
-    // ~2M samples: the order of the total layer-noise sites a Depth3
-    // GoogLeNet frame draws (conv1 + conv2 + inception_3a/3b planes).
-    let n: usize = if smoke { 1 << 19 } else { 1 << 21 };
+    // The layer-noise samples one GoogLeNet Depth3 frame draws: every
+    // conv, LRN and average-pool output element through inception_3b.
+    let n: usize = if smoke { 1 << 19 } else { 3_285_504 };
     let reps = if smoke { 2 } else { 5 };
     let stream = NoiseStream::new(7);
+    let sigma = 0.05f32;
     let mut buf = vec![0.0f32; n];
 
     let scalar_ms = best_of(reps, || {
         for (i, v) in buf.iter_mut().enumerate() {
-            *v = stream.at(i as u64).standard_normal();
+            *v += sigma * stream.at(i as u64).standard_normal();
         }
         std::hint::black_box(&buf);
     });
     let batched_ms = best_of(reps, || {
-        stream.fill_standard_normal(&mut buf);
+        stream.add_scaled_normal(0, sigma, &mut buf);
         std::hint::black_box(&buf);
     });
     let mut sharded_ms = |threads: usize| {
@@ -256,7 +259,7 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
                 for (t, band) in buf.chunks_mut(chunk).enumerate() {
                     let stream = &stream;
                     scope.spawn(move || {
-                        stream.fill_standard_normal_at((t * chunk) as u64, band);
+                        stream.add_scaled_normal((t * chunk) as u64, sigma, band);
                     });
                 }
             });

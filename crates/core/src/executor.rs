@@ -924,7 +924,7 @@ impl FramePass<'_> {
                 }
                 let out = Tensor::from_vec(out, &[*out_c, positions])?;
                 let out = self.add_layer_noise(out, *snr);
-                let out = clip_and_rectify(out, *relu);
+                let out = rectify(out, *relu);
 
                 self.cost.mac(geom.macs(*out_c), *snr);
                 self.cost.write(out.len() as u64, *snr);
@@ -1344,19 +1344,15 @@ where
     .expect("analog thread scope")
 }
 
-/// Clips at the positive rail (max observed swing under unity gain staging)
-/// and rectifies at zero when the layer fuses a ReLU.
-fn clip_and_rectify(mut out: Tensor, relu: bool) -> Tensor {
-    let top = out.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    for v in out.iter_mut() {
-        if relu && *v < 0.0 {
-            *v = 0.0;
-        }
-        if *v > top {
-            *v = top;
-        }
-        if *v < -top {
-            *v = -top;
+/// Rectifies at zero when the layer fuses a ReLU. A conv output needs no
+/// rail clamp: the plane's own largest magnitude, the only rail it could
+/// be clamped to, already bounds every value in it.
+fn rectify(mut out: Tensor, relu: bool) -> Tensor {
+    if relu {
+        for v in out.iter_mut() {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
         }
     }
     out

@@ -21,7 +21,10 @@
 //! amortize Gaussian sampling over whole planes: consecutive element *pairs*
 //! share one two-output Marsaglia polar evaluation (one `ln`/`sqrt`, no
 //! trigonometry), cutting the transcendental cost well below scalar
-//! per-element Box–Muller. Because the pair index is derived from the
+//! per-element Box–Muller. Pairs are evaluated a block at a time, phase by
+//! phase (hashes and first attempts, retries, `ln`, scale), so independent
+//! pairs overlap in the pipeline instead of queueing behind one another's
+//! rejection branch and `ln`. Because the pair index is derived from the
 //! element index, a fill over `[lo, hi)` equals the concatenation of fills
 //! over any partition of `[lo, hi)` — the property the column-parallel
 //! executor relies on.
@@ -52,6 +55,43 @@ fn unit_f32(x: u64) -> f32 {
 #[inline]
 fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Whole sample pairs per block of the batched normal fill. A block's four
+/// per-pair `f32` arrays (4 KiB) and its retry list live on the stack.
+const BLOCK_PAIRS: usize = 256;
+
+/// One Marsaglia polar attempt from `site`'s next two uniforms: the point
+/// `(u, v)` on `[−1, 1)²` and its squared radius `s`.
+#[inline]
+fn polar_attempt(site: &mut SiteRng) -> (f32, f32, f32) {
+    let u = 2.0 * site.next_f32() - 1.0;
+    let v = 2.0 * site.next_f32() - 1.0;
+    (u, v, u * u + v * v)
+}
+
+/// Whether a polar attempt lies strictly inside the unit disc, minus its
+/// centre.
+#[inline]
+fn polar_accepts(s: f32) -> bool {
+    s > 0.0 && s < 1.0
+}
+
+/// Polar attempts from `site` until one is accepted.
+#[inline]
+fn polar_point(site: &mut SiteRng) -> (f32, f32, f32) {
+    loop {
+        let (u, v, s) = polar_attempt(site);
+        if polar_accepts(s) {
+            return (u, v, s);
+        }
+    }
+}
+
+/// The polar transform's factor `sqrt(−2·ln s / s)`, given `ln s`.
+#[inline]
+fn polar_scale(s: f32, ln_s: f32) -> f32 {
+    (-2.0 * ln_s / s).sqrt()
 }
 
 /// Minimal sampling interface shared by the sequential [`crate::Rng`] and
@@ -164,16 +204,9 @@ impl NoiseStream {
     /// function of `(key, pair)` and fills remain partition-invariant.
     #[inline]
     fn normal_pair(&self, pair: u64) -> (f32, f32) {
-        let mut site = self.at(pair);
-        loop {
-            let u = 2.0 * site.next_f32() - 1.0;
-            let v = 2.0 * site.next_f32() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                return (u * factor, v * factor);
-            }
-        }
+        let (u, v, s) = polar_point(&mut self.at(pair));
+        let scale = polar_scale(s, s.ln());
+        (u * scale, v * scale)
     }
 
     /// Fills `dst` with standard-normal samples for elements
@@ -194,7 +227,7 @@ impl NoiseStream {
     /// (Straddling a pair boundary recomputes that pair's polar evaluation
     /// once per side — partition on even offsets to avoid duplicate work.)
     pub fn fill_standard_normal_at(&self, first: u64, dst: &mut [f32]) {
-        self.for_each_normal(first, dst.len(), |slot, z| *slot = z, dst);
+        self.for_each_normal(first, dst, |slot, z| *slot = z);
     }
 
     /// Adds `sigma`-scaled plane noise in place:
@@ -204,38 +237,86 @@ impl NoiseStream {
     /// used by the executor's Gaussian noise stage; same determinism
     /// guarantees.
     pub fn add_scaled_normal(&self, first: u64, sigma: f32, dst: &mut [f32]) {
-        self.for_each_normal(first, dst.len(), |slot, z| *slot += sigma * z, dst);
+        self.for_each_normal(first, dst, |slot, z| *slot += sigma * z);
     }
 
     /// Shared pair-walking loop behind the batched normal APIs.
+    ///
+    /// A leading element on an odd global index is the second half of its
+    /// pair and a trailing element on an even one the first half; each
+    /// recomputes its pair on its own and keeps that half. Every whole pair
+    /// in between goes through [`NoiseStream::normal_block`], up to
+    /// [`BLOCK_PAIRS`] at a time.
     #[inline]
-    fn for_each_normal(
-        &self,
-        first: u64,
-        n: usize,
-        apply: impl Fn(&mut f32, f32),
-        dst: &mut [f32],
-    ) {
-        let mut i = 0usize;
-        if n == 0 {
-            return;
-        }
-        // A leading element on an odd global index is the second half of
-        // its pair; recompute the pair and take that half.
+    fn for_each_normal(&self, first: u64, dst: &mut [f32], apply: impl Fn(&mut f32, f32)) {
+        let mut body = dst;
         if first & 1 == 1 {
-            let (_, z1) = self.normal_pair(first >> 1);
-            apply(&mut dst[0], z1);
-            i = 1;
+            let Some((lead, rest)) = body.split_first_mut() else {
+                return;
+            };
+            apply(lead, self.normal_pair(first >> 1).1);
+            body = rest;
         }
-        while i + 1 < n {
-            let (z0, z1) = self.normal_pair((first + i as u64) >> 1);
-            apply(&mut dst[i], z0);
-            apply(&mut dst[i + 1], z1);
-            i += 2;
+        let first_pair = first.div_ceil(2);
+        let (pairs, tail) = body.split_at_mut(body.len() & !1);
+        for (b, block) in pairs.chunks_mut(2 * BLOCK_PAIRS).enumerate() {
+            self.normal_block(first_pair + (b * BLOCK_PAIRS) as u64, block, &apply);
         }
-        if i < n {
-            let (z0, _) = self.normal_pair((first + i as u64) >> 1);
-            apply(&mut dst[i], z0);
+        if let [last] = tail {
+            apply(
+                last,
+                self.normal_pair(first_pair + (pairs.len() / 2) as u64).0,
+            );
+        }
+    }
+
+    /// Applies the normals of the `dst.len() / 2` whole pairs starting at
+    /// pair `first_pair`, element `2·k + h` of `dst` receiving half `h` of
+    /// pair `first_pair + k`, each exactly as [`NoiseStream::normal_pair`]
+    /// computes it.
+    ///
+    /// The per-pair work is split into four phases over the block, so that
+    /// no phase carries a dependency from one pair to the next:
+    ///
+    /// 1. every pair's first polar attempt — its site hash, two uniforms,
+    ///    `u`, `v` and `s` — with no branch;
+    /// 2. the pairs whose first attempt was rejected (about 21%) retry in
+    ///    a scalar loop from their own site's draw 2 on;
+    /// 3. `s.ln()` as one independent libm call per pair (a vector `ln`
+    ///    could not be shown to round like it);
+    /// 4. `sqrt(−2·ln s / s)`, the two products and `apply`, a tail the
+    ///    compiler vectorizes.
+    #[inline(always)]
+    fn normal_block(&self, first_pair: u64, dst: &mut [f32], apply: &impl Fn(&mut f32, f32)) {
+        let pairs = dst.len() / 2;
+        debug_assert!(pairs <= BLOCK_PAIRS && dst.len().is_multiple_of(2));
+        let mut u = [0.0f32; BLOCK_PAIRS];
+        let mut v = [0.0f32; BLOCK_PAIRS];
+        let mut s = [0.0f32; BLOCK_PAIRS];
+        for k in 0..pairs {
+            (u[k], v[k], s[k]) = polar_attempt(&mut self.at(first_pair + k as u64));
+        }
+        let mut rejected = [0u16; BLOCK_PAIRS];
+        let mut retries = 0;
+        for (k, &sk) in s[..pairs].iter().enumerate() {
+            rejected[retries] = k as u16;
+            retries += usize::from(!polar_accepts(sk));
+        }
+        for &k in &rejected[..retries] {
+            let k = usize::from(k);
+            let mut site = self.at(first_pair + k as u64);
+            // Step past the two draws of the rejected first attempt.
+            site.state = site.state.wrapping_add(GOLDEN.wrapping_mul(2));
+            (u[k], v[k], s[k]) = polar_point(&mut site);
+        }
+        let mut ln = [0.0f32; BLOCK_PAIRS];
+        for (l, &sk) in ln[..pairs].iter_mut().zip(&s[..pairs]) {
+            *l = sk.ln();
+        }
+        for (k, out) in dst.chunks_exact_mut(2).enumerate() {
+            let scale = polar_scale(s[k], ln[k]);
+            apply(&mut out[0], u[k] * scale);
+            apply(&mut out[1], v[k] * scale);
         }
     }
 
@@ -382,6 +463,7 @@ const _: () = assert_shareable::<NoiseStream>();
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_site_same_draws() {
@@ -439,18 +521,234 @@ mod tests {
     #[test]
     fn fill_is_partition_invariant() {
         let s = NoiseStream::new(4).substream(9);
-        let mut whole = vec![0.0f32; 1001];
+        let n = 3 * BLOCK + 65;
+        let mut whole = vec![0.0f32; n];
         s.fill_standard_normal(&mut whole);
-        // Any partition — even one that splits a sample pair — must
+        // Any partition — even one that splits a sample pair, or starts a
+        // part on an odd offset and runs it across block boundaries — must
         // reproduce the same elements bit-for-bit.
-        for splits in [vec![0, 500, 1001], vec![0, 1, 3, 64, 777, 1001]] {
-            let mut parts = vec![0.0f32; 1001];
+        for splits in [
+            vec![0, 500, n],
+            vec![0, 1, 3, 64, 777, n],
+            vec![0, 333, 1029, n],
+            vec![0, BLOCK - 1, 3 * BLOCK - 1, n],
+            vec![0, 7, BLOCK + 9, BLOCK + 10, 2 * BLOCK + 11, n],
+        ] {
+            let mut parts = vec![0.0f32; n];
             for w in splits.windows(2) {
                 let (lo, hi) = (w[0], w[1]);
                 s.fill_standard_normal_at(lo as u64, &mut parts[lo..hi]);
             }
-            assert_eq!(whole, parts);
+            assert_eq!(bits(&whole), bits(&parts), "splits {splits:?}");
         }
+    }
+
+    /// Elements per block of the batched fill.
+    const BLOCK: usize = 2 * BLOCK_PAIRS;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The pair-at-a-time fill the blocked one replaced, kept as its
+    /// oracle: each pair's polar loop runs to completion, `ln` included,
+    /// before the next pair starts.
+    fn pairwise_fill(
+        stream: &NoiseStream,
+        first: u64,
+        dst: &mut [f32],
+        apply: impl Fn(&mut f32, f32),
+    ) {
+        let normal_pair = |pair: u64| {
+            let mut site = stream.at(pair);
+            loop {
+                let u = 2.0 * site.next_f32() - 1.0;
+                let v = 2.0 * site.next_f32() - 1.0;
+                let s = u * u + v * v;
+                if s > 0.0 && s < 1.0 {
+                    let factor = (-2.0 * s.ln() / s).sqrt();
+                    return (u * factor, v * factor);
+                }
+            }
+        };
+        let n = dst.len();
+        let mut i = 0usize;
+        if n == 0 {
+            return;
+        }
+        if first & 1 == 1 {
+            apply(&mut dst[0], normal_pair(first >> 1).1);
+            i = 1;
+        }
+        while i + 1 < n {
+            let (z0, z1) = normal_pair((first + i as u64) >> 1);
+            apply(&mut dst[i], z0);
+            apply(&mut dst[i + 1], z1);
+            i += 2;
+        }
+        if i < n {
+            apply(&mut dst[i], normal_pair((first + i as u64) >> 1).0);
+        }
+    }
+
+    /// Both batched APIs against the oracle, bit for bit, on a plane of
+    /// `len` elements starting at element `first`.
+    fn assert_matches_pairwise(stream: &NoiseStream, first: u64, len: usize, sigma: f32) {
+        let init: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut got = init.clone();
+        stream.add_scaled_normal(first, sigma, &mut got);
+        let mut want = init;
+        pairwise_fill(stream, first, &mut want, |slot, z| *slot += sigma * z);
+        let first_diff = |a: &[f32], b: &[f32]| {
+            a.iter()
+                .zip(b)
+                .position(|(x, y)| x.to_bits() != y.to_bits())
+        };
+        assert_eq!(
+            first_diff(&got, &want),
+            None,
+            "add_scaled_normal: first {first}, len {len}, sigma {sigma:e}"
+        );
+        let mut got = vec![0.0f32; len];
+        stream.fill_standard_normal_at(first, &mut got);
+        let mut want = vec![0.0f32; len];
+        pairwise_fill(stream, first, &mut want, |slot, z| *slot = z);
+        assert_eq!(
+            first_diff(&got, &want),
+            None,
+            "fill_standard_normal_at: first {first}, len {len}"
+        );
+    }
+
+    /// Plane lengths at and around the block edges, and several blocks
+    /// plus an odd tail.
+    const EDGE_LENGTHS: [usize; 10] = [
+        0,
+        1,
+        2,
+        BLOCK_PAIRS - 1,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        BLOCK + 2,
+        3 * BLOCK + 37,
+        5 * BLOCK - 1,
+    ];
+
+    /// Zero, signed zero, negative and subnormal amplitudes, and an
+    /// ordinary one.
+    const SIGMAS: [f32; 6] = [0.0, -0.0, -1.75, f32::MIN_POSITIVE / 8.0, -1e-42, 0.31];
+
+    #[test]
+    fn blocked_fill_matches_the_pairwise_loop_at_block_edges() {
+        let stream = NoiseStream::new(12).substream(3);
+        for first in [0u64, 1, 2, 511, 512, 1 << 40, (1 << 40) + 1] {
+            for len in EDGE_LENGTHS {
+                for sigma in SIGMAS {
+                    assert_matches_pairwise(&stream, first, len, sigma);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_fill_matches_the_pairwise_loop_on_a_depth3_plane() {
+        // The per-frame layer-noise sample count of a GoogLeNet Depth3
+        // prefix, started on an odd element.
+        assert_matches_pairwise(&NoiseStream::new(13), 3, 3_285_504, 0.0625);
+    }
+
+    proptest! {
+        #[test]
+        fn blocked_fill_matches_the_pairwise_loop(
+            key in 0u64..u64::MAX,
+            first in 0u64..4 * BLOCK as u64,
+            far in 0u64..2,
+            len in 0usize..4 * BLOCK,
+            edge in 0usize..2 * EDGE_LENGTHS.len(),
+            sigma in -4.0f32..4.0,
+            special in 0usize..2 * SIGMAS.len(),
+        ) {
+            // Half the cases take a block-edge length or a special sigma,
+            // and half start far into the plane.
+            let len = EDGE_LENGTHS.get(edge).copied().unwrap_or(len);
+            let sigma = SIGMAS.get(special).copied().unwrap_or(sigma);
+            let first = first + far * (key >> 2);
+            assert_matches_pairwise(&NoiseStream { key }, first, len, sigma);
+        }
+    }
+
+    /// `s` of each polar attempt of `pair`, first attempt first.
+    fn polar_attempts(stream: &NoiseStream, pair: u64) -> impl Iterator<Item = f32> {
+        let mut site = stream.at(pair);
+        std::iter::repeat_with(move || polar_attempt(&mut site).2)
+    }
+
+    /// Fills around `pair` so that it is a whole pair inside a block, in
+    /// the middle, first and last position of its block, and compares
+    /// with the oracle.
+    fn assert_pair_matches_pairwise(stream: &NoiseStream, pair: u64) {
+        let element = 2 * pair;
+        for (before, len) in [
+            (37, 101),
+            (0, BLOCK),
+            (BLOCK - 2, BLOCK),
+            (BLOCK - 1, BLOCK + 3),
+        ] {
+            let first = element - before as u64;
+            for sigma in [1.0, -0.5] {
+                assert_matches_pairwise(stream, first, len, sigma);
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_first_attempts_retry_from_draw_two() {
+        let stream = NoiseStream::new(14).substream(2);
+        let rejections = |pair: u64| {
+            polar_attempts(&stream, pair)
+                .take_while(|&s| !polar_accepts(s))
+                .count()
+        };
+        for times in [1, 2] {
+            let pair = (BLOCK as u64..).find(|&p| rejections(p) == times).unwrap();
+            assert_pair_matches_pairwise(&stream, pair);
+        }
+    }
+
+    /// Inverse of [`mix`].
+    fn unmix(mut z: u64) -> u64 {
+        let unshift = |y: u64, k: u32| (1..=64 / k).fold(y, |x, i| x ^ (y >> (i * k)));
+        let inverse = |c: u64| {
+            (0..6).fold(c, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+            })
+        };
+        z = unshift(z, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30)
+    }
+
+    #[test]
+    fn a_polar_attempt_at_the_origin_is_rejected() {
+        // A pair's first two uniforms are both exactly 1/2, so `u = v = 0`
+        // and `s == 0`, with probability 2⁻⁴⁸: too rare to find by
+        // searching pair indices. Construct it instead by running
+        // SplitMix64 backwards. Draw 1 is `mix(state0 + GOLDEN)`; choosing
+        // it with top 24 bits `2²³` fixes `state0`, and a search over its
+        // low 40 bits (done once, offline) found the value whose draw 2 has
+        // the same top bits. The stream key then follows from `state0` and
+        // the pair index.
+        const DRAW1: u64 = (1 << 63) | 0x2a8_34c8;
+        let pair = 1000u64;
+        let state0 = unmix(DRAW1).wrapping_sub(GOLDEN);
+        let stream = NoiseStream {
+            key: unmix(state0).wrapping_sub(pair.wrapping_mul(GOLDEN)),
+        };
+        let mut site = stream.at(pair);
+        assert_eq!((site.next_f32(), site.next_f32()), (0.5, 0.5));
+        assert_eq!(polar_attempts(&stream, pair).next(), Some(0.0));
+        assert_pair_matches_pairwise(&stream, pair);
     }
 
     #[test]

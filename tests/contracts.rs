@@ -11,18 +11,30 @@
 //! The same program pins "static cost = dynamic ledger": `analyze_cost`'s
 //! nominal point equals every serial frame's ledger and frame time exactly,
 //! with the same op counts.
+//!
+//! The layer-noise kernel is pinned on its own as well, so a rewrite that
+//! changes a single noise sample fails here without running a frame.
 
 use redeye::core::{
     analyze_cost, compile, frame_digest, BatchExecutor, CompileOptions, DeviceScratch, FleetEngine,
     FrameCtx, FrameEngine, FrameOutput, Program, WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
-use redeye::tensor::{Rng, Tensor};
+use redeye::tensor::{NoiseStream, Rng, Tensor};
 
 const SEED: u64 = 11;
 const FRAMES: usize = 4;
 /// Fold of the `FRAMES` frame digests for `SEED`.
 const PINNED_FOLD: u64 = 0x76c6_7794_66d7_e4e6;
+/// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
+const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
+
+/// FNV-1a over 64-bit words.
+fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        (h ^ w).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// micronet through `pool2`: conv, max pool, LRN, conv, max pool.
 fn program() -> Program {
@@ -146,9 +158,7 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
         "fleet reference device"
     );
     assert!(want.iter().all(|f| f.ledger.comparisons > 0));
-    let fold = want.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
-        (h ^ f.digest).wrapping_mul(0x0100_0000_01b3)
-    });
+    let fold = fold(want.iter().map(|f| f.digest));
     assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
 }
 
@@ -183,4 +193,16 @@ fn static_cost_equals_every_serial_frame_ledger() {
             "frame {f} op counts"
         );
     }
+}
+
+/// Layer noise on a plane of 1,538 elements that starts on the odd element
+/// 1,001: a leading half pair, three whole 256-pair blocks of the batched
+/// fill and a trailing half pair.
+#[test]
+fn layer_noise_samples_are_pinned() {
+    let stream = NoiseStream::new(SEED).substream(7);
+    let mut plane: Vec<f32> = (0..1538).map(|i| (i % 29) as f32 * 0.03).collect();
+    stream.add_scaled_normal(1001, 0.25, &mut plane);
+    let fold = fold(plane.iter().map(|v| u64::from(v.to_bits())));
+    assert_eq!(fold, PINNED_NOISE_FOLD, "noise fold {fold:#018x}");
 }
