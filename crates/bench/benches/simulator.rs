@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use redeye_analog::{Comparator, DampingConfig, Mac, MacConfig, SarAdc, SnrDb, TunableCap};
 use redeye_core::{
     compile, estimate, BatchExecutor, CompileOptions, Depth, DeviceWork, Executor, FleetEngine,
-    FleetExecutor, FleetOptions, FrameEngine, NoiseMode, RedEyeConfig, WeightBank,
+    FleetExecutor, FleetOptions, FrameEngine, RedEyeConfig, WeightBank,
 };
 use redeye_nn::{build_network, summarize, zoo, WeightInit};
 use redeye_system::scenario;
@@ -50,8 +50,8 @@ fn bench_executor(c: &mut Criterion) {
     });
 }
 
-/// The column-parallel analog pipeline: one executor frame per noise mode
-/// and analog thread budget (the BENCH_analog.json axes, criterion-sized).
+/// The column-parallel analog pipeline: one executor frame per analog
+/// thread budget (the BENCH_analog.json axes, criterion-sized).
 fn bench_analog_pipeline(c: &mut Criterion) {
     let spec = zoo::micronet(16, 10);
     let prefix = spec.prefix_through("pool3").unwrap();
@@ -60,16 +60,11 @@ fn bench_analog_pipeline(c: &mut Criterion) {
     let mut bank = WeightBank::from_network(&mut net);
     let program = compile(&prefix, &mut bank, &CompileOptions::default()).unwrap();
     let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-    for (label, mode, threads) in [
-        ("scalar_1t", NoiseMode::Scalar, 1usize),
-        ("batched_1t", NoiseMode::Batched, 1),
-        ("batched_4t", NoiseMode::Batched, 4),
-    ] {
+    for (label, threads) in [("batched_1t", 1usize), ("batched_4t", 4)] {
         c.bench_function(&format!("executor/analog_pipeline/{label}"), |b| {
             b.iter_batched(
                 || {
                     let mut exec = Executor::new(program.clone(), 7);
-                    exec.set_noise_mode(mode);
                     exec.set_analog_threads(threads);
                     exec
                 },
@@ -81,9 +76,8 @@ fn bench_analog_pipeline(c: &mut Criterion) {
 }
 
 /// Cross-frame throughput: a short frame stream through the serial
-/// per-frame executor vs the batched persistent-pool engine (the
-/// BENCH_throughput.json axes, criterion-sized). The pool is built once
-/// outside the timing loop — its persistence is the thing being measured.
+/// per-frame executor vs the batch executor on the work-stealing scheduler
+/// (the BENCH_throughput.json axes, criterion-sized).
 fn bench_frame_throughput(c: &mut Criterion) {
     let spec = zoo::micronet(8, 10);
     let prefix = spec.prefix_through("pool3").unwrap();
@@ -260,8 +254,8 @@ fn bench_comparator_window(c: &mut Criterion) {
 }
 
 /// The layer-noise stage on one Depth3 plane (conv2's 192×56×56 output):
-/// the blocked polar `add_scaled_normal` of `NoiseMode::Batched`, and the
-/// per-site Box–Muller loop of `NoiseMode::Scalar`.
+/// the blocked polar `add_scaled_normal` the executor uses, and a per-site
+/// Box–Muller loop over `SiteRng::standard_normal`.
 fn bench_noise(c: &mut Criterion) {
     let stream = NoiseStream::new(3);
     let sigma = 0.05f32;

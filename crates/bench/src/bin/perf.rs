@@ -7,12 +7,12 @@
 //!   MicroNet forward epoch, and the frame-parallel accuracy sweep at 1 vs
 //!   4 worker threads.
 //! - **Analog** (`BENCH_analog.json`): the layer-noise stage at the
-//!   Depth3 sample count (scalar Box–Muller vs the blocked polar
+//!   Depth3 sample count (per-site Box–Muller vs the blocked polar
 //!   `add_scaled_normal`) plus whole GoogLeNet frames at
 //!   Depth1/Depth3/Depth5 across analog thread budgets.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
-//!   frame stream — the serial per-frame path against the batched
-//!   persistent-worker-pool engine at worker counts 1/2/4, per depth.
+//!   frame stream — the serial per-frame path against the batch executor
+//!   on the work-stealing scheduler at worker counts 1/2/4, per depth.
 //! - **GEMM i8** (`BENCH_gemm_i8.json`, via `--gemm-i8`): the integer
 //!   code-domain GEMM engine against the f32 engine at the Depth3 conv
 //!   shape, single thread.
@@ -41,7 +41,7 @@
 
 use redeye_bench::schema::{ConvRow, Row, ThroughputRow};
 use redeye_bench::workload::{self, DepthScenario};
-use redeye_core::{auto_workers, BatchExecutor, Depth, Executor, NoiseMode};
+use redeye_core::{auto_workers, BatchExecutor, Depth, Executor};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
@@ -229,10 +229,10 @@ fn bench_accuracy_sweep(rows: &mut Vec<Row>) {
     });
 }
 
-/// Times the executor's layer-noise stage at Depth3 scale: the scalar
-/// per-site Box–Muller baseline (`NoiseMode::Scalar`) against the blocked
-/// polar `add_scaled_normal` (`NoiseMode::Batched`), serial and sharded on
-/// even offsets as the executor shards it.
+/// Times the executor's layer-noise stage at Depth3 scale: a per-site
+/// Box–Muller loop (`SiteRng::standard_normal`, the comparator's sampler)
+/// against the blocked polar `add_scaled_normal` the executor uses, serial
+/// and sharded on even offsets as the executor shards it.
 fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     // The layer-noise samples one GoogLeNet Depth3 frame draws: every
     // conv, LRN and average-pool output element through inception_3b.
@@ -287,23 +287,16 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     }
 }
 
-/// Times whole executor frames per depth: the scalar noise baseline against
-/// the batched path, then batched across analog thread budgets.
+/// Times whole executor frames per depth across analog thread budgets.
 fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: bool) {
     let reps = if smoke { 1 } else { 4 };
-    let variants = [
-        (NoiseMode::Scalar, 1usize),
-        (NoiseMode::Batched, 1),
-        (NoiseMode::Batched, 2),
-        (NoiseMode::Batched, 4),
-    ];
+    let budgets = [1usize, 2, 4];
     for scenario in scenarios {
         let (program, input) = (&scenario.program, &scenario.input);
-        let mut execs: Vec<Executor> = variants
+        let mut execs: Vec<Executor> = budgets
             .iter()
-            .map(|&(mode, threads)| {
+            .map(|&threads| {
                 let mut exec = Executor::new(program.clone(), 29);
-                exec.set_noise_mode(mode);
                 exec.set_analog_threads(threads);
                 // Warm run: verifies the program and grows the conv workspace.
                 exec.execute(input).expect("frame");
@@ -312,7 +305,7 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
             .collect();
         // Interleave the variants within each rep (as bench_gemm does) so
         // host-load drift hits them equally and the ratios stay meaningful.
-        let mut best = [f64::INFINITY; 4];
+        let mut best = [f64::INFINITY; 3];
         for _ in 0..reps {
             for (slot, exec) in best.iter_mut().zip(&mut execs) {
                 let start = Instant::now();
@@ -320,20 +313,14 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
                 *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
             }
         }
-        let [scalar_1t, batched_1t, batched_2t, batched_4t] = best;
         let tag = scenario.tag();
         println!(
-            "{tag} frame: scalar(1t) {scalar_1t:.1} ms | batched(1t) {batched_1t:.1} ms ({:.2}x) | batched(2t) {batched_2t:.1} ms | batched(4t) {batched_4t:.1} ms",
-            scalar_1t / batched_1t,
+            "{tag} frame: 1t {:.1} ms | 2t {:.1} ms | 4t {:.1} ms",
+            best[0], best[1], best[2]
         );
-        for (suffix, wall_ms, threads) in [
-            ("scalar", scalar_1t, 1),
-            ("batched", batched_1t, 1),
-            ("batched", batched_2t, 2),
-            ("batched", batched_4t, 4),
-        ] {
+        for (wall_ms, threads) in best.into_iter().zip(budgets) {
             rows.push(Row {
-                name: format!("frame_{tag}_{suffix}"),
+                name: format!("frame_{tag}_batched"),
                 wall_ms,
                 threads,
             });
@@ -342,7 +329,7 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
 }
 
 /// Sustained frames/sec over a frame stream per depth: the serial per-frame
-/// executor against the batched persistent-pool engine at 1/2/4 workers.
+/// executor against the batch executor at 1/2/4 workers.
 ///
 /// Every configuration runs the *same* frame stream from frame 0 (fresh
 /// executor per variant) so the noise workload is identical; the batch path
@@ -396,8 +383,8 @@ fn bench_throughput(
 
         for workers in workload::worker_counts(max_workers) {
             let mut batch =
-                BatchExecutor::new(scenario.program.clone(), 29, workers).expect("pool builds");
-            // Warm every worker's workspace before timing.
+                BatchExecutor::new(scenario.program.clone(), 29, workers).expect("verifies");
+            // Warm batch, matching the serial baseline's warm frame.
             batch.execute_batch(&frames).expect("warm batch");
             let ms = best_of(reps, || {
                 batch.seek_frame(0);

@@ -1,56 +1,40 @@
-//! Cross-frame batched execution over a persistent worker pool.
+//! Cross-frame batched execution on the work-stealing scheduler.
 //!
 //! RedEye is a *continuous* vision sensor: the interesting throughput
 //! metric is sustained frames/sec over a stream, not the latency of one
 //! frame. Within-frame parallelism is Amdahl-capped (the packed GEMM
 //! dominates frame time — see `BENCH_analog.json`), so the next scaling
-//! axis is *across* frames: [`BatchExecutor`] shares one immutable
-//! [`FrameEngine`] across a pool of persistent `std::thread` workers, each
-//! owning a pre-allocated [`FrameCtx`] whose conv workspace survives from
-//! batch to batch (steady-state frames perform no im2col/packing
-//! allocations on any worker).
+//! axis is *across* frames: [`BatchExecutor`] runs the frames of a batch
+//! concurrently over one immutable [`FrameEngine`].
 //!
-//! # Claim protocol
+//! # One scheduler call per batch
 //!
-//! Each batch publishes one [`Job`] to every worker: the shared engine, the
-//! input frames, the base frame number, and a shared atomic claim counter.
-//! Workers `fetch_add` the counter to claim frame indices until the batch
-//! is drained — a work-*claiming* queue rather than static striping, so a
-//! slow frame (a deeper inception branch, a cache-cold worker) never stalls
-//! frames behind it on the same worker.
+//! A batch is one [`run_stealing`] call with one task per frame index.
+//! Each worker builds its own [`FrameCtx`], whose conv workspace it reuses
+//! for every frame it runs in that batch, and task `i` runs frame
+//! `base + i`. Workers steal from each other's deques, so a slow frame (a
+//! deeper inception branch, a cache-cold worker) never stalls the frames
+//! queued behind it. The workers are scoped threads that borrow the engine
+//! and the inputs; a batch on one worker, or of one frame, runs inline on
+//! the caller's thread. A frame that panics comes back as
+//! [`CoreError::WorkerPanic`] and leaves the executor usable.
 //!
 //! # Determinism
 //!
 //! Frame `base + i`'s noise is a pure function of `(seed, base + i,
-//! instruction, site, draw)` — never of the worker that ran it, the claim
-//! order, or the pool size. Results return through a channel in completion
-//! order and are re-sequenced into *frame order*; the merged ledger is
-//! folded frame-by-frame in that order (the same band-order discipline the
-//! column-parallel stages use), and the cumulative forced-comparator
-//! diagnostic is accumulated in frame order too. Batched output is
-//! therefore **bit-identical to the serial [`Executor`](crate::Executor)**
-//! for the same seed, at any worker count and any batch size.
+//! instruction, site, draw)` — never of the worker that ran it, the steal
+//! order, or the worker count. The scheduler returns results in frame
+//! order; the merged ledger is folded frame-by-frame in that order (the
+//! same band-order discipline the column-parallel stages use), and the
+//! cumulative forced-comparator diagnostic is accumulated in frame order
+//! too. Batched output is therefore **bit-identical to the serial
+//! [`Executor`](crate::Executor)** for the same seed, at any worker count
+//! and any batch size.
 
 use crate::executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
+use crate::stealing::{auto_workers, run_stealing, StealOptions};
 use crate::{CoreError, EnergyLedger, Program, Result};
 use redeye_tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-
-/// One batch's worth of work, published to every worker.
-struct Job {
-    engine: Arc<FrameEngine>,
-    inputs: Arc<[Tensor]>,
-    /// Frame number of `inputs[0]`; frame `i` of the batch runs as
-    /// `base_frame + i`.
-    base_frame: u64,
-    /// Next unclaimed batch index; workers `fetch_add` to claim.
-    claim: Arc<AtomicUsize>,
-    /// Where claimed frames' outputs go, tagged with their batch index.
-    results: Sender<(usize, Result<FrameOutput>)>,
-}
 
 /// The result of one batch of frames.
 #[derive(Debug)]
@@ -75,14 +59,14 @@ impl BatchResult {
     }
 }
 
-/// Drives batches of frames through a persistent worker pool sharing one
-/// [`FrameEngine`].
+/// Drives batches of frames through the work-stealing scheduler over one
+/// shared [`FrameEngine`].
 ///
-/// Workers are spawned once at construction and live until the executor is
-/// dropped; each owns a pre-allocated [`FrameCtx`] that is reused across
-/// batches. Output is bit-identical to the serial
-/// [`Executor`](crate::Executor) for the same seed at any worker count and
-/// any batch size (see the module docs for why).
+/// Each [`execute_batch`](BatchExecutor::execute_batch) call runs its
+/// frames on up to `workers` scoped threads, one [`FrameCtx`] per worker.
+/// Output is bit-identical to the serial [`Executor`](crate::Executor) for
+/// the same seed at any worker count and any batch size (see the module
+/// docs for why).
 ///
 /// # Example
 ///
@@ -115,10 +99,9 @@ impl BatchResult {
 /// ```
 #[derive(Debug)]
 pub struct BatchExecutor {
-    engine: Arc<FrameEngine>,
-    /// One job channel per worker; dropping them shuts the pool down.
-    senders: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
+    engine: FrameEngine,
+    /// Scheduler workers per batch.
+    workers: usize,
     /// Frame number the next batch starts at.
     next_frame: u64,
     /// Cumulative forced comparator decisions across all batches, folded
@@ -126,35 +109,22 @@ pub struct BatchExecutor {
     forced_total: u64,
 }
 
-/// The worker count the host actually offers:
-/// [`std::thread::available_parallelism`], or 1 when the host cannot say.
-///
-/// This is the default pool size everywhere a worker count is optional
-/// (the batch executor's [`BatchExecutor::new_auto`], the fleet executor,
-/// the perf bins' `--workers auto`), so hosts stop hard-coding sweeps
-/// like 1/2/4 that only measure queue overhead on smaller machines.
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 impl BatchExecutor {
-    /// Creates a batch executor for `program` with a pool of `workers`
-    /// persistent threads (clamped to at least 1), seeding all stochastic
-    /// behaviour from `seed`.
+    /// Creates a batch executor for `program` that runs each batch on
+    /// `workers` scheduler workers (clamped to at least 1), seeding all
+    /// stochastic behaviour from `seed`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Verify`] if the program fails static
-    /// verification — checked eagerly here, before any worker spawns, so a
-    /// bad program never reaches the pool.
+    /// verification — checked eagerly here, so a bad program never
+    /// reaches a batch.
     pub fn new(program: Program, seed: u64, workers: usize) -> Result<Self> {
         Self::with_engine(FrameEngine::new(program, seed), workers)
     }
 
-    /// Creates a batch executor sized to the host: a pool of
-    /// [`auto_workers`] persistent threads.
+    /// Creates a batch executor sized to the host: [`auto_workers`]
+    /// scheduler workers.
     ///
     /// # Errors
     ///
@@ -164,8 +134,8 @@ impl BatchExecutor {
         Self::new(program, seed, auto_workers())
     }
 
-    /// Creates a batch executor around a pre-configured engine (noise mode
-    /// and per-frame thread knobs are set on the engine before handoff).
+    /// Creates a batch executor around a pre-configured engine (per-frame
+    /// thread knobs are set on the engine before handoff).
     ///
     /// # Errors
     ///
@@ -173,26 +143,17 @@ impl BatchExecutor {
     /// verification.
     pub fn with_engine(engine: FrameEngine, workers: usize) -> Result<Self> {
         engine.verify()?;
-        let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || worker_loop(&rx)));
-        }
         Ok(BatchExecutor {
-            engine: Arc::new(engine),
-            senders,
-            handles,
+            engine,
+            workers: workers.max(1),
             next_frame: 0,
             forced_total: 0,
         })
     }
 
-    /// Number of persistent workers in the pool.
+    /// Number of scheduler workers each batch runs on.
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.workers
     }
 
     /// The shared engine (program, stream, knobs).
@@ -215,13 +176,16 @@ impl BatchExecutor {
     }
 
     /// Executes `inputs` as frames `next_frame .. next_frame + inputs.len()`
-    /// across the worker pool and returns the results in frame order.
+    /// across the scheduler's workers and returns the results in frame
+    /// order.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadProgram`] if any input's shape does not match
-    /// the program (checked up front, before dispatch — the frame counter
-    /// does not advance), or the lowest-frame execution error otherwise.
+    /// the program (checked up front, before dispatch), or else the
+    /// lowest-frame execution error, [`CoreError::WorkerPanic`] included.
+    /// A failed batch advances neither the frame counter nor the forced
+    /// tally.
     pub fn execute_batch(&mut self, inputs: &[Tensor]) -> Result<BatchResult> {
         for (i, input) in inputs.iter().enumerate() {
             if input.dims() != self.engine.program().input {
@@ -234,44 +198,27 @@ impl BatchExecutor {
                 });
             }
         }
-        if inputs.is_empty() {
-            return Ok(BatchResult {
-                frames: Vec::new(),
-                ledger: EnergyLedger::new(),
-            });
-        }
-        let n = inputs.len();
-        let inputs: Arc<[Tensor]> = inputs.to_vec().into();
-        let claim = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel();
-        for sender in &self.senders {
-            sender
-                .send(Job {
-                    engine: Arc::clone(&self.engine),
-                    inputs: Arc::clone(&inputs),
-                    base_frame: self.next_frame,
-                    claim: Arc::clone(&claim),
-                    results: tx.clone(),
-                })
-                .expect("batch worker exited prematurely");
-        }
-        drop(tx);
-
-        // Re-sequence completion order into frame order. Every claimed
-        // index sends exactly one result, so exactly `n` messages arrive.
-        let mut slots: Vec<Option<Result<FrameOutput>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, out) = rx.recv().expect("batch worker dropped a frame");
-            slots[i] = Some(out);
-        }
+        let base = self.next_frame;
+        let engine = &self.engine;
+        let indices: Vec<usize> = (0..inputs.len()).collect();
+        let (results, _) = run_stealing(
+            &indices,
+            self.workers,
+            StealOptions::default(),
+            |_| FrameCtx::new(),
+            |ctx, &i| engine.run_frame(base + i as u64, &inputs[i], ctx),
+        );
+        let outputs = results
+            .into_iter()
+            .map(|r| r.and_then(|out| out))
+            .collect::<Result<Vec<FrameOutput>>>()?;
 
         // Deterministic frame-order merge: cumulative forced tally and the
         // f64 ledger fold both walk frames in order, so the totals are
         // bit-identical to a serial run regardless of completion order.
-        let mut frames = Vec::with_capacity(n);
+        let mut frames = Vec::with_capacity(outputs.len());
         let mut ledger = EnergyLedger::new();
-        for slot in slots {
-            let out = slot.expect("claimed frame produced no result")?;
+        for out in outputs {
             self.forced_total += out.forced;
             ledger.merge(&out.ledger);
             frames.push(ExecutionResult {
@@ -284,40 +231,8 @@ impl BatchExecutor {
                 code_mac_hits: out.code_mac_hits,
             });
         }
-        self.next_frame += n as u64;
+        self.next_frame += frames.len() as u64;
         Ok(BatchResult { frames, ledger })
-    }
-}
-
-impl Drop for BatchExecutor {
-    fn drop(&mut self) {
-        // Closing the job channels ends each worker's recv loop.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A pool worker: one persistent [`FrameCtx`] (the pre-allocated conv
-/// workspace) reused across every job and every claimed frame.
-fn worker_loop(jobs: &Receiver<Job>) {
-    let mut ctx = FrameCtx::new();
-    while let Ok(job) = jobs.recv() {
-        loop {
-            let i = job.claim.fetch_add(1, Ordering::Relaxed);
-            if i >= job.inputs.len() {
-                break;
-            }
-            let out = job
-                .engine
-                .run_frame(job.base_frame + i as u64, &job.inputs[i], &mut ctx);
-            if job.results.send((i, out)).is_err() {
-                // The batch owner bailed (an earlier frame errored); stop
-                // claiming and wait for the next job.
-                break;
-            }
-        }
     }
 }
 
@@ -325,7 +240,7 @@ fn worker_loop(jobs: &Receiver<Job>) {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
-    use crate::{Executor, Instruction, NoiseMode};
+    use crate::{Executor, Instruction};
     use redeye_analog::SnrDb;
     use redeye_nn::{build_network, zoo, WeightInit};
     use redeye_tensor::Rng;
@@ -423,21 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_noise_mode_matches_serial_too() {
-        let program = micronet_program(30.0, 6);
-        let inputs = frame_stream(4, 5);
-        let mut serial = Executor::new(program.clone(), 11);
-        serial.set_noise_mode(NoiseMode::Scalar);
-        let want: Vec<ExecutionResult> =
-            inputs.iter().map(|i| serial.execute(i).unwrap()).collect();
-        let mut engine = FrameEngine::new(program, 11);
-        engine.set_noise_mode(NoiseMode::Scalar);
-        let mut batch = BatchExecutor::with_engine(engine, 3).unwrap();
-        let result = batch.execute_batch(&inputs).unwrap();
-        assert_frames_eq(&want, &result.frames, "scalar mode");
-    }
-
-    #[test]
     fn seek_frame_aligns_with_serial_stream() {
         // Batch frames k.. match a serial executor that already ran k frames.
         let program = micronet_program(35.0, 8);
@@ -512,8 +412,8 @@ mod tests {
 
     #[test]
     fn pool_survives_many_batches() {
-        // Workers and their workspaces persist: many small batches through
-        // the same pool keep producing serial-identical frames.
+        // Many small batches through the same executor keep producing
+        // serial-identical frames: the frame counter and forced tally carry.
         let program = micronet_program(35.0, 8);
         let inputs = frame_stream(8, 63);
         let (want, _) = serial_reference(&program, 29, &inputs);

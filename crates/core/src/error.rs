@@ -56,6 +56,14 @@ pub enum CoreError {
         /// Description of the inconsistency.
         reason: String,
     },
+    /// A scheduler task panicked. The panic was contained: the worker
+    /// rebuilt its scratch state and went on with the remaining tasks.
+    WorkerPanic {
+        /// Submission index of the task that panicked.
+        task: usize,
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -96,6 +104,9 @@ impl fmt::Display for CoreError {
                 write!(f, "weight mismatch at `{layer}`: {reason}")
             }
             CoreError::BadProgram { reason } => write!(f, "bad program: {reason}"),
+            CoreError::WorkerPanic { task, message } => {
+                write!(f, "task {task} panicked: {message}")
+            }
         }
     }
 }

@@ -34,7 +34,7 @@
 //! and a per-frame mutable [`FrameCtx`] (frame counter, conv scratch
 //! workspace, forced-comparator tally). [`Executor`] binds one engine to one
 //! sequential context; [`BatchExecutor`](crate::BatchExecutor) shares one
-//! engine across a persistent worker pool, one pre-allocated context per
+//! engine across the work-stealing scheduler's workers, one context per
 //! worker, and is bit-identical to the serial path at any worker count
 //! because frame `f`'s noise depends only on `(seed, f)` — never on which
 //! worker ran it or what ran before.
@@ -45,7 +45,7 @@ use redeye_analog::cost::FrameCost;
 use redeye_analog::{Comparator, SarAdc, Seconds, SnrDb};
 use redeye_tensor::{
     conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, ConvGeom,
-    NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
+    NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
 };
 use std::sync::OnceLock;
 
@@ -101,23 +101,6 @@ pub struct FrameOutput {
     /// Conv instructions whose noiseless MAC ran in the integer code
     /// domain this frame.
     pub code_mac_hits: u64,
-}
-
-/// How the executor draws per-element Gaussian layer noise.
-///
-/// Both modes are deterministic per `(seed, site)` and bit-identical across
-/// thread counts; they differ in which deterministic value each site gets
-/// and in cost. [`NoiseMode::Batched`] amortizes one two-output Marsaglia
-/// polar evaluation (one `ln`/`sqrt`, no trigonometry) over each element
-/// *pair*; [`NoiseMode::Scalar`] spends a full Box–Muller transform per
-/// element and exists as the reference baseline for the perf reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NoiseMode {
-    /// One Box–Muller evaluation per element (reference baseline).
-    Scalar,
-    /// Pair-amortized batched sampling (default).
-    #[default]
-    Batched,
 }
 
 /// Which arithmetic domain the noiseless conv MAC runs in.
@@ -194,8 +177,6 @@ pub struct FrameEngine {
     /// Thread budget for the per-site analog stages (layer noise,
     /// comparator pooling, SAR readout).
     analog_threads: usize,
-    /// Gaussian sampling strategy for the layer-noise stage.
-    noise_mode: NoiseMode,
     /// Arithmetic domain for the noiseless conv MAC.
     mac_domain: MacDomain,
     /// f32 GEMM microkernel level. All levels are bit-identical (see
@@ -225,7 +206,6 @@ impl FrameEngine {
             comparator: Comparator::new(),
             gemm_threads: 1,
             analog_threads: 1,
-            noise_mode: NoiseMode::default(),
             mac_domain: MacDomain::default(),
             simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
@@ -257,16 +237,6 @@ impl FrameEngine {
     /// comparator max pooling, SAR readout) only.
     pub fn set_analog_threads(&mut self, threads: usize) {
         self.analog_threads = threads.max(1);
-    }
-
-    /// Selects the Gaussian sampling strategy for the layer-noise stage.
-    pub fn set_noise_mode(&mut self, mode: NoiseMode) {
-        self.noise_mode = mode;
-    }
-
-    /// The active Gaussian sampling strategy.
-    pub fn noise_mode(&self) -> NoiseMode {
-        self.noise_mode
     }
 
     /// Selects the arithmetic domain for the noiseless conv MAC. Both
@@ -386,7 +356,6 @@ impl FrameEngine {
             comparator: &self.comparator,
             gemm_threads: self.gemm_threads,
             analog_threads: self.analog_threads,
-            noise_mode: self.noise_mode,
             noise_scale,
             mac_domain: self.mac_domain,
             simd: self.simd,
@@ -429,9 +398,9 @@ impl FrameEngine {
 /// the reusable conv scratch [`Workspace`], and the cumulative
 /// forced-comparator tally.
 ///
-/// One context belongs to one worker: the batch executor pre-allocates one
-/// per pool thread so steady-state frames perform no im2col/packing
-/// allocations, exactly like the serial path.
+/// One context belongs to one worker: a batch gives each scheduler worker
+/// its own, so every frame after a worker's first performs no
+/// im2col/packing allocations, exactly like the serial path.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
     /// Reusable `im2col`/GEMM scratch shared by every conv instruction;
@@ -662,16 +631,6 @@ impl Executor {
         self.engine.set_analog_threads(threads);
     }
 
-    /// Selects the Gaussian sampling strategy for the layer-noise stage.
-    pub fn set_noise_mode(&mut self, mode: NoiseMode) {
-        self.engine.set_noise_mode(mode);
-    }
-
-    /// The active Gaussian sampling strategy.
-    pub fn noise_mode(&self) -> NoiseMode {
-        self.engine.noise_mode()
-    }
-
     /// Selects the arithmetic domain for the noiseless conv MAC (see
     /// [`MacDomain`]). Both domains produce bit-identical output.
     pub fn set_mac_domain(&mut self, domain: MacDomain) {
@@ -702,12 +661,6 @@ impl Executor {
     /// The immutable engine half (program, stream, knobs).
     pub fn engine(&self) -> &FrameEngine {
         &self.engine
-    }
-
-    /// Splits the executor into its shareable engine and its sequential
-    /// context — the handoff the batch executor builds on.
-    pub fn into_parts(self) -> (FrameEngine, FrameCtx) {
-        (self.engine, self.ctx)
     }
 
     /// The frame number the next [`Executor::execute`] call will run as.
@@ -782,7 +735,6 @@ struct FramePass<'a> {
     comparator: &'a Comparator,
     gemm_threads: usize,
     analog_threads: usize,
-    noise_mode: NoiseMode,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
     mac_domain: MacDomain,
@@ -1011,20 +963,9 @@ impl FramePass<'_> {
         // amplitude factor on fleet devices.
         let sigma = self.noise_scale * (rms / snr.amplitude_ratio() as f32);
         let stream = self.next_stream();
-        match self.noise_mode {
-            NoiseMode::Batched => {
-                shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
-                    stream.add_scaled_normal(first as u64, sigma, band);
-                });
-            }
-            NoiseMode::Scalar => {
-                shard_mut(out.as_mut_slice(), self.analog_threads, 1, |first, band| {
-                    for (i, v) in band.iter_mut().enumerate() {
-                        *v += sigma * stream.at((first + i) as u64).standard_normal();
-                    }
-                });
-            }
-        }
+        shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
+            stream.add_scaled_normal(first as u64, sigma, band);
+        });
         out
     }
 
@@ -1580,51 +1521,31 @@ mod tests {
         };
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        for mode in [NoiseMode::Batched, NoiseMode::Scalar] {
-            let mut reference: Option<ExecutionResult> = None;
-            for threads in [1usize, 2, 4] {
-                let mut exec = Executor::new(program.clone(), 77);
-                exec.set_analog_threads(threads);
-                exec.set_noise_mode(mode);
-                let got = exec.execute(&input).unwrap();
-                if let Some(want) = &reference {
-                    assert_eq!(want.features, got.features, "{mode:?} @ {threads} threads");
-                    assert_eq!(want.codes, got.codes, "{mode:?} @ {threads} threads");
-                    assert!(
-                        want.ledger == got.ledger,
-                        "{mode:?} @ {threads} threads: ledger diverged"
-                    );
-                    assert_eq!(
-                        want.elapsed.value(),
-                        got.elapsed.value(),
-                        "{mode:?} @ {threads} threads"
-                    );
-                    assert_eq!(
-                        want.forced_decisions, got.forced_decisions,
-                        "{mode:?} @ {threads} threads"
-                    );
-                } else {
-                    reference = Some(got);
-                }
+        let mut reference: Option<ExecutionResult> = None;
+        for threads in [1usize, 2, 4] {
+            let mut exec = Executor::new(program.clone(), 77);
+            exec.set_analog_threads(threads);
+            let got = exec.execute(&input).unwrap();
+            if let Some(want) = &reference {
+                assert_eq!(want.features, got.features, "{threads} threads");
+                assert_eq!(want.codes, got.codes, "{threads} threads");
+                assert!(
+                    want.ledger == got.ledger,
+                    "{threads} threads: ledger diverged"
+                );
+                assert_eq!(
+                    want.elapsed.value(),
+                    got.elapsed.value(),
+                    "{threads} threads"
+                );
+                assert_eq!(
+                    want.forced_decisions, got.forced_decisions,
+                    "{threads} threads"
+                );
+            } else {
+                reference = Some(got);
             }
         }
-    }
-
-    #[test]
-    fn noise_modes_are_distinct_but_comparable() {
-        // The two sampling strategies assign different (deterministic)
-        // values per site, so features differ bit-wise — but both realize
-        // the same noise distribution, so the deterministic ledger agrees.
-        let (program, _) = micronet_program(30.0, 10);
-        let input = Tensor::full(&[3, 32, 32], 0.5);
-        let mut scalar_exec = Executor::new(program.clone(), 42);
-        scalar_exec.set_noise_mode(NoiseMode::Scalar);
-        let scalar = scalar_exec.execute(&input).unwrap();
-        let mut batched_exec = Executor::new(program, 42);
-        batched_exec.set_noise_mode(NoiseMode::Batched);
-        let batched = batched_exec.execute(&input).unwrap();
-        assert_ne!(scalar.features, batched.features);
-        assert!(scalar.ledger == batched.ledger);
     }
 
     #[test]
@@ -1727,20 +1648,6 @@ mod tests {
         assert_eq!(from_warm.codes, from_cold.codes);
         assert!(from_warm.ledger == from_cold.ledger);
         assert_eq!(from_warm.forced, from_cold.forced);
-    }
-
-    #[test]
-    fn into_parts_round_trips_through_engine() {
-        let (program, _) = micronet_program(30.0, 8);
-        let input = Tensor::full(&[3, 32, 32], 0.5);
-        let mut exec = Executor::new(program.clone(), 23);
-        let want = exec.execute(&input).unwrap();
-        let (engine, mut ctx) = Executor::new(program, 23).into_parts();
-        let got = engine
-            .run_frame(ctx.next_frame(), &input, &mut ctx)
-            .unwrap();
-        assert_eq!(want.features, got.features);
-        assert_eq!(want.codes, got.codes);
     }
 
     #[test]

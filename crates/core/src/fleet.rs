@@ -27,9 +27,8 @@
 //! granularity, so "bit-identical across worker counts" is a one-integer
 //! comparison even for fleets too large to retain feature tensors.
 
-use crate::batch::auto_workers;
 use crate::executor::{FrameCtx, FrameEngine, FrameOutput};
-use crate::stealing::{run_stealing, StealOptions};
+use crate::stealing::{auto_workers, run_stealing, StealOptions};
 use crate::{Program, Result};
 use redeye_analog::{Joules, ProcessCorner, Seconds};
 use redeye_tensor::{NoiseStream, Tensor};
@@ -163,7 +162,7 @@ impl FleetEngine {
     }
 
     /// Wraps a pre-configured [`FrameEngine`] (custom thread budgets,
-    /// noise mode, MAC domain, cost budget) as the fleet's shared engine.
+    /// MAC domain, cost budget) as the fleet's shared engine.
     ///
     /// # Errors
     ///
@@ -475,7 +474,10 @@ impl FleetExecutor {
     /// # Errors
     ///
     /// Returns the first (in submission order) frame error, if any frame
-    /// fails shape checks or verification.
+    /// fails shape checks or verification, or [`CoreError::WorkerPanic`]
+    /// if its task panicked.
+    ///
+    /// [`CoreError::WorkerPanic`]: crate::CoreError::WorkerPanic
     pub fn run(&self, work: &[DeviceWork]) -> Result<FleetReport> {
         let mut tasks = Vec::with_capacity(work.iter().map(|w| w.frames.len()).sum());
         for (device_pos, w) in work.iter().enumerate() {
@@ -524,7 +526,7 @@ impl FleetExecutor {
         let mut payload_bits = 0u64;
         let mut frames = 0u64;
         for (task, result) in tasks.iter().zip(results) {
-            let stat = result?;
+            let stat = result??;
             let outcome = &mut devices[task.device_pos];
             outcome.digest = fnv_u32(outcome.digest, (stat.digest >> 32) as u32);
             outcome.digest = fnv_u32(outcome.digest, stat.digest as u32);

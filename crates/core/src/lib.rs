@@ -17,10 +17,11 @@
 //!   through the program using the `redeye-analog` behavioral models
 //!   (damped-node Gaussian noise, comparator max-pooling, bit-accurate SAR
 //!   quantization), producing features *and* an [`EnergyLedger`].
-//! - [`BatchExecutor`] — the **cross-frame throughput engine**: batches of
-//!   frames through a persistent worker pool sharing one immutable
-//!   [`FrameEngine`], bit-identical to the serial [`Executor`] at any
-//!   worker count (continuous-vision frames/sec is the headline metric).
+//! - [`BatchExecutor`] — the **cross-frame throughput engine**: each batch
+//!   of frames is one run of the work-stealing scheduler ([`stealing`])
+//!   over one shared, immutable [`FrameEngine`], bit-identical to the
+//!   serial [`Executor`] at any worker count (continuous-vision frames/sec
+//!   is the headline metric).
 //! - [`FleetEngine`] / [`FleetExecutor`] — **fleet-scale simulation**:
 //!   thousands of devices as lightweight [`DeviceCtx`] views over one
 //!   shared pack-once engine, scheduled by a work-stealing deque pool
@@ -66,13 +67,11 @@ pub mod stacking;
 pub mod stealing;
 pub mod topology;
 
-pub use batch::{auto_workers, BatchExecutor, BatchResult};
+pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
-pub use executor::{
-    ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput, MacDomain, NoiseMode,
-};
+pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput, MacDomain};
 pub use fleet::{
     frame_digest, DeviceCalib, DeviceCtx, DeviceFrame, DeviceOutcome, DeviceProfile, DeviceScratch,
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,
@@ -86,7 +85,7 @@ pub use redeye_verify::{
     ResourceLimits, Severity, VerifyOptions,
 };
 pub use sram::{FeatureSram, ProgramSram, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
-pub use stealing::{run_stealing, Placement, StealOptions, StealStats, VictimOrder};
+pub use stealing::{auto_workers, run_stealing, Placement, StealOptions, StealStats, VictimOrder};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -1,14 +1,16 @@
 //! A work-stealing task scheduler in the Chase–Lev deque style, for
 //! heterogeneous task sets over a fixed worker pool.
 //!
-//! The batch executor's atomic-counter claiming hands out *uniform* frames
-//! round-robin — fine when every task costs the same, poor when a fleet
-//! mixes device workloads of very different weight (a low-light device's
-//! denoised burst next to a privacy-filtered thumbnail). This module keeps
-//! the classic Chase–Lev discipline — every worker owns a deque, pops its
-//! own work LIFO from the back, and steals FIFO from the front of a
-//! victim's deque when it runs dry — so heavy tails migrate to idle
-//! workers instead of serializing behind a counter.
+//! This is the simulator's one worker pool. A batch of frames
+//! ([`BatchExecutor`](crate::BatchExecutor)) and a fleet of device×frame
+//! tasks ([`FleetExecutor`](crate::FleetExecutor)) each run as one
+//! [`run_stealing`] call. Fleet tasks vary widely in weight (a low-light
+//! device's denoised burst next to a privacy-filtered thumbnail), so the
+//! scheduler keeps the classic Chase–Lev discipline — every worker owns a
+//! deque, pops its own work LIFO from the back, and steals FIFO from the
+//! front of a victim's deque when it runs dry — and heavy tails migrate to
+//! idle workers instead of serializing behind one queue. The pool lives
+//! for one call: its workers are scoped threads that borrow the tasks.
 //!
 //! The canonical Chase–Lev deque is a lock-free array with subtle
 //! publication ordering; this crate forbids `unsafe`, so each deque is a
@@ -27,7 +29,9 @@
 //! and victim order are explicit knobs so tests can prove output equality
 //! across materially different steal schedules.
 
+use crate::{CoreError, Result};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -77,13 +81,32 @@ pub struct StealStats {
 /// One worker's deque: tasks tagged with their submission index.
 type Deque<T> = Mutex<VecDeque<(usize, T)>>;
 
+/// The worker count the host actually offers:
+/// [`std::thread::available_parallelism`], or 1 when the host cannot say.
+///
+/// This is the default pool size everywhere a worker count is optional
+/// (the batch executor's [`BatchExecutor::new_auto`](crate::BatchExecutor::new_auto),
+/// the fleet executor, the perf bins' `--workers auto`), so hosts stop
+/// hard-coding sweeps like 1/2/4 that only measure queue overhead on
+/// smaller machines.
+pub fn auto_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// Runs every task on a pool of `workers` threads with work stealing, and
 /// returns the results **in submission order** plus scheduler counters.
 ///
-/// `init` builds one scratch state per worker (called once per worker, on
-/// that worker's thread); `run` executes one task against the worker's
-/// state. With `workers <= 1` everything runs inline on the caller's
-/// thread — the degenerate deque with no thieves.
+/// `init` builds one scratch state per worker (called on that worker's
+/// thread); `run` executes one task against the worker's state. With
+/// `workers <= 1` or at most one task everything runs inline on the
+/// caller's thread — the degenerate deque with no thieves.
+///
+/// Each task runs under `catch_unwind`, inline too. A panicking task's
+/// slot holds [`CoreError::WorkerPanic`]; its worker throws its state
+/// away, calls `init` again and keeps draining tasks, so one bad task
+/// costs exactly one result.
 ///
 /// Tasks must be pure functions of their payload for the output to be
 /// schedule-independent; the scheduler itself only decides *where* each
@@ -91,17 +114,15 @@ type Deque<T> = Mutex<VecDeque<(usize, T)>>;
 ///
 /// # Panics
 ///
-/// Propagates panics from `init` or `run` (the pool joins before
-/// returning), and panics if the internal result channel disconnects —
-/// both indicate a bug in the caller's task function, not a data
-/// condition.
+/// Propagates panics from `init`: a worker without state cannot run
+/// anything.
 pub fn run_stealing<T, S, R, I, F>(
     tasks: &[T],
     workers: usize,
     opts: StealOptions,
     init: I,
     run: F,
-) -> (Vec<R>, StealStats)
+) -> (Vec<Result<R>>, StealStats)
 where
     T: Sync,
     R: Send,
@@ -112,7 +133,11 @@ where
     let executed = n as u64;
     if workers <= 1 || n <= 1 {
         let mut state = init(0);
-        let results = tasks.iter().map(|t| run(&mut state, t)).collect();
+        let results = tasks
+            .iter()
+            .enumerate()
+            .map(|(idx, task)| contained(0, &init, &run, &mut state, idx, task))
+            .collect();
         return (
             results,
             StealStats {
@@ -127,46 +152,43 @@ where
     place(tasks, &deques, opts.placement);
     let steals = AtomicU64::new(0);
 
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-
-    crossbeam::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let steals = &steals;
-            let init = &init;
-            let run = &run;
-            let tx = tx.clone();
-            scope.spawn(move |_| {
-                let mut state = init(w);
-                loop {
-                    // Own work first: LIFO from the back of our deque.
-                    let own = deques[w].lock().expect("deque poisoned").pop_back();
-                    let (idx, task, stolen) = match own {
-                        Some((idx, task)) => (idx, task, false),
-                        None => {
+    let done: Vec<Vec<(usize, Result<R>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (deques, steals, init, run) = (&deques, &steals, &init, &run);
+                scope.spawn(move || {
+                    let mut state = init(w);
+                    let mut done = Vec::new();
+                    loop {
+                        // Own work first: LIFO from the back of our deque.
+                        let own = deques[w].lock().expect("deque poisoned").pop_back();
+                        let (idx, task) = match own {
+                            Some(job) => job,
                             // Dry: scan victims, stealing FIFO from the
                             // front (the oldest, largest-remaining work).
-                            match steal_from(deques, w, opts.victim_order) {
-                                Some((idx, task)) => (idx, task, true),
+                            None => match steal_from(deques, w, opts.victim_order) {
+                                Some(job) => {
+                                    steals.fetch_add(1, Ordering::Relaxed);
+                                    job
+                                }
                                 None => break,
-                            }
-                        }
-                    };
-                    if stolen {
-                        steals.fetch_add(1, Ordering::Relaxed);
+                            },
+                        };
+                        done.push((idx, contained(w, init, run, &mut state, idx, task)));
                     }
-                    let result = run(&mut state, task);
-                    tx.send((idx, result)).expect("result channel closed");
-                }
-            });
-        }
-    })
-    .expect("stealing thread scope");
-    drop(tx);
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
 
-    for (idx, r) in rx {
+    let mut results: Vec<Option<Result<R>>> = Vec::with_capacity(n);
+    results.resize_with(n, || None);
+    for (idx, r) in done.into_iter().flatten() {
         results[idx] = Some(r);
     }
     let results = results
@@ -180,6 +202,36 @@ where
             steals: steals.load(Ordering::Relaxed),
         },
     )
+}
+
+/// Runs task `idx` on worker `w` under `catch_unwind`. A panic becomes
+/// [`CoreError::WorkerPanic`], and the worker's state is rebuilt with
+/// `init(w)`: the panic may have left it half-updated, and asserting
+/// unwind safety is sound only because that state is never seen again.
+fn contained<T, S, R, I, F>(
+    w: usize,
+    init: &I,
+    run: &F,
+    state: &mut S,
+    idx: usize,
+    task: &T,
+) -> Result<R>
+where
+    I: Fn(usize) -> S,
+    F: Fn(&mut S, &T) -> R,
+{
+    match catch_unwind(AssertUnwindSafe(|| run(state, task))) {
+        Ok(r) => Ok(r),
+        Err(payload) => {
+            *state = init(w);
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(CoreError::WorkerPanic { task: idx, message })
+        }
+    }
 }
 
 /// Distributes task references across the deques per the placement policy.
@@ -249,6 +301,10 @@ mod tests {
         m
     }
 
+    fn unwrap_all<R>(results: Vec<Result<R>>) -> Vec<R> {
+        results.into_iter().map(|r| r.unwrap()).collect()
+    }
+
     #[test]
     fn every_task_runs_once_in_submission_order() {
         for opts in opts_matrix() {
@@ -256,7 +312,7 @@ mod tests {
                 let tasks: Vec<u64> = (0..53).collect();
                 let (results, stats) = run_stealing(&tasks, workers, opts, |_| (), |(), &t| t * t);
                 let want: Vec<u64> = (0..53).map(|t| t * t).collect();
-                assert_eq!(results, want, "{opts:?} @ {workers} workers");
+                assert_eq!(unwrap_all(results), want, "{opts:?} @ {workers} workers");
                 assert_eq!(stats.executed, 53);
             }
         }
@@ -286,7 +342,7 @@ mod tests {
                 spin
             },
         );
-        assert_eq!(results.iter().sum::<u64>(), 16 * 3_000);
+        assert_eq!(unwrap_all(results).iter().sum::<u64>(), 16 * 3_000);
         assert!(stats.steals > 0, "no steals despite a fully skewed block");
     }
 
@@ -308,6 +364,39 @@ mod tests {
     }
 
     #[test]
+    fn panicking_task_rebuilds_its_worker_state() {
+        // Task 3 panics: its slot holds the panic, its worker calls
+        // `init` once more, and every other task still runs.
+        for workers in [1usize, 2] {
+            let inits = AtomicUsize::new(0);
+            let tasks: Vec<usize> = (0..12).collect();
+            let (results, stats) = run_stealing(
+                &tasks,
+                workers,
+                StealOptions::default(),
+                |_| {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                },
+                |(), &t| {
+                    assert_ne!(t, 3, "task 3 fails");
+                    t
+                },
+            );
+            assert_eq!(stats.executed, 12);
+            assert_eq!(inits.load(Ordering::Relaxed), workers + 1);
+            for (t, r) in results.into_iter().enumerate() {
+                match r {
+                    Err(CoreError::WorkerPanic { task, message }) => {
+                        assert_eq!((t, task), (3, 3), "@ {workers} workers");
+                        assert!(message.contains("task 3 fails"), "{message}");
+                    }
+                    other => assert_eq!(other, Ok(t), "@ {workers} workers"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn results_identical_across_schedules() {
         // The whole point: materially different steal schedules, same
         // output for pure tasks.
@@ -322,6 +411,7 @@ mod tests {
                     |_| (),
                     |(), &t| t.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17),
                 );
+                let results = unwrap_all(results);
                 match &reference {
                     Some(want) => assert_eq!(want, &results, "{opts:?} @ {workers}"),
                     None => reference = Some(results),
@@ -339,7 +429,7 @@ mod tests {
             |_| (),
             |(), &t| t + 1,
         );
-        assert_eq!(results, vec![2, 3, 4]);
+        assert_eq!(unwrap_all(results), vec![2, 3, 4]);
         assert_eq!(stats.executed, 3);
     }
 

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use redeye_analog::{ProcessCorner, SnrDb};
 use redeye_core::{
     compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, Executor, FeatureSram,
-    MacDomain, NoiseMode, Program, RedEyeConfig, WeightBank,
+    MacDomain, Program, RedEyeConfig, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -119,7 +119,6 @@ proptest! {
         snr in 25.0f64..60.0,
         bits in 3u32..10,
         seed in 0u64..1_000_000,
-        batched in 0u32..2,
     ) {
         let (spec, cut) = if use_inception == 1 {
             (zoo::tiny_inception(10), "pool2")
@@ -137,11 +136,9 @@ proptest! {
         };
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let mode = if batched == 1 { NoiseMode::Batched } else { NoiseMode::Scalar };
         let run = |threads: usize| {
             let mut exec = Executor::new(program.clone(), seed);
             exec.set_analog_threads(threads);
-            exec.set_noise_mode(mode);
             exec.execute(&input).unwrap()
         };
         let want = run(1);
@@ -169,7 +166,6 @@ proptest! {
         snr in 25.0f64..60.0,
         bits in 3u32..10,
         seed in 0u64..1_000_000,
-        batched in 0u32..2,
     ) {
         let (spec, cut) = if use_inception == 1 {
             (zoo::tiny_inception(10), "pool2")
@@ -186,14 +182,12 @@ proptest! {
             ..CompileOptions::default()
         };
         let program = compile(&prefix, &mut bank, &opts).unwrap();
-        let mode = if batched == 1 { NoiseMode::Batched } else { NoiseMode::Scalar };
         let n = 4usize;
         let inputs: Vec<Tensor> = (0..n)
             .map(|_| Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng))
             .collect();
 
         let mut serial = Executor::new(program.clone(), seed);
-        serial.set_noise_mode(mode);
         let mut want_ledger = EnergyLedger::new();
         let want: Vec<_> = inputs
             .iter()
@@ -206,9 +200,7 @@ proptest! {
 
         for workers in [1usize, 2, 4] {
             for batch_size in [1usize, 2, n] {
-                let mut engine = redeye_core::FrameEngine::new(program.clone(), seed);
-                engine.set_noise_mode(mode);
-                let mut batch = BatchExecutor::with_engine(engine, workers).unwrap();
+                let mut batch = BatchExecutor::new(program.clone(), seed, workers).unwrap();
                 let mut merged = EnergyLedger::new();
                 let mut got = Vec::new();
                 for chunk in inputs.chunks(batch_size) {

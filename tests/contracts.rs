@@ -2,7 +2,7 @@
 //! of `(program, seed, frame, input)`, whichever driver runs it.
 //!
 //! A small micronet prefix with two comparator max-pool layers runs through
-//! the serial engine, the two-worker batch pool and the fleet's reference
+//! the serial engine, a two-worker batch and the fleet's reference
 //! device. All three must agree on every frame's digest (features and ADC
 //! codes), ledger and forced-decision count, and the digests are pinned, so
 //! a change that flips a single comparator decision, noise sample or SAR
@@ -14,10 +14,15 @@
 //!
 //! The layer-noise kernel is pinned on its own as well, so a rewrite that
 //! changes a single noise sample fails here without running a frame.
+//!
+//! Panics stay contained: a task that panics on the work-stealing
+//! scheduler, which runs every batch and fleet, comes back as a typed error
+//! while the other tasks finish.
 
 use redeye::core::{
-    analyze_cost, compile, frame_digest, BatchExecutor, CompileOptions, DeviceScratch, FleetEngine,
-    FrameCtx, FrameEngine, FrameOutput, Program, WeightBank,
+    analyze_cost, compile, frame_digest, run_stealing, BatchExecutor, CompileOptions, CoreError,
+    DeviceScratch, FleetEngine, FrameCtx, FrameEngine, FrameOutput, Program, StealOptions,
+    WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
 use redeye::tensor::{NoiseStream, Rng, Tensor};
@@ -105,7 +110,7 @@ fn serial(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
 }
 
 fn batch(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
-    let mut exec = BatchExecutor::new(program.clone(), SEED, 2).expect("batch pool starts");
+    let mut exec = BatchExecutor::new(program.clone(), SEED, 2).expect("program verifies");
     let result = exec.execute_batch(inputs).expect("batch runs");
     let mut forced_before = 0;
     result
@@ -151,7 +156,7 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
     let program = program();
     let inputs = scenes();
     let want = serial(&program, &inputs);
-    assert_eq!(batch(&program, &inputs), want, "two-worker batch pool");
+    assert_eq!(batch(&program, &inputs), want, "two-worker batch");
     assert_eq!(
         fleet_reference(&program, &inputs),
         want,
@@ -205,4 +210,34 @@ fn layer_noise_samples_are_pinned() {
     stream.add_scaled_normal(1001, 0.25, &mut plane);
     let fold = fold(plane.iter().map(|v| u64::from(v.to_bits())));
     assert_eq!(fold, PINNED_NOISE_FOLD, "noise fold {fold:#018x}");
+}
+
+/// Eight tasks, task 5 panics: the call returns, task 5's slot is the
+/// panic and the other seven results are intact, inline and on two
+/// workers.
+#[test]
+fn a_panicking_task_is_contained_by_the_scheduler() {
+    let tasks: Vec<u64> = (0..8).collect();
+    for workers in [1usize, 2] {
+        let (results, stats) = run_stealing(
+            &tasks,
+            workers,
+            StealOptions::default(),
+            |_| (),
+            |(), &t| {
+                assert_ne!(t, 5, "task 5 fails on purpose");
+                t * t
+            },
+        );
+        assert_eq!(stats.executed, 8);
+        for (t, result) in results.into_iter().enumerate() {
+            match result {
+                Err(CoreError::WorkerPanic { task, message }) => {
+                    assert_eq!((t, task), (5, 5), "{workers} workers");
+                    assert!(message.contains("task 5 fails on purpose"), "{message}");
+                }
+                other => assert_eq!(other, Ok(t as u64 * t as u64), "{workers} workers"),
+            }
+        }
+    }
 }
