@@ -335,51 +335,62 @@ fn bench_gemm_i8(c: &mut Criterion) {
 
 /// The implicit-GEMM conv path (pack-once weights, B-panels gathered
 /// straight from the C×H×W input) against the explicit im2col lowering at
-/// the Depth3 inception-3a 3×3 shape. Both produce bit-identical output;
-/// the difference is staging work and workspace footprint.
+/// the micronet and GoogLeNet stems and the Depth3 inception-3a 3×3 shape.
+/// Both produce bit-identical output; the difference is staging work and
+/// workspace footprint.
 fn bench_conv_implicit(c: &mut Criterion) {
-    let (in_c, in_h, in_w, kernel, out_c) = (64usize, 57, 57, 3, 192);
-    let geom = ConvGeom::new(in_c, in_h, in_w, kernel, kernel, 1, 1).unwrap();
-    let (patch, positions) = (geom.patch_len(), geom.out_positions());
-    let mut rng = Rng::seed_from(11);
-    let x = Tensor::uniform(&[in_c, in_h, in_w], -1.0, 1.0, &mut rng);
-    let weights = Tensor::uniform(&[out_c, patch], -1.0, 1.0, &mut rng);
-    let packed = PackedWeights::pack(weights.as_slice(), out_c, patch);
-    let mut out = vec![0.0f32; out_c * positions];
-    let mut ws = Workspace::new();
-    c.bench_function("conv/implicit_vs_im2col/im2col_depth3", |bch| {
-        bch.iter(|| {
-            let (cols, packs) = ws.split_im2col_packs();
-            im2col_into(&x, &geom, cols).unwrap();
-            gemm_into(
-                packs,
-                false,
-                false,
-                weights.as_slice(),
-                cols,
-                &mut out,
-                out_c,
-                positions,
-                patch,
-                1,
-            );
-            std::hint::black_box(&out);
+    // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c])
+    let shapes: &[(&str, [usize; 7])] = &[
+        ("micronet_conv1", [3, 32, 32, 5, 1, 2, 4]),
+        ("googlenet_conv1", [3, 224, 224, 7, 2, 3, 64]),
+        ("depth3", [64, 57, 57, 3, 1, 1, 192]),
+    ];
+    for &(label, [in_c, in_h, in_w, kernel, stride, pad, out_c]) in shapes {
+        let geom = ConvGeom::new(in_c, in_h, in_w, kernel, kernel, stride, pad).unwrap();
+        let (patch, positions) = (geom.patch_len(), geom.out_positions());
+        let mut rng = Rng::seed_from(11);
+        let x = Tensor::uniform(&[in_c, in_h, in_w], -1.0, 1.0, &mut rng);
+        let weights = Tensor::uniform(&[out_c, patch], -1.0, 1.0, &mut rng);
+        let packed = PackedWeights::pack(weights.as_slice(), out_c, patch);
+        let mut out = vec![0.0f32; out_c * positions];
+        let mut ws = Workspace::new();
+        c.bench_function(&format!("conv/implicit_vs_im2col/im2col_{label}"), |bch| {
+            bch.iter(|| {
+                let (cols, packs) = ws.split_im2col_packs();
+                im2col_into(&x, &geom, cols).unwrap();
+                gemm_into(
+                    packs,
+                    false,
+                    false,
+                    weights.as_slice(),
+                    cols,
+                    &mut out,
+                    out_c,
+                    positions,
+                    patch,
+                    1,
+                );
+                std::hint::black_box(&out);
+            });
         });
-    });
-    c.bench_function("conv/implicit_vs_im2col/implicit_depth3", |bch| {
-        bch.iter(|| {
-            conv_gemm_packed_into(
-                ws.packs_mut(),
-                SimdLevel::auto(),
-                &packed,
-                x.as_slice(),
-                &geom,
-                &mut out,
-                1,
-            );
-            std::hint::black_box(&out);
-        });
-    });
+        c.bench_function(
+            &format!("conv/implicit_vs_im2col/implicit_{label}"),
+            |bch| {
+                bch.iter(|| {
+                    conv_gemm_packed_into(
+                        ws.packs_mut(),
+                        SimdLevel::auto(),
+                        &packed,
+                        x.as_slice(),
+                        &geom,
+                        &mut out,
+                        1,
+                    );
+                    std::hint::black_box(&out);
+                });
+            },
+        );
+    }
 }
 
 /// Every compiled f32 microkernel level on one square GEMM. All levels are

@@ -405,10 +405,12 @@ fn bench_throughput(
 /// rows measure the *guaranteed* vector floor, not a portable penalty).
 fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
     // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c]): the
-    // MicroNet stem and the Depth3 inception-3a 3x3 branch (m=192, k=576,
-    // n=3249), the acceptance shape the i8 section also uses.
+    // micronet and GoogLeNet stems as the zoo builds them, and the Depth3
+    // inception-3a 3x3 branch (m=192, k=576, n=3249), the acceptance shape
+    // the i8 section also uses.
     let shapes: &[(&str, [usize; 7])] = &[
-        ("micronet_stem", [3, 32, 32, 3, 1, 1, 16]),
+        ("micronet_conv1", [3, 32, 32, 5, 1, 2, 4]),
+        ("googlenet_conv1", [3, 224, 224, 7, 2, 3, 64]),
         ("depth3_3x3", [64, 57, 57, 3, 1, 1, 192]),
     ];
     let reps = if smoke { 3 } else { 7 };

@@ -780,7 +780,7 @@ impl FramePass<'_> {
                 let geom =
                     ConvGeom::new(dims[0], dims[1], dims[2], *kernel, *kernel, *stride, *pad)?;
                 let patch = geom.patch_len();
-                if codes.len() != out_c * patch || bias.len() != *out_c {
+                if out_c.checked_mul(patch) != Some(codes.len()) || bias.len() != *out_c {
                     return Err(CoreError::BadProgram {
                         reason: format!("conv `{name}` weight dims inconsistent"),
                     });
@@ -799,7 +799,13 @@ impl FramePass<'_> {
                         })?;
                 self.conv_ordinal += 1;
                 let positions = geom.out_positions();
-                let mut out = vec![0.0f32; *out_c * positions];
+                let out_len =
+                    out_c
+                        .checked_mul(positions)
+                        .ok_or_else(|| CoreError::BadProgram {
+                            reason: format!("conv `{name}` output {out_c}x{positions} overflows"),
+                        })?;
+                let mut out = vec![0.0f32; out_len];
                 // The ideal MAC array is a matrix product (each output is
                 // one damped node). Under CodeI8 the activations must be
                 // staged through im2col anyway — the snap gate inspects
@@ -1471,6 +1477,27 @@ mod tests {
         match err {
             CoreError::Verify(report) => assert!(report.has_errors()),
             other => panic!("expected Verify, got {other:?}"),
+        }
+    }
+
+    /// A conv whose pad or channel count overflows the size arithmetic is
+    /// a verification error, with no overflow panic on the way.
+    #[test]
+    fn oversized_conv_geometry_is_a_typed_error() {
+        let input = Tensor::full(&[3, 32, 32], 0.5);
+        for huge in [usize::MAX / 2, usize::MAX / 8] {
+            let (mut program, _) = micronet_program(40.0, 4);
+            if let Instruction::Conv { pad, .. } = &mut program.instructions[0] {
+                *pad = huge;
+            }
+            let err = Executor::new(program, 1).execute(&input).unwrap_err();
+            assert!(matches!(err, CoreError::Verify(_)), "pad {huge}: {err:?}");
+            let (mut program, _) = micronet_program(40.0, 4);
+            if let Instruction::Conv { out_c, .. } = &mut program.instructions[0] {
+                *out_c = huge;
+            }
+            let err = Executor::new(program, 1).execute(&input).unwrap_err();
+            assert!(matches!(err, CoreError::Verify(_)), "out_c {huge}: {err:?}");
         }
     }
 

@@ -29,6 +29,19 @@ impl RoundMode {
     }
 }
 
+/// Checks that the product of `dims` fits in `usize`.
+fn check_size(what: &str, dims: [usize; 3]) -> Result<(), TensorError> {
+    match dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)) {
+        Some(_) => Ok(()),
+        None => Err(TensorError::InvalidGeometry {
+            reason: format!(
+                "{what} size {}x{}x{} overflows usize",
+                dims[0], dims[1], dims[2]
+            ),
+        }),
+    }
+}
+
 /// Geometry of a 2-D convolution over a `C×H×W` input.
 ///
 /// # Example
@@ -59,7 +72,9 @@ impl ConvGeom {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidGeometry`] when the stride is zero, a
-    /// kernel extent is zero, or the padded input is smaller than the kernel.
+    /// kernel extent is zero, the padded input is smaller than the kernel,
+    /// or the padded extent, patch length, input size or output size
+    /// (`in_c·out_h·out_w`) overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         in_c: usize,
@@ -110,8 +125,12 @@ impl ConvGeom {
                 ),
             });
         }
-        let padded_h = in_h + 2 * pad;
-        let padded_w = in_w + 2 * pad;
+        let padded = |extent: usize| pad.checked_mul(2).and_then(|p| p.checked_add(extent));
+        let (Some(padded_h), Some(padded_w)) = (padded(in_h), padded(in_w)) else {
+            return Err(TensorError::InvalidGeometry {
+                reason: format!("input {in_h}x{in_w} with pad {pad} overflows usize"),
+            });
+        };
         if padded_h < kernel_h || padded_w < kernel_w {
             return Err(TensorError::InvalidGeometry {
                 reason: format!(
@@ -121,6 +140,11 @@ impl ConvGeom {
         }
         let out_h = round.apply(padded_h - kernel_h, stride) + 1;
         let out_w = round.apply(padded_w - kernel_w, stride) + 1;
+        // Callers multiply these sizes out; `in_c·out_h·out_w` is also a
+        // pool's output length.
+        check_size("patch", [in_c, kernel_h, kernel_w])?;
+        check_size("input", [in_c, in_h, in_w])?;
+        check_size("output", [in_c, out_h, out_w])?;
         Ok(ConvGeom {
             in_c,
             in_h,
@@ -480,6 +504,29 @@ mod tests {
         assert!(ConvGeom::new(3, 2, 2, 5, 5, 1, 0).is_err());
         assert!(ConvGeom::new(0, 8, 8, 3, 3, 1, 0).is_err());
         assert!(ConvGeom::new(3, 2, 2, 5, 5, 1, 2).is_ok());
+    }
+
+    #[test]
+    fn oversized_geometry_is_a_typed_error() {
+        let invalid = |r: Result<(), TensorError>| {
+            assert!(
+                matches!(r, Err(TensorError::InvalidGeometry { .. })),
+                "{r:?}"
+            );
+        };
+        let conv = |c, h, w, k, s, p| ConvGeom::new(c, h, w, k, k, s, p).map(|_| ());
+        let pool = |c, h, w, k, s, p| PoolGeom::new(c, h, w, k, s, p).map(|_| ());
+        let huge = usize::MAX / 4;
+        // `in + 2·pad` overflows.
+        invalid(conv(3, 8, 8, 3, 1, usize::MAX / 2));
+        invalid(pool(3, 8, 8, 3, 2, usize::MAX / 2));
+        // `in_c·kh·kw` and `in_c·in_h·in_w` overflow.
+        invalid(conv(huge, 8, 8, 3, 1, 1));
+        invalid(pool(huge, 8, 8, 2, 2, 0));
+        // Only the padded output `in_c·out_h·out_w` (21×21 per channel)
+        // overflows.
+        invalid(conv(usize::MAX / 100, 1, 1, 1, 1, 10));
+        assert!(conv(usize::MAX / 1000, 1, 1, 1, 1, 10).is_ok());
     }
 
     #[test]

@@ -155,14 +155,83 @@ fn pack_b_panel(
     }
 }
 
+/// `⌈a / s⌉`, with no division at stride 1.
+#[inline(always)]
+fn ceil_div(a: usize, s: usize) -> usize {
+    if s == 1 {
+        a
+    } else {
+        a.div_ceil(s)
+    }
+}
+
+/// Copies `dst.len()` taps of one input row, `stride` apart from `row[0]`:
+/// a contiguous copy at stride 1.
+#[inline(always)]
+fn copy_taps(dst: &mut [f32], row: &[f32], stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&row[..dst.len()]);
+    } else {
+        for (slot, &v) in dst.iter_mut().zip(row.iter().step_by(stride)) {
+            *slot = v;
+        }
+    }
+}
+
+/// Packs one run of conv B-panel columns into the zeroed `run`: columns
+/// on output row `oy` from output column `ox` on, under tap `(ky, kx)` of
+/// `plane`. A tap row above or below the input stays zero. Otherwise the
+/// run is a zero head left of the input row, an in-bounds body copied from
+/// the row, and a zero tail right of it.
+#[inline(always)]
+fn pack_conv_run(
+    run: &mut [f32],
+    plane: &[f32],
+    geom: &ConvGeom,
+    (ky, kx): (usize, usize),
+    oy: usize,
+    ox: usize,
+) {
+    let (in_h, in_w) = (geom.in_h(), geom.in_w());
+    let (stride, pad) = (geom.stride(), geom.pad());
+    // A row above the input wraps to a huge `y`.
+    let y = (oy * stride + ky).wrapping_sub(pad);
+    if y >= in_h {
+        return;
+    }
+    // `xp` is the input column of the run's first tap, plus `pad`.
+    let xp = ox * stride + kx;
+    let head = ceil_div(pad.saturating_sub(xp), stride);
+    let end = ceil_div((pad + in_w).saturating_sub(xp), stride).min(run.len());
+    if end <= head {
+        // No tap lands inside the row, so there is no body to copy and its
+        // first input column may lie past the row end.
+        return;
+    }
+    let row = &plane[y * in_w..(y + 1) * in_w];
+    copy_taps(
+        &mut run[head..end],
+        &row[xp + head * stride - pad..],
+        stride,
+    );
+}
+
 /// Packs the `kc×nc` panel of the *virtual* `im2col` matrix of `src`
 /// (`C×H×W`, per `geom`) starting at (`pc`, `jc`) — the implicit-GEMM
 /// gather. Produces bytes identical to running [`pack_b_panel`] over an
-/// explicit `im2col` matrix: patch row `pc + p` decodes to a channel/tap
-/// `(ch, ky, kx)`, column `jc + col` decodes to an output position
-/// `(oy, ox)`, and the packed value is the input pixel under that tap, or
-/// `0.0` when the tap falls in the padding border.
-#[allow(clippy::too_many_arguments)]
+/// explicit `im2col` matrix: patch row `pc + p` is a channel/tap
+/// `(ch, ky, kx)`, column `jc + col` an output position `(oy, ox)`, and the
+/// packed value is the input pixel under that tap, or `0.0` when the tap
+/// falls in the padding border.
+///
+/// The packer copies runs instead of decoding every element. It decodes
+/// the block's first tap once and steps it per panel row, and decodes each
+/// panel's first output position once. A panel row whose `NR` columns sit
+/// on one output row with every tap inside the input is one copy of `NR`
+/// taps. Any other row is zeroed and split into runs on one output row
+/// each, packed by [`pack_conv_run`]. Columns past `nc` stay `0.0`. Beyond
+/// those decodes, only the edge runs of a strided conv divide (by the
+/// stride).
 fn pack_b_conv_panel(
     src: &[f32],
     geom: &ConvGeom,
@@ -172,41 +241,48 @@ fn pack_b_conv_panel(
     kc: usize,
     dst: &mut [f32],
 ) {
-    let (in_h, in_w) = (geom.in_h(), geom.in_w());
     let (kh, kw) = (geom.kernel_h(), geom.kernel_w());
+    let (in_h, in_w) = (geom.in_h(), geom.in_w());
     let (stride, pad) = (geom.stride(), geom.pad());
     let out_w = geom.out_w();
+    let plane_len = in_h * in_w;
+    let (ch0, tap0) = (pc / (kh * kw), pc % (kh * kw));
+    let (ky0, kx0) = (tap0 / kw, tap0 % kw);
     let panels = nc.div_ceil(NR);
-    for pi in 0..panels {
-        let panel = &mut dst[pi * NR * kc..(pi + 1) * NR * kc];
-        // Real (non-pad-past-nc) columns of this panel and their first
-        // output position; `oy`/`ox` then advance incrementally.
-        let cols = NR.min(nc.saturating_sub(pi * NR));
+    for (pi, panel) in dst[..panels * NR * kc]
+        .chunks_exact_mut(NR * kc)
+        .enumerate()
+    {
+        let cols = NR.min(nc - pi * NR);
         let j0 = jc + pi * NR;
-        for p in 0..kc {
-            let pr = pc + p;
-            let (ch, tap) = (pr / (kh * kw), pr % (kh * kw));
-            let (ky, kx) = (tap / kw, tap % kw);
-            let plane = &src[ch * in_h * in_w..(ch + 1) * in_h * in_w];
-            let (mut oy, mut ox) = (j0 / out_w, j0 % out_w);
-            let step = &mut panel[p * NR..(p + 1) * NR];
-            for (c, slot) in step.iter_mut().enumerate() {
-                *slot = if c < cols {
-                    let y = (oy * stride + ky) as isize - pad as isize;
-                    let x = (ox * stride + kx) as isize - pad as isize;
-                    ox += 1;
-                    if ox == out_w {
-                        ox = 0;
-                        oy += 1;
-                    }
-                    if y >= 0 && (y as usize) < in_h && x >= 0 && (x as usize) < in_w {
-                        plane[y as usize * in_w + x as usize]
-                    } else {
-                        0.0
-                    }
-                } else {
-                    0.0
-                };
+        let (oy0, ox0) = (j0 / out_w, j0 % out_w);
+        let one_run = cols == NR && ox0 + NR <= out_w;
+        let (mut ch, mut ky, mut kx) = (ch0, ky0, kx0);
+        for step in panel.as_chunks_mut::<NR>().0 {
+            let plane = &src[ch * plane_len..(ch + 1) * plane_len];
+            let y = (oy0 * stride + ky).wrapping_sub(pad);
+            let xp = ox0 * stride + kx;
+            if one_run && y < in_h && xp >= pad && xp - pad + (NR - 1) * stride < in_w {
+                copy_taps(step, &plane[y * in_w + xp - pad..], stride);
+            } else {
+                *step = [0.0; NR];
+                let (mut c, mut oy, mut ox) = (0, oy0, ox0);
+                while c < cols {
+                    let len = (out_w - ox).min(cols - c);
+                    pack_conv_run(&mut step[c..c + len], plane, geom, (ky, kx), oy, ox);
+                    c += len;
+                    oy += 1;
+                    ox = 0;
+                }
+            }
+            kx += 1;
+            if kx == kw {
+                kx = 0;
+                ky += 1;
+                if ky == kh {
+                    ky = 0;
+                    ch += 1;
+                }
             }
         }
     }
@@ -1053,6 +1129,89 @@ mod tests {
             1,
         );
         assert_eq!(got_packed, want, "pre-packed conv diverged from oracle");
+    }
+
+    /// Packs every `(jc, pc)` block of `geom`'s patch matrix two ways: the
+    /// implicit conv packer, and `pack_b_panel` over an explicit `im2col`.
+    /// The buffers start with different sentinels, so a slot either packer
+    /// leaves unwritten fails too.
+    fn assert_conv_packer_matches_im2col(geom: &ConvGeom, seed: u64) {
+        let mut rng = Rng::seed_from(seed);
+        let input = Tensor::uniform(
+            &[geom.in_c(), geom.in_h(), geom.in_w()],
+            -1.0,
+            1.0,
+            &mut rng,
+        );
+        let mut cols = Vec::new();
+        im2col_into(&input, geom, &mut cols).unwrap();
+        let (k, n) = (geom.patch_len(), geom.out_positions());
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let len = nc.div_ceil(NR) * NR * kc;
+                let mut want = vec![f32::NAN; len];
+                let mut got = vec![f32::INFINITY; len];
+                pack_b_panel(&cols, false, n, k, jc, nc, pc, kc, &mut want);
+                pack_b_conv_panel(input.as_slice(), geom, jc, nc, pc, kc, &mut got);
+                let first_diff = got
+                    .iter()
+                    .zip(&want)
+                    .position(|(g, w)| g.to_bits() != w.to_bits());
+                assert_eq!(first_diff, None, "{geom}: block (jc {jc}, pc {pc})");
+            }
+        }
+    }
+
+    #[test]
+    fn conv_packer_matches_im2col_packing_at_every_block() {
+        let cases: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
+            // (in_c, in_h, in_w, kh, kw, stride, pad)
+            (3, 32, 32, 5, 5, 1, 2), // micronet conv1
+            // k = 576 > KC: the blocks at pc = 256 and 512 start mid-channel
+            // and mid-kernel-row (taps (1, 1) and (2, 2)).
+            (64, 9, 9, 3, 3, 1, 1),
+            // inception_3a 3×3: k = 864 and n = 784 cross KC and NC.
+            (96, 28, 28, 3, 3, 1, 1),
+            // 29×29 output: n = 841 > NC, and jc = 512 starts mid-row.
+            (2, 29, 29, 3, 3, 1, 1),
+            // Strides 2 and 3 whose last output column reads right padding.
+            (3, 17, 17, 3, 3, 2, 1),
+            (2, 19, 19, 4, 4, 3, 2),
+            (3, 57, 57, 7, 7, 2, 3),
+            // Stride above the kernel: input columns no tap reads.
+            (2, 10, 10, 2, 2, 3, 0),
+            // 5-wide rows under a 16-wide panel: short runs entirely left
+            // or right of the input row (empty bodies).
+            (1, 5, 3, 5, 5, 1, 3),
+            (1, 7, 7, 7, 7, 1, 3),
+            (16, 14, 14, 1, 1, 1, 0),
+        ];
+        for (i, &(c, h, w, kh, kw, s, p)) in cases.iter().enumerate() {
+            let geom = ConvGeom::new(c, h, w, kh, kw, s, p).unwrap();
+            assert_conv_packer_matches_im2col(&geom, 90 + i as u64);
+        }
+    }
+
+    proptest::proptest! {
+        /// Random geometries, wide enough in channels and extent for `k`
+        /// to cross `KC` and `n` to cross `NC`.
+        #[test]
+        fn conv_packer_matches_im2col_packing_on_random_geometries(
+            in_c in 1usize..=40,
+            in_h in 1usize..=30,
+            in_w in 1usize..=30,
+            kh in 1usize..=5,
+            kw in 1usize..=5,
+            stride in 1usize..=3,
+            pad in 0usize..=3,
+            seed in 0u64..=1_000_000,
+        ) {
+            if let Ok(geom) = ConvGeom::new(in_c, in_h, in_w, kh, kw, stride, pad) {
+                assert_conv_packer_matches_im2col(&geom, seed);
+            }
+        }
     }
 
     #[test]

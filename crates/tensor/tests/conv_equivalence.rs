@@ -61,13 +61,13 @@ fn assert_conv_equivalence(geom: &ConvGeom, out_c: usize, seed: u64) {
             );
             assert!(
                 bits(&out) == bits(&oracle),
-                "implicit conv diverged from im2col oracle at {level}, {threads} threads"
+                "implicit conv diverged from im2col oracle at {geom}, {level}, {threads} threads"
             );
             out.fill(0.0);
             conv_gemm_packed_into(&mut packs, level, &packed, &input, geom, &mut out, threads);
             assert!(
                 bits(&out) == bits(&oracle),
-                "pack-once conv diverged from im2col oracle at {level}, {threads} threads"
+                "pack-once conv diverged from im2col oracle at {geom}, {level}, {threads} threads"
             );
         }
     }
@@ -78,13 +78,13 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// Fixed geometries from the zoo networks the simulator actually runs:
-/// the MicroNet stem, the GoogLeNet 7×7/s2 stem (spatially shrunk), and
-/// the three TinyInception branch kernels, plus stride/pad edge cases.
+/// the TinyInception stem, the GoogLeNet 7×7/s2 stem (spatially shrunk),
+/// and the three TinyInception branch kernels, plus stride/pad edge cases.
 #[test]
 fn zoo_geometries_are_bit_exact_against_the_oracle() {
     let cases: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
         // (in_c, in_h, in_w, kh, kw, stride, pad), out_c varied below.
-        (3, 32, 32, 3, 3, 1, 1),  // MicroNet stem
+        (3, 32, 32, 3, 3, 1, 1),  // TinyInception stem
         (3, 57, 57, 7, 7, 2, 3),  // GoogLeNet stem kernel, shrunk input
         (16, 14, 14, 1, 1, 1, 0), // inception 1×1 reduce
         (8, 14, 14, 3, 3, 1, 1),  // inception 3×3 branch
@@ -97,6 +97,32 @@ fn zoo_geometries_are_bit_exact_against_the_oracle() {
         let geom = ConvGeom::new(c, h, w, kh, kw, s, p).unwrap();
         let out_c = 1 + (i % 3) * 8 + i; // 1..=23, straddles MR=8 panels
         assert_conv_equivalence(&geom, out_c, 0xC0FFEE ^ i as u64);
+    }
+}
+
+/// Geometries that put the packer's block and run boundaries in awkward
+/// places: `KC` = 256 inner rows and `NC` = 512 columns per packed block,
+/// `NR` = 16 columns per panel.
+#[test]
+fn packer_block_and_run_boundaries_are_bit_exact_against_the_oracle() {
+    let cases: &[([usize; 7], usize)] = &[
+        // ([in_c, in_h, in_w, kh, kw, stride, pad], out_c)
+        ([3, 32, 32, 5, 5, 1, 2], 4), // micronet conv1
+        // k = 576 > KC: the blocks at pc = 256 and 512 start mid-channel
+        // and mid-kernel-row.
+        ([64, 9, 9, 3, 3, 1, 1], 9),
+        // n = 841 > NC: the block at jc = 512 starts 19 columns into a row.
+        ([2, 29, 29, 3, 3, 1, 1], 5),
+        // Strides 2 and 3 whose last output column reads right padding.
+        ([3, 17, 17, 3, 3, 2, 1], 8),
+        ([2, 19, 19, 4, 4, 3, 2], 3),
+        // 5-wide output rows under 16-wide panels: short runs that lie
+        // wholly in the left or right padding have an empty body.
+        ([1, 5, 3, 5, 5, 1, 3], 2),
+    ];
+    for (i, &([c, h, w, kh, kw, s, p], out_c)) in cases.iter().enumerate() {
+        let geom = ConvGeom::new(c, h, w, kh, kw, s, p).unwrap();
+        assert_conv_equivalence(&geom, out_c, 0xB10C ^ i as u64);
     }
 }
 

@@ -78,8 +78,8 @@ pub(crate) fn run(sites: &[Site<'_>], report: &mut Report) {
             );
         }
         if let Some([in_c, _, _]) = site.in_shape {
-            let patch = in_c * kernel * kernel;
-            if codes.len() != out_c * patch {
+            let patch = in_c.saturating_mul(*kernel).saturating_mul(*kernel);
+            if out_c.checked_mul(patch) != Some(codes.len()) {
                 report.push(
                     err(
                         "RE0202",

@@ -18,6 +18,10 @@
 //! Panics stay contained: a task that panics on the work-stealing
 //! scheduler, which runs every batch and fleet, comes back as a typed error
 //! while the other tasks finish.
+//!
+//! The implicit-GEMM conv, which packs B panels straight from the input
+//! plane, equals the explicit `im2col` + GEMM bit for bit on a GoogLeNet
+//! shape whose patch matrix crosses the packer's block boundaries.
 
 use redeye::core::{
     analyze_cost, compile, frame_digest, run_stealing, BatchExecutor, CompileOptions, CoreError,
@@ -25,7 +29,10 @@ use redeye::core::{
     WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
-use redeye::tensor::{NoiseStream, Rng, Tensor};
+use redeye::tensor::{
+    conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, ConvGeom, NoiseStream,
+    PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
+};
 
 const SEED: u64 = 11;
 const FRAMES: usize = 4;
@@ -239,5 +246,68 @@ fn a_panicking_task_is_contained_by_the_scheduler() {
                 other => assert_eq!(other, Ok(t as u64 * t as u64), "{workers} workers"),
             }
         }
+    }
+}
+
+/// The inception_3a 3×3 conv (96×28×28 → 128, pad 1): its 864×784 patch
+/// matrix spans four 256-row and two 512-column packed blocks, so blocks
+/// start mid-channel, mid-kernel-row and mid-output-row. Both implicit
+/// entry points, at one and two threads, equal `im2col_into` + `gemm_into`
+/// bit for bit.
+#[test]
+fn implicit_conv_equals_im2col_at_googlenet_block_boundaries() {
+    let geom = ConvGeom::new(96, 28, 28, 3, 3, 1, 1).expect("inception_3a 3x3 geometry");
+    let (out_c, k, n) = (128, geom.patch_len(), geom.out_positions());
+    assert_eq!((k, n), (864, 784));
+    let mut rng = Rng::seed_from(SEED);
+    let input = Tensor::uniform(&[96, 28, 28], -1.0, 1.0, &mut rng);
+    let weights = Tensor::uniform(&[out_c, k], -0.5, 0.5, &mut rng);
+
+    let mut packs = PackBuffers::new();
+    let mut cols = Vec::new();
+    im2col_into(&input, &geom, &mut cols).expect("im2col");
+    let mut want = vec![0.0f32; out_c * n];
+    gemm_into(
+        &mut packs,
+        false,
+        false,
+        weights.as_slice(),
+        &cols,
+        &mut want,
+        out_c,
+        n,
+        k,
+        1,
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let want = bits(&want);
+
+    let packed = PackedWeights::pack(weights.as_slice(), out_c, k);
+    let mut out = vec![0.0f32; out_c * n];
+    for threads in [1, 2] {
+        conv_gemm_into(
+            &mut packs,
+            SimdLevel::auto(),
+            weights.as_slice(),
+            input.as_slice(),
+            &geom,
+            &mut out,
+            out_c,
+            threads,
+        );
+        assert!(bits(&out) == want, "conv_gemm_into, {threads} threads");
+        conv_gemm_packed_into(
+            &mut packs,
+            SimdLevel::auto(),
+            &packed,
+            input.as_slice(),
+            &geom,
+            &mut out,
+            threads,
+        );
+        assert!(
+            bits(&out) == want,
+            "conv_gemm_packed_into, {threads} threads"
+        );
     }
 }
