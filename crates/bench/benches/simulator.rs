@@ -50,8 +50,8 @@ fn bench_executor(c: &mut Criterion) {
     });
 }
 
-/// The column-parallel analog pipeline: one executor frame per analog
-/// thread budget (the BENCH_analog.json axes, criterion-sized).
+/// The column-parallel analog pipeline: one executor frame per thread
+/// budget (the BENCH_analog.json axes, criterion-sized).
 fn bench_analog_pipeline(c: &mut Criterion) {
     let spec = zoo::micronet(16, 10);
     let prefix = spec.prefix_through("pool3").unwrap();
@@ -65,7 +65,7 @@ fn bench_analog_pipeline(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     let mut exec = Executor::new(program.clone(), 7);
-                    exec.set_analog_threads(threads);
+                    exec.set_threads(threads);
                     exec
                 },
                 |mut exec| exec.execute(&input).unwrap(),

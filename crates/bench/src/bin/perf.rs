@@ -9,7 +9,7 @@
 //! - **Analog** (`BENCH_analog.json`): the layer-noise stage at the
 //!   Depth3 sample count (per-site Box–Muller vs the blocked polar
 //!   `add_scaled_normal`) plus whole GoogLeNet frames at
-//!   Depth1/Depth3/Depth5 across analog thread budgets.
+//!   Depth1/Depth3/Depth5 across thread budgets.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
 //!   on the work-stealing scheduler at worker counts 1/2/4, per depth.
@@ -46,8 +46,8 @@ use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel,
-    Tensor, Workspace,
+    matmul_naive, par, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng,
+    SimdLevel, Tensor, Workspace,
 };
 use std::time::Instant;
 
@@ -255,13 +255,8 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     let mut sharded_ms = |threads: usize| {
         best_of(reps, || {
             let chunk = n.div_ceil(threads).div_ceil(2) * 2;
-            std::thread::scope(|scope| {
-                for (t, band) in buf.chunks_mut(chunk).enumerate() {
-                    let stream = &stream;
-                    scope.spawn(move || {
-                        stream.add_scaled_normal((t * chunk) as u64, sigma, band);
-                    });
-                }
+            par::fan_out(buf.chunks_mut(chunk).enumerate(), |(t, band)| {
+                stream.add_scaled_normal((t * chunk) as u64, sigma, band);
             });
             std::hint::black_box(&buf);
         })
@@ -287,7 +282,8 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
     }
 }
 
-/// Times whole executor frames per depth across analog thread budgets.
+/// Times whole executor frames per depth across thread budgets (GEMM row
+/// bands and analog site bands together).
 fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: bool) {
     let reps = if smoke { 1 } else { 4 };
     let budgets = [1usize, 2, 4];
@@ -297,7 +293,7 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
             .iter()
             .map(|&threads| {
                 let mut exec = Executor::new(program.clone(), 29);
-                exec.set_analog_threads(threads);
+                exec.set_threads(threads);
                 // Warm run: verifies the program and grows the conv workspace.
                 exec.execute(input).expect("frame");
                 exec

@@ -163,9 +163,9 @@ pub fn fig8() {
 }
 
 /// Shared accuracy sweep: returns `(top1, top5)` of the trained stand-in at
-/// one (SNR, bits) point. The harness (validation set + crossbeam worker
-/// pool) is built once per figure and reused across sweep points; each
-/// point's frames are sharded across the harness's worker threads.
+/// one (SNR, bits) point. The harness (validation set + thread budget) is
+/// built once per figure and reused across sweep points; each point's
+/// frames are sharded across the harness's worker threads.
 fn accuracy_at(
     harness: &AccuracyHarness,
     model: &workload::TrainedModel,

@@ -42,10 +42,10 @@
 use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
 use redeye_analog::calib::SWING;
 use redeye_analog::cost::FrameCost;
-use redeye_analog::{Comparator, SarAdc, Seconds, SnrDb};
+use redeye_analog::{Comparator, SarAdc, SarConversion, Seconds, SnrDb};
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, ConvGeom,
-    NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
+    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, par,
+    ConvGeom, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
 };
 use std::sync::OnceLock;
 
@@ -172,11 +172,9 @@ pub struct FrameEngine {
     /// Pack-once comparator template: its screening table is built once
     /// and cloned into each pooling band.
     comparator: Comparator,
-    /// GEMM thread budget for conv instructions.
-    gemm_threads: usize,
-    /// Thread budget for the per-site analog stages (layer noise,
-    /// comparator pooling, SAR readout).
-    analog_threads: usize,
+    /// Thread budget within a frame: conv GEMM row bands and the per-site
+    /// analog stages (layer noise, comparator pooling, SAR readout).
+    threads: usize,
     /// Arithmetic domain for the noiseless conv MAC.
     mac_domain: MacDomain,
     /// f32 GEMM microkernel level. All levels are bit-identical (see
@@ -204,8 +202,7 @@ impl FrameEngine {
             conv_packs,
             sar,
             comparator: Comparator::new(),
-            gemm_threads: 1,
-            analog_threads: 1,
+            threads: 1,
             mac_domain: MacDomain::default(),
             simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
@@ -221,22 +218,12 @@ impl FrameEngine {
         self.verified = OnceLock::new();
     }
 
-    /// Sets both the GEMM and the analog-stage thread budgets. Results are
-    /// bit-identical across budgets; small stages stay serial regardless.
+    /// Sets the frame's thread budget: conv GEMM row bands and the
+    /// per-site analog stages (layer noise, comparator max pooling, SAR
+    /// readout) all split across it. Results are bit-identical across
+    /// budgets; small stages stay serial regardless.
     pub fn set_threads(&mut self, threads: usize) {
-        self.set_gemm_threads(threads);
-        self.set_analog_threads(threads);
-    }
-
-    /// Sets the GEMM thread budget for conv instructions only.
-    pub fn set_gemm_threads(&mut self, threads: usize) {
-        self.gemm_threads = threads.max(1);
-    }
-
-    /// Sets the thread budget for the per-site analog stages (layer noise,
-    /// comparator max pooling, SAR readout) only.
-    pub fn set_analog_threads(&mut self, threads: usize) {
-        self.analog_threads = threads.max(1);
+        self.threads = threads.max(1);
     }
 
     /// Selects the arithmetic domain for the noiseless conv MAC. Both
@@ -307,7 +294,8 @@ impl FrameEngine {
     /// Returns [`CoreError::Verify`] if the program fails static
     /// verification (checked once, on the first frame), or
     /// [`CoreError::BadProgram`] if the input shape does not match the
-    /// program or a shape error surfaces from a corrupt program.
+    /// program, a pixel is NaN or infinite, or a shape error surfaces from
+    /// a corrupt program.
     pub fn run_frame(&self, frame: u64, input: &Tensor, ctx: &mut FrameCtx) -> Result<FrameOutput> {
         self.run_frame_with(&self.stream, 1.0, frame, input, ctx)
             .map(|(out, _)| out)
@@ -345,20 +333,21 @@ impl FrameEngine {
                 ),
             });
         }
+        // One NaN or infinite pixel would poison the first layer's signal
+        // power, and through it every noise σ downstream.
+        if let Some(i) = input.iter().position(|v| !v.is_finite()) {
+            return Err(CoreError::BadProgram {
+                reason: format!("input pixel {i} is {}, not finite", input.as_slice()[i]),
+            });
+        }
         let mut pass = FramePass {
             ws: &mut ctx.ws,
             code: &mut ctx.code,
             stream: root.frame_substream(frame),
             ordinal: 0,
             conv_ordinal: 0,
-            conv_packs: &self.conv_packs,
-            sar: self.sar.as_ref(),
-            comparator: &self.comparator,
-            gemm_threads: self.gemm_threads,
-            analog_threads: self.analog_threads,
+            engine: self,
             noise_scale,
-            mac_domain: self.mac_domain,
-            simd: self.simd,
             // The array parallelizes across the input width worth of
             // column slices (gain staging maps the image onto the array).
             cost: FrameCost::new(self.program.input[2]),
@@ -569,12 +558,10 @@ impl FrameCtx {
 /// parallelism over the same engine/context split, see
 /// [`BatchExecutor`](crate::BatchExecutor).
 ///
-/// Three thread knobs exist across the stack: frame-level parallelism in
-/// `redeye-sim`'s accuracy harness and the batch executor's worker pool,
-/// the GEMM budget for conv products ([`Executor::set_gemm_threads`]), and
-/// the analog-stage budget for the per-site pipelines
-/// ([`Executor::set_analog_threads`]).
-/// [`Executor::set_threads`] sets the latter two together.
+/// Parallelism across frames belongs to the batch and fleet executors'
+/// worker pools; parallelism within a frame is one budget,
+/// [`Executor::set_threads`], shared by the conv GEMM and the per-site
+/// analog stages.
 ///
 /// # Example
 ///
@@ -614,21 +601,10 @@ impl Executor {
         }
     }
 
-    /// Sets both the GEMM and the analog-stage thread budgets. Results are
-    /// bit-identical across budgets; small stages stay serial regardless.
+    /// Sets the frame's thread budget (see [`FrameEngine::set_threads`]).
+    /// Results are bit-identical across budgets.
     pub fn set_threads(&mut self, threads: usize) {
         self.engine.set_threads(threads);
-    }
-
-    /// Sets the GEMM thread budget for conv instructions only.
-    pub fn set_gemm_threads(&mut self, threads: usize) {
-        self.engine.set_gemm_threads(threads);
-    }
-
-    /// Sets the thread budget for the per-site analog stages (layer noise,
-    /// comparator max pooling, SAR readout) only.
-    pub fn set_analog_threads(&mut self, threads: usize) {
-        self.engine.set_analog_threads(threads);
     }
 
     /// Selects the arithmetic domain for the noiseless conv MAC (see
@@ -689,7 +665,8 @@ impl Executor {
     /// Returns [`CoreError::Verify`] if the program fails static
     /// verification (checked once, on the first frame), or
     /// [`CoreError::BadProgram`] if the input shape does not match the
-    /// program or a shape error surfaces from a corrupt program.
+    /// program, a pixel is NaN or infinite, or a shape error surfaces from
+    /// a corrupt program.
     pub fn execute(&mut self, input: &Tensor) -> Result<ExecutionResult> {
         let out = self
             .engine
@@ -727,20 +704,11 @@ struct FramePass<'a> {
     /// Next conv ordinal: index of the engine's pack-once weight state for
     /// the next conv instruction in DFS order.
     conv_ordinal: usize,
-    /// The engine's pack-once per-conv weight state.
-    conv_packs: &'a [ConvPack],
-    /// The engine's pack-once SAR ADC template.
-    sar: Option<&'a SarAdc>,
-    /// The engine's pack-once comparator template.
-    comparator: &'a Comparator,
-    gemm_threads: usize,
-    analog_threads: usize,
+    /// The engine's pack-once state (conv weights, comparator and SAR
+    /// templates) and knobs (thread budget, MAC domain, SIMD level).
+    engine: &'a FrameEngine,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
-    mac_domain: MacDomain,
-    /// f32 microkernel level for the conv GEMM (bit-identical across
-    /// levels; see [`SimdLevel`]).
-    simd: SimdLevel,
     /// Energy and time charged so far, in DFS instruction order.
     cost: FrameCost,
     forced: u64,
@@ -790,7 +758,7 @@ impl FramePass<'_> {
                 // the packs from this very program, so the lookup cannot
                 // miss; `get` keeps a corrupt index a reported error rather
                 // than a panic.
-                let conv_packs = self.conv_packs;
+                let conv_packs = &self.engine.conv_packs;
                 let pack =
                     conv_packs
                         .get(self.conv_ordinal)
@@ -816,7 +784,7 @@ impl FramePass<'_> {
                 // packer gathers B-panels straight from the C×H×W input
                 // and multiplies through the engine's pack-once weight
                 // panels, bit-identical to the explicit lowering.
-                if self.mac_domain == MacDomain::CodeI8 {
+                if self.engine.mac_domain == MacDomain::CodeI8 {
                     let (cols, packs, packs_i8) = self.ws.split_im2col_all_packs();
                     im2col_into(x, &geom, cols)?;
                     let scratch = &mut *self.code;
@@ -830,7 +798,7 @@ impl FramePass<'_> {
                             *out_c,
                             positions,
                             patch,
-                            self.gemm_threads,
+                            self.engine.threads,
                         )
                     });
                     if code_hit {
@@ -838,7 +806,7 @@ impl FramePass<'_> {
                     } else {
                         gemm_into_level(
                             packs,
-                            self.simd,
+                            self.engine.simd,
                             false,
                             false,
                             &pack.weights,
@@ -847,31 +815,31 @@ impl FramePass<'_> {
                             *out_c,
                             positions,
                             patch,
-                            self.gemm_threads,
+                            self.engine.threads,
                         );
                     }
                 } else {
                     match pack.packed.as_ref() {
                         Some(pw) => conv_gemm_packed_into(
                             self.ws.packs_mut(),
-                            self.simd,
+                            self.engine.simd,
                             pw,
                             x.as_slice(),
                             &geom,
                             &mut out,
-                            self.gemm_threads,
+                            self.engine.threads,
                         ),
                         // Unreachable for a program that passed the weight
                         // dim check above; kept as a correct slow path.
                         None => conv_gemm_into(
                             self.ws.packs_mut(),
-                            self.simd,
+                            self.engine.simd,
                             &pack.weights,
                             x.as_slice(),
                             &geom,
                             &mut out,
                             *out_c,
-                            self.gemm_threads,
+                            self.engine.threads,
                         ),
                     }
                 }
@@ -957,7 +925,7 @@ impl FramePass<'_> {
 
     /// Adds the layer-SNR Gaussian noise of the paper's Gaussian Noise
     /// Layer: σ = signal_rms / 10^(SNR/20). Site `i` is output element `i`;
-    /// the plane shards across the analog thread budget on sample-pair
+    /// the plane shards across the thread budget on sample-pair
     /// boundaries, so any resharding reproduces the same elements.
     fn add_layer_noise(&mut self, mut out: Tensor, snr: SnrDb) -> Tensor {
         let rms = out.power().map(f32::sqrt).unwrap_or(0.0);
@@ -969,7 +937,7 @@ impl FramePass<'_> {
         // amplitude factor on fleet devices.
         let sigma = self.noise_scale * (rms / snr.amplitude_ratio() as f32);
         let stream = self.next_stream();
-        shard_mut(out.as_mut_slice(), self.analog_threads, 2, |first, band| {
+        shard_mut(out.as_mut_slice(), self.engine.threads, 2, |first, band| {
             stream.add_scaled_normal(first as u64, sigma, band);
         });
         out
@@ -984,7 +952,7 @@ impl FramePass<'_> {
     /// time out, or a draw whose radius is too small to matter — without
     /// evaluating the draw, so the output is bit-identical to chaining
     /// `compare` over the taps. Sites share no draw state, so the output
-    /// shards freely over the analog thread budget; per-band
+    /// shards freely over the thread budget; per-band
     /// decision/forced counts are summed in band order and energy is
     /// charged as a `count × per-decision` product, keeping the ledger
     /// independent of the thread count.
@@ -1002,9 +970,9 @@ impl FramePass<'_> {
         let plane_out = out_h * out_w;
         let (window, stride, pad) = (geom.window(), geom.stride(), geom.pad());
         let src = x.as_slice();
-        let template = self.comparator;
+        let template = &self.engine.comparator;
         let mut out = vec![0.0f32; geom.out_len()];
-        let stats = shard_mut(&mut out, self.analog_threads, 1, |first, band| {
+        let stats = shard_mut(&mut out, self.engine.threads, 1, |first, band| {
             let mut comparator = template.clone();
             let mut taps = Vec::with_capacity(window * window);
             for (i, slot) in band.iter_mut().enumerate() {
@@ -1062,7 +1030,7 @@ impl FramePass<'_> {
         // runs (and reports the constructor's error) for a resolution the
         // engine could not build a template for.
         let built;
-        let template = match self.sar {
+        let template = match &self.engine.sar {
             Some(t) => t,
             None => {
                 built = SarAdc::new(bits)?;
@@ -1084,46 +1052,27 @@ impl FramePass<'_> {
         let n = x.len();
         let src = x.as_slice();
         let mut codes = vec![0u32; n];
-        let mut deq = vec![0.0f32; n];
-        let convert_band = |first: usize, cband: &mut [u32], dband: &mut [f32]| -> u64 {
+        let clips = shard_mut(&mut codes, self.engine.threads, 1, |first, band| {
             let mut adc = template.clone();
             let mut clips = 0u64;
-            for (i, (code, d)) in cband.iter_mut().zip(dband.iter_mut()).enumerate() {
+            for (i, code) in band.iter_mut().enumerate() {
                 let idx = first + i;
-                let mut site = stream.at(idx as u64);
                 if src[idx] < 0.0 {
                     clips += 1;
                 }
-                let conv = adc.convert(f64::from(src[idx].max(0.0)) / full_scale, &mut site);
-                *code = conv.code;
-                *d = (conv.reconstruct() * full_scale) as f32;
+                let v = f64::from(src[idx].max(0.0)) / full_scale;
+                *code = adc.convert(v, &mut stream.at(idx as u64)).code;
             }
             clips
-        };
-        let threads = effective_threads(self.analog_threads, n);
-        let mut rail_clips = 0u64;
-        if threads <= 1 {
-            rail_clips = convert_band(0, &mut codes, &mut deq);
-        } else {
-            let chunk = n.div_ceil(threads);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = codes
-                    .chunks_mut(chunk)
-                    .zip(deq.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(t, (cband, dband))| {
-                        let convert_band = &convert_band;
-                        scope.spawn(move |_| convert_band(t * chunk, cband, dband))
-                    })
-                    .collect();
-                for h in handles {
-                    rail_clips += h.join().expect("quantize worker panicked");
-                }
-            })
-            .expect("quantize thread scope");
-        }
+        });
+        // The host's dequantization is a pure function of each code.
+        let resolution = template.resolution();
+        let deq = codes
+            .iter()
+            .map(|&code| (SarConversion { code, resolution }.reconstruct() * full_scale) as f32)
+            .collect();
         self.cost.convert(template, n as u64);
-        Ok((Tensor::from_vec(deq, x.dims())?, codes, rail_clips))
+        Ok((Tensor::from_vec(deq, x.dims())?, codes, clips.iter().sum()))
     }
 }
 
@@ -1247,17 +1196,6 @@ fn code_domain_mac(
     true
 }
 
-/// The thread count a stage of `sites` elements actually uses under a
-/// `threads` budget: serial below [`ANALOG_PARALLEL_MIN`], never more than
-/// one site per worker.
-fn effective_threads(threads: usize, sites: usize) -> usize {
-    if sites < ANALOG_PARALLEL_MIN {
-        1
-    } else {
-        threads.max(1).min(sites)
-    }
-}
-
 /// Runs `f` over bands of `data` whose starts are multiples of `align`
 /// (pair-aligned sharding for the batched normal fills), in parallel when
 /// the thread budget and site count warrant it. Band results return in band
@@ -1269,26 +1207,20 @@ where
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
     let n = data.len();
-    let threads = effective_threads(threads, n);
+    // Serial below `ANALOG_PARALLEL_MIN` sites; never more than one site
+    // per worker.
+    let threads = if n < ANALOG_PARALLEL_MIN {
+        1
+    } else {
+        threads.clamp(1, n)
+    };
     if threads <= 1 {
         return vec![f(0, data)];
     }
     let chunk = n.div_ceil(threads).div_ceil(align).max(1) * align;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, band)| {
-                let f = &f;
-                scope.spawn(move |_| f(t * chunk, band))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("analog worker panicked"))
-            .collect()
+    par::fan_out(data.chunks_mut(chunk).enumerate(), |(t, band)| {
+        f(t * chunk, band)
     })
-    .expect("analog thread scope")
 }
 
 /// Rectifies at zero when the layer fuses a ReLU. A conv output needs no
@@ -1532,10 +1464,11 @@ mod tests {
     }
 
     #[test]
-    fn output_is_bit_identical_across_analog_threads() {
+    fn output_is_bit_identical_across_thread_counts() {
         // A wide micronet so the conv planes (16×32×32) and pool planes
         // (16×16×16 = ANALOG_PARALLEL_MIN) actually engage the sharded
-        // paths rather than falling back to serial.
+        // paths rather than falling back to serial; 3 threads cut uneven
+        // GEMM row bands and site bands.
         let spec = zoo::micronet(16, 10);
         let prefix = spec.prefix_through("pool3").unwrap();
         let mut rng = Rng::seed_from(23);
@@ -1548,30 +1481,21 @@ mod tests {
         };
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let mut reference: Option<ExecutionResult> = None;
-        for threads in [1usize, 2, 4] {
+        let run = |threads| {
             let mut exec = Executor::new(program.clone(), 77);
-            exec.set_analog_threads(threads);
-            let got = exec.execute(&input).unwrap();
-            if let Some(want) = &reference {
-                assert_eq!(want.features, got.features, "{threads} threads");
-                assert_eq!(want.codes, got.codes, "{threads} threads");
-                assert!(
-                    want.ledger == got.ledger,
-                    "{threads} threads: ledger diverged"
-                );
-                assert_eq!(
-                    want.elapsed.value(),
-                    got.elapsed.value(),
-                    "{threads} threads"
-                );
-                assert_eq!(
-                    want.forced_decisions, got.forced_decisions,
-                    "{threads} threads"
-                );
-            } else {
-                reference = Some(got);
-            }
+            exec.set_threads(threads);
+            let r = exec.execute(&input).unwrap();
+            (
+                r.features,
+                r.codes,
+                r.ledger,
+                r.elapsed.value(),
+                r.forced_decisions,
+            )
+        };
+        let want = run(1);
+        for threads in [2, 3, 4] {
+            assert!(run(threads) == want, "{threads} threads diverged");
         }
     }
 

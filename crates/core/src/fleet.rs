@@ -268,7 +268,8 @@ impl DeviceCtx {
     ///
     /// # Errors
     ///
-    /// Propagates the engine's verification and shape errors.
+    /// Propagates the engine's verification, shape and non-finite pixel
+    /// errors.
     pub fn run_frame(
         &self,
         frame: u64,

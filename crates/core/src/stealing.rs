@@ -10,7 +10,8 @@
 //! deque, pops its own work LIFO from the back, and steals FIFO from the
 //! front of a victim's deque when it runs dry — and heavy tails migrate to
 //! idle workers instead of serializing behind one queue. The pool lives
-//! for one call: its workers are scoped threads that borrow the tasks.
+//! for one call: its workers are [`par::fan_out`] threads that borrow the
+//! tasks.
 //!
 //! The canonical Chase–Lev deque is a lock-free array with subtle
 //! publication ordering; this crate forbids `unsafe`, so each deque is a
@@ -30,6 +31,7 @@
 //! across materially different steal schedules.
 
 use crate::{CoreError, Result};
+use redeye_tensor::par;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,38 +154,27 @@ where
     place(tasks, &deques, opts.placement);
     let steals = AtomicU64::new(0);
 
-    let done: Vec<Vec<(usize, Result<R>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (deques, steals, init, run) = (&deques, &steals, &init, &run);
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    let mut done = Vec::new();
-                    loop {
-                        // Own work first: LIFO from the back of our deque.
-                        let own = deques[w].lock().expect("deque poisoned").pop_back();
-                        let (idx, task) = match own {
-                            Some(job) => job,
-                            // Dry: scan victims, stealing FIFO from the
-                            // front (the oldest, largest-remaining work).
-                            None => match steal_from(deques, w, opts.victim_order) {
-                                Some(job) => {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    job
-                                }
-                                None => break,
-                            },
-                        };
-                        done.push((idx, contained(w, init, run, &mut state, idx, task)));
+    let done = par::fan_out(0..workers, |w| {
+        let mut state = init(w);
+        let mut done = Vec::new();
+        loop {
+            // Own work first: LIFO from the back of our deque.
+            let own = deques[w].lock().expect("deque poisoned").pop_back();
+            let (idx, task) = match own {
+                Some(job) => job,
+                // Dry: scan victims, stealing FIFO from the front (the
+                // oldest, largest-remaining work).
+                None => match steal_from(&deques, w, opts.victim_order) {
+                    Some(job) => {
+                        steals.fetch_add(1, Ordering::Relaxed);
+                        job
                     }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+                    None => break,
+                },
+            };
+            done.push((idx, contained(w, &init, &run, &mut state, idx, task)));
+        }
+        done
     });
 
     let mut results: Vec<Option<Result<R>>> = Vec::with_capacity(n);

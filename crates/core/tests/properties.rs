@@ -109,10 +109,11 @@ proptest! {
 
     /// Executor output is a pure function of the seed: features, codes,
     /// energy ledger, frame time, and forced-decision counts are
-    /// bit-identical across analog thread budgets 1/2/4 for random programs
-    /// from the zoo, under both Gaussian sampling strategies.
+    /// bit-identical across thread budgets 1/2/3/4 (GEMM row bands and
+    /// analog site bands, 3 cutting uneven ones) for random programs from
+    /// the zoo, under both Gaussian sampling strategies.
     #[test]
-    fn executor_invariant_under_analog_resharding(
+    fn executor_invariant_under_resharding(
         base_c in 4usize..9,
         cut_idx in 0usize..3,
         use_inception in 0u32..2,
@@ -138,11 +139,11 @@ proptest! {
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let run = |threads: usize| {
             let mut exec = Executor::new(program.clone(), seed);
-            exec.set_analog_threads(threads);
+            exec.set_threads(threads);
             exec.execute(&input).unwrap()
         };
         let want = run(1);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let got = run(threads);
             prop_assert_eq!(&want.features, &got.features, "{} threads", threads);
             prop_assert_eq!(&want.codes, &got.codes, "{} threads", threads);

@@ -61,7 +61,7 @@ fn serial_digests(
     let mut exec = Executor::new(prog.clone(), seed);
     exec.set_simd_level(level);
     exec.set_mac_domain(domain);
-    exec.set_gemm_threads(threads);
+    exec.set_threads(threads);
     inputs
         .iter()
         .map(|x| digest_of(&exec.execute(x).unwrap()))
@@ -70,7 +70,7 @@ fn serial_digests(
 
 proptest! {
     /// Serial executor: every compiled microkernel level, both MAC
-    /// domains, and thread budgets 1/3 produce byte-identical frames.
+    /// domains, and thread budgets 1/2/3/4 produce byte-identical frames.
     #[test]
     fn serial_frames_invariant_across_simd_levels(
         weight_seed in 0u64..1_000,
@@ -83,7 +83,7 @@ proptest! {
                 &prog, noise_seed, SimdLevel::Portable, domain, 1, &inputs,
             );
             for level in SimdLevel::available_levels() {
-                for threads in [1usize, 3] {
+                for threads in [1usize, 2, 3, 4] {
                     let got = serial_digests(
                         &prog, noise_seed, level, domain, threads, &inputs,
                     );

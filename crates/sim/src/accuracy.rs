@@ -9,7 +9,7 @@
 use crate::Result;
 use redeye_dataset::metrics::TopKAccuracy;
 use redeye_nn::Network;
-use redeye_tensor::Tensor;
+use redeye_tensor::{par, Tensor};
 
 /// Accuracy over a validation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,36 +26,23 @@ pub struct AccuracyReport {
 pub struct AccuracyHarness {
     examples: Vec<(Tensor, usize)>,
     threads: usize,
-    gemm_threads: usize,
 }
 
 impl AccuracyHarness {
     /// Creates a harness over pre-generated `(input, label)` pairs.
     ///
-    /// `threads` is the *frame-level* budget: the validation set is sharded
-    /// into that many worker threads, which is where the throughput win
-    /// lives for sweep workloads. Per-layer GEMM threading defaults to 1
-    /// (see [`AccuracyHarness::with_gemm_threads`]).
+    /// `threads` is the whole budget. It goes across frames first: the
+    /// validation set is sharded over `threads.min(examples)` workers,
+    /// which is where the throughput win lives for sweep workloads. What is
+    /// left goes within a frame: each worker's network runs its GEMMs on
+    /// `threads / workers` threads (at least one).
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn new(examples: Vec<(Tensor, usize)>, threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
-        AccuracyHarness {
-            examples,
-            threads,
-            gemm_threads: 1,
-        }
-    }
-
-    /// Sets the per-layer GEMM thread budget applied to every worker's
-    /// network. Frame-level sharding usually saturates the cores first;
-    /// raise this only when frames are scarce and layers are large.
-    #[must_use]
-    pub fn with_gemm_threads(mut self, gemm_threads: usize) -> Self {
-        self.gemm_threads = gemm_threads.max(1);
-        self
+        AccuracyHarness { examples, threads }
     }
 
     /// Number of validation examples.
@@ -81,36 +68,25 @@ impl AccuracyHarness {
     where
         F: Fn(usize) -> Result<Network> + Sync,
     {
-        let threads = self.threads.min(self.examples.len()).max(1);
-        let shard_size = self.examples.len().div_ceil(threads);
-        let shards: Vec<&[(Tensor, usize)]> = self.examples.chunks(shard_size).collect();
-        let results = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .enumerate()
-                .map(|(worker, shard)| {
-                    let build = &build;
-                    scope.spawn(move |_| -> Result<(TopKAccuracy, TopKAccuracy)> {
-                        let mut net = build(worker)?;
-                        net.set_training(false);
-                        net.set_threads(self.gemm_threads);
-                        let mut top1 = TopKAccuracy::new(1);
-                        let mut top5 = TopKAccuracy::new(5);
-                        for (input, label) in shard.iter() {
-                            let scores = net.forward(input).map_err(crate::SimError::from)?;
-                            top1.observe(&scores, *label);
-                            top5.observe(&scores, *label);
-                        }
-                        Ok((top1, top5))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Result<Vec<_>>>()
+        let workers = self.threads.min(self.examples.len()).max(1);
+        let layer_threads = (self.threads / workers).max(1);
+        let shard_size = self.examples.len().div_ceil(workers).max(1);
+        let shards = self.examples.chunks(shard_size).enumerate();
+        let results = par::fan_out(shards, |(worker, shard)| {
+            let mut net = build(worker)?;
+            net.set_training(false);
+            net.set_threads(layer_threads);
+            let mut top1 = TopKAccuracy::new(1);
+            let mut top5 = TopKAccuracy::new(5);
+            for (input, label) in shard {
+                let scores = net.forward(input).map_err(crate::SimError::from)?;
+                top1.observe(&scores, *label);
+                top5.observe(&scores, *label);
+            }
+            Ok((top1, top5))
         })
-        .expect("evaluation scope")?;
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
 
         let mut top1 = TopKAccuracy::new(1);
         let mut top5 = TopKAccuracy::new(5);
@@ -177,10 +153,44 @@ mod tests {
 
     #[test]
     fn sharding_covers_every_example() {
-        for threads in [1, 2, 3, 7] {
-            let harness = AccuracyHarness::new(onehot_examples(50, 10), threads);
+        for (n, threads) in [(50, 1), (50, 2), (50, 3), (50, 7), (0, 3)] {
+            let harness = AccuracyHarness::new(onehot_examples(n, 10), threads);
             let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
-            assert_eq!(report.samples, 50, "threads={threads}");
+            assert_eq!(report.samples, n, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn report_is_identical_across_thread_budgets() {
+        use redeye_nn::{build_network, zoo, WeightInit};
+        use redeye_tensor::Rng;
+
+        let spec = zoo::micronet(16, 10);
+        let build = |_| {
+            let net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(5));
+            net.map_err(crate::SimError::from)
+        };
+        let mut reference = build(0).unwrap();
+        reference.set_training(false);
+        // Labels are the one-thread network's top-1 class, so a moved logit
+        // shows as a lost hit.
+        let mut rng = Rng::seed_from(9);
+        let examples: Vec<(Tensor, usize)> = (0..3)
+            .map(|_| {
+                let x = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+                let label = reference.forward(&x).unwrap().argmax().unwrap();
+                (x, label)
+            })
+            .collect();
+        let want = AccuracyReport {
+            top1: 1.0,
+            top5: 1.0,
+            samples: 3,
+        };
+        // 7 threads: three workers with two GEMM threads each.
+        for threads in [1, 2, 7] {
+            let harness = AccuracyHarness::new(examples.clone(), threads);
+            assert_eq!(harness.evaluate(build).unwrap(), want, "{threads} threads");
         }
     }
 

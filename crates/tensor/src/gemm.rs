@@ -51,6 +51,7 @@
 //! and frames, byte-identical to on-the-fly packing by layout construction.
 
 use crate::conv::ConvGeom;
+use crate::par;
 use crate::simd::SimdLevel;
 use crate::workspace::{PackBuffers, Workspace};
 use crate::{Tensor, TensorError};
@@ -692,38 +693,29 @@ fn gemm_driver(
                 let band_rows = m.div_ceil(threads).div_ceil(MR) * MR;
                 let apack_all = ensure_len(&mut packs.a, threads * MC * KC);
                 let bpack: &[f32] = bpack;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = out
-                        .chunks_mut(band_rows * n)
-                        .zip(apack_all.chunks_mut(MC * KC))
-                        .enumerate()
-                        .map(|(t, (out_band, apack))| {
-                            scope.spawn(move |_| {
-                                let band_m = out_band.len() / n;
-                                compute_band(
-                                    level,
-                                    asrc,
-                                    m,
-                                    k,
-                                    n,
-                                    bpack,
-                                    apack,
-                                    out_band,
-                                    t * band_rows,
-                                    band_m,
-                                    jc,
-                                    nc,
-                                    pc,
-                                    kc,
-                                );
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().expect("gemm worker panicked");
-                    }
-                })
-                .expect("gemm thread scope");
+                let bands = out
+                    .chunks_mut(band_rows * n)
+                    .zip(apack_all.chunks_mut(MC * KC))
+                    .enumerate();
+                par::fan_out(bands, |(t, (out_band, apack))| {
+                    let band_m = out_band.len() / n;
+                    compute_band(
+                        level,
+                        asrc,
+                        m,
+                        k,
+                        n,
+                        bpack,
+                        apack,
+                        out_band,
+                        t * band_rows,
+                        band_m,
+                        jc,
+                        nc,
+                        pc,
+                        kc,
+                    );
+                });
             }
             pc += kc;
         }

@@ -26,6 +26,7 @@
 //! executor's code-domain fast path uses a far stricter `2²⁴` bound so the
 //! f32 reference path stays exact too).
 
+use crate::par;
 use crate::workspace::PackBuffersI8;
 
 /// Microkernel tile rows (output rows accumulated in registers at once).
@@ -381,38 +382,29 @@ pub fn gemm_i8_into(
                 let band_rows = m.div_ceil(threads).div_ceil(MR) * MR;
                 let apack_all = ensure_len(&mut packs.a, threads * ablock);
                 let bpack: &[i32] = bpack;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = out
-                        .chunks_mut(band_rows * n)
-                        .zip(apack_all.chunks_mut(ablock))
-                        .enumerate()
-                        .map(|(t, (out_band, apack))| {
-                            scope.spawn(move |_| {
-                                let band_m = out_band.len() / n;
-                                compute_band(
-                                    a,
-                                    trans_a,
-                                    m,
-                                    k,
-                                    n,
-                                    bpack,
-                                    apack,
-                                    out_band,
-                                    t * band_rows,
-                                    band_m,
-                                    jc,
-                                    nc,
-                                    pc,
-                                    kc,
-                                );
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().expect("gemm_i8 worker panicked");
-                    }
-                })
-                .expect("gemm_i8 thread scope");
+                let bands = out
+                    .chunks_mut(band_rows * n)
+                    .zip(apack_all.chunks_mut(ablock))
+                    .enumerate();
+                par::fan_out(bands, |(t, (out_band, apack))| {
+                    let band_m = out_band.len() / n;
+                    compute_band(
+                        a,
+                        trans_a,
+                        m,
+                        k,
+                        n,
+                        bpack,
+                        apack,
+                        out_band,
+                        t * band_rows,
+                        band_m,
+                        jc,
+                        nc,
+                        pc,
+                        kc,
+                    );
+                });
             }
             pc += kc;
         }

@@ -38,6 +38,7 @@ mod gemm_i8;
 mod linalg;
 mod noise_stream;
 mod ops;
+pub mod par;
 mod rng;
 mod shape;
 mod simd;

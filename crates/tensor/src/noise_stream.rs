@@ -506,12 +506,9 @@ mod tests {
         let serial: Vec<u64> = (0..8u64)
             .map(|f| root.frame_substream(f).at(0).next_u64())
             .collect();
-        let claimed: Vec<(u64, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = [5u64, 2, 7, 0, 3, 6, 1, 4] // arbitrary claim order
-                .into_iter()
-                .map(|f| scope.spawn(move || (f, root.frame_substream(f).at(0).next_u64())))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let claim_order = [5u64, 2, 7, 0, 3, 6, 1, 4];
+        let claimed = crate::par::fan_out(claim_order, |f| {
+            (f, root.frame_substream(f).at(0).next_u64())
         });
         for (f, draw) in claimed {
             assert_eq!(serial[f as usize], draw, "frame {f}");

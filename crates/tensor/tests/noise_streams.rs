@@ -127,11 +127,8 @@ fn threaded_shards_reproduce_the_serial_fill() {
     stream.fill_standard_normal(&mut serial);
     let mut sharded = vec![0.0f32; serial.len()];
     let chunk = 9 * 1024 + 2; // even → pair-aligned band starts
-    std::thread::scope(|scope| {
-        for (t, band) in sharded.chunks_mut(chunk).enumerate() {
-            let stream = &stream;
-            scope.spawn(move || stream.fill_standard_normal_at((t * chunk) as u64, band));
-        }
+    redeye_tensor::par::fan_out(sharded.chunks_mut(chunk).enumerate(), |(t, band)| {
+        stream.fill_standard_normal_at((t * chunk) as u64, band);
     });
     assert_eq!(serial, sharded);
 }

@@ -17,7 +17,11 @@
 //!
 //! Panics stay contained: a task that panics on the work-stealing
 //! scheduler, which runs every batch and fleet, comes back as a typed error
-//! while the other tasks finish.
+//! while the other tasks finish, and so does a task whose panic starts in
+//! one band of a within-frame fan-out, with the band's own message.
+//!
+//! A NaN or infinite pixel is a typed error on every entry point, never a
+//! panic and never a poisoned frame.
 //!
 //! The implicit-GEMM conv, which packs B panels straight from the input
 //! plane, equals the explicit `im2col` + GEMM bit for bit on a GoogLeNet
@@ -25,14 +29,15 @@
 
 use redeye::core::{
     analyze_cost, compile, frame_digest, run_stealing, BatchExecutor, CompileOptions, CoreError,
-    DeviceScratch, FleetEngine, FrameCtx, FrameEngine, FrameOutput, Program, StealOptions,
-    WeightBank,
+    DeviceScratch, DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FrameCtx, FrameEngine,
+    FrameOutput, Program, StealOptions, WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
 use redeye::tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, ConvGeom, NoiseStream,
+    conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, par, ConvGeom, NoiseStream,
     PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
 };
+use std::sync::Arc;
 
 const SEED: u64 = 11;
 const FRAMES: usize = 4;
@@ -247,6 +252,97 @@ fn a_panicking_task_is_contained_by_the_scheduler() {
             }
         }
     }
+}
+
+/// Six tasks, each fanning out over three bands the way a frame's GEMM and
+/// analog stages do; band 1 of task 3 panics. Task 3's slot carries the
+/// band's own message, not a wrapper's, and the other tasks finish, inline
+/// and on two workers.
+#[test]
+fn a_panicking_band_inside_a_task_is_contained_with_its_message() {
+    let tasks: Vec<u64> = (0..6).collect();
+    for workers in [1usize, 2] {
+        let (results, _) = run_stealing(
+            &tasks,
+            workers,
+            StealOptions::default(),
+            |_| (),
+            |(), &t| {
+                par::fan_out(0..3u64, |band| {
+                    if (t, band) == (3, 1) {
+                        panic!("band {band} of task {t} fails on purpose");
+                    }
+                    t * 10 + band
+                })
+                .into_iter()
+                .sum::<u64>()
+            },
+        );
+        for (t, result) in results.into_iter().enumerate() {
+            let t = t as u64;
+            match result {
+                Err(CoreError::WorkerPanic { task, message }) => {
+                    assert_eq!((t, task), (3, 3), "{workers} workers");
+                    assert_eq!(message, "band 1 of task 3 fails on purpose");
+                }
+                other => assert_eq!(other, Ok(30 * t + 3), "{workers} workers"),
+            }
+        }
+    }
+}
+
+/// A NaN, +inf or −inf pixel is a `BadProgram` error naming the first bad
+/// index through the serial engine, a two-worker batch, the fleet's
+/// reference device and a two-worker fleet of calibrated devices.
+#[test]
+fn non_finite_pixels_are_a_typed_error_on_every_entry_point() {
+    let program = program();
+    let engine = FrameEngine::new(program.clone(), SEED);
+    let mut batch = BatchExecutor::new(program.clone(), SEED, 2).expect("program verifies");
+    let fleet = FleetExecutor::with_options(
+        FleetEngine::new(program, SEED).expect("fleet engine builds"),
+        FleetOptions {
+            workers: 2,
+            ..FleetOptions::default()
+        },
+    );
+    let good = scenes().swap_remove(0);
+    for bad_value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut bad = good.clone();
+        bad.as_mut_slice()[1500] = bad_value;
+        bad.as_mut_slice()[2000] = f32::NAN;
+        let frames = vec![Arc::new(good.clone()), Arc::new(bad.clone())];
+        let work: Vec<DeviceWork> = (0..3)
+            .map(|device| DeviceWork {
+                device,
+                frames: frames.clone(),
+            })
+            .collect();
+        let device = fleet.engine().reference_device(0);
+        for (entry, err) in [
+            (
+                "serial",
+                engine.run_frame(0, &bad, &mut FrameCtx::new()).err(),
+            ),
+            (
+                "batch",
+                batch.execute_batch(&[good.clone(), bad.clone()]).err(),
+            ),
+            (
+                "device",
+                device.run_frame(0, &bad, &mut DeviceScratch::new()).err(),
+            ),
+            ("fleet", fleet.run(&work).err()),
+        ] {
+            match err {
+                Some(CoreError::BadProgram { reason }) => {
+                    assert!(reason.contains("pixel 1500 "), "{entry}: {reason}");
+                }
+                other => panic!("{entry}, {bad_value}: {other:?}"),
+            }
+        }
+    }
+    assert!(engine.run_frame(0, &good, &mut FrameCtx::new()).is_ok());
 }
 
 /// The inception_3a 3×3 conv (96×28×28 → 128, pad 1): its 864×784 patch
