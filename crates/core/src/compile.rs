@@ -7,7 +7,9 @@
 
 use crate::{CoreError, Instruction, MacDomain, Program, Result};
 use redeye_analog::{max_signed_code, SnrDb, DAC_WEIGHT_BITS};
-use redeye_nn::{quantize_symmetric, quantize_symmetric_pow2, LayerSpec, Network, NetworkSpec};
+use redeye_nn::{
+    quantize_symmetric, quantize_symmetric_pow2, LayerSpec, Network, NetworkSpec, NnError,
+};
 use redeye_tensor::Tensor;
 
 /// Trained parameters extracted from an executable network, in layer order.
@@ -116,26 +118,13 @@ impl Default for CompileOptions {
     }
 }
 
-fn shape_after(layer: &LayerSpec, shape: [usize; 3]) -> Result<[usize; 3]> {
-    // Reuse the nn shape propagation by summarizing a one-layer spec.
-    let spec = NetworkSpec::new("probe", shape, vec![layer.clone()]);
-    let summary = redeye_nn::summarize(&spec)?;
-    let out = &summary.layers[0].out_shape;
-    if out.len() != 3 {
-        return Err(CoreError::NotAnalogExecutable {
-            layer: layer.name().to_string(),
-        });
-    }
-    Ok([out[0], out[1], out[2]])
-}
-
 fn compile_layer(
     layer: &LayerSpec,
     shape: &mut [usize; 3],
     bank: &mut WeightBank,
     opts: &CompileOptions,
 ) -> Result<Instruction> {
-    match layer {
+    let inst = match layer {
         LayerSpec::Conv {
             name,
             out_c,
@@ -161,8 +150,7 @@ fn compile_layer(
                     bits: DAC_WEIGHT_BITS,
                 });
             }
-            let next = shape_after(layer, *shape)?;
-            let inst = Instruction::Conv {
+            Instruction::Conv {
                 name: name.clone(),
                 out_c: *out_c,
                 kernel: *kernel,
@@ -173,57 +161,45 @@ fn compile_layer(
                 scale: q.scale,
                 bias: b.into_vec(),
                 snr: opts.snr,
-            };
-            *shape = next;
-            Ok(inst)
+            }
         }
         LayerSpec::MaxPool {
             name,
             window,
             stride,
             pad,
-        } => {
-            let next = shape_after(layer, *shape)?;
-            let inst = Instruction::MaxPool {
-                name: name.clone(),
-                window: *window,
-                stride: *stride,
-                pad: *pad,
-            };
-            *shape = next;
-            Ok(inst)
-        }
+        } => Instruction::MaxPool {
+            name: name.clone(),
+            window: *window,
+            stride: *stride,
+            pad: *pad,
+        },
         LayerSpec::AvgPool {
             name,
             window,
             stride,
             pad,
-        } => {
-            let next = shape_after(layer, *shape)?;
-            let inst = Instruction::AvgPool {
-                name: name.clone(),
-                window: *window,
-                stride: *stride,
-                pad: *pad,
-                snr: opts.snr,
-            };
-            *shape = next;
-            Ok(inst)
-        }
+        } => Instruction::AvgPool {
+            name: name.clone(),
+            window: *window,
+            stride: *stride,
+            pad: *pad,
+            snr: opts.snr,
+        },
         LayerSpec::Lrn {
             name,
             size,
             alpha,
             beta,
             k,
-        } => Ok(Instruction::Lrn {
+        } => Instruction::Lrn {
             name: name.clone(),
             size: *size,
             alpha: *alpha,
             beta: *beta,
             k: *k,
             snr: opts.snr,
-        }),
+        },
         LayerSpec::Inception { name, branches } => {
             let in_shape = *shape;
             let mut compiled = Vec::with_capacity(branches.len());
@@ -240,15 +216,22 @@ fn compile_layer(
                 compiled.push(insts);
             }
             *shape = [out_c, out_hw.0, out_hw.1];
-            Ok(Instruction::Inception {
+            return Ok(Instruction::Inception {
                 name: name.clone(),
                 branches: compiled,
+            });
+        }
+        other => {
+            return Err(CoreError::NotAnalogExecutable {
+                layer: other.name().to_string(),
             })
         }
-        other => Err(CoreError::NotAnalogExecutable {
-            layer: other.name().to_string(),
-        }),
+    };
+    // Every other arm is an analog layer: the op table gives its shape.
+    if let Some(op) = layer.analog_op() {
+        *shape = op.apply(*shape).map_err(NnError::from)?.0;
     }
+    Ok(inst)
 }
 
 /// Compiles an analog-executable network prefix into a RedEye [`Program`].

@@ -47,6 +47,7 @@ use redeye_tensor::{
     conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, par,
     ConvGeom, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
 };
+use redeye_verify::charge;
 use std::sync::OnceLock;
 
 /// Result of executing one frame.
@@ -724,10 +725,34 @@ impl FramePass<'_> {
         s
     }
 
+    /// Runs one instruction's kernel and charges its op counts, read from
+    /// the analog op table, with the shared [`charge`].
     fn run_instruction(&mut self, inst: &Instruction, x: &Tensor) -> Result<Tensor> {
-        match inst {
+        if let Instruction::Inception { branches, .. } = inst {
+            // Each branch instruction charges itself; the concat is free.
+            let mut outs = Vec::with_capacity(branches.len());
+            for branch in branches {
+                let mut bx: Option<Tensor> = None;
+                for inst in branch {
+                    let next = self.run_instruction(inst, bx.as_ref().unwrap_or(x))?;
+                    bx = Some(next);
+                }
+                outs.push(bx.unwrap_or_else(|| x.clone()));
+            }
+            return concat_channels(&outs);
+        }
+        let name = inst.name();
+        let dims = x.dims();
+        let (Some(op), &[c, h, w]) = (inst.op(), dims) else {
+            return Err(CoreError::BadProgram {
+                reason: format!("`{name}` input must be CxHxW, got {dims:?}"),
+            });
+        };
+        let (_, mut counts) = op.apply([c, h, w]).map_err(|e| CoreError::BadProgram {
+            reason: format!("`{name}` cannot apply to {c}x{h}x{w}: {e}"),
+        })?;
+        let out = match inst {
             Instruction::Conv {
-                name,
                 out_c,
                 kernel,
                 stride,
@@ -739,14 +764,7 @@ impl FramePass<'_> {
                 // `scale` is folded into the engine's pack-once weights.
                 ..
             } => {
-                let dims = x.dims();
-                if dims.len() != 3 {
-                    return Err(CoreError::BadProgram {
-                        reason: format!("conv `{name}` input must be CxHxW, got {dims:?}"),
-                    });
-                }
-                let geom =
-                    ConvGeom::new(dims[0], dims[1], dims[2], *kernel, *kernel, *stride, *pad)?;
+                let geom = ConvGeom::new(c, h, w, *kernel, *kernel, *stride, *pad)?;
                 let patch = geom.patch_len();
                 if out_c.checked_mul(patch) != Some(codes.len()) || bias.len() != *out_c {
                     return Err(CoreError::BadProgram {
@@ -850,49 +868,30 @@ impl FramePass<'_> {
                 }
                 let out = Tensor::from_vec(out, &[*out_c, positions])?;
                 let out = self.add_layer_noise(out, *snr);
-                let out = rectify(out, *relu);
-
-                self.cost.mac(geom.macs(*out_c), *snr);
-                self.cost.write(out.len() as u64, *snr);
-                Ok(out.into_reshaped(&[*out_c, geom.out_h(), geom.out_w()])?)
+                rectify(out, *relu).into_reshaped(&[*out_c, geom.out_h(), geom.out_w()])?
             }
             Instruction::MaxPool {
-                name,
                 window,
                 stride,
                 pad,
+                ..
             } => {
-                let dims = x.dims();
-                if dims.len() != 3 {
-                    return Err(CoreError::BadProgram {
-                        reason: format!("pool `{name}` input must be CxHxW, got {dims:?}"),
-                    });
-                }
-                let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
-                let out = self.comparator_maxpool(x, &geom);
-                self.cost.write(out.len() as u64, SnrDb::new(40.0));
-                Ok(out)
+                let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
+                let (out, decisions) = self.comparator_maxpool(x, &geom);
+                // Charge the comparator's measured decisions, not the
+                // table's count, so static = dynamic stays a real check.
+                counts.comparisons = decisions;
+                out
             }
             Instruction::AvgPool {
-                name,
                 window,
                 stride,
                 pad,
                 snr,
+                ..
             } => {
-                let dims = x.dims();
-                if dims.len() != 3 {
-                    return Err(CoreError::BadProgram {
-                        reason: format!("pool `{name}` input must be CxHxW, got {dims:?}"),
-                    });
-                }
-                let geom = PoolGeom::new(dims[0], dims[1], dims[2], *window, *stride, *pad)?;
-                let out = average_pool(x, &geom);
-                let out = self.add_layer_noise(out, *snr);
-                self.cost
-                    .mac(out.len() as u64 * (*window * *window) as u64, *snr);
-                self.cost.write(out.len() as u64, *snr);
-                Ok(out)
+                let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
+                self.add_layer_noise(average_pool(x, &geom), *snr)
             }
             Instruction::Lrn {
                 size,
@@ -902,25 +901,13 @@ impl FramePass<'_> {
                 snr,
                 ..
             } => {
-                let out = lrn(x, *size, *alpha, *beta, *k)?;
-                let out = self.add_layer_noise(out, *snr);
-                self.cost.mac(out.len() as u64 * (*size as u64 + 1), *snr);
-                self.cost.write(out.len() as u64, *snr);
-                Ok(out)
+                let out = lrn(x, [c, h, w], *size, *alpha, *beta, *k)?;
+                self.add_layer_noise(out, *snr)
             }
-            Instruction::Inception { branches, .. } => {
-                let mut outs = Vec::with_capacity(branches.len());
-                for branch in branches {
-                    let mut bx: Option<Tensor> = None;
-                    for inst in branch {
-                        let next = self.run_instruction(inst, bx.as_ref().unwrap_or(x))?;
-                        bx = Some(next);
-                    }
-                    outs.push(bx.unwrap_or_else(|| x.clone()));
-                }
-                concat_channels(&outs)
-            }
-        }
+            Instruction::Inception { .. } => unreachable!("inception returned above"),
+        };
+        charge(&mut self.cost, counts, inst.snr());
+        Ok(out)
     }
 
     /// Adds the layer-SNR Gaussian noise of the paper's Gaussian Noise
@@ -956,7 +943,7 @@ impl FramePass<'_> {
     /// decision/forced counts are summed in band order and energy is
     /// charged as a `count × per-decision` product, keeping the ledger
     /// independent of the thread count.
-    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Tensor {
+    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> (Tensor, u64) {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
         let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -1013,8 +1000,9 @@ impl FramePass<'_> {
         let decisions: u64 = stats.iter().map(|s| s.0).sum();
         let forced: u64 = stats.iter().map(|s| s.1).sum();
         self.forced += forced;
-        self.cost.compare(decisions);
-        Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool output volume")
+        let out =
+            Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool output volume");
+        (out, decisions)
     }
 
     /// The quantization module: normalizes features to the ADC full scale,
@@ -1265,14 +1253,8 @@ fn average_pool(x: &Tensor, geom: &PoolGeom) -> Tensor {
         .expect("pool output volume")
 }
 
-fn lrn(x: &Tensor, size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor> {
-    let dims = x.dims();
-    if dims.len() != 3 {
-        return Err(CoreError::BadProgram {
-            reason: format!("LRN input must be CxHxW, got {dims:?}"),
-        });
-    }
-    let (c, h, w) = (dims[0], dims[1], dims[2]);
+fn lrn(x: &Tensor, dims: [usize; 3], size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor> {
+    let [c, h, w] = dims;
     let half = size / 2;
     let plane = h * w;
     let src = x.as_slice();
@@ -1290,7 +1272,7 @@ fn lrn(x: &Tensor, size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor>
             out[ci * plane + p] = src[ci * plane + p] * denom.powf(-beta);
         }
     }
-    Ok(Tensor::from_vec(out, dims)?)
+    Ok(Tensor::from_vec(out, &dims)?)
 }
 
 fn concat_channels(parts: &[Tensor]) -> Result<Tensor> {
@@ -1430,6 +1412,34 @@ mod tests {
             }
             let err = Executor::new(program, 1).execute(&input).unwrap_err();
             assert!(matches!(err, CoreError::Verify(_)), "out_c {huge}: {err:?}");
+        }
+    }
+
+    /// Past verification, the executor's own op-table read still turns an
+    /// overflowing op count into a typed error rather than a panic.
+    #[test]
+    fn overflowing_op_count_is_a_bad_program_past_verification() {
+        let program = Program::new(
+            "lrn_huge",
+            [2, 4, 4],
+            vec![Instruction::Lrn {
+                name: "norm1".into(),
+                size: usize::MAX,
+                alpha: 1e-4,
+                beta: 0.75,
+                k: 1.0,
+                snr: SnrDb::new(40.0),
+            }],
+            4,
+        );
+        let engine = FrameEngine::new(program, 1);
+        engine.verified.set(()).expect("fresh engine");
+        let input = Tensor::full(&[2, 4, 4], 0.5);
+        match engine.run_frame(0, &input, &mut FrameCtx::new()) {
+            Err(CoreError::BadProgram { reason }) => {
+                assert!(reason.contains("`norm1`"), "{reason}");
+            }
+            other => panic!("expected BadProgram, got {other:?}"),
         }
     }
 

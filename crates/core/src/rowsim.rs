@@ -24,7 +24,7 @@ use redeye_analog::calib::{
     COLUMN_COUNT, COMPARATOR_DECISION_TIME, MAC_SETTLE_TIME_40DB, SAR_BIT_TIME,
 };
 use redeye_analog::Seconds;
-use redeye_tensor::{ConvGeom, PoolGeom};
+use redeye_nn::OpCounts;
 use serde::{Deserialize, Serialize};
 
 /// How a pass's work maps onto the column array.
@@ -42,6 +42,8 @@ pub enum ColumnMapping {
 pub struct PassTiming {
     /// Layer realized by this pass.
     pub layer: String,
+    /// The op table's counts for this pass (all zero for the readout).
+    pub counts: OpCounts,
     /// Output rows produced.
     pub rows: usize,
     /// Columns doing work during the pass.
@@ -81,96 +83,40 @@ impl RowSimReport {
     }
 }
 
-/// Work of one pass: ops, per-op time, output geometry.
+/// Work of one pass: the op table's counts plus SAR bit conversions (the
+/// readout pass), over the output geometry.
 struct PassWork {
     layer: String,
-    ops: u64,
-    op_time: Seconds,
+    counts: OpCounts,
+    sar_bits: u64,
     rows: usize,
     width: usize,
 }
 
 fn collect_work(inst: &Instruction, shape: &mut [usize; 3], out: &mut Vec<PassWork>) -> Result<()> {
-    match inst {
-        Instruction::Conv {
-            name,
-            out_c,
-            kernel,
-            stride,
-            pad,
-            ..
-        } => {
-            let geom = ConvGeom::new(
-                shape[0], shape[1], shape[2], *kernel, *kernel, *stride, *pad,
-            )?;
-            out.push(PassWork {
-                layer: name.clone(),
-                ops: geom.macs(*out_c),
-                op_time: MAC_SETTLE_TIME_40DB,
-                rows: geom.out_h(),
-                width: geom.out_w(),
-            });
-            *shape = [*out_c, geom.out_h(), geom.out_w()];
-        }
-        Instruction::MaxPool {
-            name,
-            window,
-            stride,
-            pad,
-        } => {
-            let geom = PoolGeom::new(shape[0], shape[1], shape[2], *window, *stride, *pad)?;
-            out.push(PassWork {
-                layer: name.clone(),
-                ops: geom.comparisons(),
-                op_time: COMPARATOR_DECISION_TIME,
-                rows: geom.out_h(),
-                width: geom.out_w(),
-            });
-            *shape = [shape[0], geom.out_h(), geom.out_w()];
-        }
-        Instruction::AvgPool {
-            name,
-            window,
-            stride,
-            pad,
-            ..
-        } => {
-            let geom = PoolGeom::new(shape[0], shape[1], shape[2], *window, *stride, *pad)?;
-            out.push(PassWork {
-                layer: name.clone(),
-                ops: shape[0] as u64
-                    * geom.out_h() as u64
-                    * geom.out_w() as u64
-                    * (*window * *window) as u64,
-                op_time: MAC_SETTLE_TIME_40DB,
-                rows: geom.out_h(),
-                width: geom.out_w(),
-            });
-            *shape = [shape[0], geom.out_h(), geom.out_w()];
-        }
-        Instruction::Lrn { name, size, .. } => {
-            out.push(PassWork {
-                layer: name.clone(),
-                ops: (shape[0] * shape[1] * shape[2]) as u64 * (*size as u64 + 1),
-                op_time: MAC_SETTLE_TIME_40DB,
-                rows: shape[1],
-                width: shape[2],
-            });
-        }
-        Instruction::Inception { branches, .. } => {
-            let in_shape = *shape;
-            let mut out_c = 0usize;
-            let mut hw = (in_shape[1], in_shape[2]);
-            for branch in branches {
-                let mut bshape = in_shape;
-                for inst in branch {
-                    collect_work(inst, &mut bshape, out)?;
-                }
-                out_c += bshape[0];
-                hw = (bshape[1], bshape[2]);
+    if let Some(op) = inst.op() {
+        let (next, counts) = op.apply(*shape)?;
+        out.push(PassWork {
+            layer: inst.name().into(),
+            counts,
+            sar_bits: 0,
+            rows: next[1],
+            width: next[2],
+        });
+        *shape = next;
+    } else if let Instruction::Inception { branches, .. } = inst {
+        let in_shape = *shape;
+        let mut out_c = 0usize;
+        let mut hw = (in_shape[1], in_shape[2]);
+        for branch in branches {
+            let mut bshape = in_shape;
+            for inst in branch {
+                collect_work(inst, &mut bshape, out)?;
             }
-            *shape = [out_c, hw.0, hw.1];
+            out_c += bshape[0];
+            hw = (bshape[1], bshape[2]);
         }
+        *shape = [out_c, hw.0, hw.1];
     }
     Ok(())
 }
@@ -214,8 +160,8 @@ pub fn simulate_rows(program: &Program, mapping: ColumnMapping) -> Result<RowSim
     let out_len = (shape[0] * shape[1] * shape[2]) as u64;
     work.push(PassWork {
         layer: "readout".into(),
-        ops: out_len * u64::from(program.adc_bits),
-        op_time: SAR_BIT_TIME,
+        counts: OpCounts::default(),
+        sar_bits: out_len * u64::from(program.adc_bits),
         rows: shape[1],
         width: shape[2],
     });
@@ -223,7 +169,15 @@ pub fn simulate_rows(program: &Program, mapping: ColumnMapping) -> Result<RowSim
     let passes = work
         .into_iter()
         .map(|w| {
-            let per_row_ops = (w.ops as f64 / w.rows.max(1) as f64).ceil();
+            // Each kind of work settles at its own per-op time; a pass's
+            // row time is the sum over kinds, per column.
+            let terms = [
+                (w.counts.macs, MAC_SETTLE_TIME_40DB),
+                (w.counts.comparisons, COMPARATOR_DECISION_TIME),
+                (w.sar_bits, SAR_BIT_TIME),
+            ]
+            .map(|(ops, op_time)| ((ops as f64 / w.rows.max(1) as f64).ceil(), op_time));
+            let per_row_ops: f64 = terms.iter().map(|t| t.0).sum();
             let active = match mapping {
                 ColumnMapping::Spatial => w.width.clamp(1, COLUMN_COUNT),
                 ColumnMapping::ChannelSpread => {
@@ -232,9 +186,13 @@ pub fn simulate_rows(program: &Program, mapping: ColumnMapping) -> Result<RowSim
                     (per_row_ops as usize).clamp(1, COLUMN_COUNT)
                 }
             };
-            let row_time = w.op_time * (per_row_ops / active as f64);
+            let row_time = terms
+                .iter()
+                .map(|&(per_row, op_time)| op_time * (per_row / active as f64))
+                .fold(Seconds::new(0.0), |acc, t| acc + t);
             PassTiming {
                 layer: w.layer,
+                counts: w.counts,
                 rows: w.rows,
                 active_columns: active,
                 duration: row_time * w.rows as f64,

@@ -18,6 +18,11 @@
 //! process corner charges exactly the static point for that corner, inside
 //! the corner bounds.
 //!
+//! The zoo has no average pool, so the property also runs a small spec with
+//! a top-level average pool and one inside an inception branch, next to an
+//! LRN; on that spec the network summary, the cost pass and the row
+//! simulation must report the same op totals.
+//!
 //! Plus directed completeness checks: a program the range pass *warns*
 //! about really does clip at run time, and the executor/compiler refuse
 //! over-budget programs.
@@ -25,15 +30,16 @@
 use proptest::prelude::*;
 use redeye_analog::{Joules, ProcessCorner, SnrDb};
 use redeye_core::estimate::controller_power;
+use redeye_core::rowsim::{simulate_rows, ColumnMapping};
 use redeye_core::{
     analyze_cost, compile, verify, verify_with_options, CompileOptions, CoreError, CostBudget,
     DeviceCalib, DeviceProfile, DeviceScratch, Executor, FleetEngine, Instruction, Program,
     Severity, VerifyOptions, WeightBank,
 };
-use redeye_nn::{build_network, zoo, WeightInit};
+use redeye_nn::{build_network, summarize, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye_tensor::{Rng, Tensor};
 
-fn compiled(spec: &redeye_nn::NetworkSpec, cut: &str, seed: u64, opts: &CompileOptions) -> Program {
+fn compiled(spec: &NetworkSpec, cut: &str, seed: u64, opts: &CompileOptions) -> Program {
     let prefix = spec.prefix_through(cut).expect("cut exists");
     let mut rng = Rng::seed_from(seed);
     let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).expect("builds");
@@ -41,12 +47,70 @@ fn compiled(spec: &redeye_nn::NetworkSpec, cut: &str, seed: u64, opts: &CompileO
     compile(&prefix, &mut bank, opts).expect("compiles")
 }
 
-fn zoo_pick(pick: usize) -> (redeye_nn::NetworkSpec, &'static str) {
+/// A small spec the zoo lacks: a top-level average pool, then an
+/// inception whose second branch holds an average pool and an LRN, next
+/// to a max-pool branch.
+fn avgpool_spec() -> NetworkSpec {
+    let conv = |name: &str, out_c, kernel, pad| LayerSpec::Conv {
+        name: name.into(),
+        out_c,
+        kernel,
+        stride: 1,
+        pad,
+        relu: true,
+    };
+    let pool = |name: &str, max: bool, window, stride, pad| {
+        let name = String::from(name);
+        if max {
+            LayerSpec::MaxPool {
+                name,
+                window,
+                stride,
+                pad,
+            }
+        } else {
+            LayerSpec::AvgPool {
+                name,
+                window,
+                stride,
+                pad,
+            }
+        }
+    };
+    NetworkSpec::new(
+        "avgpool_mix",
+        [3, 16, 16],
+        vec![
+            conv("conv1", 8, 3, 1),
+            pool("avg1", false, 2, 2, 0),
+            LayerSpec::Inception {
+                name: "mix".into(),
+                branches: vec![
+                    vec![conv("mix_1x1", 4, 1, 0)],
+                    vec![
+                        pool("mix_avg", false, 3, 1, 1),
+                        LayerSpec::Lrn {
+                            name: "mix_norm".into(),
+                            size: 3,
+                            alpha: 1e-4,
+                            beta: 0.75,
+                            k: 1.0,
+                        },
+                    ],
+                    vec![pool("mix_max", true, 3, 1, 1), conv("mix_proj", 4, 1, 0)],
+                ],
+            },
+        ],
+    )
+}
+
+fn zoo_pick(pick: usize) -> (NetworkSpec, &'static str) {
     match pick {
         0 => (zoo::micronet(8, 10), "pool1"),
         1 => (zoo::micronet(8, 10), "pool3"),
         2 => (zoo::tiny_inception(10), "pool2"),
-        _ => (zoo::tiny_inception(10), "inception_a"),
+        3 => (zoo::tiny_inception(10), "inception_a"),
+        _ => (avgpool_spec(), "mix"),
     }
 }
 
@@ -71,7 +135,7 @@ proptest! {
         seed in 0u64..32,
         snr in 40.0f64..60.0,
         adc_bits in 1u32..10,
-        pick in 0usize..4,
+        pick in 0usize..5,
     ) {
         let opts = CompileOptions {
             snr: SnrDb::new(snr),
@@ -141,6 +205,36 @@ proptest! {
             );
         }
     }
+}
+
+/// On the average-pool spec, the three readers of the op table agree on
+/// the totals: the network summary, the static cost pass and the row
+/// simulation's summed pass work.
+#[test]
+fn avgpool_spec_counts_agree_across_summary_cost_and_rowsim() {
+    let spec = avgpool_spec();
+    let summary = summarize(&spec).expect("spec summarizes");
+    let program = compiled(&spec, "mix", 1, &CompileOptions::default());
+    let bounds = analyze_cost(&program).expect("cost derivable");
+    let rows = simulate_rows(&program, ColumnMapping::ChannelSpread).expect("simulates");
+    let summed =
+        |f: fn(&redeye_nn::OpCounts) -> u64| rows.passes.iter().map(|p| f(&p.counts)).sum::<u64>();
+    let layers = &summary.layers;
+    let totals = (
+        summary.total_macs(),
+        layers.iter().map(|l| l.comparisons).sum::<u64>(),
+        layers.iter().map(|l| l.writes).sum::<u64>(),
+    );
+    assert!(totals.0 > 0 && totals.1 > 0 && totals.2 > 0, "{totals:?}");
+    assert_eq!(totals, (bounds.macs, bounds.comparisons, bounds.writes));
+    assert_eq!(
+        totals,
+        (
+            summed(|c| c.macs),
+            summed(|c| c.comparisons),
+            summed(|c| c.writes)
+        )
+    );
 }
 
 /// A mixed-sign final conv *without* ReLU: the range pass must warn that

@@ -37,6 +37,7 @@ mod init;
 mod layer;
 pub mod layers;
 mod loss;
+mod op;
 mod quant;
 mod spec;
 mod stats;
@@ -49,6 +50,7 @@ pub use graph::{Network, Node, Trace};
 pub use init::WeightInit;
 pub use layer::Layer;
 pub use loss::{cross_entropy_from_logits, softmax, SoftmaxCrossEntropy};
+pub use op::{AnalogOp, OpCounts};
 pub use quant::{
     dequantize_symmetric, quantize_network_weights, quantize_symmetric, quantize_symmetric_pow2,
     QuantizedWeights,

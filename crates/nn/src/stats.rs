@@ -5,11 +5,10 @@
 //! count, comparator count, and parameter count. [`summarize`] derives these
 //! from a [`NetworkSpec`] alone, which keeps the Fig. 7/8 energy sweeps fast.
 
-use crate::{LayerSpec, NetworkSpec, NnError, Result};
-use redeye_tensor::{ConvGeom, PoolGeom};
+use crate::{AnalogOp, LayerSpec, NetworkSpec, NnError, Result};
 
 /// Per-layer statistics derived from shape propagation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LayerStats {
     /// Layer name (inception branches are flattened into their module).
     pub name: String,
@@ -113,126 +112,39 @@ pub struct PrefixTotals {
     pub out_shape: Vec<usize>,
 }
 
-fn conv_stats(
-    name: &str,
-    in_shape: [usize; 3],
-    out_c: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-) -> Result<([usize; 3], LayerStats)> {
-    let [c, h, w] = in_shape;
-    let geom = ConvGeom::new(c, h, w, kernel, kernel, stride, pad)?;
-    let out_shape = [out_c, geom.out_h(), geom.out_w()];
-    let out_len = out_shape.iter().product::<usize>() as u64;
-    Ok((
-        out_shape,
-        LayerStats {
-            name: name.to_string(),
-            kind: "conv",
-            out_shape: out_shape.to_vec(),
-            macs: geom.macs(out_c),
-            comparisons: 0,
-            writes: out_len,
-            params: (geom.patch_len() * out_c + out_c) as u64,
-            out_len,
-            analog: true,
-        },
-    ))
-}
-
-fn pool_stats(
-    name: &str,
-    kind: &'static str,
-    in_shape: [usize; 3],
-    window: usize,
-    stride: usize,
-    pad: usize,
-) -> Result<([usize; 3], LayerStats)> {
-    let [c, h, w] = in_shape;
-    let geom = PoolGeom::new(c, h, w, window, stride, pad)?;
-    let out_shape = [c, geom.out_h(), geom.out_w()];
-    let out_len = out_shape.iter().product::<usize>() as u64;
-    // Average pooling is a (fixed-weight) accumulate, counted as MACs;
-    // max pooling is counted as comparator operations.
-    let (macs, comparisons) = if kind == "avgpool" {
-        (out_len * (window * window) as u64, 0)
-    } else {
-        (0, geom.comparisons())
-    };
-    Ok((
-        out_shape,
-        LayerStats {
-            name: name.to_string(),
-            kind,
-            out_shape: out_shape.to_vec(),
-            macs,
-            comparisons,
-            writes: out_len,
-            params: 0,
-            out_len,
-            analog: true,
-        },
-    ))
-}
-
-/// Propagates shapes/ops through one layer. Returns the layer's stats and the
-/// shape flowing into the next layer. `vec_len` tracks rank-1 shapes after a
-/// flatten.
+/// Propagates shapes/ops through one layer. Returns the layer's stats and
+/// updates the shape flowing into the next layer. Analog layers read their
+/// shape and counts from the op table ([`AnalogOp::apply`]).
 fn layer_stats(layer: &LayerSpec, shape: &mut ShapeState) -> Result<LayerStats> {
+    if let Some(op) = layer.analog_op() {
+        let in_shape = shape.spatial(layer.name())?;
+        let (out_shape, counts) = op.apply(in_shape)?;
+        *shape = ShapeState::Spatial(out_shape);
+        // Only convolutions carry trainable weights: the kernel plus one
+        // bias per output channel.
+        let params = match op {
+            AnalogOp::Conv { out_c, kernel, .. } => {
+                (in_shape[0] * kernel * kernel * out_c + out_c) as u64
+            }
+            _ => 0,
+        };
+        return Ok(LayerStats {
+            name: layer.name().to_string(),
+            kind: op.kind(),
+            out_shape: out_shape.to_vec(),
+            macs: counts.macs,
+            comparisons: counts.comparisons,
+            writes: counts.writes,
+            params,
+            out_len: counts.writes,
+            analog: true,
+        });
+    }
     match layer {
-        LayerSpec::Conv {
-            name,
-            out_c,
-            kernel,
-            stride,
-            pad,
-            ..
-        } => {
-            let in_shape = shape.spatial(name)?;
-            let (out, stats) = conv_stats(name, in_shape, *out_c, *kernel, *stride, *pad)?;
-            *shape = ShapeState::Spatial(out);
-            Ok(stats)
-        }
-        LayerSpec::MaxPool {
-            name,
-            window,
-            stride,
-            pad,
-        } => {
-            let in_shape = shape.spatial(name)?;
-            let (out, stats) = pool_stats(name, "maxpool", in_shape, *window, *stride, *pad)?;
-            *shape = ShapeState::Spatial(out);
-            Ok(stats)
-        }
-        LayerSpec::AvgPool {
-            name,
-            window,
-            stride,
-            pad,
-        } => {
-            let in_shape = shape.spatial(name)?;
-            let (out, stats) = pool_stats(name, "avgpool", in_shape, *window, *stride, *pad)?;
-            *shape = ShapeState::Spatial(out);
-            Ok(stats)
-        }
-        LayerSpec::Lrn { name, size, .. } => {
-            let in_shape = shape.spatial(name)?;
-            let out_len = in_shape.iter().product::<usize>() as u64;
-            Ok(LayerStats {
-                name: name.clone(),
-                kind: "lrn",
-                out_shape: in_shape.to_vec(),
-                // Each output value reads `size` squared neighbours: count as
-                // `size` MACs (square + accumulate) plus the scale.
-                macs: out_len * (*size as u64 + 1),
-                comparisons: 0,
-                writes: out_len,
-                params: 0,
-                out_len,
-                analog: true,
-            })
-        }
+        LayerSpec::Conv { .. }
+        | LayerSpec::MaxPool { .. }
+        | LayerSpec::AvgPool { .. }
+        | LayerSpec::Lrn { .. } => unreachable!("analog layers read the op table above"),
         LayerSpec::Inception { name, branches } => {
             let in_shape = shape.spatial(name)?;
             if branches.is_empty() {
@@ -243,13 +155,8 @@ fn layer_stats(layer: &LayerSpec, shape: &mut ShapeState) -> Result<LayerStats> 
             let mut total = LayerStats {
                 name: name.clone(),
                 kind: "inception",
-                out_shape: Vec::new(),
-                macs: 0,
-                comparisons: 0,
-                writes: 0,
-                params: 0,
-                out_len: 0,
                 analog: true,
+                ..LayerStats::default()
             };
             let mut out_c = 0usize;
             let mut out_hw: Option<(usize, usize)> = None;
@@ -289,19 +196,14 @@ fn layer_stats(layer: &LayerSpec, shape: &mut ShapeState) -> Result<LayerStats> 
             Ok(total)
         }
         LayerSpec::Flatten { name } => {
-            let in_shape = shape.spatial(name)?;
-            let len = in_shape.iter().product();
+            let len = shape.spatial(name)?.iter().product();
             *shape = ShapeState::Flat(len);
             Ok(LayerStats {
                 name: name.clone(),
                 kind: "flatten",
                 out_shape: vec![len],
-                macs: 0,
-                comparisons: 0,
-                writes: 0,
-                params: 0,
                 out_len: len as u64,
-                analog: false,
+                ..LayerStats::default()
             })
         }
         LayerSpec::Linear { name, out, .. } => {
@@ -312,41 +214,24 @@ fn layer_stats(layer: &LayerSpec, shape: &mut ShapeState) -> Result<LayerStats> 
                 kind: "linear",
                 out_shape: vec![*out],
                 macs: (in_len * *out) as u64,
-                comparisons: 0,
                 writes: *out as u64,
                 params: (in_len * *out + *out) as u64,
                 out_len: *out as u64,
-                analog: false,
+                ..LayerStats::default()
             })
         }
-        LayerSpec::Dropout { name, .. } => {
+        LayerSpec::Dropout { name, .. } | LayerSpec::Softmax { name } => {
             let out_shape = shape.any();
-            let out_len = out_shape.iter().product::<usize>() as u64;
             Ok(LayerStats {
                 name: name.clone(),
-                kind: "dropout",
+                kind: if matches!(layer, LayerSpec::Dropout { .. }) {
+                    "dropout"
+                } else {
+                    "softmax"
+                },
+                out_len: out_shape.iter().product::<usize>() as u64,
                 out_shape,
-                macs: 0,
-                comparisons: 0,
-                writes: 0,
-                params: 0,
-                out_len,
-                analog: false,
-            })
-        }
-        LayerSpec::Softmax { name } => {
-            let out_shape = shape.any();
-            let out_len = out_shape.iter().product::<usize>() as u64;
-            Ok(LayerStats {
-                name: name.clone(),
-                kind: "softmax",
-                out_shape,
-                macs: 0,
-                comparisons: 0,
-                writes: 0,
-                params: 0,
-                out_len,
-                analog: false,
+                ..LayerStats::default()
             })
         }
     }

@@ -1,11 +1,13 @@
 //! Pass 7 — static cost model (RE07xx).
 //!
 //! Walks the shape pass's sites in depth-first order — the order the
-//! executor runs instructions in — and charges each site's op counts
-//! through the shared cost model ([`FrameCost`]), the same accumulator the
-//! executor's ledger is filled by. The nominal estimate therefore equals a
-//! real `FrameEngine` ledger by construction (the executor's charges are a
-//! pure function of the program; noise never reaches the ledger).
+//! executor runs instructions in — reads each site's op counts from the
+//! analog op table ([`redeye_nn::AnalogOp`]) and charges them with
+//! [`charge`] into the shared cost model ([`FrameCost`]), the same function
+//! and accumulator that fill the executor's ledger. The nominal estimate
+//! therefore equals a real `FrameEngine` ledger by construction (the
+//! executor's charges are a pure function of the program; noise never
+//! reaches the ledger).
 //!
 //! Around the nominal, the pass brackets the cost across every process
 //! corner (`redeye_analog::ProcessCorner::ALL`) with the model's one corner
@@ -24,10 +26,10 @@
 
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
 use crate::shape::Site;
-use crate::{Instruction, Program};
+use crate::Program;
 use redeye_analog::cost::FrameCost;
 use redeye_analog::{Joules, ProcessCorner, SarAdc, Seconds, SnrDb};
-use redeye_tensor::ConvGeom;
+use redeye_nn::OpCounts;
 use serde::Serialize;
 
 /// Per-frame cost caps for the RE07xx budget checks. Unset caps are not
@@ -69,6 +71,23 @@ pub struct CostBounds {
     pub conversions: u64,
     /// Digital readout volume in bits.
     pub readout_bits: u64,
+}
+
+/// The SNR a max pool's writes are charged at: the comparator has no
+/// damping setting, so its writes run at the unit costs' 40 dB reference.
+const POOL_WRITE_SNR: SnrDb = SnrDb::new(40.0);
+
+/// Charges one analog instruction's op counts in the ledger's fixed order —
+/// MACs, comparator decisions, writes — so the static pass and the executor
+/// accumulate bit-identical ledgers. `snr` is the instruction's damping
+/// setting ([`crate::Instruction::snr`]); `None` (max pooling) charges at
+/// `POOL_WRITE_SNR`. The executor passes a max pool's *measured*
+/// decisions, so static = dynamic still checks the comparator's schedule.
+pub fn charge(cost: &mut FrameCost, counts: OpCounts, snr: Option<SnrDb>) {
+    let snr = snr.unwrap_or(POOL_WRITE_SNR);
+    cost.mac(counts.macs, snr);
+    cost.compare(counts.comparisons);
+    cost.write(counts.writes, snr);
 }
 
 fn diag(severity: Severity, code: &'static str, message: String) -> Diagnostic {
@@ -178,43 +197,12 @@ pub(crate) fn compute(
     // the ledger exactly.
     for site in sites {
         let in_shape = site.in_shape?;
-        let out_len = match site.inst {
-            Instruction::Inception { .. } => continue, // branches charge themselves
-            _ => {
-                let [c, h, w] = site.out_shape?;
-                (c * h * w) as u64
-            }
-        };
-        match site.inst {
-            Instruction::Conv {
-                out_c,
-                kernel,
-                stride,
-                pad,
-                snr,
-                ..
-            } => {
-                let [c, h, w] = in_shape;
-                let geom = ConvGeom::new(c, h, w, *kernel, *kernel, *stride, *pad).ok()?;
-                cost.mac(geom.macs(*out_c), *snr);
-                cost.write(out_len, *snr);
-            }
-            Instruction::MaxPool { window, .. } => {
-                // Fixed comparison schedule: window²−1 decisions per output,
-                // padding taps included.
-                cost.compare(out_len * ((window * window) as u64 - 1));
-                cost.write(out_len, SnrDb::new(40.0));
-            }
-            Instruction::AvgPool { window, snr, .. } => {
-                cost.mac(out_len * (*window * *window) as u64, *snr);
-                cost.write(out_len, *snr);
-            }
-            Instruction::Lrn { size, snr, .. } => {
-                cost.mac(out_len * (*size as u64 + 1), *snr);
-                cost.write(out_len, *snr);
-            }
-            Instruction::Inception { .. } => unreachable!(),
-        }
+        // Inception has no op of its own: its branches charge themselves.
+        let Some(op) = site.inst.op() else { continue };
+        // A site the shape pass rejected (zero output channels) has no cost.
+        site.out_shape?;
+        let (_, counts) = op.apply(in_shape).ok()?;
+        charge(&mut cost, counts, site.inst.snr());
     }
 
     // The SAR readout of the final feature map.

@@ -73,7 +73,7 @@ mod resources;
 mod shape;
 mod signal;
 
-pub use cost::{CostBounds, CostBudget, CostEstimate};
+pub use cost::{charge, CostBounds, CostBudget, CostEstimate};
 pub use diag::{DiagClass, Diagnostic, Report, Severity};
 pub use limits::ResourceLimits;
 pub use program::{Instruction, Program};

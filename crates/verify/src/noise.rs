@@ -79,15 +79,10 @@ impl ForwardAnalysis<'_> for NoiseAnalysis {
         ctx: &Ctx<'_>,
         report: &mut Report,
     ) -> Option<f64> {
-        match inst {
-            Instruction::Conv { name, snr, .. }
-            | Instruction::AvgPool { name, snr, .. }
-            | Instruction::Lrn { name, snr, .. } => {
-                Some(check_layer(name, *snr, *state, ctx.path, report))
-            }
+        match inst.snr() {
+            Some(snr) => Some(check_layer(inst.name(), snr, *state, ctx.path, report)),
             // The comparator selects, it does not re-damp: SNR flows through.
-            Instruction::MaxPool { .. } => Some(*state),
-            Instruction::Inception { .. } => unreachable!("engine routes inception through join"),
+            None => Some(*state),
         }
     }
 

@@ -5,6 +5,7 @@
 //! fixed point), and per-layer noise parameters. [`Program`] is that object.
 
 use redeye_analog::SnrDb;
+use redeye_nn::AnalogOp;
 use serde::{Deserialize, Serialize};
 
 /// One instruction of a RedEye program — one cyclic pass through (a subset
@@ -96,6 +97,60 @@ impl Instruction {
             | Instruction::AvgPool { name, .. }
             | Instruction::Lrn { name, .. }
             | Instruction::Inception { name, .. } => name,
+        }
+    }
+
+    /// This instruction's entry in the analog op table, or `None` for an
+    /// inception module (its branches carry the ops).
+    pub fn op(&self) -> Option<AnalogOp> {
+        match *self {
+            Instruction::Conv {
+                out_c,
+                kernel,
+                stride,
+                pad,
+                ..
+            } => Some(AnalogOp::Conv {
+                out_c,
+                kernel,
+                stride,
+                pad,
+            }),
+            Instruction::MaxPool {
+                window,
+                stride,
+                pad,
+                ..
+            } => Some(AnalogOp::MaxPool {
+                window,
+                stride,
+                pad,
+            }),
+            Instruction::AvgPool {
+                window,
+                stride,
+                pad,
+                ..
+            } => Some(AnalogOp::AvgPool {
+                window,
+                stride,
+                pad,
+            }),
+            Instruction::Lrn { size, .. } => Some(AnalogOp::Lrn { size }),
+            Instruction::Inception { .. } => None,
+        }
+    }
+
+    /// The noise-admission setting of this instruction's damping circuit,
+    /// or `None` where nothing is damped: the comparator selects rather
+    /// than accumulates, and an inception module's branches carry their
+    /// own settings.
+    pub fn snr(&self) -> Option<SnrDb> {
+        match self {
+            Instruction::Conv { snr, .. }
+            | Instruction::AvgPool { snr, .. }
+            | Instruction::Lrn { snr, .. } => Some(*snr),
+            Instruction::MaxPool { .. } | Instruction::Inception { .. } => None,
         }
     }
 

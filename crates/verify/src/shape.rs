@@ -1,9 +1,10 @@
 //! Pass 1 — shape dataflow.
 //!
 //! Symbolically propagates the `(C, H, W)` activation shape through every
-//! instruction, mirroring the executor's geometry exactly (floor rounding
-//! for convolutions, Caffe ceil rounding for pools). Non-chaining
-//! dimensions, degenerate outputs, kernels that over-run the padded input,
+//! instruction with the analog op table ([`redeye_nn::AnalogOp`]) the
+//! executor also reads (floor rounding for convolutions, Caffe ceil
+//! rounding for pools). Non-chaining dimensions, degenerate outputs,
+//! kernels that over-run the padded input, op counts that overflow `u64`,
 //! and inputs wider than the physical column array are all rejected before
 //! anything executes.
 //!
@@ -17,7 +18,6 @@ use crate::dataflow::{self, Ctx, ForwardAnalysis};
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
 use crate::limits::ResourceLimits;
 use crate::{Instruction, Program};
-use redeye_tensor::{ConvGeom, PoolGeom};
 
 /// One instruction visit with its inferred dataflow context.
 #[derive(Debug)]
@@ -26,9 +26,6 @@ pub(crate) struct Site<'p> {
     pub inst: &'p Instruction,
     /// Index path into the program (see [`Diagnostic::path`]).
     pub path: Vec<usize>,
-    /// Depth-first stage ordinal (executor noise-stream numbering).
-    #[allow(dead_code)]
-    pub ordinal: usize,
     /// Inferred input shape, when the dataflow reaches this instruction.
     pub in_shape: Option<[usize; 3]>,
     /// Inferred output shape, when the instruction can execute.
@@ -90,85 +87,43 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
     ) -> Option<[usize; 3]> {
         let shape = *state;
         let [c, h, w] = shape;
-        let out = match inst {
-            Instruction::Conv {
-                name,
-                out_c,
-                kernel,
-                stride,
-                pad,
-                ..
-            } => {
-                if *out_c == 0 {
-                    report.push(
-                        err("RE0102", format!("conv `{name}` has zero output channels"))
-                            .at_layer(name)
-                            .at_path(ctx.path),
-                    );
-                    None
-                } else {
-                    match ConvGeom::new(c, h, w, *kernel, *kernel, *stride, *pad) {
-                        Ok(geom) => Some([*out_c, geom.out_h(), geom.out_w()]),
-                        Err(e) => {
-                            report.push(
-                                err(
-                                    "RE0101",
-                                    format!("conv `{name}` cannot apply to {c}x{h}x{w}: {e}"),
-                                )
-                                .at_layer(name)
-                                .at_path(ctx.path),
-                            );
-                            None
-                        }
-                    }
-                }
+        let name = inst.name();
+        let mut emit = |code, message: String| {
+            report.push(err(code, message).at_layer(name).at_path(ctx.path));
+        };
+        let out = match (inst, inst.op()) {
+            (Instruction::Conv { out_c: 0, .. }, _) => {
+                emit("RE0102", format!("conv `{name}` has zero output channels"));
+                None
             }
-            Instruction::MaxPool {
-                name,
-                window,
-                stride,
-                pad,
+            (Instruction::Lrn { size: 0, .. }, _) => {
+                emit(
+                    "RE0101",
+                    format!("LRN `{name}` channel window must be positive"),
+                );
+                // Shape is unaffected by LRN; keep analyzing downstream.
+                Some(shape)
             }
-            | Instruction::AvgPool {
-                name,
-                window,
-                stride,
-                pad,
-                ..
-            } => match PoolGeom::new(c, h, w, *window, *stride, *pad) {
-                Ok(geom) => Some([c, geom.out_h(), geom.out_w()]),
+            (_, Some(op)) => match op.apply(shape) {
+                Ok((out, _)) => Some(out),
                 Err(e) => {
-                    report.push(
-                        err(
-                            "RE0101",
-                            format!("pool `{name}` cannot apply to {c}x{h}x{w}: {e}"),
-                        )
-                        .at_layer(name)
-                        .at_path(ctx.path),
+                    let kind = match inst {
+                        Instruction::Conv { .. } => "conv",
+                        Instruction::Lrn { .. } => "LRN",
+                        _ => "pool",
+                    };
+                    emit(
+                        "RE0101",
+                        format!("{kind} `{name}` cannot apply to {c}x{h}x{w}: {e}"),
                     );
                     None
                 }
             },
-            Instruction::Lrn { name, size, .. } => {
-                if *size == 0 {
-                    report.push(
-                        err(
-                            "RE0101",
-                            format!("LRN `{name}` channel window must be positive"),
-                        )
-                        .at_layer(name)
-                        .at_path(ctx.path),
-                    );
-                    // Shape is unaffected by LRN; keep analyzing downstream.
-                }
-                Some(shape)
-            }
-            Instruction::Inception { .. } => unreachable!("engine routes inception through join"),
+            (_, None) => unreachable!("engine routes inception through join"),
         };
         self.sites.push(Site {
             inst,
             path: ctx.path.to_vec(),
-            ordinal: ctx.ordinal,
             in_shape: Some(shape),
             out_shape: out,
         });
@@ -239,7 +194,6 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
         self.sites.push(Site {
             inst,
             path: ctx.path.to_vec(),
-            ordinal: ctx.ordinal,
             in_shape: Some(*state),
             out_shape: out,
         });
@@ -250,7 +204,6 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
         self.sites.push(Site {
             inst,
             path: ctx.path.to_vec(),
-            ordinal: ctx.ordinal,
             in_shape: None,
             out_shape: None,
         });

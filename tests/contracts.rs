@@ -21,16 +21,18 @@
 //! one band of a within-frame fan-out, with the band's own message.
 //!
 //! A NaN or infinite pixel is a typed error on every entry point, never a
-//! panic and never a poisoned frame.
+//! panic and never a poisoned frame. So is a program whose op counts
+//! overflow: an LRN with a `usize::MAX` channel window is a shape error
+//! naming the layer, and its frames are refused.
 //!
 //! The implicit-GEMM conv, which packs B panels straight from the input
 //! plane, equals the explicit `im2col` + GEMM bit for bit on a GoogLeNet
 //! shape whose patch matrix crosses the packer's block boundaries.
 
 use redeye::core::{
-    analyze_cost, compile, frame_digest, run_stealing, BatchExecutor, CompileOptions, CoreError,
-    DeviceScratch, DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FrameCtx, FrameEngine,
-    FrameOutput, Program, StealOptions, WeightBank,
+    analyze_cost, compile, frame_digest, run_stealing, verify, BatchExecutor, CompileOptions,
+    CoreError, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FrameCtx,
+    FrameEngine, FrameOutput, Program, StealOptions, WeightBank,
 };
 use redeye::nn::{build_network, zoo, WeightInit};
 use redeye::tensor::{
@@ -343,6 +345,31 @@ fn non_finite_pixels_are_a_typed_error_on_every_entry_point() {
         }
     }
     assert!(engine.run_frame(0, &good, &mut FrameCtx::new()).is_ok());
+}
+
+/// An LRN whose channel window is `usize::MAX`: its `size + 1` MACs per
+/// output overflow `u64`. Without checked op counts the static cost read
+/// 0 MACs in release and both the cost pass and the executor panicked on
+/// the overflow in debug.
+const LRN_HUGE: &str = r#"{"name":"lrn_huge","input":[2,4,4],"instructions":[{"Lrn":{"name":"norm1","size":18446744073709551615,"alpha":0.0001,"beta":0.75,"k":1.0,"snr":40.0}}],"adc_bits":4}"#;
+
+/// Overflowing op counts are a verify error naming the layer (RE0101), the
+/// static cost is not derivable, and a frame is a typed error — no panic.
+#[test]
+fn an_overflowing_lrn_op_count_is_a_verify_error_not_a_panic() {
+    let program: Program = serde_json::from_str(LRN_HUGE).expect("program parses");
+    let report = verify(&program);
+    assert!(
+        report
+            .errors()
+            .any(|d| d.code == "RE0101" && d.layer.as_deref() == Some("norm1")),
+        "{}",
+        report.render()
+    );
+    assert_eq!(analyze_cost(&program), None);
+    let engine = FrameEngine::new(program, SEED);
+    let frame = engine.run_frame(0, &Tensor::full(&[2, 4, 4], 0.5), &mut FrameCtx::new());
+    assert!(matches!(frame, Err(CoreError::Verify(_))), "{frame:?}");
 }
 
 /// The inception_3a 3×3 conv (96×28×28 → 128, pad 1): its 864×784 patch
