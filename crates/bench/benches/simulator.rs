@@ -10,9 +10,8 @@ use redeye_core::{
 use redeye_nn::{build_network, summarize, zoo, WeightInit};
 use redeye_system::scenario;
 use redeye_tensor::{
-    conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng, SimdLevel,
-    Tensor, Workspace,
+    conv_gemm_packed_into, gemm, gemm_into, im2col_into, matmul_naive, ConvGeom, NoiseSource,
+    NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
 
 /// Fig. 7 / Table I path: the analytic GoogLeNet estimator at all depths.
@@ -308,31 +307,6 @@ fn bench_gemm(c: &mut Criterion) {
     }
 }
 
-/// The integer code-domain GEMM engine against the f32 engine at the
-/// Depth3 GoogLeNet conv shape (inception_3a 3×3 branch as lowered by
-/// im2col: m=192 filters, k=576 patch, n=3249 positions) — the workload
-/// behind the executor's `MacDomain::CodeI8` fast path.
-fn bench_gemm_i8(c: &mut Criterion) {
-    let (m, k, n) = (192usize, 576, 3249);
-    let mut rng = Rng::seed_from(3);
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let ai: Vec<i8> = a.iter().map(|&v| (v * 127.0) as i8).collect();
-    let bi: Vec<i8> = b.iter().map(|&v| (v * 127.0) as i8).collect();
-    let mut ws = Workspace::new();
-    let mut packs = PackBuffersI8::new();
-    let mut acc = vec![0i32; m * n];
-    c.bench_function("gemm/i8_vs_f32/f32_depth3", |bch| {
-        bch.iter(|| gemm(&mut ws, false, false, &a, &b, 1).unwrap());
-    });
-    c.bench_function("gemm/i8_vs_f32/i8_depth3", |bch| {
-        bch.iter(|| {
-            gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-            std::hint::black_box(&acc);
-        });
-    });
-}
-
 /// The implicit-GEMM conv path (pack-once weights, B-panels gathered
 /// straight from the C×H×W input) against the explicit im2col lowering at
 /// the micronet and GoogLeNet stems and the Depth3 inception-3a 3×3 shape.
@@ -393,38 +367,6 @@ fn bench_conv_implicit(c: &mut Criterion) {
     }
 }
 
-/// Every compiled f32 microkernel level on one square GEMM. All levels are
-/// bit-identical; under `-C target-cpu=native` the portable kernel already
-/// autovectorizes, so these curves measure the guaranteed vector floor.
-fn bench_gemm_simd(c: &mut Criterion) {
-    let size = 512usize;
-    let mut rng = Rng::seed_from(13);
-    let a = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
-    let mut out = vec![0.0f32; size * size];
-    let mut ws = Workspace::new();
-    for level in SimdLevel::available_levels() {
-        c.bench_function(&format!("gemm/simd_vs_portable/{level}_{size}"), |bch| {
-            bch.iter(|| {
-                gemm_into_level(
-                    ws.packs_mut(),
-                    level,
-                    false,
-                    false,
-                    a.as_slice(),
-                    b.as_slice(),
-                    &mut out,
-                    size,
-                    size,
-                    size,
-                    1,
-                );
-                std::hint::black_box(&out);
-            });
-        });
-    }
-}
-
 /// Depth sweep of the analytic path used by the partition explorer.
 fn bench_depths(c: &mut Criterion) {
     let config = RedEyeConfig::default();
@@ -456,9 +398,7 @@ criterion_group!(
     bench_noise,
     bench_ablation,
     bench_gemm,
-    bench_gemm_i8,
     bench_conv_implicit,
-    bench_gemm_simd,
     bench_depths
 );
 criterion_main!(benches);

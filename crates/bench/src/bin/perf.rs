@@ -1,6 +1,6 @@
 //! Performance measurement of the simulation hot path.
 //!
-//! Three sections, each with its own JSON report:
+//! Four sections, each with its own JSON report:
 //!
 //! - **GEMM** (`BENCH_gemm.json`): the packed GEMM engine against the
 //!   retained naive reference at the paper-relevant square sizes, one
@@ -13,23 +13,18 @@
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
 //!   on the work-stealing scheduler at worker counts 1/2/4, per depth.
-//! - **GEMM i8** (`BENCH_gemm_i8.json`, via `--gemm-i8`): the integer
-//!   code-domain GEMM engine against the f32 engine at the Depth3 conv
-//!   shape, single thread.
 //! - **Conv** (`BENCH_conv.json`, via `--conv`): the implicit-GEMM conv
 //!   path (pack-once weights, no im2col matrix) against the explicit
 //!   im2col lowering at per-layer shapes — each row carries the peak
-//!   workspace bytes its path staged — plus the f32 microkernel at every
-//!   compiled [`SimdLevel`] on a square GEMM.
+//!   workspace bytes its path staged.
 //!
-//! GEMM/analog/gemm-i8 rows are `{name, wall_ms, threads}`; throughput
-//! rows are `{name, frames, wall_ms, fps, workers}`.
+//! GEMM/analog rows are `{name, wall_ms, threads}`; throughput rows are
+//! `{name, frames, wall_ms, fps, workers}`.
 //!
 //! Usage: `cargo run --release -p redeye-bench --bin perf [-- FLAGS]`
 //!
 //! - `--analog-only`: run only the analog section.
 //! - `--throughput`: run only the throughput section.
-//! - `--gemm-i8`: run only the integer-GEMM section.
 //! - `--conv`: run only the convolution-path section.
 //! - `--smoke`: CI-sized run — Depth1 only, fewer reps, smaller kernels.
 //! - `--workers <n|auto>`: worker budget for the throughput sweep
@@ -45,9 +40,8 @@ use redeye_core::{auto_workers, BatchExecutor, Depth, Executor};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
-    conv_gemm_packed_into, gemm, gemm_i8_into, gemm_into, gemm_into_level, im2col_into,
-    matmul_naive, par, ConvGeom, NoiseSource, NoiseStream, PackBuffersI8, PackedWeights, Rng,
-    SimdLevel, Tensor, Workspace,
+    conv_gemm_packed_into, gemm, gemm_into, im2col_into, matmul_naive, par, ConvGeom, NoiseSource,
+    NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
 use std::time::Instant;
 
@@ -108,53 +102,6 @@ fn bench_gemm(rows: &mut Vec<Row>, size: usize, threads: usize) {
         name: format!("gemm_{size}_packed"),
         wall_ms: packed_n_ms,
         threads,
-    });
-}
-
-/// The integer code-domain GEMM engine against the f32 engine at the
-/// Depth3 GoogLeNet conv shape (inception_3a 3×3 branch lowered by
-/// im2col: m=192 filters, k=576 patch, n=3249 positions), single thread —
-/// the acceptance workload for the executor's `MacDomain::CodeI8` path.
-fn bench_gemm_i8(rows: &mut Vec<Row>, smoke: bool) {
-    let (m, k, n) = (192usize, 576, 3249);
-    let mut rng = Rng::seed_from(3);
-    let a = Tensor::uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let ai: Vec<i8> = a.iter().map(|&v| (v * 127.0) as i8).collect();
-    let bi: Vec<i8> = b.iter().map(|&v| (v * 127.0) as i8).collect();
-    let mut ws = Workspace::new();
-    let mut packs = PackBuffersI8::new();
-    let mut acc = vec![0i32; m * n];
-    // Warm both engines to their pack high-water marks before timing.
-    gemm(&mut ws, false, false, &a, &b, 1).expect("gemm");
-    gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-
-    let reps = if smoke { 3 } else { 7 };
-    let mut f32_ms = f64::INFINITY;
-    let mut i8_ms = f64::INFINITY;
-    for _ in 0..reps {
-        f32_ms = f32_ms.min(best_of(1, || {
-            gemm(&mut ws, false, false, &a, &b, 1).expect("gemm");
-        }));
-        i8_ms = i8_ms.min(best_of(1, || {
-            gemm_i8_into(&mut packs, false, false, &ai, &bi, &mut acc, m, n, k, 1);
-            std::hint::black_box(&acc);
-        }));
-    }
-
-    println!(
-        "gemm i8 depth3 ({m}x{k}x{n}): f32 {f32_ms:.2} ms | i8 {i8_ms:.2} ms ({:.2}x)",
-        f32_ms / i8_ms,
-    );
-    rows.push(Row {
-        name: "gemm_i8_depth3_f32".into(),
-        wall_ms: f32_ms,
-        threads: 1,
-    });
-    rows.push(Row {
-        name: "gemm_i8_depth3_i8".into(),
-        wall_ms: i8_ms,
-        threads: 1,
     });
 }
 
@@ -395,15 +342,11 @@ fn bench_throughput(
 /// conv-layer shape, single thread. Each path runs in its own fresh
 /// [`Workspace`] so the reported `peak_ws_bytes` is exactly the staging
 /// footprint that path requires: the explicit rows pay for the im2col
-/// matrix, the implicit rows show it gone. A final sweep times the bare
-/// microkernel at every compiled [`SimdLevel`] on a square GEMM (the
-/// portable kernel autovectorizes under `-C target-cpu=native`, so these
-/// rows measure the *guaranteed* vector floor, not a portable penalty).
+/// matrix, the implicit rows show it gone.
 fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
     // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c]): the
     // micronet and GoogLeNet stems as the zoo builds them, and the Depth3
-    // inception-3a 3x3 branch (m=192, k=576, n=3249), the acceptance shape
-    // the i8 section also uses.
+    // inception-3a 3x3 branch (m=192, k=576, n=3249).
     let shapes: &[(&str, [usize; 7])] = &[
         ("micronet_conv1", [3, 32, 32, 5, 1, 2, 4]),
         ("googlenet_conv1", [3, 224, 224, 7, 2, 3, 64]),
@@ -492,64 +435,6 @@ fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
             peak_ws_bytes: implicit_ws,
         });
     }
-
-    // Bare-microkernel sweep: every compiled level on one square GEMM.
-    let size = if smoke { 256 } else { 512 };
-    let mut rng = Rng::seed_from(13);
-    let a = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
-    let b = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
-    let mut out = vec![0.0f32; size * size];
-    let mut ws = Workspace::new();
-    let reps = if smoke { 3 } else { 5 };
-    let mut level_ms: Vec<(SimdLevel, f64)> = SimdLevel::available_levels()
-        .into_iter()
-        .map(|l| (l, f64::INFINITY))
-        .collect();
-    gemm_into(
-        ws.packs_mut(),
-        false,
-        false,
-        a.as_slice(),
-        b.as_slice(),
-        &mut out,
-        size,
-        size,
-        size,
-        1,
-    );
-    for _ in 0..reps {
-        for (level, best) in &mut level_ms {
-            *best = best.min(best_of(1, || {
-                gemm_into_level(
-                    ws.packs_mut(),
-                    *level,
-                    false,
-                    false,
-                    a.as_slice(),
-                    b.as_slice(),
-                    &mut out,
-                    size,
-                    size,
-                    size,
-                    1,
-                );
-                std::hint::black_box(&out);
-            }));
-        }
-    }
-    let portable_ms = level_ms[0].1;
-    for (level, wall_ms) in level_ms {
-        println!(
-            "gemm {size}^3 simd {level}: {wall_ms:.2} ms ({:.2}x vs portable)",
-            portable_ms / wall_ms,
-        );
-        rows.push(ConvRow {
-            name: format!("gemm_{size}_simd_{level}"),
-            wall_ms,
-            threads: 1,
-            peak_ws_bytes: ws.peak_bytes(),
-        });
-    }
 }
 
 /// Parses `--workers <n|auto>`; the default worker budget is the machine's
@@ -577,7 +462,6 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let analog_only = args.iter().any(|a| a == "--analog-only");
     let throughput_only = args.iter().any(|a| a == "--throughput");
-    let gemm_i8_only = args.iter().any(|a| a == "--gemm-i8");
     let conv_only = args.iter().any(|a| a == "--conv");
     let max_workers = parse_workers(&args);
 
@@ -587,15 +471,6 @@ fn main() {
         let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
         std::fs::write("BENCH_conv.json", json).expect("write BENCH_conv.json");
         println!("wrote BENCH_conv.json ({} rows)", rows.len());
-        return;
-    }
-
-    if gemm_i8_only {
-        let mut rows: Vec<Row> = Vec::new();
-        bench_gemm_i8(&mut rows, smoke);
-        let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-        std::fs::write("BENCH_gemm_i8.json", json).expect("write BENCH_gemm_i8.json");
-        println!("wrote BENCH_gemm_i8.json ({} rows)", rows.len());
         return;
     }
 

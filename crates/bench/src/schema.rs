@@ -10,8 +10,8 @@
 //!
 //! Four row shapes exist:
 //!
-//! - [`Row`] — wall-clock sections (`BENCH_gemm.json`, `BENCH_analog.json`,
-//!   `BENCH_gemm_i8.json`): `{name, wall_ms, threads}`;
+//! - [`Row`] — wall-clock sections (`BENCH_gemm.json`, `BENCH_analog.json`):
+//!   `{name, wall_ms, threads}`;
 //! - [`ConvRow`] — convolution-path sections (`BENCH_conv.json`): a
 //!   wall-clock row plus the peak workspace footprint the measured path
 //!   staged, `{name, wall_ms, threads, peak_ws_bytes}`;
@@ -206,8 +206,8 @@ mod tests {
     #[test]
     fn round_trip_through_serialization() {
         let rows = vec![Row {
-            name: "gemm_i8_depth3_i8".into(),
-            wall_ms: 4.4,
+            name: "frame_depth3_batched".into(),
+            wall_ms: 193.0,
             threads: 1,
         }];
         let json = serde_json::to_string_pretty(&rows).unwrap();

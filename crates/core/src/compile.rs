@@ -5,11 +5,9 @@
 //! the 8-bit fixed-point codes the tunable-capacitor DAC applies (§IV-A),
 //! and emits the [`Program`] the controller loads from the program SRAM.
 
-use crate::{CoreError, Instruction, MacDomain, Program, Result};
+use crate::{CoreError, Instruction, Program, Result};
 use redeye_analog::{max_signed_code, SnrDb, DAC_WEIGHT_BITS};
-use redeye_nn::{
-    quantize_symmetric, quantize_symmetric_pow2, LayerSpec, Network, NetworkSpec, NnError,
-};
+use redeye_nn::{quantize_symmetric, LayerSpec, Network, NetworkSpec, NnError};
 use redeye_tensor::Tensor;
 
 /// Trained parameters extracted from an executable network, in layer order.
@@ -97,12 +95,6 @@ pub struct CompileOptions {
     /// Per-frame cost budget the verification checks the compiled program
     /// against (RE07xx). Unset caps are not checked.
     pub budget: redeye_verify::CostBudget,
-    /// MAC engine the compiled program targets. Under
-    /// [`MacDomain::CodeI8`] kernel scales are constrained to exact powers
-    /// of two ([`quantize_symmetric_pow2`]) so the executor's integer
-    /// code-domain fast path can engage; [`MacDomain::F32`] uses the
-    /// range-tight scale of [`quantize_symmetric`].
-    pub mac_domain: MacDomain,
 }
 
 impl Default for CompileOptions {
@@ -113,7 +105,6 @@ impl Default for CompileOptions {
             adc_bits: 4,
             verify: VerifyPolicy::default(),
             budget: redeye_verify::CostBudget::default(),
-            mac_domain: MacDomain::default(),
         }
     }
 }
@@ -135,10 +126,7 @@ fn compile_layer(
         } => {
             let patch = shape[0] * kernel * kernel;
             let (w, b) = bank.take(name, *out_c, patch)?;
-            let q = match opts.mac_domain {
-                MacDomain::F32 => quantize_symmetric(w.as_slice(), opts.weight_bits),
-                MacDomain::CodeI8 => quantize_symmetric_pow2(w.as_slice(), opts.weight_bits),
-            };
+            let q = quantize_symmetric(w.as_slice(), opts.weight_bits);
             // The DAC applies codes directly through its capacitor bank, so a
             // code the 8-bit bank cannot express is rejected, never clamped
             // (clamping would silently distort the kernel).

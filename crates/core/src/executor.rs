@@ -44,8 +44,8 @@ use redeye_analog::calib::SWING;
 use redeye_analog::cost::FrameCost;
 use redeye_analog::{Comparator, SarAdc, SarConversion, Seconds, SnrDb};
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_i8_into, gemm_into_level, im2col_into, par,
-    ConvGeom, NoiseStream, PackBuffersI8, PackedWeights, PoolGeom, SimdLevel, Tensor, Workspace,
+    conv_gemm_into, conv_gemm_packed_into, par, ConvGeom, NoiseStream, PackedWeights, PoolGeom,
+    SimdLevel, Tensor, Workspace,
 };
 use redeye_verify::charge;
 use std::sync::OnceLock;
@@ -70,9 +70,8 @@ pub struct ExecutionResult {
     /// in this frame (negative residues are clamped before conversion).
     /// Zero whenever the signal-range pass proved the program clean.
     pub rail_clips: u64,
-    /// Conv instructions whose noiseless MAC ran in the integer code
-    /// domain this frame (always 0 under [`MacDomain::F32`]; under
-    /// [`MacDomain::CodeI8`] the dynamic exactness checks decide).
+    /// Always 0: a stub kept only for the repository benchmark package,
+    /// which still reads it. The conv MAC has one f32 path.
     pub code_mac_hits: u64,
 }
 
@@ -99,35 +98,9 @@ pub struct FrameOutput {
     /// Feature values that clipped at the SAR quantizer's 0 V lower rail
     /// in this frame.
     pub rail_clips: u64,
-    /// Conv instructions whose noiseless MAC ran in the integer code
-    /// domain this frame.
+    /// Always 0: a stub kept only for the repository benchmark package,
+    /// which still reads it. The conv MAC has one f32 path.
     pub code_mac_hits: u64,
-}
-
-/// Which arithmetic domain the noiseless conv MAC runs in.
-///
-/// RedEye's weights are signed 8-bit DAC codes by construction, so the
-/// noiseless part of the MAC array is an *integer* product. Under
-/// [`MacDomain::CodeI8`] each conv's matrix product runs through the packed
-/// i8×i8→i32 engine ([`redeye_tensor::gemm_i8_into`]) whenever the
-/// instruction and the frame's activations are exactly representable in the
-/// code domain, converting back to the voltage domain only at the site
-/// where the layer's Gaussian noise is injected. The fast path is
-/// *dynamically verified* per instruction — power-of-two weight scale,
-/// codes within the DAC range, activations snapping losslessly onto an
-/// 8-bit power-of-two grid, and partial sums bounded under the f32
-/// mantissa — and falls back to the f32 engine otherwise, so the output is
-/// **always bit-identical** to [`MacDomain::F32`]; the two paths differ
-/// only in speed. [`FrameOutput::code_mac_hits`] reports how often the fast
-/// path engaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MacDomain {
-    /// Reconstruct weights to `f32` and multiply in the voltage domain
-    /// (reference path, default).
-    #[default]
-    F32,
-    /// Integer code-domain fast path with per-instruction f32 fallback.
-    CodeI8,
 }
 
 /// Minimum number of analog sites in a stage before it shards across
@@ -150,12 +123,10 @@ const ANALOG_PARALLEL_MIN: usize = 4096;
 /// # Pack-once weight state
 ///
 /// Everything about a conv instruction's weights that does not depend on
-/// the frame — the reconstructed f32 weight matrix, the staged i8 DAC
-/// codes with their row-wise L1 bound for the [`MacDomain::CodeI8`] fast
-/// path, the SAR ADC's bit-weight table and the comparator's screening
-/// table — is computed **once** at
-/// engine construction and shared read-only by every frame, context, and
-/// worker thereafter. A fleet of simulated devices sharing one engine (see
+/// the frame — the reconstructed f32 weight matrix and its GEMM panels —
+/// plus the SAR ADC's bit-weight table and the comparator's screening
+/// table is computed **once** at engine construction and shared read-only
+/// by every frame, context, and worker thereafter. A fleet of simulated devices sharing one engine (see
 /// [`crate::FleetEngine`]) therefore packs weights exactly once, no matter
 /// how many devices run.
 #[derive(Debug)]
@@ -176,12 +147,6 @@ pub struct FrameEngine {
     /// Thread budget within a frame: conv GEMM row bands and the per-site
     /// analog stages (layer noise, comparator pooling, SAR readout).
     threads: usize,
-    /// Arithmetic domain for the noiseless conv MAC.
-    mac_domain: MacDomain,
-    /// f32 GEMM microkernel level. All levels are bit-identical (see
-    /// [`SimdLevel`]); the knob exists for benchmarks and equivalence
-    /// tests that pin a kernel without racing on `REDEYE_SIMD`.
-    simd: SimdLevel,
     /// Per-frame cost caps enforced during pre-frame verification.
     budget: redeye_verify::CostBudget,
     /// Set once the program passes static verification; checked lazily on
@@ -204,8 +169,6 @@ impl FrameEngine {
             sar,
             comparator: Comparator::new(),
             threads: 1,
-            mac_domain: MacDomain::default(),
-            simd: SimdLevel::auto(),
             budget: redeye_verify::CostBudget::default(),
             verified: OnceLock::new(),
         }
@@ -225,32 +188,6 @@ impl FrameEngine {
     /// budgets; small stages stay serial regardless.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Selects the arithmetic domain for the noiseless conv MAC. Both
-    /// domains produce bit-identical output; [`MacDomain::CodeI8`] is the
-    /// integer fast path with per-instruction dynamic fallback.
-    pub fn set_mac_domain(&mut self, domain: MacDomain) {
-        self.mac_domain = domain;
-    }
-
-    /// The active MAC arithmetic domain.
-    pub fn mac_domain(&self) -> MacDomain {
-        self.mac_domain
-    }
-
-    /// Pins the f32 GEMM microkernel level for this engine's conv MACs.
-    /// Every level is bit-identical by construction (separate mul+add in
-    /// scalar accumulation order — see [`SimdLevel`]), so this is purely a
-    /// performance/diagnostic knob; levels the build does not carry clamp
-    /// down to the widest compiled kernel.
-    pub fn set_simd_level(&mut self, level: SimdLevel) {
-        self.simd = level.clamp_available();
-    }
-
-    /// The active f32 microkernel level.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
     }
 
     /// The loaded program.
@@ -343,7 +280,6 @@ impl FrameEngine {
         }
         let mut pass = FramePass {
             ws: &mut ctx.ws,
-            code: &mut ctx.code,
             stream: root.frame_substream(frame),
             ordinal: 0,
             conv_ordinal: 0,
@@ -353,7 +289,6 @@ impl FrameEngine {
             // column slices (gain staging maps the image onto the array).
             cost: FrameCost::new(self.program.input[2]),
             forced: 0,
-            code_mac_hits: 0,
         };
         // The input tensor is borrowed, not cloned: instruction outputs move
         // through `owned`, and the first instruction reads `input` directly.
@@ -364,12 +299,7 @@ impl FrameEngine {
         }
         let (features, codes, rail_clips) =
             pass.quantize(self.program.adc_bits, owned.as_ref().unwrap_or(input))?;
-        let FramePass {
-            cost,
-            forced,
-            code_mac_hits,
-            ..
-        } = pass;
+        let FramePass { cost, forced, .. } = pass;
         let (ledger, elapsed) = cost.finish();
         let out = FrameOutput {
             features,
@@ -378,7 +308,7 @@ impl FrameEngine {
             elapsed,
             forced,
             rail_clips,
-            code_mac_hits,
+            code_mac_hits: 0,
         };
         Ok((out, cost))
     }
@@ -390,37 +320,21 @@ impl FrameEngine {
 ///
 /// One context belongs to one worker: a batch gives each scheduler worker
 /// its own, so every frame after a worker's first performs no
-/// im2col/packing allocations, exactly like the serial path.
+/// packing allocations, exactly like the serial path.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
-    /// Reusable `im2col`/GEMM scratch shared by every conv instruction;
+    /// Reusable GEMM packing scratch shared by every conv instruction;
     /// grows to the program's high-water mark on the first frame.
     ws: Workspace,
-    /// Reusable code-domain staging (i8 operands, i32 accumulator) for the
-    /// [`MacDomain::CodeI8`] fast path.
-    code: CodeScratch,
     /// The frame-substream label the next sequential frame executes under.
     next_frame: u64,
     /// Cumulative forced comparator decisions across this context's frames.
     forced_total: u64,
 }
 
-/// Reusable staging for the code-domain MAC fast path: the activations'
-/// snapped i8 codes and the i32 accumulator (the weights' i8 codes are
-/// packed once into the engine's [`ConvPack`]s). Like the [`Workspace`],
-/// buffers grow to the high-water mark and are then reused frame after
-/// frame.
-#[derive(Debug, Default)]
-struct CodeScratch {
-    cols: Vec<i8>,
-    acc: Vec<i32>,
-}
-
 /// Pack-once per-conv weight state, computed at [`FrameEngine`]
 /// construction and shared read-only by every frame and worker: the
-/// reconstructed f32 weight matrix, plus the staged i8 operand for the
-/// [`MacDomain::CodeI8`] fast path when the instruction's weight-side
-/// preconditions hold.
+/// reconstructed f32 weight matrix and its GEMM panels.
 #[derive(Debug, Clone)]
 struct ConvPack {
     /// Reconstructed DAC-applied weights `code · scale`, row-major
@@ -433,25 +347,10 @@ struct ConvPack {
     /// dims are inconsistent, which per-frame validation rejects before
     /// the pack is consulted.
     packed: Option<PackedWeights>,
-    /// The code-domain operand, present only when the weight scale is a
-    /// normal power of two and every code fits the signed 8-bit DAC range
-    /// (the [`code_domain_mac`] checks that depend on weights alone).
-    code: Option<CodePack>,
-}
-
-/// The staged integer operand of one conv's code-domain MAC.
-#[derive(Debug, Clone)]
-struct CodePack {
-    /// Weight codes staged as i8, row-major `[out_c, patch]`.
-    codes: Vec<i8>,
-    /// `max_row(Σ|c_w|)` for the partial-sum mantissa bound.
-    row_l1_max: i64,
-    /// Weight-scale exponent: `scale = 2^ew` exactly.
-    ew: i32,
 }
 
 impl ConvPack {
-    /// Packs one conv instruction's weights (both domains).
+    /// Packs one conv instruction's weights.
     fn build(codes: &[i32], scale: f32, out_c: usize) -> ConvPack {
         let weights: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
         let packed = if out_c > 0 && weights.len().is_multiple_of(out_c) {
@@ -459,45 +358,7 @@ impl ConvPack {
         } else {
             None
         };
-        ConvPack {
-            weights,
-            packed,
-            code: CodePack::build(codes, scale, out_c),
-        }
-    }
-}
-
-impl CodePack {
-    /// Stages the i8 operand when the weight-side [`code_domain_mac`]
-    /// preconditions hold: a normal power-of-two scale (check 1) and every
-    /// code within the signed 8-bit DAC range (check 2).
-    fn build(codes: &[i32], scale: f32, out_c: usize) -> Option<CodePack> {
-        if !scale.is_normal() || scale <= 0.0 || scale.to_bits() & 0x007f_ffff != 0 {
-            return None;
-        }
-        let ew = ((scale.to_bits() >> 23) & 0xff) as i32 - 127;
-        if out_c == 0 || !codes.len().is_multiple_of(out_c) {
-            return None;
-        }
-        let k = codes.len() / out_c;
-        let mut staged = Vec::with_capacity(codes.len());
-        let mut row_l1_max = 0i64;
-        for row in codes.chunks(k.max(1)) {
-            let mut l1 = 0i64;
-            for &c in row {
-                if !(-127..=127).contains(&c) {
-                    return None;
-                }
-                l1 += i64::from(c.unsigned_abs());
-                staged.push(c as i8);
-            }
-            row_l1_max = row_l1_max.max(l1);
-        }
-        Some(CodePack {
-            codes: staged,
-            row_l1_max,
-            ew,
-        })
+        ConvPack { weights, packed }
     }
 }
 
@@ -608,28 +469,6 @@ impl Executor {
         self.engine.set_threads(threads);
     }
 
-    /// Selects the arithmetic domain for the noiseless conv MAC (see
-    /// [`MacDomain`]). Both domains produce bit-identical output.
-    pub fn set_mac_domain(&mut self, domain: MacDomain) {
-        self.engine.set_mac_domain(domain);
-    }
-
-    /// The active MAC arithmetic domain.
-    pub fn mac_domain(&self) -> MacDomain {
-        self.engine.mac_domain()
-    }
-
-    /// Pins the f32 GEMM microkernel level (see
-    /// [`FrameEngine::set_simd_level`]). Bit-identical across levels.
-    pub fn set_simd_level(&mut self, level: SimdLevel) {
-        self.engine.set_simd_level(level);
-    }
-
-    /// The active f32 microkernel level.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.engine.simd_level()
-    }
-
     /// The loaded program.
     pub fn program(&self) -> &Program {
         self.engine.program()
@@ -698,7 +537,6 @@ impl Executor {
 /// instruction is scheduled or sharded.
 struct FramePass<'a> {
     ws: &'a mut Workspace,
-    code: &'a mut CodeScratch,
     stream: NoiseStream,
     /// Next instruction ordinal (DFS order through inception branches).
     ordinal: u64,
@@ -706,15 +544,13 @@ struct FramePass<'a> {
     /// the next conv instruction in DFS order.
     conv_ordinal: usize,
     /// The engine's pack-once state (conv weights, comparator and SAR
-    /// templates) and knobs (thread budget, MAC domain, SIMD level).
+    /// templates) and thread budget.
     engine: &'a FrameEngine,
     /// Device amplitude factor on every layer-noise σ (1.0 nominal).
     noise_scale: f32,
     /// Energy and time charged so far, in DFS instruction order.
     cost: FrameCost,
     forced: u64,
-    /// Conv instructions the code-domain fast path handled this frame.
-    code_mac_hits: u64,
 }
 
 impl FramePass<'_> {
@@ -793,73 +629,31 @@ impl FramePass<'_> {
                         })?;
                 let mut out = vec![0.0f32; out_len];
                 // The ideal MAC array is a matrix product (each output is
-                // one damped node). Under CodeI8 the activations must be
-                // staged through im2col anyway — the snap gate inspects
-                // the lowered f32 matrix — so that domain keeps the
-                // explicit lowering, falling back to a cols-based GEMM
-                // when the dynamic exactness checks miss. The F32
-                // reference skips im2col entirely: the implicit-GEMM
-                // packer gathers B-panels straight from the C×H×W input
-                // and multiplies through the engine's pack-once weight
-                // panels, bit-identical to the explicit lowering.
-                if self.engine.mac_domain == MacDomain::CodeI8 {
-                    let (cols, packs, packs_i8) = self.ws.split_im2col_all_packs();
-                    im2col_into(x, &geom, cols)?;
-                    let scratch = &mut *self.code;
-                    let code_hit = pack.code.as_ref().is_some_and(|pre| {
-                        code_domain_mac(
-                            scratch,
-                            packs_i8,
-                            pre,
-                            cols,
-                            &mut out,
-                            *out_c,
-                            positions,
-                            patch,
-                            self.engine.threads,
-                        )
-                    });
-                    if code_hit {
-                        self.code_mac_hits += 1;
-                    } else {
-                        gemm_into_level(
-                            packs,
-                            self.engine.simd,
-                            false,
-                            false,
-                            &pack.weights,
-                            cols,
-                            &mut out,
-                            *out_c,
-                            positions,
-                            patch,
-                            self.engine.threads,
-                        );
-                    }
-                } else {
-                    match pack.packed.as_ref() {
-                        Some(pw) => conv_gemm_packed_into(
-                            self.ws.packs_mut(),
-                            self.engine.simd,
-                            pw,
-                            x.as_slice(),
-                            &geom,
-                            &mut out,
-                            self.engine.threads,
-                        ),
-                        // Unreachable for a program that passed the weight
-                        // dim check above; kept as a correct slow path.
-                        None => conv_gemm_into(
-                            self.ws.packs_mut(),
-                            self.engine.simd,
-                            &pack.weights,
-                            x.as_slice(),
-                            &geom,
-                            &mut out,
-                            *out_c,
-                            self.engine.threads,
-                        ),
-                    }
+                // one damped node). The implicit-GEMM packer gathers
+                // B-panels straight from the C×H×W input and multiplies
+                // through the engine's pack-once weight panels,
+                // bit-identical to the explicit im2col lowering.
+                match pack.packed.as_ref() {
+                    Some(pw) => conv_gemm_packed_into(
+                        self.ws.packs_mut(),
+                        SimdLevel::auto(),
+                        pw,
+                        x.as_slice(),
+                        &geom,
+                        &mut out,
+                        self.engine.threads,
+                    ),
+                    // Unreachable for a program that passed the weight
+                    // dim check above; kept as a correct slow path.
+                    None => conv_gemm_into(
+                        self.ws.packs_mut(),
+                        &pack.weights,
+                        x.as_slice(),
+                        &geom,
+                        &mut out,
+                        *out_c,
+                        self.engine.threads,
+                    ),
                 }
                 for (oc, &b) in bias.iter().enumerate() {
                     for v in &mut out[oc * positions..(oc + 1) * positions] {
@@ -1062,126 +856,6 @@ impl FramePass<'_> {
         self.cost.convert(template, n as u64);
         Ok((Tensor::from_vec(deq, x.dims())?, codes, clips.iter().sum()))
     }
-}
-
-/// `2^e` as an exact f32 built from the exponent bits, or `None` outside
-/// the normal range `[-126, 127]`.
-fn pow2f(e: i32) -> Option<f32> {
-    if (-126..=127).contains(&e) {
-        Some(f32::from_bits(((e + 127) as u32) << 23))
-    } else {
-        None
-    }
-}
-
-/// The smallest exponent `ea` with `127·2^ea ≥ vmax` (clamped into the
-/// normal range from below), i.e. the tightest power-of-two activation
-/// step whose 8-bit code grid covers the plane. `vmax` must be finite and
-/// positive; the result then always lands in the normal range (at
-/// `e = 127` the coverage product overflows to `+inf`, which terminates
-/// the walk), so [`pow2f`] of it is always `Some`.
-fn code_step_exponent(vmax: f32) -> i32 {
-    let mut e = (((vmax.to_bits() >> 23) & 0xff) as i32 - 127 - 6).max(-126);
-    while e <= 127 && pow2f(e).is_some_and(|s| s * 127.0 < vmax) {
-        e += 1;
-    }
-    e
-}
-
-/// Attempts the integer code-domain MAC for one conv instruction, filling
-/// `out` and returning `true` only when the product is *provably
-/// bit-identical* to the f32 reference path:
-///
-/// 1. the weight scale is a normal power of two `2^ew`, so the
-///    reconstructed weights `c_w·2^ew` are exact f32 values;
-/// 2. every weight code is within the signed 8-bit DAC range (|c| ≤ 127);
-/// 3. every im2col activation snaps losslessly onto an 8-bit code grid at
-///    a power-of-two step `2^ea` (verified by exact reconstruction, which
-///    also rejects NaN/infinite activations and underflowed snaps);
-/// 4. the combined exponent `ew+ea` keeps every value normal with 2²⁴ of
-///    headroom below overflow; and
-/// 5. `max_row(Σ|c_w|)·max|c_x| < 2²⁴`, so every partial sum — in *any*
-///    accumulation order — is an integer multiple of `2^(ew+ea)` with a
-///    magnitude inside the f32 mantissa.
-///
-/// Checks 1–2 depend on the instruction's weights alone, so
-/// [`CodePack::build`] decides them once at engine construction — a conv
-/// reaches this function only with its weight-side operand (`pre`) already
-/// staged. Checks 3–5 depend on the frame's activations and run here.
-///
-/// Under those conditions the f32 engine's blocked float accumulation
-/// commits no rounding at all, `i32` accumulation trivially commits none,
-/// and converting the integer result back through `(s as f32)·2^(ew+ea)`
-/// reproduces the f32 path's output bit for bit. Any failed check falls
-/// back (`false`, `out` untouched) — so `CodeI8` never changes results,
-/// only speed.
-#[allow(clippy::too_many_arguments)]
-fn code_domain_mac(
-    scratch: &mut CodeScratch,
-    packs: &mut PackBuffersI8,
-    pre: &CodePack,
-    cols: &[f32],
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> bool {
-    let (ew, row_l1_max) = (pre.ew, pre.row_l1_max);
-    // (3) Tightest power-of-two activation step; verify every activation
-    // reconstructs exactly from its snapped 8-bit code.
-    let vmax = cols.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
-    if !vmax.is_finite() {
-        return false;
-    }
-    let ea = if vmax == 0.0 {
-        0
-    } else {
-        code_step_exponent(vmax)
-    };
-    let (Some(step), Some(inv_step)) = (pow2f(ea), pow2f(-ea)) else {
-        return false;
-    };
-    scratch.cols.clear();
-    scratch.cols.reserve(cols.len());
-    let mut cx_max = 0i64;
-    for &v in cols {
-        let c = v * inv_step;
-        let ci = c as i32; // saturating cast; NaN → 0
-        if !(-127..=127).contains(&ci) || ci as f32 * step != v {
-            return false;
-        }
-        cx_max = cx_max.max(i64::from(ci.unsigned_abs()));
-        scratch.cols.push(ci as i8);
-    }
-    // (4) Combined scale normal, with integer sums < 2²⁴ kept finite.
-    let e = ew + ea;
-    let Some(back) = pow2f(e) else { return false };
-    if e > 101 {
-        return false;
-    }
-    // (5) Partial sums bounded under the f32 mantissa.
-    if row_l1_max.saturating_mul(cx_max) >= 1 << 24 {
-        return false;
-    }
-    scratch.acc.clear();
-    scratch.acc.resize(out.len(), 0);
-    gemm_i8_into(
-        packs,
-        false,
-        false,
-        &pre.codes,
-        &scratch.cols,
-        &mut scratch.acc,
-        m,
-        n,
-        k,
-        threads,
-    );
-    for (o, &s) in out.iter_mut().zip(scratch.acc.iter()) {
-        *o = s as f32 * back;
-    }
-    true
 }
 
 /// Runs `f` over bands of `data` whose starts are multiples of `align`
@@ -1627,89 +1301,6 @@ mod tests {
         assert!(result.ledger.analog_total().value() > 0.0);
     }
 
-    /// Compiles the micronet prefix for the integer code-domain MAC
-    /// (power-of-two kernel scales).
-    fn code_domain_program(snr_db: f64, adc_bits: u32) -> Program {
-        let spec = zoo::micronet(8, 10);
-        let prefix = spec.prefix_through("pool3").unwrap();
-        let mut rng = Rng::seed_from(17);
-        let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
-        let mut bank = WeightBank::from_network(&mut net);
-        let opts = CompileOptions {
-            weight_bits: 8,
-            snr: SnrDb::new(snr_db),
-            adc_bits,
-            mac_domain: MacDomain::CodeI8,
-            ..CompileOptions::default()
-        };
-        compile(&prefix, &mut bank, &opts).unwrap()
-    }
-
-    /// A sensor frame whose every pixel sits exactly on the 8-bit
-    /// power-of-two code grid `k/128` — the raw-ADC-output case the
-    /// code-domain fast path is designed for.
-    fn grid_snapped_input() -> Tensor {
-        let data: Vec<f32> = (0..3 * 32 * 32).map(|i| (i % 128) as f32 / 128.0).collect();
-        Tensor::from_vec(data, &[3, 32, 32]).unwrap()
-    }
-
-    #[test]
-    fn code_domain_fast_path_engages_and_is_bit_identical() {
-        let program = code_domain_program(40.0, 8);
-        let input = grid_snapped_input();
-
-        let mut reference = Executor::new(program.clone(), 5);
-        let want = reference.execute(&input).unwrap();
-        assert_eq!(reference.mac_domain(), MacDomain::F32);
-        assert_eq!(want.code_mac_hits, 0, "F32 path never counts code hits");
-
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        // conv1 sees the snapped sensor plane and must take the integer
-        // path; deeper convs see noisy activations and may fall back.
-        assert!(got.code_mac_hits >= 1, "fast path never engaged");
-        assert_eq!(want.features, got.features, "features drifted");
-        assert_eq!(want.codes, got.codes, "ADC codes drifted");
-        assert!(want.ledger == got.ledger, "energy accounting drifted");
-        assert_eq!(want.elapsed.value(), got.elapsed.value());
-    }
-
-    #[test]
-    fn code_domain_falls_back_on_unsnappable_activations() {
-        // Arbitrary floats do not reconstruct exactly from any 8-bit
-        // power-of-two grid, so every conv must take the f32 path — and the
-        // result must still be bit-identical to a plain F32 run.
-        let program = code_domain_program(40.0, 8);
-        let mut rng = Rng::seed_from(6);
-        let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-        let want = Executor::new(program.clone(), 5).execute(&input).unwrap();
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        assert_eq!(
-            got.code_mac_hits, 0,
-            "unsnappable input engaged the fast path"
-        );
-        assert_eq!(want.features, got.features);
-        assert_eq!(want.codes, got.codes);
-    }
-
-    #[test]
-    fn code_domain_fast_path_declines_non_pow2_scales() {
-        // A program compiled for the default F32 domain carries range-tight
-        // (generally non-power-of-two) kernel scales; forcing CodeI8 on the
-        // executor must dynamically fall back, never alter results.
-        let (program, _) = micronet_program(40.0, 8);
-        let input = grid_snapped_input();
-        let want = Executor::new(program.clone(), 5).execute(&input).unwrap();
-        let mut fast = Executor::new(program, 5);
-        fast.set_mac_domain(MacDomain::CodeI8);
-        let got = fast.execute(&input).unwrap();
-        assert_eq!(want.features, got.features);
-        assert_eq!(want.codes, got.codes);
-    }
-
     #[test]
     fn quantize_survives_degenerate_subnormal_frames() {
         // An all-subnormal feature plane used to pass the `vmax > 0` gain
@@ -1744,24 +1335,5 @@ mod tests {
             result.features.iter().all(|v| v.abs() < 0.05),
             "degenerate frame produced full-scale features"
         );
-    }
-
-    #[test]
-    fn code_step_exponent_covers_the_plane_tightly() {
-        for vmax in [0.25f32, 0.5, 0.9921875, 1.0, 3.7, 127.0, 1.0e-30] {
-            let e = code_step_exponent(vmax);
-            let step = pow2f(e).unwrap();
-            assert!(step * 127.0 >= vmax, "step 2^{e} too small for {vmax}");
-            if let Some(half) = pow2f(e - 1) {
-                if e > -126 {
-                    assert!(half * 127.0 < vmax, "step 2^{e} not tight for {vmax}");
-                }
-            }
-        }
-        // Even the largest finite plane stays inside the normal exponent
-        // range (the e = 127 coverage product overflows to +inf and ends
-        // the walk), so the downstream pow2f gate always has a step.
-        let e = code_step_exponent(f32::MAX);
-        assert!(pow2f(e).is_some(), "f32::MAX walked out of range: {e}");
     }
 }

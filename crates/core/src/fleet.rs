@@ -3,7 +3,7 @@
 //!
 //! The paper's deployment story is a *population* of sensors feeding a
 //! cloudlet, not one camera. Simulating that population naively builds one
-//! engine per device — re-cloning the program, re-packing the f32/i8
+//! engine per device — re-cloning the program, re-packing the f32
 //! weight buffers, re-deriving the SAR bit-weight table, and re-running
 //! static verification a thousand times over, even though devices differ
 //! only in fabrication corner, calibration trim, and noise seed. This
@@ -138,7 +138,7 @@ impl DeviceProfile {
 }
 
 /// The shared, immutable, pack-once engine of an entire fleet: one
-/// compiled program, one set of packed f32/i8 weight buffers, one SAR
+/// compiled program, one set of packed f32 weight buffers, one SAR
 /// bit-weight table, one *verified* status — reference-counted across all
 /// workers. Per-device state lives in [`DeviceProfile`] (a few dozen
 /// bytes); building a [`DeviceCtx`] allocates nothing program-sized.
@@ -219,8 +219,8 @@ pub struct DeviceCtx {
 }
 
 /// Reusable per-worker scratch for fleet execution: one [`FrameCtx`]
-/// (im2col/GEMM workspace, code-domain staging) plus the calibrated-input
-/// staging tensor. One scratch serves any number of devices sequentially.
+/// (GEMM workspace) plus the calibrated-input staging tensor. One scratch
+/// serves any number of devices sequentially.
 #[derive(Debug, Default)]
 pub struct DeviceScratch {
     ctx: FrameCtx,
@@ -392,8 +392,6 @@ pub struct FrameStat {
     pub forced: u64,
     /// Lower-rail clips this frame.
     pub rail_clips: u64,
-    /// Convs the code-domain fast path handled this frame.
-    pub code_mac_hits: u64,
     /// FNV-64 digest of the frame's features/codes.
     pub digest: u64,
 }
@@ -507,7 +505,6 @@ impl FleetExecutor {
                         payload_bits: f.payload_bits,
                         forced: f.output.forced,
                         rail_clips: f.output.rail_clips,
-                        code_mac_hits: f.output.code_mac_hits,
                         digest: f.digest,
                     })
             },

@@ -71,14 +71,13 @@ pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
-pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput, MacDomain};
+pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput};
 pub use fleet::{
     frame_digest, DeviceCalib, DeviceCtx, DeviceFrame, DeviceOutcome, DeviceProfile, DeviceScratch,
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,
 };
 pub use partition::{partition_googlenet, Depth};
 pub use redeye_analog::cost::EnergyLedger;
-pub use redeye_tensor::SimdLevel;
 pub use redeye_verify::{
     analyze_cost, analyze_ranges, verify, verify_with_limits, verify_with_options, CostBounds,
     CostBudget, CostEstimate, DiagClass, Diagnostic, Instruction, Program, RangeSummary, Report,

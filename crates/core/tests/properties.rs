@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use redeye_analog::{ProcessCorner, SnrDb};
 use redeye_core::{
     compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, Executor, FeatureSram,
-    MacDomain, Program, RedEyeConfig, WeightBank,
+    Program, RedEyeConfig, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -234,83 +234,6 @@ proptest! {
                 );
                 prop_assert!(merged == want_ledger, "{}: merged ledger energy diverged", &tag);
             }
-        }
-    }
-
-    /// The integer code-domain MAC fast path is an implementation detail:
-    /// on exact-representable sensor planes (every pixel on the 8-bit
-    /// power-of-two code grid) a `CodeI8` run engages the integer engine on
-    /// at least the first conv and stays bit-identical to the `F32`
-    /// reference — features, ADC codes, the full energy ledger (MAC,
-    /// comparison, write, and conversion counts included), and frame time —
-    /// across the program zoo, both serially and under `BatchExecutor`.
-    #[test]
-    fn code_domain_path_is_bit_identical_to_f32(
-        base_c in 4usize..9,
-        cut_idx in 0usize..3,
-        use_inception in 0u32..2,
-        snr in 25.0f64..60.0,
-        bits in 3u32..10,
-        seed in 0u64..1_000_000,
-    ) {
-        let (spec, cut) = if use_inception == 1 {
-            (zoo::tiny_inception(10), "pool2")
-        } else {
-            (zoo::micronet(base_c, 10), ["pool1", "pool2", "pool3"][cut_idx])
-        };
-        let prefix = spec.prefix_through(cut).unwrap();
-        let mut rng = Rng::seed_from(seed ^ 0xC0DE);
-        let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
-        let mut bank = WeightBank::from_network(&mut net);
-        let opts = CompileOptions {
-            snr: SnrDb::new(snr),
-            adc_bits: bits,
-            mac_domain: MacDomain::CodeI8,
-            ..CompileOptions::default()
-        };
-        let program = compile(&prefix, &mut bank, &opts).unwrap();
-        // Snap each pixel onto the k/128 grid (k in 0..=127): exactly the
-        // values an 8-bit sensor readout produces, and exactly the case
-        // the integer fast path must accept.
-        let inputs: Vec<Tensor> = (0..2)
-            .map(|_| {
-                let mut t = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
-                t.map_in_place(|v| (v * 128.0).floor() / 128.0);
-                t
-            })
-            .collect();
-
-        let mut f32_exec = Executor::new(program.clone(), seed);
-        let mut i8_exec = Executor::new(program.clone(), seed);
-        i8_exec.set_mac_domain(MacDomain::CodeI8);
-        let mut serial = Vec::new();
-        for (frame, input) in inputs.iter().enumerate() {
-            let want = f32_exec.execute(input).unwrap();
-            let got = i8_exec.execute(input).unwrap();
-            prop_assert_eq!(want.code_mac_hits, 0, "frame {}: F32 counted hits", frame);
-            prop_assert!(
-                got.code_mac_hits >= 1,
-                "frame {}: fast path never engaged", frame
-            );
-            prop_assert_eq!(&want.features, &got.features, "frame {} features", frame);
-            prop_assert_eq!(&want.codes, &got.codes, "frame {} codes", frame);
-            prop_assert!(want.ledger == got.ledger, "frame {} ledger diverged", frame);
-            prop_assert_eq!(want.elapsed.value(), got.elapsed.value(), "frame {}", frame);
-            serial.push(got);
-        }
-
-        // The same engine handed to a worker pool must reproduce the
-        // serial CodeI8 run frame for frame, hit counts included.
-        let mut engine = redeye_core::FrameEngine::new(program, seed);
-        engine.set_mac_domain(MacDomain::CodeI8);
-        let mut batch = BatchExecutor::with_engine(engine, 2).unwrap();
-        let result = batch.execute_batch(&inputs).unwrap();
-        prop_assert_eq!(serial.len(), result.frames.len());
-        for (frame, (w, g)) in serial.iter().zip(result.frames.iter()).enumerate() {
-            prop_assert_eq!(&w.features, &g.features, "batch frame {} features", frame);
-            prop_assert_eq!(&w.codes, &g.codes, "batch frame {} codes", frame);
-            prop_assert!(w.ledger == g.ledger, "batch frame {} ledger", frame);
-            prop_assert_eq!(w.code_mac_hits, g.code_mac_hits, "batch frame {} hits", frame);
         }
     }
 

@@ -2,8 +2,7 @@
 
 use crate::{Layer, NnError, Result, WeightInit};
 use redeye_tensor::{
-    col2im_into, conv_gemm_into, gemm_into, im2col_into, ConvGeom, Rng, SimdLevel, Tensor,
-    Workspace,
+    col2im_into, conv_gemm_into, gemm_into, im2col_into, ConvGeom, Rng, Tensor, Workspace,
 };
 
 /// A 2-D convolution layer (`C×H×W` → `out_c×H'×W'`), optionally fused with a
@@ -129,7 +128,6 @@ impl Layer for Conv2d {
         let mut out = vec![0.0f32; self.out_c * positions];
         conv_gemm_into(
             self.ws.packs_mut(),
-            SimdLevel::auto(),
             self.weights.as_slice(),
             input.as_slice(),
             &self.geom,

@@ -52,8 +52,7 @@ pub use layer::Layer;
 pub use loss::{cross_entropy_from_logits, softmax, SoftmaxCrossEntropy};
 pub use op::{AnalogOp, OpCounts};
 pub use quant::{
-    dequantize_symmetric, quantize_network_weights, quantize_symmetric, quantize_symmetric_pow2,
-    QuantizedWeights,
+    dequantize_symmetric, quantize_network_weights, quantize_symmetric, QuantizedWeights,
 };
 pub use spec::{LayerSpec, NetworkSpec};
 pub use stats::{summarize, LayerStats, NetworkSummary, PrefixTotals};

@@ -45,70 +45,6 @@ pub fn quantize_symmetric(values: &[f32], bits: u32) -> QuantizedWeights {
     QuantizedWeights { codes, scale, bits }
 }
 
-impl QuantizedWeights {
-    /// The codes as the packed `i8` DAC operands the integer code-domain
-    /// GEMM engine consumes, or `None` if any code falls outside the
-    /// symmetric signed 8-bit DAC range `[-127, 127]`.
-    pub fn codes_i8(&self) -> Option<Vec<i8>> {
-        self.codes
-            .iter()
-            .map(|&c| {
-                if (-127..=127).contains(&c) {
-                    Some(c as i8)
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-}
-
-/// `2^e` as an exact f32 built from the exponent bits; `e` is clamped to
-/// the normal range `[-126, 127]`.
-fn pow2(e: i32) -> f32 {
-    f32::from_bits(((e.clamp(-126, 127) + 127) as u32) << 23)
-}
-
-/// Quantizes values like [`quantize_symmetric`], but constrains the scale
-/// to an exact normal power of two — the form the executor's code-domain
-/// MAC fast path requires, because multiplying an integer code by a normal
-/// power-of-two scale is exact in `f32`, so the reconstructed weights carry
-/// no rounding of their own.
-///
-/// The scale is the smallest normal power of two with
-/// `max_abs / scale ≤ max_code`; an all-zero input quantizes to all-zero
-/// codes with scale 1. Relative to [`quantize_symmetric`] the step can be
-/// up to 2× coarser (one extra bit of rounding in the worst case), which
-/// the accuracy harness shows is immaterial at 8 bits.
-///
-/// # Panics
-///
-/// Panics if `bits` is not in `2..=31`.
-pub fn quantize_symmetric_pow2(values: &[f32], bits: u32) -> QuantizedWeights {
-    assert!((2..=31).contains(&bits), "bit width {bits} out of range");
-    let max_code = (1i32 << (bits - 1)) - 1;
-    let max_abs = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if max_abs == 0.0 {
-        1.0
-    } else {
-        let target = max_abs / max_code as f32;
-        let mut e = if target < f32::MIN_POSITIVE {
-            -126
-        } else {
-            ((target.to_bits() >> 23) & 0xff) as i32 - 127
-        };
-        if pow2(e) < target {
-            e += 1;
-        }
-        pow2(e)
-    };
-    let codes = values
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-max_code as f32, max_code as f32) as i32)
-        .collect();
-    QuantizedWeights { codes, scale, bits }
-}
-
 /// Maps quantized codes back to reals.
 pub fn dequantize_symmetric(q: &QuantizedWeights) -> Vec<f32> {
     q.codes.iter().map(|&c| c as f32 * q.scale).collect()
@@ -216,54 +152,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn one_bit_panics() {
         quantize_symmetric(&[1.0], 1);
-    }
-
-    #[test]
-    fn pow2_scale_is_an_exact_power_of_two_covering_the_range() {
-        let values = vec![-0.83f32, 0.4, 0.0, 0.77, -0.12];
-        let q = quantize_symmetric_pow2(&values, 8);
-        assert!(q.scale.is_normal());
-        assert_eq!(q.scale.to_bits() & 0x007f_ffff, 0, "mantissa must be 0");
-        assert!(q.codes.iter().all(|&c| c.abs() <= 127));
-        // Round-trip error bounded by half a (power-of-two) step.
-        for (v, &c) in values.iter().zip(&q.codes) {
-            assert!((v - c as f32 * q.scale).abs() <= q.scale / 2.0 + 1e-7);
-        }
-        // Tightest such power: halving the step would overflow the range.
-        assert!((0.83f32 / (q.scale / 2.0)).round() > 127.0);
-    }
-
-    #[test]
-    fn pow2_scale_zero_input_is_stable() {
-        let q = quantize_symmetric_pow2(&[0.0, 0.0], 8);
-        assert_eq!(q.codes, vec![0, 0]);
-        assert_eq!(q.scale, 1.0);
-    }
-
-    #[test]
-    fn pow2_scale_handles_exact_boundaries_and_tiny_values() {
-        // max_abs/max_code exactly a power of two keeps that power.
-        let q = quantize_symmetric_pow2(&[127.0 * 0.25, -1.0], 8);
-        assert_eq!(q.scale, 0.25);
-        assert_eq!(q.codes[0], 127);
-        // Subnormal maxima clamp the step at the smallest normal.
-        let tiny = f32::MIN_POSITIVE / 4.0;
-        let q = quantize_symmetric_pow2(&[tiny], 8);
-        assert!(q.scale.is_normal());
-        assert_eq!(q.scale, f32::MIN_POSITIVE);
-    }
-
-    #[test]
-    fn codes_i8_emits_dac_operands_within_range() {
-        let q = quantize_symmetric(&[-1.0, 0.5, 1.0], 8);
-        let packed = q.codes_i8().expect("8-bit codes fit the DAC");
-        assert_eq!(packed.len(), 3);
-        assert_eq!(packed[0], -127);
-        assert_eq!(packed[2], 127);
-        let wide = quantize_symmetric(&[-1.0, 1.0], 12);
-        assert!(
-            wide.codes_i8().is_none(),
-            "12-bit codes exceed the signed 8-bit DAC range"
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! Packed, cache-blocked, multi-threaded GEMM engine with SIMD microkernels
-//! and an implicit-GEMM convolution front end.
+//! Packed, cache-blocked, multi-threaded GEMM engine with one portable
+//! register microkernel and an implicit-GEMM convolution front end.
 //!
 //! Convolutions lower onto matrix products, so this one kernel carries
 //! essentially all the arithmetic of the digital reference path and of the
@@ -16,11 +16,12 @@
 //!   is absorbed by the gather in the pack step and the inner loops never
 //!   see it.
 //! - An `MR×NR` register microkernel with fixed-size array accumulators
-//!   does the arithmetic. Three variants exist — portable, AVX2, AVX-512 —
-//!   selected by a [`SimdLevel`]; the vector kernels are lane-parallel over
-//!   `NR` with *separate* multiply and add instructions (no FMA
-//!   contraction), so all three accumulate every output element in the
-//!   exact scalar `k`-order and are bit-identical (see [`crate::simd`]).
+//!   does the arithmetic. It is plain safe Rust: every output element
+//!   accumulates `acc += a * b` in `k`-order with a separate multiply and
+//!   add (Rust never contracts them into an FMA), so the result does not
+//!   depend on the target. The compiler vectorizes the `NR`-wide rows to
+//!   whatever lanes the build targets; `.cargo/config.toml` builds for the
+//!   host CPU with 512-bit lanes preferred where AVX-512 exists.
 //! - When a thread budget is given and the product is large enough to
 //!   amortize spawning, output row bands are computed in parallel with
 //!   scoped threads. Workers share the packed B panel read-only and each
@@ -42,8 +43,8 @@
 //! conv workspace by `patch_len × out_positions` floats. Because the packed
 //! panel bytes are identical to packing an explicit `im2col` matrix, and
 //! blocking and microkernel are shared, the implicit path is bit-identical
-//! to the `im2col` + [`gemm_into`] oracle at every geometry, level, and
-//! thread count.
+//! to the `im2col` + [`gemm_into`] oracle at every geometry and thread
+//! count.
 //!
 //! [`PackedWeights`] completes the picture for inference engines that run
 //! the same filters every frame: the A-side (weight) packing is hoisted
@@ -52,7 +53,6 @@
 
 use crate::conv::ConvGeom;
 use crate::par;
-use crate::simd::SimdLevel;
 use crate::workspace::{PackBuffers, Workspace};
 use crate::{Tensor, TensorError};
 
@@ -374,22 +374,21 @@ enum BSrc<'a> {
     Conv { src: &'a [f32], geom: &'a ConvGeom },
 }
 
-/// The portable register microkernel: one `MR×NR` accumulator tile over a
-/// shared inner extent. `apanel` is `kc` steps of `MR` packed A values,
-/// `bpanel` `kc` steps of `NR` packed B values; the fixed-size accumulator
-/// array and `as_chunks` iteration make the loop body branch- and
-/// bounds-check free. Its per-element semantics — `acc[c] += a * b[c]`, two
-/// roundings per step, `k`-sequential — are the contract the vector
-/// kernels below reproduce exactly.
+/// The register microkernel: one `MR×NR` accumulator tile over a shared
+/// inner extent. `apanel` is `kc` steps of `MR` packed A values, `bpanel`
+/// `kc` steps of `NR` packed B values; the fixed-size accumulator array and
+/// `as_chunks` iteration make the loop body branch- and bounds-check free.
+/// Per element it computes `acc[c] += a * b[c]`: two roundings per step,
+/// `k`-sequential, no FMA.
 #[inline(always)]
-fn fma_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
+fn mul_add_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
     for c in 0..NR {
         acc[c] += a * b[c];
     }
 }
 
 #[inline(always)]
-fn microkernel_portable(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
+fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
     let mut r0 = [0.0f32; NR];
     let mut r1 = [0.0f32; NR];
     let mut r2 = [0.0f32; NR];
@@ -401,187 +400,16 @@ fn microkernel_portable(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
     let (asteps, _) = apanel.as_chunks::<MR>();
     let (bsteps, _) = bpanel.as_chunks::<NR>();
     for (ap, b) in asteps.iter().zip(bsteps.iter()) {
-        fma_row(&mut r0, ap[0], b);
-        fma_row(&mut r1, ap[1], b);
-        fma_row(&mut r2, ap[2], b);
-        fma_row(&mut r3, ap[3], b);
-        fma_row(&mut r4, ap[4], b);
-        fma_row(&mut r5, ap[5], b);
-        fma_row(&mut r6, ap[6], b);
-        fma_row(&mut r7, ap[7], b);
+        mul_add_row(&mut r0, ap[0], b);
+        mul_add_row(&mut r1, ap[1], b);
+        mul_add_row(&mut r2, ap[2], b);
+        mul_add_row(&mut r3, ap[3], b);
+        mul_add_row(&mut r4, ap[4], b);
+        mul_add_row(&mut r5, ap[5], b);
+        mul_add_row(&mut r6, ap[6], b);
+        mul_add_row(&mut r7, ap[7], b);
     }
     [r0, r1, r2, r3, r4, r5, r6, r7]
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-mod avx2 {
-    //! The AVX2 mul+add register microkernel.
-    //!
-    //! Everything here uses the *safe* `#[target_feature]` intrinsics of
-    //! Rust ≥ 1.87: no raw pointer ever appears. Vector loads are
-    //! assembled with `_mm256_set_ps` from bounds-checked slices (LLVM
-    //! folds the lane construction into a single 32-byte load) and stores
-    //! go through per-lane extracts, which fold likewise.
-    //!
-    //! The `8×16` tile needs 16 ymm accumulators — the whole AVX2 register
-    //! file — so the kernel runs two passes of four rows each. Rows
-    //! accumulate independently, so splitting the row loop leaves every
-    //! output element's `k`-order untouched and the result stays
-    //! bit-identical to the portable kernel.
-
-    use super::{MR, NR};
-    use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_castps_si256, _mm256_extract_epi32, _mm256_mul_ps,
-        _mm256_set1_ps, _mm256_set_ps, _mm256_setzero_ps,
-    };
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn load_ymm(w: &[f32; 8]) -> __m256 {
-        _mm256_set_ps(w[7], w[6], w[5], w[4], w[3], w[2], w[1], w[0])
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn store_ymm(v: __m256, out: &mut [f32; 8]) {
-        let vi = _mm256_castps_si256(v);
-        out[0] = f32::from_bits(_mm256_extract_epi32::<0>(vi) as u32);
-        out[1] = f32::from_bits(_mm256_extract_epi32::<1>(vi) as u32);
-        out[2] = f32::from_bits(_mm256_extract_epi32::<2>(vi) as u32);
-        out[3] = f32::from_bits(_mm256_extract_epi32::<3>(vi) as u32);
-        out[4] = f32::from_bits(_mm256_extract_epi32::<4>(vi) as u32);
-        out[5] = f32::from_bits(_mm256_extract_epi32::<5>(vi) as u32);
-        out[6] = f32::from_bits(_mm256_extract_epi32::<6>(vi) as u32);
-        out[7] = f32::from_bits(_mm256_extract_epi32::<7>(vi) as u32);
-    }
-
-    /// Two half-tiles of `4×NR`: per step, broadcast one A value per row
-    /// and issue separate `vmulps`/`vaddps` against the two 8-lane B
-    /// halves — never `vfmadd`, preserving the scalar two-roundings-per-
-    /// step semantics.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub(super) fn microkernel(apanel: &[f32], bpanel: &[f32], out: &mut [[f32; NR]; MR]) {
-        let (asteps, _) = apanel.as_chunks::<MR>();
-        let (bsteps, _) = bpanel.as_chunks::<NR>();
-        for half in 0..2 {
-            let r0 = half * 4;
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            for (ap, bp) in asteps.iter().zip(bsteps.iter()) {
-                let b0 = load_ymm(bp[0..8].try_into().expect("8-lane half"));
-                let b1 = load_ymm(bp[8..16].try_into().expect("8-lane half"));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a = _mm256_set1_ps(ap[r0 + r]);
-                    acc_r[0] = _mm256_add_ps(acc_r[0], _mm256_mul_ps(a, b0));
-                    acc_r[1] = _mm256_add_ps(acc_r[1], _mm256_mul_ps(a, b1));
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                let out_r = &mut out[r0 + r];
-                store_ymm(acc_r[0], (&mut out_r[0..8]).try_into().expect("half"));
-                store_ymm(acc_r[1], (&mut out_r[8..16]).try_into().expect("half"));
-            }
-        }
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-mod avx512 {
-    //! The AVX-512 mul+add register microkernel: the full `8×16` tile in
-    //! eight zmm accumulators, one 16-lane B vector per step. Same safe
-    //! `#[target_feature]` intrinsics discipline as the AVX2 kernel; f32
-    //! lanes are stored through integer extracts (`castps` + epi32
-    //! extract + `from_bits`) because no direct f32 lane extract exists.
-
-    use super::{MR, NR};
-    use core::arch::x86_64::{
-        __m256i, __m512, _mm256_extract_epi32, _mm512_add_ps, _mm512_castps_si512,
-        _mm512_extracti64x4_epi64, _mm512_mul_ps, _mm512_set1_ps, _mm512_set_ps, _mm512_setzero_ps,
-    };
-
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn load_zmm(w: &[f32; 16]) -> __m512 {
-        _mm512_set_ps(
-            w[15], w[14], w[13], w[12], w[11], w[10], w[9], w[8], w[7], w[6], w[5], w[4], w[3],
-            w[2], w[1], w[0],
-        )
-    }
-
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn store_zmm(v: __m512, out: &mut [f32; 16]) {
-        let vi = _mm512_castps_si512(v);
-        let lo: __m256i = _mm512_extracti64x4_epi64::<0>(vi);
-        let hi: __m256i = _mm512_extracti64x4_epi64::<1>(vi);
-        out[0] = f32::from_bits(_mm256_extract_epi32::<0>(lo) as u32);
-        out[1] = f32::from_bits(_mm256_extract_epi32::<1>(lo) as u32);
-        out[2] = f32::from_bits(_mm256_extract_epi32::<2>(lo) as u32);
-        out[3] = f32::from_bits(_mm256_extract_epi32::<3>(lo) as u32);
-        out[4] = f32::from_bits(_mm256_extract_epi32::<4>(lo) as u32);
-        out[5] = f32::from_bits(_mm256_extract_epi32::<5>(lo) as u32);
-        out[6] = f32::from_bits(_mm256_extract_epi32::<6>(lo) as u32);
-        out[7] = f32::from_bits(_mm256_extract_epi32::<7>(lo) as u32);
-        out[8] = f32::from_bits(_mm256_extract_epi32::<0>(hi) as u32);
-        out[9] = f32::from_bits(_mm256_extract_epi32::<1>(hi) as u32);
-        out[10] = f32::from_bits(_mm256_extract_epi32::<2>(hi) as u32);
-        out[11] = f32::from_bits(_mm256_extract_epi32::<3>(hi) as u32);
-        out[12] = f32::from_bits(_mm256_extract_epi32::<4>(hi) as u32);
-        out[13] = f32::from_bits(_mm256_extract_epi32::<5>(hi) as u32);
-        out[14] = f32::from_bits(_mm256_extract_epi32::<6>(hi) as u32);
-        out[15] = f32::from_bits(_mm256_extract_epi32::<7>(hi) as u32);
-    }
-
-    /// Per step: one 64-byte B load, eight broadcasts, eight separate
-    /// `vmulps`+`vaddps` pairs — the exact instruction shape the scalar
-    /// kernel's semantics require (no FMA contraction).
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    pub(super) fn microkernel(apanel: &[f32], bpanel: &[f32], out: &mut [[f32; NR]; MR]) {
-        let mut acc = [_mm512_setzero_ps(); MR];
-        let (asteps, _) = apanel.as_chunks::<MR>();
-        let (bsteps, _) = bpanel.as_chunks::<NR>();
-        for (ap, bp) in asteps.iter().zip(bsteps.iter()) {
-            let b = load_zmm(bp);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let a = _mm512_set1_ps(ap[r]);
-                *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(a, b));
-            }
-        }
-        for (acc_r, out_r) in acc.iter().zip(out.iter_mut()) {
-            store_zmm(*acc_r, out_r);
-        }
-    }
-}
-
-/// Runs one `MR×NR` tile at the requested [`SimdLevel`]. Levels the build
-/// does not carry fall through to the next narrower compiled kernel; all
-/// levels produce bit-identical tiles, so the fallback is a pure
-/// performance matter.
-#[inline(always)]
-fn microkernel(level: SimdLevel, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-    #[allow(unsafe_code)]
-    if level == SimdLevel::Avx512 {
-        let mut out = [[0.0f32; NR]; MR];
-        // SAFETY: this arm only compiles when the build configuration
-        // statically enables avx512f (see the cfg gate), so the ISA is
-        // guaranteed present on every machine the binary targets; the
-        // callee touches memory only through safe bounds-checked slices.
-        unsafe { avx512::microkernel(apanel, bpanel, &mut out) };
-        return out;
-    }
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    #[allow(unsafe_code)]
-    if level >= SimdLevel::Avx2 {
-        let mut out = [[0.0f32; NR]; MR];
-        // SAFETY: as above — avx2 is statically enabled whenever this arm
-        // compiles, and the callee uses only bounds-checked slices.
-        unsafe { avx2::microkernel(apanel, bpanel, &mut out) };
-        return out;
-    }
-    let _ = level;
-    microkernel_portable(apanel, bpanel)
 }
 
 /// Computes one output row band (`band_m` rows starting at global row
@@ -592,7 +420,6 @@ fn microkernel(level: SimdLevel, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; 
 /// accumulated so the `KC`-blocked outer loop can sum partial products.
 #[allow(clippy::too_many_arguments)]
 fn compute_band(
-    level: SimdLevel,
     asrc: ASrc<'_>,
     m: usize,
     k: usize,
@@ -629,7 +456,7 @@ fn compute_band(
             for pi in 0..row_panels {
                 let apanel = &ablock[pi * MR * kc..][..MR * kc];
                 let rows = MR.min(mc - pi * MR);
-                let acc = microkernel(level, apanel, bpanel);
+                let acc = microkernel(apanel, bpanel);
                 let cols = NR.min(nc - pj * NR);
                 for (r, acc_row) in acc.iter().enumerate().take(rows) {
                     let base = (ic + pi * MR + r) * n + jc + pj * NR;
@@ -649,7 +476,6 @@ fn compute_band(
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     packs: &mut PackBuffers,
-    level: SimdLevel,
     asrc: ASrc<'_>,
     bsrc: BSrc<'_>,
     out: &mut [f32],
@@ -662,7 +488,6 @@ fn gemm_driver(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let level = level.clamp_available();
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     let threads = if flops < PARALLEL_FLOP_THRESHOLD {
         1
@@ -683,9 +508,7 @@ fn gemm_driver(
             }
             if threads == 1 {
                 let apack = ensure_len(&mut packs.a, MC * KC);
-                compute_band(
-                    level, asrc, m, k, n, bpack, apack, out, 0, m, jc, nc, pc, kc,
-                );
+                compute_band(asrc, m, k, n, bpack, apack, out, 0, m, jc, nc, pc, kc);
             } else {
                 // One MR-aligned row band per worker; each worker packs A
                 // into its private region and owns its band of `out`, so the
@@ -700,7 +523,6 @@ fn gemm_driver(
                 par::fan_out(bands, |(t, (out_band, apack))| {
                     let band_m = out_band.len() / n;
                     compute_band(
-                        level,
                         asrc,
                         m,
                         k,
@@ -730,8 +552,7 @@ fn gemm_driver(
 /// `out` is fully overwritten. Packing scratch comes from `packs` and is
 /// only ever grown, so steady-state calls at a fixed shape allocate
 /// nothing. `threads` bounds worker parallelism over output row bands;
-/// small products ignore it and run serially. The microkernel runs at
-/// [`SimdLevel::auto`]; results are identical at every level.
+/// small products ignore it and run serially.
 ///
 /// # Panics
 ///
@@ -749,49 +570,11 @@ pub fn gemm_into(
     k: usize,
     threads: usize,
 ) {
-    gemm_into_level(
-        packs,
-        SimdLevel::auto(),
-        trans_a,
-        trans_b,
-        a,
-        b,
-        out,
-        m,
-        n,
-        k,
-        threads,
-    );
-}
-
-/// [`gemm_into`] with an explicit microkernel [`SimdLevel`] — the forced-
-/// dispatch entry point used by equivalence tests and benchmarks (and by
-/// the executor's `simd` knob). Levels beyond what the build carries are
-/// clamped down; the result is bit-identical at every level regardless.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with the stated dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_into_level(
-    packs: &mut PackBuffers,
-    level: SimdLevel,
-    trans_a: bool,
-    trans_b: bool,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    threads: usize,
-) {
     assert_eq!(a.len(), m * k, "operand A length vs {m}x{k}");
     assert_eq!(b.len(), k * n, "operand B length vs {k}x{n}");
     assert_eq!(out.len(), m * n, "output length vs {m}x{n}");
     gemm_driver(
         packs,
-        level,
         ASrc::Mat { a, trans: trans_a },
         BSrc::Mat { b, trans: trans_b },
         out,
@@ -809,15 +592,13 @@ pub fn gemm_into_level(
 /// `weights` is the `(out_c × patch_len)` filter matrix, `input` the
 /// `C×H×W` tensor data per `geom`, `out` the `(out_c × out_positions)`
 /// result. Bit-identical to `im2col_into` + [`gemm_into`] at every
-/// geometry, level, and thread count.
+/// geometry and thread count.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with `geom`/`out_c`.
-#[allow(clippy::too_many_arguments)]
 pub fn conv_gemm_into(
     packs: &mut PackBuffers,
-    level: SimdLevel,
     weights: &[f32],
     input: &[f32],
     geom: &ConvGeom,
@@ -835,7 +616,6 @@ pub fn conv_gemm_into(
     assert_eq!(out.len(), out_c * n, "output length vs {out_c}x{n}");
     gemm_driver(
         packs,
-        level,
         ASrc::Mat {
             a: weights,
             trans: false,
@@ -849,10 +629,28 @@ pub fn conv_gemm_into(
     );
 }
 
+/// A stub kept only because the repository benchmark package still names
+/// it: there is one f32 microkernel, so the one variant selects nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdLevel {
+    /// The portable microkernel, the only one there is.
+    Portable,
+}
+
+impl SimdLevel {
+    /// Always [`SimdLevel::Portable`].
+    pub fn auto() -> SimdLevel {
+        SimdLevel::Portable
+    }
+}
+
 /// [`conv_gemm_into`] over weights pre-packed once with
 /// [`PackedWeights::pack`]: the per-frame A packing pass disappears and
 /// the packed panels are shared read-only across threads and frames.
 /// Bit-identical to the unpacked path by panel-layout construction.
+///
+/// The [`SimdLevel`] argument is ignored; it stays only for the benchmark
+/// package's existing call.
 ///
 /// # Panics
 ///
@@ -860,7 +658,7 @@ pub fn conv_gemm_into(
 /// the packed inner extent does not match `geom.patch_len()`.
 pub fn conv_gemm_packed_into(
     packs: &mut PackBuffers,
-    level: SimdLevel,
+    _level: SimdLevel,
     weights: &PackedWeights,
     input: &[f32],
     geom: &ConvGeom,
@@ -881,7 +679,6 @@ pub fn conv_gemm_packed_into(
     assert_eq!(out.len(), m * n, "output length vs {m}x{n}");
     gemm_driver(
         packs,
-        level,
         ASrc::Packed(weights),
         BSrc::Conv { src: input, geom },
         out,
@@ -1021,55 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn every_simd_level_is_bit_identical() {
-        let mut packs = PackBuffers::new();
-        // Shapes straddling the microkernel edge cases, plus the 512-class
-        // size where vector/portable disagreement would surface first.
-        for &(m, k, n) in &[(1, 1, 1), (9, 33, 17), (70, 300, 129), (64, 512, 96)] {
-            let a = random(m, k, m as u64 + 40);
-            let b = random(k, n, n as u64 + 41);
-            let mut want = vec![0.0f32; m * n];
-            gemm_into_level(
-                &mut packs,
-                SimdLevel::Portable,
-                false,
-                false,
-                a.as_slice(),
-                b.as_slice(),
-                &mut want,
-                m,
-                n,
-                k,
-                1,
-            );
-            for level in SimdLevel::available_levels() {
-                for threads in [1usize, 3] {
-                    let mut got = vec![0.0f32; m * n];
-                    gemm_into_level(
-                        &mut packs,
-                        level,
-                        false,
-                        false,
-                        a.as_slice(),
-                        b.as_slice(),
-                        &mut got,
-                        m,
-                        n,
-                        k,
-                        threads,
-                    );
-                    assert!(
-                        got.iter()
-                            .zip(&want)
-                            .all(|(g, w)| g.to_bits() == w.to_bits()),
-                        "level {level} threads {threads} diverged at {m}x{k}x{n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn implicit_conv_matches_im2col_oracle_bitwise() {
         // MicroNet-class geometry: 3×32×32, 3×3 stride 1 pad 1.
         let geom = ConvGeom::new(3, 32, 32, 3, 3, 1, 1).unwrap();
@@ -1099,7 +847,6 @@ mod tests {
         let mut got = vec![0.0f32; out_c * n];
         conv_gemm_into(
             &mut packs,
-            SimdLevel::auto(),
             weights.as_slice(),
             input.as_slice(),
             &geom,

@@ -24,40 +24,32 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the AVX-512 VNNI microkernel in `gemm_i8`
-// carries the crate's single, narrowly-scoped `#[allow(unsafe_code)]` at its
-// cfg-guarded dispatch call, where the target features are statically
-// guaranteed by the build configuration.
-#![deny(unsafe_code)]
+// The GEMM microkernel is plain Rust that the compiler vectorizes for the
+// build target, so no module needs intrinsics or `unsafe`.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod conv;
 mod error;
 mod gemm;
-mod gemm_i8;
 mod linalg;
 mod noise_stream;
 mod ops;
 pub mod par;
 mod rng;
 mod shape;
-mod simd;
 mod tensor;
 mod workspace;
 
 pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom, PoolGeom, RoundMode};
 pub use error::TensorError;
-pub use gemm::{
-    conv_gemm_into, conv_gemm_packed_into, gemm, gemm_into, gemm_into_level, PackedWeights,
-};
-pub use gemm_i8::gemm_i8_into;
+pub use gemm::{conv_gemm_into, conv_gemm_packed_into, gemm, gemm_into, PackedWeights, SimdLevel};
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};
 pub use noise_stream::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, SiteRng};
 pub use rng::Rng;
 pub use shape::Shape;
-pub use simd::SimdLevel;
 pub use tensor::Tensor;
-pub use workspace::{PackBuffers, PackBuffersI8, Workspace, WorkspaceStats};
+pub use workspace::{PackBuffers, Workspace, WorkspaceStats};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TensorError>;

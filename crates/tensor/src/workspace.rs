@@ -24,25 +24,6 @@ impl PackBuffers {
     }
 }
 
-/// Packing scratch for the integer code-domain GEMM engine (see
-/// [`crate::gemm_i8_into`]).
-///
-/// Same ownership story as [`PackBuffers`], but the panels hold packed
-/// i16-pair lanes (`i32` each) instead of `f32` values. Buffers only ever
-/// grow.
-#[derive(Debug, Default)]
-pub struct PackBuffersI8 {
-    pub(crate) a: Vec<i32>,
-    pub(crate) b: Vec<i32>,
-}
-
-impl PackBuffersI8 {
-    /// An empty pack scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Per-layer scratch arena: an `im2col` staging buffer plus GEMM pack
 /// buffers.
 ///
@@ -64,7 +45,6 @@ impl PackBuffersI8 {
 pub struct Workspace {
     pub(crate) im2col: Vec<f32>,
     pub(crate) packs: PackBuffers,
-    pub(crate) packs_i8: PackBuffersI8,
     /// Backward-pass staging: the `Wᵀ·g` patch-gradient matrix that
     /// `col2im` scatters back onto the input plane.
     pub(crate) grad_cols: Vec<f32>,
@@ -86,14 +66,6 @@ pub struct WorkspaceStats {
     pub pack_b_ptr: usize,
     /// Capacity (elements) of the packed-B buffer.
     pub pack_b_capacity: usize,
-    /// Base address of the integer packed-A buffer.
-    pub pack_ia_ptr: usize,
-    /// Capacity (elements) of the integer packed-A buffer.
-    pub pack_ia_capacity: usize,
-    /// Base address of the integer packed-B buffer.
-    pub pack_ib_ptr: usize,
-    /// Capacity (elements) of the integer packed-B buffer.
-    pub pack_ib_capacity: usize,
     /// Base address of the backward patch-gradient buffer.
     pub grad_cols_ptr: usize,
     /// Capacity (elements) of the backward patch-gradient buffer.
@@ -111,32 +83,11 @@ impl Workspace {
         &mut self.packs
     }
 
-    /// The integer code-domain GEMM packing scratch.
-    pub fn packs_i8_mut(&mut self) -> &mut PackBuffersI8 {
-        &mut self.packs_i8
-    }
-
     /// Splits the arena into the `im2col` staging buffer and the GEMM pack
     /// scratch, so a convolution can lower into one while multiplying
     /// through the other.
     pub fn split_im2col_packs(&mut self) -> (&mut Vec<f32>, &mut PackBuffers) {
         (&mut self.im2col, &mut self.packs)
-    }
-
-    /// Splits the arena into the `im2col` staging buffer and the *integer*
-    /// pack scratch, for convolutions lowered through the code-domain
-    /// engine.
-    pub fn split_im2col_packs_i8(&mut self) -> (&mut Vec<f32>, &mut PackBuffersI8) {
-        (&mut self.im2col, &mut self.packs_i8)
-    }
-
-    /// Splits the arena three ways: `im2col` staging, the f32 pack scratch,
-    /// and the integer pack scratch — for a conv executor that decides per
-    /// frame which GEMM engine the lowered product runs through.
-    pub fn split_im2col_all_packs(
-        &mut self,
-    ) -> (&mut Vec<f32>, &mut PackBuffers, &mut PackBuffersI8) {
-        (&mut self.im2col, &mut self.packs, &mut self.packs_i8)
     }
 
     /// Splits the arena for a conv backward pass: `im2col` staging (for the
@@ -154,7 +105,6 @@ impl Workspace {
         use std::mem::size_of;
         (self.im2col.capacity() + self.grad_cols.capacity()) * size_of::<f32>()
             + (self.packs.a.capacity() + self.packs.b.capacity()) * size_of::<f32>()
-            + (self.packs_i8.a.capacity() + self.packs_i8.b.capacity()) * size_of::<i32>()
     }
 
     /// Snapshots buffer base addresses and capacities.
@@ -169,10 +119,6 @@ impl Workspace {
             pack_a_capacity: self.packs.a.capacity(),
             pack_b_ptr: self.packs.b.as_ptr() as usize,
             pack_b_capacity: self.packs.b.capacity(),
-            pack_ia_ptr: self.packs_i8.a.as_ptr() as usize,
-            pack_ia_capacity: self.packs_i8.a.capacity(),
-            pack_ib_ptr: self.packs_i8.b.as_ptr() as usize,
-            pack_ib_capacity: self.packs_i8.b.capacity(),
             grad_cols_ptr: self.grad_cols.as_ptr() as usize,
             grad_cols_capacity: self.grad_cols.capacity(),
         }
@@ -221,9 +167,8 @@ mod tests {
         assert_eq!(ws.peak_bytes(), 0);
         ws.im2col.reserve_exact(256);
         ws.grad_cols.reserve_exact(64);
-        ws.packs_i8.b.reserve_exact(32);
-        let floats = ws.im2col.capacity() + ws.grad_cols.capacity();
-        let ints = ws.packs_i8.b.capacity();
-        assert_eq!(ws.peak_bytes(), floats * 4 + ints * 4);
+        ws.packs.b.reserve_exact(32);
+        let floats = ws.im2col.capacity() + ws.grad_cols.capacity() + ws.packs.b.capacity();
+        assert_eq!(ws.peak_bytes(), floats * 4);
     }
 }

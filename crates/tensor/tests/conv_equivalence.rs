@@ -1,5 +1,5 @@
 //! Property-based equivalence for the implicit-GEMM convolution path and
-//! the SIMD microkernel dispatch.
+//! the threaded GEMM.
 //!
 //! Two bit-exactness contracts are pinned here:
 //!
@@ -10,18 +10,16 @@
 //!    staged — padding taps as literal `0.0` — and the multiply itself is
 //!    the same blocked engine.
 //!
-//! 2. **SIMD level invariance.** Every compiled microkernel level
-//!    (portable / AVX2 / AVX-512) must produce bitwise-equal output at any
-//!    shape and thread budget: the vector kernels are lane-parallel over
-//!    output columns with separate mul+add, so each element accumulates in
-//!    exactly the scalar program order.
+//! 2. **Thread invariance.** A GEMM split over any thread budget must equal
+//!    the serial call bitwise at any shape: each output element is
+//!    accumulated by exactly one worker in the same `k`-order.
 //!
 //! Both are exact assertions (`to_bits` equality), not tolerances.
 
 use proptest::prelude::*;
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_into, gemm_into_level, im2col_into, ConvGeom,
-    PackBuffers, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
+    conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, ConvGeom, PackBuffers,
+    PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
 
 fn random_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -45,31 +43,34 @@ fn explicit_conv(geom: &ConvGeom, weights: &[f32], input: &[f32], out_c: usize) 
 }
 
 /// Asserts both implicit entry points equal the explicit oracle bitwise,
-/// across every compiled SIMD level and a serial plus an oversubscribed
-/// thread budget.
+/// at a serial and an oversubscribed thread budget.
 fn assert_conv_equivalence(geom: &ConvGeom, out_c: usize, seed: u64) {
     let weights = random_vec(out_c * geom.patch_len(), seed);
     let input = random_vec(geom.in_c() * geom.in_h() * geom.in_w(), seed ^ 0x9e37_79b9);
     let oracle = explicit_conv(geom, &weights, &input, out_c);
     let packed = PackedWeights::pack(&weights, out_c, geom.patch_len());
-    for level in SimdLevel::available_levels() {
-        for threads in [1usize, 3] {
-            let mut packs = PackBuffers::new();
-            let mut out = vec![0.0f32; oracle.len()];
-            conv_gemm_into(
-                &mut packs, level, &weights, &input, geom, &mut out, out_c, threads,
-            );
-            assert!(
-                bits(&out) == bits(&oracle),
-                "implicit conv diverged from im2col oracle at {geom}, {level}, {threads} threads"
-            );
-            out.fill(0.0);
-            conv_gemm_packed_into(&mut packs, level, &packed, &input, geom, &mut out, threads);
-            assert!(
-                bits(&out) == bits(&oracle),
-                "pack-once conv diverged from im2col oracle at {geom}, {level}, {threads} threads"
-            );
-        }
+    for threads in [1usize, 3] {
+        let mut packs = PackBuffers::new();
+        let mut out = vec![0.0f32; oracle.len()];
+        conv_gemm_into(&mut packs, &weights, &input, geom, &mut out, out_c, threads);
+        assert!(
+            bits(&out) == bits(&oracle),
+            "implicit conv diverged from im2col oracle at {geom}, {threads} threads"
+        );
+        out.fill(0.0);
+        conv_gemm_packed_into(
+            &mut packs,
+            SimdLevel::auto(),
+            &packed,
+            &input,
+            geom,
+            &mut out,
+            threads,
+        );
+        assert!(
+            bits(&out) == bits(&oracle),
+            "pack-once conv diverged from im2col oracle at {geom}, {threads} threads"
+        );
     }
 }
 
@@ -148,10 +149,10 @@ proptest! {
         assert_conv_equivalence(&geom, out_c, seed);
     }
 
-    /// Plain GEMM at every compiled SIMD level is bit-identical to the
-    /// portable kernel at any shape and thread budget.
+    /// Plain GEMM at any thread budget is bit-identical to the serial call
+    /// at any shape.
     #[test]
-    fn simd_levels_bit_identical_on_random_gemms(
+    fn threaded_gemm_bit_identical_to_serial_on_random_gemms(
         m in 1usize..=70,
         k in 1usize..=60,
         n in 1usize..=60,
@@ -162,19 +163,12 @@ proptest! {
         let b = random_vec(k * n, seed ^ 0xBEEF);
         let mut reference = vec![0.0f32; m * n];
         let mut packs = PackBuffers::new();
-        gemm_into_level(
-            &mut packs, SimdLevel::Portable, false, false, &a, &b, &mut reference,
-            m, n, k, 1,
+        gemm_into(&mut packs, false, false, &a, &b, &mut reference, m, n, k, 1);
+        let mut out = vec![0.0f32; m * n];
+        gemm_into(&mut packs, false, false, &a, &b, &mut out, m, n, k, threads);
+        prop_assert_eq!(
+            bits(&out), bits(&reference),
+            "{} threads diverged from the serial call", threads
         );
-        for level in SimdLevel::available_levels() {
-            let mut out = vec![0.0f32; m * n];
-            gemm_into_level(
-                &mut packs, level, false, false, &a, &b, &mut out, m, n, k, threads,
-            );
-            prop_assert_eq!(
-                bits(&out), bits(&reference),
-                "level {} @ {} threads diverged from portable", level, threads
-            );
-        }
     }
 }

@@ -410,7 +410,6 @@ fn implicit_conv_equals_im2col_at_googlenet_block_boundaries() {
     for threads in [1, 2] {
         conv_gemm_into(
             &mut packs,
-            SimdLevel::auto(),
             weights.as_slice(),
             input.as_slice(),
             &geom,
