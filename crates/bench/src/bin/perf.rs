@@ -1,25 +1,24 @@
 //! Performance measurement of the simulation hot path.
 //!
-//! Four sections, each with its own JSON report:
+//! Four sections, each with its own JSON report of `{name, value, unit}`
+//! records ([`redeye_bench::schema`]):
 //!
 //! - **GEMM** (`BENCH_gemm.json`): the packed GEMM engine against the
 //!   retained naive reference at the paper-relevant square sizes, one
-//!   MicroNet forward epoch, and the frame-parallel accuracy sweep at 1 vs
-//!   4 worker threads.
+//!   MicroNet forward epoch, and the frame-parallel accuracy sweep per
+//!   thread budget.
 //! - **Analog** (`BENCH_analog.json`): the layer-noise stage at the
 //!   Depth3 sample count (per-site Box–Muller vs the blocked polar
-//!   `add_scaled_normal`) plus whole GoogLeNet frames at
-//!   Depth1/Depth3/Depth5 across thread budgets.
+//!   `add_scaled_normal`), the max-pool comparator stage (screened
+//!   `max_window` vs the exact `compare` chain over one tap set), plus
+//!   whole GoogLeNet frames at Depth1/Depth3/Depth5 per thread budget.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
-//!   on the work-stealing scheduler at worker counts 1/2/4, per depth.
+//!   on the work-stealing scheduler per worker count, per depth.
 //! - **Conv** (`BENCH_conv.json`, via `--conv`): the implicit-GEMM conv
 //!   path (pack-once weights, no im2col matrix) against the explicit
-//!   im2col lowering at per-layer shapes — each row carries the peak
-//!   workspace bytes its path staged.
-//!
-//! GEMM/analog rows are `{name, wall_ms, threads}`; throughput rows are
-//! `{name, frames, wall_ms, fps, workers}`.
+//!   im2col lowering at per-layer shapes, with the peak workspace bytes
+//!   each path staged.
 //!
 //! Usage: `cargo run --release -p redeye-bench --bin perf [-- FLAGS]`
 //!
@@ -27,82 +26,56 @@
 //! - `--throughput`: run only the throughput section.
 //! - `--conv`: run only the convolution-path section.
 //! - `--smoke`: CI-sized run — Depth1 only, fewer reps, smaller kernels.
-//! - `--workers <n|auto>`: worker budget for the throughput sweep
-//!   (default `auto` = `available_parallelism`); the sweep covers
-//!   `worker_counts(budget)`.
+//! - `--workers <n|auto>`: thread and worker budget (default `auto` =
+//!   `available_parallelism`); every swept section covers
+//!   `worker_counts(budget)` threads or workers.
 //!
 //! Each swept depth's `DepthScenario` (compiled program + input) is built
 //! exactly once and shared by the analog and throughput sections.
 
-use redeye_bench::schema::{ConvRow, Row, ThroughputRow};
-use redeye_bench::workload::{self, DepthScenario};
-use redeye_core::{auto_workers, BatchExecutor, Depth, Executor};
+use redeye_analog::Comparator;
+use redeye_bench::schema::{write_report, Record};
+use redeye_bench::workload::{self, best_of, parse_workers, wall_ms, worker_counts, DepthScenario};
+use redeye_core::{BatchExecutor, Depth, Executor};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_into, im2col_into, matmul_naive, par, ConvGeom, NoiseSource,
     NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
 };
-use std::time::Instant;
 
-/// Wall-clock milliseconds of the best of `reps` runs (best-of filters
-/// scheduler noise without needing a statistics stack).
-fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-fn bench_gemm(rows: &mut Vec<Row>, size: usize, threads: usize) {
+fn bench_gemm(records: &mut Vec<Record>, size: usize, max_threads: usize) {
     let mut rng = Rng::seed_from(size as u64);
     let a = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
     let b = Tensor::uniform(&[size, size], -1.0, 1.0, &mut rng);
     let mut ws = Workspace::new();
     // Warm the workspace to its high-water mark before timing.
-    gemm(&mut ws, false, false, &a, &b, threads).expect("gemm");
+    gemm(&mut ws, false, false, &a, &b, max_threads).expect("gemm");
 
-    // Interleave the three variants within each rep so host-load drift hits
-    // them equally and the reported ratios stay meaningful.
+    // Interleave the variants within each rep so host-load drift hits them
+    // equally and the reported ratios stay meaningful.
     let reps = if size >= 512 { 5 } else { 7 };
+    let threads = worker_counts(max_threads);
     let mut naive_ms = f64::INFINITY;
-    let mut packed_1_ms = f64::INFINITY;
-    let mut packed_n_ms = f64::INFINITY;
+    let mut packed_ms = vec![f64::INFINITY; threads.len()];
     for _ in 0..reps {
-        naive_ms = naive_ms.min(best_of(1, || {
+        naive_ms = naive_ms.min(wall_ms(|| {
             matmul_naive(&a, &b).expect("naive matmul");
         }));
-        packed_1_ms = packed_1_ms.min(best_of(1, || {
-            gemm(&mut ws, false, false, &a, &b, 1).expect("gemm");
-        }));
-        packed_n_ms = packed_n_ms.min(best_of(1, || {
-            gemm(&mut ws, false, false, &a, &b, threads).expect("gemm");
-        }));
+        for (best, &t) in packed_ms.iter_mut().zip(&threads) {
+            *best = best.min(wall_ms(|| {
+                gemm(&mut ws, false, false, &a, &b, t).expect("gemm");
+            }));
+        }
     }
 
-    println!(
-        "gemm {size}^3: naive {naive_ms:.1} ms | packed(1t) {packed_1_ms:.1} ms ({:.2}x) | packed({threads}t) {packed_n_ms:.1} ms ({:.2}x)",
-        naive_ms / packed_1_ms,
-        naive_ms / packed_n_ms,
-    );
-    rows.push(Row {
-        name: format!("gemm_{size}_naive"),
-        wall_ms: naive_ms,
-        threads: 1,
-    });
-    rows.push(Row {
-        name: format!("gemm_{size}_packed"),
-        wall_ms: packed_1_ms,
-        threads: 1,
-    });
-    rows.push(Row {
-        name: format!("gemm_{size}_packed"),
-        wall_ms: packed_n_ms,
-        threads,
-    });
+    print!("gemm {size}^3: naive {naive_ms:.1} ms");
+    records.push(Record::new(format!("gemm_{size}_naive"), naive_ms, "ms"));
+    for (ms, t) in packed_ms.into_iter().zip(threads) {
+        print!(" | packed({t}t) {ms:.1} ms ({:.2}x)", naive_ms / ms);
+        records.push(Record::new(format!("gemm_{size}_packed_{t}t"), ms, "ms"));
+    }
+    println!();
 }
 
 /// The GEMM-section scenario builder: the micronet spec plus a freshly
@@ -115,7 +88,7 @@ fn micronet_scenario(seed: u64) -> (NetworkSpec, Network, Rng) {
     (spec, net, rng)
 }
 
-fn bench_micronet_epoch(rows: &mut Vec<Row>) {
+fn bench_micronet_epoch(records: &mut Vec<Record>) {
     let (_, mut net, mut rng) = micronet_scenario(3);
     net.set_training(false);
     let inputs: Vec<Tensor> = (0..64)
@@ -131,56 +104,39 @@ fn bench_micronet_epoch(rows: &mut Vec<Row>) {
         }
     });
     println!("micronet forward epoch (64 frames): {ms:.1} ms");
-    rows.push(Row {
-        name: "micronet_forward_epoch".into(),
-        wall_ms: ms,
-        threads: 1,
-    });
+    records.push(Record::new("micronet_forward_epoch", ms, "ms"));
 }
 
-fn bench_accuracy_sweep(rows: &mut Vec<Row>) {
+fn bench_accuracy_sweep(records: &mut Vec<Record>, max_threads: usize) {
     let (spec, mut net, _) = micronet_scenario(9);
     let params = extract_params(&mut net);
     let examples = workload::validation_set(96, 11);
 
-    let sweep_ms = |threads: usize| {
+    print!("accuracy sweep (96 frames):");
+    for threads in worker_counts(max_threads) {
         let harness = AccuracyHarness::new(examples.clone(), threads);
-        let start = Instant::now();
-        harness
-            .evaluate(|worker| {
-                let opts = InstrumentOptions {
-                    seed: 31 + worker as u64,
-                    ..InstrumentOptions::paper_default("pool3")
-                };
-                instrument(&spec, &params, &opts)
-            })
-            .expect("accuracy evaluation");
-        start.elapsed().as_secs_f64() * 1e3
-    };
-
-    let ms_1 = sweep_ms(1);
-    let ms_4 = sweep_ms(4);
-    println!(
-        "accuracy sweep (96 frames): 1 thread {ms_1:.1} ms | 4 threads {ms_4:.1} ms ({:.2}x)",
-        ms_1 / ms_4
-    );
-    rows.push(Row {
-        name: "accuracy_sweep".into(),
-        wall_ms: ms_1,
-        threads: 1,
-    });
-    rows.push(Row {
-        name: "accuracy_sweep".into(),
-        wall_ms: ms_4,
-        threads: 4,
-    });
+        let ms = wall_ms(|| {
+            harness
+                .evaluate(|worker| {
+                    let opts = InstrumentOptions {
+                        seed: 31 + worker as u64,
+                        ..InstrumentOptions::paper_default("pool3")
+                    };
+                    instrument(&spec, &params, &opts)
+                })
+                .expect("accuracy evaluation");
+        });
+        print!(" {threads}t {ms:.1} ms");
+        records.push(Record::new(format!("accuracy_sweep_{threads}t"), ms, "ms"));
+    }
+    println!();
 }
 
 /// Times the executor's layer-noise stage at Depth3 scale: a per-site
 /// Box–Muller loop (`SiteRng::standard_normal`, the comparator's sampler)
-/// against the blocked polar `add_scaled_normal` the executor uses, serial
-/// and sharded on even offsets as the executor shards it.
-fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
+/// against the blocked polar `add_scaled_normal` the executor uses,
+/// sharded on even offsets as the executor shards it.
+fn bench_noise_kernels(records: &mut Vec<Record>, max_threads: usize, smoke: bool) {
     // The layer-noise samples one GoogLeNet Depth3 frame draws: every
     // conv, LRN and average-pool output element through inception_3b.
     let n: usize = if smoke { 1 << 19 } else { 3_285_504 };
@@ -195,45 +151,104 @@ fn bench_noise_kernels(rows: &mut Vec<Row>, smoke: bool) {
         }
         std::hint::black_box(&buf);
     });
-    let batched_ms = best_of(reps, || {
-        stream.add_scaled_normal(0, sigma, &mut buf);
-        std::hint::black_box(&buf);
-    });
-    let mut sharded_ms = |threads: usize| {
-        best_of(reps, || {
-            let chunk = n.div_ceil(threads).div_ceil(2) * 2;
-            par::fan_out(buf.chunks_mut(chunk).enumerate(), |(t, band)| {
-                stream.add_scaled_normal((t * chunk) as u64, sigma, band);
-            });
+    print!("noise kernel ({n} samples): scalar {scalar_ms:.1} ms");
+    records.push(Record::new("noise_d3_scalar", scalar_ms, "ms"));
+    for threads in worker_counts(max_threads) {
+        let ms = best_of(reps, || {
+            if threads == 1 {
+                stream.add_scaled_normal(0, sigma, &mut buf);
+            } else {
+                let chunk = n.div_ceil(threads).div_ceil(2) * 2;
+                par::fan_out(buf.chunks_mut(chunk).enumerate(), |(t, band)| {
+                    stream.add_scaled_normal((t * chunk) as u64, sigma, band);
+                });
+            }
             std::hint::black_box(&buf);
-        })
-    };
-    let batched_2t_ms = sharded_ms(2);
-    let batched_4t_ms = sharded_ms(4);
-
-    println!(
-        "noise kernel ({n} samples): scalar {scalar_ms:.1} ms | batched(1t) {batched_ms:.1} ms ({:.2}x) | batched(2t) {batched_2t_ms:.1} ms | batched(4t) {batched_4t_ms:.1} ms",
-        scalar_ms / batched_ms,
-    );
-    for (name, wall_ms, threads) in [
-        ("noise_d3_scalar", scalar_ms, 1),
-        ("noise_d3_batched", batched_ms, 1),
-        ("noise_d3_batched", batched_2t_ms, 2),
-        ("noise_d3_batched", batched_4t_ms, 4),
-    ] {
-        rows.push(Row {
-            name: name.into(),
-            wall_ms,
-            threads,
         });
+        print!(" | batched({threads}t) {ms:.1} ms ({:.2}x)", scalar_ms / ms);
+        records.push(Record::new(
+            format!("noise_d3_batched_{threads}t"),
+            ms,
+            "ms",
+        ));
     }
+    println!();
+}
+
+/// The max-pool stage on its own: 3×3 windows (8 decisions each) through
+/// the screened `Comparator::max_window` and through the exact `compare`
+/// chain it must reproduce, over one tap set. A third of the windows are
+/// textured plateaus (clear differences), a third ReLU zeros (exact ties)
+/// and a third near-ties within 2σ of the comparator noise.
+fn bench_comparator_window(records: &mut Vec<Record>, smoke: bool) {
+    const WINDOWS: usize = 3072;
+    let reps = if smoke { 3 } else { 20 };
+    let volts_per_unit = 0.9;
+    let near = (6e-4 / volts_per_unit) as f32;
+    let mut rng = Rng::seed_from(12);
+    let taps: Vec<f32> = (0..WINDOWS)
+        .flat_map(|w| {
+            let base = rng.uniform(0.05, 0.35);
+            (0..9)
+                .map(|_| match w % 3 {
+                    0 => base + rng.uniform(-0.05, 0.05),
+                    1 => 0.0,
+                    _ => base + near * rng.uniform(-1.0, 1.0),
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let stream = NoiseStream::new(5);
+    let mut cmp = Comparator::new();
+
+    let screened_ms = best_of(reps, || {
+        let sum: f32 = taps
+            .chunks_exact(9)
+            .enumerate()
+            .map(|(i, w)| {
+                cmp.max_window(w, volts_per_unit, &stream.at(i as u64))
+                    .value
+            })
+            .sum();
+        std::hint::black_box(sum);
+    });
+    let exact_ms = best_of(reps, || {
+        let sum: f32 = taps
+            .chunks_exact(9)
+            .enumerate()
+            .map(|(i, w)| {
+                let mut site = stream.at(i as u64);
+                w[1..].iter().fold(w[0], |best, &v| {
+                    let a = f64::from(v) * volts_per_unit;
+                    let m = f64::from(best) * volts_per_unit;
+                    if cmp.compare(a, m, &mut site).a_greater {
+                        v
+                    } else {
+                        best
+                    }
+                })
+            })
+            .sum();
+        std::hint::black_box(sum);
+    });
+    println!(
+        "comparator windows ({WINDOWS} x 3x3): screened {screened_ms:.3} ms | exact {exact_ms:.3} ms ({:.2}x)",
+        exact_ms / screened_ms
+    );
+    records.push(Record::new("comparator_window_screened", screened_ms, "ms"));
+    records.push(Record::new("comparator_window_exact", exact_ms, "ms"));
 }
 
 /// Times whole executor frames per depth across thread budgets (GEMM row
 /// bands and analog site bands together).
-fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: bool) {
+fn bench_analog_frames(
+    records: &mut Vec<Record>,
+    scenarios: &[DepthScenario],
+    max_threads: usize,
+    smoke: bool,
+) {
     let reps = if smoke { 1 } else { 4 };
-    let budgets = [1usize, 2, 4];
+    let budgets = worker_counts(max_threads);
     for scenario in scenarios {
         let (program, input) = (&scenario.program, &scenario.input);
         let mut execs: Vec<Executor> = budgets
@@ -248,38 +263,33 @@ fn bench_analog_frames(rows: &mut Vec<Row>, scenarios: &[DepthScenario], smoke: 
             .collect();
         // Interleave the variants within each rep (as bench_gemm does) so
         // host-load drift hits them equally and the ratios stay meaningful.
-        let mut best = [f64::INFINITY; 3];
+        let mut best = vec![f64::INFINITY; budgets.len()];
         for _ in 0..reps {
             for (slot, exec) in best.iter_mut().zip(&mut execs) {
-                let start = Instant::now();
-                exec.execute(input).expect("frame");
-                *slot = slot.min(start.elapsed().as_secs_f64() * 1e3);
+                *slot = slot.min(wall_ms(|| {
+                    exec.execute(input).expect("frame");
+                }));
             }
         }
         let tag = scenario.tag();
-        println!(
-            "{tag} frame: 1t {:.1} ms | 2t {:.1} ms | 4t {:.1} ms",
-            best[0], best[1], best[2]
-        );
-        for (wall_ms, threads) in best.into_iter().zip(budgets) {
-            rows.push(Row {
-                name: format!("frame_{tag}_batched"),
-                wall_ms,
-                threads,
-            });
+        print!("{tag} frame:");
+        for (ms, threads) in best.into_iter().zip(&budgets) {
+            print!(" {threads}t {ms:.1} ms");
+            records.push(Record::new(format!("frame_{tag}_{threads}t"), ms, "ms"));
         }
+        println!();
     }
 }
 
 /// Sustained frames/sec over a frame stream per depth: the serial per-frame
-/// executor against the batch executor at 1/2/4 workers.
+/// executor against the batch executor per worker count.
 ///
 /// Every configuration runs the *same* frame stream from frame 0 (fresh
 /// executor per variant) so the noise workload is identical; the batch path
 /// is bit-identical to serial by construction, making this a pure dispatch
 /// overhead / scaling measurement.
 fn bench_throughput(
-    rows: &mut Vec<ThroughputRow>,
+    records: &mut Vec<Record>,
     scenarios: &[DepthScenario],
     max_workers: usize,
     smoke: bool,
@@ -297,17 +307,18 @@ fn bench_throughput(
             }
         };
         let frames: Vec<Tensor> = vec![scenario.input.clone(); n];
+        records.push(Record::new(
+            format!("throughput_{tag}_frames"),
+            n as f64,
+            "frames",
+        ));
 
-        let push = |rows: &mut Vec<ThroughputRow>, suffix: &str, wall_ms: f64, workers| {
+        let mut push = |variant: String, wall_ms: f64| {
             let fps = n as f64 / (wall_ms / 1e3);
-            println!("{tag} throughput {suffix}({workers}w): {n} frames in {wall_ms:.1} ms = {fps:.2} fps");
-            rows.push(ThroughputRow {
-                name: format!("throughput_{tag}_{suffix}"),
-                frames: n,
-                wall_ms,
-                fps,
-                workers,
-            });
+            println!("{tag} throughput {variant}: {n} frames in {wall_ms:.1} ms = {fps:.2} fps");
+            let name = format!("throughput_{tag}_{variant}");
+            records.push(Record::new(&name, fps, "frames/s"));
+            records.push(Record::new(format!("{name}_wall"), wall_ms, "ms"));
         };
 
         // Serial baseline: the per-frame Executor loop the batch engine must
@@ -322,9 +333,9 @@ fn bench_throughput(
                 }
             })
         };
-        push(rows, "serial", serial_ms, 1);
+        push("serial".into(), serial_ms);
 
-        for workers in workload::worker_counts(max_workers) {
+        for workers in worker_counts(max_workers) {
             let mut batch =
                 BatchExecutor::new(scenario.program.clone(), 29, workers).expect("verifies");
             // Warm batch, matching the serial baseline's warm frame.
@@ -333,17 +344,17 @@ fn bench_throughput(
                 batch.seek_frame(0);
                 batch.execute_batch(&frames).expect("batch");
             });
-            push(rows, "batch", ms, workers);
+            push(format!("batch_{workers}w"), ms);
         }
     }
 }
 
 /// The implicit-GEMM conv path against the explicit im2col lowering, per
 /// conv-layer shape, single thread. Each path runs in its own fresh
-/// [`Workspace`] so the reported `peak_ws_bytes` is exactly the staging
-/// footprint that path requires: the explicit rows pay for the im2col
-/// matrix, the implicit rows show it gone.
-fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
+/// [`Workspace`] so the reported `_peak_ws` is exactly the staging
+/// footprint that path requires: the explicit records pay for the im2col
+/// matrix, the implicit records show it gone.
+fn bench_conv(records: &mut Vec<Record>, smoke: bool) {
     // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c]): the
     // micronet and GoogLeNet stems as the zoo builds them, and the Depth3
     // inception-3a 3x3 branch (m=192, k=576, n=3249).
@@ -381,35 +392,30 @@ fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
                 1,
             );
         };
+        let implicit_pass = |ws: &mut Workspace, out: &mut [f32]| {
+            conv_gemm_packed_into(
+                ws.packs_mut(),
+                SimdLevel::auto(),
+                &packed,
+                x.as_slice(),
+                &geom,
+                out,
+                1,
+            );
+        };
         explicit_pass(&mut ws_explicit, &mut out);
-        conv_gemm_packed_into(
-            ws_implicit.packs_mut(),
-            SimdLevel::auto(),
-            &packed,
-            x.as_slice(),
-            &geom,
-            &mut out,
-            1,
-        );
+        implicit_pass(&mut ws_implicit, &mut out);
 
         // Interleave so host-load drift hits both paths equally.
         let mut explicit_ms = f64::INFINITY;
         let mut implicit_ms = f64::INFINITY;
         for _ in 0..reps {
-            explicit_ms = explicit_ms.min(best_of(1, || {
+            explicit_ms = explicit_ms.min(wall_ms(|| {
                 explicit_pass(&mut ws_explicit, &mut out);
                 std::hint::black_box(&out);
             }));
-            implicit_ms = implicit_ms.min(best_of(1, || {
-                conv_gemm_packed_into(
-                    ws_implicit.packs_mut(),
-                    SimdLevel::auto(),
-                    &packed,
-                    x.as_slice(),
-                    &geom,
-                    &mut out,
-                    1,
-                );
+            implicit_ms = implicit_ms.min(wall_ms(|| {
+                implicit_pass(&mut ws_implicit, &mut out);
                 std::hint::black_box(&out);
             }));
         }
@@ -422,39 +428,15 @@ fn bench_conv(rows: &mut Vec<ConvRow>, smoke: bool) {
             explicit_ms / implicit_ms,
             explicit_ws as f64 / implicit_ws.max(1) as f64,
         );
-        rows.push(ConvRow {
-            name: format!("conv_{label}_im2col"),
-            wall_ms: explicit_ms,
-            threads: 1,
-            peak_ws_bytes: explicit_ws,
-        });
-        rows.push(ConvRow {
-            name: format!("conv_{label}_implicit"),
-            wall_ms: implicit_ms,
-            threads: 1,
-            peak_ws_bytes: implicit_ws,
-        });
-    }
-}
-
-/// Parses `--workers <n|auto>`; the default worker budget is the machine's
-/// available parallelism.
-fn parse_workers(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--workers" {
-            let v = it
-                .next()
-                .expect("--workers needs a value: a count or `auto`");
-            if v == "auto" {
-                return auto_workers();
-            }
-            return v
-                .parse()
-                .expect("--workers value must be a positive count or `auto`");
+        for (path, ms, ws) in [
+            ("im2col", explicit_ms, explicit_ws),
+            ("implicit", implicit_ms, implicit_ws),
+        ] {
+            let name = format!("conv_{label}_{path}");
+            records.push(Record::new(&name, ms, "ms"));
+            records.push(Record::new(format!("{name}_peak_ws"), ws as f64, "B"));
         }
     }
-    auto_workers()
 }
 
 fn main() {
@@ -463,27 +445,22 @@ fn main() {
     let analog_only = args.iter().any(|a| a == "--analog-only");
     let throughput_only = args.iter().any(|a| a == "--throughput");
     let conv_only = args.iter().any(|a| a == "--conv");
-    let max_workers = parse_workers(&args);
+    let budget = parse_workers(&args);
 
     if conv_only {
-        let mut rows: Vec<ConvRow> = Vec::new();
-        bench_conv(&mut rows, smoke);
-        let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-        std::fs::write("BENCH_conv.json", json).expect("write BENCH_conv.json");
-        println!("wrote BENCH_conv.json ({} rows)", rows.len());
+        let mut records = Vec::new();
+        bench_conv(&mut records, smoke);
+        write_report("BENCH_conv.json", records);
         return;
     }
 
     if !analog_only && !throughput_only {
-        let mut rows: Vec<Row> = Vec::new();
-        bench_gemm(&mut rows, 256, 4);
-        bench_gemm(&mut rows, 512, 4);
-        bench_micronet_epoch(&mut rows);
-        bench_accuracy_sweep(&mut rows);
-
-        let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-        std::fs::write("BENCH_gemm.json", json).expect("write BENCH_gemm.json");
-        println!("wrote BENCH_gemm.json ({} rows)", rows.len());
+        let mut records = Vec::new();
+        bench_gemm(&mut records, 256, budget);
+        bench_gemm(&mut records, 512, budget);
+        bench_micronet_epoch(&mut records);
+        bench_accuracy_sweep(&mut records, budget);
+        write_report("BENCH_gemm.json", records);
     }
 
     // One scenario per swept depth, shared by the analog and throughput
@@ -494,24 +471,16 @@ fn main() {
         .collect();
 
     if !throughput_only {
-        let mut analog_rows: Vec<Row> = Vec::new();
-        bench_noise_kernels(&mut analog_rows, smoke);
-        bench_analog_frames(&mut analog_rows, &scenarios, smoke);
-
-        let json = serde_json::to_string_pretty(&analog_rows).expect("serialize rows");
-        std::fs::write("BENCH_analog.json", json).expect("write BENCH_analog.json");
-        println!("wrote BENCH_analog.json ({} rows)", analog_rows.len());
+        let mut records = Vec::new();
+        bench_noise_kernels(&mut records, budget, smoke);
+        bench_comparator_window(&mut records, smoke);
+        bench_analog_frames(&mut records, &scenarios, budget, smoke);
+        write_report("BENCH_analog.json", records);
     }
 
     if !analog_only {
-        let mut throughput_rows: Vec<ThroughputRow> = Vec::new();
-        bench_throughput(&mut throughput_rows, &scenarios, max_workers, smoke);
-
-        let json = serde_json::to_string_pretty(&throughput_rows).expect("serialize rows");
-        std::fs::write("BENCH_throughput.json", json).expect("write BENCH_throughput.json");
-        println!(
-            "wrote BENCH_throughput.json ({} rows)",
-            throughput_rows.len()
-        );
+        let mut records = Vec::new();
+        bench_throughput(&mut records, &scenarios, budget, smoke);
+        write_report("BENCH_throughput.json", records);
     }
 }

@@ -2,16 +2,17 @@
 //! shared pack-once engine, with the cloudlet's queueing view on top.
 //!
 //! Three sections, all written to `BENCH_fleet.json` as
-//! [`redeye_bench::schema::FleetRow`]s:
+//! `{name, value, unit}` records ([`redeye_bench::schema`]):
 //!
 //! - **Setup** (`fleet_setup_naive_64` / `fleet_setup_shared_64`): the cost
 //!   of instantiating 64 devices as 64 independent engines (compile-state
 //!   packing and verification ×64) versus one [`FleetEngine`] plus 64
 //!   lightweight device views — the pack-once payoff, single-threaded.
-//! - **Determinism** (`fleet_determinism_w{1,2,4}`): the same fleet at
-//!   three worker counts; the binary *asserts* the output digests match
-//!   bit-for-bit and records them so CI artifacts show the proof.
-//! - **Sweep** (`fleet_<tag>_<n>`): population energy, cloudlet tail
+//! - **Determinism** (`fleet_determinism_<devices>x<frames>_<n>w`): the
+//!   same fleet at three worker counts; the binary *asserts* the output
+//!   digests match bit-for-bit and prints them. Digests are not records: a
+//!   u64 does not fit in a record's f64 value.
+//! - **Sweep** (`fleet_<tag>_<n>_*`): population energy, cloudlet tail
 //!   latency (p50/p95/p99) and saturation versus fleet size. Devices mix
 //!   continuous / low-light / privacy capture workloads; the cloudlet is a
 //!   BLE-fed FIFO queue over the measured Jetson GPU suffix time.
@@ -23,11 +24,9 @@
 //! - `--workers <n|auto>`: worker threads for the sweep (default `auto`).
 
 use redeye_analog::Seconds;
-use redeye_bench::schema::FleetRow;
-use redeye_bench::workload::{self, FleetScenario};
-use redeye_core::{
-    auto_workers, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameEngine,
-};
+use redeye_bench::schema::{write_report, Record};
+use redeye_bench::workload::{self, parse_workers, wall_ms, FleetScenario};
+use redeye_core::{FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameEngine};
 use redeye_sim::{fleet_workload, WorkloadOptions};
 use redeye_system::{BleLink, Cloudlet, JetsonHost, JetsonKind};
 use std::time::Instant;
@@ -41,34 +40,10 @@ const FLEET_SEED: u64 = 0xF1EE7;
 /// spread over one frame time instead of landing in a single burst.
 const FRAME_PERIOD_S: f64 = 1.0 / 30.0;
 
-fn wall_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// A `FleetRow` for a section that measures engine mechanics, not a
-/// population run.
-fn setup_row(name: &str, fleet: usize, wall_ms: f64) -> FleetRow {
-    FleetRow {
-        name: name.into(),
-        fleet,
-        workers: 1,
-        frames: 0,
-        wall_ms,
-        energy_mj: 0.0,
-        p50_ms: 0.0,
-        p95_ms: 0.0,
-        p99_ms: 0.0,
-        saturation: 0.0,
-        digest: String::new(),
-    }
-}
-
 /// Pack-once payoff: 64 naive per-device engines (each re-packing weights
 /// and re-verifying the program) versus one shared [`FleetEngine`] and 64
 /// device views. Best-of-`reps`, single thread.
-fn bench_setup(rows: &mut Vec<FleetRow>, scenario: &FleetScenario, reps: usize) {
+fn bench_setup(records: &mut Vec<Record>, scenario: &FleetScenario, reps: usize) {
     const FLEET: usize = 64;
     let mut naive_ms = f64::INFINITY;
     let mut shared_ms = f64::INFINITY;
@@ -92,8 +67,9 @@ fn bench_setup(rows: &mut Vec<FleetRow>, scenario: &FleetScenario, reps: usize) 
         "setup x{FLEET}: naive {naive_ms:.1} ms | shared pack-once {shared_ms:.1} ms ({:.1}x)",
         naive_ms / shared_ms
     );
-    rows.push(setup_row("fleet_setup_naive_64", FLEET, naive_ms));
-    rows.push(setup_row("fleet_setup_shared_64", FLEET, shared_ms));
+    for (path, ms) in [("naive", naive_ms), ("shared", shared_ms)] {
+        records.push(Record::new(format!("fleet_setup_{path}_{FLEET}"), ms, "ms"));
+    }
 }
 
 /// Runs one fleet and returns the report plus wall time.
@@ -127,9 +103,10 @@ fn run_fleet(
 }
 
 /// The bit-identity self-check: the same fleet at 1/2/4 workers must yield
-/// the same digest. Panics on mismatch; records the digests as rows.
+/// the same digest. Panics on mismatch; prints the digests and records
+/// each run's wall time and population energy.
 fn bench_determinism(
-    rows: &mut Vec<FleetRow>,
+    records: &mut Vec<Record>,
     engine: &FleetEngine,
     scenario: &FleetScenario,
     smoke: bool,
@@ -148,21 +125,15 @@ fn bench_determinism(
                 want, &digest,
                 "fleet digest diverged between worker counts — determinism broken"
             ),
-            None => reference = Some(digest.clone()),
+            None => reference = Some(digest),
         }
-        rows.push(FleetRow {
-            name: format!("fleet_determinism_w{workers}"),
-            fleet: devices as usize,
-            workers,
-            frames: (devices as usize) * frames_per_device,
-            wall_ms: ms,
-            energy_mj: report.energy.millis(),
-            p50_ms: 0.0,
-            p95_ms: 0.0,
-            p99_ms: 0.0,
-            saturation: 0.0,
-            digest,
-        });
+        let name = format!("fleet_determinism_{devices}x{frames_per_device}_{workers}w");
+        records.push(Record::new(&name, ms, "ms"));
+        records.push(Record::new(
+            format!("{name}_energy"),
+            report.energy.millis(),
+            "mJ",
+        ));
     }
 }
 
@@ -170,7 +141,7 @@ fn bench_determinism(
 /// capture-complete time and payload through the BLE-fed cloudlet queue,
 /// and report energy, tail latency, and saturation.
 fn bench_sweep(
-    rows: &mut Vec<FleetRow>,
+    records: &mut Vec<Record>,
     engine: &FleetEngine,
     scenario: &FleetScenario,
     workers: usize,
@@ -217,39 +188,21 @@ fn bench_sweep(
             queue.utilization,
             report.digest_hex(),
         );
-        rows.push(FleetRow {
-            name: format!("fleet_{}_{fleet}", scenario.tag),
-            fleet: fleet as usize,
-            workers,
-            frames: report.frames as usize,
-            wall_ms: ms,
-            energy_mj: report.energy.millis(),
-            p50_ms: queue.latency.p50.millis(),
-            p95_ms: queue.latency.p95.millis(),
-            p99_ms: queue.latency.p99.millis(),
-            saturation: queue.utilization,
-            digest: report.digest_hex(),
-        });
-    }
-}
-
-/// Parses `--workers <n|auto>`; default is the machine's parallelism.
-fn parse_workers(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--workers" {
-            let v = it
-                .next()
-                .expect("--workers needs a value: a count or `auto`");
-            if v == "auto" {
-                return auto_workers();
-            }
-            return v
-                .parse()
-                .expect("--workers value must be a positive count or `auto`");
+        // Only the host wall time depends on the worker count; the rest is
+        // simulated and identical at any count.
+        let name = format!("fleet_{}_{fleet}", scenario.tag);
+        records.push(Record::new(format!("{name}_{workers}w"), ms, "ms"));
+        for (metric, value, unit) in [
+            ("frames", report.frames as f64, "frames"),
+            ("energy", report.energy.millis(), "mJ"),
+            ("p50", queue.latency.p50.millis(), "ms"),
+            ("p95", queue.latency.p95.millis(), "ms"),
+            ("p99", queue.latency.p99.millis(), "ms"),
+            ("saturation", queue.utilization, "ratio"),
+        ] {
+            records.push(Record::new(format!("{name}_{metric}"), value, unit));
         }
     }
-    auto_workers()
 }
 
 fn main() {
@@ -264,12 +217,9 @@ fn main() {
     );
     let engine = FleetEngine::new(scenario.program.clone(), FLEET_SEED).expect("program verifies");
 
-    let mut rows: Vec<FleetRow> = Vec::new();
-    bench_setup(&mut rows, &scenario, if smoke { 2 } else { 3 });
-    bench_determinism(&mut rows, &engine, &scenario, smoke);
-    bench_sweep(&mut rows, &engine, &scenario, workers, smoke);
-
-    let json = serde_json::to_string_pretty(&rows).expect("serialize rows");
-    std::fs::write("BENCH_fleet.json", json).expect("write BENCH_fleet.json");
-    println!("wrote BENCH_fleet.json ({} rows)", rows.len());
+    let mut records = Vec::new();
+    bench_setup(&mut records, &scenario, if smoke { 2 } else { 3 });
+    bench_determinism(&mut records, &engine, &scenario, smoke);
+    bench_sweep(&mut records, &engine, &scenario, workers, smoke);
+    write_report("BENCH_fleet.json", records);
 }

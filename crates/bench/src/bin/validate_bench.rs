@@ -1,9 +1,9 @@
-//! Validates `BENCH_*.json` perf reports against the report schema
+//! Validates `BENCH_*.json` perf reports against the one record shape
 //! ([`redeye_bench::schema`]).
 //!
-//! CI runs this after the perf smokes: every report the smokes wrote must
-//! parse as a non-empty array of exactly one row shape, so schema drift in
-//! the `perf` binary fails the build before a malformed artifact ships.
+//! CI runs this after the perf smokes: every report they wrote must be a
+//! non-empty array of `{name, value, unit}` records with unique names, so
+//! a malformed report fails the build before it ships as an artifact.
 //!
 //! Usage: `cargo run -p redeye-bench --bin validate_bench [-- FILES...]`
 //!
@@ -11,26 +11,17 @@
 //! directory and fails if none exist (a missing report usually means a
 //! perf smoke silently didn't run).
 
-use redeye_bench::schema::{validate_report, ReportShape};
-use std::path::PathBuf;
+use redeye_bench::schema::{discover, validate_report};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-fn discover() -> Vec<PathBuf> {
-    let mut found: Vec<PathBuf> = std::fs::read_dir(".")
-        .expect("read current directory")
-        .filter_map(|entry| {
-            let path = entry.ok()?.path();
-            let name = path.file_name()?.to_str()?;
-            (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(path)
-        })
-        .collect();
-    found.sort();
-    found
-}
 
 fn main() -> ExitCode {
     let args: Vec<PathBuf> = std::env::args().skip(1).map(PathBuf::from).collect();
-    let files = if args.is_empty() { discover() } else { args };
+    let files = if args.is_empty() {
+        discover(Path::new("."))
+    } else {
+        args
+    };
     if files.is_empty() {
         eprintln!("no BENCH_*.json reports found in the current directory");
         return ExitCode::FAILURE;
@@ -39,19 +30,11 @@ fn main() -> ExitCode {
     let mut failed = false;
     for path in &files {
         let name = path.display();
-        let json = match std::fs::read_to_string(path) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("{name}: unreadable: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        match validate_report(&json) {
-            Ok(ReportShape::WallClock(n)) => println!("{name}: ok ({n} wall-clock rows)"),
-            Ok(ReportShape::Conv(n)) => println!("{name}: ok ({n} conv rows)"),
-            Ok(ReportShape::Throughput(n)) => println!("{name}: ok ({n} throughput rows)"),
-            Ok(ReportShape::Fleet(n)) => println!("{name}: ok ({n} fleet rows)"),
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|json| validate_report(&json));
+        match checked {
+            Ok(n) => println!("{name}: ok ({n} records)"),
             Err(e) => {
                 eprintln!("{name}: INVALID: {e}");
                 failed = true;

@@ -22,7 +22,10 @@
 //! | `utilization` | §III-B column-mapping ablation |
 //! | `all_experiments` | the paper artifacts above, in order |
 //!
-//! `benches/` holds Criterion micro-benchmarks of the simulator itself.
+//! The simulator's own host time is measured by two binaries, `perf` and
+//! `redeye-fleet`. Both write `BENCH_*.json` reports of `{name, value,
+//! unit}` records through [`schema::write_report`], and `validate_bench`
+//! checks reports against that one shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,166 +1,115 @@
-//! The JSON schema of the `BENCH_*.json` perf reports.
+//! The one record shape of the `BENCH_*.json` perf reports.
 //!
-//! The `perf` binary emits machine-readable benchmark reports that CI
-//! uploads as artifacts; downstream tooling (trend dashboards, regression
-//! diffing) parses them. These types are the single definition of that
-//! contract: the binary serializes through them and the `validate_bench`
-//! binary deserializes every report back through them, so a report that
-//! drifts from the schema fails the build instead of silently breaking
-//! consumers.
+//! A report is a non-empty JSON array of [`Record`]s, each the same
+//! `name value unit` triple the repository benchmark prints. Configuration
+//! lives in the name: `gemm_512_packed_2t` (ms), `throughput_depth3_batch_2w`
+//! (frames/s), `conv_depth3_3x3_implicit_peak_ws` (B), `fleet_depth1_64_p99`
+//! (ms). A `_<n>t` or `_<n>w` suffix names the thread or worker count of a
+//! section that sweeps it; a timing without one ran on one thread.
 //!
-//! Four row shapes exist:
-//!
-//! - [`Row`] — wall-clock sections (`BENCH_gemm.json`, `BENCH_analog.json`):
-//!   `{name, wall_ms, threads}`;
-//! - [`ConvRow`] — convolution-path sections (`BENCH_conv.json`): a
-//!   wall-clock row plus the peak workspace footprint the measured path
-//!   staged, `{name, wall_ms, threads, peak_ws_bytes}`;
-//! - [`ThroughputRow`] — frame-stream sections (`BENCH_throughput.json`):
-//!   `{name, frames, wall_ms, fps, workers}`;
-//! - [`FleetRow`] — population sections (`BENCH_fleet.json`): fleet size,
-//!   worker count, wall time, population energy, cloudlet tail latency, and
-//!   the fleet output digest.
-//!
-//! Required-field sets are disjoint across shapes with one deliberate
-//! exception: a [`ConvRow`] is a [`Row`] plus `peak_ws_bytes`, and the
-//! parser ignores unknown fields, so a conv report also parses as plain
-//! wall-clock rows. [`validate_report`] resolves that containment by
-//! precedence — a report carrying `peak_ws_bytes` on every row is a conv
-//! report, never a wall-clock one.
+//! The `perf` and `redeye-fleet` binaries write through [`write_report`],
+//! which validates before writing, and the `validate_bench` binary and this
+//! module's tests read every report back through [`validate_report`].
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 
-/// One wall-clock benchmark observation.
+/// One perf observation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Row {
-    /// Benchmark identifier, e.g. `gemm_512_packed`.
+pub struct Record {
+    /// What was measured, configuration included, e.g. `gemm_512_packed_2t`.
     pub name: String,
-    /// Best-of wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Worker threads the observation ran with.
-    pub threads: usize,
+    /// The measurement; always finite.
+    pub value: f64,
+    /// Unit of `value`, e.g. `ms`, `frames/s`, `B`, `mJ`, `ratio`.
+    pub unit: String,
 }
 
-/// One convolution-path observation: a wall-clock row plus the peak
-/// scratch-arena footprint (`Workspace::peak_bytes`) the measured path
-/// reached — the metric the implicit-GEMM path exists to shrink (its
-/// `im2col` arena capacity stays zero).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConvRow {
-    /// Benchmark identifier, e.g. `conv_depth3_implicit`.
-    pub name: String,
-    /// Best-of wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Worker threads the observation ran with.
-    pub threads: usize,
-    /// Peak workspace bytes staged by the measured path.
-    pub peak_ws_bytes: usize,
+impl Record {
+    /// A record of `value` in `unit`.
+    pub fn new(name: impl Into<String>, value: f64, unit: &str) -> Self {
+        Record {
+            name: name.into(),
+            value,
+            unit: unit.into(),
+        }
+    }
 }
 
-/// One frame-throughput observation: `fps` is the headline
-/// continuous-vision metric, `wall_ms` the batch wall time behind it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputRow {
-    /// Benchmark identifier, e.g. `throughput_depth3_batch`.
-    pub name: String,
-    /// Frames in the measured stream.
-    pub frames: usize,
-    /// Batch wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Sustained frames per second.
-    pub fps: f64,
-    /// Pool worker count the observation ran with.
-    pub workers: usize,
-}
-
-/// One fleet-scale observation: a whole population of devices through the
-/// shared engine, plus the cloudlet's view of the offered load. Setup
-/// comparison rows (engine construction cost) reuse the shape with
-/// `frames: 0` and zeroed population fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetRow {
-    /// Benchmark identifier, e.g. `fleet_depth1_64`.
-    pub name: String,
-    /// Devices in the simulated fleet.
-    pub fleet: usize,
-    /// Work-stealing worker threads the run used.
-    pub workers: usize,
-    /// Total frames executed across the fleet.
-    pub frames: usize,
-    /// Fleet wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Population analog energy in millijoules.
-    pub energy_mj: f64,
-    /// Cloudlet median end-to-end latency (capture → suffix done), ms.
-    pub p50_ms: f64,
-    /// Cloudlet 95th-percentile latency, ms.
-    pub p95_ms: f64,
-    /// Cloudlet 99th-percentile latency, ms.
-    pub p99_ms: f64,
-    /// Cloudlet utilization over the window (≈1 means saturated).
-    pub saturation: f64,
-    /// Fleet output digest (hex), identical across worker counts.
-    pub digest: String,
-}
-
-/// Which schema a report parsed as, plus its row count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReportShape {
-    /// A `Vec<Row>` report with this many rows.
-    WallClock(usize),
-    /// A `Vec<ConvRow>` report with this many rows.
-    Conv(usize),
-    /// A `Vec<ThroughputRow>` report with this many rows.
-    Throughput(usize),
-    /// A `Vec<FleetRow>` report with this many rows.
-    Fleet(usize),
-}
-
-/// Validates one `BENCH_*.json` report body against the schema.
+/// Validates one `BENCH_*.json` report body and returns its record count.
 ///
-/// A report must parse as a non-empty array of exactly one row shape.
-/// Returns the shape and row count, or a human-readable description of
-/// why the report is malformed.
-pub fn validate_report(json: &str) -> Result<ReportShape, String> {
-    let as_rows = serde_json::from_str::<Vec<Row>>(json).map(|r| r.len());
-    let as_conv = serde_json::from_str::<Vec<ConvRow>>(json).map(|r| r.len());
-    let as_throughput = serde_json::from_str::<Vec<ThroughputRow>>(json).map(|r| r.len());
-    let as_fleet = serde_json::from_str::<Vec<FleetRow>>(json).map(|r| r.len());
-    if matches!(as_rows, Ok(0))
-        || matches!(as_conv, Ok(0))
-        || matches!(as_throughput, Ok(0))
-        || matches!(as_fleet, Ok(0))
-    {
+/// The body must be a non-empty array whose every element is an object
+/// with exactly the keys `name`, `value` and `unit`: a non-empty string
+/// name, a finite numeric value and a non-empty string unit. No name may
+/// repeat within the report.
+pub fn validate_report(json: &str) -> Result<usize, String> {
+    let report: Value = serde_json::from_str(json).map_err(|e| format!("not JSON: {e}"))?;
+    let Value::Seq(records) = report else {
+        return Err("report is not an array".into());
+    };
+    if records.is_empty() {
         return Err("report is an empty array".into());
     }
-    // Containment precedence (see the module docs): a report whose rows
-    // all carry `peak_ws_bytes` is a conv report even though the lenient
-    // parser also accepts it as plain wall-clock rows.
-    let as_rows = match (&as_rows, &as_conv) {
-        (Ok(_), Ok(_)) => Err(()),
-        _ => as_rows.map_err(|_| ()),
-    };
-    let matches: Vec<ReportShape> = [
-        as_rows.ok().map(ReportShape::WallClock),
-        as_conv.ok().map(ReportShape::Conv),
-        as_throughput.ok().map(ReportShape::Throughput),
-        as_fleet.ok().map(ReportShape::Fleet),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
-    match matches.as_slice() {
-        [shape] => Ok(*shape),
-        [] => {
-            // Re-parse one shape for a representative error message.
-            let err = serde_json::from_str::<Vec<Row>>(json).unwrap_err();
-            Err(format!("report matches no row shape: {err}"))
+    let mut names = HashSet::new();
+    for (i, record) in records.iter().enumerate() {
+        let keys_ok = matches!(record, Value::Map(entries) if entries.len() == 3)
+            && ["name", "value", "unit"]
+                .iter()
+                .all(|k| record.get(k).is_some());
+        if !keys_ok {
+            return Err(format!(
+                "record {i} is not an object with exactly the keys name, value, unit"
+            ));
         }
-        many => Err(format!(
-            "report matches {} row shapes (schema drift?)",
-            many.len()
-        )),
+        let non_empty = |key: &str| record[key].as_str().filter(|s| !s.is_empty());
+        let name =
+            non_empty("name").ok_or(format!("record {i}: name must be a non-empty string"))?;
+        non_empty("unit").ok_or(format!("record {name}: unit must be a non-empty string"))?;
+        record["value"]
+            .as_f64()
+            .filter(|v| v.is_finite())
+            .ok_or(format!("record {name}: value must be a finite number"))?;
+        if !names.insert(name) {
+            return Err(format!("record name {name} repeats"));
+        }
     }
+    Ok(records.len())
+}
+
+/// Writes `records` to `path` as a pretty-printed report.
+///
+/// # Panics
+///
+/// Panics if the records do not form a valid report (see
+/// [`validate_report`]) or the file cannot be written: a malformed report
+/// is a bug in the binary that measured it.
+pub fn write_report(path: &str, records: Vec<Record>) {
+    let json = serde_json::to_string_pretty(&records).expect("records serialize");
+    if let Err(e) = validate_report(&json) {
+        panic!("{path}: {e}");
+    }
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path} ({} records)", records.len());
+}
+
+/// Every `BENCH_*.json` file directly inside `dir`, sorted.
+///
+/// # Panics
+///
+/// Panics if `dir` cannot be read.
+pub fn discover(dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(path)
+        })
+        .collect();
+    found.sort();
+    found
 }
 
 #[cfg(test)]
@@ -168,115 +117,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wall_clock_reports_validate() {
-        let json = r#"[{"name": "gemm_256_packed", "wall_ms": 1.5, "threads": 1}]"#;
-        assert_eq!(validate_report(json), Ok(ReportShape::WallClock(1)));
-    }
-
-    #[test]
-    fn throughput_reports_validate() {
-        let json = r#"[
-            {"name": "throughput_d1_serial", "frames": 8, "wall_ms": 10.0,
-             "fps": 800.0, "workers": 1},
-            {"name": "throughput_d1_batch", "frames": 8, "wall_ms": 6.0,
-             "fps": 1333.3, "workers": 2}
-        ]"#;
-        assert_eq!(validate_report(json), Ok(ReportShape::Throughput(2)));
-    }
-
-    #[test]
-    fn conv_reports_validate_and_stay_disjoint_from_wall_clock() {
-        let rows = vec![ConvRow {
-            name: "conv_depth3_implicit".into(),
-            wall_ms: 9.8,
-            threads: 1,
-            peak_ws_bytes: 1_048_576,
-        }];
-        let json = serde_json::to_string_pretty(&rows).unwrap();
-        // The lenient parser also accepts conv rows as plain wall-clock
-        // rows; precedence resolves the containment toward Conv.
-        assert_eq!(validate_report(&json), Ok(ReportShape::Conv(1)));
-        // A plain Row is missing a required ConvRow field, so wall-clock
-        // reports still validate as wall-clock.
-        let plain = r#"[{"name": "gemm_256_packed", "wall_ms": 1.5, "threads": 1}]"#;
-        assert!(serde_json::from_str::<Vec<ConvRow>>(plain).is_err());
-        assert_eq!(validate_report(plain), Ok(ReportShape::WallClock(1)));
-    }
-
-    #[test]
-    fn round_trip_through_serialization() {
-        let rows = vec![Row {
-            name: "frame_depth3_batched".into(),
-            wall_ms: 193.0,
-            threads: 1,
-        }];
-        let json = serde_json::to_string_pretty(&rows).unwrap();
-        assert_eq!(validate_report(&json), Ok(ReportShape::WallClock(1)));
-    }
-
-    #[test]
-    fn fleet_reports_validate() {
-        let rows = vec![
-            FleetRow {
-                name: "fleet_setup_shared_64".into(),
-                fleet: 64,
-                workers: 1,
-                frames: 0,
-                wall_ms: 3.0,
-                energy_mj: 0.0,
-                p50_ms: 0.0,
-                p95_ms: 0.0,
-                p99_ms: 0.0,
-                saturation: 0.0,
-                digest: String::new(),
-            },
-            FleetRow {
-                name: "fleet_depth1_64".into(),
-                fleet: 64,
-                workers: 4,
-                frames: 64,
-                wall_ms: 5_400.0,
-                energy_mj: 14.2,
-                p50_ms: 151.0,
-                p95_ms: 390.0,
-                p99_ms: 460.0,
-                saturation: 0.97,
-                digest: "a3f09c1e5b77d210".into(),
-            },
+    fn written_records_round_trip() {
+        let records = vec![
+            Record::new("gemm_512_packed_2t", 4.4, "ms"),
+            Record::new("conv_depth3_3x3_implicit_peak_ws", 1_376_256.0, "B"),
         ];
-        let json = serde_json::to_string_pretty(&rows).unwrap();
-        assert_eq!(validate_report(&json), Ok(ReportShape::Fleet(2)));
-    }
-
-    #[test]
-    fn fleet_shape_is_disjoint_from_the_others() {
-        // A fleet row must not parse as a wall-clock or throughput row and
-        // vice versa — the three required-field sets stay disjoint.
-        let fleet = r#"[{"name": "f", "fleet": 8, "workers": 2, "frames": 8,
-            "wall_ms": 1.0, "energy_mj": 0.1, "p50_ms": 1.0, "p95_ms": 2.0,
-            "p99_ms": 3.0, "saturation": 0.5, "digest": "00ff"}]"#;
-        assert_eq!(validate_report(fleet), Ok(ReportShape::Fleet(1)));
-        let throughput = r#"[{"name": "t", "frames": 4, "wall_ms": 1.0,
-            "fps": 4000.0, "workers": 2}]"#;
-        assert_eq!(validate_report(throughput), Ok(ReportShape::Throughput(1)));
-        assert!(serde_json::from_str::<Vec<FleetRow>>(throughput).is_err());
-        assert!(serde_json::from_str::<Vec<ThroughputRow>>(fleet).is_err());
+        let json = serde_json::to_string_pretty(&records).unwrap();
+        assert_eq!(validate_report(&json), Ok(2));
+        assert_eq!(serde_json::from_str::<Vec<Record>>(&json).unwrap(), records);
     }
 
     #[test]
     fn malformed_reports_are_rejected() {
-        // Empty: parses as both shapes, carries no observations.
-        assert!(validate_report("[]").is_err());
-        // Not an array.
-        assert!(validate_report(r#"{"name": "x"}"#).is_err());
-        // Missing field.
-        let missing = r#"[{"name": "x", "wall_ms": 1.0}]"#;
-        assert!(validate_report(missing).is_err());
-        // Mixed shapes in one report.
-        let mixed = r#"[
-            {"name": "x", "wall_ms": 1.0, "threads": 1},
-            {"name": "y", "frames": 4, "wall_ms": 1.0, "fps": 4000.0, "workers": 2}
-        ]"#;
-        assert!(validate_report(mixed).is_err());
+        let ok = r#"{"name": "x", "value": 1.0, "unit": "ms"}"#;
+        assert_eq!(validate_report(&format!("[{ok}]")), Ok(1));
+        for bad in [
+            "[]".to_string(),
+            ok.to_string(),
+            r#"[{"name": "x", "value": 1.0}]"#.into(),
+            r#"[{"name": "x", "value": 1.0, "unit": "ms", "threads": 1}]"#.into(),
+            r#"[{"name": "x", "value": "1.0", "unit": "ms"}]"#.into(),
+            r#"[{"name": "x", "value": null, "unit": "ms"}]"#.into(),
+            r#"[{"name": "x", "value": 1e999, "unit": "ms"}]"#.into(),
+            r#"[{"name": "x", "value": 1.0, "unit": ""}]"#.into(),
+            r#"[{"name": "", "value": 1.0, "unit": "ms"}]"#.into(),
+            format!("[{ok}, {ok}]"),
+        ] {
+            assert!(validate_report(&bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn committed_reports_are_valid() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let reports = discover(&root);
+        assert!(
+            reports.len() >= 5,
+            "expected the five committed BENCH_*.json reports, found {reports:?}"
+        );
+        for path in reports {
+            let json = std::fs::read_to_string(&path).unwrap();
+            if let Err(e) = validate_report(&json) {
+                panic!("{}: {e}", path.display());
+            }
+        }
     }
 }

@@ -8,12 +8,13 @@
 //! raw-input pipeline (gamma undone, Poisson shot noise, fixed-pattern
 //! noise). Energy curves always come from the exact GoogLeNet geometry.
 
-use redeye_core::{compile, CompileOptions, Depth, Program, WeightBank};
+use redeye_core::{auto_workers, compile, CompileOptions, Depth, Program, WeightBank};
 use redeye_dataset::{sensor, SyntheticDataset};
 use redeye_nn::train::{evaluate, train_epoch, Example, Sgd};
 use redeye_nn::{build_network, summarize, zoo, NetworkSpec, WeightInit};
 use redeye_sim::extract_params;
 use redeye_tensor::{Rng, Tensor};
+use std::time::Instant;
 
 /// Number of classes in the stand-in task.
 pub const CLASSES: usize = 32;
@@ -112,9 +113,8 @@ pub fn train_standin(train_n: usize, epochs: usize, seed: u64) -> TrainedModel {
 /// One executor benchmark scenario: the compiled GoogLeNet prefix for a
 /// partition depth plus a matching full-size raw input.
 ///
-/// Shared by every depth-swept perf mode (whole-frame latency, batched
-/// throughput, criterion groups) so scenario construction exists exactly
-/// once.
+/// Shared by every depth-swept perf section (whole-frame latency, batched
+/// throughput) so scenario construction exists exactly once.
 pub struct DepthScenario {
     /// The partition depth this scenario cuts at.
     pub depth: Depth,
@@ -237,6 +237,42 @@ pub fn worker_counts(max: usize) -> Vec<usize> {
     }
     counts.push(max);
     counts
+}
+
+/// Parses `--workers <n|auto>` from a binary's arguments: the worker and
+/// thread budget of every sweep. The default, and `auto`, is the machine's
+/// available parallelism.
+///
+/// # Panics
+///
+/// Panics if `--workers` has no value or a value that is neither a count
+/// nor `auto`.
+pub fn parse_workers(args: &[String]) -> usize {
+    let Some(at) = args.iter().position(|a| a == "--workers") else {
+        return auto_workers();
+    };
+    match args.get(at + 1).map(String::as_str) {
+        None => panic!("--workers needs a value: a count or `auto`"),
+        Some("auto") => auto_workers(),
+        Some(v) => v
+            .parse()
+            .expect("--workers value must be a positive count or `auto`"),
+    }
+}
+
+/// Wall-clock milliseconds of one run of `f`.
+pub fn wall_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Wall-clock milliseconds of the best of `reps` runs of `f` (best-of
+/// filters scheduler noise without needing a statistics stack).
+pub fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| wall_ms(&mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// The validation shard for noise sweeps (fresh indices, same capture
