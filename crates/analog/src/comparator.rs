@@ -8,15 +8,15 @@
 //! nearly-identical values.
 //!
 //! [`Comparator::compare`] is the exact per-decision model.
-//! [`Comparator::max_window`] runs a whole pooling window through the same
-//! decisions, but settles every decision whose outcome provably does not
-//! depend on its noise value from the draw's integer indices alone, and
-//! evaluates the Box–Muller transform only for the rest (see DESIGN.md
-//! §15).
+//! [`Comparator::max_lanes`] runs [`LANES`] pooling windows through the
+//! same decisions in lockstep. It settles every decision whose outcome
+//! provably does not depend on its noise value from the draw's integer
+//! indices alone, and evaluates the Box–Muller transform only for the rest
+//! (see DESIGN.md §15).
 
 use crate::calib::{COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, SWING};
 use crate::{Joules, Seconds, Volts};
-use redeye_tensor::{box_muller_angle, box_muller_radius, NoiseSource, SiteRng};
+use redeye_tensor::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, LANES};
 
 /// Outcome of one comparator decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,20 +27,6 @@ pub struct ComparatorDecision {
     pub forced: bool,
     /// Time the decision took (capped at the time slot).
     pub time: Seconds,
-}
-
-/// Outcome of [`Comparator::max_window`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WindowMax {
-    /// The tap the comparison chain kept.
-    pub value: f32,
-    /// Decisions made: one per tap after the first.
-    pub decisions: u64,
-    /// Decisions forced by the metastability timeout.
-    pub forced: u64,
-    /// Uniform draws the equivalent [`Comparator::compare`] calls consume
-    /// from the site generator.
-    pub draws: u64,
 }
 
 /// Behavioral model of the dynamic comparator.
@@ -57,6 +43,9 @@ pub struct Comparator {
     /// Bounds derived from the three parameters above; rebuilt whenever one
     /// of them changes.
     screen: Screen,
+    /// Uniform indices of the current lane block, `draws[k][lane]`; reused
+    /// across blocks.
+    draws: Vec<[u32; LANES]>,
 }
 
 impl Comparator {
@@ -73,6 +62,7 @@ impl Comparator {
             decisions: 0,
             forced: 0,
             screen: Screen::new(noise_rms, tau, time_slot),
+            draws: Vec::new(),
         }
     }
 
@@ -118,78 +108,120 @@ impl Comparator {
         }
     }
 
-    /// Max of one pooling window through the comparator chain: the result,
-    /// counters and draw positions of
+    /// Maxima of [`LANES`] pooling windows through the comparator chain.
+    /// Lane `l` returns the tap that
     ///
     /// ```text
-    /// best = taps[0]
-    /// for v in taps[1..]: if compare(v·volts_per_unit, best·volts_per_unit, site).a_greater { best = v }
+    /// best = taps[0][l]
+    /// for v in taps[1..][l]: if compare(v·volts_per_unit, best·volts_per_unit, site).a_greater { best = v }
     /// ```
     ///
-    /// on a clone of `site`, which itself is not advanced. `site` must not
-    /// hold a cached Box–Muller half, which is true of every generator from
-    /// [`redeye_tensor::NoiseStream::at`] before its first normal draw. An
-    /// empty window yields `0.0` with no decisions.
+    /// keeps on a fresh `stream.at(sites[l])`. `taps` is decision-major:
+    /// row `t` holds tap `t` of every window. The first `live` lanes count
+    /// their decisions and forced decisions; the others, a short group's
+    /// padding, are decided and not counted. An empty window yields `0.0`
+    /// with no decisions.
     ///
-    /// Each decision is first screened at the draw it would consume. When
-    /// its noise provably cannot flip the outcome or force it, the decision
-    /// is settled from the draw's integer indices without evaluating the
-    /// draw; otherwise the draw is evaluated lazily — radius before angle,
-    /// the metastability logarithm only near a tie — with the same
-    /// arithmetic `compare` uses.
-    pub fn max_window(&mut self, taps: &[f32], volts_per_unit: f64, site: &SiteRng) -> WindowMax {
+    /// Every site's draws are hashed up front, as if no decision were
+    /// forced: decision `j` then draws half `j mod 2` of the Box–Muller
+    /// pair at uniforms `2⌊j/2⌋` and `2⌊j/2⌋ + 1`. Each decision step
+    /// screens all lanes branch-free, and runs `compare`'s arithmetic only
+    /// on lanes no screen settles. A lane whose decision turns out forced,
+    /// which shifts every later draw, or whose difference is infinite is
+    /// recomputed with the `compare` chain itself.
+    pub fn max_lanes(
+        &mut self,
+        taps: &[[f32; LANES]],
+        volts_per_unit: f64,
+        stream: &NoiseStream,
+        sites: &[u64; LANES],
+        live: usize,
+    ) -> [f32; LANES] {
         let Some((&first, rest)) = taps.split_first() else {
-            return WindowMax::default();
+            return [0.0; LANES];
         };
+        let live = live.min(LANES);
+        let pairs = rest.len().div_ceil(2);
+        if self.draws.len() < 2 * pairs {
+            self.draws.resize(2 * pairs, [0; LANES]);
+        }
+        stream.uniform_indices(sites, &mut self.draws[..2 * pairs]);
         let mut best = first;
-        // The running best's voltage, carried so the loop's dependency
-        // chain is one subtraction and a compare per decision.
-        let mut best_volts = f64::from(first) * volts_per_unit;
-        let mut draws = Draws::new(site);
-        let mut forced = 0u64;
-        for &v in rest {
-            let volts = f64::from(v) * volts_per_unit;
-            let delta = volts - best_volts;
-            draws.next_normal();
-            let tie = v.to_bits() == best.to_bits();
-            let a_greater = match self.screen.outcome(delta, tie, &mut draws) {
-                Some(a_greater) => a_greater,
-                None => {
-                    let (a_greater, was_forced) = self.decide(delta, &mut draws);
-                    forced += u64::from(was_forced);
-                    a_greater
-                }
-            };
-            if a_greater {
-                best = v;
-                best_volts = volts;
+        // The running best's voltage, carried so that a step's dependency
+        // chain is one subtraction, a compare and a select per lane.
+        let mut best_volts = first.map(|v| f64::from(v) * volts_per_unit);
+        let mut redo = [false; LANES];
+        for (j, row) in rest.iter().enumerate() {
+            let (u1, u2) = (&self.draws[j & !1], &self.draws[j | 1]);
+            let sine = j & 1 == 1;
+            let volts = row.map(|v| f64::from(v) * volts_per_unit);
+            let mut delta = [0.0f64; LANES];
+            let mut settled = [false; LANES];
+            // Every screen settles a decision as `delta > 0`, so the lane
+            // loop selects on that; the rare step with an unsettled lane
+            // selects again on the exact outcomes.
+            let (mut next, mut next_volts) = (best, best_volts);
+            for l in 0..LANES {
+                delta[l] = volts[l] - best_volts[l];
+                let tie = row[l].to_bits() == best[l].to_bits();
+                settled[l] = self.screen.settles(delta[l], tie, u1[l], u2[l], sine);
+                let greater = delta[l] > 0.0;
+                next[l] = if greater { row[l] } else { best[l] };
+                next_volts[l] = if greater { volts[l] } else { best_volts[l] };
             }
+            if settled.contains(&false) {
+                let mut greater = delta.map(|d| d > 0.0);
+                for l in (0..LANES).filter(|&l| !settled[l]) {
+                    match self.decide(delta[l], u1[l], u2[l], sine) {
+                        Some(g) => greater[l] = g,
+                        None => redo[l] = true,
+                    }
+                }
+                for l in 0..LANES {
+                    next[l] = if greater[l] { row[l] } else { best[l] };
+                    next_volts[l] = if greater[l] { volts[l] } else { best_volts[l] };
+                }
+            }
+            (best, best_volts) = (next, next_volts);
         }
-        let decisions = rest.len() as u64;
-        self.decisions += decisions;
-        self.forced += forced;
-        WindowMax {
-            value: best,
-            decisions,
-            forced,
-            draws: draws.next,
+        let redone = redo[..live].iter().filter(|&&r| r).count();
+        self.decisions += ((live - redone) * rest.len()) as u64;
+        for l in (0..live).filter(|&l| redo[l]) {
+            let mut site = stream.at(sites[l]);
+            best[l] = rest.iter().fold(first[l], |kept, row| {
+                let a = f64::from(row[l]) * volts_per_unit;
+                let b = f64::from(kept) * volts_per_unit;
+                if self.compare(a, b, &mut site).a_greater {
+                    row[l]
+                } else {
+                    kept
+                }
+            });
         }
+        best
     }
 
-    /// [`Comparator::compare`] for an input difference `delta` against the
-    /// current normal of `draws`, evaluating only as much of the draw as
-    /// the outcome needs. Returns `(a_greater, forced)` and leaves the
-    /// counters to the caller.
-    fn decide(&self, delta: f64, draws: &mut Draws<'_>) -> (bool, bool) {
-        if self.screen.clears(delta.abs(), draws.radius()) {
-            return (delta > 0.0, false);
+    /// [`Comparator::compare`]'s arithmetic for an input difference `delta`
+    /// against the normal of the Box–Muller pair `(u1, u2)`, its sine half
+    /// when `sine`: the radius first, the angle and the decision time only
+    /// when needed. `None` when the decision is forced or `delta` is
+    /// infinite; the caller then replays the lane through `compare`.
+    fn decide(&self, delta: f64, u1: u32, u2: u32, sine: bool) -> Option<bool> {
+        let abs = delta.abs();
+        if abs == f64::INFINITY {
+            return None;
         }
-        let delta = delta + f64::from(draws.normal()) * self.noise_rms.value();
+        let r = box_muller_radius(u1);
+        if self.screen.clears(abs, r) {
+            return Some(delta > 0.0);
+        }
+        let (sin, cos) = box_muller_angle(u2);
+        let delta = delta + f64::from(r * if sine { sin } else { cos }) * self.noise_rms.value();
         let in_time = delta.abs() > self.screen.settle;
         if !in_time && decision_time(self.tau, delta).value() > self.time_slot.value() {
-            (draws.coin(), true)
+            None
         } else {
-            (delta > 0.0, false)
+            Some(delta > 0.0)
         }
     }
 
@@ -225,114 +257,17 @@ fn decision_time(tau: Seconds, delta: f64) -> Seconds {
     }
 }
 
-/// The draws a run of `compare` calls on one fresh site generator
-/// consumes, tracked by position and evaluated lazily, each part of a
-/// Box–Muller pair at most once.
-///
-/// `SiteRng::standard_normal` takes a fresh pair (two uniforms) for its
-/// cosine half and caches the sine half for the next call; a forced
-/// decision's `chance(0.5)` takes one uniform in between without touching
-/// the cached half.
-#[derive(Debug)]
-struct Draws<'a> {
-    site: &'a SiteRng,
-    /// Uniforms consumed so far.
-    next: u64,
-    /// First uniform of the current normal's pair.
-    pair: u64,
-    /// Whether the current normal is its pair's sine half.
-    sine: bool,
-    /// Whether the current pair's sine half is still to come.
-    spare: bool,
-    u1: Option<u32>,
-    u2: Option<u32>,
-    radius: Option<f32>,
-    angle: Option<(f32, f32)>,
-}
-
-impl<'a> Draws<'a> {
-    fn new(site: &'a SiteRng) -> Draws<'a> {
-        Draws {
-            site,
-            next: 0,
-            pair: 0,
-            sine: false,
-            spare: false,
-            u1: None,
-            u2: None,
-            radius: None,
-            angle: None,
-        }
-    }
-
-    /// Moves to the normal the next `standard_normal` call returns.
-    fn next_normal(&mut self) {
-        if self.spare {
-            self.spare = false;
-            self.sine = true;
-        } else {
-            *self = Draws {
-                next: self.next + 2,
-                pair: self.next,
-                spare: true,
-                ..Draws::new(self.site)
-            };
-        }
-    }
-
-    /// The 24-bit index of the pair's `u1` uniform.
-    fn u1(&mut self) -> u32 {
-        *self
-            .u1
-            .get_or_insert_with(|| self.site.uniform_index(self.pair))
-    }
-
-    /// The 24-bit index of the pair's `u2` uniform.
-    fn u2(&mut self) -> u32 {
-        *self
-            .u2
-            .get_or_insert_with(|| self.site.uniform_index(self.pair + 1))
-    }
-
-    /// The pair's Box–Muller radius, which bounds `|normal()|`.
-    fn radius(&mut self) -> f32 {
-        if let Some(r) = self.radius {
-            return r;
-        }
-        let r = box_muller_radius(self.u1());
-        self.radius = Some(r);
-        r
-    }
-
-    /// The current normal, bit for bit what `standard_normal` returns.
-    fn normal(&mut self) -> f32 {
-        let (sin, cos) = match self.angle {
-            Some(angle) => angle,
-            None => {
-                let angle = box_muller_angle(self.u2());
-                self.angle = Some(angle);
-                angle
-            }
-        };
-        self.radius() * if self.sine { sin } else { cos }
-    }
-
-    /// A forced decision's `chance(0.5)`: the next uniform is below one
-    /// half exactly when its index is below 2²³.
-    fn coin(&mut self) -> bool {
-        self.next += 1;
-        self.site.uniform_index(self.next - 1) < 1 << 23
-    }
-}
-
 /// Largest `u1` index a tie may draw for the tie test: `u1 ≤ 1 − 2⁻¹⁰`, so
 /// the Box–Muller radius is at least ≈0.044.
 const TIE_U1_MAX: u32 = (1 << 24) - (1 << 14);
-/// Index distance a tie's `u2` keeps from every zero of its half's trig
-/// function (2π·2⁻¹⁰ rad).
+/// Index distance a `u2` keeps from every zero of its half's trig function
+/// (2π·2⁻¹⁰ rad) for the tie and sign tests.
 const TIE_TRIG_GAP: u32 = 1 << 14;
 /// Entries of the clear-decision table.
 const BUCKETS: usize = 128;
+/// `2⁵²`: adding it to a non-negative integer below `2⁵²` leaves the integer
+/// in the low mantissa bits.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
 
 /// Bounds that settle a decision from its draw's integer indices, derived
 /// once from a comparator's own noise, τ and time slot.
@@ -348,16 +283,19 @@ struct Screen {
     settle: f64,
     /// `|σ|`, the noise scale.
     sigma: f64,
+    /// Whether `σ` carries a negative sign, which flips every noise term.
+    sigma_negative: bool,
     /// `radius(0)·|σ|`: no draw's noise term exceeds it.
     noise_max: f64,
-    /// Whether a tie whose indices pass [`tie_indices_clear`] is proven
+    /// Whether a tie whose indices pass [`trig_indices_clear`] is proven
     /// unforced.
     ties: bool,
     /// Reciprocal of the bucket width, an exact power of two.
     inv_width: f64,
     /// `min_u1[b]`: the smallest `u1` index whose radius clears every
-    /// `|Δ| ≥ b·width` (`2²⁴` if none does); empty without noise.
-    min_u1: Vec<u32>,
+    /// `|Δ| ≥ b·width`; `2²⁴`, which no index reaches, if none does or
+    /// the screen has no table.
+    min_u1: [u32; BUCKETS],
 }
 
 impl Screen {
@@ -380,10 +318,11 @@ impl Screen {
         let mut screen = Screen {
             settle,
             sigma,
+            sigma_negative: noise_rms.value().is_sign_negative(),
             noise_max,
             ties: tie_noise >= settle,
             inv_width: 0.0,
-            min_u1: Vec::new(),
+            min_u1: [1 << 24; BUCKETS],
         };
         // The largest power-of-two width whose buckets stay within
         // `noise_max`; larger differences share the last bucket. In this
@@ -393,8 +332,9 @@ impl Screen {
         let width = 2f64.powi(exp);
         if settle.is_finite() && (f64::MIN_POSITIVE..=1.0).contains(&width) {
             screen.inv_width = 2f64.powi(-exp);
+            let mut min_u1 = [1u32 << 24; BUCKETS];
             let mut hi = 1u32 << 24;
-            for b in 0..BUCKETS {
+            for (b, entry) in min_u1.iter_mut().enumerate() {
                 let lower = b as f64 * width;
                 // Radii are non-increasing in the index, so the clear
                 // condition is monotone and `K[b]` never exceeds `K[b−1]`.
@@ -407,8 +347,9 @@ impl Screen {
                         lo = mid + 1;
                     }
                 }
-                screen.min_u1.push(hi);
+                *entry = hi;
             }
+            screen.min_u1 = min_u1;
         }
         screen
     }
@@ -420,44 +361,62 @@ impl Screen {
         abs_delta - f64::from(r) * self.sigma > self.settle
     }
 
-    /// The outcome of a decision whose input difference is `delta` and
-    /// whose normal is the current one of `draws`, when it is provably not
-    /// forced and its sign does not depend on the noise; `None` otherwise.
-    /// `tie` says the two taps have identical bits.
-    #[inline]
-    fn outcome(&self, delta: f64, tie: bool, draws: &mut Draws<'_>) -> Option<bool> {
+    /// Whether a decision on input difference `delta`, drawing half `sine`
+    /// of the Box–Muller pair with indices `(u1, u2)`, is provably not
+    /// forced and decides `delta > 0`; `tie` says the two taps have
+    /// identical bits. Branch-free, so the lanes of a block vectorize.
+    #[inline(always)]
+    fn settles(&self, delta: f64, tie: bool, u1: u32, u2: u32, sine: bool) -> bool {
         let abs = delta.abs();
-        // (a) Larger than any noise term. An infinite difference passes
-        // too, but is left to the exact path.
-        if abs - self.noise_max > self.settle {
-            return (abs <= f64::MAX).then_some(delta > 0.0);
-        }
+        // Infinite and NaN differences are left to the exact path.
+        let finite = abs <= f64::MAX;
+        let trig_clear = trig_indices_clear(u2, sine);
+        // (a) Larger than any noise term.
+        let beyond = abs - self.noise_max > self.settle;
         // (b) An exact tie keeps the same bits whichever tap wins; only
         // "not forced" needs proof.
-        if tie && delta == 0.0 {
-            let clear =
-                self.ties && draws.u1() <= TIE_U1_MAX && tie_indices_clear(draws.u2(), draws.sine);
-            return clear.then_some(false);
-        }
-        // (c) This draw's radius is small enough for the difference. A NaN
-        // lands in bucket 0, which never clears.
-        let bucket = ((abs * self.inv_width) as usize).min(BUCKETS - 1);
-        let min_u1 = *self.min_u1.get(bucket)?;
-        (draws.u1() >= min_u1).then_some(delta > 0.0)
+        let tied = tie & (delta == 0.0) & self.ties & (u1 <= TIE_U1_MAX) & trig_clear;
+        // (c) This draw's radius is small enough for the difference.
+        // `⌊abs/width⌋`, capped at the last bucket, read from the low bits
+        // of `2⁵² + b`, which is exact for integers `b < 2⁵²`.
+        let bucket = (abs * self.inv_width).min((BUCKETS - 1) as f64).floor();
+        let bucket = (bucket + TWO_52).to_bits() as usize & (BUCKETS - 1);
+        let small = u1 >= self.min_u1[bucket];
+        // (d) The noise term has the difference's sign, so it only moves
+        // the difference further from zero and from `settle`.
+        let signed = (abs > self.settle)
+            & trig_clear
+            & (trig_negative(u2, sine) ^ self.sigma_negative == delta.is_sign_negative());
+        finite & (beyond | tied | small | signed)
     }
 }
 
+/// `u2_index` advanced by a quarter turn (`2²²`) for the cosine half, so
+/// that both halves' trig values are positive on phases `(0, 2²³)` and
+/// negative on `(2²³, 2²⁴)` (modulo `2²⁴`), with zeros at multiples of
+/// `2²³`.
+#[inline(always)]
+fn trig_phase(u2_index: u32, sine: bool) -> u32 {
+    u2_index + if sine { 0 } else { 1 << 22 }
+}
+
 /// Whether `u2_index` keeps [`TIE_TRIG_GAP`] from every zero of the sine
-/// (`sine`) or cosine of `2π·u2`. Sine zeros sit at multiples of `2²³`,
-/// cosine zeros a quarter turn (`2²²`) later.
-fn tie_indices_clear(u2_index: u32, sine: bool) -> bool {
-    let shift = if sine { 0 } else { 1 << 22 };
-    let phase = (u2_index + shift) & ((1 << 23) - 1);
+/// (`sine`) or cosine of `2π·u2`.
+#[inline(always)]
+fn trig_indices_clear(u2_index: u32, sine: bool) -> bool {
+    let phase = trig_phase(u2_index, sine) & ((1 << 23) - 1);
     (TIE_TRIG_GAP..=(1 << 23) - TIE_TRIG_GAP).contains(&phase)
 }
 
+/// The sign of the trig value of `u2_index`'s half, where
+/// [`trig_indices_clear`] holds: negative on the second half-turn.
+#[inline(always)]
+fn trig_negative(u2_index: u32, sine: bool) -> bool {
+    trig_phase(u2_index, sine) & (1 << 23) != 0
+}
+
 /// The smallest `|sin|` or `|cos|` over the boundary indices of
-/// [`tie_indices_clear`], evaluated through the real angle expression.
+/// [`trig_indices_clear`], evaluated through the real angle expression.
 fn tie_trig_floor() -> f32 {
     let mut floor = f32::INFINITY;
     for sine in [false, true] {
@@ -483,7 +442,7 @@ fn tie_trig_floor() -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redeye_tensor::{NoiseStream, Rng};
+    use redeye_tensor::Rng;
 
     #[test]
     fn clear_differences_decide_correctly() {
@@ -537,9 +496,10 @@ mod tests {
     }
 
     /// Comparators whose screens the exhaustive checks cover.
-    fn screened_variants() -> [Comparator; 4] {
+    fn screened_variants() -> [Comparator; 5] {
         [
             Comparator::new(),
+            Comparator::new().with_noise(Volts::new(-3e-4)),
             Comparator::new().with_noise(Volts::new(2e-3)),
             Comparator::new().with_noise(Volts::new(1e-6)),
             Comparator::new().with_time_slot(Seconds::new(8e-10)),
@@ -600,7 +560,7 @@ mod tests {
         // screen then settles nothing.
         let never = Comparator::new().with_time_slot(Seconds::new(-1e-9));
         assert_eq!(never.screen.settle, f64::INFINITY);
-        assert!(never.screen.min_u1.is_empty() && !never.screen.ties);
+        assert!(never.screen.min_u1.iter().all(|&k| k == 1 << 24) && !never.screen.ties);
     }
 
     #[test]
@@ -609,7 +569,7 @@ mod tests {
         assert!(floor > 6e-3, "trig floor {floor}");
         for sine in [false, true] {
             for u2 in 0..1u32 << 24 {
-                if tie_indices_clear(u2, sine) {
+                if trig_indices_clear(u2, sine) {
                     let (sin, cos) = box_muller_angle(u2);
                     let t = if sine { sin } else { cos }.abs();
                     assert!(
@@ -634,7 +594,7 @@ mod tests {
             ((3 << 22) + gap - 1, false, false),
         ] {
             assert_eq!(
-                tie_indices_clear(u2, sine),
+                trig_indices_clear(u2, sine),
                 clear,
                 "u2 index {u2}, sine {sine}"
             );
@@ -645,26 +605,76 @@ mod tests {
         assert!(Comparator::new().screen.ties);
     }
 
-    /// The first site of `stream` whose first Box–Muller pair has `u1`
+    /// Screen (d)'s proof: every `u2` index the sign ranges accept gives
+    /// an f32 trig value of the claimed sign, for both halves.
+    #[test]
+    fn trig_sign_ranges_hold_over_every_u2_index() {
+        for u2 in 0..1u32 << 24 {
+            let (sin, cos) = box_muller_angle(u2);
+            for (sine, t) in [(false, cos), (true, sin)] {
+                if trig_indices_clear(u2, sine) {
+                    assert!(
+                        t != 0.0 && (t < 0.0) == trig_negative(u2, sine),
+                        "u2 index {u2} (sine {sine}): trig {t}"
+                    );
+                }
+            }
+        }
+        // Each half is positive on its first half-turn from its zero.
+        let gap = TIE_TRIG_GAP;
+        for (u2, sine, negative) in [
+            (gap, true, false),
+            ((1 << 23) - gap, true, false),
+            ((1 << 23) + gap, true, true),
+            ((1 << 24) - gap, true, true),
+            (0, false, false),
+            ((1 << 22) - gap, false, false),
+            ((1 << 22) + gap, false, true),
+            ((3 << 22) - gap, false, true),
+            ((3 << 22) + gap, false, false),
+        ] {
+            assert_eq!(
+                trig_negative(u2, sine),
+                negative,
+                "u2 index {u2}, sine {sine}"
+            );
+        }
+    }
+
+    /// The first site id of `stream` whose first Box–Muller pair has `u1`
     /// and `u2` indices accepted by `accept`.
-    fn find_site(stream: NoiseStream, accept: impl Fn(u32, u32) -> bool) -> SiteRng {
+    fn find_site(stream: NoiseStream, accept: impl Fn(u32, u32) -> bool) -> u64 {
         (0..)
-            .map(|id| stream.at(id))
-            .find(|s| accept(s.uniform_index(0), s.uniform_index(1)))
+            .find(|&id| {
+                let s = stream.at(id);
+                accept(s.uniform_index(0), s.uniform_index(1))
+            })
             .expect("an unbounded search finds a site")
     }
 
-    /// One decision of `v` against `best` (one volt per unit) through
-    /// `max_window` and through `compare`, on the same site.
-    fn assert_window_is_exact(best: f32, v: f32, site: &SiteRng) {
-        let (mut screened, mut oracle) = (Comparator::new(), Comparator::new());
-        let got = screened.max_window(&[best, v], 1.0, site);
-        let mut rng = site.clone();
-        let d = oracle.compare(f64::from(v), f64::from(best), &mut rng);
-        let want = if d.a_greater { v } else { best };
-        assert_eq!(got.value.to_bits(), want.to_bits(), "{best} vs {v}");
-        assert_eq!(got.forced, u64::from(d.forced), "{best} vs {v}");
-        assert_eq!(got.draws, if d.forced { 3 } else { 2 }, "{best} vs {v}");
+    /// `taps` (one volt per unit) through `max_lanes`, as a group's one
+    /// live lane, and through the `compare` chain on site `id`: the same
+    /// kept bits and forced count. Returns the forced count.
+    fn assert_window_is_exact(c: &Comparator, taps: &[f32], stream: NoiseStream, id: u64) -> u64 {
+        let (mut screened, mut oracle) = (c.clone(), c.clone());
+        let block: Vec<[f32; LANES]> = taps.iter().map(|&v| [v; LANES]).collect();
+        let got = screened.max_lanes(&block, 1.0, &stream, &[id; LANES], 1)[0];
+        let mut rng = stream.at(id);
+        let want = taps[1..].iter().fold(taps[0], |best, &v| {
+            let d = oracle.compare(f64::from(v), f64::from(best), &mut rng);
+            if d.a_greater {
+                v
+            } else {
+                best
+            }
+        });
+        assert_eq!(got.to_bits(), want.to_bits(), "{taps:?}");
+        assert_eq!(
+            (screened.decisions_made(), screened.forced_decisions()),
+            (oracle.decisions_made(), oracle.forced_decisions()),
+            "{taps:?}"
+        );
+        screened.forced_decisions()
     }
 
     /// Typical draws cannot show a screen bound that is slightly too
@@ -676,16 +686,16 @@ mod tests {
         let (s, sigma) = (&c.screen, c.noise_rms.value());
         let stream = NoiseStream::new(0x5c4e_e111);
         // (a): the largest radius, with the cosine half well away from 0.
-        let site = find_site(stream, |u1, u2| {
+        let id = find_site(stream, |u1, u2| {
             u1 == 0 && box_muller_angle(u2).1.abs() >= 0.6
         });
-        let z = box_muller_radius(0) * box_muller_angle(site.uniform_index(1)).1;
+        let z = box_muller_radius(0) * box_muller_angle(stream.at(id).uniform_index(1)).1;
         let noise = f64::from(z) * sigma;
         for scale in [0.5, 0.9, 0.999, 1.001, 1.1] {
-            assert_window_is_exact(0.0, (-noise * scale) as f32, &site);
+            assert_window_is_exact(&c, &[0.0, (-noise * scale) as f32], stream, id);
         }
         for edge in [s.noise_max + s.settle, 0.5 * s.noise_max] {
-            assert_window_is_exact(0.0, (-edge.copysign(noise)) as f32, &site);
+            assert_window_is_exact(&c, &[0.0, (-edge.copysign(noise)) as f32], stream, id);
         }
         // (c): a `u1` index just under a bucket's entry, the noise opposing
         // a difference at the bucket's lower edge.
@@ -695,20 +705,66 @@ mod tests {
         let k = s.min_u1[bucket];
         assert!((1000..1 << 24).contains(&k), "bucket {bucket}: K={k}");
         let lower = bucket as f64 / s.inv_width;
-        let site = find_site(stream, |u1, u2| {
+        let id = find_site(stream, |u1, u2| {
             (k - 1000..k).contains(&u1) && box_muller_angle(u2).1.abs() >= 0.999
         });
-        let opposing = -f64::from(box_muller_angle(site.uniform_index(1)).1).signum();
+        let opposing = -f64::from(box_muller_angle(stream.at(id).uniform_index(1)).1).signum();
         for scale in [1.0, 1.000_01, 1.001, 1.01] {
-            assert_window_is_exact(0.0, (opposing * lower * scale) as f32, &site);
+            let v = (opposing * lower * scale) as f32;
+            assert_window_is_exact(&c, &[0.0, v], stream, id);
         }
         // (b): a tie whose cosine sits on its zero times out.
-        let site = find_site(stream, |u1, u2| u1 <= TIE_U1_MAX && u2 == 1 << 22);
-        assert_window_is_exact(0.3, 0.3, &site);
-        assert_eq!(
-            Comparator::new().max_window(&[0.3, 0.3], 1.0, &site).forced,
-            1
-        );
+        let id = find_site(stream, |u1, u2| u1 <= TIE_U1_MAX && u2 == 1 << 22);
+        assert_eq!(assert_window_is_exact(&c, &[0.3, 0.3], stream, id), 1);
+        // (d): `u2` indices at the edges of each half's sign ranges, in and
+        // just out, under differences just above `settle` of both signs and
+        // noise of both signs. A radius of at least 1.18 makes the noise
+        // ~10³× `settle`, so a sign the test gets wrong flips the outcome.
+        let gap = TIE_TRIG_GAP;
+        let cosine_edges = [
+            (1 << 22) - gap,
+            (1 << 22) + gap,
+            (3 << 22) - gap,
+            (3 << 22) + gap,
+        ];
+        let sine_edges = [gap, (1 << 23) - gap, (1 << 23) + gap, (1 << 24) - gap];
+        let mut settled_by_sign = 0;
+        for (sine, edges) in [(false, cosine_edges), (true, sine_edges)] {
+            for edge in edges {
+                let id = find_site(stream, |u1, u2| u1 <= 1 << 23 && u2.abs_diff(edge) <= 8);
+                let (u1, u2) = (
+                    stream.at(id).uniform_index(0),
+                    stream.at(id).uniform_index(1),
+                );
+                for c in [
+                    Comparator::new(),
+                    Comparator::new().with_noise(Volts::new(-3e-4)),
+                ] {
+                    let settle = c.screen.settle;
+                    let mut above = settle as f32;
+                    while f64::from(above) <= settle {
+                        above = f32::from_bits(above.to_bits() + 1);
+                    }
+                    for v in [above, above * (1.0 + 1.0 / 1024.0), 2.0 * above] {
+                        for v in [v, -v] {
+                            // A sine-half decision follows a first decision
+                            // that (a) settles for the running best.
+                            let window = if sine {
+                                vec![0.0, -1.0, v]
+                            } else {
+                                vec![0.0, v]
+                            };
+                            assert_eq!(assert_window_is_exact(&c, &window, stream, id), 0);
+                            settled_by_sign +=
+                                usize::from(c.screen.settles(f64::from(v), false, u1, u2, sine));
+                        }
+                    }
+                }
+            }
+        }
+        // Half the cases are in range, and half of those have the
+        // difference's sign: 2 halves · 4 edges · 2 noise signs · 3 sizes.
+        assert!(settled_by_sign >= 12, "(d) settled {settled_by_sign}");
     }
 
     #[test]

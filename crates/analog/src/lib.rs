@@ -49,7 +49,7 @@ mod sar;
 mod tunable_cap;
 mod units;
 
-pub use comparator::{Comparator, ComparatorDecision, WindowMax};
+pub use comparator::{Comparator, ComparatorDecision};
 pub use corners::ProcessCorner;
 pub use damping::{
     snr_admissible, snr_in_tunable_band, DampingConfig, SNR_ADMISSIBLE_MAX, SNR_ADMISSIBLE_MIN,

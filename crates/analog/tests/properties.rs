@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use redeye_analog::{
     ktc_noise_voltage, Comparator, DampingConfig, Farads, SarAdc, Seconds, SnrDb, TunableCap, Volts,
 };
-use redeye_tensor::{NoiseStream, Rng, SiteRng};
+use redeye_tensor::{NoiseStream, Rng, SiteRng, LANES};
 
 /// One pooling-window tap drawn from the mixes that stress the screen:
 /// plateaus (exact ties, ±0.0), near-ties within 2σ of the running best,
@@ -23,34 +23,58 @@ fn window_tap(rng: &mut Rng, plateau: f32, volts_per_unit: f64, rail: f32) -> f3
     }
 }
 
-/// `compare` chained over the taps on a clone of `site`: the reference the
-/// screened window must reproduce. Returns the kept tap and the generator
-/// after the chain.
+/// `compare` chained over the taps on `site`: the reference the lane
+/// kernel must reproduce.
 fn compare_chain(
     comparator: &mut Comparator,
     taps: &[f32],
     volts_per_unit: f64,
-    site: &SiteRng,
-) -> (f32, SiteRng) {
-    let mut rng = site.clone();
-    let mut best = taps[0];
-    for &v in &taps[1..] {
+    mut site: SiteRng,
+) -> f32 {
+    taps[1..].iter().fold(taps[0], |best, &v| {
         let a = f64::from(v) * volts_per_unit;
         let b = f64::from(best) * volts_per_unit;
-        if comparator.compare(a, b, &mut rng).a_greater {
-            best = v;
+        if comparator.compare(a, b, &mut site).a_greater {
+            v
+        } else {
+            best
         }
+    })
+}
+
+/// The windows of a band of consecutive sites through
+/// [`Comparator::max_lanes`], as the executor runs a pooling band: groups
+/// of [`LANES`] sites, a short last group padded with its last site.
+fn lane_band(
+    comparator: &mut Comparator,
+    windows: &[Vec<f32>],
+    volts_per_unit: f64,
+    stream: &NoiseStream,
+    first_site: u64,
+) -> Vec<f32> {
+    let taps = windows[0].len();
+    let mut out = Vec::with_capacity(windows.len());
+    for (g, group) in windows.chunks(LANES).enumerate() {
+        let lane = |l: usize| l.min(group.len() - 1);
+        let block: Vec<[f32; LANES]> = (0..taps)
+            .map(|t| std::array::from_fn(|l| group[lane(l)][t]))
+            .collect();
+        let sites = std::array::from_fn(|l| first_site + (g * LANES + lane(l)) as u64);
+        let best = comparator.max_lanes(&block, volts_per_unit, stream, &sites, group.len());
+        out.extend_from_slice(&best[..group.len()]);
     }
-    (best, rng)
+    out
 }
 
 proptest! {
-    /// `max_window` is `compare` chained over the window: the same kept
-    /// bits, decisions, forced count and draws, for the default comparator
-    /// and for ones whose zero noise, zero slot or short slot make forced
-    /// decisions fire and shift later draws.
+    /// `max_lanes` is `compare` chained over each window: the same kept
+    /// bits per site, and per band the same decisions and forced count.
+    /// Bands of 1–19 sites at random start ids run partial lane groups.
+    /// The comparators are the default, ones whose zero noise, zero slot
+    /// or short slot make forced decisions fire and shift later draws, a
+    /// noisier one and one with a negative noise scale.
     #[test]
-    fn max_window_matches_compare_chain(seed in 0u64..1 << 40) {
+    fn lane_max_matches_compare_chain(seed in 0u64..1 << 40) {
         let variants = [
             Comparator::new(),
             Comparator::new().with_noise(Volts::new(0.0)),
@@ -58,37 +82,43 @@ proptest! {
             // Forced below ≈0.3 mV: comparable to the 0.3 mV noise.
             Comparator::new().with_time_slot(Seconds::new(8e-10)),
             Comparator::new().with_noise(Volts::new(2e-3)),
+            Comparator::new().with_noise(Volts::new(-3e-4)),
         ];
         let stream = NoiseStream::new(seed);
         let mut rng = Rng::seed_from(seed);
-        let mut forced = [0u64; 5];
+        let mut forced = [0u64; 6];
         for (k, base) in variants.iter().enumerate() {
-            let (mut screened, mut oracle) = (base.clone(), base.clone());
-            for site_id in 0..400u64 {
+            for band in 0..40 {
+                let sites = 1 + rng.index(19);
+                let first_site = rng.index(1 << 40) as u64;
                 let window = 1 + rng.index(5);
                 let rail = [1.0f32, 0.37, 2.5][rng.index(3)];
                 let volts_per_unit = 0.9 / f64::from(rail);
-                let plateau = rng.uniform(-rail, rail);
-                let taps: Vec<f32> = (0..window * window)
-                    .map(|_| window_tap(&mut rng, plateau, volts_per_unit, rail))
+                let windows: Vec<Vec<f32>> = (0..sites)
+                    .map(|_| {
+                        let plateau = rng.uniform(-rail, rail);
+                        (0..window * window)
+                            .map(|_| window_tap(&mut rng, plateau, volts_per_unit, rail))
+                            .collect()
+                    })
                     .collect();
-                let site = stream.at(site_id);
-                let before = oracle.forced_decisions();
-                let got = screened.max_window(&taps, volts_per_unit, &site);
-                let (want, mut after) = compare_chain(&mut oracle, &taps, volts_per_unit, &site);
-                let context = format!("variant {k}, site {site_id}, taps {taps:?}");
-                prop_assert_eq!(got.value.to_bits(), want.to_bits(), "value: {}", context);
-                prop_assert_eq!(got.decisions, taps.len() as u64 - 1, "decisions: {}", context);
-                prop_assert_eq!(got.forced, oracle.forced_decisions() - before, "forced: {}", context);
-                let mut advanced = site.clone();
-                for _ in 0..got.draws {
-                    advanced.next_u64();
+                let (mut lanes, mut oracle) = (base.clone(), base.clone());
+                let got = lane_band(&mut lanes, &windows, volts_per_unit, &stream, first_site);
+                for (i, taps) in windows.iter().enumerate() {
+                    let site = stream.at(first_site + i as u64);
+                    let want = compare_chain(&mut oracle, taps, volts_per_unit, site);
+                    prop_assert_eq!(
+                        got[i].to_bits(),
+                        want.to_bits(),
+                        "variant {}, band {}, site {}, taps {:?}",
+                        k, band, i, taps
+                    );
                 }
-                prop_assert_eq!(advanced.next_u64(), after.next_u64(), "draws: {}", context);
-                forced[k] += got.forced;
+                let context = format!("variant {k}, band {band}: {sites} sites of {window}x{window}");
+                prop_assert_eq!(lanes.decisions_made(), oracle.decisions_made(), "decisions: {}", context);
+                prop_assert_eq!(lanes.forced_decisions(), oracle.forced_decisions(), "forced: {}", context);
+                forced[k] += lanes.forced_decisions();
             }
-            prop_assert_eq!(screened.decisions_made(), oracle.decisions_made());
-            prop_assert_eq!(screened.forced_decisions(), oracle.forced_decisions());
         }
         // Zero noise, zero slot and the short slot really force decisions.
         prop_assert!(forced[1] > 0 && forced[2] > 0 && forced[3] > 0, "forced {forced:?}");
@@ -98,11 +128,11 @@ proptest! {
     #[test]
     fn degenerate_windows(v in -1.0f32..1.0, seed in 0u64..1000) {
         let mut c = Comparator::new();
-        let site = NoiseStream::new(seed).at(0);
-        let empty = c.max_window(&[], 0.9, &site);
-        prop_assert_eq!((empty.value, empty.decisions, empty.draws), (0.0, 0, 0));
-        let one = c.max_window(&[v], 0.9, &site);
-        prop_assert_eq!((one.value.to_bits(), one.decisions, one.draws), (v.to_bits(), 0, 0));
+        let stream = NoiseStream::new(seed);
+        let sites = [0; LANES];
+        prop_assert_eq!(c.max_lanes(&[], 0.9, &stream, &sites, LANES), [0.0; LANES]);
+        let one = c.max_lanes(&[[v; LANES]], 0.9, &stream, &sites, LANES);
+        prop_assert!(one.iter().all(|x| x.to_bits() == v.to_bits()));
         prop_assert_eq!(c.decisions_made(), 0);
     }
 

@@ -9,9 +9,10 @@
 //!   thread budget.
 //! - **Analog** (`BENCH_analog.json`): the layer-noise stage at the
 //!   Depth3 sample count (per-site Box–Muller vs the blocked polar
-//!   `add_scaled_normal`), the max-pool comparator stage (screened
-//!   `max_window` vs the exact `compare` chain over one tap set), plus
-//!   whole GoogLeNet frames at Depth1/Depth3/Depth5 per thread budget.
+//!   `add_scaled_normal`), the max-pool comparator stage (the screened
+//!   8-lane `max_lanes` kernel vs the exact `compare` chain over one tap
+//!   set), plus whole GoogLeNet frames at Depth1/Depth3/Depth5 per thread
+//!   budget.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
 //!   on the work-stealing scheduler per worker count, per depth.
@@ -41,7 +42,7 @@ use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
     conv_gemm_packed_into, gemm, gemm_into, im2col_into, matmul_naive, par, ConvGeom, NoiseSource,
-    NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace,
+    NoiseStream, PackedWeights, Rng, SimdLevel, Tensor, Workspace, LANES,
 };
 
 fn bench_gemm(records: &mut Vec<Record>, size: usize, max_threads: usize) {
@@ -176,10 +177,11 @@ fn bench_noise_kernels(records: &mut Vec<Record>, max_threads: usize, smoke: boo
 }
 
 /// The max-pool stage on its own: 3×3 windows (8 decisions each) through
-/// the screened `Comparator::max_window` and through the exact `compare`
-/// chain it must reproduce, over one tap set. A third of the windows are
-/// textured plateaus (clear differences), a third ReLU zeros (exact ties)
-/// and a third near-ties within 2σ of the comparator noise.
+/// the screened lane kernel `Comparator::max_lanes`, 8 consecutive sites
+/// per block, and through the exact `compare` chain it must reproduce,
+/// over one tap set. A third of the windows are textured plateaus (clear
+/// differences), a third ReLU zeros (exact ties) and a third near-ties
+/// within 2σ of the comparator noise.
 fn bench_comparator_window(records: &mut Vec<Record>, smoke: bool) {
     const WINDOWS: usize = 3072;
     let reps = if smoke { 3 } else { 20 };
@@ -198,16 +200,24 @@ fn bench_comparator_window(records: &mut Vec<Record>, smoke: bool) {
                 .collect::<Vec<_>>()
         })
         .collect();
+    // The same windows as decision-major blocks: `blocks[b][t][l]` is tap
+    // `t` of window `LANES·b + l`.
+    let blocks: Vec<[[f32; LANES]; 9]> = taps
+        .chunks_exact(9 * LANES)
+        .map(|group| std::array::from_fn(|t| std::array::from_fn(|l| group[9 * l + t])))
+        .collect();
     let stream = NoiseStream::new(5);
     let mut cmp = Comparator::new();
 
     let screened_ms = best_of(reps, || {
-        let sum: f32 = taps
-            .chunks_exact(9)
+        let sum: f32 = blocks
+            .iter()
             .enumerate()
-            .map(|(i, w)| {
-                cmp.max_window(w, volts_per_unit, &stream.at(i as u64))
-                    .value
+            .map(|(b, block)| {
+                let sites = std::array::from_fn(|l| (b * LANES + l) as u64);
+                cmp.max_lanes(block, volts_per_unit, &stream, &sites, LANES)
+                    .iter()
+                    .sum::<f32>()
             })
             .sum();
         std::hint::black_box(sum);

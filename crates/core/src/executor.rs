@@ -45,7 +45,7 @@ use redeye_analog::cost::FrameCost;
 use redeye_analog::{Comparator, SarAdc, SarConversion, Seconds, SnrDb};
 use redeye_tensor::{
     conv_gemm_into, conv_gemm_packed_into, par, ConvGeom, NoiseStream, PackedWeights, PoolGeom,
-    SimdLevel, Tensor, Workspace,
+    SimdLevel, Tensor, TensorError, Workspace, LANES,
 };
 use redeye_verify::charge;
 use std::sync::OnceLock;
@@ -671,7 +671,7 @@ impl FramePass<'_> {
                 ..
             } => {
                 let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
-                let (out, decisions) = self.comparator_maxpool(x, &geom);
+                let (out, decisions) = self.comparator_maxpool(x, &geom)?;
                 // Charge the comparator's measured decisions, not the
                 // table's count, so static = dynamic stays a real check.
                 counts.comparisons = decisions;
@@ -685,7 +685,7 @@ impl FramePass<'_> {
                 ..
             } => {
                 let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
-                self.add_layer_noise(average_pool(x, &geom), *snr)
+                self.add_layer_noise(average_pool(x, &geom)?, *snr)
             }
             Instruction::Lrn {
                 size,
@@ -726,18 +726,20 @@ impl FramePass<'_> {
 
     /// Max pooling through the dynamic comparator, with real forced
     /// decisions under metastability. Each output element is one noise
-    /// site: its window's taps are gathered into a per-band buffer and
-    /// decided by [`Comparator::max_window`], which screens every decision
-    /// at the draw `Comparator::compare` would consume and settles the
-    /// provably clear ones — beyond any noise term, exact ties that cannot
-    /// time out, or a draw whose radius is too small to matter — without
-    /// evaluating the draw, so the output is bit-identical to chaining
-    /// `compare` over the taps. Sites share no draw state, so the output
-    /// shards freely over the thread budget; per-band
+    /// site. A band of sites is decided [`LANES`] at a time: each group's
+    /// windows are gathered into a decision-major block, and
+    /// [`Comparator::max_lanes`] decides them in lockstep. It settles every
+    /// decision its noise provably cannot change — beyond any noise term,
+    /// an exact tie that cannot time out, a draw whose radius is too small
+    /// to matter, or noise with the difference's sign — from the draw's
+    /// indices, so the output is bit-identical to chaining `compare` over
+    /// each window. A band's short last group repeats its last site in the
+    /// spare lanes and discards them. Sites share no draw state, so the
+    /// output shards freely over the thread budget; per-band
     /// decision/forced counts are summed in band order and energy is
     /// charged as a `count × per-decision` product, keeping the ledger
     /// independent of the thread count.
-    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> (Tensor, u64) {
+    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Result<(Tensor, u64)> {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
         let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
@@ -753,41 +755,88 @@ impl FramePass<'_> {
         let src = x.as_slice();
         let template = &self.engine.comparator;
         let mut out = vec![0.0f32; geom.out_len()];
-        let stats = shard_mut(&mut out, self.engine.threads, 1, |first, band| {
-            let mut comparator = template.clone();
-            let mut taps = Vec::with_capacity(window * window);
-            for (i, slot) in band.iter_mut().enumerate() {
-                let idx = first + i;
-                let (c, rem) = (idx / plane_out, idx % plane_out);
-                let plane = &src[c * in_h * in_w..(c + 1) * in_h * in_w];
-                // Window origin in padded coordinates; padded row/column
-                // `p` is input row/column `p − pad`.
-                let (y0, x0) = (rem / out_w * stride, rem % out_w * stride);
-                // The column pipeline runs a fixed comparison schedule:
-                // every window tap is compared, with out-of-bounds
-                // (padding) taps presenting the lower rail. This keeps
-                // the per-output decision count at window²−1 regardless
-                // of border effects, matching the analytic model.
-                taps.clear();
-                for y in y0..y0 + window {
-                    let row = y
-                        .checked_sub(pad)
-                        .filter(|&r| r < in_h)
-                        .map(|r| &plane[r * in_w..(r + 1) * in_w]);
-                    let tap = |x: usize| {
-                        let col = x.checked_sub(pad)?;
-                        row?.get(col).copied()
-                    };
-                    match row.zip(x0.checked_sub(pad)) {
-                        Some((row, col)) if col + window <= in_w => {
-                            taps.extend_from_slice(&row[col..col + window]);
-                        }
-                        _ => taps.extend((x0..x0 + window).map(|x| tap(x).unwrap_or(-max_abs))),
+        // Gathers the window of output site `(c, oy, ox)` into lane `l` of
+        // a decision-major block: `block[ky·window + kx][l]` is tap
+        // `(ky, kx)`. Groups whose windows share an output row and lie
+        // inside the plane take the row-run copy below instead.
+        let gather = |block: &mut [[f32; LANES]], l: usize, (c, oy, ox): (usize, usize, usize)| {
+            let plane = &src[c * in_h * in_w..(c + 1) * in_h * in_w];
+            // Window origin in padded coordinates; padded row/column `p`
+            // is input row/column `p − pad`.
+            let (y0, x0) = (oy * stride, ox * stride);
+            let rows = block.chunks_exact_mut(window);
+            if y0 >= pad && x0 >= pad && y0 + window <= in_h + pad && x0 + window <= in_w + pad {
+                let origin = (y0 - pad) * in_w + (x0 - pad);
+                for (ky, taps) in rows.enumerate() {
+                    let row = &plane[origin + ky * in_w..][..window];
+                    for (tap, &v) in taps.iter_mut().zip(row) {
+                        tap[l] = v;
                     }
                 }
-                *slot = comparator
-                    .max_window(&taps, volts_per_unit, &stream.at(idx as u64))
-                    .value;
+            } else {
+                // The column pipeline runs a fixed comparison schedule:
+                // every window tap is compared, with out-of-bounds
+                // (padding) taps presenting the lower rail. This keeps the
+                // per-output decision count at window²−1 regardless of
+                // border effects, matching the analytic model.
+                for (ky, taps) in rows.enumerate() {
+                    let y = (y0 + ky).checked_sub(pad).filter(|&y| y < in_h);
+                    for (kx, tap) in taps.iter_mut().enumerate() {
+                        let x = (x0 + kx).checked_sub(pad).filter(|&x| x < in_w);
+                        tap[l] = match y.zip(x) {
+                            Some((y, x)) => plane[y * in_w + x],
+                            None => -max_abs,
+                        };
+                    }
+                }
+            }
+        };
+        let stats = shard_mut(&mut out, self.engine.threads, 1, |first, band| {
+            let mut comparator = template.clone();
+            let mut block = vec![[0.0f32; LANES]; window * window];
+            // The next site's `(channel, row, column)`, stepped along the
+            // band so that a band divides once.
+            let mut at = (first / plane_out, first % plane_out / out_w, first % out_w);
+            let step = |(c, oy, ox): (usize, usize, usize), n: usize| match ox + n {
+                ox if ox < out_w => (c, oy, ox),
+                _ if oy + 1 < out_h => (c, oy + 1, 0),
+                _ => (c + 1, 0, 0),
+            };
+            for (g, group) in band.chunks_mut(LANES).enumerate() {
+                let live = group.len();
+                let (c, oy, ox) = at;
+                let (y0, x0, x0_last) = (oy * stride, ox * stride, (ox + live - 1) * stride);
+                if ox + live <= out_w
+                    && y0 >= pad
+                    && x0 >= pad
+                    && y0 + window <= in_h + pad
+                    && x0_last + window <= in_w + pad
+                {
+                    // One output row of windows inside the plane: tap
+                    // (ky, kx) of lane `l` is element `l·stride` of a run
+                    // of input row `y0 − pad + ky`. Spare lanes repeat the
+                    // last site.
+                    let origin = c * in_h * in_w + (y0 - pad) * in_w + (x0 - pad);
+                    for (ky, rows) in block.chunks_exact_mut(window).enumerate() {
+                        for (kx, taps) in rows.iter_mut().enumerate() {
+                            let run = &src[origin + ky * in_w + kx..][..=x0_last - x0];
+                            *taps = std::array::from_fn(|l| run[l.min(live - 1) * stride]);
+                        }
+                    }
+                    at = step(at, live);
+                } else {
+                    for l in 0..live {
+                        gather(&mut block, l, at);
+                        at = step(at, 1);
+                    }
+                    for taps in &mut block {
+                        let last = taps[live - 1];
+                        taps[live..].fill(last);
+                    }
+                }
+                let sites = std::array::from_fn(|l| (first + g * LANES + l.min(live - 1)) as u64);
+                let best = comparator.max_lanes(&block, volts_per_unit, &stream, &sites, live);
+                group.copy_from_slice(&best[..live]);
             }
             (comparator.decisions_made(), comparator.forced_decisions())
         });
@@ -795,8 +844,8 @@ impl FramePass<'_> {
         let forced: u64 = stats.iter().map(|s| s.1).sum();
         self.forced += forced;
         let out =
-            Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool output volume");
-        (out, decisions)
+            Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).map_err(bad_pool_volume)?;
+        Ok((out, decisions))
     }
 
     /// The quantization module: normalizes features to the ADC full scale,
@@ -899,7 +948,7 @@ fn rectify(mut out: Tensor, relu: bool) -> Tensor {
     out
 }
 
-fn average_pool(x: &Tensor, geom: &PoolGeom) -> Tensor {
+fn average_pool(x: &Tensor, geom: &PoolGeom) -> Result<Tensor> {
     let (in_h, in_w) = (geom.in_h(), geom.in_w());
     let src = x.as_slice();
     let mut out = Vec::with_capacity(geom.out_len());
@@ -923,8 +972,15 @@ fn average_pool(x: &Tensor, geom: &PoolGeom) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, &[geom.channels(), geom.out_h(), geom.out_w()])
-        .expect("pool output volume")
+    Tensor::from_vec(out, &[geom.channels(), geom.out_h(), geom.out_w()]).map_err(bad_pool_volume)
+}
+
+/// A pool output that does not fill its geometry's volume: the program's
+/// pool shape and the plane it runs on disagree.
+fn bad_pool_volume(e: TensorError) -> CoreError {
+    CoreError::BadProgram {
+        reason: format!("pool output volume: {e}"),
+    }
 }
 
 fn lrn(x: &Tensor, dims: [usize; 3], size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor> {

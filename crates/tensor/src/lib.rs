@@ -45,7 +45,9 @@ pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom, PoolGeom, Rou
 pub use error::TensorError;
 pub use gemm::{conv_gemm_into, conv_gemm_packed_into, gemm, gemm_into, PackedWeights, SimdLevel};
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};
-pub use noise_stream::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, SiteRng};
+pub use noise_stream::{
+    box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, SiteRng, LANES,
+};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -34,8 +34,11 @@ use std::f32::consts::PI;
 /// SplitMix64 Weyl increment (golden-ratio constant).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Sites per lockstep block of [`NoiseStream::uniform_indices`].
+pub const LANES: usize = 8;
+
 /// The SplitMix64 output finalizer: a bijective avalanche mix of `z`.
-#[inline]
+#[inline(always)]
 fn mix(mut z: u64) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -191,6 +194,21 @@ impl NoiseStream {
         SiteRng {
             state: mix(self.key.wrapping_add(site.wrapping_mul(GOLDEN))),
             spare_normal: None,
+        }
+    }
+
+    /// The 24-bit uniform indices of draws `0..draws.len()` of the
+    /// [`LANES`] site generators `sites`, in lockstep: `draws[k][l]` is
+    /// `self.at(sites[l]).uniform_index(k)`. Each site is hashed once, and
+    /// each draw offset is one branch-free pass over the lanes that the
+    /// compiler vectorizes.
+    #[inline]
+    pub fn uniform_indices(&self, sites: &[u64; LANES], draws: &mut [[u32; LANES]]) {
+        let states = sites.map(|site| self.at(site).state);
+        let mut step = 0u64;
+        for row in draws {
+            step = step.wrapping_add(GOLDEN);
+            *row = std::array::from_fn(|l| (mix(states[l].wrapping_add(step)) >> 40) as u32);
         }
     }
 
@@ -793,6 +811,20 @@ mod tests {
             skipped.next_u64();
             skipped.next_u64()
         });
+    }
+
+    #[test]
+    fn lane_indices_equal_each_site_generator() {
+        let stream = NoiseStream::new(9).substream(4);
+        let sites = [0, 1, 7, 7, 1 << 40, u64::MAX, 3, 12];
+        let mut draws = [[0u32; LANES]; 19];
+        stream.uniform_indices(&sites, &mut draws);
+        for (l, &site) in sites.iter().enumerate() {
+            let mut walk = stream.at(site);
+            for (k, row) in draws.iter().enumerate() {
+                assert_eq!(row[l], (walk.next_u64() >> 40) as u32, "lane {l}, draw {k}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! a change that flips a single comparator decision, noise sample or SAR
 //! code fails here.
 //!
-//! The same program pins "static cost = dynamic ledger": `analyze_cost`'s
-//! nominal point equals every serial frame's ledger and frame time exactly,
-//! with the same op counts.
+//! GoogLeNet's two 3×3 max-pool shapes are pinned on their own, at one and
+//! two threads, on planes whose thread bands end part-way through an
+//! 8-site comparator lane group.
+//!
+//! The micronet program also pins "static cost = dynamic ledger":
+//! `analyze_cost`'s nominal point equals every serial frame's ledger and
+//! frame time exactly, with the same op counts.
 //!
 //! The layer-noise kernel is pinned on its own as well, so a rewrite that
 //! changes a single noise sample fails here without running a frame.
@@ -34,7 +38,7 @@ use redeye::core::{
     CoreError, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FrameCtx,
     FrameEngine, FrameOutput, Program, StealOptions, WeightBank,
 };
-use redeye::nn::{build_network, zoo, WeightInit};
+use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::tensor::{
     conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, par, ConvGeom, NoiseStream,
     PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
@@ -45,6 +49,10 @@ const SEED: u64 = 11;
 const FRAMES: usize = 4;
 /// Fold of the `FRAMES` frame digests for `SEED`.
 const PINNED_FOLD: u64 = 0x76c6_7794_66d7_e4e6;
+/// Fold of the `FRAMES` frame digests of `pool_program` for `SEED`.
+const PINNED_POOL_FOLD: u64 = 0x7cbb_730a_328c_5a7a;
+/// Forced comparator decisions over those frames.
+const PINNED_POOL_FORCED: u64 = 2;
 /// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
 
@@ -66,24 +74,32 @@ fn program() -> Program {
     compile(&prefix, &mut bank, &CompileOptions::default()).expect("micronet prefix compiles")
 }
 
-/// Piecewise-constant scenes: 4×4 plateaus in `[0.05, 0.35]` under a 0.9
-/// square, the last frame dimmed to low light. Plateaus make exact ties
-/// and near-ties for the comparator.
+/// Piecewise-constant 32×32 scenes (see [`scenes_of`]).
 fn scenes() -> Vec<Tensor> {
+    scenes_of(32)
+}
+
+/// Piecewise-constant `side`×`side` scenes: 4×4 plateaus in
+/// `[0.05, 0.35]` under a 0.9 square, the last frame dimmed to low light.
+/// Plateaus make exact ties and near-ties for the comparator.
+fn scenes_of(side: usize) -> Vec<Tensor> {
     let mut rng = Rng::seed_from(SEED);
+    let cells = side.div_ceil(4);
     (0..FRAMES)
         .map(|f| {
-            let levels: Vec<f32> = (0..3 * 8 * 8).map(|_| rng.uniform(0.05, 0.35)).collect();
+            let levels: Vec<f32> = (0..3 * cells * cells)
+                .map(|_| rng.uniform(0.05, 0.35))
+                .collect();
             let gain = if f == FRAMES - 1 { 0.12 } else { 1.0 };
-            let mut t = Tensor::zeros(&[3, 32, 32]);
+            let mut t = Tensor::zeros(&[3, side, side]);
             for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-                let (c, y, x) = (i / 1024, i / 32 % 32, i % 32);
+                let (c, y, x) = (i / (side * side), i / side % side, i % side);
                 let square = (4 + 3 * f..14 + 3 * f).contains(&y) && (6 + f..16 + f).contains(&x);
                 *v = gain
                     * if square {
                         0.9
                     } else {
-                        levels[c * 64 + y / 4 * 8 + x / 4]
+                        levels[c * cells * cells + y / 4 * cells + x / 4]
                     };
             }
             t
@@ -179,6 +195,80 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
     assert!(want.iter().all(|f| f.ledger.comparisons > 0));
     let fold = fold(want.iter().map(|f| f.digest));
     assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
+}
+
+/// A 3×3 conv to 13 channels on a 38×38 scene, then GoogLeNet's two 3×3
+/// max-pool shapes: stride 1 with pad 1 (the inception pool branch) and
+/// stride 2 with pad 0, whose last window column hangs off the plane.
+/// Both pools have more than `ANALOG_PARALLEL_MIN` (4,096) sites, so two
+/// threads split them, into bands of 9,386 and 2,347 sites that end
+/// mid-way through an 8-site comparator group.
+fn pool_program() -> Program {
+    let spec = NetworkSpec::new(
+        "pools",
+        [3, 38, 38],
+        vec![
+            LayerSpec::Conv {
+                name: "conv".into(),
+                out_c: 13,
+                kernel: 3,
+                stride: 1,
+                pad: 1,
+                relu: true,
+            },
+            LayerSpec::MaxPool {
+                name: "pool_s1".into(),
+                window: 3,
+                stride: 1,
+                pad: 1,
+            },
+            LayerSpec::MaxPool {
+                name: "pool_s2".into(),
+                window: 3,
+                stride: 2,
+                pad: 0,
+            },
+        ],
+    );
+    let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(43))
+        .expect("pool program builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&spec, &mut bank, &CompileOptions::default()).expect("pool program compiles")
+}
+
+#[test]
+fn three_by_three_pools_are_pinned_at_one_and_two_threads() {
+    let program = pool_program();
+    let inputs = scenes_of(38);
+    let run = |threads| {
+        let mut engine = FrameEngine::new(program.clone(), SEED);
+        engine.set_threads(threads);
+        let mut ctx = FrameCtx::new();
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(f, input)| {
+                Frame::from(
+                    &engine
+                        .run_frame(f as u64, input, &mut ctx)
+                        .expect("pool frame"),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let want = run(1);
+    assert_eq!(run(2), want, "two threads");
+    // 13·38·38 stride-1 and 13·19·19 stride-2 sites, 8 decisions each.
+    assert!(want
+        .iter()
+        .all(|f| f.ledger.comparisons == 8 * 13 * (38 * 38 + 19 * 19)));
+    let forced: u64 = want.iter().map(|f| f.forced).sum();
+    let fold = fold(want.iter().map(|f| f.digest));
+    assert_eq!(
+        (fold, forced),
+        (PINNED_POOL_FOLD, PINNED_POOL_FORCED),
+        "digest fold {fold:#018x}, forced {forced}"
+    );
 }
 
 #[test]
