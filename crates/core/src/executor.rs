@@ -144,8 +144,9 @@ pub struct FrameEngine {
     /// Pack-once comparator template: its screening table is built once
     /// and cloned into each pooling band.
     comparator: Comparator,
-    /// Thread budget within a frame: conv GEMM row bands and the per-site
-    /// analog stages (layer noise, comparator pooling, SAR readout).
+    /// Thread budget within a frame: conv GEMM output column ranges, LRN
+    /// channel planes and the per-site analog stages (layer noise,
+    /// comparator pooling, SAR readout).
     threads: usize,
     /// Per-frame cost caps enforced during pre-frame verification.
     budget: redeye_verify::CostBudget,
@@ -182,10 +183,11 @@ impl FrameEngine {
         self.verified = OnceLock::new();
     }
 
-    /// Sets the frame's thread budget: conv GEMM row bands and the
-    /// per-site analog stages (layer noise, comparator max pooling, SAR
-    /// readout) all split across it. Results are bit-identical across
-    /// budgets; small stages stay serial regardless.
+    /// Sets the frame's thread budget: conv GEMM output column ranges, LRN
+    /// channel planes and the per-site analog stages (layer noise,
+    /// comparator max pooling, SAR readout) all split across it. Results
+    /// are bit-identical across budgets; small stages stay serial
+    /// regardless.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -422,8 +424,8 @@ impl FrameCtx {
 ///
 /// Parallelism across frames belongs to the batch and fleet executors'
 /// worker pools; parallelism within a frame is one budget,
-/// [`Executor::set_threads`], shared by the conv GEMM and the per-site
-/// analog stages.
+/// [`Executor::set_threads`], shared by the conv GEMM, LRN and the
+/// per-site analog stages.
 ///
 /// # Example
 ///
@@ -661,7 +663,7 @@ impl FramePass<'_> {
                     }
                 }
                 let out = Tensor::from_vec(out, &[*out_c, positions])?;
-                let out = self.add_layer_noise(out, *snr);
+                let out = self.add_layer_noise(out, *snr, name)?;
                 rectify(out, *relu).into_reshaped(&[*out_c, geom.out_h(), geom.out_w()])?
             }
             Instruction::MaxPool {
@@ -671,7 +673,7 @@ impl FramePass<'_> {
                 ..
             } => {
                 let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
-                let (out, decisions) = self.comparator_maxpool(x, &geom)?;
+                let (out, decisions) = self.comparator_maxpool(x, &geom, name)?;
                 // Charge the comparator's measured decisions, not the
                 // table's count, so static = dynamic stays a real check.
                 counts.comparisons = decisions;
@@ -685,7 +687,7 @@ impl FramePass<'_> {
                 ..
             } => {
                 let geom = PoolGeom::new(c, h, w, *window, *stride, *pad)?;
-                self.add_layer_noise(average_pool(x, &geom)?, *snr)
+                self.add_layer_noise(average_pool(x, &geom)?, *snr, name)?
             }
             Instruction::Lrn {
                 size,
@@ -695,8 +697,8 @@ impl FramePass<'_> {
                 snr,
                 ..
             } => {
-                let out = lrn(x, [c, h, w], *size, *alpha, *beta, *k)?;
-                self.add_layer_noise(out, *snr)
+                let out = lrn(x, [c, h, w], *size, *alpha, *beta, *k, self.engine.threads)?;
+                self.add_layer_noise(out, *snr, name)?
             }
             Instruction::Inception { .. } => unreachable!("inception returned above"),
         };
@@ -708,10 +710,16 @@ impl FramePass<'_> {
     /// Layer: σ = signal_rms / 10^(SNR/20). Site `i` is output element `i`;
     /// the plane shards across the thread budget on sample-pair
     /// boundaries, so any resharding reproduces the same elements.
-    fn add_layer_noise(&mut self, mut out: Tensor, snr: SnrDb) -> Tensor {
+    ///
+    /// An overflowing or NaN signal power is an error naming the
+    /// instruction, not an infinite σ.
+    fn add_layer_noise(&mut self, mut out: Tensor, snr: SnrDb, name: &str) -> Result<Tensor> {
         let rms = out.power().map(f32::sqrt).unwrap_or(0.0);
+        if !rms.is_finite() {
+            return Err(not_finite(name, "signal rms", rms));
+        }
         if rms <= 0.0 {
-            return out;
+            return Ok(out);
         }
         // `noise_scale` is 1.0 on the nominal path — an IEEE-exact
         // multiplicative identity — and a process corner's thermal
@@ -721,7 +729,7 @@ impl FramePass<'_> {
         shard_mut(out.as_mut_slice(), self.engine.threads, 2, |first, band| {
             stream.add_scaled_normal(first as u64, sigma, band);
         });
-        out
+        Ok(out)
     }
 
     /// Max pooling through the dynamic comparator, with real forced
@@ -739,10 +747,18 @@ impl FramePass<'_> {
     /// decision/forced counts are summed in band order and energy is
     /// charged as a `count × per-decision` product, keeping the ledger
     /// independent of the thread count.
-    fn comparator_maxpool(&mut self, x: &Tensor, geom: &PoolGeom) -> Result<(Tensor, u64)> {
+    fn comparator_maxpool(
+        &mut self,
+        x: &Tensor,
+        geom: &PoolGeom,
+        name: &str,
+    ) -> Result<(Tensor, u64)> {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
         let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        if !max_abs.is_finite() {
+            return Err(not_finite(name, "input magnitude", max_abs));
+        }
         let volts_per_unit = if max_abs > 0.0 {
             SWING.value() / f64::from(max_abs)
         } else {
@@ -871,6 +887,9 @@ impl FramePass<'_> {
         // Gain staging: features (post-rectification, ≥ 0) map onto the ADC
         // full scale; negative residues clip at the lower rail.
         let vmax = x.iter().fold(0.0f32, |m, &v| m.max(v));
+        if !vmax.is_finite() {
+            return Err(not_finite("readout", "full scale", vmax));
+        }
         // Floor the full scale at the smallest normal f32: a subnormal
         // maximum (a degenerate all-≈0 frame) would otherwise set a gain of
         // up to ~2^126 and blow the reconstruction up to ±inf. Such frames
@@ -975,6 +994,14 @@ fn average_pool(x: &Tensor, geom: &PoolGeom) -> Result<Tensor> {
     Tensor::from_vec(out, &[geom.channels(), geom.out_h(), geom.out_w()]).map_err(bad_pool_volume)
 }
 
+/// A stage whose folded signal statistic overflowed f32 (or is NaN): the
+/// noise σ or gain it sets would poison every value after it.
+fn not_finite(name: &str, what: &str, v: f32) -> CoreError {
+    CoreError::BadProgram {
+        reason: format!("`{name}` {what} is {v}, not finite"),
+    }
+}
+
 /// A pool output that does not fill its geometry's volume: the program's
 /// pool shape and the plane it runs on disagree.
 fn bad_pool_volume(e: TensorError) -> CoreError {
@@ -983,26 +1010,42 @@ fn bad_pool_volume(e: TensorError) -> CoreError {
     }
 }
 
-fn lrn(x: &Tensor, dims: [usize; 3], size: usize, alpha: f32, beta: f32, k: f32) -> Result<Tensor> {
-    let [c, h, w] = dims;
+/// Local response normalization across channels. Each output element
+/// sums its channel window in channel order, so the channel planes shard
+/// freely over the thread budget (bands of whole planes).
+fn lrn(
+    x: &Tensor,
+    [c, h, w]: [usize; 3],
+    size: usize,
+    alpha: f32,
+    beta: f32,
+    k: f32,
+    threads: usize,
+) -> Result<Tensor> {
     let half = size / 2;
     let plane = h * w;
-    let src = x.as_slice();
     let mut out = vec![0.0f32; c * plane];
-    for ci in 0..c {
-        let lo = ci.saturating_sub(half);
-        let hi = (ci + half).min(c - 1);
-        for p in 0..plane {
-            let mut acc = 0.0f32;
-            for cj in lo..=hi {
-                let v = src[cj * plane + p];
-                acc += v * v;
-            }
-            let denom = k + alpha / size as f32 * acc;
-            out[ci * plane + p] = src[ci * plane + p] * denom.powf(-beta);
-        }
+    if plane == 0 {
+        return Ok(Tensor::from_vec(out, &[c, h, w])?);
     }
-    Ok(Tensor::from_vec(out, &dims)?)
+    let src = x.as_slice();
+    shard_mut(&mut out, threads, plane, |first, band| {
+        for (i, dst) in band.chunks_exact_mut(plane).enumerate() {
+            let ci = first / plane + i;
+            let lo = ci.saturating_sub(half);
+            let hi = (ci + half).min(c - 1);
+            for (p, o) in dst.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for cj in lo..=hi {
+                    let v = src[cj * plane + p];
+                    acc += v * v;
+                }
+                let denom = k + alpha / size as f32 * acc;
+                *o = src[ci * plane + p] * denom.powf(-beta);
+            }
+        }
+    });
+    Ok(Tensor::from_vec(out, &[c, h, w])?)
 }
 
 fn concat_channels(parts: &[Tensor]) -> Result<Tensor> {
@@ -1173,6 +1216,49 @@ mod tests {
         }
     }
 
+    /// Weights large enough to overflow the f32 signal power used to pass
+    /// verification and return all-zero codes: σ became ∞, the noise NaN,
+    /// and `NaN.max(0.0)` read as code 0. The verifier now refuses them
+    /// (RE0608), and past verification the run is a typed error naming
+    /// the conv.
+    #[test]
+    fn overflowing_weights_are_refused_not_zeroed() {
+        let input = Tensor::full(&[3, 32, 32], 0.5);
+        for huge in [1e18, f32::MAX] {
+            let (mut program, _) = micronet_program(40.0, 4);
+            if let Instruction::Conv { scale, .. } = &mut program.instructions[0] {
+                *scale = huge;
+            }
+            let report = redeye_verify::verify(&program);
+            assert!(
+                report
+                    .errors()
+                    .any(|d| d.code == "RE0608" && d.layer.as_deref() == Some("conv1")),
+                "scale {huge}: {}",
+                report.render()
+            );
+            let engine = FrameEngine::new(program, 1);
+            engine.verified.set(()).expect("fresh engine");
+            match engine.run_frame(0, &input, &mut FrameCtx::new()) {
+                Err(CoreError::BadProgram { reason }) => {
+                    assert!(reason.contains("`conv1`"), "scale {huge}: {reason}");
+                }
+                other => panic!("scale {huge}: expected BadProgram, got {other:?}"),
+            }
+        }
+    }
+
+    /// LRN shards whole channel planes; an empty plane returns before
+    /// the plane-sized banding, at any thread budget.
+    #[test]
+    fn lrn_of_empty_planes_is_empty() {
+        let x = Tensor::zeros(&[6, 0, 3]);
+        for threads in [1, 2] {
+            let out = lrn(&x, [6, 0, 3], 5, 1e-4, 0.75, 1.0, threads).unwrap();
+            assert_eq!(out.dims(), &[6, 0, 3]);
+        }
+    }
+
     #[test]
     fn wrong_input_shape_rejected() {
         let (program, _) = micronet_program(40.0, 4);
@@ -1208,7 +1294,7 @@ mod tests {
         // A wide micronet so the conv planes (16×32×32) and pool planes
         // (16×16×16 = ANALOG_PARALLEL_MIN) actually engage the sharded
         // paths rather than falling back to serial; 3 threads cut uneven
-        // GEMM row bands and site bands.
+        // GEMM column ranges and site bands.
         let spec = zoo::micronet(16, 10);
         let prefix = spec.prefix_through("pool3").unwrap();
         let mut rng = Rng::seed_from(23);

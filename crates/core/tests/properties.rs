@@ -109,7 +109,7 @@ proptest! {
 
     /// Executor output is a pure function of the seed: features, codes,
     /// energy ledger, frame time, and forced-decision counts are
-    /// bit-identical across thread budgets 1/2/3/4 (GEMM row bands and
+    /// bit-identical across thread budgets 1/2/3/4 (GEMM column ranges and
     /// analog site bands, 3 cutting uneven ones) for random programs from
     /// the zoo, under both Gaussian sampling strategies.
     #[test]

@@ -23,10 +23,14 @@
 //!   whatever lanes the build targets; `.cargo/config.toml` builds for the
 //!   host CPU with 512-bit lanes preferred where AVX-512 exists.
 //! - When a thread budget is given and the product is large enough to
-//!   amortize spawning, output row bands are computed in parallel with
-//!   scoped threads. Workers share the packed B panel read-only and each
-//!   packs its own A blocks into a private region of the caller's
-//!   [`PackBuffers`], so the parallel path allocates nothing either.
+//!   amortize spawning, the output columns are split into one `NR`-aligned
+//!   range per worker, across all rows, like the array's column slices.
+//!   Each worker packs its own B panels and (for a raw A) its own A blocks
+//!   into private regions of the caller's [`PackBuffers`] and runs every
+//!   `KC` block of its range, so the whole product is one scoped fan-out.
+//!   One worker runs the same loop inline and allocates nothing; several
+//!   workers allocate one per-call table of row slices (each output row
+//!   cut at the range boundaries) besides the fan-out's thread handles.
 //!
 //! Results are bit-identical across thread counts: every output element is
 //! accumulated by exactly one worker in the same `KC`-block order.
@@ -295,8 +299,8 @@ fn pack_b_conv_panel(
 /// The layout is `KC`-block major: block `bi` holds all `⌈m/MR⌉` MR-row
 /// panels for inner columns `[bi·KC, bi·KC + kc)`, exactly the bytes
 /// `pack_a_block` would produce for those coordinates (rows past `m`
-/// zero-padded). Band/`MC` sub-blocking never changes panel contents —
-/// band boundaries are MR-aligned — so a GEMM reading these panels is
+/// zero-padded). `MC` sub-blocking never changes panel contents — its
+/// boundaries are MR-aligned — so a GEMM reading these panels is
 /// bit-identical to one packing A on the fly.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
@@ -412,67 +416,109 @@ fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
     [r0, r1, r2, r3, r4, r5, r6, r7]
 }
 
-/// Computes one output row band (`band_m` rows starting at global row
-/// `row0`) against the shared packed B panel. Raw-matrix A blocks are
-/// packed into the worker-private `apack` scratch; pre-packed A serves
-/// panels straight from its shared buffer. `out_band` is the band's
-/// row-major slice of the full output (width `n`); contributions are
-/// accumulated so the `KC`-blocked outer loop can sum partial products.
-#[allow(clippy::too_many_arguments)]
-fn compute_band(
-    asrc: ASrc<'_>,
-    m: usize,
-    k: usize,
+/// Row access to the output columns one worker owns.
+trait OutRows {
+    /// Row `i` of the worker's columns.
+    fn row(&mut self, i: usize) -> &mut [f32];
+}
+
+/// A lone worker owns the whole row-major output of width `n`.
+struct Whole<'o> {
+    out: &'o mut [f32],
     n: usize,
-    bpack: &[f32],
-    apack: &mut [f32],
-    out_band: &mut [f32],
-    row0: usize,
-    band_m: usize,
-    jc: usize,
-    nc: usize,
-    pc: usize,
-    kc: usize,
-) {
-    let col_panels = nc.div_ceil(NR);
-    let mut ic = 0usize;
-    while ic < band_m {
-        let mc = MC.min(band_m - ic);
-        let ablock: &[f32] = match asrc {
-            ASrc::Mat { a, trans } => {
-                pack_a_block(a, trans, m, k, row0 + ic, mc, pc, kc, apack);
-                apack
-            }
-            // Band and MC boundaries are MR-aligned, so the pre-packed
-            // panels for these rows are bit-identical to what
-            // pack_a_block would have produced (see PackedWeights).
-            ASrc::Packed(pw) => pw.block_panels(row0 + ic, pc, kc),
-        };
-        let row_panels = mc.div_ceil(MR);
-        // Col-panel outer / row-panel inner keeps the `KC×NR` B slice hot in
-        // L1 while successive A panels stream from the packed L2 block.
-        for pj in 0..col_panels {
-            let bpanel = &bpack[pj * NR * kc..][..NR * kc];
-            for pi in 0..row_panels {
-                let apanel = &ablock[pi * MR * kc..][..MR * kc];
-                let rows = MR.min(mc - pi * MR);
-                let acc = microkernel(apanel, bpanel);
-                let cols = NR.min(nc - pj * NR);
-                for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                    let base = (ic + pi * MR + r) * n + jc + pj * NR;
-                    for (dst, &v) in out_band[base..base + cols].iter_mut().zip(acc_row.iter()) {
-                        *dst += v;
-                    }
-                }
-            }
-        }
-        ic += mc;
+}
+
+impl OutRows for Whole<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize) -> &mut [f32] {
+        &mut self.out[i * self.n..(i + 1) * self.n]
     }
 }
 
-/// The shared blocked driver behind every public entry point: packs B
-/// panels (explicit matrix or implicit conv gather), then computes output
-/// row bands serially or across scoped worker threads.
+/// One of several workers owns one slice per output row: that row's
+/// share of the worker's columns.
+impl OutRows for &mut [&mut [f32]] {
+    #[inline(always)]
+    fn row(&mut self, i: usize) -> &mut [f32] {
+        &mut self[i][..]
+    }
+}
+
+/// Runs the whole product for output columns `[j0, j1)` across all `m`
+/// rows: each `NC` block of the range, each `KC` block of `k` in order.
+/// B panels are packed into the worker-private `bpack`; raw-matrix A
+/// blocks into the worker-private `apack`, while pre-packed A serves
+/// panels straight from its shared buffer. Each `KC` block's products are
+/// added to `out` in `k` order, so no output element depends on which
+/// worker owns its column.
+fn compute_cols(
+    asrc: ASrc<'_>,
+    bsrc: BSrc<'_>,
+    (m, n, k): (usize, usize, usize),
+    (j0, j1): (usize, usize),
+    apack: &mut [f32],
+    bpack: &mut [f32],
+    mut out: impl OutRows,
+) {
+    let mut jc = j0;
+    while jc < j1 {
+        let nc = NC.min(j1 - jc);
+        let col_panels = nc.div_ceil(NR);
+        let mut pc = 0usize;
+        while pc < k {
+            let kc = KC.min(k - pc);
+            let bblock = &mut bpack[..col_panels * NR * kc];
+            match bsrc {
+                BSrc::Mat { b, trans } => pack_b_panel(b, trans, n, k, jc, nc, pc, kc, bblock),
+                BSrc::Conv { src, geom } => pack_b_conv_panel(src, geom, jc, nc, pc, kc, bblock),
+            }
+            let bblock: &[f32] = bblock;
+            let mut ic = 0usize;
+            while ic < m {
+                let mc = MC.min(m - ic);
+                let ablock: &[f32] = match asrc {
+                    ASrc::Mat { a, trans } => {
+                        pack_a_block(a, trans, m, k, ic, mc, pc, kc, apack);
+                        apack
+                    }
+                    // MC boundaries are MR-aligned, so the pre-packed
+                    // panels for these rows are bit-identical to what
+                    // pack_a_block would have produced (see PackedWeights).
+                    ASrc::Packed(pw) => pw.block_panels(ic, pc, kc),
+                };
+                let row_panels = mc.div_ceil(MR);
+                // Col-panel outer / row-panel inner keeps the `KC×NR` B
+                // slice hot in L1 while successive A panels stream from the
+                // packed L2 block.
+                for pj in 0..col_panels {
+                    let bpanel = &bblock[pj * NR * kc..][..NR * kc];
+                    let col = jc - j0 + pj * NR;
+                    let cols = NR.min(nc - pj * NR);
+                    for pi in 0..row_panels {
+                        let apanel = &ablock[pi * MR * kc..][..MR * kc];
+                        let rows = MR.min(mc - pi * MR);
+                        let acc = microkernel(apanel, bpanel);
+                        for (r, acc_row) in acc.iter().enumerate().take(rows) {
+                            let dst = &mut out.row(ic + pi * MR + r)[col..col + cols];
+                            for (d, &v) in dst.iter_mut().zip(acc_row.iter()) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+                ic += mc;
+            }
+            pc += kc;
+        }
+        jc += nc;
+    }
+}
+
+/// The shared blocked driver behind every public entry point. Each worker
+/// owns one `NR`-aligned range of output columns across all `m` rows and
+/// runs [`compute_cols`] over it, packing its own B panels (explicit matrix
+/// or implicit conv gather) and A blocks into private regions of `packs`.
+/// The whole product is one [`par::fan_out`]; one worker runs inline.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     packs: &mut PackBuffers,
@@ -489,60 +535,47 @@ fn gemm_driver(
         return;
     }
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
+    let col_panels = n.div_ceil(NR);
     let threads = if flops < PARALLEL_FLOP_THRESHOLD {
         1
     } else {
-        threads.clamp(1, m.div_ceil(MR))
+        threads.clamp(1, col_panels)
     };
-
-    let mut jc = 0usize;
-    while jc < n {
-        let nc = NC.min(n - jc);
-        let mut pc = 0usize;
-        while pc < k {
-            let kc = KC.min(k - pc);
-            let bpack = ensure_len(&mut packs.b, nc.div_ceil(NR) * NR * kc);
-            match bsrc {
-                BSrc::Mat { b, trans } => pack_b_panel(b, trans, n, k, jc, nc, pc, kc, bpack),
-                BSrc::Conv { src, geom } => pack_b_conv_panel(src, geom, jc, nc, pc, kc, bpack),
-            }
-            if threads == 1 {
-                let apack = ensure_len(&mut packs.a, MC * KC);
-                compute_band(asrc, m, k, n, bpack, apack, out, 0, m, jc, nc, pc, kc);
-            } else {
-                // One MR-aligned row band per worker; each worker packs A
-                // into its private region and owns its band of `out`, so the
-                // packed B panel is the only shared (read-only) state.
-                let band_rows = m.div_ceil(threads).div_ceil(MR) * MR;
-                let apack_all = ensure_len(&mut packs.a, threads * MC * KC);
-                let bpack: &[f32] = bpack;
-                let bands = out
-                    .chunks_mut(band_rows * n)
-                    .zip(apack_all.chunks_mut(MC * KC))
-                    .enumerate();
-                par::fan_out(bands, |(t, (out_band, apack))| {
-                    let band_m = out_band.len() / n;
-                    compute_band(
-                        asrc,
-                        m,
-                        k,
-                        n,
-                        bpack,
-                        apack,
-                        out_band,
-                        t * band_rows,
-                        band_m,
-                        jc,
-                        nc,
-                        pc,
-                        kc,
-                    );
-                });
-            }
-            pc += kc;
-        }
-        jc += nc;
+    // `width` columns per worker; the last range may be shorter, and
+    // rounding can leave fewer ranges than threads.
+    let width = col_panels.div_ceil(threads) * NR;
+    let workers = n.div_ceil(width);
+    let a_len = MC * KC;
+    let b_len = NC.min(width) * KC.min(k);
+    if workers == 1 {
+        let apack = ensure_len(&mut packs.a, a_len);
+        let bpack = ensure_len(&mut packs.b, b_len);
+        let out = Whole { out, n };
+        compute_cols(asrc, bsrc, (m, n, k), (0, n), apack, bpack, out);
+        return;
     }
+    // The one per-call allocation: a table of row slices, worker-major.
+    // Splitting row `i` of worker `t`'s remainder leaves worker `t`'s
+    // slice at `t·m + i` and pushes the rest to `(t + 1)·m + i`.
+    let mut rows: Vec<&mut [f32]> = Vec::with_capacity(workers * m);
+    rows.extend(out.chunks_mut(n));
+    for at in 0..(workers - 1) * m {
+        let (head, tail) = std::mem::take(&mut rows[at]).split_at_mut(width);
+        rows[at] = head;
+        rows.push(tail);
+    }
+    let apacks = ensure_len(&mut packs.a, workers * a_len);
+    let bpacks = ensure_len(&mut packs.b, workers * b_len);
+    let ranges = rows
+        .chunks_mut(m)
+        .zip(apacks.chunks_mut(a_len))
+        .zip(bpacks.chunks_mut(b_len))
+        .enumerate();
+    par::fan_out(ranges, |(t, ((rows, apack), bpack))| {
+        let j0 = t * width;
+        let cols = (j0, (j0 + width).min(n));
+        compute_cols(asrc, bsrc, (m, n, k), cols, apack, bpack, rows);
+    });
 }
 
 /// Computes `out = op(A) · op(B)` over raw row-major slices.
@@ -550,9 +583,11 @@ fn gemm_driver(
 /// `op(X)` is `X` or `Xᵀ` per the transpose flags; `m`, `n`, `k` are the
 /// *logical* dimensions of the product (`op(A)` is `m×k`, `op(B)` is `k×n`).
 /// `out` is fully overwritten. Packing scratch comes from `packs` and is
-/// only ever grown, so steady-state calls at a fixed shape allocate
-/// nothing. `threads` bounds worker parallelism over output row bands;
-/// small products ignore it and run serially.
+/// only ever grown, so steady-state calls at a fixed shape allocate no
+/// packing scratch; a one-worker call allocates nothing, and a call split
+/// over several workers allocates one table of output row slices.
+/// `threads` bounds worker parallelism over output column ranges; small
+/// products ignore it and run serially.
 ///
 /// # Panics
 ///
@@ -805,15 +840,108 @@ mod tests {
         assert_close(&got, &want);
     }
 
+    /// `op(A)·op(B)` at each thread count equals the one-worker product bit
+    /// for bit. The product is above the serial threshold, so the column
+    /// split really runs.
+    fn assert_column_split_matches_serial(
+        (trans_a, trans_b): (bool, bool),
+        (m, n, k): (usize, usize, usize),
+        threads: &[usize],
+    ) {
+        assert!(
+            2 * m * n * k >= PARALLEL_FLOP_THRESHOLD,
+            "{m}x{n}x{k} runs serially"
+        );
+        let a = random(m * k, 1, (m + k) as u64);
+        let b = random(k * n, 1, (n + k) as u64);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let mut packs = PackBuffers::new();
+        let mut want = vec![0.0f32; m * n];
+        gemm_into(&mut packs, trans_a, trans_b, a, b, &mut want, m, n, k, 1);
+        let mut got = vec![f32::NAN; m * n];
+        for &t in threads {
+            gemm_into(&mut packs, trans_a, trans_b, a, b, &mut got, m, n, k, t);
+            let same = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(
+                same,
+                "{m}x{n}x{k}, trans ({trans_a}, {trans_b}), {t} threads"
+            );
+        }
+    }
+
     #[test]
-    fn threaded_result_is_bit_identical_to_serial() {
-        let mut ws = Workspace::new();
-        let a = random(150, 80, 5);
-        let b = random(80, 90, 6);
-        let serial = gemm(&mut ws, false, false, &a, &b, 1).unwrap();
-        for threads in [2, 3, 4, 7] {
-            let parallel = gemm(&mut ws, false, false, &a, &b, threads).unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
+    fn column_split_is_bit_identical_at_every_range_shape() {
+        // Even and uneven splits of six column panels.
+        assert_column_split_matches_serial((false, false), (150, 90, 80), &[2, 3, 4, 7]);
+        // n < NR·threads: three 16-column panels for up to four workers.
+        assert_column_split_matches_serial((false, false), (256, 40, 300), &[2, 3, 4]);
+        // n not a multiple of NR: every worker's last panel is ragged.
+        assert_column_split_matches_serial((false, false), (24, 1007, 60), &[2, 3, 5]);
+        // k > KC: three `pc` blocks accumulate into each output in order.
+        assert_column_split_matches_serial((false, false), (40, 200, 600), &[2, 3]);
+        // 2,100 columns over two workers: 1,056 each, three NC blocks.
+        assert_column_split_matches_serial((false, false), (16, 2100, 40), &[2, 3]);
+        // Threads beyond the two column panels: two workers run.
+        assert_column_split_matches_serial((false, false), (200, 20, 400), &[3, 7, 64]);
+        // Each worker gathers its own transposed A and B.
+        for trans in [(true, false), (false, true), (true, true)] {
+            assert_column_split_matches_serial(trans, (70, 300, 290), &[2, 3]);
+        }
+    }
+
+    /// GoogLeNet conv1 (3×227×227, 7×7 stride 2 pad 3, 64 filters): a
+    /// 64×147×12,996 product, the largest-N conv of a Depth1 frame. Both
+    /// conv entry points equal the one-worker product at two and three
+    /// workers, whose ranges end mid-output-row.
+    #[test]
+    fn conv_column_split_is_bit_identical_at_googlenet_conv1() {
+        let geom = ConvGeom::new(3, 227, 227, 7, 7, 2, 3).unwrap();
+        let (m, k, n) = (64, geom.patch_len(), geom.out_positions());
+        assert_eq!((k, n), (147, 12_996));
+        let mut rng = Rng::seed_from(31);
+        let input = Tensor::uniform(&[3, 227, 227], 0.0, 1.0, &mut rng);
+        let weights = Tensor::uniform(&[m, k], -0.5, 0.5, &mut rng);
+        let packed = PackedWeights::pack(weights.as_slice(), m, k);
+        let mut packs = PackBuffers::new();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut out = vec![0.0f32; m * n];
+        conv_gemm_into(
+            &mut packs,
+            weights.as_slice(),
+            input.as_slice(),
+            &geom,
+            &mut out,
+            m,
+            1,
+        );
+        let want = bits(&out);
+        for threads in [2, 3] {
+            conv_gemm_into(
+                &mut packs,
+                weights.as_slice(),
+                input.as_slice(),
+                &geom,
+                &mut out,
+                m,
+                threads,
+            );
+            assert!(bits(&out) == want, "conv_gemm_into, {threads} threads");
+            conv_gemm_packed_into(
+                &mut packs,
+                SimdLevel::auto(),
+                &packed,
+                input.as_slice(),
+                &geom,
+                &mut out,
+                threads,
+            );
+            assert!(
+                bits(&out) == want,
+                "conv_gemm_packed_into, {threads} threads"
+            );
         }
     }
 
@@ -986,15 +1114,22 @@ mod tests {
 
     #[test]
     fn workspace_buffers_stable_across_repeated_calls() {
-        let mut ws = Workspace::new();
         let a = random(70, 300, 9);
         let b = random(300, 120, 10);
-        // First call grows the scratch to its high-water mark.
-        gemm(&mut ws, false, false, &a, &b, 2).unwrap();
-        let before = ws.stats();
-        for _ in 0..3 {
-            gemm(&mut ws, false, false, &a, &b, 2).unwrap();
+        for threads in [1, 2] {
+            let mut ws = Workspace::new();
+            // First call grows the scratch to its high-water mark: one
+            // A block and one B panel region per worker.
+            gemm(&mut ws, false, false, &a, &b, threads).unwrap();
+            let before = ws.stats();
+            for _ in 0..3 {
+                gemm(&mut ws, false, false, &a, &b, threads).unwrap();
+            }
+            assert_eq!(
+                before,
+                ws.stats(),
+                "{threads} threads: pack buffers reallocated"
+            );
         }
-        assert_eq!(before, ws.stats(), "pack buffers must not reallocate");
     }
 }

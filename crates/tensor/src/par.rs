@@ -1,10 +1,12 @@
 //! Scoped fan-out: the one place in the workspace that spawns threads.
 //!
 //! Every parallel stage of the simulator hands its work to [`fan_out`]: the
-//! GEMM row bands, the analog stages' site bands, the SAR readout bands,
-//! the accuracy harness's validation shards and the work-stealing pool's
-//! workers. Each caller keeps its own banding and its own serial threshold;
-//! this module only decides *how* a band runs, never how the work is cut.
+//! GEMM's output column ranges (one fan-out per product), the analog
+//! stages' site bands (whole channel planes for LRN), the SAR readout
+//! bands, the accuracy harness's validation shards and the work-stealing
+//! pool's workers. Each caller keeps its own banding and its own serial
+//! threshold; this module only decides *how* a band runs, never how the
+//! work is cut.
 
 use std::panic::resume_unwind;
 use std::thread;

@@ -9,8 +9,8 @@
 
 /// Packing scratch for the blocked GEMM engine (see [`crate::gemm`]).
 ///
-/// Holds the packed A row-panels (one region per worker thread) and the
-/// packed B column-panel shared by all workers. Buffers only ever grow.
+/// Holds the packed A row-panels and the packed B column-panels, one
+/// region of each per worker thread. Buffers only ever grow.
 #[derive(Debug, Default)]
 pub struct PackBuffers {
     pub(crate) a: Vec<f32>,

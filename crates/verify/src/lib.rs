@@ -115,7 +115,7 @@ pub fn verify_with_options(program: &Program, options: &VerifyOptions) -> Report
     let (sites, final_shape) = shape::analyze(program, &options.limits, &mut report);
     codes::run(&sites, &mut report);
     noise::run(program, &mut report);
-    signal::run(program, &mut report, false);
+    signal::run(program, &sites, &mut report, false);
     resources::run(program, &sites, final_shape, &options.limits, &mut report);
     cost::run(program, &sites, final_shape, &options.budget, &mut report);
     report.normalize();
@@ -153,7 +153,8 @@ pub fn analyze_cost(program: &Program) -> Option<CostBounds> {
 #[must_use]
 pub fn analyze_ranges(program: &Program) -> Vec<RangeSummary> {
     let mut scratch = Report::new(&program.name);
-    signal::run(program, &mut scratch, true)
+    let (sites, _) = shape::analyze(program, &ResourceLimits::default(), &mut scratch);
+    signal::run(program, &sites, &mut scratch, true)
 }
 
 #[cfg(test)]

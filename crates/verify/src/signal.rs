@@ -39,13 +39,18 @@
 //!   signal envelope at the readout.
 //! - `RE0607` (error): LRN normalization parameters make the envelope
 //!   unbounded or undefined.
+//! - `RE0608` (error): a conv's worst-case envelope can overflow the f32
+//!   signal power (`amp² · out_len > f32::MAX`), which would leave the
+//!   layer noise σ infinite.
 
 use crate::dataflow::{self, Ctx, ForwardAnalysis};
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
+use crate::shape::Site;
 use crate::{Instruction, Program};
 use redeye_analog::calib::SWING;
 use redeye_analog::OpAmp;
 use serde::Serialize;
+use std::collections::HashMap;
 
 /// The abstract value: worst-case per-value envelope in capture full-scale
 /// units, accumulated noise sigma, and provable non-negativity.
@@ -87,12 +92,25 @@ fn diag(severity: Severity, code: &'static str, message: String) -> Diagnostic {
     Diagnostic::new(severity, DiagClass::SignalRange, code, message)
 }
 
-/// Runs the pass, emitting RE06xx diagnostics. When `collect` is set, also
-/// returns the per-instruction envelope table for `--ranges`.
-pub(crate) fn run(program: &Program, report: &mut Report, collect: bool) -> Vec<RangeSummary> {
+/// Runs the pass over the shape pass's `sites`, emitting RE06xx
+/// diagnostics. When `collect` is set, also returns the per-instruction
+/// envelope table for `--ranges`.
+pub(crate) fn run(
+    program: &Program,
+    sites: &[Site<'_>],
+    report: &mut Report,
+    collect: bool,
+) -> Vec<RangeSummary> {
     let mut analysis = SignalAnalysis {
         summaries: Vec::new(),
         collect,
+        out_lens: sites
+            .iter()
+            .filter_map(|s| {
+                let [c, h, w] = s.out_shape?;
+                Some((s.path.clone(), c as f64 * h as f64 * w as f64))
+            })
+            .collect(),
         // Input-referred MAC amplifier noise, normalized to the swing.
         opamp_noise: OpAmp::mac_amplifier().input_noise_rms.value() / SWING.value(),
     };
@@ -191,6 +209,8 @@ fn check_readout(s: &SignalState, report: &mut Report) {
 struct SignalAnalysis {
     summaries: Vec<RangeSummary>,
     collect: bool,
+    /// Output element count of each site whose shape is known, by path.
+    out_lens: HashMap<Vec<usize>, f64>,
     opamp_noise: f64,
 }
 
@@ -276,6 +296,26 @@ impl<'p> ForwardAnalysis<'p> for SignalAnalysis {
                     gain = gain.max(g_k);
                 }
                 let amp = lo_out.abs().max(hi_out.abs());
+                let out_len = self.out_lens.get(ctx.path).copied().unwrap_or(0.0);
+                if amp * amp * out_len > f64::from(f32::MAX) {
+                    report.push(
+                        diag(
+                            Severity::Error,
+                            "RE0608",
+                            format!(
+                                "conv `{name}` worst-case output envelope ±{amp:.3e} over \
+                                 {out_len} values can overflow the f32 signal power"
+                            ),
+                        )
+                        .at_layer(name)
+                        .at_path(ctx.path)
+                        .with_note(
+                            "the layer noise σ is the output's rms; an overflowing power makes \
+                             it infinite and the frame fails; lower the weight scale",
+                        ),
+                    );
+                    return None;
+                }
                 let sigma = state.sigma * gain + self.stage_sigma(amp, *snr);
                 if *relu && hi_out < 0.0 {
                     report.push(

@@ -457,6 +457,14 @@ golden_case!(re0607, "RE0607", {
     verify(&program)
 });
 
+golden_case!(re0608, "RE0608", {
+    verify(&with_conv(base("re0608"), |inst| {
+        if let Instruction::Conv { scale, .. } = inst {
+            *scale = 1e18;
+        }
+    }))
+});
+
 // ---- RE07xx: static cost model ---------------------------------------------
 
 golden_case!(re0701, "RE0701", {

@@ -12,6 +12,11 @@
 //! two threads, on planes whose thread bands end part-way through an
 //! 8-site comparator lane group.
 //!
+//! A Depth1-shaped frame (conv 7×7/2, max pool 3×3/2, LRN) is pinned at
+//! one, two and three threads: the conv GEMM's output column ranges, the
+//! pool's site bands and the LRN's channel planes all split, and three
+//! threads split the columns unevenly.
+//!
 //! The micronet program also pins "static cost = dynamic ledger":
 //! `analyze_cost`'s nominal point equals every serial frame's ledger and
 //! frame time exactly, with the same op counts.
@@ -53,6 +58,8 @@ const PINNED_FOLD: u64 = 0x76c6_7794_66d7_e4e6;
 const PINNED_POOL_FOLD: u64 = 0x7cbb_730a_328c_5a7a;
 /// Forced comparator decisions over those frames.
 const PINNED_POOL_FORCED: u64 = 2;
+/// Fold of the `FRAMES` frame digests of `depth1_program` for `SEED`.
+const PINNED_DEPTH1_FOLD: u64 = 0xafc9_576d_e0a7_02bb;
 /// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
 
@@ -197,6 +204,18 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
     assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
 }
 
+/// Runs every frame of `inputs` through one engine at a thread budget.
+fn at_threads(program: &Program, inputs: &[Tensor], threads: usize) -> Vec<Frame> {
+    let mut engine = FrameEngine::new(program.clone(), SEED);
+    engine.set_threads(threads);
+    let mut ctx = FrameCtx::new();
+    inputs
+        .iter()
+        .enumerate()
+        .map(|(f, input)| Frame::from(&engine.run_frame(f as u64, input, &mut ctx).expect("frame")))
+        .collect()
+}
+
 /// A 3×3 conv to 13 channels on a 38×38 scene, then GoogLeNet's two 3×3
 /// max-pool shapes: stride 1 with pad 1 (the inception pool branch) and
 /// stride 2 with pad 0, whose last window column hangs off the plane.
@@ -240,22 +259,7 @@ fn pool_program() -> Program {
 fn three_by_three_pools_are_pinned_at_one_and_two_threads() {
     let program = pool_program();
     let inputs = scenes_of(38);
-    let run = |threads| {
-        let mut engine = FrameEngine::new(program.clone(), SEED);
-        engine.set_threads(threads);
-        let mut ctx = FrameCtx::new();
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(f, input)| {
-                Frame::from(
-                    &engine
-                        .run_frame(f as u64, input, &mut ctx)
-                        .expect("pool frame"),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
+    let run = |threads| at_threads(&program, &inputs, threads);
     let want = run(1);
     assert_eq!(run(2), want, "two threads");
     // 13·38·38 stride-1 and 13·19·19 stride-2 sites, 8 decisions each.
@@ -269,6 +273,37 @@ fn three_by_three_pools_are_pinned_at_one_and_two_threads() {
         (PINNED_POOL_FOLD, PINNED_POOL_FORCED),
         "digest fold {fold:#018x}, forced {forced}"
     );
+}
+
+/// GoogLeNet's Depth1 prefix on a 64×64 scene: conv 7×7/2 to 64 channels
+/// (a 64×147×1,024 product, above the GEMM's serial threshold), max pool
+/// 3×3/2, then LRN over 64·16·16 = 16,384 sites. Two threads split the
+/// conv's output columns, the pool and the LRN; three threads split the
+/// columns unevenly (352, 352 and 320).
+fn depth1_program() -> Program {
+    let spec = NetworkSpec::new(
+        "depth1",
+        [3, 64, 64],
+        zoo::googlenet()
+            .prefix_through("norm1")
+            .expect("googlenet has norm1")
+            .layers,
+    );
+    let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(47))
+        .expect("depth1 program builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&spec, &mut bank, &CompileOptions::default()).expect("depth1 program compiles")
+}
+
+#[test]
+fn a_depth1_shaped_frame_is_pinned_at_one_two_and_three_threads() {
+    let program = depth1_program();
+    let inputs = scenes_of(64);
+    let want = at_threads(&program, &inputs, 1);
+    assert_eq!(at_threads(&program, &inputs, 2), want, "two threads");
+    assert_eq!(at_threads(&program, &inputs, 3), want, "three threads");
+    let fold = fold(want.iter().map(|f| f.digest));
+    assert_eq!(fold, PINNED_DEPTH1_FOLD, "digest fold {fold:#018x}");
 }
 
 #[test]
