@@ -70,6 +70,11 @@ pub const SAR_BIT_LOGIC_ENERGY: Joules = Joules::from_femto(50.0);
 /// Calibrated so the Depth5 column-parallel frame time lands on 32 ms.
 pub const MAC_SETTLE_TIME_40DB: Seconds = Seconds::from_nano(6.5);
 
+/// Input-referred RMS noise of the MAC's op amp (a representative 0.18 µm
+/// two-stage amplifier). Input-referred, so the figure "remains valid
+/// with variable gain settings" (§IV-B).
+pub const MAC_OPAMP_INPUT_NOISE: Volts = Volts::new(2e-4);
+
 /// Comparator decision time (nominal, far from metastability).
 pub const COMPARATOR_DECISION_TIME: Seconds = Seconds::from_nano(2.0);
 

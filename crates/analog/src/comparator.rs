@@ -14,8 +14,8 @@
 //! indices alone, and evaluates the Box–Muller transform only for the rest
 //! (see DESIGN.md §15).
 
-use crate::calib::{COMPARATOR_DECISION_TIME, COMPARATOR_ENERGY, SWING};
-use crate::{Joules, Seconds, Volts};
+use crate::calib::{COMPARATOR_DECISION_TIME, SWING};
+use crate::{Seconds, Volts};
 use redeye_tensor::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, LANES};
 
 /// Outcome of one comparator decision.
@@ -223,11 +223,6 @@ impl Comparator {
         } else {
             Some(delta > 0.0)
         }
-    }
-
-    /// Total energy consumed.
-    pub fn energy_consumed(&self) -> Joules {
-        COMPARATOR_ENERGY * self.decisions as f64
     }
 
     /// Total decisions made.
@@ -767,14 +762,15 @@ mod tests {
         assert!(settled_by_sign >= 12, "(d) settled {settled_by_sign}");
     }
 
+    /// Each `compare` is one decision; `FrameCost::compare` charges the
+    /// per-decision energy.
     #[test]
-    fn energy_is_per_decision() {
+    fn each_compare_is_one_decision() {
         let mut c = Comparator::new();
         let mut rng = Rng::seed_from(5);
         for _ in 0..10 {
             c.compare(1.0, 0.0, &mut rng);
         }
-        let expect = COMPARATOR_ENERGY * 10.0;
-        assert!((c.energy_consumed().value() - expect.value()).abs() < 1e-24);
+        assert_eq!(c.decisions_made(), 10);
     }
 }

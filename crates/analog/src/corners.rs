@@ -39,7 +39,7 @@ impl ProcessCorner {
     ];
 
     /// Simulation temperature in °C (paper §IV-B).
-    pub fn temperature_c(self) -> f64 {
+    fn temperature_c(self) -> f64 {
         match self {
             ProcessCorner::TT | ProcessCorner::FS | ProcessCorner::SF => 27.0,
             ProcessCorner::FF => -20.0,

@@ -291,6 +291,22 @@ mod tests {
     }
 
     #[test]
+    fn table_one_sixty_db_costs_a_hundred_times_forty_db() {
+        // Table I: the 60 dB damping point (1 pF) costs 100× the energy of
+        // the 40 dB point (10 fF), for MACs and buffer writes alike.
+        let frame = |snr: f64| {
+            let mut cost = FrameCost::new(4);
+            cost.mac(10, SnrDb::new(snr));
+            cost.write(3, SnrDb::new(snr));
+            cost.finish().0
+        };
+        let (hi, lo) = (frame(60.0), frame(40.0));
+        assert!((hi.processing / lo.processing - 100.0).abs() < 1e-9);
+        assert!((hi.memory / lo.memory - 100.0).abs() < 1e-9);
+        assert_eq!((hi.macs, hi.writes), (10, 3));
+    }
+
+    #[test]
     fn typical_corner_is_the_nominal_frame() {
         let cost = sample_frame();
         let (ledger, time) = cost.finish();

@@ -4,19 +4,22 @@
 //! comparator, SAR ADC) with Cadence Spectre at transistor level, then drives
 //! its system simulation from a *behavioral model* parameterized by noise,
 //! power, and timing numbers (§IV-B). This crate is that behavioral model,
-//! implemented from the published physics:
+//! implemented from the published physics, with one model per analog op:
 //!
-//! - sampling (kT/C) thermal noise, `V̄n² = kT/C` (§II-B);
+//! - sampling (kT/C) thermal noise, `V̄n² = kT/C` (§II-B), and the SNR of
+//!   a cascade of noisy stages;
 //! - the energy–noise tradeoff `E ∝ C ∝ 1/V̄n²`, realized by the
 //!   noise-damping capacitance (§III-C, Table I);
-//! - the 8-bit charge-sharing tunable capacitor that reduces MAC sampling
-//!   capacitors from `O(2^n)` to `O(n)` (§IV-A, Fig. 5);
+//! - the sampling energy of the 8-bit charge-sharing tunable capacitor,
+//!   which reduces MAC sampling capacitors from `O(2^n)` to `O(n)` (§IV-A,
+//!   Fig. 5);
 //! - a bit-accurate SAR ADC with capacitor mismatch and MSB-cutting variable
 //!   resolution (§IV-A);
 //! - a dynamic comparator with metastability-forced decisions (§IV-A);
 //! - process-corner scaling of the extracted parameters (§IV-B);
 //! - the per-frame `count × unit cost` energy and timing model every
-//!   consumer charges through ([`cost`]).
+//!   consumer charges through ([`cost`]). The MAC array itself is the
+//!   executor's GEMM plus layer noise, charged here per MAC.
 //!
 //! Absolute constants are calibrated to the paper's published anchors (e.g.
 //! 1.4 mJ per Depth5 frame at 40 dB); see [`calib`].
@@ -41,10 +44,7 @@ mod corners;
 pub mod cost;
 mod damping;
 mod error;
-mod mac;
 mod noise;
-mod opamp;
-mod sample_hold;
 mod sar;
 mod tunable_cap;
 mod units;
@@ -56,10 +56,7 @@ pub use damping::{
     SNR_TUNABLE_MAX, SNR_TUNABLE_MIN,
 };
 pub use error::AnalogError;
-pub use mac::{Mac, MacConfig};
-pub use noise::{cumulative_snr, ktc_noise_voltage, snr_from_powers, NoiseBudget};
-pub use opamp::OpAmp;
-pub use sample_hold::SampleHold;
+pub use noise::{cumulative_snr, ktc_noise_voltage, snr_from_powers};
 pub use sar::{resolution_admissible, SarAdc, SarConversion, MAX_RESOLUTION};
 pub use tunable_cap::{max_signed_code, TunableCap, DAC_WEIGHT_BITS};
 pub use units::{Farads, Joules, Seconds, SnrDb, Volts, Watts};

@@ -1,4 +1,4 @@
-//! Thermal-noise physics and noise budgeting.
+//! Thermal-noise physics and cascaded-stage SNR.
 
 use crate::calib::{BOLTZMANN, NOMINAL_TEMPERATURE};
 use crate::{Farads, SnrDb, Volts};
@@ -65,68 +65,6 @@ pub fn cumulative_snr(stages: &[SnrDb]) -> SnrDb {
     SnrDb::from_power_ratio(1.0 / noise)
 }
 
-/// Accumulates independent noise contributions (power-additive) against a
-/// signal power, tracking the running SNR of an analog pipeline stage.
-///
-/// The paper's behavioral model propagates per-unit noise statistics upward
-/// "to assess the system-wide energy and noise statistics" (§IV-B); this
-/// budget is that upward propagation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseBudget {
-    signal_power: f64,
-    noise_power: f64,
-}
-
-impl NoiseBudget {
-    /// Starts a budget from a known signal power (mean-square volts²).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal_power` is not positive.
-    pub fn new(signal_power: f64) -> Self {
-        assert!(signal_power > 0.0, "signal power must be positive");
-        NoiseBudget {
-            signal_power,
-            noise_power: 0.0,
-        }
-    }
-
-    /// Adds an independent noise source with the given RMS voltage.
-    pub fn add_noise_rms(&mut self, rms: Volts) {
-        self.noise_power += rms.value() * rms.value();
-    }
-
-    /// Adds an independent noise source with the given power (V²).
-    pub fn add_noise_power(&mut self, power: f64) {
-        assert!(power >= 0.0, "noise power must be non-negative");
-        self.noise_power += power;
-    }
-
-    /// Adds kT/C sampling noise from a capacitor.
-    pub fn add_sampling_noise(&mut self, cap: Farads) {
-        self.add_noise_rms(ktc_noise_voltage(cap));
-    }
-
-    /// Current total noise power (V²).
-    pub fn noise_power(&self) -> f64 {
-        self.noise_power
-    }
-
-    /// Signal power the budget was opened with (V²).
-    pub fn signal_power(&self) -> f64 {
-        self.signal_power
-    }
-
-    /// The resulting SNR, or `None` while no noise has been added.
-    pub fn snr(&self) -> Option<SnrDb> {
-        if self.noise_power == 0.0 {
-            None
-        } else {
-            Some(snr_from_powers(self.signal_power, self.noise_power))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,18 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_accumulates_in_power() {
-        let mut b = NoiseBudget::new(1.0);
-        assert!(b.snr().is_none());
-        b.add_noise_rms(Volts::new(3e-3));
-        b.add_noise_rms(Volts::new(4e-3));
-        // powers add: 9e-6 + 16e-6 = 25e-6 → rms 5 mV.
-        assert!((b.noise_power() - 25e-6).abs() < 1e-12);
-        let snr = b.snr().unwrap();
-        assert!((snr.db() - 10.0 * (1.0f64 / 25e-6).log10()).abs() < 1e-9);
-    }
-
-    #[test]
     fn cumulative_snr_closed_form() {
         // One stage: identity.
         assert!((cumulative_snr(&[SnrDb::new(42.0)]).db() - 42.0).abs() < 1e-9);
@@ -173,23 +99,9 @@ mod tests {
         // A much noisier stage dominates.
         let dom = cumulative_snr(&[SnrDb::new(60.0), SnrDb::new(20.0)]);
         assert!((dom.db() - 20.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn ten_cascaded_stages_cost_ten_db() {
         // Ten identical independent stages raise noise power 10× → −10 dB.
-        let one = {
-            let mut b = NoiseBudget::new(1.0);
-            b.add_sampling_noise(Farads::from_femto(10.0));
-            b.snr().unwrap().db()
-        };
-        let ten = {
-            let mut b = NoiseBudget::new(1.0);
-            for _ in 0..10 {
-                b.add_sampling_noise(Farads::from_femto(10.0));
-            }
-            b.snr().unwrap().db()
-        };
-        assert!((one - ten - 10.0).abs() < 1e-9);
+        let one = SnrDb::new(40.0);
+        let ten = cumulative_snr(&[one; 10]);
+        assert!((one.db() - ten.db() - 10.0).abs() < 1e-9);
     }
 }

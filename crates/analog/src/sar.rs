@@ -10,7 +10,7 @@
 //! energy–noise tradeoff the Fig. 10 sweep exercises.
 
 use crate::calib::{MISMATCH_COEFF, SAR_ARRAY_STEP_ENERGY, SAR_BIT_LOGIC_ENERGY, SAR_BIT_TIME};
-use crate::{AnalogError, Joules, Result, Seconds, SnrDb};
+use crate::{AnalogError, Joules, Result, Seconds};
 use redeye_tensor::NoiseSource;
 
 /// Maximum designed resolution of the array (the paper's design is 10-bit).
@@ -48,16 +48,15 @@ impl SarConversion {
 /// Behavioral model of the charge-redistribution SAR ADC.
 ///
 /// The full 10-capacitor binary-weighted array is built once (optionally
-/// with static mismatch); lowering the resolution deactivates MSB
+/// with static mismatch); a resolution below 10 bits deactivates MSB
 /// capacitors, exactly as the circuit does.
 #[derive(Debug, Clone)]
 pub struct SarAdc {
     resolution: u32,
     /// Relative mismatch of each binary-weighted capacitor `C_1..C_10`.
     mismatch: [f64; MAX_RESOLUTION as usize],
-    /// Cached `C_i / C_Σ` for the active bits (index `i − 1`), rebuilt when
-    /// the resolution or mismatch changes; conversions are a hot path and
-    /// the weights are constant between reconfigurations.
+    /// Cached `C_i / C_Σ` for the active bits (index `i − 1`), built with
+    /// the ADC; conversions are a hot path and the weights are constant.
     weights: [f64; MAX_RESOLUTION as usize],
     /// Comparator input-referred noise as a fraction of full scale.
     comparator_noise: f64,
@@ -65,8 +64,6 @@ pub struct SarAdc {
     /// a larger unit capacitor C0 improves matching but consumes more
     /// energy, creating a tradeoff between efficiency and linearity").
     unit_scale: f64,
-    energy: Joules,
-    conversions: u64,
 }
 
 impl SarAdc {
@@ -90,8 +87,6 @@ impl SarAdc {
             weights: [0.0; MAX_RESOLUTION as usize],
             comparator_noise: 0.0,
             unit_scale: 1.0,
-            energy: Joules::zero(),
-            conversions: 0,
         };
         adc.rebuild_weights();
         Ok(adc)
@@ -117,7 +112,7 @@ impl SarAdc {
     ///
     /// Returns [`AnalogError::OutOfRange`] for a bad resolution or a
     /// non-positive scale.
-    pub fn with_unit_scale<R: NoiseSource>(
+    fn with_unit_scale<R: NoiseSource>(
         resolution: u32,
         unit_scale: f64,
         rng: &mut R,
@@ -143,25 +138,6 @@ impl SarAdc {
     /// Active resolution in bits.
     pub fn resolution(&self) -> u32 {
         self.resolution
-    }
-
-    /// Changes the active resolution at runtime (the dynamic quantization
-    /// mechanism of §III-C).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::OutOfRange`] unless `1 ≤ resolution ≤ 10`.
-    pub fn set_resolution(&mut self, resolution: u32) -> Result<()> {
-        if !(1..=MAX_RESOLUTION).contains(&resolution) {
-            return Err(AnalogError::OutOfRange {
-                parameter: "resolution",
-                value: resolution.to_string(),
-                allowed: "1..=10",
-            });
-        }
-        self.resolution = resolution;
-        self.rebuild_weights();
-        Ok(())
     }
 
     /// Recomputes the cached bit-weight table for the active resolution:
@@ -196,8 +172,6 @@ impl SarAdc {
                 code |= 1 << (i - 1);
             }
         }
-        self.energy += self.energy_per_conversion();
-        self.conversions += 1;
         SarConversion {
             code,
             resolution: self.resolution,
@@ -215,47 +189,29 @@ impl SarAdc {
     pub fn time_per_conversion(&self) -> Seconds {
         SAR_BIT_TIME * f64::from(self.resolution)
     }
-
-    /// Ideal quantization SNR for a full-scale uniform input:
-    /// `SNR = 6.02·n + 1.76 dB` (for a sine; uniform is `6.02·n` — we report
-    /// the uniform-signal figure, which is what feature maps resemble).
-    pub fn ideal_quantization_snr(&self) -> SnrDb {
-        SnrDb::new(6.02 * f64::from(self.resolution))
-    }
-
-    /// Measures the effective number of bits by converting `samples` uniform
-    /// random inputs and comparing reconstruction error to the ideal LSB
-    /// noise: `ENOB = n − log2(rms_err / ideal_rms_err)`.
-    pub fn simulated_enob<R: NoiseSource>(&mut self, samples: usize, rng: &mut R) -> f64 {
-        let n = self.resolution;
-        let mut err_power = 0.0f64;
-        for _ in 0..samples.max(1) {
-            let x = f64::from(rng.uniform(0.0, 1.0));
-            let conv = self.convert(x, rng);
-            let e = conv.reconstruct() - x;
-            err_power += e * e;
-        }
-        err_power /= samples.max(1) as f64;
-        let lsb = 1.0 / 2f64.powi(n as i32);
-        let ideal_power = lsb * lsb / 12.0;
-        f64::from(n) - 0.5 * (err_power / ideal_power).log2()
-    }
-
-    /// Total energy consumed.
-    pub fn energy_consumed(&self) -> Joules {
-        self.energy
-    }
-
-    /// Total conversions performed.
-    pub fn conversions_performed(&self) -> u64 {
-        self.conversions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use redeye_tensor::Rng;
+
+    /// Measures the effective number of bits by converting `samples`
+    /// uniform random inputs and comparing reconstruction error to the
+    /// ideal LSB noise: `ENOB = n − log2(rms_err / ideal_rms_err)`.
+    fn simulated_enob(adc: &mut SarAdc, samples: usize, rng: &mut Rng) -> f64 {
+        let n = adc.resolution;
+        let mut err_power = 0.0f64;
+        for _ in 0..samples {
+            let x = f64::from(rng.uniform(0.0, 1.0));
+            let e = adc.convert(x, rng).reconstruct() - x;
+            err_power += e * e;
+        }
+        err_power /= samples as f64;
+        let lsb = 1.0 / 2f64.powi(n as i32);
+        let ideal_power = lsb * lsb / 12.0;
+        f64::from(n) - 0.5 * (err_power / ideal_power).log2()
+    }
 
     #[test]
     fn ideal_conversion_is_floor_of_scaled_input() {
@@ -317,7 +273,7 @@ mod tests {
     fn enob_close_to_nominal_when_ideal() {
         let mut adc = SarAdc::new(8).unwrap();
         let mut rng = Rng::seed_from(5);
-        let enob = adc.simulated_enob(20_000, &mut rng);
+        let enob = simulated_enob(&mut adc, 20_000, &mut rng);
         assert!((7.8..8.2).contains(&enob), "ideal ENOB {enob}");
     }
 
@@ -325,7 +281,7 @@ mod tests {
     fn enob_degrades_with_mismatch_but_stays_close() {
         let mut rng = Rng::seed_from(6);
         let mut adc = SarAdc::with_mismatch(10, &mut rng).unwrap();
-        let enob = adc.simulated_enob(20_000, &mut rng);
+        let enob = simulated_enob(&mut adc, 20_000, &mut rng);
         assert!(enob < 10.05, "mismatch cannot add bits: {enob}");
         assert!(enob > 9.0, "0.2% matching keeps ENOB near 10: {enob}");
     }
@@ -340,7 +296,7 @@ mod tests {
             for seed in 0..5 {
                 let mut rng = Rng::seed_from(100 + seed);
                 let mut adc = SarAdc::with_unit_scale(10, scale, &mut rng).unwrap();
-                total += adc.simulated_enob(4000, &mut rng);
+                total += simulated_enob(&mut adc, 4000, &mut rng);
             }
             total / 5.0
         };
@@ -367,34 +323,5 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         assert!(SarAdc::with_unit_scale(8, 0.0, &mut rng).is_err());
         assert!(SarAdc::with_unit_scale(8, f64::NAN, &mut rng).is_err());
-    }
-
-    #[test]
-    fn resolution_change_at_runtime() {
-        let mut adc = SarAdc::new(10).unwrap();
-        adc.set_resolution(4).unwrap();
-        assert_eq!(adc.resolution(), 4);
-        let mut rng = Rng::seed_from(7);
-        assert!(adc.convert(0.5, &mut rng).code < 16);
-        assert!(adc.set_resolution(0).is_err());
-        assert!(adc.set_resolution(11).is_err());
-    }
-
-    #[test]
-    fn conversion_counters_accumulate() {
-        let mut adc = SarAdc::new(4).unwrap();
-        let mut rng = Rng::seed_from(8);
-        for _ in 0..5 {
-            adc.convert(0.3, &mut rng);
-        }
-        assert_eq!(adc.conversions_performed(), 5);
-        let expect = adc.energy_per_conversion() * 5.0;
-        assert!((adc.energy_consumed().value() - expect.value()).abs() < 1e-24);
-    }
-
-    #[test]
-    fn ideal_snr_formula() {
-        let adc = SarAdc::new(10).unwrap();
-        assert!((adc.ideal_quantization_snr().db() - 60.2).abs() < 1e-9);
     }
 }

@@ -10,9 +10,8 @@
 //! cuts input sampling capacitance — and therefore energy — by
 //! `(2^n − 1)/n ≈ 32×` for 8-bit weights.
 
-use crate::calib::{MISMATCH_COEFF, SUPPLY, UNIT_CAP};
+use crate::calib::{SUPPLY, UNIT_CAP};
 use crate::{AnalogError, Farads, Joules, Result};
-use redeye_tensor::NoiseSource;
 
 /// Bit width of the weight DAC as fabricated (§IV-A: "8-bit tunable
 /// capacitor"). Programs must quantize kernel weights to signed fixed-point
@@ -25,20 +24,16 @@ pub const fn max_signed_code(bits: u32) -> i32 {
     (1i32 << (bits - 1)) - 1
 }
 
-/// Behavioral model of the `n`-bit charge-sharing weight DAC.
-///
-/// The model applies a digital weight code to an analog value, with optional
-/// per-unit capacitor mismatch, and reports sampling energy for both the
-/// charge-sharing and the naïve design (the §IV-A ablation).
+/// Sampling-energy model of the `n`-bit charge-sharing weight DAC: the
+/// charge-sharing and the naïve design side by side (the §IV-A ablation).
+/// The conv MAC itself applies weights as `code · scale` in the GEMM.
 #[derive(Debug, Clone)]
 pub struct TunableCap {
     bits: u32,
-    /// Relative mismatch `ε_j` of each bit's sampling capacitor.
-    mismatch: Vec<f64>,
 }
 
 impl TunableCap {
-    /// Creates an ideal (mismatch-free) tunable capacitor.
+    /// Creates a tunable capacitor of `bits` weight bits.
     ///
     /// # Errors
     ///
@@ -51,73 +46,19 @@ impl TunableCap {
                 allowed: "2..=16",
             });
         }
-        Ok(TunableCap {
-            bits,
-            mismatch: vec![0.0; bits as usize],
-        })
-    }
-
-    /// Creates a tunable capacitor with random static mismatch drawn from
-    /// Pelgrom scaling of the unit capacitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::OutOfRange`] unless `2 ≤ bits ≤ 16`.
-    pub fn with_mismatch<R: NoiseSource>(bits: u32, rng: &mut R) -> Result<Self> {
-        let mut tc = TunableCap::new(bits)?;
-        for m in &mut tc.mismatch {
-            *m = f64::from(rng.standard_normal()) * MISMATCH_COEFF;
-        }
-        Ok(tc)
-    }
-
-    /// Bit width.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Largest representable unsigned code.
-    pub fn max_code(&self) -> u32 {
-        (1u32 << self.bits) - 1
-    }
-
-    /// Applies an unsigned weight code to a voltage: the output is
-    /// `v · w(code)` where the ideal `w(code) = code / 2^bits` and mismatch
-    /// perturbs each bit's contribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::OutOfRange`] if `code` exceeds
-    /// [`TunableCap::max_code`].
-    pub fn apply(&self, v: f64, code: u32) -> Result<f64> {
-        if code > self.max_code() {
-            return Err(AnalogError::OutOfRange {
-                parameter: "weight code",
-                value: code.to_string(),
-                allowed: "0..=2^bits-1",
-            });
-        }
-        let mut acc = 0.0f64;
-        for j in 0..self.bits {
-            if code & (1 << j) != 0 {
-                // Bit j contributes 2^j / 2^bits, scaled by its cap mismatch.
-                let ideal = 2f64.powi(j as i32) / 2f64.powi(self.bits as i32);
-                acc += ideal * (1.0 + self.mismatch[j as usize]);
-            }
-        }
-        Ok(v * acc)
+        Ok(TunableCap { bits })
     }
 
     /// Input sampling capacitance for a given code under the charge-sharing
     /// design: one unit capacitor per set bit.
-    pub fn sampling_capacitance(&self, code: u32) -> Farads {
+    fn sampling_capacitance(&self, code: u32) -> Farads {
         UNIT_CAP * f64::from(code.count_ones())
     }
 
     /// Input sampling capacitance of the naïve binary-weighted design:
     /// `(2^bits − 1)` units regardless of code (worst-case array, all charged
     /// from the input).
-    pub fn naive_sampling_capacitance(&self) -> Farads {
+    fn naive_sampling_capacitance(&self) -> Farads {
         UNIT_CAP * (2f64.powi(self.bits as i32) - 1.0)
     }
 
@@ -145,25 +86,6 @@ impl TunableCap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redeye_tensor::Rng;
-
-    #[test]
-    fn ideal_weight_is_code_over_full_scale() {
-        let tc = TunableCap::new(8).unwrap();
-        let v = 0.5;
-        for code in [0u32, 1, 128, 200, 255] {
-            let got = tc.apply(v, code).unwrap();
-            let want = v * code as f64 / 256.0;
-            assert!((got - want).abs() < 1e-12, "code {code}");
-        }
-    }
-
-    #[test]
-    fn code_out_of_range_rejected() {
-        let tc = TunableCap::new(4).unwrap();
-        assert!(tc.apply(1.0, 15).is_ok());
-        assert!(tc.apply(1.0, 16).is_err());
-    }
 
     #[test]
     fn paper_32x_reduction_for_8_bits() {
@@ -183,17 +105,6 @@ mod tests {
         // Naïve design charges all 255 units.
         assert!((tc.naive_sampling_capacitance().value() - 255.0 * UNIT_CAP.value()).abs() < 1e-30);
         assert!(tc.sampling_energy(255) < tc.naive_sampling_energy());
-    }
-
-    #[test]
-    fn mismatch_perturbs_gain_slightly() {
-        let mut rng = Rng::seed_from(9);
-        let tc = TunableCap::with_mismatch(8, &mut rng).unwrap();
-        let ideal = 0.7 * 200.0 / 256.0;
-        let got = tc.apply(0.7, 200).unwrap();
-        let rel = ((got - ideal) / ideal).abs();
-        assert!(rel > 0.0, "mismatch should perturb");
-        assert!(rel < 0.02, "0.2% units should stay under 2% total: {rel}");
     }
 
     #[test]

@@ -232,11 +232,6 @@ impl SnrDb {
         self.0
     }
 
-    /// Power ratio `Ps/Pn = 10^(dB/10)`.
-    pub fn power_ratio(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
     /// Amplitude ratio `As/An = 10^(dB/20)`.
     pub fn amplitude_ratio(self) -> f64 {
         10f64.powf(self.0 / 20.0)
@@ -299,7 +294,6 @@ mod tests {
     #[test]
     fn snr_conversions() {
         let s = SnrDb::new(40.0);
-        assert!((s.power_ratio() - 1e4).abs() < 1e-6);
         assert!((s.amplitude_ratio() - 100.0).abs() < 1e-9);
         let back = SnrDb::from_power_ratio(1e4);
         assert!((back.db() - 40.0).abs() < 1e-9);

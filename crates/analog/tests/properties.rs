@@ -153,14 +153,6 @@ proptest! {
         prop_assert!(v1.value() > v2.value());
     }
 
-    /// The ideal weight DAC is exact: apply(v, code) == v·code/2^bits.
-    #[test]
-    fn tunable_cap_exact(code in 0u32..256, v in -0.9f64..0.9) {
-        let tc = TunableCap::new(8).unwrap();
-        let got = tc.apply(v, code).unwrap();
-        prop_assert!((got - v * code as f64 / 256.0).abs() < 1e-12);
-    }
-
     /// Charge-sharing sampling energy never exceeds the naïve design's.
     #[test]
     fn charge_sharing_never_worse(bits in 2u32..=12, seed in 0u64..100) {

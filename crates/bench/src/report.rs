@@ -1,7 +1,5 @@
 //! Plain-text paper-vs-measured report formatting.
 
-use std::fmt::Display;
-
 /// Prints a section header.
 pub fn section(title: &str) {
     println!();
@@ -33,11 +31,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Formats a measured value against a paper reference with relative error.
-pub fn vs_paper<T: Display>(measured: T, paper: T) -> String {
-    format!("{measured} (paper: {paper})")
 }
 
 /// Formats a fraction as a percentage.
@@ -92,10 +85,5 @@ mod tests {
     #[test]
     fn percentage_formatting() {
         assert_eq!(pct(0.845), "84.5%");
-    }
-
-    #[test]
-    fn vs_paper_formatting() {
-        assert_eq!(vs_paper("1.40 mJ", "1.4 mJ"), "1.40 mJ (paper: 1.4 mJ)");
     }
 }

@@ -120,7 +120,14 @@ impl BatchExecutor {
     /// verification — checked eagerly here, so a bad program never
     /// reaches a batch.
     pub fn new(program: Program, seed: u64, workers: usize) -> Result<Self> {
-        Self::with_engine(FrameEngine::new(program, seed), workers)
+        let engine = FrameEngine::new(program, seed);
+        engine.verify()?;
+        Ok(BatchExecutor {
+            engine,
+            workers: workers.max(1),
+            next_frame: 0,
+            forced_total: 0,
+        })
     }
 
     /// Creates a batch executor sized to the host: [`auto_workers`]
@@ -132,23 +139,6 @@ impl BatchExecutor {
     /// verification.
     pub fn new_auto(program: Program, seed: u64) -> Result<Self> {
         Self::new(program, seed, auto_workers())
-    }
-
-    /// Creates a batch executor around a pre-configured engine (per-frame
-    /// thread knobs are set on the engine before handoff).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Verify`] if the engine's program fails static
-    /// verification.
-    pub fn with_engine(engine: FrameEngine, workers: usize) -> Result<Self> {
-        engine.verify()?;
-        Ok(BatchExecutor {
-            engine,
-            workers: workers.max(1),
-            next_frame: 0,
-            forced_total: 0,
-        })
     }
 
     /// Number of scheduler workers each batch runs on.

@@ -91,12 +91,12 @@ impl NoisePlan {
     }
 
     /// The SNR programmed for a layer.
-    pub fn snr_for(&self, name: &str) -> SnrDb {
+    fn snr_for(&self, name: &str) -> SnrDb {
         self.overrides.get(name).copied().unwrap_or(self.default)
     }
 
     /// The default SNR.
-    pub fn default_snr(&self) -> SnrDb {
+    fn default_snr(&self) -> SnrDb {
         self.default
     }
 }

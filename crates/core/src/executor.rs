@@ -42,10 +42,10 @@
 use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
 use redeye_analog::calib::SWING;
 use redeye_analog::cost::FrameCost;
-use redeye_analog::{Comparator, SarAdc, SarConversion, Seconds, SnrDb};
+use redeye_analog::{AnalogError, Comparator, SarAdc, SarConversion, Seconds, SnrDb};
 use redeye_tensor::{
-    conv_gemm_into, conv_gemm_packed_into, par, ConvGeom, NoiseStream, PackedWeights, PoolGeom,
-    SimdLevel, Tensor, TensorError, Workspace, LANES,
+    conv_gemm_packed_into, par, ConvGeom, NoiseStream, PackedWeights, PoolGeom, SimdLevel, Tensor,
+    TensorError, Workspace, LANES,
 };
 use redeye_verify::charge;
 use std::sync::OnceLock;
@@ -123,7 +123,7 @@ const ANALOG_PARALLEL_MIN: usize = 4096;
 /// # Pack-once weight state
 ///
 /// Everything about a conv instruction's weights that does not depend on
-/// the frame — the reconstructed f32 weight matrix and its GEMM panels —
+/// the frame — its GEMM weight panels —
 /// plus the SAR ADC's bit-weight table and the comparator's screening
 /// table is computed **once** at engine construction and shared read-only
 /// by every frame, context, and worker thereafter. A fleet of simulated devices sharing one engine (see
@@ -135,12 +135,12 @@ pub struct FrameEngine {
     /// Root counter-based stream; frame `f` executes under
     /// `stream.frame_substream(f)`.
     stream: NoiseStream,
-    /// Pack-once per-conv weight state, in DFS instruction order.
-    conv_packs: Vec<ConvPack>,
-    /// Pack-once SAR ADC template (bit-weight table); `None` only when the
-    /// program's resolution is invalid, in which case quantization fails
-    /// with the constructor's error.
-    sar: Option<SarAdc>,
+    /// Pack-once GEMM weight panels per conv, in DFS instruction order;
+    /// `None` for a conv whose weight dims are inconsistent.
+    conv_packs: Vec<Option<PackedWeights>>,
+    /// Pack-once SAR ADC template (bit-weight table), or the constructor's
+    /// error for an invalid resolution, which quantization returns.
+    sar: std::result::Result<SarAdc, AnalogError>,
     /// Pack-once comparator template: its screening table is built once
     /// and cloned into each pooling band.
     comparator: Comparator,
@@ -162,7 +162,7 @@ impl FrameEngine {
     pub fn new(program: Program, seed: u64) -> Self {
         let mut conv_packs = Vec::new();
         collect_conv_packs(&program.instructions, &mut conv_packs);
-        let sar = SarAdc::new(program.adc_bits).ok();
+        let sar = SarAdc::new(program.adc_bits);
         FrameEngine {
             program,
             stream: NoiseStream::new(seed),
@@ -299,8 +299,7 @@ impl FrameEngine {
             let next = pass.run_instruction(inst, owned.as_ref().unwrap_or(input))?;
             owned = Some(next);
         }
-        let (features, codes, rail_clips) =
-            pass.quantize(self.program.adc_bits, owned.as_ref().unwrap_or(input))?;
+        let (features, codes, rail_clips) = pass.quantize(owned.as_ref().unwrap_or(input))?;
         let FramePass { cost, forced, .. } = pass;
         let (ledger, elapsed) = cost.finish();
         let out = FrameOutput {
@@ -334,41 +333,24 @@ pub struct FrameCtx {
     forced_total: u64,
 }
 
-/// Pack-once per-conv weight state, computed at [`FrameEngine`]
-/// construction and shared read-only by every frame and worker: the
-/// reconstructed f32 weight matrix and its GEMM panels.
-#[derive(Debug, Clone)]
-struct ConvPack {
-    /// Reconstructed DAC-applied weights `code · scale`, row-major
-    /// `[out_c, patch]` — exactly the values the per-frame rebuild used to
-    /// produce, so the f32 path is bit-identical.
-    weights: Vec<f32>,
-    /// The same weights pre-packed into the GEMM engine's MR-panel layout,
-    /// shared read-only by every frame so the f32 implicit-GEMM path never
-    /// re-packs its A operand. `None` only when the instruction's weight
-    /// dims are inconsistent, which per-frame validation rejects before
-    /// the pack is consulted.
-    packed: Option<PackedWeights>,
-}
-
-impl ConvPack {
-    /// Packs one conv instruction's weights.
-    fn build(codes: &[i32], scale: f32, out_c: usize) -> ConvPack {
-        let weights: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
-        let packed = if out_c > 0 && weights.len().is_multiple_of(out_c) {
-            Some(PackedWeights::pack(&weights, out_c, weights.len() / out_c))
-        } else {
-            None
-        };
-        ConvPack { weights, packed }
+/// Packs one conv instruction's DAC-applied weights `code · scale` into the
+/// GEMM engine's MR-panel layout, once at [`FrameEngine`] construction.
+/// `None` when the weight dims are inconsistent (no `out_c` rows, or a
+/// length that is not a whole number of rows); a frame reaching such a
+/// conv returns [`CoreError::BadProgram`].
+fn pack_conv(codes: &[i32], scale: f32, out_c: usize) -> Option<PackedWeights> {
+    if out_c == 0 || !codes.len().is_multiple_of(out_c) {
+        return None;
     }
+    let weights: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
+    Some(PackedWeights::pack(&weights, out_c, weights.len() / out_c))
 }
 
 /// Collects pack-once weight state for every conv instruction, recursing
 /// through inception branches in the same DFS pre-order
 /// [`FramePass::run_instruction`] visits them, so `conv_packs[i]` is the
 /// `i`-th conv a frame executes.
-fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<ConvPack>) {
+fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<Option<PackedWeights>>) {
     for inst in instructions {
         match inst {
             Instruction::Conv {
@@ -376,7 +358,7 @@ fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<ConvPack>) {
                 codes,
                 scale,
                 ..
-            } => packs.push(ConvPack::build(codes, *scale, *out_c)),
+            } => packs.push(pack_conv(codes, *scale, *out_c)),
             Instruction::Inception { branches, .. } => {
                 for branch in branches {
                     collect_conv_packs(branch, packs);
@@ -609,18 +591,20 @@ impl FramePass<'_> {
                         reason: format!("conv `{name}` weight dims inconsistent"),
                     });
                 }
-                // Pack-once weight state, keyed by conv ordinal in the same
+                // Pack-once weight panels, keyed by conv ordinal in the same
                 // DFS order `collect_conv_packs` walked. The engine built
                 // the packs from this very program, so the lookup cannot
                 // miss; `get` keeps a corrupt index a reported error rather
-                // than a panic.
-                let conv_packs = &self.engine.conv_packs;
-                let pack =
-                    conv_packs
-                        .get(self.conv_ordinal)
-                        .ok_or_else(|| CoreError::BadProgram {
-                            reason: format!("conv `{name}` has no packed weights"),
-                        })?;
+                // than a panic. A conv the engine could not pack has
+                // inconsistent weight dims.
+                let pw = self
+                    .engine
+                    .conv_packs
+                    .get(self.conv_ordinal)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(|| CoreError::BadProgram {
+                        reason: format!("conv `{name}` has no packed weights"),
+                    })?;
                 self.conv_ordinal += 1;
                 let positions = geom.out_positions();
                 let out_len =
@@ -635,28 +619,15 @@ impl FramePass<'_> {
                 // B-panels straight from the C×H×W input and multiplies
                 // through the engine's pack-once weight panels,
                 // bit-identical to the explicit im2col lowering.
-                match pack.packed.as_ref() {
-                    Some(pw) => conv_gemm_packed_into(
-                        self.ws.packs_mut(),
-                        SimdLevel::auto(),
-                        pw,
-                        x.as_slice(),
-                        &geom,
-                        &mut out,
-                        self.engine.threads,
-                    ),
-                    // Unreachable for a program that passed the weight
-                    // dim check above; kept as a correct slow path.
-                    None => conv_gemm_into(
-                        self.ws.packs_mut(),
-                        &pack.weights,
-                        x.as_slice(),
-                        &geom,
-                        &mut out,
-                        *out_c,
-                        self.engine.threads,
-                    ),
-                }
+                conv_gemm_packed_into(
+                    self.ws.packs_mut(),
+                    SimdLevel::auto(),
+                    pw,
+                    x.as_slice(),
+                    &geom,
+                    &mut out,
+                    self.engine.threads,
+                );
                 for (oc, &b) in bias.iter().enumerate() {
                     for v in &mut out[oc * positions..(oc + 1) * positions] {
                         *v += b;
@@ -871,19 +842,9 @@ impl FramePass<'_> {
     /// `conversions × per-conversion` product. Also returns how many
     /// features clipped at the 0 V lower rail (per-band counts summed in
     /// band order, so the tally is thread-count independent).
-    fn quantize(&mut self, bits: u32, x: &Tensor) -> Result<(Tensor, Vec<u32>, u64)> {
+    fn quantize(&mut self, x: &Tensor) -> Result<(Tensor, Vec<u32>, u64)> {
         let stream = self.next_stream();
-        // The engine packs the bit-weight table once; the fallback only
-        // runs (and reports the constructor's error) for a resolution the
-        // engine could not build a template for.
-        let built;
-        let template = match &self.engine.sar {
-            Some(t) => t,
-            None => {
-                built = SarAdc::new(bits)?;
-                &built
-            }
-        };
+        let template = self.engine.sar.as_ref().map_err(AnalogError::clone)?;
         // Gain staging: features (post-rectification, ≥ 0) map onto the ADC
         // full scale; negative residues clip at the lower rail.
         let vmax = x.iter().fold(0.0f32, |m, &v| m.max(v));
@@ -1244,6 +1205,60 @@ mod tests {
                     assert!(reason.contains("`conv1`"), "scale {huge}: {reason}");
                 }
                 other => panic!("scale {huge}: expected BadProgram, got {other:?}"),
+            }
+        }
+    }
+
+    /// Past verification, a conv the engine could not pack (no output
+    /// channels, weight dims inconsistent) is `BadProgram` naming the conv,
+    /// and a readout resolution the SAR array cannot take is the SAR
+    /// constructor's `OutOfRange`.
+    #[test]
+    fn unpackable_convs_and_bad_adc_bits_are_typed_errors_past_verification() {
+        let input = Tensor::full(&[3, 32, 32], 0.5);
+        let run = |program: Program| {
+            let engine = FrameEngine::new(program, 1);
+            engine.verified.set(()).expect("fresh engine");
+            engine.run_frame(0, &input, &mut FrameCtx::new())
+        };
+        let (base, _) = micronet_program(40.0, 4);
+        let mut mutants: Vec<(&str, Program)> = Vec::new();
+        let mut zero = base.clone();
+        if let Instruction::Conv {
+            out_c, codes, bias, ..
+        } = &mut zero.instructions[0]
+        {
+            *out_c = 0;
+            codes.clear();
+            bias.clear();
+        }
+        mutants.push(("zero out_c", zero));
+        let mut short = base.clone();
+        if let Instruction::Conv { codes, .. } = &mut short.instructions[0] {
+            codes.pop();
+        }
+        mutants.push(("short codes", short));
+        let mut wide = base.clone();
+        if let Instruction::Conv { out_c, .. } = &mut wide.instructions[0] {
+            *out_c += 1;
+        }
+        mutants.push(("out_c past the codes", wide));
+        for (what, program) in mutants {
+            match run(program) {
+                Err(CoreError::BadProgram { reason }) => {
+                    assert!(reason.contains("`conv1`"), "{what}: {reason}");
+                }
+                other => panic!("{what}: expected BadProgram, got {other:?}"),
+            }
+        }
+        for bits in [0, 11] {
+            let mut program = base.clone();
+            program.adc_bits = bits;
+            match run(program) {
+                Err(CoreError::Analog(AnalogError::OutOfRange { parameter, .. })) => {
+                    assert_eq!(parameter, "resolution");
+                }
+                other => panic!("adc_bits {bits}: expected OutOfRange, got {other:?}"),
             }
         }
     }

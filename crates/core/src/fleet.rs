@@ -55,7 +55,7 @@ impl DeviceCalib {
 
     /// Whether this trim is the exact identity (in which case the input
     /// tensor is used untouched — bit-identical to a non-fleet run).
-    pub fn is_unity(self) -> bool {
+    fn is_unity(self) -> bool {
         self.gain == 1.0 && self.offset == 0.0
     }
 }
@@ -127,7 +127,7 @@ impl DeviceProfile {
 
     /// Amplitude factor on every layer-noise σ: the corner's thermal noise
     /// *power* ratio as an amplitude ratio (√). Exactly 1.0 at TT.
-    pub fn noise_sigma_scale(&self) -> f32 {
+    fn noise_sigma_scale(&self) -> f32 {
         let p = self.corner.noise_power_factor();
         if p == 1.0 {
             1.0
@@ -158,17 +158,7 @@ impl FleetEngine {
     /// Returns [`crate::CoreError::Verify`] if the program fails static
     /// verification.
     pub fn new(program: Program, fleet_seed: u64) -> Result<FleetEngine> {
-        FleetEngine::from_engine(FrameEngine::new(program, fleet_seed), fleet_seed)
-    }
-
-    /// Wraps a pre-configured [`FrameEngine`] (custom thread budgets,
-    /// MAC domain, cost budget) as the fleet's shared engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::Verify`] if the program fails static
-    /// verification.
-    pub fn from_engine(engine: FrameEngine, fleet_seed: u64) -> Result<FleetEngine> {
+        let engine = FrameEngine::new(program, fleet_seed);
         engine.verify()?;
         Ok(FleetEngine {
             engine: Arc::new(engine),

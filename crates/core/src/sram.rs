@@ -34,11 +34,6 @@ impl ProgramSram {
         ProgramSram { capacity }
     }
 
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Verifies that a program's kernel *working set* (the weights resident
     /// while streaming, not the whole network) fits.
     ///
@@ -82,11 +77,6 @@ impl FeatureSram {
     /// Creates a feature store with an explicit capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         FeatureSram { capacity }
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Bytes needed to hold `values` features at `bits` each (bit-packed).
@@ -165,7 +155,6 @@ mod tests {
         assert_eq!(p.kernel_working_set_bytes(), 54);
         // Exactly-fitting capacity round-trips the requirement...
         let sram = ProgramSram::with_capacity(54);
-        assert_eq!(sram.capacity(), 54);
         assert_eq!(sram.check(&p).unwrap(), 54);
         // ...and one byte less is rejected with the exact accounting.
         let err = ProgramSram::with_capacity(53).check(&p).unwrap_err();

@@ -14,7 +14,6 @@
 //! network (and why the area model's reuse factor equals the pass count).
 
 use crate::{Instruction, Program};
-use redeye_analog::calib::COLUMN_COUNT;
 use serde::{Deserialize, Serialize};
 
 /// The four RedEye module types of Fig. 3.
@@ -129,28 +128,6 @@ pub fn schedule(program: &Program) -> Vec<CyclePass> {
     passes
 }
 
-/// Column-array statistics of a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopologyStats {
-    /// Physical columns in the array.
-    pub columns: usize,
-    /// Cyclic passes through the (single) physical pipeline.
-    pub passes: usize,
-    /// Physical module instantiations a non-reusing design would need
-    /// (one pipeline per pass) versus the 4 RedEye builds.
-    pub modules_without_reuse: usize,
-}
-
-/// Summarizes the cyclic-reuse win for a schedule: a design without cyclic
-/// reuse instantiates one module set per pass.
-pub fn topology_stats(passes: &[CyclePass]) -> TopologyStats {
-    TopologyStats {
-        columns: COLUMN_COUNT,
-        passes: passes.len(),
-        modules_without_reuse: passes.len() * ModuleKind::ALL.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,14 +196,10 @@ mod tests {
 
     #[test]
     fn reuse_saving_matches_pass_count() {
-        let passes = micronet_schedule();
-        let stats = topology_stats(&passes);
-        assert_eq!(stats.columns, 227);
-        assert_eq!(stats.passes, 8);
         // Without cyclic reuse: 8 module sets; with: 1 set of 4 modules.
-        assert_eq!(stats.modules_without_reuse, 32);
+        let passes = micronet_schedule();
         assert_eq!(
-            crate::area::AreaEstimate::reuse_saving_factor(stats.passes),
+            crate::area::AreaEstimate::reuse_saving_factor(passes.len()),
             8.0
         );
     }

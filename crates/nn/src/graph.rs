@@ -127,12 +127,6 @@ impl Trace {
     pub fn output(&self) -> &Tensor {
         self.nodes.last().map_or(&self.input, NodeTrace::output)
     }
-
-    /// Output of the named node, if it was executed at the top level.
-    pub fn output_of(&self, names: &[&str], name: &str) -> Option<&Tensor> {
-        let pos = names.iter().position(|n| *n == name)?;
-        self.nodes.get(pos).map(NodeTrace::output)
-    }
 }
 
 /// An executable network: an ordered chain of [`Node`]s.
@@ -181,11 +175,6 @@ impl Network {
     /// Mutable access to the node chain (used for splicing noise layers).
     pub fn nodes_mut(&mut self) -> &mut Vec<Node> {
         &mut self.nodes
-    }
-
-    /// Appends a layer to the end of the chain.
-    pub fn push_layer(&mut self, layer: Box<dyn Layer>) {
-        self.nodes.push(Node::Layer(layer));
     }
 
     /// Number of top-level nodes.

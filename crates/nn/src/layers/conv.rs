@@ -66,11 +66,6 @@ impl Conv2d {
         })
     }
 
-    /// The convolution geometry.
-    pub fn geom(&self) -> &ConvGeom {
-        &self.geom
-    }
-
     /// Output channel count.
     pub fn out_c(&self) -> usize {
         self.out_c
@@ -86,19 +81,9 @@ impl Conv2d {
         &self.weights
     }
 
-    /// Mutable access to the weight matrix (used by weight quantization).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weights
-    }
-
     /// The bias vector.
     pub fn bias(&self) -> &Tensor {
         &self.bias
-    }
-
-    /// Whether a ReLU is fused onto the output.
-    pub fn has_relu(&self) -> bool {
-        self.relu
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {

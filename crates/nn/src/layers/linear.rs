@@ -55,19 +55,9 @@ impl Linear {
         self.in_features
     }
 
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The `(out × in)` weight matrix.
     pub fn weights(&self) -> &Tensor {
         &self.weights
-    }
-
-    /// Mutable access to the weight matrix (used by weight quantization).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weights
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {

@@ -70,11 +70,6 @@ impl MaxPool2d {
         })
     }
 
-    /// The pooling geometry.
-    pub fn geom(&self) -> &PoolGeom {
-        &self.geom
-    }
-
     /// Output shape `[c, out_h, out_w]`.
     pub fn out_shape(&self) -> [usize; 3] {
         [self.geom.channels(), self.geom.out_h(), self.geom.out_w()]

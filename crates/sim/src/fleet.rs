@@ -47,15 +47,6 @@ impl WorkloadKind {
             _ => WorkloadKind::Privacy,
         }
     }
-
-    /// Short label for reports.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            WorkloadKind::Continuous => "continuous",
-            WorkloadKind::LowLight => "low-light",
-            WorkloadKind::Privacy => "privacy",
-        }
-    }
 }
 
 /// Knobs for [`fleet_workload`].

@@ -46,7 +46,7 @@ impl ImageSensor {
     }
 
     /// Samples read out per frame.
-    pub fn samples_per_frame(&self) -> u64 {
+    fn samples_per_frame(&self) -> u64 {
         (self.side * self.side * self.channels) as u64
     }
 
@@ -63,11 +63,6 @@ impl ImageSensor {
     /// Analog readout energy per frame.
     pub fn analog_energy_per_frame(&self) -> Joules {
         self.analog_energy_per_frame
-    }
-
-    /// Per-sample readout energy (column amplifier + conversion share).
-    pub fn energy_per_sample(&self) -> Joules {
-        self.analog_energy_per_frame / self.samples_per_frame() as f64
     }
 
     /// Frame period at the provisioned rate.
@@ -93,13 +88,6 @@ mod tests {
         assert_eq!(is.bits_per_frame(), 227 * 227 * 3 * 10);
         assert!((is.analog_energy_per_frame().millis() - 1.1).abs() < 1e-12);
         assert!((is.frame_time().millis() - 33.33).abs() < 0.1);
-    }
-
-    #[test]
-    fn per_sample_energy_is_nanojoules() {
-        // 1.1 mJ / 154,587 samples ≈ 7.1 nJ per sample.
-        let e = ImageSensor::paper_baseline().energy_per_sample();
-        assert!((6e-9..8e-9).contains(&e.value()), "{e}");
     }
 
     #[test]

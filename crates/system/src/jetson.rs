@@ -119,19 +119,9 @@ impl JetsonHost {
         }
     }
 
-    /// The processor this model describes.
-    pub fn kind(&self) -> JetsonKind {
-        self.kind
-    }
-
     /// Board power while processing.
     pub fn power(&self) -> Watts {
         self.power
-    }
-
-    /// Effective compute throughput (MAC/s).
-    pub fn macs_per_second(&self) -> f64 {
-        1.0 / self.seconds_per_mac
     }
 
     /// Predicts time and energy to execute a network (spec) on this host.
@@ -212,7 +202,7 @@ mod tests {
         for kind in [JetsonKind::Gpu, JetsonKind::Cpu] {
             let host = JetsonHost::fit(kind);
             // Throughput between 1 GMAC/s (CPU-ish) and 1 TMAC/s.
-            let gmacs = host.macs_per_second() * 1e-9;
+            let gmacs = 1e-9 / host.seconds_per_mac;
             assert!((1.0..1000.0).contains(&gmacs), "{kind:?}: {gmacs} GMAC/s");
             // Weight-traffic cost between 0.01 ns and 1 µs per parameter.
             assert!(
@@ -227,6 +217,7 @@ mod tests {
     fn gpu_is_faster_than_cpu() {
         let gpu = JetsonHost::fit(JetsonKind::Gpu);
         let cpu = JetsonHost::fit(JetsonKind::Cpu);
-        assert!(gpu.macs_per_second() > 5.0 * cpu.macs_per_second());
+        // Throughput in MAC/s is the reciprocal of seconds per MAC.
+        assert!(cpu.seconds_per_mac > 5.0 * gpu.seconds_per_mac);
     }
 }

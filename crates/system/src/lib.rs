@@ -27,7 +27,6 @@ mod ble;
 mod cloudlet;
 mod image_sensor;
 mod jetson;
-pub mod optimize;
 pub mod scenario;
 mod shidiannao;
 

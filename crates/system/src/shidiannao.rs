@@ -62,11 +62,6 @@ impl ShiDianNao {
         self.frame_energy
     }
 
-    /// Energy per patch instance.
-    pub fn energy_per_patch(&self) -> Joules {
-        self.frame_energy / self.patch_instances() as f64
-    }
-
     /// System energy per frame: the accelerator still needs a conventional
     /// image sensor feeding it raw frames.
     pub fn system_energy(&self, sensor: &ImageSensor) -> Joules {
@@ -103,11 +98,5 @@ mod tests {
         let sdn = ShiDianNao::paper_configuration();
         let total = sdn.system_energy(&ImageSensor::paper_baseline());
         assert!((3.2..3.4).contains(&total.millis()), "{total}");
-    }
-
-    #[test]
-    fn per_patch_energy_is_microjoules() {
-        let e = ShiDianNao::paper_configuration().energy_per_patch();
-        assert!((10e-6..20e-6).contains(&e.value()), "{e}");
     }
 }

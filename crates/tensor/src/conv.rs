@@ -13,7 +13,7 @@ use std::fmt;
 /// Caffe rounds convolution outputs down and pooling outputs up; both modes
 /// are needed to reproduce GoogLeNet's feature-map sizes exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RoundMode {
+enum RoundMode {
     /// Round down (Caffe convolution).
     Floor,
     /// Round up (Caffe pooling).
@@ -103,7 +103,7 @@ impl ConvGeom {
     ///
     /// Same conditions as [`ConvGeom::new`].
     #[allow(clippy::too_many_arguments)]
-    pub fn with_round(
+    fn with_round(
         in_c: usize,
         in_h: usize,
         in_w: usize,

@@ -41,7 +41,7 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom, PoolGeom, RoundMode};
+pub use conv::{col2im, col2im_into, im2col, im2col_into, ConvGeom, PoolGeom};
 pub use error::TensorError;
 pub use gemm::{conv_gemm_into, conv_gemm_packed_into, gemm, gemm_into, PackedWeights, SimdLevel};
 pub use linalg::{matmul, matmul_naive, matmul_transpose_a, matmul_transpose_b};

@@ -17,7 +17,7 @@
 //! bit-identical results.
 //!
 //! The batched APIs ([`NoiseStream::fill_standard_normal_at`],
-//! [`NoiseStream::add_scaled_normal`], [`NoiseStream::fill_uniform_at`])
+//! [`NoiseStream::add_scaled_normal`], [`NoiseStream::fill_uniform`])
 //! amortize Gaussian sampling over whole planes: consecutive element *pairs*
 //! share one two-output Marsaglia polar evaluation (one `ln`/`sqrt`, no
 //! trigonometry), cutting the transcendental cost well below scalar
@@ -52,12 +52,6 @@ fn mix(mut z: u64) -> u64 {
 #[inline]
 fn unit_f32(x: u64) -> f32 {
     (x >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-}
-
-/// Converts 53 high bits of `x` to a uniform `f64` in `[0, 1)`.
-#[inline]
-fn unit_f64(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Whole sample pairs per block of the batched normal fill. A block's four
@@ -355,7 +349,7 @@ impl NoiseStream {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
-    pub fn fill_uniform_at(&self, first: u64, lo: f32, hi: f32, dst: &mut [f32]) {
+    fn fill_uniform_at(&self, first: u64, lo: f32, hi: f32, dst: &mut [f32]) {
         assert!(lo <= hi, "uniform bounds inverted: [{lo}, {hi})");
         let span = hi - lo;
         for (i, slot) in dst.iter_mut().enumerate() {
@@ -383,47 +377,31 @@ pub struct SiteRng {
 impl SiteRng {
     /// The next 64 uniform bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GOLDEN);
         mix(self.state)
     }
 
     /// Uniform `f32` in `[0, 1)`.
     #[inline]
-    pub fn next_f32(&mut self) -> f32 {
+    fn next_f32(&mut self) -> f32 {
         unit_f32(self.next_u64())
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        unit_f64(self.next_u64())
-    }
-
     /// The 24-bit index of the uniform `ahead` draws past the current
-    /// counter, without advancing it: after `ahead` draws, [`next_f32`]
-    /// returns exactly `index · 2⁻²⁴`.
+    /// counter, without advancing it: after `ahead` draws, the next uniform
+    /// `f32` draw is exactly `index · 2⁻²⁴`.
     ///
     /// A Box–Muller pair whose first uniform is draw `k` has its `u1` index
     /// at `k` and its `u2` index at `k + 1`; [`box_muller_radius`] and
     /// [`box_muller_angle`] map them to the values
     /// [`NoiseSource::standard_normal`] combines.
-    ///
-    /// [`next_f32`]: SiteRng::next_f32
     #[inline]
     pub fn uniform_index(&self, ahead: u64) -> u32 {
         let state = self
             .state
             .wrapping_add(ahead.wrapping_add(1).wrapping_mul(GOLDEN));
         (mix(state) >> 40) as u32
-    }
-
-    /// A standard-normal `f64` sample via a full-precision Box–Muller
-    /// transform (no narrowing through `f32`).
-    pub fn standard_normal_f64(&mut self) -> f64 {
-        let u1 = self.next_f64().max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 }
 

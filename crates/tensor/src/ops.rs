@@ -64,13 +64,6 @@ impl Tensor {
         self.map(|v| v * factor)
     }
 
-    /// Multiplies every element by `factor` in place.
-    pub fn scale_in_place(&mut self, factor: f32) {
-        for v in self.iter_mut() {
-            *v *= factor;
-        }
-    }
-
     /// Applies `f` to every element, producing a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         let data = self.iter().map(|&v| f(v)).collect();

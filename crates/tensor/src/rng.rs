@@ -107,7 +107,7 @@ impl Rng {
     /// precision and nothing narrows through `f32`, so the tails are not
     /// granular at the `~1e-7` level — this is what large-rate Poisson
     /// approximation needs. Does not touch the `f32` Box–Muller spare.
-    pub fn standard_normal_f64(&mut self) -> f64 {
+    fn standard_normal_f64(&mut self) -> f64 {
         let u1: f64 = self.inner.gen::<f64>().max(f64::MIN_POSITIVE);
         let u2: f64 = self.inner.gen::<f64>();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -147,7 +147,7 @@ impl Rng {
     /// Uses Knuth's product method for small rates and a normal approximation
     /// for `lambda > 64`, which is accurate to well under the shot-noise
     /// magnitudes the sensor model cares about. The approximation runs in
-    /// `f64` end-to-end ([`Rng::standard_normal_f64`]): narrowing the normal
+    /// `f64` end-to-end (`standard_normal_f64`): narrowing the normal
     /// through `f32` would quantize the tail at high photon counts and bias
     /// the simulated shot noise.
     ///
@@ -187,14 +187,6 @@ impl Rng {
     pub fn chance(&mut self, p: f32) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.inner.gen::<f32>() < p
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -262,17 +254,6 @@ mod tests {
     fn poisson_zero_rate_is_zero() {
         let mut rng = Rng::seed_from(5);
         assert_eq!(rng.poisson(0.0), 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seed_from(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 100-element shuffle should move something");
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Shape {
         Shape { dims }
     }
 
-    /// Creates a scalar (rank-0) shape with volume 1.
-    pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
-    }
-
     /// The dimension sizes as a slice.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -65,12 +60,7 @@ impl Shape {
     }
 
     /// Row-major strides (elements to skip per unit step along each axis).
-    ///
-    /// ```
-    /// use redeye_tensor::Shape;
-    /// assert_eq!(Shape::new(vec![2, 3, 4]).strides(), vec![12, 4, 1]);
-    /// ```
-    pub fn strides(&self) -> Vec<usize> {
+    fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.rank()];
         for i in (0..self.rank().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -92,11 +82,6 @@ impl Shape {
             });
         }
         Ok(index.iter().zip(self.strides()).map(|(i, s)| i * s).sum())
-    }
-
-    /// Returns `true` if both shapes have identical dims.
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self.dims == other.dims
     }
 }
 
@@ -140,8 +125,8 @@ mod tests {
         let s = Shape::new(vec![2, 3, 4]);
         assert_eq!(s.volume(), 24);
         assert_eq!(s.rank(), 3);
-        assert_eq!(Shape::scalar().volume(), 1);
-        assert_eq!(Shape::scalar().rank(), 0);
+        assert_eq!(Shape::new(vec![]).volume(), 1);
+        assert_eq!(Shape::new(vec![]).rank(), 0);
     }
 
     #[test]
@@ -178,7 +163,7 @@ mod tests {
     #[test]
     fn display_uses_x_separator() {
         assert_eq!(Shape::new(vec![3, 227, 227]).to_string(), "[3x227x227]");
-        assert_eq!(Shape::scalar().to_string(), "[]");
+        assert_eq!(Shape::new(vec![]).to_string(), "[]");
     }
 
     #[test]

@@ -59,14 +59,6 @@ impl Tensor {
         Ok(Tensor { shape, data })
     }
 
-    /// Creates a rank-0 tensor holding a single value.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: vec![value],
-        }
-    }
-
     /// Creates a tensor with values drawn uniformly from `[lo, hi)`.
     pub fn uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
         let shape = Shape::from(dims);
@@ -249,13 +241,6 @@ mod tests {
         let var = t.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / t.len() as f32;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn scalar_tensor() {
-        let s = Tensor::scalar(1.25);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.at(&[]).unwrap(), 1.25);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! clamped non-negative (post-ReLU). Transfer functions follow the
 //! behavioral models in `redeye-analog`:
 //!
-//! - **conv/MAC** (`tunable_cap.rs`, `opamp.rs`): per-output-channel
+//! - **conv/MAC** (`tunable_cap.rs`, `calib.rs`): per-output-channel
 //!   interval arithmetic over the signed DAC codes (`w = code · scale`),
 //!   plus the damping stage's relative noise `10^(−SNR/20)`
 //!   (`damping.rs`) and the MAC op amp's input-referred noise. Upstream
@@ -18,7 +18,7 @@
 //! - **avg-pool / LRN**: keep (avg) or rescale (LRN, bounded by `k^−β`)
 //!   the envelope, then add their own damping-stage noise; their outputs
 //!   are *not* clamped, which matters at the readout.
-//! - **sample-hold / SAR** (`sar.rs`): the readout clamps at the 0 V rail
+//! - **SAR readout** (`sar.rs`): the readout clamps at the 0 V rail
 //!   (`max(0)` before conversion), so a program whose final envelope can
 //!   go negative clips there.
 //!
@@ -47,8 +47,7 @@ use crate::dataflow::{self, Ctx, ForwardAnalysis};
 use crate::diag::{DiagClass, Diagnostic, Report, Severity};
 use crate::shape::Site;
 use crate::{Instruction, Program};
-use redeye_analog::calib::SWING;
-use redeye_analog::OpAmp;
+use redeye_analog::calib::{MAC_OPAMP_INPUT_NOISE, SWING};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -112,7 +111,7 @@ pub(crate) fn run(
             })
             .collect(),
         // Input-referred MAC amplifier noise, normalized to the swing.
-        opamp_noise: OpAmp::mac_amplifier().input_noise_rms.value() / SWING.value(),
+        opamp_noise: MAC_OPAMP_INPUT_NOISE.value() / SWING.value(),
     };
     // Raw pixels: non-negative, noiseless, spanning the capture full-scale.
     let start = SignalState {
@@ -476,5 +475,34 @@ impl<'p> ForwardAnalysis<'p> for SignalAnalysis {
         };
         self.record(inst, ctx, &out);
         Some(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use redeye_analog::SnrDb;
+
+    fn analysis() -> SignalAnalysis {
+        SignalAnalysis {
+            summaries: Vec::new(),
+            collect: false,
+            out_lens: HashMap::new(),
+            opamp_noise: MAC_OPAMP_INPUT_NOISE.value() / SWING.value(),
+        }
+    }
+
+    #[test]
+    fn stage_sigma_adds_the_mac_amplifiers_input_referred_noise() {
+        let a = analysis();
+        // The MAC op amp's input-referred noise is 0.2 mV, whatever the
+        // damping setting: with no damping noise it is the whole stage.
+        let floor = volts(a.stage_sigma(1.0, SnrDb::new(f64::INFINITY)));
+        assert!((floor - 2e-4).abs() < 1e-15, "op-amp floor {floor} V");
+        // At 40 dB the damping stage adds 1% of the envelope on top.
+        let at_40 = a.stage_sigma(0.5, SnrDb::new(40.0));
+        assert!((at_40 - (0.005 + 2e-4 / 0.9)).abs() < 1e-15, "{at_40}");
+        // A zero envelope adds nothing: the executor skips all-zero signals.
+        assert_eq!(a.stage_sigma(0.0, SnrDb::new(40.0)), 0.0);
     }
 }

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`tensor`] | dense `f32` tensors, matmul, `im2col` |
 //! | [`nn`] | mini ConvNet framework: forward, backward, SGD, GoogLeNet/AlexNet zoo |
-//! | [`analog`] | behavioral circuit models: kT/C noise, damping, MAC, comparator, SAR ADC |
+//! | [`analog`] | behavioral circuit models, one per op: kT/C noise, damping, comparator, SAR ADC, per-frame cost |
 //! | [`core`] | the RedEye architecture: programs, compiler, noisy executor, estimators |
 //! | [`sim`] | the developer framework: noise injection, accuracy, parameter search |
 //! | [`system`] | baselines: image sensor, BLE cloudlet, Jetson TK1, ShiDianNao |

@@ -37,11 +37,17 @@
 //! The implicit-GEMM conv, which packs B panels straight from the input
 //! plane, equals the explicit `im2col` + GEMM bit for bit on a GoogLeNet
 //! shape whose patch matrix crosses the packer's block boundaries.
+//!
+//! Verify-clean ⇒ runs: over a corpus of mutated micronet and pool
+//! programs, every program the verifier accepts runs, and every frame
+//! error is one the verifier or the input check flagged.
 
+use redeye::analog::{Joules, SnrDb};
 use redeye::core::{
-    analyze_cost, compile, frame_digest, run_stealing, verify, BatchExecutor, CompileOptions,
-    CoreError, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FrameCtx,
-    FrameEngine, FrameOutput, Program, StealOptions, WeightBank,
+    analyze_cost, compile, frame_digest, run_stealing, verify, verify_with_options, BatchExecutor,
+    CompileOptions, CoreError, CostBudget, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor,
+    FleetOptions, FrameCtx, FrameEngine, FrameOutput, Instruction, Program, StealOptions,
+    VerifyOptions, WeightBank,
 };
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::tensor::{
@@ -557,4 +563,245 @@ fn implicit_conv_equals_im2col_at_googlenet_block_boundaries() {
             "conv_gemm_packed_into, {threads} threads"
         );
     }
+}
+
+/// One corpus entry: a name, a program, and an optional cost budget the
+/// verifier and the engine both enforce.
+struct Mutant {
+    what: String,
+    program: Program,
+    budget: Option<CostBudget>,
+}
+
+/// The "verify-clean ⇒ runs" corpus: each base program unchanged, under
+/// each defect class of the verifier's mutation suite (shape break, code
+/// range, noise admission, kernel SRAM, saturating gain chain, frame
+/// budget, duplicate name), under the executor's own refusals (no output
+/// channels, weight dims, readout resolution, overflowing scale, pool and
+/// LRN parameters), and under edits that may or may not stay clean (an
+/// instruction dropped, two swapped, the readout depth swept, the SNR and
+/// the weight scale moved up to and past their bounds).
+fn corpus(base: &str, program: &Program) -> Vec<Mutant> {
+    let mut out = Vec::new();
+    let mut push = |what: String, f: &dyn Fn(&mut Program), budget: Option<CostBudget>| {
+        let mut p = program.clone();
+        f(&mut p);
+        out.push(Mutant {
+            what: format!("{base}: {what}"),
+            program: p,
+            budget,
+        });
+    };
+    // The first instruction matching `kind` (a conv, pool or LRN); an edit
+    // of a kind the base lacks leaves it unchanged.
+    fn first(p: &mut Program, kind: fn(&Instruction) -> bool) -> Option<&mut Instruction> {
+        p.instructions.iter_mut().find(|i| kind(i))
+    }
+    let conv = |i: &Instruction| matches!(i, Instruction::Conv { .. });
+    let pool = |i: &Instruction| matches!(i, Instruction::MaxPool { .. });
+    let lrn = |i: &Instruction| matches!(i, Instruction::Lrn { .. });
+    let mut edit_conv = |what: String, f: &dyn Fn(&mut Instruction)| {
+        push(
+            what,
+            &|p| {
+                if let Some(i) = first(p, conv) {
+                    f(i);
+                }
+            },
+            None,
+        );
+    };
+    edit_conv("unchanged".into(), &|_| {});
+    edit_conv("kernel past the input".into(), &|i| {
+        if let Instruction::Conv { kernel, pad, .. } = i {
+            (*kernel, *pad) = (48, 0);
+        }
+    });
+    edit_conv("code past the DAC".into(), &|i| {
+        if let Instruction::Conv { codes, .. } = i {
+            codes[0] = 300;
+        }
+    });
+    for db in [f64::NAN, 10.0, 45.0, 55.0, 130.0] {
+        edit_conv(format!("conv SNR {db} dB"), &move |i| {
+            if let Instruction::Conv { snr, .. } = i {
+                *snr = SnrDb::new(db);
+            }
+        });
+    }
+    edit_conv("kernel SRAM overflow".into(), &|i| {
+        if let Instruction::Conv { codes, .. } = i {
+            codes.resize(codes.len() * 64, 1);
+        }
+    });
+    edit_conv("bias pins every output at the rail".into(), &|i| {
+        if let Instruction::Conv { bias, .. } = i {
+            bias.iter_mut().for_each(|b| *b = -1e4);
+        }
+    });
+    edit_conv("no output channels".into(), &|i| {
+        if let Instruction::Conv {
+            out_c, codes, bias, ..
+        } = i
+        {
+            *out_c = 0;
+            codes.clear();
+            bias.clear();
+        }
+    });
+    edit_conv("one code short".into(), &|i| {
+        if let Instruction::Conv { codes, .. } = i {
+            codes.pop();
+        }
+    });
+    edit_conv("one bias short".into(), &|i| {
+        if let Instruction::Conv { bias, .. } = i {
+            bias.pop();
+        }
+    });
+    // 1e16 is clean for both bases, 3e16 only for the pool program: the
+    // RE0608 envelope bound sits between them.
+    for factor in [0.5f32, 1e16, 3e16, 1e18, f32::MAX, f32::NAN] {
+        edit_conv(format!("scale × {factor:e}"), &move |i| {
+            if let Instruction::Conv { scale, .. } = i {
+                *scale *= factor;
+            }
+        });
+    }
+    edit_conv("no ReLU".into(), &|i| {
+        if let Instruction::Conv { relu, .. } = i {
+            *relu = false;
+        }
+    });
+    for (what, window, stride) in [("window 0", 0, 2), ("stride 0", 2, 0), ("window 64", 64, 1)] {
+        push(
+            format!("pool {what}"),
+            &|p| {
+                if let Some(Instruction::MaxPool {
+                    window: w,
+                    stride: s,
+                    ..
+                }) = first(p, pool)
+                {
+                    (*w, *s) = (window, stride);
+                }
+            },
+            None,
+        );
+    }
+    for (what, size, k, beta) in [
+        ("size 0", 0, 1.0, 0.75),
+        ("k 0", 5, 0.0, 0.75),
+        ("β NaN", 5, 1.0, f32::NAN),
+    ] {
+        push(
+            format!("LRN {what}"),
+            &|p| {
+                if let Some(Instruction::Lrn {
+                    size: n,
+                    k: kk,
+                    beta: b,
+                    ..
+                }) = first(p, lrn)
+                {
+                    (*n, *kk, *b) = (size, k, beta);
+                }
+            },
+            None,
+        );
+    }
+    for bits in [0, 1, 4, 10, 11] {
+        push(format!("{bits}-bit readout"), &|p| p.adc_bits = bits, None);
+    }
+    let n = program.instructions.len();
+    for i in 0..n {
+        push(
+            format!("instruction {i} dropped"),
+            &|p| {
+                p.instructions.remove(i);
+            },
+            None,
+        );
+    }
+    for i in 1..n {
+        push(
+            format!("instructions {} and {i} swapped", i - 1),
+            &|p| p.instructions.swap(i - 1, i),
+            None,
+        );
+    }
+    push(
+        "duplicate layer name".into(),
+        &|p| {
+            let first = p.instructions[0].name().to_string();
+            if let Some(Instruction::MaxPool { name, .. }) = p.instructions.get_mut(1) {
+                *name = first;
+            }
+        },
+        None,
+    );
+    push(
+        "frame energy cap of 1 fJ".into(),
+        &|_| {},
+        Some(CostBudget {
+            max_frame_energy: Some(Joules::new(1e-15)),
+            max_frame_time: None,
+        }),
+    );
+    out
+}
+
+/// Verify-clean ⇒ runs. Every program the verifier accepts returns `Ok`
+/// from `run_frame`, and every frame error is one the verifier flagged
+/// (`CoreError::Verify`, carrying the same errors) or the input check
+/// flagged (a non-finite pixel). The corpus mutates the micronet and the
+/// 3×3-pool programs; a clean program also runs a NaN frame, which must
+/// be the input check's error.
+#[test]
+fn every_verify_clean_program_runs_and_every_error_was_flagged() {
+    let bases = [("micronet", program()), ("pools", pool_program())];
+    let (mut clean, mut refused) = (0, 0);
+    for (base, program) in &bases {
+        let input = scenes_of(program.input[1]).swap_remove(0);
+        let mut nan = input.clone();
+        nan.as_mut_slice()[7] = f32::NAN;
+        for m in corpus(base, program) {
+            let budget = m.budget.unwrap_or_default();
+            let report = verify_with_options(
+                &m.program,
+                &VerifyOptions {
+                    budget,
+                    ..VerifyOptions::default()
+                },
+            );
+            let mut engine = FrameEngine::new(m.program, SEED);
+            engine.set_cost_budget(budget);
+            let run = |x: &Tensor| engine.run_frame(0, x, &mut FrameCtx::new());
+            if report.has_errors() {
+                refused += 1;
+                match run(&input) {
+                    Err(CoreError::Verify(r)) => {
+                        assert_eq!(r.render(), report.render(), "{}", m.what);
+                    }
+                    other => panic!("{}: flagged program ran to {other:?}", m.what),
+                }
+            } else {
+                clean += 1;
+                if let Err(e) = run(&input) {
+                    panic!("{}: verify-clean program failed: {e}", m.what);
+                }
+                match run(&nan) {
+                    Err(CoreError::BadProgram { reason }) => {
+                        assert!(reason.contains("pixel 7 "), "{}: {reason}", m.what);
+                    }
+                    other => panic!("{}: NaN frame gave {other:?}", m.what),
+                }
+            }
+        }
+    }
+    // The corpus exercises both sides of the contract.
+    assert!(
+        clean >= 10 && refused >= 20,
+        "{clean} clean, {refused} refused"
+    );
 }
