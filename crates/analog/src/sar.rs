@@ -33,9 +33,16 @@ pub struct SarConversion {
 }
 
 impl SarConversion {
-    /// Ideal mid-rise reconstruction of the code onto `[0, 1)` full scale.
+    /// One code step as a fraction of full scale at `resolution` bits:
+    /// `2⁻ⁿ` exactly, so multiplying by it equals dividing by `2ⁿ`.
+    pub fn lsb(resolution: u32) -> f64 {
+        1.0 / f64::from(1u32 << resolution)
+    }
+
+    /// Ideal mid-rise reconstruction of the code onto `[0, 1)` full scale:
+    /// `(code + ½)·2⁻ⁿ`.
     pub fn reconstruct(&self) -> f64 {
-        (self.code as f64 + 0.5) / 2f64.powi(self.resolution as i32)
+        (f64::from(self.code) + 0.5) * Self::lsb(self.resolution)
     }
 
     /// Zero-padded alignment of the code to the full 10-bit grid, as the
@@ -155,8 +162,10 @@ impl SarAdc {
     /// Converts a normalized input in `[0, 1)` of full scale.
     ///
     /// Out-of-range inputs are clipped to the rails (as the real circuit
-    /// does).
-    pub fn convert<R: NoiseSource>(&mut self, input: f64, rng: &mut R) -> SarConversion {
+    /// does). Each bit trial is a select, not a branch: a comparator
+    /// outcome depends on the data, so a branch on it mispredicts about
+    /// half the time.
+    pub fn convert<R: NoiseSource>(&self, input: f64, rng: &mut R) -> SarConversion {
         let x = input.clamp(0.0, 1.0 - f64::EPSILON);
         let mut code = 0u32;
         let mut approximation = 0.0f64;
@@ -167,10 +176,9 @@ impl SarAdc {
             } else {
                 0.0
             };
-            if x + noise >= trial {
-                approximation = trial;
-                code |= 1 << (i - 1);
-            }
+            let ge = x + noise >= trial;
+            approximation = if ge { trial } else { approximation };
+            code |= u32::from(ge) << (i - 1);
         }
         SarConversion {
             code,
@@ -199,7 +207,7 @@ mod tests {
     /// Measures the effective number of bits by converting `samples`
     /// uniform random inputs and comparing reconstruction error to the
     /// ideal LSB noise: `ENOB = n − log2(rms_err / ideal_rms_err)`.
-    fn simulated_enob(adc: &mut SarAdc, samples: usize, rng: &mut Rng) -> f64 {
+    fn simulated_enob(adc: &SarAdc, samples: usize, rng: &mut Rng) -> f64 {
         let n = adc.resolution;
         let mut err_power = 0.0f64;
         for _ in 0..samples {
@@ -215,7 +223,7 @@ mod tests {
 
     #[test]
     fn ideal_conversion_is_floor_of_scaled_input() {
-        let mut adc = SarAdc::new(8).unwrap();
+        let adc = SarAdc::new(8).unwrap();
         let mut rng = Rng::seed_from(1);
         for &x in &[0.0, 0.1, 0.25, 0.5, 0.73, 0.999] {
             let conv = adc.convert(x, &mut rng);
@@ -225,7 +233,7 @@ mod tests {
 
     #[test]
     fn reconstruction_error_bounded_by_lsb() {
-        let mut adc = SarAdc::new(6).unwrap();
+        let adc = SarAdc::new(6).unwrap();
         let mut rng = Rng::seed_from(2);
         let lsb = 1.0 / 64.0;
         for i in 0..100 {
@@ -237,7 +245,7 @@ mod tests {
 
     #[test]
     fn out_of_range_clips() {
-        let mut adc = SarAdc::new(4).unwrap();
+        let adc = SarAdc::new(4).unwrap();
         let mut rng = Rng::seed_from(3);
         assert_eq!(adc.convert(-0.5, &mut rng).code, 0);
         assert_eq!(adc.convert(1.5, &mut rng).code, 15);
@@ -251,12 +259,102 @@ mod tests {
         let x = 0.6328125; // exactly representable at 7 bits
         let mut codes = Vec::new();
         for n in [10u32, 8, 6] {
-            let mut adc = SarAdc::new(n).unwrap();
+            let adc = SarAdc::new(n).unwrap();
             let conv = adc.convert(x, &mut rng);
             codes.push(conv.aligned_code() as f64 / 1024.0);
         }
         for c in &codes {
             assert!((c - x).abs() <= 1.0 / 64.0, "aligned {c} vs {x}");
+        }
+    }
+
+    /// The bit loop as it was written before it became branch-free: a
+    /// comparator outcome taken as a branch.
+    fn convert_branchy<R: NoiseSource>(adc: &SarAdc, input: f64, rng: &mut R) -> u32 {
+        let x = input.clamp(0.0, 1.0 - f64::EPSILON);
+        let mut code = 0u32;
+        let mut approximation = 0.0f64;
+        for i in (1..=adc.resolution).rev() {
+            let trial = approximation + adc.weights[(i - 1) as usize];
+            let noise = if adc.comparator_noise > 0.0 {
+                f64::from(rng.standard_normal()) * adc.comparator_noise
+            } else {
+                0.0
+            };
+            if x + noise >= trial {
+                approximation = trial;
+                code |= 1 << (i - 1);
+            }
+        }
+        code
+    }
+
+    /// Every code's lower threshold (its bits' weights summed MSB first,
+    /// as the bit loop accumulates them) and one ulp either side, plus the
+    /// rails, inputs beyond them and NaN.
+    fn probe_inputs(adc: &SarAdc) -> Vec<f64> {
+        let n = adc.resolution;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            -0.25,
+            -1e-300,
+            1.0 - f64::EPSILON,
+            1.0,
+            1.5,
+            1e300,
+            f64::NAN,
+        ];
+        for code in 0..1u32 << n {
+            let t = (1..=n)
+                .rev()
+                .filter(|&i| code >> (i - 1) & 1 == 1)
+                .fold(0.0f64, |acc, i| acc + adc.weights[(i - 1) as usize]);
+            inputs.extend([t.next_down(), t, t.next_up()]);
+        }
+        inputs
+    }
+
+    #[test]
+    fn branch_free_convert_matches_the_branchy_loop() {
+        for n in 1..=MAX_RESOLUTION {
+            let ideal = SarAdc::new(n).unwrap();
+            let noisy = SarAdc::with_mismatch(n, &mut Rng::seed_from(u64::from(n))).unwrap();
+            assert_eq!(noisy.comparator_noise, 1e-4);
+            for adc in [&ideal, &noisy] {
+                let (mut a, mut b) = (Rng::seed_from(7), Rng::seed_from(7));
+                for x in probe_inputs(adc) {
+                    let want = convert_branchy(adc, x, &mut b);
+                    let got = adc.convert(x, &mut a);
+                    assert_eq!(
+                        got,
+                        SarConversion {
+                            code: want,
+                            resolution: n
+                        },
+                        "{n} bits, σ {}, input {x:e}",
+                        adc.comparator_noise
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reconstruction_multiplies_by_the_exact_lsb() {
+        for n in 1..=MAX_RESOLUTION {
+            for code in 0..1u32 << n {
+                let conv = SarConversion {
+                    code,
+                    resolution: n,
+                };
+                let divided = (code as f64 + 0.5) / 2f64.powi(n as i32);
+                assert_eq!(
+                    conv.reconstruct().to_bits(),
+                    divided.to_bits(),
+                    "{n} bits, code {code}"
+                );
+            }
         }
     }
 
@@ -271,17 +369,17 @@ mod tests {
 
     #[test]
     fn enob_close_to_nominal_when_ideal() {
-        let mut adc = SarAdc::new(8).unwrap();
+        let adc = SarAdc::new(8).unwrap();
         let mut rng = Rng::seed_from(5);
-        let enob = simulated_enob(&mut adc, 20_000, &mut rng);
+        let enob = simulated_enob(&adc, 20_000, &mut rng);
         assert!((7.8..8.2).contains(&enob), "ideal ENOB {enob}");
     }
 
     #[test]
     fn enob_degrades_with_mismatch_but_stays_close() {
         let mut rng = Rng::seed_from(6);
-        let mut adc = SarAdc::with_mismatch(10, &mut rng).unwrap();
-        let enob = simulated_enob(&mut adc, 20_000, &mut rng);
+        let adc = SarAdc::with_mismatch(10, &mut rng).unwrap();
+        let enob = simulated_enob(&adc, 20_000, &mut rng);
         assert!(enob < 10.05, "mismatch cannot add bits: {enob}");
         assert!(enob > 9.0, "0.2% matching keeps ENOB near 10: {enob}");
     }
@@ -295,8 +393,8 @@ mod tests {
             let mut total = 0.0;
             for seed in 0..5 {
                 let mut rng = Rng::seed_from(100 + seed);
-                let mut adc = SarAdc::with_unit_scale(10, scale, &mut rng).unwrap();
-                total += simulated_enob(&mut adc, 4000, &mut rng);
+                let adc = SarAdc::with_unit_scale(10, scale, &mut rng).unwrap();
+                total += simulated_enob(&adc, 4000, &mut rng);
             }
             total / 5.0
         };

@@ -165,7 +165,7 @@ proptest! {
     /// Ideal SAR codes are monotone in the input.
     #[test]
     fn sar_monotone(n in 1u32..=10, seed in 0u64..100) {
-        let mut adc = SarAdc::new(n).unwrap();
+        let adc = SarAdc::new(n).unwrap();
         let mut rng = Rng::seed_from(seed);
         let mut prev = 0u32;
         for i in 0..=20 {
@@ -180,8 +180,8 @@ proptest! {
     #[test]
     fn sar_alignment_conserves_range(x in 0.0f64..0.999, n in 2u32..=9) {
         let mut rng = Rng::seed_from(1);
-        let mut coarse = SarAdc::new(n).unwrap();
-        let mut fine = SarAdc::new(10).unwrap();
+        let coarse = SarAdc::new(n).unwrap();
+        let fine = SarAdc::new(10).unwrap();
         let a = coarse.convert(x, &mut rng).aligned_code() as f64 / 1024.0;
         let b = fine.convert(x, &mut rng).aligned_code() as f64 / 1024.0;
         let lsb = 1.0 / 2f64.powi(n as i32);

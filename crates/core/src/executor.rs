@@ -838,7 +838,7 @@ impl FramePass<'_> {
     /// The quantization module: normalizes features to the ADC full scale,
     /// converts each through the bit-accurate SAR model, and returns the
     /// dequantized host-domain tensor plus the raw codes. Each feature is
-    /// one noise site; bands run on per-worker ADC clones and energy is the
+    /// one noise site; bands share the engine's ADC and energy is the
     /// `conversions × per-conversion` product. Also returns how many
     /// features clipped at the 0 V lower rail (per-band counts summed in
     /// band order, so the tally is thread-count independent).
@@ -864,7 +864,6 @@ impl FramePass<'_> {
         let src = x.as_slice();
         let mut codes = vec![0u32; n];
         let clips = shard_mut(&mut codes, self.engine.threads, 1, |first, band| {
-            let mut adc = template.clone();
             let mut clips = 0u64;
             for (i, code) in band.iter_mut().enumerate() {
                 let idx = first + i;
@@ -872,15 +871,16 @@ impl FramePass<'_> {
                     clips += 1;
                 }
                 let v = f64::from(src[idx].max(0.0)) / full_scale;
-                *code = adc.convert(v, &mut stream.at(idx as u64)).code;
+                *code = template.convert(v, &mut stream.at(idx as u64)).code;
             }
             clips
         });
-        // The host's dequantization is a pure function of each code.
-        let resolution = template.resolution();
+        // The host's dequantization is a pure function of each code: its
+        // mid-rise reconstruction `(code + ½)·2⁻ⁿ`, scaled back up.
+        let lsb = SarConversion::lsb(template.resolution());
         let deq = codes
             .iter()
-            .map(|&code| (SarConversion { code, resolution }.reconstruct() * full_scale) as f32)
+            .map(|&code| ((f64::from(code) + 0.5) * lsb * full_scale) as f32)
             .collect();
         self.cost.convert(template, n as u64);
         Ok((Tensor::from_vec(deq, x.dims())?, codes, clips.iter().sum()))
@@ -971,9 +971,12 @@ fn bad_pool_volume(e: TensorError) -> CoreError {
     }
 }
 
-/// Local response normalization across channels. Each output element
-/// sums its channel window in channel order, so the channel planes shard
-/// freely over the thread budget (bands of whole planes).
+/// Local response normalization across channels. Each output plane first
+/// holds its channel window's sum of squares, added channel by channel in
+/// channel order (so the sums vectorize across the plane and each element
+/// still sums `0 + v²` over its window in order), then is normalized in
+/// place. The channel planes shard freely over the thread budget (bands
+/// of whole planes).
 fn lrn(
     x: &Tensor,
     [c, h, w]: [usize; 3],
@@ -990,19 +993,20 @@ fn lrn(
         return Ok(Tensor::from_vec(out, &[c, h, w])?);
     }
     let src = x.as_slice();
+    let scale = alpha / size as f32;
     shard_mut(&mut out, threads, plane, |first, band| {
         for (i, dst) in band.chunks_exact_mut(plane).enumerate() {
             let ci = first / plane + i;
             let lo = ci.saturating_sub(half);
             let hi = (ci + half).min(c - 1);
-            for (p, o) in dst.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for cj in lo..=hi {
-                    let v = src[cj * plane + p];
-                    acc += v * v;
+            // `dst` starts zeroed: it accumulates `0 + Σ v²` in channel order.
+            for window in src[lo * plane..(hi + 1) * plane].chunks_exact(plane) {
+                for (acc, &v) in dst.iter_mut().zip(window) {
+                    *acc += v * v;
                 }
-                let denom = k + alpha / size as f32 * acc;
-                *o = src[ci * plane + p] * denom.powf(-beta);
+            }
+            for (o, &v) in dst.iter_mut().zip(&src[ci * plane..(ci + 1) * plane]) {
+                *o = v * (k + scale * *o).powf(-beta);
             }
         }
     });
@@ -1265,6 +1269,54 @@ mod tests {
 
     /// LRN shards whole channel planes; an empty plane returns before
     /// the plane-sized banding, at any thread budget.
+    /// LRN as it was written before it summed plane by plane: each
+    /// element sums its channel window on its own.
+    fn lrn_elementwise(x: &Tensor, [c, h, w]: [usize; 3], size: usize, p: [f32; 3]) -> Vec<f32> {
+        let [alpha, beta, k] = p;
+        let (half, plane, src) = (size / 2, h * w, x.as_slice());
+        let mut out = vec![0.0f32; c * plane];
+        for ci in 0..c {
+            let (lo, hi) = (ci.saturating_sub(half), (ci + half).min(c - 1));
+            for q in 0..plane {
+                let mut acc = 0.0f32;
+                for cj in lo..=hi {
+                    let v = src[cj * plane + q];
+                    acc += v * v;
+                }
+                let denom = k + alpha / size as f32 * acc;
+                out[ci * plane + q] = src[ci * plane + q] * denom.powf(-beta);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn plane_wise_lrn_matches_the_elementwise_sums() {
+        // GoogLeNet's norm1 parameters and others; fewer channels than the
+        // window, odd planes, and planes big enough for threads to split.
+        let cases: &[([usize; 3], usize, [f32; 3])] = &[
+            ([3, 5, 7], 5, [1e-4, 0.75, 1.0]),
+            ([1, 9, 9], 5, [1e-4, 0.75, 1.0]),
+            ([7, 13, 11], 3, [2e-3, 0.5, 2.0]),
+            ([64, 17, 17], 5, [1e-4, 0.75, 1.0]),
+            ([12, 31, 29], 4, [0.1, 0.9, 0.5]),
+        ];
+        let mut rng = Rng::seed_from(23);
+        for &(dims, size, params) in cases {
+            let x = Tensor::uniform(&dims, -3.0, 3.0, &mut rng);
+            let want = lrn_elementwise(&x, dims, size, params);
+            let [alpha, beta, k] = params;
+            for threads in [1, 2, 3] {
+                let got = lrn(&x, dims, size, alpha, beta, k, threads).unwrap();
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                assert!(same, "{dims:?}, size {size}, {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn lrn_of_empty_planes_is_empty() {
         let x = Tensor::zeros(&[6, 0, 3]);

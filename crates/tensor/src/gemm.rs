@@ -50,6 +50,21 @@
 //! to the `im2col` + [`gemm_into`] oracle at every geometry and thread
 //! count.
 //!
+//! # Direct path for narrow convs
+//!
+//! A conv with at most `MR` filters fills at most one A panel, so packing
+//! a `KC×NR` B panel feeds a single row panel of arithmetic, half of it
+//! on zero rows when there are four filters. Such a conv packs no B at all:
+//! the driver lays the input out once per call as a zero-padded copy split
+//! into column phases (one per stride step), in which each tap's run of
+//! output positions along one output row is a contiguous slice. A
+//! `DR×DW` kernel (4 filters × 32 positions, the same eight vector
+//! accumulators as an `MR×NR` tile) reads those slices in place against
+//! the weight panel. Every output still sums `0 + Σ_KC-blocks (0 + Σ_k
+//! a·b)` with `k` ascending and a separate multiply and add, padding taps
+//! included as `a·0.0`, so the result is bit-identical to the packed path
+//! and to the `im2col` oracle.
+//!
 //! [`PackedWeights`] completes the picture for inference engines that run
 //! the same filters every frame: the A-side (weight) packing is hoisted
 //! out of the per-frame loop entirely and shared read-only across threads
@@ -73,6 +88,11 @@ const NC: usize = 512;
 /// Below this many flops (2·m·n·k) the product runs single-threaded: the
 /// thread-spawn cost exceeds the work of a whole small product.
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 18;
+/// Filter rows per direct-path tile: half an A panel.
+const DR: usize = MR / 2;
+/// Output positions per direct-path tile: `DR` rows of `DW` lanes fill the
+/// same eight vector accumulators as one `MR×NR` tile.
+const DW: usize = 2 * NR;
 
 /// Grows `v` to at least `len` elements and returns the prefix slice.
 fn ensure_len(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
@@ -378,6 +398,80 @@ enum BSrc<'a> {
     Conv { src: &'a [f32], geom: &'a ConvGeom },
 }
 
+/// A conv input laid out so that the direct path reads B rows in place.
+///
+/// Patch row `p` of the virtual `im2col` matrix is a tap `(ch, ky, kx)`.
+/// Over one tile of `DW` output positions `ox0..ox0 + DW` on output row
+/// `oy` it reads padded input row `oy·s + ky`, columns `(ox0 + c)·s + kx`.
+/// Each padded row is stored as `s` column phases of `width` floats, phase
+/// `q` holding padded columns `i·s + q`, so those `DW` columns are
+/// consecutive floats of phase `kx mod s` from index `ox0 + ⌊kx/s⌋`: the
+/// B row starts at `oy·row_step + ox0 + taps[p]`. Padding columns and
+/// rows hold `0.0`, as `im2col` would. `width` covers every tile of a
+/// row, so the tail lanes of a row's last tile stay in bounds; they are
+/// computed and dropped.
+#[derive(Clone, Copy)]
+struct Padded<'a> {
+    data: &'a [f32],
+    /// Offset of each patch row's tap from a tile's origin.
+    taps: &'a [usize],
+    /// Floats between the origins of consecutive output rows.
+    row_step: usize,
+    out_w: usize,
+}
+
+/// Lays `src` (`C×H×W`, per `geom`) out in [`Padded`] form in `data` and
+/// fills the per-patch-row offsets into `taps`. Both buffers only grow.
+fn pad_input<'a>(
+    src: &[f32],
+    geom: &ConvGeom,
+    data: &'a mut Vec<f32>,
+    taps: &'a mut Vec<usize>,
+) -> Padded<'a> {
+    let (kh, kw) = (geom.kernel_h(), geom.kernel_w());
+    let (in_h, in_w) = (geom.in_h(), geom.in_w());
+    let (s, pad) = (geom.stride(), geom.pad());
+    let out_w = geom.out_w();
+    // The last tile's last lane under tap `kx` reads phase index
+    // `tiles·DW − 1 + ⌊kx/s⌋`.
+    let width = out_w.div_ceil(DW) * DW + (kw - 1) / s;
+    let rows = (geom.out_h() - 1) * s + kh;
+    let row_len = s * width;
+    let plane_len = rows * row_len;
+    let data = ensure_len(data, geom.in_c() * plane_len);
+    data.fill(0.0);
+    for ch in 0..geom.in_c() {
+        // Input row `y` is padded row `y + pad`; rows no tap reads stay out.
+        for y in 0..in_h.min(rows.saturating_sub(pad)) {
+            let row = &src[(ch * in_h + y) * in_w..][..in_w];
+            let dst = &mut data[ch * plane_len + (y + pad) * row_len..][..row_len];
+            for (q, phase) in dst.chunks_exact_mut(width).enumerate() {
+                // The indices `i` whose padded column `i·s + q` is an
+                // input column, `i·s + q − pad` in `0..in_w`.
+                let lo = pad.saturating_sub(q).div_ceil(s);
+                let hi = (pad + in_w).saturating_sub(q).div_ceil(s).min(width);
+                if lo < hi {
+                    copy_taps(&mut phase[lo..hi], &row[lo * s + q - pad..], s);
+                }
+            }
+        }
+    }
+    taps.clear();
+    for ch in 0..geom.in_c() {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                taps.push(ch * plane_len + ky * row_len + kx % s * width + kx / s);
+            }
+        }
+    }
+    Padded {
+        data,
+        taps,
+        row_step: s * row_len,
+        out_w,
+    }
+}
+
 /// The register microkernel: one `MR×NR` accumulator tile over a shared
 /// inner extent. `apanel` is `kc` steps of `MR` packed A values, `bpanel`
 /// `kc` steps of `NR` packed B values; the fixed-size accumulator array and
@@ -385,8 +479,8 @@ enum BSrc<'a> {
 /// Per element it computes `acc[c] += a * b[c]`: two roundings per step,
 /// `k`-sequential, no FMA.
 #[inline(always)]
-fn mul_add_row(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
-    for c in 0..NR {
+fn mul_add_row<const W: usize>(acc: &mut [f32; W], a: f32, b: &[f32; W]) {
+    for c in 0..W {
         acc[c] += a * b[c];
     }
 }
@@ -514,11 +608,111 @@ fn compute_cols(
     }
 }
 
+/// The direct path's register kernel: a `DR×DW` tile, filter rows
+/// `DR·group..` of the A panel against `kc` B rows read in place, row `p`
+/// at `tile[taps[p]..]`. Each element accumulates `acc += a * b` in `k`
+/// order, exactly as [`microkernel`] does.
+#[inline(always)]
+fn direct_kernel(apanel: &[f32], group: usize, taps: &[usize], tile: &[f32]) -> [[f32; DW]; DR] {
+    let mut r0 = [0.0f32; DW];
+    let mut r1 = [0.0f32; DW];
+    let mut r2 = [0.0f32; DW];
+    let mut r3 = [0.0f32; DW];
+    let (asteps, _) = apanel.as_chunks::<MR>();
+    for (ap, &t) in asteps.iter().zip(taps) {
+        let ap = &ap.as_chunks::<DR>().0[group];
+        let b = tile[t..]
+            .first_chunk::<DW>()
+            .expect("a tile's B row lies inside the padded input");
+        mul_add_row(&mut r0, ap[0], b);
+        mul_add_row(&mut r1, ap[1], b);
+        mul_add_row(&mut r2, ap[2], b);
+        mul_add_row(&mut r3, ap[3], b);
+    }
+    [r0, r1, r2, r3]
+}
+
+/// Runs output columns `[j0, j1)` of a conv with at most `MR` filters
+/// straight off the padded input, packing no B. Each `KC` block's one A
+/// panel (served from pre-packed weights, or packed once per block from a
+/// raw A) meets B rows read in place, `DR` filters at a time. Tiles are
+/// `DW` output positions of one output row, aligned at multiples of `DW`
+/// in that row; lanes outside the row or the range are computed and
+/// dropped. Each `KC` block's products are added to `out` in `k` order, so
+/// every output is bit-equal to the blocked product's.
+fn compute_direct(
+    asrc: ASrc<'_>,
+    input: Padded<'_>,
+    (m, k): (usize, usize),
+    (j0, j1): (usize, usize),
+    apack: &mut [f32],
+    mut out: impl OutRows,
+) {
+    let out_w = input.out_w;
+    let mut pc = 0usize;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        let apanel: &[f32] = match asrc {
+            ASrc::Mat { a, trans } => {
+                pack_a_block(a, trans, m, k, 0, m, pc, kc, apack);
+                &apack[..MR * kc]
+            }
+            ASrc::Packed(pw) => pw.block_panels(0, pc, kc),
+        };
+        let taps = &input.taps[pc..pc + kc];
+        let mut j = j0;
+        while j < j1 {
+            let (oy, ox) = (j / out_w, j % out_w);
+            let ox0 = ox - ox % DW;
+            let lanes = ((ox0 + DW).min(out_w) - ox).min(j1 - j);
+            let tile = &input.data[oy * input.row_step + ox0..];
+            for row0 in (0..m).step_by(DR) {
+                let acc = direct_kernel(apanel, row0 / DR, taps, tile);
+                for (r, acc_row) in acc.iter().enumerate().take(m - row0) {
+                    let dst = &mut out.row(row0 + r)[j - j0..][..lanes];
+                    for (d, &v) in dst.iter_mut().zip(&acc_row[ox - ox0..]) {
+                        *d += v;
+                    }
+                }
+            }
+            j += lanes;
+        }
+        pc += kc;
+    }
+}
+
+/// How a worker reads the B operand: packed into panels per block, or (a
+/// conv with at most `MR` filters) in place from the padded input.
+#[derive(Clone, Copy)]
+enum BRead<'a> {
+    Packed(BSrc<'a>),
+    InPlace(Padded<'a>),
+}
+
+/// Runs output columns `[j0, j1)` of the product through the B read the
+/// driver chose.
+fn compute_range(
+    asrc: ASrc<'_>,
+    bread: BRead<'_>,
+    (m, n, k): (usize, usize, usize),
+    cols: (usize, usize),
+    apack: &mut [f32],
+    bpack: &mut [f32],
+    out: impl OutRows,
+) {
+    match bread {
+        BRead::Packed(bsrc) => compute_cols(asrc, bsrc, (m, n, k), cols, apack, bpack, out),
+        BRead::InPlace(input) => compute_direct(asrc, input, (m, k), cols, apack, out),
+    }
+}
+
 /// The shared blocked driver behind every public entry point. Each worker
 /// owns one `NR`-aligned range of output columns across all `m` rows and
 /// runs [`compute_cols`] over it, packing its own B panels (explicit matrix
 /// or implicit conv gather) and A blocks into private regions of `packs`.
-/// The whole product is one [`par::fan_out`]; one worker runs inline.
+/// A conv with at most `MR` filters runs [`compute_direct`] instead, over
+/// one padded copy of the input shared by every worker. The whole product
+/// is one [`par::fan_out`]; one worker runs inline.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     packs: &mut PackBuffers,
@@ -545,13 +739,22 @@ fn gemm_driver(
     // rounding can leave fewer ranges than threads.
     let width = col_panels.div_ceil(threads) * NR;
     let workers = n.div_ceil(width);
-    let a_len = MC * KC;
-    let b_len = NC.min(width) * KC.min(k);
+    // A conv whose filters fit one A panel reads B in place: packing a
+    // `KC×NR` B panel would feed only `m ≤ MR` rows of arithmetic. Its
+    // workers need one A panel and no B panels; `chunks_mut` below still
+    // takes a nonzero B length.
+    let (bread, a_len, b_len) = match bsrc {
+        BSrc::Conv { src, geom } if m <= MR => {
+            let input = pad_input(src, geom, &mut packs.padded, &mut packs.taps);
+            (BRead::InPlace(input), MR * KC, 1)
+        }
+        _ => (BRead::Packed(bsrc), MC * KC, NC.min(width) * KC.min(k)),
+    };
     if workers == 1 {
         let apack = ensure_len(&mut packs.a, a_len);
         let bpack = ensure_len(&mut packs.b, b_len);
         let out = Whole { out, n };
-        compute_cols(asrc, bsrc, (m, n, k), (0, n), apack, bpack, out);
+        compute_range(asrc, bread, (m, n, k), (0, n), apack, bpack, out);
         return;
     }
     // The one per-call allocation: a table of row slices, worker-major.
@@ -574,7 +777,7 @@ fn gemm_driver(
     par::fan_out(ranges, |(t, ((rows, apack), bpack))| {
         let j0 = t * width;
         let cols = (j0, (j0 + width).min(n));
-        compute_cols(asrc, bsrc, (m, n, k), cols, apack, bpack, rows);
+        compute_range(asrc, bread, (m, n, k), cols, apack, bpack, rows);
     });
 }
 
@@ -622,7 +825,9 @@ pub fn gemm_into(
 
 /// Implicit-GEMM convolution: `out = W · im2col(input)` without ever
 /// materializing the `im2col` matrix — the B packer gathers receptive-field
-/// taps (zeros in the padding border) straight from the `C×H×W` input.
+/// taps (zeros in the padding border) straight from the `C×H×W` input, or,
+/// for at most 8 filters, the kernel reads them in place from a padded
+/// copy of the input.
 ///
 /// `weights` is the `(out_c × patch_len)` filter matrix, `input` the
 /// `C×H×W` tensor data per `geom`, `out` the `(out_c × out_positions)`
@@ -1078,6 +1283,41 @@ mod tests {
             if let Ok(geom) = ConvGeom::new(in_c, in_h, in_w, kh, kw, stride, pad) {
                 assert_conv_packer_matches_im2col(&geom, seed);
             }
+        }
+    }
+
+    /// A narrow conv's padded input and tap table are scratch like the
+    /// pack buffers: the first call grows them, later calls at the same
+    /// shape reuse them.
+    #[test]
+    fn direct_conv_scratch_is_stable_across_repeated_calls() {
+        let geom = ConvGeom::new(3, 32, 32, 5, 5, 1, 2).unwrap();
+        let (m, k) = (4, geom.patch_len());
+        let mut rng = Rng::seed_from(5);
+        let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+        let weights = Tensor::uniform(&[m, k], -0.5, 0.5, &mut rng);
+        let packed = PackedWeights::pack(weights.as_slice(), m, k);
+        let mut out = vec![0.0f32; m * geom.out_positions()];
+        for threads in [1, 2] {
+            let mut ws = Workspace::new();
+            let mut run = |ws: &mut Workspace| {
+                conv_gemm_packed_into(
+                    ws.packs_mut(),
+                    SimdLevel::auto(),
+                    &packed,
+                    input.as_slice(),
+                    &geom,
+                    &mut out,
+                    threads,
+                );
+            };
+            run(&mut ws);
+            let before = ws.stats();
+            assert!(before.padded_capacity > 0, "the direct path ran");
+            for _ in 0..3 {
+                run(&mut ws);
+            }
+            assert_eq!(before, ws.stats(), "{threads} threads: scratch regrew");
         }
     }
 

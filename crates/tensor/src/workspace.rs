@@ -10,11 +10,15 @@
 /// Packing scratch for the blocked GEMM engine (see [`crate::gemm`]).
 ///
 /// Holds the packed A row-panels and the packed B column-panels, one
-/// region of each per worker thread. Buffers only ever grow.
+/// region of each per worker thread, and for a conv narrow enough to read
+/// B in place, its zero-padded input and per-tap offsets. Buffers only
+/// ever grow.
 #[derive(Debug, Default)]
 pub struct PackBuffers {
     pub(crate) a: Vec<f32>,
     pub(crate) b: Vec<f32>,
+    pub(crate) padded: Vec<f32>,
+    pub(crate) taps: Vec<usize>,
 }
 
 impl PackBuffers {
@@ -66,6 +70,10 @@ pub struct WorkspaceStats {
     pub pack_b_ptr: usize,
     /// Capacity (elements) of the packed-B buffer.
     pub pack_b_capacity: usize,
+    /// Base address of the padded conv-input buffer.
+    pub padded_ptr: usize,
+    /// Capacity (elements) of the padded conv-input buffer.
+    pub padded_capacity: usize,
     /// Base address of the backward patch-gradient buffer.
     pub grad_cols_ptr: usize,
     /// Capacity (elements) of the backward patch-gradient buffer.
@@ -103,8 +111,10 @@ impl Workspace {
     /// as an `im2col` capacity that simply never grows.
     pub fn peak_bytes(&self) -> usize {
         use std::mem::size_of;
+        let packs = &self.packs;
         (self.im2col.capacity() + self.grad_cols.capacity()) * size_of::<f32>()
-            + (self.packs.a.capacity() + self.packs.b.capacity()) * size_of::<f32>()
+            + (packs.a.capacity() + packs.b.capacity() + packs.padded.capacity()) * size_of::<f32>()
+            + packs.taps.capacity() * size_of::<usize>()
     }
 
     /// Snapshots buffer base addresses and capacities.
@@ -119,6 +129,8 @@ impl Workspace {
             pack_a_capacity: self.packs.a.capacity(),
             pack_b_ptr: self.packs.b.as_ptr() as usize,
             pack_b_capacity: self.packs.b.capacity(),
+            padded_ptr: self.packs.padded.as_ptr() as usize,
+            padded_capacity: self.packs.padded.capacity(),
             grad_cols_ptr: self.grad_cols.as_ptr() as usize,
             grad_cols_capacity: self.grad_cols.capacity(),
         }

@@ -127,6 +127,45 @@ fn packer_block_and_run_boundaries_are_bit_exact_against_the_oracle() {
     }
 }
 
+/// Convs with at most `MR` = 8 filters skip B packing: the kernel reads
+/// B rows in place from a zero-padded copy of the input. Every filter
+/// count up to 8 and 9 (the packed path again), every kernel, stride and
+/// pad, on inputs whose output rows are narrower and wider than a 16-lane
+/// panel, one output row high, or whose patch runs past two 256-deep
+/// inner blocks, and on empty inputs that only the padding makes
+/// convolvable.
+#[test]
+fn narrow_convs_are_bit_exact_against_the_oracle() {
+    let inputs: &[[usize; 3]] = &[
+        [2, 13, 11], // output rows narrower than a panel
+        [1, 7, 40],  // output rows up to 46 wide
+        [2, 1, 50],  // one output row when the pad centres the kernel
+        [11, 9, 9],  // 7×7 patch of 539 > 2·256
+        [1, 0, 6],   // no input rows: every tap reads padding
+        [2, 5, 0],   // no input columns
+    ];
+    let (mut one_row, mut narrow, mut deep) = (0, 0, 0);
+    for out_c in 1..=9 {
+        for kernel in [1, 3, 5, 7] {
+            for stride in 1..=3 {
+                for pad in 0..=3 {
+                    for (i, &[c, h, w]) in inputs.iter().enumerate() {
+                        let Ok(geom) = ConvGeom::new(c, h, w, kernel, kernel, stride, pad) else {
+                            continue;
+                        };
+                        one_row += usize::from(geom.out_h() == 1);
+                        narrow += usize::from(geom.out_w() < 16);
+                        deep += usize::from(geom.patch_len() > 512);
+                        let seed = ((out_c * 8 + kernel) * 4 + stride) * 4 + pad;
+                        assert_conv_equivalence(&geom, out_c, (seed * 4 + i) as u64);
+                    }
+                }
+            }
+        }
+    }
+    assert!(one_row > 0 && narrow > 0 && deep > 0);
+}
+
 proptest! {
     /// Random geometries: the implicit packer must agree with the oracle
     /// bitwise wherever the geometry is constructible.

@@ -15,7 +15,8 @@
 //! A Depth1-shaped frame (conv 7×7/2, max pool 3×3/2, LRN) is pinned at
 //! one, two and three threads: the conv GEMM's output column ranges, the
 //! pool's site bands and the LRN's channel planes all split, and three
-//! threads split the columns unevenly.
+//! threads split the columns unevenly. So is a frame of convs with 8 and 3
+//! filters, fewer than one GEMM tile's rows, which read B in place.
 //!
 //! The micronet program also pins "static cost = dynamic ledger":
 //! `analyze_cost`'s nominal point equals every serial frame's ledger and
@@ -66,6 +67,8 @@ const PINNED_POOL_FOLD: u64 = 0x7cbb_730a_328c_5a7a;
 const PINNED_POOL_FORCED: u64 = 2;
 /// Fold of the `FRAMES` frame digests of `depth1_program` for `SEED`.
 const PINNED_DEPTH1_FOLD: u64 = 0xafc9_576d_e0a7_02bb;
+/// Fold of the `FRAMES` frame digests of `narrow_conv_program` for `SEED`.
+const PINNED_NARROW_FOLD: u64 = 0x75b9_b5b9_4cd0_4343;
 /// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
 
@@ -310,6 +313,44 @@ fn a_depth1_shaped_frame_is_pinned_at_one_two_and_three_threads() {
     assert_eq!(at_threads(&program, &inputs, 3), want, "three threads");
     let fold = fold(want.iter().map(|f| f.digest));
     assert_eq!(fold, PINNED_DEPTH1_FOLD, "digest fold {fold:#018x}");
+}
+
+/// Convs with fewer filters than one GEMM tile has rows, which read their
+/// input in place instead of packing B panels: 7×7 stride 2 to 8 channels
+/// on a 45×45 scene (23-wide output rows), then 7×7 stride 2 to 3
+/// channels, whose 392-long patch crosses the 256-deep inner block
+/// (12-wide output rows). No output row is a multiple of 16 wide. Both
+/// products are above the GEMM's serial threshold, so two and three
+/// threads split their output columns part-way through a row.
+fn narrow_conv_program() -> Program {
+    let conv = |name: &str, out_c| LayerSpec::Conv {
+        name: name.into(),
+        out_c,
+        kernel: 7,
+        stride: 2,
+        pad: 3,
+        relu: true,
+    };
+    let spec = NetworkSpec::new(
+        "narrow",
+        [3, 45, 45],
+        vec![conv("conv1", 8), conv("conv2", 3)],
+    );
+    let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(53))
+        .expect("narrow conv program builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&spec, &mut bank, &CompileOptions::default()).expect("narrow conv program compiles")
+}
+
+#[test]
+fn tile_starved_convs_are_pinned_at_one_two_and_three_threads() {
+    let program = narrow_conv_program();
+    let inputs = scenes_of(45);
+    let want = at_threads(&program, &inputs, 1);
+    assert_eq!(at_threads(&program, &inputs, 2), want, "two threads");
+    assert_eq!(at_threads(&program, &inputs, 3), want, "three threads");
+    let fold = fold(want.iter().map(|f| f.digest));
+    assert_eq!(fold, PINNED_NARROW_FOLD, "digest fold {fold:#018x}");
 }
 
 #[test]
