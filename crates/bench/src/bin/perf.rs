@@ -15,7 +15,7 @@
 //!   budget.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
-//!   on the work-stealing scheduler per worker count, per depth.
+//!   on the task pool per worker count, per depth.
 //! - **Conv** (`BENCH_conv.json`, via `--conv`): the implicit-GEMM conv
 //!   path (pack-once weights, no im2col matrix) against the explicit
 //!   im2col lowering at per-layer shapes, with the peak workspace bytes

@@ -89,13 +89,7 @@ fn run_fleet(
         },
     )
     .expect("fleet workload builds");
-    let executor = FleetExecutor::with_options(
-        engine.clone(),
-        FleetOptions {
-            workers,
-            ..FleetOptions::default()
-        },
-    );
+    let executor = FleetExecutor::with_options(engine.clone(), FleetOptions { workers });
     let start = Instant::now();
     let report = executor.run(&work).expect("fleet runs");
     let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -117,8 +111,7 @@ fn bench_determinism(
         let (report, ms) = run_fleet(engine, scenario, devices, frames_per_device, workers);
         let digest = report.digest_hex();
         println!(
-            "determinism {devices}x{frames_per_device} @ {workers}w: digest {digest} ({ms:.1} ms, {} steals)",
-            report.steals
+            "determinism {devices}x{frames_per_device} @ {workers}w: digest {digest} ({ms:.1} ms)"
         );
         match &reference {
             Some(want) => assert_eq!(

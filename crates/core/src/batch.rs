@@ -1,4 +1,4 @@
-//! Cross-frame batched execution on the work-stealing scheduler.
+//! Cross-frame batched execution on the task pool.
 //!
 //! RedEye is a *continuous* vision sensor: the interesting throughput
 //! metric is sustained frames/sec over a stream, not the latency of one
@@ -7,23 +7,24 @@
 //! axis is *across* frames: [`BatchExecutor`] runs the frames of a batch
 //! concurrently over one immutable [`FrameEngine`].
 //!
-//! # One scheduler call per batch
+//! # One pool call per batch
 //!
-//! A batch is one [`run_stealing`] call with one task per frame index.
+//! A batch is one [`run_tasks`] call with one task per frame index.
 //! Each worker builds its own [`FrameCtx`], whose conv workspace it reuses
 //! for every frame it runs in that batch, and task `i` runs frame
-//! `base + i`. Workers steal from each other's deques, so a slow frame (a
-//! deeper inception branch, a cache-cold worker) never stalls the frames
-//! queued behind it. The workers are scoped threads that borrow the engine
-//! and the inputs; a batch on one worker, or of one frame, runs inline on
-//! the caller's thread. A frame that panics comes back as
-//! [`CoreError::WorkerPanic`] and leaves the executor usable.
+//! `base + i`. A free worker claims the next unclaimed frame, so a slow
+//! frame (a deeper inception branch, a cache-cold worker) holds only its
+//! own worker and never stalls the frames behind it. The workers are
+//! scoped threads that borrow the engine and the inputs; a batch on one
+//! worker, or of one frame, runs inline on the caller's thread. A frame
+//! that panics comes back as [`CoreError::WorkerPanic`] and leaves the
+//! executor usable.
 //!
 //! # Determinism
 //!
 //! Frame `base + i`'s noise is a pure function of `(seed, base + i,
-//! instruction, site, draw)` — never of the worker that ran it, the steal
-//! order, or the worker count. The scheduler returns results in frame
+//! instruction, site, draw)` — never of the worker that ran it, the claim
+//! order, or the worker count. The pool returns results in frame
 //! order; the merged ledger is folded frame-by-frame in that order (the
 //! same band-order discipline the column-parallel stages use), and the
 //! cumulative forced-comparator diagnostic is accumulated in frame order
@@ -32,7 +33,7 @@
 //! and any batch size.
 
 use crate::executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
-use crate::stealing::{auto_workers, run_stealing, StealOptions};
+use crate::pool::{auto_workers, run_tasks};
 use crate::{CoreError, EnergyLedger, Program, Result};
 use redeye_tensor::Tensor;
 
@@ -59,8 +60,8 @@ impl BatchResult {
     }
 }
 
-/// Drives batches of frames through the work-stealing scheduler over one
-/// shared [`FrameEngine`].
+/// Drives batches of frames through the task pool over one shared
+/// [`FrameEngine`].
 ///
 /// Each [`execute_batch`](BatchExecutor::execute_batch) call runs its
 /// frames on up to `workers` scoped threads, one [`FrameCtx`] per worker.
@@ -100,7 +101,7 @@ impl BatchResult {
 #[derive(Debug)]
 pub struct BatchExecutor {
     engine: FrameEngine,
-    /// Scheduler workers per batch.
+    /// Pool workers per batch.
     workers: usize,
     /// Frame number the next batch starts at.
     next_frame: u64,
@@ -111,7 +112,7 @@ pub struct BatchExecutor {
 
 impl BatchExecutor {
     /// Creates a batch executor for `program` that runs each batch on
-    /// `workers` scheduler workers (clamped to at least 1), seeding all
+    /// `workers` pool workers (clamped to at least 1), seeding all
     /// stochastic behaviour from `seed`.
     ///
     /// # Errors
@@ -131,7 +132,7 @@ impl BatchExecutor {
     }
 
     /// Creates a batch executor sized to the host: [`auto_workers`]
-    /// scheduler workers.
+    /// pool workers.
     ///
     /// # Errors
     ///
@@ -141,7 +142,7 @@ impl BatchExecutor {
         Self::new(program, seed, auto_workers())
     }
 
-    /// Number of scheduler workers each batch runs on.
+    /// Number of pool workers each batch runs on.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -166,7 +167,7 @@ impl BatchExecutor {
     }
 
     /// Executes `inputs` as frames `next_frame .. next_frame + inputs.len()`
-    /// across the scheduler's workers and returns the results in frame
+    /// across the pool's workers and returns the results in frame
     /// order.
     ///
     /// # Errors
@@ -191,10 +192,9 @@ impl BatchExecutor {
         let base = self.next_frame;
         let engine = &self.engine;
         let indices: Vec<usize> = (0..inputs.len()).collect();
-        let (results, _) = run_stealing(
+        let results = run_tasks(
             &indices,
             self.workers,
-            StealOptions::default(),
             |_| FrameCtx::new(),
             |ctx, &i| engine.run_frame(base + i as u64, &inputs[i], ctx),
         );

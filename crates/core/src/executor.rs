@@ -31,11 +31,11 @@
 //!
 //! The executor is split into an immutable, shareable [`FrameEngine`]
 //! (verified program, weights, root noise stream, column geometry, knobs)
-//! and a per-frame mutable [`FrameCtx`] (frame counter, conv scratch
-//! workspace, forced-comparator tally). [`Executor`] binds one engine to one
-//! sequential context; [`BatchExecutor`](crate::BatchExecutor) shares one
-//! engine across the work-stealing scheduler's workers, one context per
-//! worker, and is bit-identical to the serial path at any worker count
+//! and a per-worker mutable [`FrameCtx`] (the conv scratch workspace).
+//! [`Executor`] binds one engine to one context plus the frame counter and
+//! forced-comparator tally; [`BatchExecutor`](crate::BatchExecutor) shares
+//! one engine across the task pool's workers, one context per worker, and
+//! is bit-identical to the serial path at any worker count
 //! because frame `f`'s noise depends only on `(seed, f)` — never on which
 //! worker ran it or what ran before.
 
@@ -315,22 +315,17 @@ impl FrameEngine {
     }
 }
 
-/// The per-frame mutable half of the executor: the frame-sequence counter,
-/// the reusable conv scratch [`Workspace`], and the cumulative
-/// forced-comparator tally.
+/// The per-frame mutable half of the executor: the reusable conv scratch
+/// [`Workspace`].
 ///
-/// One context belongs to one worker: a batch gives each scheduler worker
-/// its own, so every frame after a worker's first performs no
-/// packing allocations, exactly like the serial path.
+/// One context belongs to one worker: a batch gives each pool worker its
+/// own, so every frame after a worker's first performs no packing
+/// allocations, exactly like the serial path.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
     /// Reusable GEMM packing scratch shared by every conv instruction;
     /// grows to the program's high-water mark on the first frame.
     ws: Workspace,
-    /// The frame-substream label the next sequential frame executes under.
-    next_frame: u64,
-    /// Cumulative forced comparator decisions across this context's frames.
-    forced_total: u64,
 }
 
 /// Packs one conv instruction's DAC-applied weights `code · scale` into the
@@ -370,33 +365,14 @@ fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<Option<Packe
 }
 
 impl FrameCtx {
-    /// A fresh context starting at frame 0 with empty scratch.
+    /// A fresh context with empty scratch.
     pub fn new() -> Self {
         FrameCtx::default()
     }
-
-    /// The frame number the next sequential execution will use.
-    pub fn next_frame(&self) -> u64 {
-        self.next_frame
-    }
-
-    /// Repositions the frame-substream counter so the next sequential frame
-    /// executes as frame `n` (see [`Executor::seek_frame`]).
-    pub fn seek_frame(&mut self, n: u64) {
-        self.next_frame = n;
-    }
-
-    /// Folds one frame's forced-decision count into the cumulative tally
-    /// and advances the sequence; returns the new cumulative total.
-    fn advance(&mut self, forced: u64) -> u64 {
-        self.next_frame += 1;
-        self.forced_total += forced;
-        self.forced_total
-    }
 }
 
-/// The RedEye functional executor: a [`FrameEngine`] driving a single
-/// sequential [`FrameCtx`].
+/// The RedEye functional executor: a [`FrameEngine`] driving one
+/// [`FrameCtx`] through a numbered frame sequence.
 ///
 /// Holds the program, the root noise stream (all noise is a pure function
 /// of the seed), and the reusable scratch the conv instructions share —
@@ -435,6 +411,10 @@ impl FrameCtx {
 pub struct Executor {
     engine: FrameEngine,
     ctx: FrameCtx,
+    /// The frame-substream label the next frame executes under.
+    next_frame: u64,
+    /// Cumulative forced comparator decisions across this executor's frames.
+    forced_total: u64,
 }
 
 impl Executor {
@@ -444,6 +424,8 @@ impl Executor {
         Executor {
             engine: FrameEngine::new(program, seed),
             ctx: FrameCtx::new(),
+            next_frame: 0,
+            forced_total: 0,
         }
     }
 
@@ -465,7 +447,7 @@ impl Executor {
 
     /// The frame number the next [`Executor::execute`] call will run as.
     pub fn next_frame(&self) -> u64 {
-        self.ctx.next_frame()
+        self.next_frame
     }
 
     /// Repositions the frame counter so the next [`Executor::execute`] call
@@ -478,7 +460,7 @@ impl Executor {
     /// cumulative forced-decision diagnostic differs: seeking does not
     /// replay the skipped frames' comparator tallies.
     pub fn seek_frame(&mut self, n: u64) {
-        self.ctx.seek_frame(n);
+        self.next_frame = n;
     }
 
     /// Executes one captured frame through the analog pipeline and the
@@ -494,14 +476,15 @@ impl Executor {
     pub fn execute(&mut self, input: &Tensor) -> Result<ExecutionResult> {
         let out = self
             .engine
-            .run_frame(self.ctx.next_frame, input, &mut self.ctx)?;
-        let forced_total = self.ctx.advance(out.forced);
+            .run_frame(self.next_frame, input, &mut self.ctx)?;
+        self.next_frame += 1;
+        self.forced_total += out.forced;
         Ok(ExecutionResult {
             features: out.features,
             codes: out.codes,
             ledger: out.ledger,
             elapsed: out.elapsed,
-            forced_decisions: forced_total,
+            forced_decisions: self.forced_total,
             rail_clips: out.rail_clips,
             code_mac_hits: out.code_mac_hits,
         })

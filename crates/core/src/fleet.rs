@@ -18,8 +18,8 @@
 //! - [`DeviceCtx`] — a device view binding the shared engine to one
 //!   profile (a few dozen bytes, built on demand);
 //! - [`FleetExecutor`] — runs heterogeneous device×frame tasks over the
-//!   work-stealing scheduler ([`crate::stealing`]), bit-identical at any
-//!   worker count and under any steal schedule.
+//!   task pool ([`crate::pool`]), bit-identical at any worker count and
+//!   whichever worker runs which task.
 //!
 //! Determinism is the load-bearing property: a device's output depends
 //! only on `(program, fleet_seed, device_id, frame, input)`. The fleet
@@ -28,7 +28,7 @@
 //! comparison even for fleets too large to retain feature tensors.
 
 use crate::executor::{FrameCtx, FrameEngine, FrameOutput};
-use crate::stealing::{auto_workers, run_stealing, StealOptions};
+use crate::pool::{auto_workers, run_tasks};
 use crate::{Program, Result};
 use redeye_analog::{Joules, ProcessCorner, Seconds};
 use redeye_tensor::{NoiseStream, Tensor};
@@ -349,20 +349,17 @@ pub struct DeviceWork {
     pub frames: Vec<Arc<Tensor>>,
 }
 
-/// Fleet execution knobs: worker pool size and steal policy.
+/// Fleet execution knobs: the worker pool size.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetOptions {
     /// Worker threads; defaults to [`auto_workers`].
     pub workers: usize,
-    /// Work-stealing placement and victim order.
-    pub steal: StealOptions,
 }
 
 impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             workers: auto_workers(),
-            steal: StealOptions::default(),
         }
     }
 }
@@ -409,10 +406,12 @@ pub struct FleetReport {
     pub energy: Joules,
     /// Total bits the population radios to the cloudlet.
     pub payload_bits: u64,
-    /// Tasks that ran on a worker other than their placement.
+    /// Always 0: a stub kept only for the repository benchmark package,
+    /// which still reads it. Tasks are claimed from one shared cursor, so
+    /// none is ever placed on one worker and run by another.
     pub steals: u64,
     /// Fleet digest: FNV-64 fold of the device digests in device order.
-    /// Equal across worker counts and steal schedules by construction.
+    /// Equal across worker counts and schedules by construction.
     pub digest: u64,
 }
 
@@ -423,7 +422,7 @@ impl FleetReport {
     }
 }
 
-/// One device×frame task for the stealing scheduler.
+/// One device×frame task for the pool.
 struct FleetTask {
     device_pos: usize,
     device_id: u64,
@@ -431,7 +430,7 @@ struct FleetTask {
     input: Arc<Tensor>,
 }
 
-/// Runs fleets of devices over the shared engine with work stealing.
+/// Runs fleets of devices over the shared engine on the task pool.
 #[derive(Debug, Clone)]
 pub struct FleetExecutor {
     engine: FleetEngine,
@@ -444,7 +443,7 @@ impl FleetExecutor {
         FleetExecutor::with_options(engine, FleetOptions::default())
     }
 
-    /// A fleet executor with explicit worker/steal options.
+    /// A fleet executor with an explicit worker count.
     pub fn with_options(engine: FleetEngine, opts: FleetOptions) -> FleetExecutor {
         FleetExecutor { engine, opts }
     }
@@ -455,10 +454,9 @@ impl FleetExecutor {
     }
 
     /// Executes every device's frame stream and aggregates the population
-    /// report. Device×frame tasks spread over the work-stealing pool;
-    /// results are re-sequenced into submission order, so the report — and
-    /// its digest — is bit-identical at any worker count and under any
-    /// steal schedule.
+    /// report. Device×frame tasks spread over the task pool; results are
+    /// re-sequenced into submission order, so the report — and its digest
+    /// — is bit-identical at any worker count and under any schedule.
     ///
     /// # Errors
     ///
@@ -480,10 +478,9 @@ impl FleetExecutor {
             }
         }
         let engine = &self.engine;
-        let (results, stats) = run_stealing(
+        let results = run_tasks(
             &tasks,
             self.opts.workers,
-            self.opts.steal,
             |_| DeviceScratch::new(),
             |scratch, task| {
                 let device = engine.device(task.device_id);
@@ -533,7 +530,7 @@ impl FleetExecutor {
             frames,
             energy,
             payload_bits,
-            steals: stats.steals,
+            steals: 0,
             digest,
         })
     }
@@ -544,7 +541,6 @@ mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
     use crate::executor::Executor;
-    use crate::stealing::{Placement, VictimOrder};
     use redeye_nn::{build_network, zoo, WeightInit};
     use redeye_tensor::Rng;
 
@@ -602,38 +598,25 @@ mod tests {
     }
 
     #[test]
-    fn fleet_run_is_bit_identical_across_workers_and_schedules() {
+    fn fleet_run_is_bit_identical_across_workers() {
         let program = micronet_program();
         let fleet = FleetEngine::new(program, 11).unwrap();
         let work = some_work(6, 2);
         let mut reference: Option<FleetReport> = None;
-        for workers in [1usize, 2, 4] {
-            for placement in [Placement::RoundRobin, Placement::Blocked] {
-                for victim_order in [VictimOrder::Ring, VictimOrder::ReverseRing] {
-                    let exec = FleetExecutor::with_options(
-                        fleet.clone(),
-                        FleetOptions {
-                            workers,
-                            steal: StealOptions {
-                                placement,
-                                victim_order,
-                            },
-                        },
+        for workers in [1usize, 2, 3, 4] {
+            let exec = FleetExecutor::with_options(fleet.clone(), FleetOptions { workers });
+            let report = exec.run(&work).unwrap();
+            assert_eq!(report.frames, 12);
+            match &reference {
+                Some(want) => {
+                    assert_eq!(want.digest, report.digest, "{workers} workers");
+                    assert_eq!(
+                        want.energy.value(),
+                        report.energy.value(),
+                        "{workers} workers"
                     );
-                    let report = exec.run(&work).unwrap();
-                    assert_eq!(report.frames, 12);
-                    match &reference {
-                        Some(want) => {
-                            assert_eq!(want.digest, report.digest, "{workers} workers");
-                            assert_eq!(
-                                want.energy.value(),
-                                report.energy.value(),
-                                "{workers} workers"
-                            );
-                        }
-                        None => reference = Some(report),
-                    }
                 }
+                None => reference = Some(report),
             }
         }
     }

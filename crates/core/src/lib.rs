@@ -18,14 +18,14 @@
 //!   (damped-node Gaussian noise, comparator max-pooling, bit-accurate SAR
 //!   quantization), producing features *and* an [`EnergyLedger`].
 //! - [`BatchExecutor`] — the **cross-frame throughput engine**: each batch
-//!   of frames is one run of the work-stealing scheduler ([`stealing`])
-//!   over one shared, immutable [`FrameEngine`], bit-identical to the
+//!   of frames is one run of the task pool ([`pool`]) over one shared,
+//!   immutable [`FrameEngine`], bit-identical to the
 //!   serial [`Executor`] at any worker count (continuous-vision frames/sec
 //!   is the headline metric).
 //! - [`FleetEngine`] / [`FleetExecutor`] — **fleet-scale simulation**:
 //!   thousands of devices as lightweight [`DeviceCtx`] views over one
-//!   shared pack-once engine, scheduled by a work-stealing deque pool
-//!   ([`stealing`]) and bit-identical at any worker count.
+//!   shared pack-once engine, scheduled by the same task pool ([`pool`])
+//!   and bit-identical at any worker count.
 //! - [`estimate`] — the **analytic estimator**: exact per-depth energy,
 //!   timing, and readout workloads for full-size networks (GoogLeNet at
 //!   227×227) from shape propagation alone; this is what regenerates the
@@ -61,10 +61,10 @@ pub mod estimate;
 mod executor;
 mod fleet;
 mod partition;
+pub mod pool;
 pub mod rowsim;
 mod sram;
 pub mod stacking;
-pub mod stealing;
 pub mod topology;
 
 pub use batch::{BatchExecutor, BatchResult};
@@ -77,6 +77,7 @@ pub use fleet::{
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,
 };
 pub use partition::{partition_googlenet, Depth};
+pub use pool::{auto_workers, run_tasks};
 pub use redeye_analog::cost::EnergyLedger;
 pub use redeye_verify::{
     analyze_cost, analyze_ranges, verify, verify_with_limits, verify_with_options, CostBounds,
@@ -84,7 +85,6 @@ pub use redeye_verify::{
     ResourceLimits, Severity, VerifyOptions,
 };
 pub use sram::{FeatureSram, ProgramSram, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
-pub use stealing::{auto_workers, run_stealing, Placement, StealOptions, StealStats, VictimOrder};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

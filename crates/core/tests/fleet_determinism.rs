@@ -1,12 +1,12 @@
 //! Property tests of the fleet engine's determinism contract: a fleet run
 //! is a pure function of `(fleet_seed, device_id, frames)` — never of the
-//! worker count, the steal schedule, or which other devices share the
-//! fleet.
+//! worker count, which worker runs which task, or which other devices
+//! share the fleet.
 
 use proptest::prelude::*;
 use redeye_core::{
     compile, CompileOptions, DeviceProfile, DeviceWork, FleetEngine, FleetExecutor, FleetOptions,
-    Placement, StealOptions, VictimOrder, WeightBank,
+    FleetReport, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -32,30 +32,39 @@ fn frames(n: usize, seed: u64) -> Vec<Arc<Tensor>> {
         .collect()
 }
 
-fn schedule_matrix() -> Vec<(usize, StealOptions)> {
-    let mut m = Vec::new();
-    for workers in [1usize, 2, 4] {
-        for placement in [Placement::RoundRobin, Placement::Blocked] {
-            for victim_order in [VictimOrder::Ring, VictimOrder::ReverseRing] {
-                m.push((
-                    workers,
-                    StealOptions {
-                        placement,
-                        victim_order,
-                    },
-                ));
-            }
-        }
-    }
-    m
+/// The worker counts every fleet run is compared across.
+const WORKERS: [usize; 4] = [1, 2, 3, 4];
+
+/// What a fleet run must reproduce bit for bit: the fleet digest, the
+/// population energy and every device digest.
+fn observed(report: &FleetReport) -> (u64, f64, Vec<u64>) {
+    (
+        report.digest,
+        report.energy.value(),
+        report.devices.iter().map(|d| d.digest).collect(),
+    )
+}
+
+/// Runs `work` at every worker count in [`WORKERS`] and returns the
+/// reference observation plus the first worker count that diverged.
+fn run_across_workers(
+    engine: &FleetEngine,
+    work: &[DeviceWork],
+) -> ((u64, f64, Vec<u64>), Option<usize>) {
+    let run = |workers| {
+        let executor = FleetExecutor::with_options(engine.clone(), FleetOptions { workers });
+        observed(&executor.run(work).unwrap())
+    };
+    let want = run(WORKERS[0]);
+    let diverged = WORKERS[1..].iter().copied().find(|&w| run(w) != want);
+    (want, diverged)
 }
 
 proptest! {
     /// The whole-fleet digest, population energy, and per-device digests
-    /// are bit-identical across worker counts 1/2/4 and every steal
-    /// schedule the scheduler can produce.
+    /// are bit-identical across worker counts 1/2/3/4.
     #[test]
-    fn fleet_run_invariant_across_workers_and_schedules(
+    fn fleet_run_invariant_across_workers(
         fleet_seed in 0u64..u64::MAX,
         devices in 2u64..7,
         frames_per_device in 1usize..3,
@@ -65,26 +74,32 @@ proptest! {
         let work: Vec<DeviceWork> = (0..devices)
             .map(|device| DeviceWork { device, frames: shared.clone() })
             .collect();
-        let mut reference: Option<(u64, f64, Vec<u64>)> = None;
-        for (workers, steal) in schedule_matrix() {
-            let executor = FleetExecutor::with_options(
-                engine.clone(),
-                FleetOptions { workers, steal },
-            );
-            let report = executor.run(&work).unwrap();
-            let got = (
-                report.digest,
-                report.energy.value(),
-                report.devices.iter().map(|d| d.digest).collect::<Vec<_>>(),
-            );
-            match &reference {
-                Some(want) => prop_assert_eq!(
-                    want, &got,
-                    "schedule {:?} @ {} workers diverged", steal, workers
-                ),
-                None => reference = Some(got),
-            }
-        }
+        let (_, diverged) = run_across_workers(&engine, &work);
+        prop_assert_eq!(diverged, None);
+    }
+
+    /// Skewed device weights: one device carries a burst of frames and the
+    /// rest one frame each, so which worker runs which frame differs from
+    /// run to run and the heavy device's frames land on several workers.
+    /// The fleet is still bit-identical at every worker count, and the
+    /// heavy device's position in the fleet changes nothing of its own.
+    #[test]
+    fn skewed_fleet_run_invariant_across_workers(
+        fleet_seed in 0u64..u64::MAX,
+        light in 2u64..6,
+        burst in 4usize..8,
+    ) {
+        let engine = fleet_engine(fleet_seed);
+        let shared = frames(burst, fleet_seed ^ 0xD00F);
+        let heavy = DeviceWork { device: 100, frames: shared.clone() };
+        let lights = (0..light).map(|device| DeviceWork { device, frames: shared[..1].to_vec() });
+        let first: Vec<DeviceWork> = std::iter::once(heavy.clone()).chain(lights.clone()).collect();
+        let last: Vec<DeviceWork> = lights.chain(std::iter::once(heavy)).collect();
+        let (head, diverged) = run_across_workers(&engine, &first);
+        prop_assert_eq!(diverged, None);
+        let (tail, diverged) = run_across_workers(&engine, &last);
+        prop_assert_eq!(diverged, None);
+        prop_assert_eq!(head.2[0], tail.2[light as usize]);
     }
 
     /// A device's outcome is independent of fleet composition: running a
@@ -109,7 +124,7 @@ proptest! {
         let run = |work: &[DeviceWork], workers: usize| {
             FleetExecutor::with_options(
                 engine.clone(),
-                FleetOptions { workers, ..FleetOptions::default() },
+                FleetOptions { workers },
             )
             .run(work)
             .unwrap()

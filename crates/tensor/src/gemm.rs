@@ -95,8 +95,11 @@ const DR: usize = MR / 2;
 const DW: usize = 2 * NR;
 
 /// Grows `v` to at least `len` elements and returns the prefix slice.
+/// Growth is exact, so a scratch buffer's capacity is the largest length
+/// any call asked of it: its high-water mark, not a doubling of it.
 fn ensure_len(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
     if v.len() < len {
+        v.reserve_exact(len - v.len());
         v.resize(len, 0.0);
     }
     &mut v[..len]
@@ -741,14 +744,20 @@ fn gemm_driver(
     let workers = n.div_ceil(width);
     // A conv whose filters fit one A panel reads B in place: packing a
     // `KC×NR` B panel would feed only `m ≤ MR` rows of arithmetic. Its
-    // workers need one A panel and no B panels; `chunks_mut` below still
-    // takes a nonzero B length.
-    let (bread, a_len, b_len) = match bsrc {
+    // workers need one A panel and no B panels, and pre-packed weights need
+    // no A scratch at all. `chunks_mut` below still takes nonzero lengths,
+    // so an unused buffer gets a one-float placeholder per worker.
+    let (bread, a_tile, b_len) = match bsrc {
         BSrc::Conv { src, geom } if m <= MR => {
             let input = pad_input(src, geom, &mut packs.padded, &mut packs.taps);
             (BRead::InPlace(input), MR * KC, 1)
         }
         _ => (BRead::Packed(bsrc), MC * KC, NC.min(width) * KC.min(k)),
+    };
+    let a_len = if matches!(asrc, ASrc::Packed(_)) {
+        1
+    } else {
+        a_tile
     };
     if workers == 1 {
         let apack = ensure_len(&mut packs.a, a_len);
@@ -1318,6 +1327,41 @@ mod tests {
                 run(&mut ws);
             }
             assert_eq!(before, ws.stats(), "{threads} threads: scratch regrew");
+        }
+    }
+
+    /// Pre-packed weights are read in place, so a conv through
+    /// `conv_gemm_packed_into` grows no A scratch beyond one placeholder
+    /// float per worker, on the packed path (16 filters) and the direct
+    /// path (4 filters) alike.
+    #[test]
+    fn pre_packed_weights_take_no_a_scratch() {
+        let geom = ConvGeom::new(3, 32, 32, 5, 5, 1, 2).unwrap();
+        let k = geom.patch_len();
+        let mut rng = Rng::seed_from(9);
+        let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+        for m in [16, 4] {
+            let weights = Tensor::uniform(&[m, k], -0.5, 0.5, &mut rng);
+            let packed = PackedWeights::pack(weights.as_slice(), m, k);
+            let mut out = vec![0.0f32; m * geom.out_positions()];
+            for threads in [1, 2] {
+                let mut ws = Workspace::new();
+                conv_gemm_packed_into(
+                    ws.packs_mut(),
+                    SimdLevel::auto(),
+                    &packed,
+                    input.as_slice(),
+                    &geom,
+                    &mut out,
+                    threads,
+                );
+                let stats = ws.stats();
+                assert!(
+                    stats.pack_a_capacity <= threads,
+                    "m={m} @ {threads} threads: {} floats of A scratch",
+                    stats.pack_a_capacity
+                );
+            }
         }
     }
 

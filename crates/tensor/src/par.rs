@@ -3,8 +3,8 @@
 //! Every parallel stage of the simulator hands its work to [`fan_out`]: the
 //! GEMM's output column ranges (one fan-out per product), the analog
 //! stages' site bands (whole channel planes for LRN), the SAR readout
-//! bands, the accuracy harness's validation shards and the work-stealing
-//! pool's workers. Each caller keeps its own banding and its own serial
+//! bands, the accuracy harness's validation shards and the task pool's
+//! workers. Each caller keeps its own banding and its own serial
 //! threshold; this module only decides *how* a band runs, never how the
 //! work is cut.
 

@@ -25,10 +25,14 @@
 //! The layer-noise kernel is pinned on its own as well, so a rewrite that
 //! changes a single noise sample fails here without running a frame.
 //!
-//! Panics stay contained: a task that panics on the work-stealing
-//! scheduler, which runs every batch and fleet, comes back as a typed error
-//! while the other tasks finish, and so does a task whose panic starts in
-//! one band of a within-frame fan-out, with the band's own message.
+//! The task pool, which runs every batch and fleet, runs each task exactly
+//! once and returns results in submission order, with heavy tasks at the
+//! head of the list and with more workers than tasks.
+//!
+//! Panics stay contained: a task that panics on the pool comes back as a
+//! typed error while the other tasks finish, and so does a task whose
+//! panic starts in one band of a within-frame fan-out, with the band's own
+//! message.
 //!
 //! A NaN or infinite pixel is a typed error on every entry point, never a
 //! panic and never a poisoned frame. So is a program whose op counts
@@ -45,16 +49,17 @@
 
 use redeye::analog::{Joules, SnrDb};
 use redeye::core::{
-    analyze_cost, compile, frame_digest, run_stealing, verify, verify_with_options, BatchExecutor,
+    analyze_cost, compile, frame_digest, run_tasks, verify, verify_with_options, BatchExecutor,
     CompileOptions, CoreError, CostBudget, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor,
-    FleetOptions, FrameCtx, FrameEngine, FrameOutput, Instruction, Program, StealOptions,
-    VerifyOptions, WeightBank,
+    FleetOptions, FrameCtx, FrameEngine, FrameOutput, Instruction, Program, VerifyOptions,
+    WeightBank,
 };
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::tensor::{
     conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, par, ConvGeom, NoiseStream,
     PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const SEED: u64 = 11;
@@ -398,6 +403,41 @@ fn layer_noise_samples_are_pinned() {
     assert_eq!(fold, PINNED_NOISE_FOLD, "noise fold {fold:#018x}");
 }
 
+/// 41 tasks whose first five are ~100× heavier than the rest, at one, two
+/// and three workers, and three tasks on eight workers: every task runs
+/// exactly once, the results come back in submission order, and `init`
+/// runs at most once per worker.
+#[test]
+fn the_task_pool_runs_every_task_once_in_submission_order() {
+    for (n, workers) in [(41u64, 1usize), (41, 2), (41, 3), (3, 8)] {
+        let tasks: Vec<u64> = (0..n).collect();
+        let runs: Vec<AtomicUsize> = tasks.iter().map(|_| AtomicUsize::new(0)).collect();
+        let inits = AtomicUsize::new(0);
+        let results = run_tasks(
+            &tasks,
+            workers,
+            |_| inits.fetch_add(1, Ordering::Relaxed),
+            |_, &t| {
+                runs[t as usize].fetch_add(1, Ordering::Relaxed);
+                let rounds = if t < 5 { 200_000 } else { 2_000 };
+                let mut acc = t;
+                for i in 0..rounds {
+                    acc = std::hint::black_box(acc.rotate_left(5) ^ i);
+                }
+                (t, acc)
+            },
+        );
+        let tag = format!("{n} tasks @ {workers} workers");
+        let order: Vec<u64> = results.into_iter().map(|r| r.expect(&tag).0).collect();
+        assert_eq!(order, tasks, "{tag}: submission order");
+        for (t, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "{tag}: task {t} run count");
+        }
+        let inits = inits.load(Ordering::Relaxed);
+        assert!(inits <= workers, "{tag}: init ran {inits} times");
+    }
+}
+
 /// Eight tasks, task 5 panics: the call returns, task 5's slot is the
 /// panic and the other seven results are intact, inline and on two
 /// workers.
@@ -405,17 +445,16 @@ fn layer_noise_samples_are_pinned() {
 fn a_panicking_task_is_contained_by_the_scheduler() {
     let tasks: Vec<u64> = (0..8).collect();
     for workers in [1usize, 2] {
-        let (results, stats) = run_stealing(
+        let results = run_tasks(
             &tasks,
             workers,
-            StealOptions::default(),
             |_| (),
             |(), &t| {
                 assert_ne!(t, 5, "task 5 fails on purpose");
                 t * t
             },
         );
-        assert_eq!(stats.executed, 8);
+        assert_eq!(results.len(), 8);
         for (t, result) in results.into_iter().enumerate() {
             match result {
                 Err(CoreError::WorkerPanic { task, message }) => {
@@ -436,10 +475,9 @@ fn a_panicking_task_is_contained_by_the_scheduler() {
 fn a_panicking_band_inside_a_task_is_contained_with_its_message() {
     let tasks: Vec<u64> = (0..6).collect();
     for workers in [1usize, 2] {
-        let (results, _) = run_stealing(
+        let results = run_tasks(
             &tasks,
             workers,
-            StealOptions::default(),
             |_| (),
             |(), &t| {
                 par::fan_out(0..3u64, |band| {
@@ -475,10 +513,7 @@ fn non_finite_pixels_are_a_typed_error_on_every_entry_point() {
     let mut batch = BatchExecutor::new(program.clone(), SEED, 2).expect("program verifies");
     let fleet = FleetExecutor::with_options(
         FleetEngine::new(program, SEED).expect("fleet engine builds"),
-        FleetOptions {
-            workers: 2,
-            ..FleetOptions::default()
-        },
+        FleetOptions { workers: 2 },
     );
     let good = scenes().swap_remove(0);
     for bad_value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
