@@ -37,7 +37,7 @@
 use redeye_analog::Comparator;
 use redeye_bench::schema::{write_report, Record};
 use redeye_bench::workload::{self, best_of, parse_workers, wall_ms, worker_counts, DepthScenario};
-use redeye_core::{BatchExecutor, Depth, Executor};
+use redeye_core::{BatchExecutor, Depth};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
@@ -261,11 +261,10 @@ fn bench_analog_frames(
     let budgets = worker_counts(max_threads);
     for scenario in scenarios {
         let (program, input) = (&scenario.program, &scenario.input);
-        let mut execs: Vec<Executor> = budgets
+        let mut execs: Vec<BatchExecutor> = budgets
             .iter()
             .map(|&threads| {
-                let mut exec = Executor::new(program.clone(), 29);
-                exec.set_threads(threads);
+                let mut exec = BatchExecutor::new(program.clone(), 29, threads).expect("verifies");
                 // Warm run: verifies the program and grows the conv workspace.
                 exec.execute(input).expect("frame");
                 exec
@@ -291,8 +290,8 @@ fn bench_analog_frames(
     }
 }
 
-/// Sustained frames/sec over a frame stream per depth: the serial per-frame
-/// executor against the batch executor per worker count.
+/// Sustained frames/sec over a frame stream per depth: one frame per
+/// `execute` call on a budget of 1 against whole-stream batches per budget.
 ///
 /// Every configuration runs the *same* frame stream from frame 0 (fresh
 /// executor per variant) so the noise workload is identical; the batch path
@@ -331,10 +330,10 @@ fn bench_throughput(
             records.push(Record::new(format!("{name}_wall"), wall_ms, "ms"));
         };
 
-        // Serial baseline: the per-frame Executor loop the batch engine must
-        // not regress at matched work.
+        // Serial baseline: a budget-1 executor called once per frame, which
+        // whole-stream batches must not regress at matched work.
         let serial_ms = {
-            let mut exec = Executor::new(scenario.program.clone(), 29);
+            let mut exec = BatchExecutor::new(scenario.program.clone(), 29, 1).expect("verifies");
             exec.execute(&scenario.input).expect("warm frame");
             best_of(reps, || {
                 exec.seek_frame(0);

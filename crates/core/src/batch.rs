@@ -1,47 +1,56 @@
-//! Cross-frame batched execution on the task pool.
+//! The stream executor: numbered frames through one [`FrameEngine`] under
+//! one thread budget.
 //!
 //! RedEye is a *continuous* vision sensor: the interesting throughput
 //! metric is sustained frames/sec over a stream, not the latency of one
-//! frame. Within-frame parallelism is Amdahl-capped (the packed GEMM
-//! dominates frame time — see `BENCH_analog.json`), so the next scaling
-//! axis is *across* frames: [`BatchExecutor`] runs the frames of a batch
-//! concurrently over one immutable [`FrameEngine`].
+//! frame. [`BatchExecutor`] is the one executor of that stream. It runs a
+//! batch of frames, or one frame through [`BatchExecutor::execute`], and
+//! carries the frame counter and the forced-decision tally from call to
+//! call.
+//!
+//! # One budget, spent across frames first
+//!
+//! The executor owns a thread budget and one [`FrameCtx`] per budget
+//! thread. A batch of `n` frames runs on `workers = min(budget, n)` pool
+//! workers, and each frame splits its stages over `budget / workers`
+//! threads (the rule `AccuracyHarness::evaluate` uses). A single frame on
+//! a budget of 3 therefore runs 1 worker × 3 threads, and 8 frames on a
+//! budget of 2 run 2 workers × 1 thread.
 //!
 //! # One pool call per batch
 //!
-//! A batch is one [`run_tasks`] call with one task per frame index.
-//! Each worker builds its own [`FrameCtx`], whose conv workspace it reuses
-//! for every frame it runs in that batch, and task `i` runs frame
-//! `base + i`. A free worker claims the next unclaimed frame, so a slow
-//! frame (a deeper inception branch, a cache-cold worker) holds only its
-//! own worker and never stalls the frames behind it. The workers are
-//! scoped threads that borrow the engine and the inputs; a batch on one
+//! A batch is one [`run_tasks`] call with one task per frame index, and
+//! task `i` runs frame `base + i`. Worker `w` runs on context `w`, which
+//! the executor keeps across calls, so a stream's steady state regrows no
+//! conv workspace. A free worker claims the next unclaimed frame, so a
+//! slow frame (a deeper inception branch, a cache-cold worker) holds only
+//! its own worker and never stalls the frames behind it. A batch on one
 //! worker, or of one frame, runs inline on the caller's thread. A frame
-//! that panics comes back as [`CoreError::WorkerPanic`] and leaves the
-//! executor usable.
+//! that panics comes back as [`CoreError::WorkerPanic`], its worker's
+//! context is replaced by a fresh one, and the executor stays usable.
 //!
 //! # Determinism
 //!
 //! Frame `base + i`'s noise is a pure function of `(seed, base + i,
 //! instruction, site, draw)` — never of the worker that ran it, the claim
-//! order, or the worker count. The pool returns results in frame
-//! order; the merged ledger is folded frame-by-frame in that order (the
-//! same band-order discipline the column-parallel stages use), and the
-//! cumulative forced-comparator diagnostic is accumulated in frame order
-//! too. Batched output is therefore **bit-identical to the serial
-//! [`Executor`](crate::Executor)** for the same seed, at any worker count
-//! and any batch size.
+//! order, the worker count or the threads per frame. The pool returns
+//! results in frame order; the merged ledger is folded frame-by-frame in
+//! that order (the same band-order discipline the column-parallel stages
+//! use), and the cumulative forced-comparator diagnostic is accumulated
+//! in frame order too. Output is therefore **bit-identical to running
+//! the frames one at a time through [`FrameEngine::run_frame`]** for the
+//! same seed, at any budget and any batch size.
 
 use crate::executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
-use crate::pool::{auto_workers, run_tasks};
+use crate::pool::run_tasks;
 use crate::{CoreError, EnergyLedger, Program, Result};
 use redeye_tensor::Tensor;
 
 /// The result of one batch of frames.
 #[derive(Debug)]
 pub struct BatchResult {
-    /// Per-frame results in frame order, bit-identical to what the serial
-    /// executor would have produced for the same seed and frame numbers
+    /// Per-frame results in frame order, bit-identical to running the
+    /// frames one at a time for the same seed and frame numbers
     /// (including the cumulative `forced_decisions` diagnostic).
     pub frames: Vec<ExecutionResult>,
     /// All per-frame ledgers merged in frame order.
@@ -60,19 +69,19 @@ impl BatchResult {
     }
 }
 
-/// Drives batches of frames through the task pool over one shared
-/// [`FrameEngine`].
+/// The RedEye functional executor: drives a numbered frame stream through
+/// one shared [`FrameEngine`] under one thread budget.
 ///
-/// Each [`execute_batch`](BatchExecutor::execute_batch) call runs its
-/// frames on up to `workers` scoped threads, one [`FrameCtx`] per worker.
-/// Output is bit-identical to the serial [`Executor`](crate::Executor) for
-/// the same seed at any worker count and any batch size (see the module
-/// docs for why).
+/// [`execute_batch`](BatchExecutor::execute_batch) spends the budget
+/// across frames first, then within a frame (see the module docs);
+/// [`execute`](BatchExecutor::execute) is a batch of one. Each budget
+/// thread owns one [`FrameCtx`] for the executor's lifetime. Output is
+/// bit-identical for the same seed at any budget and any batch size.
 ///
 /// # Example
 ///
 /// ```
-/// use redeye_core::{compile, BatchExecutor, CompileOptions, Executor, WeightBank};
+/// use redeye_core::{compile, BatchExecutor, CompileOptions, WeightBank};
 /// use redeye_nn::{build_network, zoo, WeightInit};
 /// use redeye_tensor::{Rng, Tensor};
 ///
@@ -87,9 +96,11 @@ impl BatchResult {
 /// let frames: Vec<Tensor> = (0..4).map(|_| Tensor::full(&[3, 32, 32], 0.5)).collect();
 /// let mut batch = BatchExecutor::new(program.clone(), 42, 2)?;
 /// let result = batch.execute_batch(&frames)?;
+/// assert_eq!(result.frames[0].features.dims(), &[4, 16, 16]);
+/// assert!(result.ledger.analog_total().value() > 0.0);
 ///
-/// // Bit-identical to the serial executor, frame for frame.
-/// let mut serial = Executor::new(program, 42);
+/// // Bit-identical to one frame at a time, frame for frame.
+/// let mut serial = BatchExecutor::new(program, 42, 1)?;
 /// for (i, frame) in frames.iter().enumerate() {
 ///     let want = serial.execute(frame)?;
 ///     assert_eq!(want.features, result.frames[i].features);
@@ -101,8 +112,9 @@ impl BatchResult {
 #[derive(Debug)]
 pub struct BatchExecutor {
     engine: FrameEngine,
-    /// Pool workers per batch.
-    workers: usize,
+    /// One context per budget thread; pool worker `w` runs on `ctxs[w]`
+    /// in every batch, so its conv workspace stays warm.
+    ctxs: Vec<FrameCtx>,
     /// Frame number the next batch starts at.
     next_frame: u64,
     /// Cumulative forced comparator decisions across all batches, folded
@@ -111,40 +123,24 @@ pub struct BatchExecutor {
 }
 
 impl BatchExecutor {
-    /// Creates a batch executor for `program` that runs each batch on
-    /// `workers` pool workers (clamped to at least 1), seeding all
-    /// stochastic behaviour from `seed`.
+    /// Creates an executor for `program` with a budget of `threads`
+    /// (clamped to at least 1), seeding all stochastic behaviour from
+    /// `seed`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Verify`] if the program fails static
     /// verification — checked eagerly here, so a bad program never
-    /// reaches a batch.
-    pub fn new(program: Program, seed: u64, workers: usize) -> Result<Self> {
+    /// reaches a frame.
+    pub fn new(program: Program, seed: u64, threads: usize) -> Result<Self> {
         let engine = FrameEngine::new(program, seed);
         engine.verify()?;
         Ok(BatchExecutor {
             engine,
-            workers: workers.max(1),
+            ctxs: (0..threads.max(1)).map(|_| FrameCtx::new()).collect(),
             next_frame: 0,
             forced_total: 0,
         })
-    }
-
-    /// Creates a batch executor sized to the host: [`auto_workers`]
-    /// pool workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Verify`] if the program fails static
-    /// verification.
-    pub fn new_auto(program: Program, seed: u64) -> Result<Self> {
-        Self::new(program, seed, auto_workers())
-    }
-
-    /// Number of pool workers each batch runs on.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The shared engine (program, stream, knobs).
@@ -152,18 +148,50 @@ impl BatchExecutor {
         &self.engine
     }
 
-    /// The frame number the next batch's first frame will run as.
+    /// The loaded program.
+    pub fn program(&self) -> &Program {
+        self.engine.program()
+    }
+
+    /// The frame number the next frame will run as.
     pub fn next_frame(&self) -> u64 {
         self.next_frame
     }
 
-    /// Repositions the frame counter so the next batch starts at frame `n`
-    /// — the batched counterpart of
-    /// [`Executor::seek_frame`](crate::Executor::seek_frame), with the same
-    /// caveat: the cumulative forced-decision diagnostic does not replay
-    /// skipped frames.
+    /// Repositions the frame counter so the next frame runs as frame `n`,
+    /// replaying any frame's noise substream from any offset for
+    /// reproducible debugging.
+    ///
+    /// `seek_frame(k)` followed by one `execute` produces the same
+    /// features, codes, ledger, and frame time as executing frames
+    /// `0, 1, …, k` and keeping the last result. Only the cumulative
+    /// forced-decision diagnostic differs: seeking does not replay the
+    /// skipped frames' comparator tallies.
     pub fn seek_frame(&mut self, n: u64) {
         self.next_frame = n;
+    }
+
+    /// Sets the per-frame cost budget enforced by pre-frame verification
+    /// (see [`FrameEngine::set_cost_budget`]); resets the engine's cached
+    /// verification.
+    pub fn set_cost_budget(&mut self, budget: redeye_verify::CostBudget) {
+        self.engine.set_cost_budget(budget);
+    }
+
+    /// Executes one captured frame as frame `next_frame`: a batch of one,
+    /// which runs inline with the whole budget inside the frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Verify`] if the program fails static
+    /// verification under the current cost budget, or
+    /// [`CoreError::BadProgram`] if the input shape does not match the
+    /// program, a pixel is NaN or infinite, or a shape error surfaces from
+    /// a corrupt program.
+    pub fn execute(&mut self, input: &Tensor) -> Result<ExecutionResult> {
+        let mut batch = self.execute_batch(std::slice::from_ref(input))?;
+        // A successful batch of one input holds exactly one frame.
+        Ok(batch.frames.swap_remove(0))
     }
 
     /// Executes `inputs` as frames `next_frame .. next_frame + inputs.len()`
@@ -189,15 +217,15 @@ impl BatchExecutor {
                 });
             }
         }
+        let budget = self.ctxs.len();
+        let workers = budget.min(inputs.len()).max(1);
+        self.engine.set_threads(budget / workers);
         let base = self.next_frame;
         let engine = &self.engine;
         let indices: Vec<usize> = (0..inputs.len()).collect();
-        let results = run_tasks(
-            &indices,
-            self.workers,
-            |_| FrameCtx::new(),
-            |ctx, &i| engine.run_frame(base + i as u64, &inputs[i], ctx),
-        );
+        let results = run_tasks(&indices, &mut self.ctxs[..workers], |ctx, &i| {
+            engine.run_frame(base + i as u64, &inputs[i], ctx)
+        });
         let outputs = results
             .into_iter()
             .map(|r| r.and_then(|out| out))
@@ -230,7 +258,7 @@ impl BatchExecutor {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
-    use crate::{Executor, Instruction};
+    use crate::Instruction;
     use redeye_analog::SnrDb;
     use redeye_nn::{build_network, zoo, WeightInit};
     use redeye_tensor::Rng;
@@ -257,20 +285,33 @@ mod tests {
             .collect()
     }
 
-    /// Serial reference results plus the frame-order merged ledger.
+    /// Serial reference results, one frame at a time straight through the
+    /// engine on one context, plus the frame-order merged ledger.
     fn serial_reference(
         program: &Program,
         seed: u64,
         inputs: &[Tensor],
     ) -> (Vec<ExecutionResult>, EnergyLedger) {
-        let mut exec = Executor::new(program.clone(), seed);
+        let engine = FrameEngine::new(program.clone(), seed);
+        let mut ctx = FrameCtx::new();
         let mut merged = EnergyLedger::new();
+        let mut forced = 0;
         let results: Vec<ExecutionResult> = inputs
             .iter()
-            .map(|input| {
-                let r = exec.execute(input).unwrap();
-                merged.merge(&r.ledger);
-                r
+            .enumerate()
+            .map(|(f, input)| {
+                let out = engine.run_frame(f as u64, input, &mut ctx).unwrap();
+                merged.merge(&out.ledger);
+                forced += out.forced;
+                ExecutionResult {
+                    features: out.features,
+                    codes: out.codes,
+                    ledger: out.ledger,
+                    elapsed: out.elapsed,
+                    forced_decisions: forced,
+                    rail_clips: out.rail_clips,
+                    code_mac_hits: out.code_mac_hits,
+                }
             })
             .collect();
         (results, merged)
@@ -295,17 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_across_worker_counts() {
+    fn batch_matches_serial_across_budgets() {
         let program = micronet_program(35.0, 8);
         let inputs = frame_stream(6, 99);
         let (want, want_ledger) = serial_reference(&program, 7, &inputs);
-        for workers in [1usize, 2, 4] {
-            let mut batch = BatchExecutor::new(program.clone(), 7, workers).unwrap();
+        for budget in [1usize, 2, 4, 8] {
+            let mut batch = BatchExecutor::new(program.clone(), 7, budget).unwrap();
             let result = batch.execute_batch(&inputs).unwrap();
-            assert_frames_eq(&want, &result.frames, &format!("{workers} workers"));
+            assert_frames_eq(&want, &result.frames, &format!("budget {budget}"));
             assert!(
                 result.ledger == want_ledger,
-                "{workers} workers: merged ledger diverged"
+                "budget {budget}: merged ledger diverged"
             );
         }
     }
@@ -329,24 +370,17 @@ mod tests {
 
     #[test]
     fn seek_frame_aligns_with_serial_stream() {
-        // Batch frames k.. match a serial executor that already ran k frames.
+        // Batch frames k.. match a serial stream that already ran k frames.
         let program = micronet_program(35.0, 8);
         let inputs = frame_stream(5, 77);
-        let mut serial = Executor::new(program.clone(), 21);
-        for input in &inputs[..2] {
-            serial.execute(input).unwrap();
-        }
-        let want: Vec<ExecutionResult> = inputs[2..]
-            .iter()
-            .map(|i| serial.execute(i).unwrap())
-            .collect();
+        let (want, _) = serial_reference(&program, 21, &inputs);
         let mut batch = BatchExecutor::new(program, 21, 2).unwrap();
         batch.seek_frame(2);
         let got = batch.execute_batch(&inputs[2..]).unwrap();
         assert_eq!(batch.next_frame(), 5);
         // Features/codes/ledgers match; the forced tally does not (serial
-        // accumulated frames 0-1 first), mirroring Executor::seek_frame.
-        for (w, g) in want.iter().zip(got.frames.iter()) {
+        // accumulated frames 0-1 first): seeking replays no tallies.
+        for (w, g) in want[2..].iter().zip(got.frames.iter()) {
             assert_eq!(w.features, g.features);
             assert_eq!(w.codes, g.codes);
             assert!(w.ledger == g.ledger);
@@ -414,6 +448,5 @@ mod tests {
         }
         assert_frames_eq(&want, &got, "8 frames over 4 batches");
         assert_eq!(batch.next_frame(), 8);
-        assert_eq!(batch.workers(), 2);
     }
 }

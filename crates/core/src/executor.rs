@@ -32,12 +32,11 @@
 //! The executor is split into an immutable, shareable [`FrameEngine`]
 //! (verified program, weights, root noise stream, column geometry, knobs)
 //! and a per-worker mutable [`FrameCtx`] (the conv scratch workspace).
-//! [`Executor`] binds one engine to one context plus the frame counter and
-//! forced-comparator tally; [`BatchExecutor`](crate::BatchExecutor) shares
-//! one engine across the task pool's workers, one context per worker, and
-//! is bit-identical to the serial path at any worker count
-//! because frame `f`'s noise depends only on `(seed, f)` — never on which
-//! worker ran it or what ran before.
+//! [`BatchExecutor`](crate::BatchExecutor) shares one engine across the
+//! task pool's workers, keeps one context per worker for its lifetime, and
+//! carries the frame counter and forced-comparator tally. Its output is
+//! bit-identical at any thread budget because frame `f`'s noise depends
+//! only on `(seed, f)` — never on which worker ran it or what ran before.
 
 use crate::{CoreError, EnergyLedger, Instruction, Program, Result};
 use redeye_analog::calib::SWING;
@@ -79,9 +78,9 @@ pub struct ExecutionResult {
 /// accounting.
 ///
 /// Unlike [`ExecutionResult`], the forced-decision count here is *this
-/// frame's* tally alone — the caller (the serial [`Executor`] or the batch
-/// engine's frame-ordered merge) folds it into the lifetime-cumulative
-/// counter the hardware diagnostic exposes.
+/// frame's* tally alone — the caller (the
+/// [`BatchExecutor`](crate::BatchExecutor)'s frame-ordered merge) folds it
+/// into the lifetime-cumulative counter the hardware diagnostic exposes.
 #[derive(Debug, Clone)]
 pub struct FrameOutput {
     /// The dequantized features the host receives.
@@ -224,8 +223,8 @@ impl FrameEngine {
     /// Executes frame number `frame` through the analog pipeline and the
     /// quantization module, using `ctx`'s scratch workspace.
     ///
-    /// This is the engine-level entry point the serial [`Executor`] and the
-    /// batch executor both call: the output is a pure function of
+    /// This is the engine-level entry point the
+    /// [`BatchExecutor`](crate::BatchExecutor) calls: the output is a pure function of
     /// `(program, seed, frame, input)` — independent of which context or
     /// thread runs it, and of any other frame having run before it.
     ///
@@ -318,9 +317,10 @@ impl FrameEngine {
 /// The per-frame mutable half of the executor: the reusable conv scratch
 /// [`Workspace`].
 ///
-/// One context belongs to one worker: a batch gives each pool worker its
-/// own, so every frame after a worker's first performs no packing
-/// allocations, exactly like the serial path.
+/// One context belongs to one worker: the
+/// [`BatchExecutor`](crate::BatchExecutor) keeps one per budget thread
+/// across batches, so every frame after a worker's first performs no
+/// packing allocations.
 #[derive(Debug, Default)]
 pub struct FrameCtx {
     /// Reusable GEMM packing scratch shared by every conv instruction;
@@ -368,132 +368,6 @@ impl FrameCtx {
     /// A fresh context with empty scratch.
     pub fn new() -> Self {
         FrameCtx::default()
-    }
-}
-
-/// The RedEye functional executor: a [`FrameEngine`] driving one
-/// [`FrameCtx`] through a numbered frame sequence.
-///
-/// Holds the program, the root noise stream (all noise is a pure function
-/// of the seed), and the reusable scratch the conv instructions share —
-/// mirroring the physical module reuse of §III-B. For cross-frame
-/// parallelism over the same engine/context split, see
-/// [`BatchExecutor`](crate::BatchExecutor).
-///
-/// Parallelism across frames belongs to the batch and fleet executors'
-/// worker pools; parallelism within a frame is one budget,
-/// [`Executor::set_threads`], shared by the conv GEMM, LRN and the
-/// per-site analog stages.
-///
-/// # Example
-///
-/// ```
-/// use redeye_core::{compile, CompileOptions, Executor, WeightBank};
-/// use redeye_nn::{build_network, zoo, WeightInit};
-/// use redeye_tensor::{Rng, Tensor};
-///
-/// # fn main() -> Result<(), redeye_core::CoreError> {
-/// let spec = zoo::micronet(4, 10);
-/// let prefix = spec.prefix_through("pool1").expect("micronet has pool1");
-/// let mut rng = Rng::seed_from(1);
-/// let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng)?;
-/// let mut bank = WeightBank::from_network(&mut net);
-/// let program = compile(&prefix, &mut bank, &CompileOptions::default())?;
-///
-/// let mut executor = Executor::new(program, 42);
-/// let result = executor.execute(&Tensor::full(&[3, 32, 32], 0.5))?;
-/// assert_eq!(result.features.dims(), &[4, 16, 16]);
-/// assert!(result.ledger.analog_total().value() > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct Executor {
-    engine: FrameEngine,
-    ctx: FrameCtx,
-    /// The frame-substream label the next frame executes under.
-    next_frame: u64,
-    /// Cumulative forced comparator decisions across this executor's frames.
-    forced_total: u64,
-}
-
-impl Executor {
-    /// Creates an executor for `program`, seeding all stochastic behaviour
-    /// from `seed`.
-    pub fn new(program: Program, seed: u64) -> Self {
-        Executor {
-            engine: FrameEngine::new(program, seed),
-            ctx: FrameCtx::new(),
-            next_frame: 0,
-            forced_total: 0,
-        }
-    }
-
-    /// Sets the frame's thread budget (see [`FrameEngine::set_threads`]).
-    /// Results are bit-identical across budgets.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
-    /// The loaded program.
-    pub fn program(&self) -> &Program {
-        self.engine.program()
-    }
-
-    /// The immutable engine half (program, stream, knobs).
-    pub fn engine(&self) -> &FrameEngine {
-        &self.engine
-    }
-
-    /// The frame number the next [`Executor::execute`] call will run as.
-    pub fn next_frame(&self) -> u64 {
-        self.next_frame
-    }
-
-    /// Repositions the frame counter so the next [`Executor::execute`] call
-    /// runs as frame `n` — replaying any frame's noise substream from any
-    /// offset for reproducible debugging.
-    ///
-    /// `seek_frame(k)` followed by one `execute` produces the same
-    /// features, codes, ledger, and frame time as executing frames
-    /// `0, 1, …, k` sequentially and keeping the last result. Only the
-    /// cumulative forced-decision diagnostic differs: seeking does not
-    /// replay the skipped frames' comparator tallies.
-    pub fn seek_frame(&mut self, n: u64) {
-        self.next_frame = n;
-    }
-
-    /// Executes one captured frame through the analog pipeline and the
-    /// quantization module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Verify`] if the program fails static
-    /// verification (checked once, on the first frame), or
-    /// [`CoreError::BadProgram`] if the input shape does not match the
-    /// program, a pixel is NaN or infinite, or a shape error surfaces from
-    /// a corrupt program.
-    pub fn execute(&mut self, input: &Tensor) -> Result<ExecutionResult> {
-        let out = self
-            .engine
-            .run_frame(self.next_frame, input, &mut self.ctx)?;
-        self.next_frame += 1;
-        self.forced_total += out.forced;
-        Ok(ExecutionResult {
-            features: out.features,
-            codes: out.codes,
-            ledger: out.ledger,
-            elapsed: out.elapsed,
-            forced_decisions: self.forced_total,
-            rail_clips: out.rail_clips,
-            code_mac_hits: out.code_mac_hits,
-        })
-    }
-
-    /// Sets the per-frame cost budget enforced by pre-frame verification
-    /// (see [`FrameEngine::set_cost_budget`]).
-    pub fn set_cost_budget(&mut self, budget: redeye_verify::CostBudget) {
-        self.engine.set_cost_budget(budget);
     }
 }
 
@@ -654,6 +528,7 @@ impl FramePass<'_> {
                 let out = lrn(x, [c, h, w], *size, *alpha, *beta, *k, self.engine.threads)?;
                 self.add_layer_noise(out, *snr, name)?
             }
+            // Cannot fire: an inception returned at the top of this function.
             Instruction::Inception { .. } => unreachable!("inception returned above"),
         };
         charge(&mut self.cost, counts, inst.snr());
@@ -1020,6 +895,7 @@ fn concat_channels(parts: &[Tensor]) -> Result<Tensor> {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
+    use crate::BatchExecutor;
     use redeye_nn::{build_network, quantize_network_weights, zoo, WeightInit};
     use redeye_tensor::Rng;
 
@@ -1046,7 +922,7 @@ mod tests {
     #[test]
     fn high_snr_matches_digital_reference() {
         let (program, mut reference) = micronet_program(100.0, 10);
-        let mut exec = Executor::new(program, 5);
+        let mut exec = BatchExecutor::new(program, 5, 1).unwrap();
         let mut rng = Rng::seed_from(6);
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let analog = exec.execute(&input).unwrap();
@@ -1063,7 +939,7 @@ mod tests {
     fn low_snr_degrades_fidelity() {
         let run = |snr: f64| {
             let (program, mut reference) = micronet_program(snr, 10);
-            let mut exec = Executor::new(program, 5);
+            let mut exec = BatchExecutor::new(program, 5, 1).unwrap();
             let mut rng = Rng::seed_from(6);
             let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
             let analog = exec.execute(&input).unwrap();
@@ -1079,7 +955,7 @@ mod tests {
         let spec = zoo::micronet(8, 10);
         let summary = redeye_nn::summarize(&spec).unwrap();
         let totals = summary.prefix_totals("pool3").unwrap();
-        let mut exec = Executor::new(program, 7);
+        let mut exec = BatchExecutor::new(program, 7, 1).unwrap();
         let input = Tensor::full(&[3, 32, 32], 0.5);
         let result = exec.execute(&input).unwrap();
         assert_eq!(result.ledger.macs, totals.macs);
@@ -1095,7 +971,7 @@ mod tests {
     #[test]
     fn quantization_bits_bound_codes() {
         let (program, _) = micronet_program(40.0, 3);
-        let mut exec = Executor::new(program, 8);
+        let mut exec = BatchExecutor::new(program, 8, 1).unwrap();
         let input = Tensor::full(&[3, 32, 32], 0.5);
         let result = exec.execute(&input).unwrap();
         assert!(result.codes.iter().all(|&c| c < 8));
@@ -1107,8 +983,10 @@ mod tests {
         if let Instruction::Conv { codes, .. } = &mut program.instructions[0] {
             codes[0] = 10_000; // beyond the 8-bit DAC range
         }
-        let mut exec = Executor::new(program, 1);
-        let err = exec.execute(&Tensor::full(&[3, 32, 32], 0.5)).unwrap_err();
+        let engine = FrameEngine::new(program, 1);
+        let err = engine
+            .run_frame(0, &Tensor::full(&[3, 32, 32], 0.5), &mut FrameCtx::new())
+            .unwrap_err();
         match err {
             CoreError::Verify(report) => assert!(report.has_errors()),
             other => panic!("expected Verify, got {other:?}"),
@@ -1125,13 +1003,17 @@ mod tests {
             if let Instruction::Conv { pad, .. } = &mut program.instructions[0] {
                 *pad = huge;
             }
-            let err = Executor::new(program, 1).execute(&input).unwrap_err();
+            let err = FrameEngine::new(program, 1)
+                .run_frame(0, &input, &mut FrameCtx::new())
+                .unwrap_err();
             assert!(matches!(err, CoreError::Verify(_)), "pad {huge}: {err:?}");
             let (mut program, _) = micronet_program(40.0, 4);
             if let Instruction::Conv { out_c, .. } = &mut program.instructions[0] {
                 *out_c = huge;
             }
-            let err = Executor::new(program, 1).execute(&input).unwrap_err();
+            let err = FrameEngine::new(program, 1)
+                .run_frame(0, &input, &mut FrameCtx::new())
+                .unwrap_err();
             assert!(matches!(err, CoreError::Verify(_)), "out_c {huge}: {err:?}");
         }
     }
@@ -1312,7 +1194,7 @@ mod tests {
     #[test]
     fn wrong_input_shape_rejected() {
         let (program, _) = micronet_program(40.0, 4);
-        let mut exec = Executor::new(program, 9);
+        let mut exec = BatchExecutor::new(program, 9, 1).unwrap();
         assert!(exec.execute(&Tensor::zeros(&[3, 16, 16])).is_err());
     }
 
@@ -1320,8 +1202,14 @@ mod tests {
     fn execution_is_reproducible_per_seed() {
         let (program, _) = micronet_program(40.0, 4);
         let input = Tensor::full(&[3, 32, 32], 0.5);
-        let a = Executor::new(program.clone(), 42).execute(&input).unwrap();
-        let b = Executor::new(program, 42).execute(&input).unwrap();
+        let a = BatchExecutor::new(program.clone(), 42, 1)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
+        let b = BatchExecutor::new(program, 42, 1)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         assert_eq!(a.features, b.features);
         assert_eq!(a.codes, b.codes);
     }
@@ -1329,7 +1217,7 @@ mod tests {
     #[test]
     fn successive_frames_draw_fresh_noise() {
         let (program, _) = micronet_program(30.0, 10);
-        let mut exec = Executor::new(program, 11);
+        let mut exec = BatchExecutor::new(program, 11, 1).unwrap();
         let input = Tensor::full(&[3, 32, 32], 0.5);
         let a = exec.execute(&input).unwrap();
         let b = exec.execute(&input).unwrap();
@@ -1358,8 +1246,7 @@ mod tests {
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let run = |threads| {
-            let mut exec = Executor::new(program.clone(), 77);
-            exec.set_threads(threads);
+            let mut exec = BatchExecutor::new(program.clone(), 77, threads).unwrap();
             let r = exec.execute(&input).unwrap();
             (
                 r.features,
@@ -1392,7 +1279,7 @@ mod tests {
             }],
             8,
         );
-        let mut exec = Executor::new(program, 1);
+        let mut exec = BatchExecutor::new(program, 1, 1).unwrap();
         let mut data = vec![1.0f32; 16];
         data.extend(vec![3.0f32; 16]);
         let input = Tensor::from_vec(data, &[2, 4, 4]).unwrap();
@@ -1420,7 +1307,7 @@ mod tests {
             }],
             8,
         );
-        let mut exec = Executor::new(program, 2);
+        let mut exec = BatchExecutor::new(program, 2, 1).unwrap();
         let input = Tensor::full(&[1, 8, 8], 0.5);
         let result = exec.execute(&input).unwrap();
         for v in result.features.iter() {
@@ -1437,14 +1324,14 @@ mod tests {
         let (program, _) = micronet_program(30.0, 8);
         let input = Tensor::full(&[3, 32, 32], 0.5);
         for k in [0u64, 1, 5] {
-            let mut sequential = Executor::new(program.clone(), 13);
+            let mut sequential = BatchExecutor::new(program.clone(), 13, 1).unwrap();
             let mut last = None;
             for _ in 0..=k {
                 last = Some(sequential.execute(&input).unwrap());
             }
             let want = last.unwrap();
 
-            let mut seeked = Executor::new(program.clone(), 13);
+            let mut seeked = BatchExecutor::new(program.clone(), 13, 1).unwrap();
             seeked.seek_frame(k);
             assert_eq!(seeked.next_frame(), k);
             let got = seeked.execute(&input).unwrap();
@@ -1485,7 +1372,7 @@ mod tests {
         let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
         let mut bank = WeightBank::from_network(&mut net);
         let program = compile(&prefix, &mut bank, &CompileOptions::default()).unwrap();
-        let mut exec = Executor::new(program, 3);
+        let mut exec = BatchExecutor::new(program, 3, 1).unwrap();
         let input = Tensor::full(&[3, 32, 32], 0.3);
         let result = exec.execute(&input).unwrap();
         // inception_a output 40×16×16 pooled to 40×8×8.
@@ -1510,7 +1397,7 @@ mod tests {
             }],
             8,
         );
-        let mut exec = Executor::new(program, 31);
+        let mut exec = BatchExecutor::new(program, 31, 1).unwrap();
         let input = Tensor::full(&[1, 4, 4], 1.0e-39);
         let result = exec.execute(&input).unwrap();
         assert!(result.features.iter().all(|v| v.is_finite()));

@@ -478,24 +478,24 @@ impl FleetExecutor {
             }
         }
         let engine = &self.engine;
-        let results = run_tasks(
-            &tasks,
-            self.opts.workers,
-            |_| DeviceScratch::new(),
-            |scratch, task| {
-                let device = engine.device(task.device_id);
-                device
-                    .run_frame(task.frame, &task.input, scratch)
-                    .map(|f| FrameStat {
-                        frame_time: f.frame_time,
-                        energy: f.energy,
-                        payload_bits: f.payload_bits,
-                        forced: f.output.forced,
-                        rail_clips: f.output.rail_clips,
-                        digest: f.digest,
-                    })
-            },
-        );
+        // Fresh scratch per call: it regrows once per worker, which is small
+        // next to the thousands of frames one call runs.
+        let mut scratch: Vec<DeviceScratch> = (0..self.opts.workers.min(tasks.len()))
+            .map(|_| DeviceScratch::new())
+            .collect();
+        let results = run_tasks(&tasks, &mut scratch, |scratch, task| {
+            let device = engine.device(task.device_id);
+            device
+                .run_frame(task.frame, &task.input, scratch)
+                .map(|f| FrameStat {
+                    frame_time: f.frame_time,
+                    energy: f.energy,
+                    payload_bits: f.payload_bits,
+                    forced: f.output.forced,
+                    rail_clips: f.output.rail_clips,
+                    digest: f.digest,
+                })
+        });
 
         // Re-assemble per device, in submission order (tasks are
         // device-major, so each device's frames are contiguous).
@@ -540,7 +540,7 @@ impl FleetExecutor {
 mod tests {
     use super::*;
     use crate::compile::{compile, CompileOptions, WeightBank};
-    use crate::executor::Executor;
+    use crate::BatchExecutor;
     use redeye_nn::{build_network, zoo, WeightInit};
     use redeye_tensor::Rng;
 
@@ -567,7 +567,10 @@ mod tests {
     fn reference_device_matches_plain_engine() {
         let program = micronet_program();
         let input = Tensor::full(&[3, 32, 32], 0.5);
-        let want = Executor::new(program.clone(), 99).execute(&input).unwrap();
+        let want = BatchExecutor::new(program.clone(), 99, 1)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         let fleet = FleetEngine::new(program, 99).unwrap();
         let device = fleet.reference_device(0);
         let mut scratch = DeviceScratch::new();

@@ -13,15 +13,15 @@
 //! - [`compile()`](compile()) — turns a partitioned [`redeye_nn::NetworkSpec`] prefix plus
 //!   trained weights into a RedEye program, quantizing kernels to the 8-bit
 //!   tunable-capacitor codes of §IV-A.
-//! - [`Executor`] — the **functional noisy executor**: runs real images
-//!   through the program using the `redeye-analog` behavioral models
-//!   (damped-node Gaussian noise, comparator max-pooling, bit-accurate SAR
-//!   quantization), producing features *and* an [`EnergyLedger`].
-//! - [`BatchExecutor`] — the **cross-frame throughput engine**: each batch
-//!   of frames is one run of the task pool ([`pool`]) over one shared,
-//!   immutable [`FrameEngine`], bit-identical to the
-//!   serial [`Executor`] at any worker count (continuous-vision frames/sec
-//!   is the headline metric).
+//! - [`BatchExecutor`] — the **functional noisy executor**: runs a
+//!   numbered stream of real images through the program using the
+//!   `redeye-analog` behavioral models (damped-node Gaussian noise,
+//!   comparator max-pooling, bit-accurate SAR quantization), producing
+//!   features *and* an [`EnergyLedger`]. One thread budget is spent across
+//!   a batch's frames first (one task-pool run, [`pool`]) and then within
+//!   each frame, over one shared, immutable [`FrameEngine`]; output is
+//!   bit-identical at any budget (continuous-vision frames/sec is the
+//!   headline metric).
 //! - [`FleetEngine`] / [`FleetExecutor`] — **fleet-scale simulation**:
 //!   thousands of devices as lightweight [`DeviceCtx`] views over one
 //!   shared pack-once engine, scheduled by the same task pool ([`pool`])
@@ -35,7 +35,7 @@
 //!
 //! Programs are checked statically by the `redeye-verify` crate before they
 //! run: [`compile()`](compile()) verifies its output (policy set by
-//! [`CompileOptions::verify`]) and [`Executor`] refuses to execute a program
+//! [`CompileOptions::verify`]) and [`BatchExecutor::new`] refuses a program
 //! with verification errors. The IR itself ([`Program`], [`Instruction`])
 //! lives in `redeye-verify` and is re-exported here unchanged.
 //!
@@ -65,13 +65,12 @@ pub mod pool;
 pub mod rowsim;
 mod sram;
 pub mod stacking;
-pub mod topology;
 
 pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use error::CoreError;
 pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
-pub use executor::{ExecutionResult, Executor, FrameCtx, FrameEngine, FrameOutput};
+pub use executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
 pub use fleet::{
     frame_digest, DeviceCalib, DeviceCtx, DeviceFrame, DeviceOutcome, DeviceProfile, DeviceScratch,
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,

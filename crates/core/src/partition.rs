@@ -81,12 +81,9 @@ impl fmt::Display for Depth {
 /// cut layer (i.e. it is not GoogLeNet-shaped).
 pub fn partition_googlenet(spec: &NetworkSpec, depth: Depth) -> Result<(NetworkSpec, NetworkSpec)> {
     let cut = depth.cut_layer();
-    let prefix = spec
-        .prefix_through(cut)
-        .ok_or_else(|| CoreError::Nn(redeye_nn::NnError::UnknownLayer { name: cut.into() }))?;
-    let suffix = spec
-        .suffix_after(cut)
-        .expect("suffix exists whenever prefix does");
+    let unknown = || CoreError::Nn(redeye_nn::NnError::UnknownLayer { name: cut.into() });
+    let prefix = spec.prefix_through(cut).ok_or_else(unknown)?;
+    let suffix = spec.suffix_after(cut).ok_or_else(unknown)?;
     Ok((prefix, suffix))
 }
 

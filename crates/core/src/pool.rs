@@ -10,8 +10,11 @@
 //! only the worker running it while the others keep claiming the tasks
 //! behind it, which is all a work-stealing deque would buy. Every task
 //! exists before the workers start and none spawns another, so a cursor
-//! past the end is a stable stop condition. The pool lives for one call:
-//! its workers are [`par::fan_out`] threads that borrow the tasks.
+//! past the end is a stable stop condition. The threads live for one
+//! call: they are [`par::fan_out`] threads that borrow the tasks and one
+//! caller-owned state each. The states outlive the call, so a batch
+//! executor's workers keep their warm conv workspaces from batch to
+//! batch.
 //!
 //! # Determinism
 //!
@@ -31,8 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// [`std::thread::available_parallelism`], or 1 when the host cannot say.
 ///
 /// This is the default pool size everywhere a worker count is optional
-/// (the batch executor's [`BatchExecutor::new_auto`](crate::BatchExecutor::new_auto),
-/// the fleet executor, the perf bins' `--workers auto`), so hosts stop
+/// (the fleet executor, the perf bins' `--workers auto`), so hosts stop
 /// hard-coding sweeps like 1/2/4 that only measure queue overhead on
 /// smaller machines.
 pub fn auto_workers() -> usize {
@@ -41,89 +43,82 @@ pub fn auto_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every task on a pool of `workers` threads and returns the results
-/// **in submission order**.
+/// Runs every task on one worker per state in `states` (at most one per
+/// task) and returns the results **in submission order**.
 ///
-/// `init` builds one scratch state per worker (called on that worker's
-/// thread); `run` executes one task against the worker's state. With
-/// `workers <= 1` or at most one task everything runs inline on the
-/// caller's thread.
+/// Worker `w` runs its tasks against `states[w]`, and the states outlive
+/// the call: a caller that keeps them hands each worker its warm scratch
+/// again on the next call. `run` executes one task against the worker's
+/// state. With at most one state or at most one task everything runs
+/// inline on the caller's thread, on `states[0]` (or on a fresh
+/// `S::default()` when `states` is empty).
 ///
 /// Each task runs under `catch_unwind`, inline too. A panicking task's
-/// slot holds [`CoreError::WorkerPanic`]; its worker throws its state
-/// away, calls `init` again and keeps claiming tasks, so one bad task
-/// costs exactly one result.
+/// slot holds [`CoreError::WorkerPanic`]; its worker resets its state to
+/// `S::default()` and keeps claiming tasks, so one bad task costs exactly
+/// one result and a poisoned state is never reused.
 ///
 /// Tasks must be pure functions of their payload for the output to be
 /// schedule-independent; the pool itself only decides *where* each task
 /// runs, never what it computes.
-///
-/// # Panics
-///
-/// Propagates panics from `init`: a worker without state cannot run
-/// anything.
-pub fn run_tasks<T, S, R, I, F>(tasks: &[T], workers: usize, init: I, run: F) -> Vec<Result<R>>
+pub fn run_tasks<T, S, R, F>(tasks: &[T], states: &mut [S], run: F) -> Vec<Result<R>>
 where
     T: Sync,
+    S: Default + Send,
     R: Send,
-    I: Fn(usize) -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
     let n = tasks.len();
-    if workers <= 1 || n <= 1 {
-        let mut state = init(0);
+    if states.len() <= 1 || n <= 1 {
+        let mut fresh = None;
+        let state = match states.first_mut() {
+            Some(state) => state,
+            None => fresh.insert(S::default()),
+        };
         return tasks
             .iter()
             .enumerate()
-            .map(|(idx, task)| contained(0, &init, &run, &mut state, idx, task))
+            .map(|(idx, task)| contained(&run, state, idx, task))
             .collect();
     }
 
     let next = AtomicUsize::new(0);
-    let done = par::fan_out(0..workers.min(n), |w| {
-        let mut state = init(w);
+    let run = &run;
+    let done = par::fan_out(states.iter_mut().take(n), |state| {
         let mut done = Vec::new();
         // Each index is claimed exactly once; the results travel back
         // through the join, so the cursor orders nothing else.
         loop {
             let idx = next.fetch_add(1, Ordering::Relaxed);
             let Some(task) = tasks.get(idx) else { break };
-            done.push((idx, contained(w, &init, &run, &mut state, idx, task)));
+            done.push((idx, contained(run, state, idx, task)));
         }
         done
     });
 
-    let mut results: Vec<Option<Result<R>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    for (idx, r) in done.into_iter().flatten() {
-        results[idx] = Some(r);
+    // Every index in `0..n` was claimed by exactly one worker, so sorting
+    // the joined pairs by index restores submission order.
+    let mut pairs = Vec::with_capacity(n);
+    for worker in done {
+        pairs.extend(worker);
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("every task produces exactly one result"))
-        .collect()
+    pairs.sort_unstable_by_key(|&(idx, _)| idx);
+    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs task `idx` on worker `w` under `catch_unwind`. A panic becomes
-/// [`CoreError::WorkerPanic`], and the worker's state is rebuilt with
-/// `init(w)`: the panic may have left it half-updated, and asserting
+/// Runs task `idx` under `catch_unwind`. A panic becomes
+/// [`CoreError::WorkerPanic`], and the worker's state is reset to
+/// `S::default()`: the panic may have left it half-updated, and asserting
 /// unwind safety is sound only because that state is never seen again.
-fn contained<T, S, R, I, F>(
-    w: usize,
-    init: &I,
-    run: &F,
-    state: &mut S,
-    idx: usize,
-    task: &T,
-) -> Result<R>
+fn contained<T, S, R, F>(run: &F, state: &mut S, idx: usize, task: &T) -> Result<R>
 where
-    I: Fn(usize) -> S,
+    S: Default,
     F: Fn(&mut S, &T) -> R,
 {
     match catch_unwind(AssertUnwindSafe(|| run(state, task))) {
         Ok(r) => Ok(r),
         Err(payload) => {
-            *state = init(w);
+            *state = S::default();
             let message = payload
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
@@ -146,48 +141,45 @@ mod tests {
     fn every_task_runs_once_in_submission_order() {
         for workers in [1usize, 2, 3, 4, 7] {
             let tasks: Vec<u64> = (0..53).collect();
-            let results = run_tasks(&tasks, workers, |_| (), |(), &t| t * t);
+            let results = run_tasks(&tasks, &mut vec![(); workers], |(), &t| t * t);
             let want: Vec<u64> = (0..53).map(|t| t * t).collect();
             assert_eq!(unwrap_all(results), want, "{workers} workers");
         }
     }
 
     #[test]
-    fn init_runs_once_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let tasks: Vec<usize> = (0..40).collect();
-        run_tasks(
-            &tasks,
-            4,
-            |w| {
-                inits.fetch_add(1, Ordering::Relaxed);
-                w
-            },
-            |_, &t| t,
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 4);
+    fn worker_state_persists_across_calls() {
+        // Each worker counts the tasks it ran; the counts carry from one
+        // call into the next.
+        for workers in [1usize, 2, 4] {
+            let mut states = vec![0usize; workers];
+            let tasks: Vec<usize> = (0..40).collect();
+            for call in 1..=2 {
+                run_tasks(&tasks, &mut states, |ran, _| *ran += 1);
+                let total: usize = states.iter().sum();
+                assert_eq!(total, 40 * call, "{workers} workers, call {call}");
+            }
+        }
     }
 
     #[test]
-    fn panicking_task_rebuilds_its_worker_state() {
-        // Task 3 panics: its slot holds the panic, its worker calls
-        // `init` once more, and every other task still runs.
+    fn panicking_task_resets_its_worker_state() {
+        // Each task logs itself in its worker's state, and task 3 panics
+        // after logging: its slot holds the panic, its worker's log is
+        // reset to empty, and every other task still runs.
         for workers in [1usize, 2] {
-            let inits = AtomicUsize::new(0);
+            let mut logs = vec![vec![99usize]; workers];
             let tasks: Vec<usize> = (0..12).collect();
-            let results = run_tasks(
-                &tasks,
-                workers,
-                |_| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                },
-                |(), &t| {
-                    assert_ne!(t, 3, "task 3 fails");
-                    t
-                },
-            );
+            let results = run_tasks(&tasks, &mut logs, |log, &t| {
+                log.push(t);
+                assert_ne!(t, 3, "task 3 fails");
+                t
+            });
+            assert!(logs.iter().all(|log| !log.contains(&3)), "{logs:?}");
+            if workers == 1 {
+                assert_eq!(logs, vec![(4..12).collect::<Vec<_>>()]);
+            }
             assert_eq!(results.len(), 12);
-            assert_eq!(inits.load(Ordering::Relaxed), workers + 1);
             for (t, r) in results.into_iter().enumerate() {
                 match r {
                     Err(CoreError::WorkerPanic { task, message }) => {
@@ -202,13 +194,22 @@ mod tests {
 
     #[test]
     fn more_workers_than_tasks_is_fine() {
-        let results = run_tasks(&[1u64, 2, 3], 16, |_| (), |(), &t| t + 1);
+        let results = run_tasks(&[1u64, 2, 3], &mut [(); 16], |(), &t| t + 1);
         assert_eq!(unwrap_all(results), vec![2, 3, 4]);
     }
 
     #[test]
     fn empty_task_list_returns_empty() {
-        let results = run_tasks(&Vec::<u64>::new(), 4, |_| (), |(), &t| t);
+        let results = run_tasks(&Vec::<u64>::new(), &mut [(); 4], |(), &t| t);
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn no_states_runs_inline_on_a_fresh_one() {
+        let results = run_tasks(&[1u64, 2], &mut Vec::<u64>::new(), |acc, &t| {
+            *acc += t;
+            *acc
+        });
+        assert_eq!(unwrap_all(results), vec![1, 3]);
     }
 }

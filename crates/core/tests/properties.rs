@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use redeye_analog::{ProcessCorner, SnrDb};
 use redeye_core::{
-    compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, Executor, FeatureSram,
-    Program, RedEyeConfig, WeightBank,
+    compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, FeatureSram, Program,
+    RedEyeConfig, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -107,7 +107,7 @@ proptest! {
         prop_assert_eq!(back, program);
     }
 
-    /// Executor output is a pure function of the seed: features, codes,
+    /// A frame's output is a pure function of the seed: features, codes,
     /// energy ledger, frame time, and forced-decision counts are
     /// bit-identical across thread budgets 1/2/3/4 (GEMM column ranges and
     /// analog site bands, 3 cutting uneven ones) for random programs from
@@ -138,8 +138,7 @@ proptest! {
         let program = compile(&prefix, &mut bank, &opts).unwrap();
         let input = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
         let run = |threads: usize| {
-            let mut exec = Executor::new(program.clone(), seed);
-            exec.set_threads(threads);
+            let mut exec = BatchExecutor::new(program.clone(), seed, threads).unwrap();
             exec.execute(&input).unwrap()
         };
         let want = run(1);
@@ -153,8 +152,8 @@ proptest! {
         }
     }
 
-    /// Batched execution is invariant to the worker count (1/2/4) *and* the
-    /// batch split (1/4/whole-stream), bit-identical to the serial executor
+    /// Batched execution is invariant to the thread budget (1/2/4) *and* the
+    /// batch split (1/2/whole-stream), bit-identical to one frame at a time
     /// over the program zoo: per-frame features, codes, ledgers, frame
     /// times, and cumulative forced tallies, plus the merged ledger's
     /// integer stats (and its energy terms — the frame-order fold makes
@@ -188,7 +187,7 @@ proptest! {
             .map(|_| Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng))
             .collect();
 
-        let mut serial = Executor::new(program.clone(), seed);
+        let mut serial = BatchExecutor::new(program.clone(), seed, 1).unwrap();
         let mut want_ledger = EnergyLedger::new();
         let want: Vec<_> = inputs
             .iter()

@@ -32,8 +32,8 @@ use redeye_analog::{Joules, ProcessCorner, SnrDb};
 use redeye_core::estimate::controller_power;
 use redeye_core::rowsim::{simulate_rows, ColumnMapping};
 use redeye_core::{
-    analyze_cost, compile, verify, verify_with_options, CompileOptions, CoreError, CostBudget,
-    DeviceCalib, DeviceProfile, DeviceScratch, Executor, FleetEngine, Instruction, Program,
+    analyze_cost, compile, verify, verify_with_options, BatchExecutor, CompileOptions, CoreError,
+    CostBudget, DeviceCalib, DeviceProfile, DeviceScratch, FleetEngine, Instruction, Program,
     Severity, VerifyOptions, WeightBank,
 };
 use redeye_nn::{build_network, summarize, zoo, LayerSpec, NetworkSpec, WeightInit};
@@ -147,7 +147,7 @@ proptest! {
         let bounds = analyze_cost(&program).expect("zoo cost is statically derivable");
 
         let input = frame_for(&program, seed.wrapping_mul(31).wrapping_add(7));
-        let mut exec = Executor::new(program, seed ^ 0x9e37_79b9);
+        let mut exec = BatchExecutor::new(program, seed ^ 0x9e37_79b9, 1).expect("program verifies");
         let result = exec.execute(&input).expect("zoo program executes");
 
         let energy = result.ledger.total().value();
@@ -196,7 +196,7 @@ proptest! {
             report.render()
         );
         for noise_seed in 0u64..3 {
-            let mut exec = Executor::new(program.clone(), 1000 + noise_seed);
+            let mut exec = BatchExecutor::new(program.clone(), 1000 + noise_seed, 1).expect("program verifies");
             let input = frame_for(&program, 77 + noise_seed);
             let result = exec.execute(&input).expect("executes");
             prop_assert_eq!(
@@ -271,7 +271,7 @@ fn range_flagged_program_really_clips() {
         "expected a straddling-envelope warning:\n{}",
         report.render()
     );
-    let mut exec = Executor::new(program.clone(), 11);
+    let mut exec = BatchExecutor::new(program.clone(), 11, 1).expect("program verifies");
     let result = exec.execute(&frame_for(&program, 5)).expect("executes");
     assert!(
         result.rail_clips > 0,
@@ -293,7 +293,7 @@ fn executor_enforces_cost_budget() {
     let bounds = analyze_cost(&program).expect("cost derivable");
     let input = frame_for(&program, 9);
 
-    let mut strict = Executor::new(program.clone(), 1);
+    let mut strict = BatchExecutor::new(program.clone(), 1, 1).expect("program verifies");
     strict.set_cost_budget(CostBudget {
         max_frame_energy: Some(Joules::new(bounds.lower.energy.value() * 0.5)),
         max_frame_time: None,
@@ -309,7 +309,7 @@ fn executor_enforces_cost_budget() {
         other => panic!("over-budget program executed: {other:?}"),
     }
 
-    let mut generous = Executor::new(program, 1);
+    let mut generous = BatchExecutor::new(program, 1, 1).expect("program verifies");
     generous.set_cost_budget(CostBudget {
         max_frame_energy: Some(Joules::new(bounds.upper.energy.value() * 2.0)),
         max_frame_time: Some(bounds.upper.time * 2.0),

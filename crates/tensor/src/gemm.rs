@@ -624,6 +624,8 @@ fn direct_kernel(apanel: &[f32], group: usize, taps: &[usize], tile: &[f32]) -> 
     let (asteps, _) = apanel.as_chunks::<MR>();
     for (ap, &t) in asteps.iter().zip(taps) {
         let ap = &ap.as_chunks::<DR>().0[group];
+        // Cannot fail: `pad_input` sizes every phase row to hold each
+        // tile's `DW` lanes under every tap.
         let b = tile[t..]
             .first_chunk::<DW>()
             .expect("a tile's B row lies inside the padded input");

@@ -66,8 +66,9 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
-        let data = self.iter().map(|&v| f(v)).collect();
-        Tensor::from_vec(data, self.dims()).expect("map preserves volume")
+        let mut out = self.clone();
+        out.map_in_place(f);
+        out
     }
 
     /// Applies `f` to every element in place.

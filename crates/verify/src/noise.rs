@@ -35,8 +35,10 @@ fn diag(severity: Severity, code: &'static str, message: String) -> Diagnostic {
 
 pub(crate) fn run(program: &Program, report: &mut Report) {
     let mut analysis = NoiseAnalysis;
-    let min_upstream = dataflow::run(program, Some(f64::INFINITY), &mut analysis, report)
-        .expect("noise dataflow never cuts");
+    // The noise pass never cuts; were it to, infinity (no noisy layer
+    // upstream) skips the readout check rather than panicking.
+    let min_upstream =
+        dataflow::run(program, Some(f64::INFINITY), &mut analysis, report).unwrap_or(f64::INFINITY);
 
     let bits = program.adc_bits;
     if resolution_admissible(bits) {

@@ -119,6 +119,8 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
                     None
                 }
             },
+            // Cannot fire: only an inception has no op, and the dataflow
+            // engine sends inceptions to `join`, never here.
             (_, None) => unreachable!("engine routes inception through join"),
         };
         self.sites.push(Site {
@@ -139,6 +141,7 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
         report: &mut Report,
     ) -> Option<[usize; 3]> {
         let Instruction::Inception { name, branches } = inst else {
+            // Cannot fire: the dataflow engine joins only inception nodes.
             unreachable!("join is only called on inception nodes")
         };
         let out = if branches.is_empty() {
@@ -184,11 +187,9 @@ impl<'p> ForwardAnalysis<'p> for ShapeAnalysis<'p> {
                     None => ok = false,
                 }
             }
-            if ok {
-                let (fh, fw) = out_hw.expect("non-empty branches");
-                Some([out_c, fh, fw])
-            } else {
-                None
+            match out_hw {
+                Some((fh, fw)) if ok => Some([out_c, fh, fw]),
+                _ => None,
             }
         };
         self.sites.push(Site {

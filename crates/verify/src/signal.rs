@@ -435,6 +435,7 @@ impl<'p> ForwardAnalysis<'p> for SignalAnalysis {
                     clamped: state.clamped && added == 0.0,
                 })
             }
+            // Cannot fire: the dataflow engine sends inceptions to `join`.
             Instruction::Inception { .. } => unreachable!("engine routes inception through join"),
         };
         if let Some(s) = &out {

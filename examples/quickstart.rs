@@ -5,7 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use redeye::core::{compile, estimate, CompileOptions, Depth, Executor, RedEyeConfig, WeightBank};
+use redeye::core::{
+    compile, estimate, BatchExecutor, CompileOptions, Depth, RedEyeConfig, WeightBank,
+};
 use redeye::dataset::{sensor, SyntheticDataset};
 use redeye::nn::{build_network, zoo, WeightInit};
 use redeye::tensor::Rng;
@@ -42,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let raw = sensor::capture_raw(&shot.image, 10_000.0, &fpn, &mut rng);
 
     // 4. Execute the frame through the analog pipeline.
-    let mut executor = Executor::new(program, 1);
+    let mut executor = BatchExecutor::new(program, 1, 1)?;
     let result = executor.execute(&raw)?;
     println!(
         "features: {:?} | forced comparator decisions: {}",

@@ -2,11 +2,13 @@
 //! of `(program, seed, frame, input)`, whichever driver runs it.
 //!
 //! A small micronet prefix with two comparator max-pool layers runs through
-//! the serial engine, a two-worker batch and the fleet's reference
-//! device. All three must agree on every frame's digest (features and ADC
-//! codes), ledger and forced-decision count, and the digests are pinned, so
-//! a change that flips a single comparator decision, noise sample or SAR
-//! code fails here.
+//! the serial engine, the stream executor under three thread budgets (a
+//! two-worker batch; a budget of 3 fed a batch of 1, then a batch of 3 on
+//! the same contexts; a budget of 2 fed one frame per call) and the
+//! fleet's reference device. All must agree on every frame's digest
+//! (features and ADC codes), ledger and forced-decision count, and the
+//! digests are pinned, so a change that flips a single comparator
+//! decision, noise sample or SAR code fails here.
 //!
 //! GoogLeNet's two 3×3 max-pool shapes are pinned on their own, at one and
 //! two threads, on planes whose thread bands end part-way through an
@@ -26,8 +28,9 @@
 //! changes a single noise sample fails here without running a frame.
 //!
 //! The task pool, which runs every batch and fleet, runs each task exactly
-//! once and returns results in submission order, with heavy tasks at the
-//! head of the list and with more workers than tasks.
+//! once on one of the caller's worker states and returns results in
+//! submission order, with heavy tasks at the head of the list and with
+//! more workers than tasks.
 //!
 //! Panics stay contained: a task that panics on the pool comes back as a
 //! typed error while the other tasks finish, and so does a task whose
@@ -50,9 +53,9 @@
 use redeye::analog::{Joules, SnrDb};
 use redeye::core::{
     analyze_cost, compile, frame_digest, run_tasks, verify, verify_with_options, BatchExecutor,
-    CompileOptions, CoreError, CostBudget, DeviceScratch, DeviceWork, FleetEngine, FleetExecutor,
-    FleetOptions, FrameCtx, FrameEngine, FrameOutput, Instruction, Program, VerifyOptions,
-    WeightBank,
+    CompileOptions, CoreError, CostBudget, DeviceScratch, DeviceWork, ExecutionResult, FleetEngine,
+    FleetExecutor, FleetOptions, FrameCtx, FrameEngine, FrameOutput, Instruction, Program,
+    VerifyOptions, WeightBank,
 };
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::tensor::{
@@ -160,12 +163,34 @@ fn serial(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
         .collect()
 }
 
-fn batch(program: &Program, inputs: &[Tensor]) -> Vec<Frame> {
-    let mut exec = BatchExecutor::new(program.clone(), SEED, 2).expect("program verifies");
-    let result = exec.execute_batch(inputs).expect("batch runs");
+/// The frames through the stream executor three ways: one batch of all
+/// four on a budget of 2 (2 workers × 1 thread); a budget of 3 fed a batch
+/// of 1 (1 worker × 3 threads) and then a batch of 3 on the same, warm
+/// contexts; and a budget of 2 fed one `execute` call per frame.
+fn batch(program: &Program, inputs: &[Tensor]) -> [Vec<Frame>; 3] {
+    let exec = |threads| BatchExecutor::new(program.clone(), SEED, threads).expect("verifies");
+    let whole = exec(2).execute_batch(inputs).expect("batch runs").frames;
+    let mut split = exec(3);
+    let mut resumed = split
+        .execute_batch(&inputs[..1])
+        .expect("batch of 1")
+        .frames;
+    resumed.extend(
+        split
+            .execute_batch(&inputs[1..])
+            .expect("batch of 3")
+            .frames,
+    );
+    let mut single = exec(2);
+    let one_by_one = inputs.iter().map(|i| single.execute(i).expect("frame"));
+    [whole, resumed, one_by_one.collect()].map(unfold)
+}
+
+/// Per-frame records of a stream, each frame's own forced count recovered
+/// from the cumulative tally.
+fn unfold(results: Vec<ExecutionResult>) -> Vec<Frame> {
     let mut forced_before = 0;
-    result
-        .frames
+    results
         .into_iter()
         .map(|r| {
             let out = FrameOutput {
@@ -207,7 +232,10 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
     let program = program();
     let inputs = scenes();
     let want = serial(&program, &inputs);
-    assert_eq!(batch(&program, &inputs), want, "two-worker batch");
+    let [whole, resumed, one_by_one] = batch(&program, &inputs);
+    assert_eq!(whole, want, "two-worker batch");
+    assert_eq!(resumed, want, "budget-3 batches of 1 and 3");
+    assert_eq!(one_by_one, want, "budget-2 single frames");
     assert_eq!(
         fleet_reference(&program, &inputs),
         want,
@@ -405,36 +433,41 @@ fn layer_noise_samples_are_pinned() {
 
 /// 41 tasks whose first five are ~100× heavier than the rest, at one, two
 /// and three workers, and three tasks on eight workers: every task runs
-/// exactly once, the results come back in submission order, and `init`
-/// runs at most once per worker.
+/// exactly once, the results come back in submission order, each task is
+/// counted in exactly one worker's state, and only the first
+/// `min(tasks, workers)` states are touched.
 #[test]
 fn the_task_pool_runs_every_task_once_in_submission_order() {
     for (n, workers) in [(41u64, 1usize), (41, 2), (41, 3), (3, 8)] {
         let tasks: Vec<u64> = (0..n).collect();
         let runs: Vec<AtomicUsize> = tasks.iter().map(|_| AtomicUsize::new(0)).collect();
-        let inits = AtomicUsize::new(0);
-        let results = run_tasks(
-            &tasks,
-            workers,
-            |_| inits.fetch_add(1, Ordering::Relaxed),
-            |_, &t| {
-                runs[t as usize].fetch_add(1, Ordering::Relaxed);
-                let rounds = if t < 5 { 200_000 } else { 2_000 };
-                let mut acc = t;
-                for i in 0..rounds {
-                    acc = std::hint::black_box(acc.rotate_left(5) ^ i);
-                }
-                (t, acc)
-            },
-        );
+        let mut counts = vec![0usize; workers];
+        let results = run_tasks(&tasks, &mut counts, |count, &t| {
+            *count += 1;
+            runs[t as usize].fetch_add(1, Ordering::Relaxed);
+            let rounds = if t < 5 { 200_000 } else { 2_000 };
+            let mut acc = t;
+            for i in 0..rounds {
+                acc = std::hint::black_box(acc.rotate_left(5) ^ i);
+            }
+            (t, acc)
+        });
         let tag = format!("{n} tasks @ {workers} workers");
         let order: Vec<u64> = results.into_iter().map(|r| r.expect(&tag).0).collect();
         assert_eq!(order, tasks, "{tag}: submission order");
         for (t, r) in runs.iter().enumerate() {
             assert_eq!(r.load(Ordering::Relaxed), 1, "{tag}: task {t} run count");
         }
-        let inits = inits.load(Ordering::Relaxed);
-        assert!(inits <= workers, "{tag}: init ran {inits} times");
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            n as usize,
+            "{tag}: {counts:?}"
+        );
+        let touched = workers.min(n as usize);
+        assert!(
+            counts[touched..].iter().all(|&c| c == 0),
+            "{tag}: states past {touched} touched: {counts:?}"
+        );
     }
 }
 
@@ -445,15 +478,10 @@ fn the_task_pool_runs_every_task_once_in_submission_order() {
 fn a_panicking_task_is_contained_by_the_scheduler() {
     let tasks: Vec<u64> = (0..8).collect();
     for workers in [1usize, 2] {
-        let results = run_tasks(
-            &tasks,
-            workers,
-            |_| (),
-            |(), &t| {
-                assert_ne!(t, 5, "task 5 fails on purpose");
-                t * t
-            },
-        );
+        let results = run_tasks(&tasks, &mut vec![(); workers], |(), &t| {
+            assert_ne!(t, 5, "task 5 fails on purpose");
+            t * t
+        });
         assert_eq!(results.len(), 8);
         for (t, result) in results.into_iter().enumerate() {
             match result {
@@ -475,21 +503,16 @@ fn a_panicking_task_is_contained_by_the_scheduler() {
 fn a_panicking_band_inside_a_task_is_contained_with_its_message() {
     let tasks: Vec<u64> = (0..6).collect();
     for workers in [1usize, 2] {
-        let results = run_tasks(
-            &tasks,
-            workers,
-            |_| (),
-            |(), &t| {
-                par::fan_out(0..3u64, |band| {
-                    if (t, band) == (3, 1) {
-                        panic!("band {band} of task {t} fails on purpose");
-                    }
-                    t * 10 + band
-                })
-                .into_iter()
-                .sum::<u64>()
-            },
-        );
+        let results = run_tasks(&tasks, &mut vec![(); workers], |(), &t| {
+            par::fan_out(0..3u64, |band| {
+                if (t, band) == (3, 1) {
+                    panic!("band {band} of task {t} fails on purpose");
+                }
+                t * 10 + band
+            })
+            .into_iter()
+            .sum::<u64>()
+        });
         for (t, result) in results.into_iter().enumerate() {
             let t = t as u64;
             match result {

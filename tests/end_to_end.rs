@@ -3,7 +3,7 @@
 
 use redeye::analog::SnrDb;
 use redeye::core::estimate;
-use redeye::core::{compile, CompileOptions, Depth, Executor, RedEyeConfig, WeightBank};
+use redeye::core::{compile, BatchExecutor, CompileOptions, Depth, RedEyeConfig, WeightBank};
 use redeye::dataset::{sensor, SyntheticDataset};
 use redeye::nn::train::{evaluate, train_epoch, Example, Sgd};
 use redeye::nn::{build_network, zoo, WeightInit};
@@ -66,7 +66,7 @@ fn analog_features_classify_on_host() {
         ..CompileOptions::default()
     };
     let program = compile(&prefix, &mut bank, &opts).unwrap();
-    let mut executor = Executor::new(program, 5);
+    let mut executor = BatchExecutor::new(program, 5, 1).unwrap();
 
     // Build the host-side suffix as its own network sharing trained weights:
     // rebuild the full net and drop prefix nodes.
@@ -130,7 +130,7 @@ fn estimate_matches_executor_counters_on_googlenet_front() {
     let totals = summary.prefix_totals("pool2").unwrap();
     let est = estimate::estimate_prefix(&totals, &RedEyeConfig::default()).unwrap();
 
-    let mut executor = Executor::new(program, 1);
+    let mut executor = BatchExecutor::new(program, 1, 1).unwrap();
     let result = executor.execute(&Tensor::full(&[3, 32, 32], 0.4)).unwrap();
 
     assert_eq!(result.ledger.macs, est.energy.macs);
@@ -143,13 +143,11 @@ fn estimate_matches_executor_counters_on_googlenet_front() {
     assert!(rel < 1e-6, "processing energy mismatch {rel}");
 }
 
-/// The batched throughput engine produces the same frame stream as the
-/// serial executor on the full trained-capture workflow — same program,
-/// same raw-captured inputs, compared frame by frame.
+/// A three-thread batch produces the same frame stream as one frame per
+/// call on one thread, on the full trained-capture workflow — same
+/// program, same raw-captured inputs, compared frame by frame.
 #[test]
 fn batched_execution_matches_serial_on_captured_frames() {
-    use redeye::core::BatchExecutor;
-
     let (spec, mut net) = quick_trained();
     let prefix = spec.prefix_through("pool3").unwrap();
     let mut bank = WeightBank::from_network(&mut net);
@@ -164,7 +162,7 @@ fn batched_execution_matches_serial_on_captured_frames() {
         .map(|li| sensor::capture_raw(&li.image, 10_000.0, &fpn, &mut rng))
         .collect();
 
-    let mut serial = Executor::new(program.clone(), 5);
+    let mut serial = BatchExecutor::new(program.clone(), 5, 1).unwrap();
     let want: Vec<_> = frames.iter().map(|f| serial.execute(f).unwrap()).collect();
 
     let mut batch = BatchExecutor::new(program, 5, 3).unwrap();
