@@ -91,12 +91,6 @@ pub const CONTROLLER_UW_PER_MHZ: f64 = 47.4;
 /// Controller clock for 30-fps operation (§V-D).
 pub const CONTROLLER_CLOCK_MHZ: f64 = 250.0;
 
-/// Capacitor mismatch coefficient: the standard deviation of a unit
-/// capacitor's relative error is `MISMATCH_COEFF / sqrt(C/1fF)` (Pelgrom
-/// scaling — matching improves with area, hence the linearity–energy
-/// tradeoff of §II-B).
-pub const MISMATCH_COEFF: f64 = 0.002;
-
 #[cfg(test)]
 mod tests {
     use super::*;

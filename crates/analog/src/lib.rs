@@ -13,8 +13,8 @@
 //! - the sampling energy of the 8-bit charge-sharing tunable capacitor,
 //!   which reduces MAC sampling capacitors from `O(2^n)` to `O(n)` (§IV-A,
 //!   Fig. 5);
-//! - a bit-accurate SAR ADC with capacitor mismatch and MSB-cutting variable
-//!   resolution (§IV-A);
+//! - a bit-accurate ideal SAR ADC with MSB-cutting variable resolution,
+//!   whose exact binary weights make each code `⌊x·2ⁿ⌋` (§IV-A);
 //! - a dynamic comparator with metastability-forced decisions (§IV-A);
 //! - process-corner scaling of the extracted parameters (§IV-B);
 //! - the per-frame `count × unit cost` energy and timing model every

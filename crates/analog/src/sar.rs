@@ -9,7 +9,7 @@
 //! removed; quantization noise doubles per bit removed. This is the
 //! energy–noise tradeoff the Fig. 10 sweep exercises.
 
-use crate::calib::{MISMATCH_COEFF, SAR_ARRAY_STEP_ENERGY, SAR_BIT_LOGIC_ENERGY, SAR_BIT_TIME};
+use crate::calib::{SAR_ARRAY_STEP_ENERGY, SAR_BIT_LOGIC_ENERGY, SAR_BIT_TIME};
 use crate::{AnalogError, Joules, Result, Seconds};
 use redeye_tensor::NoiseSource;
 
@@ -54,23 +54,13 @@ impl SarConversion {
 
 /// Behavioral model of the charge-redistribution SAR ADC.
 ///
-/// The full 10-capacitor binary-weighted array is built once (optionally
-/// with static mismatch); a resolution below 10 bits deactivates MSB
-/// capacitors, exactly as the circuit does.
+/// The full 10-capacitor binary-weighted array is ideal: `C_i = 2^(i−1)·C0`
+/// plus the `C0` terminator, so the active array totals `C_Σ = 2ⁿ·C0`. A
+/// resolution below 10 bits deactivates MSB capacitors, exactly as the
+/// circuit does.
 #[derive(Debug, Clone)]
 pub struct SarAdc {
     resolution: u32,
-    /// Relative mismatch of each binary-weighted capacitor `C_1..C_10`.
-    mismatch: [f64; MAX_RESOLUTION as usize],
-    /// Cached `C_i / C_Σ` for the active bits (index `i − 1`), built with
-    /// the ADC; conversions are a hot path and the weights are constant.
-    weights: [f64; MAX_RESOLUTION as usize],
-    /// Comparator input-referred noise as a fraction of full scale.
-    comparator_noise: f64,
-    /// Unit-capacitor scale relative to the calibrated `C0` (§II-B: "using
-    /// a larger unit capacitor C0 improves matching but consumes more
-    /// energy, creating a tradeoff between efficiency and linearity").
-    unit_scale: f64,
 }
 
 impl SarAdc {
@@ -88,58 +78,7 @@ impl SarAdc {
                 allowed: "1..=10",
             });
         }
-        let mut adc = SarAdc {
-            resolution,
-            mismatch: [0.0; MAX_RESOLUTION as usize],
-            weights: [0.0; MAX_RESOLUTION as usize],
-            comparator_noise: 0.0,
-            unit_scale: 1.0,
-        };
-        adc.rebuild_weights();
-        Ok(adc)
-    }
-
-    /// Creates an ADC with Pelgrom-scaled random capacitor mismatch and a
-    /// small comparator noise floor.
-    ///
-    /// Bigger capacitors match better: `σ(ε_i) = MISMATCH_COEFF/√(2^(i−1))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::OutOfRange`] unless `1 ≤ resolution ≤ 10`.
-    pub fn with_mismatch<R: NoiseSource>(resolution: u32, rng: &mut R) -> Result<Self> {
-        SarAdc::with_unit_scale(resolution, 1.0, rng)
-    }
-
-    /// Creates a mismatched ADC whose unit capacitor is `unit_scale × C0`
-    /// — the §II-B linearity–energy knob: mismatch shrinks with `√scale`
-    /// (Pelgrom area scaling) while array energy grows linearly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::OutOfRange`] for a bad resolution or a
-    /// non-positive scale.
-    fn with_unit_scale<R: NoiseSource>(
-        resolution: u32,
-        unit_scale: f64,
-        rng: &mut R,
-    ) -> Result<Self> {
-        if !(unit_scale > 0.0 && unit_scale.is_finite()) {
-            return Err(AnalogError::OutOfRange {
-                parameter: "unit capacitor scale",
-                value: unit_scale.to_string(),
-                allowed: "positive finite",
-            });
-        }
-        let mut adc = SarAdc::new(resolution)?;
-        adc.unit_scale = unit_scale;
-        for (i, m) in adc.mismatch.iter_mut().enumerate() {
-            let units = 2f64.powi(i as i32) * unit_scale;
-            *m = f64::from(rng.standard_normal()) * MISMATCH_COEFF / units.sqrt();
-        }
-        adc.comparator_noise = 1e-4;
-        adc.rebuild_weights();
-        Ok(adc)
+        Ok(SarAdc { resolution })
     }
 
     /// Active resolution in bits.
@@ -147,49 +86,38 @@ impl SarAdc {
         self.resolution
     }
 
-    /// Recomputes the cached bit-weight table for the active resolution:
-    /// the weight of active bit `i` (1-based, `i = resolution` is the MSB),
-    /// including mismatch, is `w_i = C_i / C_Σ`.
-    fn rebuild_weights(&mut self) {
-        let cap = |j: u32| 2f64.powi(j as i32 - 1) * (1.0 + self.mismatch[(j - 1) as usize]);
-        let total: f64 = (1..=self.resolution).map(cap).sum::<f64>() + 1.0; // + C0 terminator
-        self.weights = [0.0; MAX_RESOLUTION as usize];
-        for i in 1..=self.resolution {
-            self.weights[(i - 1) as usize] = cap(i) / total;
-        }
-    }
-
-    /// Converts a normalized input in `[0, 1)` of full scale.
+    /// The output code of a normalized input in `[0, 1)` of full scale.
     ///
     /// Out-of-range inputs are clipped to the rails (as the real circuit
-    /// does). Each bit trial is a select, not a branch: a comparator
-    /// outcome depends on the data, so a branch on it mispredicts about
-    /// half the time.
-    pub fn convert<R: NoiseSource>(&self, input: f64, rng: &mut R) -> SarConversion {
+    /// does) and NaN reads code 0. Bit `i`'s weight `C_i / C_Σ` is exactly
+    /// `2^(i−1−n)`, so every trial sum of the bit loop is an exact dyadic
+    /// number and the loop is a binary search for `⌊x·2ⁿ⌋`: the code is
+    /// that product, also exact, truncated.
+    #[inline]
+    pub fn code(&self, input: f64) -> u32 {
         let x = input.clamp(0.0, 1.0 - f64::EPSILON);
-        let mut code = 0u32;
-        let mut approximation = 0.0f64;
-        for i in (1..=self.resolution).rev() {
-            let trial = approximation + self.weights[(i - 1) as usize];
-            let noise = if self.comparator_noise > 0.0 {
-                f64::from(rng.standard_normal()) * self.comparator_noise
-            } else {
-                0.0
-            };
-            let ge = x + noise >= trial;
-            approximation = if ge { trial } else { approximation };
-            code |= u32::from(ge) << (i - 1);
-        }
+        // `as` truncates toward zero (the floor of a value ≥ 0) and maps
+        // NaN to 0, the code a NaN's failed comparisons give.
+        (x * f64::from(1u32 << self.resolution)) as u32
+    }
+
+    /// Converts a normalized input in `[0, 1)` of full scale: [`code`]
+    /// at the active resolution. The comparator is noiseless, so `_rng`
+    /// draws nothing.
+    ///
+    /// [`code`]: SarAdc::code
+    #[inline]
+    pub fn convert<R: NoiseSource>(&self, input: f64, _rng: &mut R) -> SarConversion {
         SarConversion {
-            code,
+            code: self.code(input),
             resolution: self.resolution,
         }
     }
 
     /// Energy of one conversion at the active resolution: the array
-    /// (`∝ 2^n · unit_scale`) plus comparator/logic (`∝ n`).
+    /// (`∝ 2^n`) plus comparator/logic (`∝ n`).
     pub fn energy_per_conversion(&self) -> Joules {
-        SAR_ARRAY_STEP_ENERGY * (2f64.powi(self.resolution as i32) * self.unit_scale)
+        SAR_ARRAY_STEP_ENERGY * 2f64.powi(self.resolution as i32)
             + SAR_BIT_LOGIC_ENERGY * f64::from(self.resolution)
     }
 
@@ -268,20 +196,25 @@ mod tests {
         }
     }
 
-    /// The bit loop as it was written before it became branch-free: a
-    /// comparator outcome taken as a branch.
-    fn convert_branchy<R: NoiseSource>(adc: &SarAdc, input: f64, rng: &mut R) -> u32 {
+    /// The ideal array's bit weights, built as the circuit sums them:
+    /// `w_i = C_i / C_Σ` for `C_i = 2^(i−1)·C0` and `C_Σ` the active
+    /// capacitors plus the `C0` terminator.
+    fn ideal_weights(n: u32) -> Vec<f64> {
+        let cap = |j: u32| 2f64.powi(j as i32 - 1);
+        let total: f64 = (1..=n).map(cap).sum::<f64>() + 1.0;
+        (1..=n).map(|i| cap(i) / total).collect()
+    }
+
+    /// The successive-approximation bit loop with the comparator outcome
+    /// taken as a branch: the oracle for the closed-form `convert`.
+    fn convert_branchy(n: u32, input: f64) -> u32 {
+        let weights = ideal_weights(n);
         let x = input.clamp(0.0, 1.0 - f64::EPSILON);
         let mut code = 0u32;
         let mut approximation = 0.0f64;
-        for i in (1..=adc.resolution).rev() {
-            let trial = approximation + adc.weights[(i - 1) as usize];
-            let noise = if adc.comparator_noise > 0.0 {
-                f64::from(rng.standard_normal()) * adc.comparator_noise
-            } else {
-                0.0
-            };
-            if x + noise >= trial {
+        for i in (1..=n).rev() {
+            let trial = approximation + weights[(i - 1) as usize];
+            if x >= trial {
                 approximation = trial;
                 code |= 1 << (i - 1);
             }
@@ -289,53 +222,32 @@ mod tests {
         code
     }
 
-    /// Every code's lower threshold (its bits' weights summed MSB first,
-    /// as the bit loop accumulates them) and one ulp either side, plus the
-    /// rails, inputs beyond them and NaN.
-    fn probe_inputs(adc: &SarAdc) -> Vec<f64> {
-        let n = adc.resolution;
-        let mut inputs = vec![
-            0.0,
-            -0.0,
-            -0.25,
-            -1e-300,
-            1.0 - f64::EPSILON,
-            1.0,
-            1.5,
-            1e300,
-            f64::NAN,
-        ];
-        for code in 0..1u32 << n {
-            let t = (1..=n)
-                .rev()
-                .filter(|&i| code >> (i - 1) & 1 == 1)
-                .fold(0.0f64, |acc, i| acc + adc.weights[(i - 1) as usize]);
-            inputs.extend([t.next_down(), t, t.next_up()]);
-        }
-        inputs
-    }
-
     #[test]
     fn branch_free_convert_matches_the_branchy_loop() {
         for n in 1..=MAX_RESOLUTION {
-            let ideal = SarAdc::new(n).unwrap();
-            let noisy = SarAdc::with_mismatch(n, &mut Rng::seed_from(u64::from(n))).unwrap();
-            assert_eq!(noisy.comparator_noise, 1e-4);
-            for adc in [&ideal, &noisy] {
-                let (mut a, mut b) = (Rng::seed_from(7), Rng::seed_from(7));
-                for x in probe_inputs(adc) {
-                    let want = convert_branchy(adc, x, &mut b);
-                    let got = adc.convert(x, &mut a);
-                    assert_eq!(
-                        got,
-                        SarConversion {
-                            code: want,
-                            resolution: n
-                        },
-                        "{n} bits, σ {}, input {x:e}",
-                        adc.comparator_noise
-                    );
-                }
+            let adc = SarAdc::new(n).unwrap();
+            let lsb = SarConversion::lsb(n);
+            let mut inputs = vec![
+                -1.0,
+                -0.0,
+                0.0,
+                1.0 - f64::EPSILON,
+                1.0,
+                2.0,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            for c in 0..=1u32 << n {
+                let t = f64::from(c) * lsb;
+                inputs.extend([t.next_down(), t, t.next_up()]);
+            }
+            let mut rng = Rng::seed_from(7);
+            for x in inputs {
+                let want = SarConversion {
+                    code: convert_branchy(n, x),
+                    resolution: n,
+                };
+                assert_eq!(adc.convert(x, &mut rng), want, "{n} bits, input {x:e}");
             }
         }
     }
@@ -373,53 +285,5 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let enob = simulated_enob(&adc, 20_000, &mut rng);
         assert!((7.8..8.2).contains(&enob), "ideal ENOB {enob}");
-    }
-
-    #[test]
-    fn enob_degrades_with_mismatch_but_stays_close() {
-        let mut rng = Rng::seed_from(6);
-        let adc = SarAdc::with_mismatch(10, &mut rng).unwrap();
-        let enob = simulated_enob(&adc, 20_000, &mut rng);
-        assert!(enob < 10.05, "mismatch cannot add bits: {enob}");
-        assert!(enob > 9.0, "0.2% matching keeps ENOB near 10: {enob}");
-    }
-
-    #[test]
-    fn linearity_energy_tradeoff() {
-        // §II-B: a 16× larger unit capacitor improves matching (higher
-        // ENOB) but costs ~16× array energy.
-        let enob_at = |scale: f64| {
-            // Average over several mismatch draws to de-noise the estimate.
-            let mut total = 0.0;
-            for seed in 0..5 {
-                let mut rng = Rng::seed_from(100 + seed);
-                let adc = SarAdc::with_unit_scale(10, scale, &mut rng).unwrap();
-                total += simulated_enob(&adc, 4000, &mut rng);
-            }
-            total / 5.0
-        };
-        // Exaggerate mismatch sensitivity by comparing a tiny unit cap
-        // (0.01×C0) against a full-size one.
-        let small = enob_at(0.01);
-        let large = enob_at(16.0);
-        assert!(
-            large > small,
-            "bigger unit cap must match better: {small} vs {large}"
-        );
-        let mut rng = Rng::seed_from(1);
-        let e_small = SarAdc::with_unit_scale(10, 0.01, &mut rng)
-            .unwrap()
-            .energy_per_conversion();
-        let e_large = SarAdc::with_unit_scale(10, 16.0, &mut rng)
-            .unwrap()
-            .energy_per_conversion();
-        assert!(e_large.value() > 100.0 * e_small.value());
-    }
-
-    #[test]
-    fn bad_unit_scale_rejected() {
-        let mut rng = Rng::seed_from(1);
-        assert!(SarAdc::with_unit_scale(8, 0.0, &mut rng).is_err());
-        assert!(SarAdc::with_unit_scale(8, f64::NAN, &mut rng).is_err());
     }
 }

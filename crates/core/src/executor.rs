@@ -123,9 +123,9 @@ const ANALOG_PARALLEL_MIN: usize = 4096;
 ///
 /// Everything about a conv instruction's weights that does not depend on
 /// the frame — its GEMM weight panels —
-/// plus the SAR ADC's bit-weight table and the comparator's screening
-/// table is computed **once** at engine construction and shared read-only
-/// by every frame, context, and worker thereafter. A fleet of simulated devices sharing one engine (see
+/// plus each LRN `(k, β)` pair's `x^−β` table and the comparator's
+/// screening table is computed **once** at engine construction and shared
+/// read-only by every frame, context, and worker thereafter. A fleet of simulated devices sharing one engine (see
 /// [`crate::FleetEngine`]) therefore packs weights exactly once, no matter
 /// how many devices run.
 #[derive(Debug)]
@@ -137,8 +137,10 @@ pub struct FrameEngine {
     /// Pack-once GEMM weight panels per conv, in DFS instruction order;
     /// `None` for a conv whose weight dims are inconsistent.
     conv_packs: Vec<Option<PackedWeights>>,
-    /// Pack-once SAR ADC template (bit-weight table), or the constructor's
-    /// error for an invalid resolution, which quantization returns.
+    /// Pack-once `x^−β` tables, one per distinct LRN `(k, β)` pair.
+    lrn_tables: Vec<LrnTable>,
+    /// The SAR ADC, or the constructor's error for an invalid resolution,
+    /// which quantization returns.
     sar: std::result::Result<SarAdc, AnalogError>,
     /// Pack-once comparator template: its screening table is built once
     /// and cloned into each pooling band.
@@ -159,13 +161,29 @@ impl FrameEngine {
     /// Creates an engine for `program`, seeding all stochastic behaviour
     /// from `seed`.
     pub fn new(program: Program, seed: u64) -> Self {
+        // Pack-once state in the DFS pre-order `FramePass::run_instruction`
+        // visits instructions in, so `conv_packs[i]` is the `i`-th conv a
+        // frame executes.
         let mut conv_packs = Vec::new();
-        collect_conv_packs(&program.instructions, &mut conv_packs);
+        let mut lrn_tables: Vec<LrnTable> = Vec::new();
+        visit(&program.instructions, &mut |inst| match *inst {
+            Instruction::Conv {
+                out_c,
+                ref codes,
+                scale,
+                ..
+            } => conv_packs.push(pack_conv(codes, scale, out_c)),
+            Instruction::Lrn { k, beta, .. } if !lrn_tables.iter().any(|t| t.keyed(k, beta)) => {
+                lrn_tables.push(LrnTable::new(k, beta));
+            }
+            _ => {}
+        });
         let sar = SarAdc::new(program.adc_bits);
         FrameEngine {
             program,
             stream: NoiseStream::new(seed),
             conv_packs,
+            lrn_tables,
             sar,
             comparator: Comparator::new(),
             threads: 1,
@@ -341,25 +359,57 @@ fn pack_conv(codes: &[i32], scale: f32, out_c: usize) -> Option<PackedWeights> {
     Some(PackedWeights::pack(&weights, out_c, weights.len() / out_c))
 }
 
-/// Collects pack-once weight state for every conv instruction, recursing
-/// through inception branches in the same DFS pre-order
-/// [`FramePass::run_instruction`] visits them, so `conv_packs[i]` is the
-/// `i`-th conv a frame executes.
-fn collect_conv_packs(instructions: &[Instruction], packs: &mut Vec<Option<PackedWeights>>) {
+/// Calls `f` on every instruction in DFS pre-order through inception
+/// branches: the order [`FramePass::run_instruction`] executes them in.
+fn visit(instructions: &[Instruction], f: &mut impl FnMut(&Instruction)) {
     for inst in instructions {
-        match inst {
-            Instruction::Conv {
-                out_c,
-                codes,
-                scale,
-                ..
-            } => packs.push(pack_conv(codes, *scale, *out_c)),
-            Instruction::Inception { branches, .. } => {
-                for branch in branches {
-                    collect_conv_packs(branch, packs);
-                }
+        f(inst);
+        if let Instruction::Inception { branches, .. } = inst {
+            for branch in branches {
+                visit(branch, f);
             }
-            _ => {}
+        }
+    }
+}
+
+/// Entries in an [`LrnTable`]: 32 KB. GoogLeNet's LRN bases stay within
+/// ~6,600 ulps of `k`.
+const LRN_TABLE_LEN: u32 = 8192;
+
+/// Pack-once `x^−β` for one LRN `(k, β)` pair. On real activations an LRN
+/// base `k + (α/n)·Σv²` lies a few thousand ulps above `k`, so entry `i`
+/// holds `powf(−β)` of the f32 whose bits are `k`'s plus `i`. A base whose
+/// bit distance from `k` indexes the table reads `powf` of its own bits;
+/// any other base calls `powf` itself. Either way the result is
+/// `base.powf(−β)`, bit for bit.
+#[derive(Debug)]
+struct LrnTable {
+    k: f32,
+    beta: f32,
+    pow: Vec<f32>,
+}
+
+impl LrnTable {
+    fn new(k: f32, beta: f32) -> LrnTable {
+        let pow = (0..LRN_TABLE_LEN)
+            .map(|i| f32::from_bits(k.to_bits().wrapping_add(i)).powf(-beta))
+            .collect();
+        LrnTable { k, beta, pow }
+    }
+
+    /// Whether this is the table of `(k, β)`, compared by bits (a NaN
+    /// parameter matches its own table).
+    fn keyed(&self, k: f32, beta: f32) -> bool {
+        (self.k.to_bits(), self.beta.to_bits()) == (k.to_bits(), beta.to_bits())
+    }
+
+    /// `base^−β`.
+    #[inline]
+    fn pow(&self, base: f32) -> f32 {
+        let i = base.to_bits().wrapping_sub(self.k.to_bits());
+        match self.pow.get(i as usize) {
+            Some(&p) => p,
+            None => base.powf(-self.beta),
         }
     }
 }
@@ -525,7 +575,17 @@ impl FramePass<'_> {
                 snr,
                 ..
             } => {
-                let out = lrn(x, [c, h, w], *size, *alpha, *beta, *k, self.engine.threads)?;
+                // The engine built a table for every LRN pair of this very
+                // program; `find` keeps a miss a reported error.
+                let table = self
+                    .engine
+                    .lrn_tables
+                    .iter()
+                    .find(|t| t.keyed(*k, *beta))
+                    .ok_or_else(|| CoreError::BadProgram {
+                        reason: format!("lrn `{name}` has no x^-beta table"),
+                    })?;
+                let out = lrn(x, [c, h, w], *size, *alpha, table, self.engine.threads)?;
                 self.add_layer_noise(out, *snr, name)?
             }
             // Cannot fire: an inception returned at the top of this function.
@@ -695,14 +755,14 @@ impl FramePass<'_> {
 
     /// The quantization module: normalizes features to the ADC full scale,
     /// converts each through the bit-accurate SAR model, and returns the
-    /// dequantized host-domain tensor plus the raw codes. Each feature is
-    /// one noise site; bands share the engine's ADC and energy is the
+    /// dequantized host-domain tensor plus the raw codes. The ideal ADC
+    /// draws no noise, so the readout takes no substream. Features shard
+    /// over the thread budget, and energy is the
     /// `conversions × per-conversion` product. Also returns how many
     /// features clipped at the 0 V lower rail (per-band counts summed in
     /// band order, so the tally is thread-count independent).
     fn quantize(&mut self, x: &Tensor) -> Result<(Tensor, Vec<u32>, u64)> {
-        let stream = self.next_stream();
-        let template = self.engine.sar.as_ref().map_err(AnalogError::clone)?;
+        let adc = self.engine.sar.as_ref().map_err(AnalogError::clone)?;
         // Gain staging: features (post-rectification, ≥ 0) map onto the ADC
         // full scale; negative residues clip at the lower rail.
         let vmax = x.iter().fold(0.0f32, |m, &v| m.max(v));
@@ -720,27 +780,23 @@ impl FramePass<'_> {
         };
         let n = x.len();
         let src = x.as_slice();
+        let lsb = SarConversion::lsb(adc.resolution());
         let mut codes = vec![0u32; n];
-        let clips = shard_mut(&mut codes, self.engine.threads, 1, |first, band| {
+        let mut deq = vec![0.0f32; n];
+        let band = |first: usize, codes: &mut [u32], deq: &mut [f32]| {
             let mut clips = 0u64;
-            for (i, code) in band.iter_mut().enumerate() {
-                let idx = first + i;
-                if src[idx] < 0.0 {
-                    clips += 1;
-                }
-                let v = f64::from(src[idx].max(0.0)) / full_scale;
-                *code = template.convert(v, &mut stream.at(idx as u64)).code;
+            for ((code, d), &v) in codes.iter_mut().zip(deq).zip(&src[first..]) {
+                clips += u64::from(v < 0.0);
+                *code = adc.code(f64::from(v.max(0.0)) / full_scale);
+                // The host's dequantization is a pure function of each
+                // code: its mid-rise reconstruction `(code + ½)·2⁻ⁿ`,
+                // scaled back up.
+                *d = ((f64::from(*code) + 0.5) * lsb * full_scale) as f32;
             }
             clips
-        });
-        // The host's dequantization is a pure function of each code: its
-        // mid-rise reconstruction `(code + ½)·2⁻ⁿ`, scaled back up.
-        let lsb = SarConversion::lsb(template.resolution());
-        let deq = codes
-            .iter()
-            .map(|&code| ((f64::from(code) + 0.5) * lsb * full_scale) as f32)
-            .collect();
-        self.cost.convert(template, n as u64);
+        };
+        let clips = shard_pair_mut(&mut codes, &mut deq, self.engine.threads, band);
+        self.cost.convert(adc, n as u64);
         Ok((Tensor::from_vec(deq, x.dims())?, codes, clips.iter().sum()))
     }
 }
@@ -755,21 +811,38 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    let n = data.len();
-    // Serial below `ANALOG_PARALLEL_MIN` sites; never more than one site
-    // per worker.
-    let threads = if n < ANALOG_PARALLEL_MIN {
-        1
-    } else {
-        threads.clamp(1, n)
-    };
-    if threads <= 1 {
+    let Some(chunk) = band_len(data.len(), threads, align) else {
         return vec![f(0, data)];
-    }
-    let chunk = n.div_ceil(threads).div_ceil(align).max(1) * align;
+    };
     par::fan_out(data.chunks_mut(chunk).enumerate(), |(t, band)| {
         f(t * chunk, band)
     })
+}
+
+/// [`shard_mut`] over two equally long slices at once: band `[s, e)` of
+/// `a` and of `b` go to one call.
+fn shard_pair_mut<A, B, R, F>(a: &mut [A], b: &mut [B], threads: usize, f: F) -> Vec<R>
+where
+    A: Send,
+    B: Send,
+    R: Send,
+    F: Fn(usize, &mut [A], &mut [B]) -> R + Sync,
+{
+    debug_assert_eq!(a.len(), b.len());
+    let Some(chunk) = band_len(a.len(), threads, 1) else {
+        return vec![f(0, a, b)];
+    };
+    let bands = a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate();
+    par::fan_out(bands, |(t, (a, b))| f(t * chunk, a, b))
+}
+
+/// The band length that splits `n` sites over `threads` on `align`
+/// boundaries, or `None` to run serially: below `ANALOG_PARALLEL_MIN`
+/// sites, on one thread, and never more than one site per worker.
+fn band_len(n: usize, threads: usize, align: usize) -> Option<usize> {
+    let threads = threads.clamp(1, n.max(1));
+    (n >= ANALOG_PARALLEL_MIN && threads > 1)
+        .then(|| n.div_ceil(threads).div_ceil(align).max(1) * align)
 }
 
 /// Rectifies at zero when the layer fuses a ReLU. A conv output needs no
@@ -833,15 +906,15 @@ fn bad_pool_volume(e: TensorError) -> CoreError {
 /// holds its channel window's sum of squares, added channel by channel in
 /// channel order (so the sums vectorize across the plane and each element
 /// still sums `0 + v²` over its window in order), then is normalized in
-/// place. The channel planes shard freely over the thread budget (bands
-/// of whole planes).
+/// place, `v·(k + (α/n)·Σv²)^−β` with the power read from `table`. The
+/// channel planes shard freely over the thread budget (bands of whole
+/// planes).
 fn lrn(
     x: &Tensor,
     [c, h, w]: [usize; 3],
     size: usize,
     alpha: f32,
-    beta: f32,
-    k: f32,
+    table: &LrnTable,
     threads: usize,
 ) -> Result<Tensor> {
     let half = size / 2;
@@ -851,7 +924,7 @@ fn lrn(
         return Ok(Tensor::from_vec(out, &[c, h, w])?);
     }
     let src = x.as_slice();
-    let scale = alpha / size as f32;
+    let (k, scale) = (table.k, alpha / size as f32);
     shard_mut(&mut out, threads, plane, |first, band| {
         for (i, dst) in band.chunks_exact_mut(plane).enumerate() {
             let ci = first / plane + i;
@@ -864,7 +937,7 @@ fn lrn(
                 }
             }
             for (o, &v) in dst.iter_mut().zip(&src[ci * plane..(ci + 1) * plane]) {
-                *o = v * (k + scale * *o).powf(-beta);
+                *o = v * table.pow(k + scale * *o);
             }
         }
     });
@@ -1132,14 +1205,19 @@ mod tests {
         }
     }
 
-    /// LRN shards whole channel planes; an empty plane returns before
-    /// the plane-sized banding, at any thread budget.
     /// LRN as it was written before it summed plane by plane: each
-    /// element sums its channel window on its own.
-    fn lrn_elementwise(x: &Tensor, [c, h, w]: [usize; 3], size: usize, p: [f32; 3]) -> Vec<f32> {
+    /// element sums its channel window on its own and calls `powf`. Also
+    /// returns each element's base `k + (α/n)·Σv²`.
+    fn lrn_elementwise(
+        x: &Tensor,
+        [c, h, w]: [usize; 3],
+        size: usize,
+        p: [f32; 3],
+    ) -> (Vec<f32>, Vec<f32>) {
         let [alpha, beta, k] = p;
         let (half, plane, src) = (size / 2, h * w, x.as_slice());
         let mut out = vec![0.0f32; c * plane];
+        let mut bases = vec![0.0f32; c * plane];
         for ci in 0..c {
             let (lo, hi) = (ci.saturating_sub(half), (ci + half).min(c - 1));
             for q in 0..plane {
@@ -1150,29 +1228,55 @@ mod tests {
                 }
                 let denom = k + alpha / size as f32 * acc;
                 out[ci * plane + q] = src[ci * plane + q] * denom.powf(-beta);
+                bases[ci * plane + q] = denom;
             }
         }
-        out
+        (out, bases)
     }
 
     #[test]
     fn plane_wise_lrn_matches_the_elementwise_sums() {
         // GoogLeNet's norm1 parameters and others; fewer channels than the
         // window, odd planes, and planes big enough for threads to split.
-        let cases: &[([usize; 3], usize, [f32; 3])] = &[
-            ([3, 5, 7], 5, [1e-4, 0.75, 1.0]),
-            ([1, 9, 9], 5, [1e-4, 0.75, 1.0]),
-            ([7, 13, 11], 3, [2e-3, 0.5, 2.0]),
-            ([64, 17, 17], 5, [1e-4, 0.75, 1.0]),
-            ([12, 31, 29], 4, [0.1, 0.9, 0.5]),
+        // Each case gives its input range and whether its bases must hit
+        // the x^−β table, miss it, or both. Inputs ramp from 0 at a
+        // plane's start to the full range at its end, so ±300 inputs
+        // straddle the table's edge; the small-α cases at k = 2 and 0.5
+        // read it.
+        let (hit, miss, both) = ((true, false), (false, true), (true, true));
+        type Case = ([usize; 3], usize, [f32; 3], f32, (bool, bool));
+        let cases: &[Case] = &[
+            ([3, 5, 7], 5, [1e-4, 0.75, 1.0], 3.0, hit),
+            ([1, 9, 9], 5, [1e-4, 0.75, 1.0], 3.0, hit),
+            ([7, 13, 11], 3, [2e-3, 0.5, 2.0], 3.0, both),
+            ([64, 17, 17], 5, [1e-4, 0.75, 1.0], 3.0, hit),
+            ([12, 31, 29], 4, [0.1, 0.9, 0.5], 3.0, miss),
+            ([16, 19, 23], 5, [1e-4, 0.75, 1.0], 300.0, both),
+            ([10, 21, 21], 5, [1e-4, 0.5, 2.0], 3.0, hit),
+            ([10, 21, 21], 3, [1e-4, 0.75, 0.5], 1.0, hit),
         ];
         let mut rng = Rng::seed_from(23);
-        for &(dims, size, params) in cases {
-            let x = Tensor::uniform(&dims, -3.0, 3.0, &mut rng);
-            let want = lrn_elementwise(&x, dims, size, params);
+        for &(dims, size, params, range, (hits, misses)) in cases {
+            let mut x = Tensor::uniform(&dims, -range, range, &mut rng);
+            let plane = dims[1] * dims[2];
+            for (i, v) in x.iter_mut().enumerate() {
+                *v *= ((i % plane) as f32 / plane as f32).powi(3);
+            }
+            let (want, bases) = lrn_elementwise(&x, dims, size, params);
             let [alpha, beta, k] = params;
+            let in_table = bases
+                .iter()
+                .filter(|b| b.to_bits().wrapping_sub(k.to_bits()) < LRN_TABLE_LEN)
+                .count();
+            let read = (in_table > 0, in_table < bases.len());
+            assert!(
+                read.0 >= hits && read.1 >= misses,
+                "{dims:?} ±{range}, k {k}: {in_table} of {} bases in the table",
+                bases.len()
+            );
+            let table = LrnTable::new(k, beta);
             for threads in [1, 2, 3] {
-                let got = lrn(&x, dims, size, alpha, beta, k, threads).unwrap();
+                let got = lrn(&x, dims, size, alpha, &table, threads).unwrap();
                 let same = got
                     .iter()
                     .zip(&want)
@@ -1182,11 +1286,13 @@ mod tests {
         }
     }
 
+    /// LRN shards whole channel planes; an empty plane returns before
+    /// the plane-sized banding, at any thread budget.
     #[test]
     fn lrn_of_empty_planes_is_empty() {
         let x = Tensor::zeros(&[6, 0, 3]);
         for threads in [1, 2] {
-            let out = lrn(&x, [6, 0, 3], 5, 1e-4, 0.75, 1.0, threads).unwrap();
+            let out = lrn(&x, [6, 0, 3], 5, 1e-4, &LrnTable::new(1.0, 0.75), threads).unwrap();
             assert_eq!(out.dims(), &[6, 0, 3]);
         }
     }

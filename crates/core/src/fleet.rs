@@ -4,7 +4,7 @@
 //! The paper's deployment story is a *population* of sensors feeding a
 //! cloudlet, not one camera. Simulating that population naively builds one
 //! engine per device — re-cloning the program, re-packing the f32
-//! weight buffers, re-deriving the SAR bit-weight table, and re-running
+//! weight buffers, re-building the LRN power tables, and re-running
 //! static verification a thousand times over, even though devices differ
 //! only in fabrication corner, calibration trim, and noise seed. This
 //! module splits those concerns the same way [`FrameEngine`]/[`FrameCtx`]
@@ -17,9 +17,10 @@
 //!   seed, all **pure functions of `(fleet_seed, device_id)`**;
 //! - [`DeviceCtx`] — a device view binding the shared engine to one
 //!   profile (a few dozen bytes, built on demand);
-//! - [`FleetExecutor`] — runs heterogeneous device×frame tasks over the
-//!   task pool ([`crate::pool`]), bit-identical at any worker count and
-//!   whichever worker runs which task.
+//! - [`FleetExecutor`] — runs each device's frames as tasks of up to 8
+//!   consecutive frames over the task pool ([`crate::pool`]),
+//!   bit-identical at any worker count and whichever worker runs which
+//!   task.
 //!
 //! Determinism is the load-bearing property: a device's output depends
 //! only on `(program, fleet_seed, device_id, frame, input)`. The fleet
@@ -138,8 +139,8 @@ impl DeviceProfile {
 }
 
 /// The shared, immutable, pack-once engine of an entire fleet: one
-/// compiled program, one set of packed f32 weight buffers, one SAR
-/// bit-weight table, one *verified* status — reference-counted across all
+/// compiled program, one set of packed f32 weight buffers and LRN power
+/// tables, one *verified* status — reference-counted across all
 /// workers. Per-device state lives in [`DeviceProfile`] (a few dozen
 /// bytes); building a [`DeviceCtx`] allocates nothing program-sized.
 #[derive(Debug, Clone)]
@@ -266,6 +267,24 @@ impl DeviceCtx {
         input: &Tensor,
         scratch: &mut DeviceScratch,
     ) -> Result<DeviceFrame> {
+        let (output, energy, frame_time) = self.run_undigested(frame, input, scratch)?;
+        Ok(DeviceFrame {
+            payload_bits: output.ledger.readout_bits,
+            digest: frame_digest(&output),
+            output,
+            energy,
+            frame_time,
+        })
+    }
+
+    /// [`run_frame`](DeviceCtx::run_frame) without the digest: the engine
+    /// output plus the frame's corner-scaled energy and time.
+    fn run_undigested(
+        &self,
+        frame: u64,
+        input: &Tensor,
+        scratch: &mut DeviceScratch,
+    ) -> Result<(FrameOutput, Joules, Seconds)> {
         let calib = self.profile.calib;
         let (output, cost) = if calib.is_unity() {
             // Reference devices skip the staging copy entirely, so the
@@ -294,17 +313,7 @@ impl DeviceCtx {
             )?
         };
         let (ledger, timing) = cost.at_corner(self.profile.corner);
-        let energy = ledger.total();
-        let frame_time = timing.frame_time();
-        let payload_bits = output.ledger.readout_bits;
-        let digest = frame_digest(&output);
-        Ok(DeviceFrame {
-            output,
-            energy,
-            frame_time,
-            payload_bits,
-            digest,
-        })
+        Ok((output, ledger.total(), timing.frame_time()))
     }
 }
 
@@ -321,11 +330,14 @@ fn fnv_u32(mut h: u64, v: u32) -> u64 {
     h
 }
 
+/// The FNV-1a 64 offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-64 digest of one frame's observable output: every feature's exact
 /// bit pattern, every ADC code, and the forced/clip diagnostics. Two
 /// frames digest equal iff the host would receive identical data.
 pub fn frame_digest(out: &FrameOutput) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     for &v in out.features.iter() {
         h = fnv_u32(h, v.to_bits());
     }
@@ -335,6 +347,52 @@ pub fn frame_digest(out: &FrameOutput) -> u64 {
     h = fnv_u32(h, out.forced as u32);
     h = fnv_u32(h, out.rail_clips as u32);
     h
+}
+
+/// Digest chains [`frame_digests`] runs in lockstep, and the most frames a
+/// fleet task runs.
+const CHAINS: usize = 8;
+
+/// [`frame_digest`] of every output, in order. Each FNV-1a byte step is a
+/// dependent xor and multiply, so one digest is bound by the multiply's
+/// latency; this hashes up to [`CHAINS`] outputs as lockstep chains, whose
+/// multiplies the core overlaps. Each chain folds its own output's words
+/// in `frame_digest`'s order, so the digests are the same.
+fn frame_digests(outs: &[FrameOutput]) -> Vec<u64> {
+    let mut digests = Vec::with_capacity(outs.len());
+    for group in outs.chunks(CHAINS) {
+        let mut h = [FNV_OFFSET; CHAINS];
+        let h = &mut h[..group.len()];
+        let features: Vec<&[f32]> = group.iter().map(|o| o.features.as_slice()).collect();
+        fold_lockstep(h, &features, f32::to_bits);
+        let codes: Vec<&[u32]> = group.iter().map(|o| &o.codes[..]).collect();
+        fold_lockstep(h, &codes, |c| c);
+        for (h, out) in h.iter_mut().zip(group) {
+            *h = fnv_u32(fnv_u32(*h, out.forced as u32), out.rail_clips as u32);
+        }
+        digests.extend_from_slice(h);
+    }
+    digests
+}
+
+/// Folds `word` of each element of `lanes[l]` into chain `h[l]`: the
+/// lanes' common length in lockstep, then each lane's tail on its own.
+///
+/// The lane count is a runtime length on purpose: a fixed count lets the
+/// compiler pack the chains into one vector register, whose 64-bit
+/// multiply has about five times the latency of a scalar one.
+fn fold_lockstep<T: Copy>(h: &mut [u64], lanes: &[&[T]], word: impl Fn(T) -> u32) {
+    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
+    for i in 0..common {
+        for (h, lane) in h.iter_mut().zip(lanes) {
+            *h = fnv_u32(*h, word(lane[i]));
+        }
+    }
+    for (h, lane) in h.iter_mut().zip(lanes) {
+        for &v in &lane[common..] {
+            *h = fnv_u32(*h, word(v));
+        }
+    }
 }
 
 /// The frame stream of one device in a fleet run: device id plus the
@@ -422,12 +480,11 @@ impl FleetReport {
     }
 }
 
-/// One device×frame task for the pool.
+/// One pool task: a run of at most [`CHAINS`] consecutive frames of the
+/// device at `device_pos` in the submitted work.
 struct FleetTask {
     device_pos: usize,
-    device_id: u64,
-    frame: u64,
-    input: Arc<Tensor>,
+    frames: std::ops::Range<usize>,
 }
 
 /// Runs fleets of devices over the shared engine on the task pool.
@@ -454,9 +511,12 @@ impl FleetExecutor {
     }
 
     /// Executes every device's frame stream and aggregates the population
-    /// report. Device×frame tasks spread over the task pool; results are
-    /// re-sequenced into submission order, so the report — and its digest
-    /// — is bit-identical at any worker count and under any schedule.
+    /// report. Each device's stream splits into tasks of up to 8
+    /// consecutive frames, which spread over the task pool; a task runs
+    /// its frames on its worker's scratch, then digests them in lockstep
+    /// chains. Results are re-sequenced into submission order,
+    /// so the report — and its digest — is bit-identical at any worker
+    /// count and under any schedule.
     ///
     /// # Errors
     ///
@@ -466,14 +526,12 @@ impl FleetExecutor {
     ///
     /// [`CoreError::WorkerPanic`]: crate::CoreError::WorkerPanic
     pub fn run(&self, work: &[DeviceWork]) -> Result<FleetReport> {
-        let mut tasks = Vec::with_capacity(work.iter().map(|w| w.frames.len()).sum());
+        let mut tasks = Vec::new();
         for (device_pos, w) in work.iter().enumerate() {
-            for (j, input) in w.frames.iter().enumerate() {
+            for start in (0..w.frames.len()).step_by(CHAINS) {
                 tasks.push(FleetTask {
                     device_pos,
-                    device_id: w.device,
-                    frame: j as u64,
-                    input: Arc::clone(input),
+                    frames: start..(start + CHAINS).min(w.frames.len()),
                 });
             }
         }
@@ -483,44 +541,56 @@ impl FleetExecutor {
         let mut scratch: Vec<DeviceScratch> = (0..self.opts.workers.min(tasks.len()))
             .map(|_| DeviceScratch::new())
             .collect();
-        let results = run_tasks(&tasks, &mut scratch, |scratch, task| {
-            let device = engine.device(task.device_id);
-            device
-                .run_frame(task.frame, &task.input, scratch)
-                .map(|f| FrameStat {
-                    frame_time: f.frame_time,
-                    energy: f.energy,
-                    payload_bits: f.payload_bits,
-                    forced: f.output.forced,
-                    rail_clips: f.output.rail_clips,
-                    digest: f.digest,
-                })
+        let results = run_tasks(&tasks, &mut scratch, |scratch, task| -> Result<Vec<_>> {
+            let w = &work[task.device_pos];
+            let device = engine.device(w.device);
+            let mut outputs = Vec::with_capacity(task.frames.len());
+            let mut stats = Vec::with_capacity(task.frames.len());
+            for j in task.frames.clone() {
+                let (output, energy, frame_time) =
+                    device.run_undigested(j as u64, &w.frames[j], scratch)?;
+                stats.push(FrameStat {
+                    frame_time,
+                    energy,
+                    payload_bits: output.ledger.readout_bits,
+                    forced: output.forced,
+                    rail_clips: output.rail_clips,
+                    digest: 0,
+                });
+                outputs.push(output);
+            }
+            for (stat, digest) in stats.iter_mut().zip(frame_digests(&outputs)) {
+                stat.digest = digest;
+            }
+            Ok(stats)
         });
 
         // Re-assemble per device, in submission order (tasks are
-        // device-major, so each device's frames are contiguous).
+        // device-major and frame-ordered, so each device's frames are
+        // contiguous).
         let mut devices: Vec<DeviceOutcome> = work
             .iter()
             .map(|w| DeviceOutcome {
                 profile: DeviceProfile::for_device(engine.fleet_seed(), w.device),
                 frames: Vec::with_capacity(w.frames.len()),
-                digest: 0xcbf2_9ce4_8422_2325,
+                digest: FNV_OFFSET,
             })
             .collect();
         let mut energy = Joules::zero();
         let mut payload_bits = 0u64;
         let mut frames = 0u64;
         for (task, result) in tasks.iter().zip(results) {
-            let stat = result??;
             let outcome = &mut devices[task.device_pos];
-            outcome.digest = fnv_u32(outcome.digest, (stat.digest >> 32) as u32);
-            outcome.digest = fnv_u32(outcome.digest, stat.digest as u32);
-            outcome.frames.push(stat);
-            energy += stat.energy;
-            payload_bits += stat.payload_bits;
-            frames += 1;
+            for stat in result?? {
+                outcome.digest = fnv_u32(outcome.digest, (stat.digest >> 32) as u32);
+                outcome.digest = fnv_u32(outcome.digest, stat.digest as u32);
+                outcome.frames.push(stat);
+                energy += stat.energy;
+                payload_bits += stat.payload_bits;
+                frames += 1;
+            }
         }
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         for d in &devices {
             digest = fnv_u32(digest, (d.digest >> 32) as u32);
             digest = fnv_u32(digest, d.digest as u32);
@@ -654,6 +724,53 @@ mod tests {
             codes[0] = 10_000;
         }
         assert!(FleetEngine::new(program, 1).is_err());
+    }
+
+    /// A synthetic output: `features` and `codes` words derived from
+    /// `salt`, and `salt`-derived diagnostics.
+    fn output(features: usize, codes: usize, salt: u32) -> FrameOutput {
+        let values = (0..features)
+            .map(|i| (i as f32 + salt as f32) * 0.37)
+            .collect();
+        FrameOutput {
+            features: Tensor::from_vec(values, &[features]).unwrap(),
+            codes: (0..codes as u32)
+                .map(|i| i.wrapping_mul(0x9e37_79b9) ^ salt)
+                .collect(),
+            ledger: crate::EnergyLedger::default(),
+            elapsed: Seconds::new(0.0),
+            forced: u64::from(salt),
+            rail_clips: 3 * u64::from(salt),
+            code_mac_hits: 0,
+        }
+    }
+
+    #[test]
+    fn lockstep_digests_equal_one_digest_per_output() {
+        // Unequal feature and code lengths, empty outputs, and more
+        // outputs than one group of chains.
+        let shapes = [
+            (5, 5),
+            (0, 0),
+            (3, 9),
+            (17, 1),
+            (5, 5),
+            (0, 4),
+            (2, 0),
+            (8, 8),
+            (1, 1),
+            (6, 2),
+            (40, 40),
+        ];
+        let outs: Vec<FrameOutput> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, c))| output(f, c, i as u32))
+            .collect();
+        for n in 0..=outs.len() {
+            let want: Vec<u64> = outs[..n].iter().map(frame_digest).collect();
+            assert_eq!(frame_digests(&outs[..n]), want, "first {n} outputs");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! slice through one shared claim cursor.
 //!
 //! A batch of frames ([`BatchExecutor`](crate::BatchExecutor)) and a fleet
-//! of device×frame tasks ([`FleetExecutor`](crate::FleetExecutor)) each run
+//! of device frame segments ([`FleetExecutor`](crate::FleetExecutor)) each run
 //! as one [`run_tasks`] call. Fleet tasks vary widely in weight (a
 //! low-light device's denoised burst next to a privacy-filtered
 //! thumbnail), so no task is bound to a worker in advance: a free worker

@@ -8,7 +8,9 @@
 //! fleet's reference device. All must agree on every frame's digest
 //! (features and ADC codes), ledger and forced-decision count, and the
 //! digests are pinned, so a change that flips a single comparator
-//! decision, noise sample or SAR code fails here.
+//! decision, noise sample or SAR code fails here. Fleet tasks digest
+//! several frames at once; on ragged device streams each frame's digest
+//! equals the frame run alone.
 //!
 //! GoogLeNet's two 3×3 max-pool shapes are pinned on their own, at one and
 //! two threads, on planes whose thread bands end part-way through an
@@ -244,6 +246,50 @@ fn serial_batch_and_fleet_reference_agree_on_a_pinned_frame_digest() {
     assert!(want.iter().all(|f| f.ledger.comparisons > 0));
     let fold = fold(want.iter().map(|f| f.digest));
     assert_eq!(fold, PINNED_FOLD, "digest fold {fold:#018x}");
+}
+
+/// A fleet task runs up to eight consecutive frames of one device and
+/// digests them as lockstep chains. On ragged streams of 1, 7, 8, 9 and 17
+/// frames (one short task, one full task, full tasks plus a short one),
+/// every reported digest equals `frame_digest` of the same device frame
+/// run alone on fresh scratch, at one and three workers.
+#[test]
+fn fleet_frame_digests_equal_each_device_frame_run_alone() {
+    let inputs: Vec<Arc<Tensor>> = scenes().into_iter().map(Arc::new).collect();
+    let work: Vec<DeviceWork> = [1usize, 7, 8, 9, 17]
+        .iter()
+        .enumerate()
+        .map(|(d, &n)| DeviceWork {
+            device: 3 + d as u64,
+            frames: (0..n)
+                .map(|j| Arc::clone(&inputs[(d + j) % FRAMES]))
+                .collect(),
+        })
+        .collect();
+    let fleet = FleetEngine::new(program(), SEED).expect("fleet engine builds");
+    let alone: Vec<Vec<u64>> = work
+        .iter()
+        .map(|w| {
+            let device = fleet.device(w.device);
+            let run = |(j, input): (usize, &Arc<Tensor>)| {
+                let frame = device
+                    .run_frame(j as u64, input, &mut DeviceScratch::new())
+                    .expect("device frame");
+                frame_digest(&frame.output)
+            };
+            w.frames.iter().enumerate().map(run).collect()
+        })
+        .collect();
+    for workers in [1, 3] {
+        let report = FleetExecutor::with_options(fleet.clone(), FleetOptions { workers })
+            .run(&work)
+            .expect("fleet runs");
+        assert_eq!(report.frames, 42);
+        for ((w, outcome), want) in work.iter().zip(&report.devices).zip(&alone) {
+            let got: Vec<u64> = outcome.frames.iter().map(|f| f.digest).collect();
+            assert_eq!(&got, want, "device {}, {workers} workers", w.device);
+        }
+    }
 }
 
 /// Runs every frame of `inputs` through one engine at a thread budget.
