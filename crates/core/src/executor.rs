@@ -373,8 +373,10 @@ fn visit(instructions: &[Instruction], f: &mut impl FnMut(&Instruction)) {
 }
 
 /// Entries in an [`LrnTable`]: 32 KB. GoogLeNet's LRN bases stay within
-/// ~6,600 ulps of `k`.
+/// ~6,600 ulps of `k`. A power of two, so that masking an index in the
+/// table leaves it unchanged.
 const LRN_TABLE_LEN: u32 = 8192;
+const _: () = assert!(LRN_TABLE_LEN.is_power_of_two());
 
 /// Pack-once `x^−β` for one LRN `(k, β)` pair. On real activations an LRN
 /// base `k + (α/n)·Σv²` lies a few thousand ulps above `k`, so entry `i`
@@ -386,14 +388,14 @@ const LRN_TABLE_LEN: u32 = 8192;
 struct LrnTable {
     k: f32,
     beta: f32,
-    pow: Vec<f32>,
+    pow: Box<[f32; LRN_TABLE_LEN as usize]>,
 }
 
 impl LrnTable {
     fn new(k: f32, beta: f32) -> LrnTable {
-        let pow = (0..LRN_TABLE_LEN)
-            .map(|i| f32::from_bits(k.to_bits().wrapping_add(i)).powf(-beta))
-            .collect();
+        let pow = Box::new(std::array::from_fn(|i| {
+            f32::from_bits(k.to_bits().wrapping_add(i as u32)).powf(-beta)
+        }));
         LrnTable { k, beta, pow }
     }
 
@@ -412,7 +414,26 @@ impl LrnTable {
             None => base.powf(-self.beta),
         }
     }
+
+    /// `base^−β` of [`LRN_LANES`] bases at once: one bounds test for the
+    /// group and, when every base indexes the table, a gather the compiler
+    /// vectorizes. A group with a miss takes [`LrnTable::pow`] per base, so
+    /// each result is the same either way.
+    #[inline]
+    fn pow_lanes(&self, base: [f32; LRN_LANES]) -> [f32; LRN_LANES] {
+        let index = base.map(|b| b.to_bits().wrapping_sub(self.k.to_bits()));
+        if index.iter().fold(0, |m, &i| m.max(i)) < LRN_TABLE_LEN {
+            // The mask is a no-op on indices in the table; it lets the
+            // compiler drop the per-lane bounds check.
+            index.map(|i| self.pow[i as usize & (LRN_TABLE_LEN as usize - 1)])
+        } else {
+            base.map(|b| self.pow(b))
+        }
+    }
 }
+
+/// Elements per group of [`LrnTable::pow_lanes`].
+const LRN_LANES: usize = 16;
 
 impl FrameCtx {
     /// A fresh context with empty scratch.
@@ -644,7 +665,7 @@ impl FramePass<'_> {
     ) -> Result<(Tensor, u64)> {
         let stream = self.next_stream();
         // Gain staging: map the plane's max magnitude to the rail swing.
-        let max_abs = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let max_abs = max_fold(x.as_slice(), f32::abs);
         if !max_abs.is_finite() {
             return Err(not_finite(name, "input magnitude", max_abs));
         }
@@ -765,14 +786,15 @@ impl FramePass<'_> {
         let adc = self.engine.sar.as_ref().map_err(AnalogError::clone)?;
         // Gain staging: features (post-rectification, ≥ 0) map onto the ADC
         // full scale; negative residues clip at the lower rail.
-        let vmax = x.iter().fold(0.0f32, |m, &v| m.max(v));
+        let vmax = max_fold(x.as_slice(), |v| v);
         if !vmax.is_finite() {
             return Err(not_finite("readout", "full scale", vmax));
         }
         // Floor the full scale at the smallest normal f32: a subnormal
         // maximum (a degenerate all-≈0 frame) would otherwise set a gain of
         // up to ~2^126 and blow the reconstruction up to ±inf. Such frames
-        // carry no signal, so the 1 V default scale applies.
+        // carry no signal, so the 1 V default scale applies (to a maximum
+        // of either signed zero alike).
         let full_scale = if vmax >= f32::MIN_POSITIVE {
             f64::from(vmax)
         } else {
@@ -800,6 +822,23 @@ impl FramePass<'_> {
         Ok((Tensor::from_vec(deq, x.dims())?, codes, clips.iter().sum()))
     }
 }
+
+/// The largest `map(v)` over `xs`, and 0 for an empty slice: `0.0` folded
+/// with `f32::max` into [`MAX_LANES`] accumulators that the compiler keeps
+/// in vector registers, which are then combined. `f32::max` is exact and
+/// drops a NaN operand whatever the order, so only the sign of a zero
+/// result can depend on the grouping.
+fn max_fold(xs: &[f32], map: impl Fn(f32) -> f32) -> f32 {
+    let (groups, rest) = xs.as_chunks::<MAX_LANES>();
+    let lanes = groups.iter().fold([0.0f32; MAX_LANES], |acc, g| {
+        std::array::from_fn(|l| acc[l].max(map(g[l])))
+    });
+    rest.iter()
+        .fold(lanes.into_iter().fold(0.0, f32::max), |m, &v| m.max(map(v)))
+}
+
+/// Accumulators of [`max_fold`].
+const MAX_LANES: usize = 16;
 
 /// Runs `f` over bands of `data` whose starts are multiples of `align`
 /// (pair-aligned sharding for the batched normal fills), in parallel when
@@ -936,7 +975,13 @@ fn lrn(
                     *acc += v * v;
                 }
             }
-            for (o, &v) in dst.iter_mut().zip(&src[ci * plane..(ci + 1) * plane]) {
+            let (dst_groups, dst_rest) = dst.as_chunks_mut::<LRN_LANES>();
+            let (src_groups, src_rest) = src[ci * plane..(ci + 1) * plane].as_chunks::<LRN_LANES>();
+            for (o, v) in dst_groups.iter_mut().zip(src_groups) {
+                let pow = table.pow_lanes(o.map(|sum| k + scale * sum));
+                *o = std::array::from_fn(|l| v[l] * pow[l]);
+            }
+            for (o, &v) in dst_rest.iter_mut().zip(src_rest) {
                 *o = v * table.pow(k + scale * *o);
             }
         }

@@ -33,6 +33,7 @@ mod conv;
 mod error;
 mod gemm;
 mod linalg;
+pub mod math;
 mod noise_stream;
 mod ops;
 pub mod par;

@@ -22,19 +22,23 @@
 //! share one two-output Marsaglia polar evaluation (one `ln`/`sqrt`, no
 //! trigonometry), cutting the transcendental cost well below scalar
 //! per-element Box–Muller. Pairs are evaluated a block at a time, phase by
-//! phase (hashes and first attempts, retries, `ln`, scale), so independent
-//! pairs overlap in the pipeline instead of queueing behind one another's
-//! rejection branch and `ln`. Because the pair index is derived from the
-//! element index, a fill over `[lo, hi)` equals the concatenation of fills
-//! over any partition of `[lo, hi)` — the property the column-parallel
-//! executor relies on.
+//! phase (hashes and first attempts, lockstep retry rounds, scale, apply),
+//! and every phase is a loop over the block with no per-pair branch, so
+//! the compiler vectorizes it. The `ln` is the owned [`crate::math::ln`],
+//! bit-identical to glibc's `logf` but plain arithmetic, so noise bits do
+//! not depend on the platform libm. Because the pair index is derived from
+//! the element index, a fill over `[lo, hi)` equals the concatenation of
+//! fills over any partition of `[lo, hi)` — the property the
+//! column-parallel executor relies on.
 
+use crate::math;
 use std::f32::consts::PI;
 
 /// SplitMix64 Weyl increment (golden-ratio constant).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Sites per lockstep block of [`NoiseStream::uniform_indices`].
+/// Sites per lockstep group: of [`NoiseStream::uniform_indices`], and of
+/// one pass of the batched normal fill's retry rounds.
 pub const LANES: usize = 8;
 
 /// The SplitMix64 output finalizer: a bijective avalanche mix of `z`.
@@ -54,16 +58,53 @@ fn unit_f32(x: u64) -> f32 {
     (x >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
 }
 
-/// Whole sample pairs per block of the batched normal fill. A block's four
-/// per-pair `f32` arrays (4 KiB) and its retry list live on the stack.
+/// Whole sample pairs per block of the batched normal fill.
 const BLOCK_PAIRS: usize = 256;
 
-/// One Marsaglia polar attempt from `site`'s next two uniforms: the point
-/// `(u, v)` on `[−1, 1)²` and its squared radius `s`.
-#[inline]
-fn polar_attempt(site: &mut SiteRng) -> (f32, f32, f32) {
-    let u = 2.0 * site.next_f32() - 1.0;
-    let v = 2.0 * site.next_f32() - 1.0;
+/// The per-pair arrays of one block of the batched normal fill (8.5 KiB).
+/// [`NoiseStream::for_each_normal`] zeroes one on its stack and reuses it
+/// for every block, instead of zeroing fresh arrays per block.
+struct PolarBlock {
+    /// Each pair's current polar point.
+    u: [f32; BLOCK_PAIRS],
+    v: [f32; BLOCK_PAIRS],
+    /// Each pair's squared radius `s`; in the last phases, its polar
+    /// factor.
+    s: [f32; BLOCK_PAIRS],
+    /// The pairs still rejected, as indices into the block, packed at the
+    /// front.
+    listed: [u16; BLOCK_PAIRS],
+    /// The listed pairs' site states, in `listed` order (before the
+    /// listing, every pair's, in pair order).
+    state: [u64; BLOCK_PAIRS],
+    /// One retry round's attempts, in `listed` order.
+    retry_u: [f32; BLOCK_PAIRS],
+    retry_v: [f32; BLOCK_PAIRS],
+    retry_s: [f32; BLOCK_PAIRS],
+}
+
+impl PolarBlock {
+    const ZERO: PolarBlock = PolarBlock {
+        u: [0.0; BLOCK_PAIRS],
+        v: [0.0; BLOCK_PAIRS],
+        s: [0.0; BLOCK_PAIRS],
+        listed: [0; BLOCK_PAIRS],
+        state: [0; BLOCK_PAIRS],
+        retry_u: [0.0; BLOCK_PAIRS],
+        retry_v: [0.0; BLOCK_PAIRS],
+        retry_s: [0.0; BLOCK_PAIRS],
+    };
+}
+
+/// Attempt `attempt` (from 0) of the Marsaglia polar method for the site
+/// whose generator starts at `state` (see [`SiteRng`]): the point `(u, v)`
+/// on `[−1, 1)²` built from the site's draws `2·attempt` and
+/// `2·attempt + 1`, and its squared radius `s`.
+#[inline(always)]
+fn polar_attempt(state: u64, attempt: u64) -> (f32, f32, f32) {
+    let draw = |j: u64| unit_f32(mix(state.wrapping_add((j + 1).wrapping_mul(GOLDEN))));
+    let u = 2.0 * draw(2 * attempt) - 1.0;
+    let v = 2.0 * draw(2 * attempt + 1) - 1.0;
     (u, v, u * u + v * v)
 }
 
@@ -74,21 +115,24 @@ fn polar_accepts(s: f32) -> bool {
     s > 0.0 && s < 1.0
 }
 
-/// Polar attempts from `site` until one is accepted.
+/// The first accepted polar attempt of the site whose generator starts at
+/// `state`.
 #[inline]
-fn polar_point(site: &mut SiteRng) -> (f32, f32, f32) {
+fn polar_point(state: u64) -> (f32, f32, f32) {
+    let mut attempt = 0;
     loop {
-        let (u, v, s) = polar_attempt(site);
-        if polar_accepts(s) {
-            return (u, v, s);
+        let point = polar_attempt(state, attempt);
+        if polar_accepts(point.2) {
+            return point;
         }
+        attempt += 1;
     }
 }
 
-/// The polar transform's factor `sqrt(−2·ln s / s)`, given `ln s`.
-#[inline]
-fn polar_scale(s: f32, ln_s: f32) -> f32 {
-    (-2.0 * ln_s / s).sqrt()
+/// The polar transform's factor `sqrt(−2·ln s / s)`.
+#[inline(always)]
+fn polar_scale(s: f32) -> f32 {
+    (-2.0 * math::ln(s) / s).sqrt()
 }
 
 /// Minimal sampling interface shared by the sequential [`crate::Rng`] and
@@ -216,8 +260,8 @@ impl NoiseStream {
     /// function of `(key, pair)` and fills remain partition-invariant.
     #[inline]
     fn normal_pair(&self, pair: u64) -> (f32, f32) {
-        let (u, v, s) = polar_point(&mut self.at(pair));
-        let scale = polar_scale(s, s.ln());
+        let (u, v, s) = polar_point(self.at(pair).state);
+        let scale = polar_scale(s);
         (u * scale, v * scale)
     }
 
@@ -258,7 +302,7 @@ impl NoiseStream {
     /// pair and a trailing element on an even one the first half; each
     /// recomputes its pair on its own and keeps that half. Every whole pair
     /// in between goes through [`NoiseStream::normal_block`], up to
-    /// [`BLOCK_PAIRS`] at a time.
+    /// [`BLOCK_PAIRS`] at a time, all blocks sharing one [`PolarBlock`].
     #[inline]
     fn for_each_normal(&self, first: u64, dst: &mut [f32], apply: impl Fn(&mut f32, f32)) {
         let mut body = dst;
@@ -271,8 +315,16 @@ impl NoiseStream {
         }
         let first_pair = first.div_ceil(2);
         let (pairs, tail) = body.split_at_mut(body.len() & !1);
-        for (b, block) in pairs.chunks_mut(2 * BLOCK_PAIRS).enumerate() {
-            self.normal_block(first_pair + (b * BLOCK_PAIRS) as u64, block, &apply);
+        if !pairs.is_empty() {
+            let mut block = PolarBlock::ZERO;
+            for (b, dst) in pairs.chunks_mut(2 * BLOCK_PAIRS).enumerate() {
+                self.normal_block(
+                    &mut block,
+                    first_pair + (b * BLOCK_PAIRS) as u64,
+                    dst,
+                    &apply,
+                );
+            }
         }
         if let [last] = tail {
             apply(
@@ -287,48 +339,94 @@ impl NoiseStream {
     /// pair `first_pair + k`, each exactly as [`NoiseStream::normal_pair`]
     /// computes it.
     ///
-    /// The per-pair work is split into four phases over the block, so that
-    /// no phase carries a dependency from one pair to the next:
+    /// The per-pair work is split into phases over the block, so that no
+    /// phase carries a dependency from one pair to the next and none has a
+    /// per-pair branch:
     ///
-    /// 1. every pair's first polar attempt — its site hash, two uniforms,
-    ///    `u`, `v` and `s` — with no branch;
-    /// 2. the pairs whose first attempt was rejected (about 21%) retry in
-    ///    a scalar loop from their own site's draw 2 on;
-    /// 3. `s.ln()` as one independent libm call per pair (a vector `ln`
-    ///    could not be shown to round like it);
-    /// 4. `sqrt(−2·ln s / s)`, the two products and `apply`, a tail the
-    ///    compiler vectorizes.
+    /// 1. every pair's site hash and first polar attempt — two uniforms,
+    ///    `u`, `v` and `s`;
+    /// 2. the rejected pairs (about 21%) are listed with their site states
+    ///    and retry in lockstep rounds: round `r` draws attempt `r` of
+    ///    every listed pair in one pass, [`LANES`] at a time, and a
+    ///    branch-free compaction keeps those still rejected (about 21% of
+    ///    them again) for the next round, until none is left;
+    /// 3. `sqrt(−2·ln s / s)` per pair, through the owned [`math::ln`];
+    /// 4. the two products and `apply`.
+    ///
+    /// Phases 1, 3 and 4 and each round's attempts are loops the compiler
+    /// vectorizes. A pair's attempts use its own site's draws in order, so
+    /// every value goes through the same operations as in `normal_pair`.
     #[inline(always)]
-    fn normal_block(&self, first_pair: u64, dst: &mut [f32], apply: &impl Fn(&mut f32, f32)) {
+    fn normal_block(
+        &self,
+        block: &mut PolarBlock,
+        first_pair: u64,
+        dst: &mut [f32],
+        apply: &impl Fn(&mut f32, f32),
+    ) {
         let pairs = dst.len() / 2;
         debug_assert!(pairs <= BLOCK_PAIRS && dst.len().is_multiple_of(2));
-        let mut u = [0.0f32; BLOCK_PAIRS];
-        let mut v = [0.0f32; BLOCK_PAIRS];
-        let mut s = [0.0f32; BLOCK_PAIRS];
+        let PolarBlock {
+            u,
+            v,
+            s,
+            listed,
+            state,
+            retry_u,
+            retry_v,
+            retry_s,
+        } = block;
         for k in 0..pairs {
-            (u[k], v[k], s[k]) = polar_attempt(&mut self.at(first_pair + k as u64));
+            state[k] = self.at(first_pair + k as u64).state;
+            (u[k], v[k], s[k]) = polar_attempt(state[k], 0);
         }
-        let mut rejected = [0u16; BLOCK_PAIRS];
-        let mut retries = 0;
-        for (k, &sk) in s[..pairs].iter().enumerate() {
-            rejected[retries] = k as u16;
-            retries += usize::from(!polar_accepts(sk));
+        // List the rejected pairs from a bit mask per 64 pairs, so the loop
+        // runs once per rejected pair instead of once per pair.
+        let mut pending = 0;
+        for (c, chunk) in s[..pairs].chunks(64).enumerate() {
+            let mut rejected = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (l, &sk)| m | u64::from(!polar_accepts(sk)) << l);
+            while rejected != 0 {
+                let k = 64 * c + rejected.trailing_zeros() as usize;
+                listed[pending] = k as u16;
+                state[pending] = state[k];
+                pending += 1;
+                rejected &= rejected - 1;
+            }
         }
-        for &k in &rejected[..retries] {
-            let k = usize::from(k);
-            let mut site = self.at(first_pair + k as u64);
-            // Step past the two draws of the rejected first attempt.
-            site.state = site.state.wrapping_add(GOLDEN.wrapping_mul(2));
-            (u[k], v[k], s[k]) = polar_point(&mut site);
+        let mut round = 1;
+        while pending > 0 {
+            // Whole lane groups: the spare lanes past `pending` draw from
+            // stale states, and their results are never read.
+            let lanes = pending.next_multiple_of(LANES);
+            let (states, _) = state[..lanes].as_chunks::<LANES>();
+            let (us, _) = retry_u[..lanes].as_chunks_mut::<LANES>();
+            let (vs, _) = retry_v[..lanes].as_chunks_mut::<LANES>();
+            let (ss, _) = retry_s[..lanes].as_chunks_mut::<LANES>();
+            for (((st, ru), rv), rs) in states.iter().zip(us).zip(vs).zip(ss) {
+                for l in 0..LANES {
+                    (ru[l], rv[l], rs[l]) = polar_attempt(st[l], round);
+                }
+            }
+            let mut kept = 0;
+            for j in 0..pending {
+                let k = usize::from(listed[j]);
+                (u[k], v[k], s[k]) = (retry_u[j], retry_v[j], retry_s[j]);
+                listed[kept] = k as u16;
+                state[kept] = state[j];
+                kept += usize::from(!polar_accepts(retry_s[j]));
+            }
+            pending = kept;
+            round += 1;
         }
-        let mut ln = [0.0f32; BLOCK_PAIRS];
-        for (l, &sk) in ln[..pairs].iter_mut().zip(&s[..pairs]) {
-            *l = sk.ln();
+        for sk in &mut s[..pairs] {
+            *sk = polar_scale(*sk);
         }
-        for (k, out) in dst.chunks_exact_mut(2).enumerate() {
-            let scale = polar_scale(s[k], ln[k]);
-            apply(&mut out[0], u[k] * scale);
-            apply(&mut out[1], v[k] * scale);
+        for ((out, &uk), (&vk, &scale)) in dst.chunks_exact_mut(2).zip(&*u).zip(v.iter().zip(&*s)) {
+            apply(&mut out[0], uk * scale);
+            apply(&mut out[1], vk * scale);
         }
     }
 
@@ -415,7 +513,7 @@ impl SiteRng {
 #[inline]
 pub fn box_muller_radius(u1_index: u32) -> f32 {
     let u1 = unit_f32(u64::from(u1_index) << 40).max(f32::MIN_POSITIVE);
-    (-2.0 * u1.ln()).sqrt()
+    (-2.0 * math::ln(u1)).sqrt()
 }
 
 /// The Box–Muller `(sin, cos)` of the angle `2π·u2` for the `u2` uniform
@@ -673,8 +771,8 @@ mod tests {
 
     /// `s` of each polar attempt of `pair`, first attempt first.
     fn polar_attempts(stream: &NoiseStream, pair: u64) -> impl Iterator<Item = f32> {
-        let mut site = stream.at(pair);
-        std::iter::repeat_with(move || polar_attempt(&mut site).2)
+        let state = stream.at(pair).state;
+        (0..).map(move |attempt| polar_attempt(state, attempt).2)
     }
 
     /// Fills around `pair` so that it is a whole pair inside a block, in
@@ -696,14 +794,16 @@ mod tests {
     }
 
     #[test]
-    fn rejected_first_attempts_retry_from_draw_two() {
+    fn pairs_rejected_one_to_six_times_match_the_oracle() {
+        // A pair rejected `times` times leaves the retry list after round
+        // `times`, beside ordinary pairs that leave it earlier.
         let stream = NoiseStream::new(14).substream(2);
         let rejections = |pair: u64| {
             polar_attempts(&stream, pair)
                 .take_while(|&s| !polar_accepts(s))
                 .count()
         };
-        for times in [1, 2] {
+        for times in [1, 2, 3, 4, 6] {
             let pair = (BLOCK as u64..).find(|&p| rejections(p) == times).unwrap();
             assert_pair_matches_pairwise(&stream, pair);
         }

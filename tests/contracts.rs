@@ -27,7 +27,9 @@
 //! frame time exactly, with the same op counts.
 //!
 //! The layer-noise kernel is pinned on its own as well, so a rewrite that
-//! changes a single noise sample fails here without running a frame.
+//! changes a single noise sample fails here without running a frame. So is
+//! the owned `ln` behind it and the Box–Muller radius: plain f64
+//! arithmetic, so the pin holds on every libm.
 //!
 //! The task pool, which runs every batch and fleet, runs each task exactly
 //! once on one of the caller's worker states and returns results in
@@ -61,8 +63,8 @@ use redeye::core::{
 };
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::tensor::{
-    conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, par, ConvGeom, NoiseStream,
-    PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
+    box_muller_radius, conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, math, par,
+    ConvGeom, NoiseStream, PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -81,6 +83,8 @@ const PINNED_DEPTH1_FOLD: u64 = 0xafc9_576d_e0a7_02bb;
 const PINNED_NARROW_FOLD: u64 = 0x75b9_b5b9_4cd0_4343;
 /// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
+/// Fold of the result bits in `the_owned_ln_and_box_muller_radius_are_pinned`.
+const PINNED_LN_FOLD: u64 = 0x695b_054e_86b3_5c66;
 
 /// FNV-1a over 64-bit words.
 fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -475,6 +479,27 @@ fn layer_noise_samples_are_pinned() {
     stream.add_scaled_normal(1001, 0.25, &mut plane);
     let fold = fold(plane.iter().map(|v| u64::from(v.to_bits())));
     assert_eq!(fold, PINNED_NOISE_FOLD, "noise fold {fold:#018x}");
+}
+
+/// `math::ln` on 2^20 points spread evenly over the normal f32 bits below
+/// 1.0, on both sides of each of its 16 table-interval edges, and the
+/// Box–Muller radius of every 4,096th uniform index. The fold equals the
+/// one libm's `f32::ln` gives on glibc ≥ 2.28.
+#[test]
+fn the_owned_ln_and_box_muller_radius_are_pinned() {
+    let sweep = (0..1u32 << 20).map(|i| 0x0080_0000 + i * 1008);
+    let edges = (0..16u32).flat_map(|j| {
+        let edge = 0x3f33_0000 + (j << 19);
+        [edge - 1, edge]
+    });
+    let logs = sweep
+        .chain(edges)
+        .map(|bits| math::ln(f32::from_bits(bits)).to_bits());
+    let radii = (0..1u32 << 24)
+        .step_by(4096)
+        .map(|i| box_muller_radius(i).to_bits());
+    let fold = fold(logs.chain(radii).map(u64::from));
+    assert_eq!(fold, PINNED_LN_FOLD, "ln fold {fold:#018x}");
 }
 
 /// 41 tasks whose first five are ~100× heavier than the rest, at one, two
