@@ -71,11 +71,11 @@ fn main() {
     let harness = AccuracyHarness::new(workload::validation_set(n, 11), threads);
     let accuracy = |params: &[Tensor], snr: f64| -> f32 {
         harness
-            .evaluate(|worker| {
+            .evaluate(|| {
                 let opts = InstrumentOptions {
                     snr: SnrDb::new(snr),
                     adc_bits: 4,
-                    seed: 77 + worker as u64,
+                    seed: 77,
                     ..InstrumentOptions::paper_default("pool3")
                 };
                 instrument(&spec, params, &opts)

@@ -118,9 +118,9 @@ fn bench_accuracy_sweep(records: &mut Vec<Record>, max_threads: usize) {
         let harness = AccuracyHarness::new(examples.clone(), threads);
         let ms = wall_ms(|| {
             harness
-                .evaluate(|worker| {
+                .evaluate(|| {
                     let opts = InstrumentOptions {
-                        seed: 31 + worker as u64,
+                        seed: 31,
                         ..InstrumentOptions::paper_default("pool3")
                     };
                     instrument(&spec, &params, &opts)

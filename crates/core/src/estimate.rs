@@ -127,9 +127,9 @@ fn noisy_stages(layer: &redeye_nn::LayerSpec) -> usize {
 /// at the plan's default.
 ///
 /// This is the quantity that locates the Fig. 9 knee: GoogLeNet Depth5 at
-/// a uniform 40 dB accumulates to ≈29–30 dB at the readout — matching the
-/// paper's observation that accuracy only suffers "when SNR drops below
-/// 30 dB".
+/// a uniform 40 dB accumulates to ≈27.7 dB at the readout (Depth1 to
+/// Depth4: ≈34.0, 31.0, 28.9 and 28.2 dB) — near the paper's observation
+/// that accuracy only suffers "when SNR drops below 30 dB".
 ///
 /// # Errors
 ///

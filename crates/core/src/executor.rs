@@ -622,8 +622,11 @@ impl FramePass<'_> {
     /// boundaries, so any resharding reproduces the same elements.
     ///
     /// An overflowing or NaN signal power is an error naming the
-    /// instruction, not an infinite σ.
+    /// instruction, not an infinite σ. A silent plane (zero power) draws
+    /// nothing but still takes its substream, so every later stage keeps
+    /// its DFS ordinal.
     fn add_layer_noise(&mut self, mut out: Tensor, snr: SnrDb, name: &str) -> Result<Tensor> {
+        let stream = self.next_stream();
         let rms = out.power().map(f32::sqrt).unwrap_or(0.0);
         if !rms.is_finite() {
             return Err(not_finite(name, "signal rms", rms));
@@ -635,7 +638,6 @@ impl FramePass<'_> {
         // multiplicative identity — and a process corner's thermal
         // amplitude factor on fleet devices.
         let sigma = self.noise_scale * (rms / snr.amplitude_ratio() as f32);
-        let stream = self.next_stream();
         shard_mut(out.as_mut_slice(), self.engine.threads, 2, |first, band| {
             stream.add_scaled_normal(first as u64, sigma, band);
         });
@@ -1492,6 +1494,39 @@ mod tests {
             assert!(want.ledger == got.ledger, "frame {k}: ledger diverged");
             assert_eq!(want.elapsed.value(), got.elapsed.value(), "frame {k}");
         }
+    }
+
+    #[test]
+    fn a_silent_plane_keeps_later_stages_on_their_ordinal() {
+        let (program, _) = micronet_program(30.0, 8);
+        let engine = FrameEngine::new(program, 23);
+        let mut ctx = FrameCtx::new();
+        let stream = engine.stream.frame_substream(4);
+        let mut pass = FramePass {
+            ws: &mut ctx.ws,
+            stream,
+            ordinal: 0,
+            conv_ordinal: 0,
+            engine: &engine,
+            noise_scale: 1.0,
+            cost: FrameCost::new(32),
+            forced: 0,
+        };
+        let snr = SnrDb::new(10.0);
+        let silent = Tensor::zeros(&[3, 5]);
+        assert_eq!(
+            pass.add_layer_noise(silent.clone(), snr, "s").unwrap(),
+            silent
+        );
+        let signal = Tensor::full(&[3, 5], 0.5);
+        let got = pass.add_layer_noise(signal.clone(), snr, "t").unwrap();
+        // Stage 1 of the frame, as the DFS ordinal says.
+        let mut want = signal;
+        let sigma = 0.5 / snr.amplitude_ratio() as f32;
+        stream
+            .substream(1)
+            .add_scaled_normal(0, sigma, want.as_mut_slice());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -308,46 +308,35 @@ impl Network {
         Ok(grad)
     }
 
-    /// Visits every `(parameter, gradient)` pair in the network.
-    pub fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    /// Calls `f` on every layer, in node order, recursing into concat
+    /// branches in branch order. Parameter order (`visit_params`, and the
+    /// weight banks built from it) is this order.
+    fn for_each_layer(&mut self, f: &mut dyn FnMut(&mut dyn Layer)) {
         for node in &mut self.nodes {
             match node {
-                Node::Layer(layer) => layer.visit_params(visitor),
+                Node::Layer(layer) => f(layer.as_mut()),
                 Node::Concat { branches, .. } => {
                     for b in branches {
-                        b.visit_params(visitor);
+                        b.for_each_layer(f);
                     }
                 }
             }
         }
+    }
+
+    /// Visits every `(parameter, gradient)` pair in the network.
+    pub fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        self.for_each_layer(&mut |layer| layer.visit_params(visitor));
     }
 
     /// Clears all accumulated parameter gradients.
     pub fn zero_grads(&mut self) {
-        for node in &mut self.nodes {
-            match node {
-                Node::Layer(layer) => layer.zero_grads(),
-                Node::Concat { branches, .. } => {
-                    for b in branches {
-                        b.zero_grads();
-                    }
-                }
-            }
-        }
+        self.for_each_layer(&mut |layer| layer.zero_grads());
     }
 
     /// Switches every layer between training and inference behaviour.
     pub fn set_training(&mut self, training: bool) {
-        for node in &mut self.nodes {
-            match node {
-                Node::Layer(layer) => layer.set_training(training),
-                Node::Concat { branches, .. } => {
-                    for b in branches {
-                        b.set_training(training);
-                    }
-                }
-            }
-        }
+        self.for_each_layer(&mut |layer| layer.set_training(training));
     }
 
     /// Sets the GEMM thread budget on every layer (recursing into concat
@@ -355,16 +344,14 @@ impl Network {
     /// ignore the budget and stay serial, so this is safe to set high on
     /// networks with a mix of layer sizes.
     pub fn set_threads(&mut self, threads: usize) {
-        for node in &mut self.nodes {
-            match node {
-                Node::Layer(layer) => layer.set_threads(threads),
-                Node::Concat { branches, .. } => {
-                    for b in branches {
-                        b.set_threads(threads);
-                    }
-                }
-            }
-        }
+        self.for_each_layer(&mut |layer| layer.set_threads(threads));
+    }
+
+    /// Makes the next [`Network::forward`] draw frame `frame`'s noise in
+    /// every noise layer ([`Layer::seek_frame`]), as
+    /// `BatchExecutor::seek_frame` positions the analog executor.
+    pub fn seek_frame(&mut self, frame: u64) {
+        self.for_each_layer(&mut |layer| layer.seek_frame(frame));
     }
 
     /// Total parameter count.
@@ -502,6 +489,56 @@ mod tests {
         let mut net = Network::from_nodes("t", vec![Node::Layer(conv("c1", [1, 4, 4], 2, 9))]);
         // 2 output channels × (1·3·3) patch + 2 biases = 20.
         assert_eq!(net.param_count(), 20);
+    }
+
+    /// A pass-through layer that logs each `seek_frame` it receives.
+    struct FrameProbe {
+        name: String,
+        seen: std::sync::Arc<std::sync::Mutex<Vec<(String, u64)>>>,
+    }
+
+    impl Layer for FrameProbe {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn seek_frame(&mut self, frame: u64) {
+            self.seen.lock().unwrap().push((self.name.clone(), frame));
+        }
+    }
+
+    #[test]
+    fn seek_frame_walks_every_layer_in_parameter_order() {
+        let seen = std::sync::Arc::default();
+        let probe = |name: &str| {
+            Node::Layer(Box::new(FrameProbe {
+                name: name.into(),
+                seen: std::sync::Arc::clone(&seen),
+            }) as Box<dyn Layer>)
+        };
+        let mut net = Network::from_nodes(
+            "t",
+            vec![
+                probe("a"),
+                Node::Concat {
+                    name: "inc".into(),
+                    branches: vec![
+                        Network::from_nodes("b", vec![probe("b1"), probe("b2")]),
+                        Network::from_nodes("c", vec![probe("c1")]),
+                    ],
+                },
+                probe("d"),
+            ],
+        );
+        net.seek_frame(7);
+        let want: Vec<(String, u64)> = ["a", "b1", "b2", "c1", "d"]
+            .map(|n| (n.to_string(), 7))
+            .into();
+        assert_eq!(*seen.lock().unwrap(), want);
     }
 
     #[test]

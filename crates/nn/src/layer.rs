@@ -11,8 +11,10 @@ use redeye_tensor::Tensor;
 ///
 /// # Contract
 ///
-/// - `forward` may mutate internal state (noise layers advance their RNG;
-///   dropout layers sample masks during training).
+/// - `forward` may mutate internal state (noise layers move on to the next
+///   frame's noise; dropout layers sample masks during training).
+/// - `seek_frame` positions a frame-keyed layer (a noise layer) so that its
+///   next `forward` draws frame `frame`'s noise; other layers ignore it.
 /// - `backward` receives the layer's original `input`, its `output`, and the
 ///   gradient of the loss w.r.t. that output; it returns the gradient w.r.t.
 ///   the input and *accumulates* parameter gradients internally.
@@ -66,5 +68,13 @@ pub trait Layer: Send {
     /// (and the budget every layer starts with) is 1.
     fn set_threads(&mut self, threads: usize) {
         let _ = threads;
+    }
+
+    /// Makes the next `forward` draw frame `frame`'s noise, as
+    /// `BatchExecutor::seek_frame` does for the analog executor; each
+    /// `forward` after it moves on one frame. Layers that draw no noise
+    /// ignore it.
+    fn seek_frame(&mut self, frame: u64) {
+        let _ = frame;
     }
 }

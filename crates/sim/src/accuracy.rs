@@ -3,8 +3,12 @@
 //! The paper runs its modified network over the 50 000-image validation set
 //! and reports Top-5 accuracy (N = 2500 for the Fig. 9/10 sweeps). This
 //! harness does the same over the synthetic validation set, sharding images
-//! across threads; networks are not `Clone` (they hold RNG state), so each
-//! worker builds its own instrumented instance.
+//! across threads; networks are not `Clone`, so each worker builds its own
+//! instrumented instance. Before each image, the worker seeks its network to
+//! the image's index in the validation set ([`Network::seek_frame`]), so an
+//! image's noise depends on its index alone, not on the worker or shard that
+//! evaluates it: a report is a pure function of the model, the examples and
+//! the noise seed, at any thread budget.
 
 use crate::Result;
 use redeye_dataset::metrics::TopKAccuracy;
@@ -31,18 +35,17 @@ pub struct AccuracyHarness {
 impl AccuracyHarness {
     /// Creates a harness over pre-generated `(input, label)` pairs.
     ///
-    /// `threads` is the whole budget. It goes across frames first: the
-    /// validation set is sharded over `threads.min(examples)` workers,
-    /// which is where the throughput win lives for sweep workloads. What is
-    /// left goes within a frame: each worker's network runs its GEMMs on
-    /// `threads / workers` threads (at least one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
+    /// `threads` is the whole budget (a zero budget runs on one thread). It
+    /// goes across frames first: the validation set is sharded over
+    /// `threads.min(examples)` workers, which is where the throughput win
+    /// lives for sweep workloads. What is left goes within a frame: each
+    /// worker's network runs its GEMMs on `threads / workers` threads (at
+    /// least one). The report is the same at every budget.
     pub fn new(examples: Vec<(Tensor, usize)>, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        AccuracyHarness { examples, threads }
+        AccuracyHarness {
+            examples,
+            threads: threads.max(1),
+        }
     }
 
     /// Number of validation examples.
@@ -58,27 +61,29 @@ impl AccuracyHarness {
     /// Evaluates Top-1/Top-5 accuracy of networks produced by `build`.
     ///
     /// `build` is called once per worker thread; each instance sees a
-    /// disjoint shard of the validation set. Scores may be logits or
-    /// probabilities — only their ranking matters.
+    /// disjoint shard of the validation set and is sought to each example's
+    /// index before its forward pass. Scores may be logits or probabilities
+    /// — only their ranking matters.
     ///
     /// # Errors
     ///
     /// Propagates the first builder or inference error encountered.
     pub fn evaluate<F>(&self, build: F) -> Result<AccuracyReport>
     where
-        F: Fn(usize) -> Result<Network> + Sync,
+        F: Fn() -> Result<Network> + Sync,
     {
         let workers = self.threads.min(self.examples.len()).max(1);
         let layer_threads = (self.threads / workers).max(1);
         let shard_size = self.examples.len().div_ceil(workers).max(1);
         let shards = self.examples.chunks(shard_size).enumerate();
         let results = par::fan_out(shards, |(worker, shard)| {
-            let mut net = build(worker)?;
+            let mut net = build()?;
             net.set_training(false);
             net.set_threads(layer_threads);
             let mut top1 = TopKAccuracy::new(1);
             let mut top5 = TopKAccuracy::new(5);
-            for (input, label) in shard {
+            for (i, (input, label)) in shard.iter().enumerate() {
+                net.seek_frame((worker * shard_size + i) as u64);
                 let scores = net.forward(input).map_err(crate::SimError::from)?;
                 top1.observe(&scores, *label);
                 top5.observe(&scores, *label);
@@ -128,7 +133,7 @@ mod tests {
     #[test]
     fn perfect_predictions_score_one() {
         let harness = AccuracyHarness::new(onehot_examples(64, 10), 4);
-        let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
+        let report = harness.evaluate(|| Ok(identity_net())).unwrap();
         assert_eq!(report.samples, 64);
         assert_eq!(report.top1, 1.0);
         assert_eq!(report.top5, 1.0);
@@ -147,7 +152,7 @@ mod tests {
             })
             .collect();
         let harness = AccuracyHarness::new(examples, 3);
-        let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
+        let report = harness.evaluate(|| Ok(identity_net())).unwrap();
         assert_eq!(report.top1, 0.0);
     }
 
@@ -155,29 +160,38 @@ mod tests {
     fn sharding_covers_every_example() {
         for (n, threads) in [(50, 1), (50, 2), (50, 3), (50, 7), (0, 3)] {
             let harness = AccuracyHarness::new(onehot_examples(n, 10), threads);
-            let report = harness.evaluate(|_| Ok(identity_net())).unwrap();
+            let report = harness.evaluate(|| Ok(identity_net())).unwrap();
             assert_eq!(report.samples, n, "threads={threads}");
         }
     }
 
     #[test]
     fn report_is_identical_across_thread_budgets() {
+        use crate::{extract_params, instrument, InstrumentOptions};
+        use redeye_analog::SnrDb;
         use redeye_nn::{build_network, zoo, WeightInit};
         use redeye_tensor::Rng;
 
         let spec = zoo::micronet(16, 10);
-        let build = |_| {
-            let net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(5));
-            net.map_err(crate::SimError::from)
+        let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(5)).unwrap();
+        let params = extract_params(&mut net);
+        // At 6 dB the noise moves the logits, so each label below holds
+        // only under its own example's noise.
+        let opts = InstrumentOptions {
+            snr: SnrDb::new(6.0),
+            seed: 3,
+            ..InstrumentOptions::paper_default("pool3")
         };
-        let mut reference = build(0).unwrap();
+        let build = || instrument(&spec, &params, &opts);
+        // Labels are the top-1 class of example `i` evaluated as frame `i`,
+        // so noise keyed any other way shows as a lost hit.
+        let mut reference = build().unwrap();
         reference.set_training(false);
-        // Labels are the one-thread network's top-1 class, so a moved logit
-        // shows as a lost hit.
         let mut rng = Rng::seed_from(9);
-        let examples: Vec<(Tensor, usize)> = (0..3)
-            .map(|_| {
+        let examples: Vec<(Tensor, usize)> = (0..7u64)
+            .map(|i| {
                 let x = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+                reference.seek_frame(i);
                 let label = reference.forward(&x).unwrap().argmax().unwrap();
                 (x, label)
             })
@@ -185,10 +199,11 @@ mod tests {
         let want = AccuracyReport {
             top1: 1.0,
             top5: 1.0,
-            samples: 3,
+            samples: 7,
         };
-        // 7 threads: three workers with two GEMM threads each.
-        for threads in [1, 2, 7] {
+        // 0 threads runs on one; 7 threads: seven one-example workers;
+        // 16 threads: seven workers with two GEMM threads each.
+        for threads in [0, 1, 2, 3, 7, 16] {
             let harness = AccuracyHarness::new(examples.clone(), threads);
             assert_eq!(harness.evaluate(build).unwrap(), want, "{threads} threads");
         }
@@ -197,7 +212,7 @@ mod tests {
     #[test]
     fn builder_errors_propagate() {
         let harness = AccuracyHarness::new(onehot_examples(8, 4), 2);
-        let err = harness.evaluate(|_| {
+        let err = harness.evaluate(|| {
             Err(crate::SimError::ParamMismatch {
                 reason: "boom".into(),
             })

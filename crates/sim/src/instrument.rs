@@ -12,7 +12,7 @@ use redeye_analog::SnrDb;
 use redeye_nn::{
     build_network, quantize_network_weights, LayerSpec, Network, NetworkSpec, Node, WeightInit,
 };
-use redeye_tensor::{Rng, Tensor};
+use redeye_tensor::{NoiseStream, Rng, Tensor};
 
 /// Options controlling instrumentation.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct InstrumentOptions {
     pub weight_bits: Option<u32>,
     /// Whether to add sampling noise on the input ("data layer").
     pub noise_input: bool,
-    /// RNG seed for all injected noise.
+    /// Seed of the root [`NoiseStream`] all injected noise is keyed off.
     pub seed: u64,
     /// Per-layer SNR overrides (matched by exact layer name, including
     /// inception branch layers like `"inception_a/3x3"`); unlisted layers
@@ -122,13 +122,14 @@ fn gets_noise(layer: &LayerSpec) -> bool {
 }
 
 /// Rebuilds a node list with noise layers spliced in. `specs` must parallel
-/// `nodes` (as produced by `build_network`).
+/// `nodes` (as produced by `build_network`); `noise(name, snr)` makes the
+/// next Gaussian noise layer.
 fn splice(
     nodes: Vec<Node>,
     specs: &[LayerSpec],
     noisy: bool,
     opts: &InstrumentOptions,
-    rng: &mut Rng,
+    noise: &mut dyn FnMut(String, SnrDb) -> Node,
 ) -> Vec<Node> {
     let mut out = Vec::with_capacity(nodes.len() * 2);
     for (node, spec) in nodes.into_iter().zip(specs) {
@@ -153,7 +154,7 @@ fn splice(
                             bspec,
                             noisy,
                             opts,
-                            rng,
+                            noise,
                         );
                         Network::from_nodes(bname, inner)
                     })
@@ -170,11 +171,7 @@ fn splice(
                 let snr = opts.snr_for(node.name());
                 out.push(node);
                 if inject_after {
-                    out.push(Node::Layer(Box::new(GaussianNoise::new(
-                        name,
-                        snr,
-                        rng.split(),
-                    ))));
+                    out.push(noise(name, snr));
                 }
             }
         }
@@ -187,6 +184,12 @@ fn splice(
 /// The returned network computes: input (+ sampling noise) → prefix layers,
 /// each followed by a Gaussian noise layer at `opts.snr` → quantization
 /// noise layer at `opts.adc_bits` → clean host suffix.
+///
+/// The Gaussian layers are numbered in DFS order (input noise first,
+/// inception branches in branch order), and layer `k` draws frame `f`'s
+/// noise from `NoiseStream::new(opts.seed).frame_substream(f).substream(k)`,
+/// as the analog executor keys its noise stages. Use
+/// [`Network::seek_frame`] to pick the frame an input is evaluated as.
 ///
 /// # Example
 ///
@@ -223,8 +226,7 @@ pub fn instrument(
         .ok_or_else(|| SimError::UnknownCut {
             name: opts.cut.clone(),
         })?;
-    let mut rng = Rng::seed_from(opts.seed);
-    let mut net = build_network(spec, WeightInit::HeNormal, &mut rng)?;
+    let mut net = build_network(spec, WeightInit::HeNormal, &mut Rng::seed_from(opts.seed))?;
     load_params(&mut net, trained)?;
     if let Some(bits) = opts.weight_bits {
         quantize_network_weights(&mut net, bits);
@@ -244,20 +246,22 @@ pub fn instrument(
         (prefix, suffix)
     };
 
+    let root = NoiseStream::new(opts.seed);
+    let mut ordinal = 0u64;
+    let mut noise = |name: String, snr: SnrDb| {
+        ordinal += 1;
+        Node::Layer(Box::new(GaussianNoise::new(name, snr, root, ordinal - 1)))
+    };
     let mut rebuilt = Vec::new();
     if opts.noise_input {
-        rebuilt.push(Node::Layer(Box::new(GaussianNoise::new(
-            "input/noise",
-            opts.snr,
-            rng.split(),
-        ))));
+        rebuilt.push(noise("input/noise".into(), opts.snr));
     }
     rebuilt.extend(splice(
         prefix_nodes,
         &spec.layers[..=cut_pos],
         true,
         opts,
-        &mut rng,
+        &mut noise,
     ));
     rebuilt.push(Node::Layer(Box::new(QuantizationNoise::new(
         format!("{}/quantize", opts.cut),
@@ -268,7 +272,7 @@ pub fn instrument(
         &spec.layers[cut_pos + 1..],
         false,
         opts,
-        &mut rng,
+        &mut noise,
     ));
 
     Ok(Network::from_nodes(

@@ -2,11 +2,20 @@
 
 use redeye_analog::SnrDb;
 use redeye_nn::Layer;
-use redeye_tensor::{Rng, Tensor};
+use redeye_tensor::{NoiseStream, Tensor};
 
 /// The *Gaussian Noise Layer*: "models noise inflicted by data transactions
 /// and computational operations", parameterized by SNR relative to the
 /// layer's signal power.
+///
+/// Its noise is keyed as the analog executor keys a layer-noise stage:
+/// frame `f` draws from `root.frame_substream(f).substream(ordinal)`
+/// through [`NoiseStream::add_scaled_normal`], site `i` being output
+/// element `i`. [`instrument`](crate::instrument) numbers a network's noise
+/// layers in DFS order. Each `forward` moves on one frame, and
+/// [`Layer::seek_frame`] sets the frame, so the noise an input receives
+/// depends only on `(root, frame, ordinal)`, never on which network
+/// instance or thread runs it.
 ///
 /// Implements [`redeye_nn::Layer`], so it splices into any network. During
 /// backpropagation it is treated as identity (noise is not differentiated
@@ -15,19 +24,22 @@ use redeye_tensor::{Rng, Tensor};
 pub struct GaussianNoise {
     name: String,
     snr: SnrDb,
-    rng: Rng,
-    /// Reusable buffer for batched sampling; grows to the largest plane.
-    scratch: Vec<f32>,
+    root: NoiseStream,
+    ordinal: u64,
+    /// The frame the next `forward` draws.
+    frame: u64,
 }
 
 impl GaussianNoise {
-    /// Creates a noise layer at the given SNR.
-    pub fn new(name: impl Into<String>, snr: SnrDb, rng: Rng) -> Self {
+    /// Creates a noise layer at the given SNR, drawing noise stage
+    /// `ordinal` of `root`'s frames, starting at frame 0.
+    pub fn new(name: impl Into<String>, snr: SnrDb, root: NoiseStream, ordinal: u64) -> Self {
         GaussianNoise {
             name: name.into(),
             snr,
-            rng,
-            scratch: Vec::new(),
+            root,
+            ordinal,
+            frame: 0,
         }
     }
 
@@ -43,20 +55,22 @@ impl Layer for GaussianNoise {
     }
 
     fn forward(&mut self, input: &Tensor) -> redeye_nn::Result<Tensor> {
+        let stream = self
+            .root
+            .frame_substream(self.frame)
+            .substream(self.ordinal);
+        self.frame += 1;
         let rms = input.power().map(f32::sqrt).unwrap_or(0.0);
-        if rms == 0.0 {
-            return Ok(input.clone());
-        }
-        let sigma = rms / self.snr.amplitude_ratio() as f32;
         let mut out = input.clone();
-        // Batched sampling: bit-identical to per-element standard_normal()
-        // draws, but amortizes the Box–Muller transform over the plane.
-        self.scratch.resize(out.len(), 0.0);
-        self.rng.fill_standard_normal(&mut self.scratch);
-        for (v, z) in out.iter_mut().zip(&self.scratch) {
-            *v += sigma * z;
+        if rms > 0.0 {
+            let sigma = rms / self.snr.amplitude_ratio() as f32;
+            stream.add_scaled_normal(0, sigma, out.as_mut_slice());
         }
         Ok(out)
+    }
+
+    fn seek_frame(&mut self, frame: u64) {
+        self.frame = frame;
     }
 }
 
@@ -115,10 +129,15 @@ impl Layer for QuantizationNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redeye_tensor::Rng;
+
+    fn layer(snr_db: f64, seed: u64) -> GaussianNoise {
+        GaussianNoise::new("g", SnrDb::new(snr_db), NoiseStream::new(seed), 0)
+    }
 
     #[test]
     fn gaussian_noise_hits_target_snr() {
-        let mut layer = GaussianNoise::new("g", SnrDb::new(20.0), Rng::seed_from(1));
+        let mut layer = layer(20.0, 1);
         let input = Tensor::full(&[20_000], 1.0);
         let out = layer.forward(&input).unwrap();
         let err_power = out.iter().map(|v| (v - 1.0).powi(2)).sum::<f32>() / out.len() as f32;
@@ -128,18 +147,42 @@ mod tests {
 
     #[test]
     fn gaussian_noise_on_zeros_is_identity() {
-        let mut layer = GaussianNoise::new("g", SnrDb::new(40.0), Rng::seed_from(2));
+        let mut layer = layer(40.0, 2);
         let input = Tensor::zeros(&[16]);
         assert_eq!(layer.forward(&input).unwrap(), input);
     }
 
     #[test]
     fn high_snr_is_nearly_transparent() {
-        let mut layer = GaussianNoise::new("g", SnrDb::new(80.0), Rng::seed_from(3));
+        let mut layer = layer(80.0, 3);
         let mut rng = Rng::seed_from(4);
         let input = Tensor::uniform(&[1000], 0.0, 1.0, &mut rng);
         let out = layer.forward(&input).unwrap();
         assert!(input.rms_error(&out).unwrap() < 1e-3);
+    }
+
+    #[test]
+    fn noise_is_the_executor_keyed_stage_of_each_frame() {
+        let root = NoiseStream::new(4);
+        let input = Tensor::full(&[9], 2.0);
+        let sigma = 2.0 / SnrDb::new(10.0).amplitude_ratio() as f32;
+        let want = |frame: u64| {
+            let mut x = input.clone();
+            let stage = root.frame_substream(frame).substream(3);
+            stage.add_scaled_normal(0, sigma, x.as_mut_slice());
+            x
+        };
+        let mut layer = GaussianNoise::new("g", SnrDb::new(10.0), root, 3);
+        assert_eq!(layer.forward(&input).unwrap(), want(0));
+        assert_eq!(layer.forward(&input).unwrap(), want(1));
+        layer.seek_frame(5);
+        assert_eq!(layer.forward(&input).unwrap(), want(5));
+        // A silent plane still uses up its frame.
+        assert_eq!(
+            layer.forward(&Tensor::zeros(&[9])).unwrap(),
+            Tensor::zeros(&[9])
+        );
+        assert_eq!(layer.forward(&input).unwrap(), want(7));
     }
 
     #[test]

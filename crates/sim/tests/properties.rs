@@ -5,14 +5,14 @@ use redeye_analog::SnrDb;
 use redeye_nn::Layer;
 use redeye_sim::search::{select_quantization, NelderMead, NelderMeadOptions};
 use redeye_sim::{GaussianNoise, QuantizationNoise};
-use redeye_tensor::{Rng, Tensor};
+use redeye_tensor::{NoiseStream, Rng, Tensor};
 
 proptest! {
     /// The Gaussian noise layer realizes its programmed SNR (measured over
     /// a large constant signal) within a fraction of a dB.
     #[test]
     fn gaussian_layer_realizes_snr(snr_db in 10.0f64..60.0, seed in 0u64..50) {
-        let mut layer = GaussianNoise::new("g", SnrDb::new(snr_db), Rng::seed_from(seed));
+        let mut layer = GaussianNoise::new("g", SnrDb::new(snr_db), NoiseStream::new(seed), 0);
         let input = Tensor::full(&[30_000], 1.0);
         let out = layer.forward(&input).unwrap();
         let err_power = out.iter().map(|v| (v - 1.0).powi(2)).sum::<f32>() / out.len() as f32;
@@ -27,7 +27,7 @@ proptest! {
     ) {
         let mut rng = Rng::seed_from(seed);
         let input = Tensor::uniform(&[len], -2.0, 2.0, &mut rng);
-        let mut layer = GaussianNoise::new("g", SnrDb::new(snr_db), rng);
+        let mut layer = GaussianNoise::new("g", SnrDb::new(snr_db), NoiseStream::new(seed), 0);
         let out = layer.forward(&input).unwrap();
         prop_assert_eq!(out.dims(), input.dims());
         prop_assert!(out.iter().all(|v| v.is_finite()));

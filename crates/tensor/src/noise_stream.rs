@@ -16,9 +16,11 @@
 //! across threads — in any order, at any granularity — and produce
 //! bit-identical results.
 //!
-//! The batched APIs ([`NoiseStream::fill_standard_normal_at`],
-//! [`NoiseStream::add_scaled_normal`], [`NoiseStream::fill_uniform`])
-//! amortize Gaussian sampling over whole planes: consecutive element *pairs*
+//! The one batched Gaussian path, [`NoiseStream::add_scaled_normal`], adds
+//! a plane's scaled noise in place. The executor's layer-noise stage and
+//! the simulator's Gaussian noise layer (`redeye_sim::GaussianNoise`) both
+//! draw through it, keyed the same way: a frame's substream, then one
+//! substream per noise stage in DFS order. Consecutive element *pairs*
 //! share one two-output Marsaglia polar evaluation (one `ln`/`sqrt`, no
 //! trigonometry), cutting the transcendental cost well below scalar
 //! per-element Box–Muller. Pairs are evaluated a block at a time, phase by
@@ -27,8 +29,8 @@
 //! the compiler vectorizes it. The `ln` is the owned [`crate::math::ln`],
 //! bit-identical to glibc's `logf` but plain arithmetic, so noise bits do
 //! not depend on the platform libm. Because the pair index is derived from
-//! the element index, a fill over `[lo, hi)` equals the concatenation of
-//! fills over any partition of `[lo, hi)` — the property the
+//! the element index, noise added over `[lo, hi)` equals the concatenation
+//! of noise added over any partition of `[lo, hi)` — the property the
 //! column-parallel executor relies on.
 
 use crate::math;
@@ -265,38 +267,22 @@ impl NoiseStream {
         (u * scale, v * scale)
     }
 
-    /// Fills `dst` with standard-normal samples for elements
-    /// `[0, dst.len())` of this stream's plane.
-    ///
-    /// Equivalent to [`NoiseStream::fill_standard_normal_at`] with
-    /// `first = 0`.
-    pub fn fill_standard_normal(&self, dst: &mut [f32]) {
-        self.fill_standard_normal_at(0, dst);
-    }
-
-    /// Fills `dst` with the standard-normal samples for elements
-    /// `[first, first + dst.len())` of this stream's plane.
+    /// Adds `sigma`-scaled plane noise in place:
+    /// `dst[i] += sigma * normal(first + i)`, where `normal(e)` is element
+    /// `e`'s standard normal in this stream's plane.
     ///
     /// Element `e` always receives the same value regardless of how the
-    /// plane is partitioned into fill calls: filling `[0, n)` in one call is
-    /// bit-identical to filling any set of subranges that covers `[0, n)`.
-    /// (Straddling a pair boundary recomputes that pair's polar evaluation
-    /// once per side — partition on even offsets to avoid duplicate work.)
-    pub fn fill_standard_normal_at(&self, first: u64, dst: &mut [f32]) {
-        self.for_each_normal(first, dst, |slot, z| *slot = z);
-    }
-
-    /// Adds `sigma`-scaled plane noise in place:
-    /// `dst[i] += sigma * normal(first + i)`.
-    ///
-    /// The single-pass fused form of [`NoiseStream::fill_standard_normal_at`]
-    /// used by the executor's Gaussian noise stage; same determinism
-    /// guarantees.
+    /// plane is partitioned into calls: adding over `[0, n)` in one call is
+    /// bit-identical to adding over any set of subranges that covers
+    /// `[0, n)`. (Straddling a pair boundary recomputes that pair's polar
+    /// evaluation once per side — partition on even offsets to avoid
+    /// duplicate work.) With `sigma = 1` over zeros it writes the normals
+    /// themselves, up to the sign of a zero.
     pub fn add_scaled_normal(&self, first: u64, sigma: f32, dst: &mut [f32]) {
         self.for_each_normal(first, dst, |slot, z| *slot += sigma * z);
     }
 
-    /// Shared pair-walking loop behind the batched normal APIs.
+    /// The pair-walking loop behind [`NoiseStream::add_scaled_normal`].
     ///
     /// A leading element on an odd global index is the second half of its
     /// pair and a trailing element on an even one the first half; each
@@ -427,35 +413,6 @@ impl NoiseStream {
         for ((out, &uk), (&vk, &scale)) in dst.chunks_exact_mut(2).zip(&*u).zip(v.iter().zip(&*s)) {
             apply(&mut out[0], uk * scale);
             apply(&mut out[1], vk * scale);
-        }
-    }
-
-    /// Fills `dst` with uniform samples in `[lo, hi)` for elements
-    /// `[0, dst.len())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn fill_uniform(&self, lo: f32, hi: f32, dst: &mut [f32]) {
-        self.fill_uniform_at(0, lo, hi, dst);
-    }
-
-    /// Fills `dst` with uniform samples in `[lo, hi)` for elements
-    /// `[first, first + dst.len())`; one site per element, so any
-    /// partitioning of the range is bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    fn fill_uniform_at(&self, first: u64, lo: f32, hi: f32, dst: &mut [f32]) {
-        assert!(lo <= hi, "uniform bounds inverted: [{lo}, {hi})");
-        let span = hi - lo;
-        for (i, slot) in dst.iter_mut().enumerate() {
-            *slot = lo
-                + span
-                    * unit_f32(mix(self
-                        .key
-                        .wrapping_add((first + i as u64).wrapping_mul(GOLDEN))));
         }
     }
 }
@@ -609,12 +566,19 @@ mod tests {
         }
     }
 
+    /// The standard normals of elements `[first, first + len)`: unit
+    /// noise added over zeros.
+    fn normals(s: &NoiseStream, first: u64, len: usize) -> Vec<f32> {
+        let mut xs = vec![0.0f32; len];
+        s.add_scaled_normal(first, 1.0, &mut xs);
+        xs
+    }
+
     #[test]
     fn fill_is_partition_invariant() {
         let s = NoiseStream::new(4).substream(9);
         let n = 3 * BLOCK + 65;
-        let mut whole = vec![0.0f32; n];
-        s.fill_standard_normal(&mut whole);
+        let whole = normals(&s, 0, n);
         // Any partition — even one that splits a sample pair, or starts a
         // part on an odd offset and runs it across block boundaries — must
         // reproduce the same elements bit-for-bit.
@@ -625,11 +589,10 @@ mod tests {
             vec![0, BLOCK - 1, 3 * BLOCK - 1, n],
             vec![0, 7, BLOCK + 9, BLOCK + 10, 2 * BLOCK + 11, n],
         ] {
-            let mut parts = vec![0.0f32; n];
-            for w in splits.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                s.fill_standard_normal_at(lo as u64, &mut parts[lo..hi]);
-            }
+            let parts: Vec<f32> = splits
+                .windows(2)
+                .flat_map(|w| normals(&s, w[0] as u64, w[1] - w[0]))
+                .collect();
             assert_eq!(bits(&whole), bits(&parts), "splits {splits:?}");
         }
     }
@@ -682,7 +645,7 @@ mod tests {
         }
     }
 
-    /// Both batched APIs against the oracle, bit for bit, on a plane of
+    /// The batched fill against the oracle, bit for bit, on a plane of
     /// `len` elements starting at element `first`.
     fn assert_matches_pairwise(stream: &NoiseStream, first: u64, len: usize, sigma: f32) {
         let init: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
@@ -690,24 +653,12 @@ mod tests {
         stream.add_scaled_normal(first, sigma, &mut got);
         let mut want = init;
         pairwise_fill(stream, first, &mut want, |slot, z| *slot += sigma * z);
-        let first_diff = |a: &[f32], b: &[f32]| {
-            a.iter()
-                .zip(b)
-                .position(|(x, y)| x.to_bits() != y.to_bits())
-        };
         assert_eq!(
-            first_diff(&got, &want),
+            got.iter()
+                .zip(&want)
+                .position(|(x, y)| x.to_bits() != y.to_bits()),
             None,
             "add_scaled_normal: first {first}, len {len}, sigma {sigma:e}"
-        );
-        let mut got = vec![0.0f32; len];
-        stream.fill_standard_normal_at(first, &mut got);
-        let mut want = vec![0.0f32; len];
-        pairwise_fill(stream, first, &mut want, |slot, z| *slot = z);
-        assert_eq!(
-            first_diff(&got, &want),
-            None,
-            "fill_standard_normal_at: first {first}, len {len}"
         );
     }
 
@@ -845,27 +796,14 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_normal_matches_fill() {
+    fn add_scaled_normal_scales_the_unit_normals() {
         let s = NoiseStream::new(5).substream(1);
-        let mut filled = vec![0.0f32; 257];
-        s.fill_standard_normal(&mut filled);
+        let z = normals(&s, 0, 257);
         let mut added = vec![1.0f32; 257];
         s.add_scaled_normal(0, 2.0, &mut added);
-        for (a, f) in added.iter().zip(filled.iter()) {
-            assert_eq!(*a, 1.0 + 2.0 * f);
+        for (a, z) in added.iter().zip(&z) {
+            assert_eq!(*a, 1.0 + 2.0 * z);
         }
-    }
-
-    #[test]
-    fn uniform_fill_partition_invariant_and_bounded() {
-        let s = NoiseStream::new(6);
-        let mut whole = vec![0.0f32; 500];
-        s.fill_uniform(-1.0, 3.0, &mut whole);
-        assert!(whole.iter().all(|v| (-1.0..3.0).contains(v)));
-        let mut parts = vec![0.0f32; 500];
-        s.fill_uniform_at(0, -1.0, 3.0, &mut parts[..123]);
-        s.fill_uniform_at(123, -1.0, 3.0, &mut parts[123..]);
-        assert_eq!(whole, parts);
     }
 
     #[test]

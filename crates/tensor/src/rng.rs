@@ -113,35 +113,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Fills `dst` with standard-normal samples, bit-identical to (but
-    /// faster than) calling [`Rng::standard_normal`] once per element.
-    ///
-    /// The batched loop consumes Box–Muller pairs directly instead of going
-    /// through the one-element spare cache; the spare is honored on entry
-    /// and left in the same state the scalar calls would leave it in, so
-    /// scalar and batched draws can be freely interleaved.
-    pub fn fill_standard_normal(&mut self, dst: &mut [f32]) {
-        let mut i = 0usize;
-        if i < dst.len() {
-            if let Some(z) = self.spare_normal.take() {
-                dst[i] = z;
-                i += 1;
-            }
-        }
-        while i + 1 < dst.len() {
-            let u1: f32 = self.inner.gen::<f32>().max(f32::MIN_POSITIVE);
-            let u2: f32 = self.inner.gen::<f32>();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let (sin, cos) = (2.0 * std::f32::consts::PI * u2).sin_cos();
-            dst[i] = r * cos;
-            dst[i + 1] = r * sin;
-            i += 2;
-        }
-        if i < dst.len() {
-            dst[i] = self.standard_normal();
-        }
-    }
-
     /// A Poisson sample with rate `lambda`.
     ///
     /// Uses Knuth's product method for small rates and a normal approximation
@@ -264,22 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_matches_scalar_draws_including_spare() {
-        let mut scalar = Rng::seed_from(40);
-        let mut batched = Rng::seed_from(40);
-        // Park a spare in both generators, then draw odd- and even-length
-        // batches: the streams must stay in lockstep throughout.
-        assert_eq!(scalar.standard_normal(), batched.standard_normal());
-        for len in [5usize, 4, 1, 0, 7] {
-            let want: Vec<f32> = (0..len).map(|_| scalar.standard_normal()).collect();
-            let mut got = vec![0.0f32; len];
-            batched.fill_standard_normal(&mut got);
-            assert_eq!(want, got, "len {len}");
-        }
-        assert_eq!(scalar.uniform(0.0, 1.0), batched.uniform(0.0, 1.0));
-    }
-
-    #[test]
     fn standard_normal_f64_moments() {
         let mut rng = Rng::seed_from(41);
         let n = 50_000;
@@ -339,8 +294,7 @@ mod tests {
         let mut a = Rng::seed_from(64);
         let _ = a.standard_normal();
         let mut b = Rng::seed_from(64);
-        let mut pair = [0.0f32; 2];
-        b.fill_standard_normal(&mut pair);
+        let _ = (b.standard_normal(), b.standard_normal());
         assert_eq!(
             a.split().standard_normal(),
             b.split().standard_normal(),

@@ -4,11 +4,19 @@
 //! (same-site reproducibility, partition invariance); this suite checks that
 //! the *distributions* are right: batched standard-normal fills have the
 //! moments of `N(0, 1)`, per-site scalar draws agree with them, distinct
-//! sites and substreams are uncorrelated, and uniform fills are flat.
+//! sites and substreams are uncorrelated, and per-site uniforms are flat.
 
-use redeye_tensor::{NoiseSource, NoiseStream, Rng};
+use redeye_tensor::{NoiseSource, NoiseStream};
 
 const N: usize = 100_000;
+
+/// The standard normals of elements `[first, first + len)` of `stream`'s
+/// plane: unit noise added over zeros.
+fn normals(stream: &NoiseStream, first: u64, len: usize) -> Vec<f32> {
+    let mut xs = vec![0.0f32; len];
+    stream.add_scaled_normal(first, 1.0, &mut xs);
+    xs
+}
 
 fn mean(xs: &[f32]) -> f64 {
     xs.iter().map(|&x| f64::from(x)).sum::<f64>() / xs.len() as f64
@@ -31,9 +39,7 @@ fn correlation(a: &[f32], b: &[f32]) -> f64 {
 
 #[test]
 fn batched_fill_has_standard_normal_moments() {
-    let stream = NoiseStream::new(101);
-    let mut xs = vec![0.0f32; N];
-    stream.fill_standard_normal(&mut xs);
+    let xs = normals(&NoiseStream::new(101), 0, N);
     let mu = mean(&xs);
     let var = variance(&xs, mu);
     assert!(mu.abs() < 0.02, "mean {mu}");
@@ -74,10 +80,8 @@ fn adjacent_sites_are_uncorrelated() {
 #[test]
 fn sibling_substreams_are_uncorrelated() {
     let root = NoiseStream::new(104);
-    let mut a = vec![0.0f32; N];
-    let mut b = vec![0.0f32; N];
-    root.substream(0).fill_standard_normal(&mut a);
-    root.substream(1).fill_standard_normal(&mut b);
+    let a = normals(&root.substream(0), 0, N);
+    let b = normals(&root.substream(1), 0, N);
     let r = correlation(&a, &b);
     assert!(r.abs() < 0.02, "substream correlation {r}");
 }
@@ -99,10 +103,11 @@ fn successive_draws_within_a_site_are_uncorrelated() {
 }
 
 #[test]
-fn uniform_fill_is_flat() {
+fn per_site_uniform_draws_are_flat() {
     let stream = NoiseStream::new(106);
-    let mut xs = vec![0.0f32; N];
-    stream.fill_uniform(0.0, 1.0, &mut xs);
+    let xs: Vec<f32> = (0..N as u64)
+        .map(|site| stream.at(site).uniform(0.0, 1.0))
+        .collect();
     let mu = mean(&xs);
     let var = variance(&xs, mu);
     assert!((mu - 0.5).abs() < 0.005, "mean {mu}");
@@ -123,25 +128,11 @@ fn threaded_shards_reproduce_the_serial_fill() {
     // The end-to-end property the executor depends on: filling a plane in
     // parallel bands (even offsets) is bit-identical to the serial fill.
     let stream = NoiseStream::new(107);
-    let mut serial = vec![0.0f32; 64 * 1024 + 3];
-    stream.fill_standard_normal(&mut serial);
+    let serial = normals(&stream, 0, 64 * 1024 + 3);
     let mut sharded = vec![0.0f32; serial.len()];
     let chunk = 9 * 1024 + 2; // even → pair-aligned band starts
     redeye_tensor::par::fan_out(sharded.chunks_mut(chunk).enumerate(), |(t, band)| {
-        stream.fill_standard_normal_at((t * chunk) as u64, band);
+        stream.add_scaled_normal((t * chunk) as u64, 1.0, band);
     });
     assert_eq!(serial, sharded);
-}
-
-#[test]
-fn sequential_rng_batched_fill_matches_moments_too() {
-    // `Rng::fill_standard_normal` is the batched path for the legacy
-    // sequential generator (used by the simulator's Gaussian noise layer).
-    let mut rng = Rng::seed_from(108);
-    let mut xs = vec![0.0f32; N];
-    rng.fill_standard_normal(&mut xs);
-    let mu = mean(&xs);
-    let var = variance(&xs, mu);
-    assert!(mu.abs() < 0.02, "mean {mu}");
-    assert!((var - 1.0).abs() < 0.03, "variance {var}");
 }

@@ -62,11 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let accuracy = |snr: f64, bits: u32| -> f64 {
         f64::from(
             harness
-                .evaluate(|worker| {
+                .evaluate(|| {
                     let opts = InstrumentOptions {
                         snr: SnrDb::new(snr),
                         adc_bits: bits,
-                        seed: worker as u64,
+                        seed: 0,
                         ..InstrumentOptions::paper_default("pool3")
                     };
                     instrument(&spec, &params, &opts)

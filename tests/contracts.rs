@@ -26,6 +26,10 @@
 //! `analyze_cost`'s nominal point equals every serial frame's ledger and
 //! frame time exactly, with the same op counts.
 //!
+//! The accuracy figures share the executor's noise keying: two Fig. 9
+//! points of the instrumented micronet stand-in give bit-identical
+//! accuracy reports whether the harness runs on one thread or three.
+//!
 //! The layer-noise kernel is pinned on its own as well, so a rewrite that
 //! changes a single noise sample fails here without running a frame. So is
 //! the owned `ln` behind it and the Box–Muller radius: plain f64
@@ -62,6 +66,7 @@ use redeye::core::{
     VerifyOptions, WeightBank,
 };
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
+use redeye::sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye::tensor::{
     box_muller_radius, conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, math, par,
     ConvGeom, NoiseStream, PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
@@ -479,6 +484,46 @@ fn layer_noise_samples_are_pinned() {
     stream.add_scaled_normal(1001, 0.25, &mut plane);
     let fold = fold(plane.iter().map(|v| u64::from(v.to_bits())));
     assert_eq!(fold, PINNED_NOISE_FOLD, "noise fold {fold:#018x}");
+}
+
+/// Fig. 9 at 5 and 40 dB (4-bit ADC) on a micronet cut at `pool3`, over
+/// 30 random scenes labelled with the clean network's top-1 class: the
+/// harness report is bit-identical at budgets 1 and 3, whose shards start
+/// each example at a different point of a worker's run. At 5 dB the noise
+/// costs hits, so the comparison sees the noise.
+#[test]
+fn fig9_points_are_identical_at_one_and_three_harness_threads() {
+    let spec = zoo::micronet(8, 10);
+    let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(SEED))
+        .expect("micronet builds");
+    let params = extract_params(&mut net);
+    net.set_training(false);
+    let mut rng = Rng::seed_from(SEED);
+    let examples: Vec<(Tensor, usize)> = (0..30)
+        .map(|_| {
+            let x = Tensor::uniform(&[3, 32, 32], 0.0, 1.0, &mut rng);
+            let label = net.forward(&x).expect("forward").argmax().expect("logits");
+            (x, label)
+        })
+        .collect();
+    for snr in [5.0, 40.0] {
+        let opts = InstrumentOptions {
+            snr: SnrDb::new(snr),
+            adc_bits: 4,
+            seed: 31,
+            ..InstrumentOptions::paper_default("pool3")
+        };
+        let report = |threads| {
+            AccuracyHarness::new(examples.clone(), threads)
+                .evaluate(|| instrument(&spec, &params, &opts))
+                .expect("accuracy evaluation")
+        };
+        let one = report(1);
+        assert_eq!(one, report(3), "{snr} dB");
+        if snr == 5.0 {
+            assert!(one.top1 < 1.0, "5 dB noise should cost hits: {one:?}");
+        }
+    }
 }
 
 /// `math::ln` on 2^20 points spread evenly over the normal f32 bits below

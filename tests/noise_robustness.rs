@@ -57,11 +57,11 @@ fn setup() -> Setup {
 fn accuracy(setup: &Setup, snr_db: f64, bits: u32) -> f32 {
     setup
         .harness
-        .evaluate(|worker| {
+        .evaluate(|| {
             let opts = InstrumentOptions {
                 snr: SnrDb::new(snr_db),
                 adc_bits: bits,
-                seed: 100 + worker as u64,
+                seed: 100,
                 ..InstrumentOptions::paper_default("pool3")
             };
             instrument(&setup.spec, &setup.params, &opts)
@@ -118,7 +118,7 @@ fn weight_quantization_to_8_bits_is_accurate() {
             ..InstrumentOptions::paper_default("pool3")
         };
         s.harness
-            .evaluate(|_| instrument(&s.spec, &s.params, &opts))
+            .evaluate(|| instrument(&s.spec, &s.params, &opts))
             .unwrap()
             .top1
     };
@@ -131,7 +131,7 @@ fn weight_quantization_to_8_bits_is_accurate() {
             ..InstrumentOptions::paper_default("pool3")
         };
         s.harness
-            .evaluate(|_| instrument(&s.spec, &s.params, &opts))
+            .evaluate(|| instrument(&s.spec, &s.params, &opts))
             .unwrap()
             .top1
     };
