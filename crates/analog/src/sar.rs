@@ -44,12 +44,6 @@ impl SarConversion {
     pub fn reconstruct(&self) -> f64 {
         (f64::from(self.code) + 0.5) * Self::lsb(self.resolution)
     }
-
-    /// Zero-padded alignment of the code to the full 10-bit grid, as the
-    /// paper's digital interface performs.
-    pub fn aligned_code(&self) -> u32 {
-        self.code << (MAX_RESOLUTION - self.resolution)
-    }
 }
 
 /// Behavioral model of the charge-redistribution SAR ADC.
@@ -189,7 +183,7 @@ mod tests {
         for n in [10u32, 8, 6] {
             let adc = SarAdc::new(n).unwrap();
             let conv = adc.convert(x, &mut rng);
-            codes.push(conv.aligned_code() as f64 / 1024.0);
+            codes.push(f64::from(conv.code << (10 - n)) / 1024.0);
         }
         for c in &codes {
             assert!((c - x).abs() <= 1.0 / 64.0, "aligned {c} vs {x}");

@@ -182,8 +182,9 @@ proptest! {
         let mut rng = Rng::seed_from(1);
         let coarse = SarAdc::new(n).unwrap();
         let fine = SarAdc::new(10).unwrap();
-        let a = coarse.convert(x, &mut rng).aligned_code() as f64 / 1024.0;
-        let b = fine.convert(x, &mut rng).aligned_code() as f64 / 1024.0;
+        // Zero-pad each code onto the full 10-bit grid.
+        let a = f64::from(coarse.convert(x, &mut rng).code << (10 - n)) / 1024.0;
+        let b = f64::from(fine.convert(x, &mut rng).code) / 1024.0;
         let lsb = 1.0 / 2f64.powi(n as i32);
         prop_assert!((a - b).abs() <= lsb, "coarse {a} vs fine {b}");
     }

@@ -46,7 +46,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, plan) in &plans {
-        let est = estimate::estimate_prefix_per_layer(&summary, cut, plan, 4, ProcessCorner::TT)
+        let est = estimate::estimate_prefix(&summary, cut, plan, 4, ProcessCorner::TT)
             .expect("plan estimates");
         rows.push(vec![
             name.to_string(),

@@ -9,7 +9,7 @@
 
 use redeye_bench::report::{section, table, time};
 use redeye_core::rowsim::{simulate_rows, ColumnMapping};
-use redeye_core::{compile, partition_googlenet, CompileOptions, Depth, WeightBank};
+use redeye_core::{compile, CompileOptions, Depth, WeightBank};
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::Rng;
 
@@ -18,7 +18,9 @@ fn main() {
     let spec = zoo::googlenet();
     let mut rows = Vec::new();
     for depth in Depth::ALL {
-        let (prefix, _) = partition_googlenet(&spec, depth).expect("GoogLeNet cuts");
+        let prefix = spec
+            .prefix_through(depth.cut_layer())
+            .expect("GoogLeNet cuts");
         let mut rng = Rng::seed_from(1);
         let mut net =
             build_network(&prefix, WeightInit::HeNormal, &mut rng).expect("prefix builds");

@@ -60,14 +60,6 @@ impl AreaEstimate {
             interconnects: INTERCONNECTS_PER_COLUMN * COLUMN_COUNT,
         }
     }
-
-    /// Area saved by cyclic module reuse versus a hypothetical design that
-    /// instantiates a physically separate column pipeline per executed
-    /// layer (the §V "design complexity" ablation): the reuse factor equals
-    /// the number of layer passes.
-    pub fn reuse_saving_factor(layer_passes: usize) -> f64 {
-        layer_passes.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +82,5 @@ mod tests {
         // Pixel array + controller fit comfortably inside the die; the
         // remaining area is the columns' compute share.
         assert!(a.pixel_array_mm2 + a.controller_mm2 < a.die_mm2);
-    }
-
-    #[test]
-    fn reuse_saves_linear_area() {
-        // A Depth5 program makes ~10 layer passes through one physical
-        // pipeline; without cyclic reuse it would need ~10× the module area.
-        assert_eq!(AreaEstimate::reuse_saving_factor(10), 10.0);
-        assert_eq!(AreaEstimate::reuse_saving_factor(0), 1.0);
     }
 }

@@ -20,15 +20,6 @@ pub enum CoreError {
         /// Name of the offending layer.
         layer: String,
     },
-    /// The program does not fit the on-chip SRAM budget.
-    SramOverflow {
-        /// Which SRAM overflowed (`"program"` or `"feature"`).
-        which: &'static str,
-        /// Bytes required.
-        required: usize,
-        /// Bytes available.
-        capacity: usize,
-    },
     /// A quantized weight code falls outside the tunable-capacitor DAC's
     /// signed fixed-point range (§IV-A). Codes are applied directly by the
     /// capacitor bank, so an out-of-range code has no hardware realization.
@@ -75,14 +66,6 @@ impl fmt::Display for CoreError {
             CoreError::NotAnalogExecutable { layer } => {
                 write!(f, "layer `{layer}` cannot execute in the analog domain")
             }
-            CoreError::SramOverflow {
-                which,
-                required,
-                capacity,
-            } => write!(
-                f,
-                "{which} SRAM overflow: need {required} B, have {capacity} B"
-            ),
             CoreError::CodeOutOfRange { layer, code, bits } => {
                 let limit = (1i32 << (bits - 1)) - 1;
                 write!(
@@ -143,17 +126,6 @@ impl From<AnalogError> for CoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn displays_are_informative() {
-        let e = CoreError::SramOverflow {
-            which: "feature",
-            required: 200_000,
-            capacity: 102_400,
-        };
-        assert!(e.to_string().contains("feature"));
-        assert!(e.to_string().contains("200000"));
-    }
 
     #[test]
     fn code_out_of_range_names_the_dac_envelope() {

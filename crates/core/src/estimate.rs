@@ -3,22 +3,23 @@
 //! The paper's developer framework predicts "task accuracy and energy
 //! estimations" for a partitioned ConvNet (§III-D). Accuracy needs the
 //! functional executor; energy and timing need only *operation counts*,
-//! which shape propagation provides exactly. This module turns a network
-//! prefix's [`PrefixTotals`] into the per-frame numbers behind Figs. 7–10
-//! and Table I.
+//! which shape propagation provides exactly. This module charges a network
+//! prefix's per-layer counts ([`NetworkSummary`]) into the per-frame numbers
+//! behind Figs. 7–10 and Table I.
 //!
 //! The column-parallel topology (§III-B) processes all 227 columns
 //! simultaneously, so frame time is the per-column sequential work times the
-//! per-operation settling times of [`redeye_analog::calib`]. The counts are
-//! charged through the shared cost model ([`redeye_analog::cost`]), the
-//! same one the executor's ledger and the static cost pass use.
+//! per-operation settling times of [`redeye_analog::calib`]. Each layer is
+//! charged with [`redeye_verify::charge`] into the shared cost model
+//! ([`redeye_analog::cost`]), the same function and accumulator the
+//! executor's ledger and the static cost pass use.
 
-use crate::{CoreError, EnergyLedger, Result};
+use crate::{CoreError, EnergyLedger, ResourceLimits, Result};
 use redeye_analog::calib::COLUMN_COUNT;
 use redeye_analog::cost::FrameCost;
 pub use redeye_analog::cost::{controller_power, TimingBreakdown};
-use redeye_analog::{ProcessCorner, SarAdc, SnrDb};
-use redeye_nn::{summarize, NetworkSpec, PrefixTotals};
+use redeye_analog::{AnalogError, ProcessCorner, SarAdc, SnrDb};
+use redeye_nn::{summarize, NetworkSpec, NetworkSummary, OpCounts};
 use serde::{Deserialize, Serialize};
 
 /// A RedEye operating configuration: the knobs a developer programs
@@ -45,15 +46,11 @@ impl Default for RedEyeConfig {
     }
 }
 
-/// Itemized per-frame energy (alias of the executor's ledger — both paths
-/// produce the same categories).
-pub type EnergyBreakdown = EnergyLedger;
-
 /// The full analytic estimate for one partitioned configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Estimate {
-    /// Itemized energy.
-    pub energy: EnergyBreakdown,
+    /// Itemized energy, in the executor's ledger categories.
+    pub energy: EnergyLedger,
     /// Itemized timing.
     pub timing: TimingBreakdown,
     /// Feature values crossing the A/D boundary.
@@ -147,16 +144,16 @@ pub fn predicted_output_snr(spec: &NetworkSpec, cut: &str, plan: &NoisePlan) -> 
     Ok(redeye_analog::cumulative_snr(&stages))
 }
 
-/// Estimates one frame with a per-layer noise plan over the prefix of
-/// `summary` ending at `cut`. Energy of each layer scales with its own
-/// damping setting; timing and readout are unchanged by SNR.
+/// Estimates one frame over the prefix of `summary` ending at `cut`, each
+/// layer charged at its planned SNR. Energy of each layer scales with its
+/// own damping setting; timing and readout are unchanged by SNR.
 ///
 /// # Errors
 ///
-/// Returns an error if `cut` does not name a summarized layer or
-/// `adc_bits` is not a SAR resolution (1–10).
-pub fn estimate_prefix_per_layer(
-    summary: &redeye_nn::NetworkSummary,
+/// Returns an error if `cut` does not name a summarized layer, `adc_bits`
+/// is not a SAR resolution (1–10), or a prefix layer's SNR is not finite.
+pub fn estimate_prefix(
+    summary: &NetworkSummary,
     cut: &str,
     plan: &NoisePlan,
     adc_bits: u32,
@@ -171,39 +168,31 @@ pub fn estimate_prefix_per_layer(
     let mut cost = FrameCost::new(COLUMN_COUNT);
     for layer in &summary.layers[..=pos] {
         let snr = plan.snr_for(&layer.name);
-        cost.mac(layer.macs, snr);
-        cost.compare(layer.comparisons);
-        cost.write(layer.writes, snr);
+        if !snr.db().is_finite() {
+            return Err(AnalogError::OutOfRange {
+                parameter: "snr",
+                value: snr.db().to_string(),
+                allowed: "finite dB",
+            }
+            .into());
+        }
+        let counts = OpCounts {
+            macs: layer.macs,
+            comparisons: layer.comparisons,
+            writes: layer.writes,
+        };
+        redeye_verify::charge(&mut cost, counts, Some(snr));
     }
-    cost.convert(&adc, summary.layers[pos].out_len);
-    Ok(estimate_at(&cost, corner, adc_bits))
-}
-
-/// Estimates one frame of RedEye execution over a network prefix described
-/// by its operation totals.
-///
-/// # Errors
-///
-/// Returns an error if `config.adc_bits` is not a SAR resolution (1–10).
-pub fn estimate_prefix(totals: &PrefixTotals, config: &RedEyeConfig) -> Result<Estimate> {
-    let mut cost = FrameCost::new(COLUMN_COUNT);
-    cost.mac(totals.macs, config.snr);
-    cost.compare(totals.comparisons);
-    cost.write(totals.writes, config.snr);
-    cost.convert(&SarAdc::new(config.adc_bits)?, totals.out_len);
-    Ok(estimate_at(&cost, config.corner, config.adc_bits))
-}
-
-/// Reads a charged frame's estimate off the cost model at `corner`.
-fn estimate_at(cost: &FrameCost, corner: ProcessCorner, adc_bits: u32) -> Estimate {
+    let out_len = summary.layers[pos].out_len;
+    cost.convert(&adc, out_len);
     let (energy, timing) = cost.at_corner(corner);
-    Estimate {
-        readout_values: energy.conversions,
+    Ok(Estimate {
+        readout_values: out_len,
         readout_bits: energy.readout_bits,
-        feature_bytes: crate::FeatureSram::bytes_needed(energy.conversions, adc_bits),
+        feature_bytes: ResourceLimits::feature_bytes_needed(out_len, adc_bits),
         energy,
         timing,
-    }
+    })
 }
 
 /// Estimates one frame over the prefix of `spec` ending at layer `cut`.
@@ -217,8 +206,13 @@ pub fn estimate_spec_prefix(
     cut: &str,
     config: &RedEyeConfig,
 ) -> Result<Estimate> {
-    let summary = summarize(spec)?;
-    estimate_prefix(&summary.prefix_totals(cut)?, config)
+    estimate_prefix(
+        &summarize(spec)?,
+        cut,
+        &NoisePlan::uniform(config.snr),
+        config.adc_bits,
+        config.corner,
+    )
 }
 
 /// Estimates one frame of GoogLeNet at one of the paper's five depths.
@@ -238,15 +232,19 @@ pub fn estimate_depth(depth: crate::Depth, config: &RedEyeConfig) -> Result<Esti
 ///
 /// Propagates [`estimate_depth`] errors.
 pub fn estimate_all_depths(config: &RedEyeConfig) -> Result<Vec<(crate::Depth, Estimate)>> {
-    let spec = redeye_nn::zoo::googlenet();
-    let summary = summarize(&spec)?;
+    let summary = summarize(&redeye_nn::zoo::googlenet())?;
+    let plan = NoisePlan::uniform(config.snr);
     crate::Depth::ALL
         .iter()
         .map(|&d| {
-            let totals = summary
-                .prefix_totals(d.cut_layer())
-                .map_err(CoreError::from)?;
-            Ok((d, estimate_prefix(&totals, config)?))
+            let est = estimate_prefix(
+                &summary,
+                d.cut_layer(),
+                &plan,
+                config.adc_bits,
+                config.corner,
+            )?;
+            Ok((d, est))
         })
         .collect()
 }
@@ -364,18 +362,60 @@ mod tests {
     }
 
     #[test]
-    fn uniform_plan_matches_global_config() {
-        let spec = redeye_nn::zoo::googlenet();
-        let summary = redeye_nn::summarize(&spec).unwrap();
-        let plan = NoisePlan::uniform(SnrDb::new(40.0));
-        let per_layer =
-            estimate_prefix_per_layer(&summary, Depth::D5.cut_layer(), &plan, 4, ProcessCorner::TT)
-                .unwrap();
-        let global = estimate_depth(Depth::D5, &RedEyeConfig::default()).unwrap();
-        let rel = (per_layer.energy.analog_total().value() - global.energy.analog_total().value())
-            .abs()
-            / global.energy.analog_total().value();
-        assert!(rel < 1e-9, "uniform plan must equal global config: {rel}");
+    fn per_layer_charging_equals_prefix_totals() {
+        // One SNR everywhere: charging layer by layer equals charging the
+        // prefix's summed counts once, up to summation order.
+        let summary = redeye_nn::summarize(&redeye_nn::zoo::googlenet()).unwrap();
+        let config = RedEyeConfig::default();
+        let cut = Depth::D5.cut_layer();
+        let est = estimate_depth(Depth::D5, &config).unwrap();
+        let totals = summary.prefix_totals(cut).unwrap();
+        let mut cost = FrameCost::new(COLUMN_COUNT);
+        cost.mac(totals.macs, config.snr);
+        cost.compare(totals.comparisons);
+        cost.write(totals.writes, config.snr);
+        cost.convert(&SarAdc::new(config.adc_bits).unwrap(), totals.out_len);
+        let (oracle, timing) = cost.at_corner(config.corner);
+        assert_eq!(
+            (est.energy.macs, est.energy.comparisons, est.energy.writes),
+            (oracle.macs, oracle.comparisons, oracle.writes)
+        );
+        assert_eq!(est.readout_values, totals.out_len);
+        let rel = |a: f64, b: f64| (a - b).abs() / b;
+        let (a, b) = (est.energy.analog_total(), oracle.analog_total());
+        assert!(rel(a.value(), b.value()) < 1e-12, "{a} vs {b}");
+        let (a, b) = (est.timing.frame_time(), timing.frame_time());
+        assert!(rel(a.value(), b.value()) < 1e-12, "{a} vs {b}");
+    }
+
+    #[test]
+    fn non_finite_snr_is_out_of_range() {
+        fn out_of_range<T>(r: Result<T>) -> bool {
+            matches!(
+                r,
+                Err(CoreError::Analog(AnalogError::OutOfRange {
+                    parameter: "snr",
+                    ..
+                }))
+            )
+        }
+        let summary = redeye_nn::summarize(&redeye_nn::zoo::googlenet()).unwrap();
+        let tt = ProcessCorner::TT;
+        for db in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = RedEyeConfig {
+                snr: SnrDb::new(db),
+                ..RedEyeConfig::default()
+            };
+            assert!(out_of_range(estimate_depth(Depth::D3, &config)), "{db}");
+            assert!(out_of_range(estimate_all_depths(&config)), "{db}");
+            // An override inside the prefix is checked too; one past the cut
+            // is never charged.
+            let plan = NoisePlan::uniform(SnrDb::new(40.0)).with_layer("conv2", SnrDb::new(db));
+            assert!(out_of_range(estimate_prefix(
+                &summary, "pool2", &plan, 4, tt
+            )));
+            assert!(estimate_prefix(&summary, "norm1", &plan, 4, tt).is_ok());
+        }
     }
 
     #[test]
@@ -384,9 +424,8 @@ mod tests {
         let summary = redeye_nn::summarize(&spec).unwrap();
         let base = NoisePlan::uniform(SnrDb::new(40.0));
         let boosted = base.clone().with_layer("conv1", SnrDb::new(50.0));
-        let a = estimate_prefix_per_layer(&summary, "pool2", &base, 4, ProcessCorner::TT).unwrap();
-        let b =
-            estimate_prefix_per_layer(&summary, "pool2", &boosted, 4, ProcessCorner::TT).unwrap();
+        let a = estimate_prefix(&summary, "pool2", &base, 4, ProcessCorner::TT).unwrap();
+        let b = estimate_prefix(&summary, "pool2", &boosted, 4, ProcessCorner::TT).unwrap();
         // conv1 is ~123.5M of ~500M prefix MACs; boosting it 10× adds ~9×
         // its share.
         let conv1 = summary.layer("conv1").unwrap().macs as f64;
@@ -434,7 +473,7 @@ mod tests {
         let spec = redeye_nn::zoo::googlenet();
         let summary = redeye_nn::summarize(&spec).unwrap();
         let plan = NoisePlan::uniform(SnrDb::new(40.0));
-        assert!(estimate_prefix_per_layer(&summary, "zzz", &plan, 4, ProcessCorner::TT).is_err());
+        assert!(estimate_prefix(&summary, "zzz", &plan, 4, ProcessCorner::TT).is_err());
     }
 
     #[test]

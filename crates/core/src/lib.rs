@@ -30,14 +30,18 @@
 //!   timing, and readout workloads for full-size networks (GoogLeNet at
 //!   227×227) from shape propagation alone; this is what regenerates the
 //!   paper's Figs. 7–10 and Table I.
-//! - [`Depth`] — the five GoogLeNet partition points of Fig. 6.
+//! - [`Depth`] — the five GoogLeNet partition points of Fig. 6; a spec is
+//!   cut with `spec.prefix_through(depth.cut_layer())`.
 //! - [`area`] — the §V-D silicon area model (column slices, SRAM, die).
 //!
 //! Programs are checked statically by the `redeye-verify` crate before they
 //! run: [`compile()`](compile()) verifies its output (policy set by
 //! [`CompileOptions::verify`]) and [`BatchExecutor::new`] refuses a program
 //! with verification errors. The IR itself ([`Program`], [`Instruction`])
-//! lives in `redeye-verify` and is re-exported here unchanged.
+//! and the on-chip SRAM budgets ([`KERNEL_SRAM_BYTES`],
+//! [`FEATURE_SRAM_BYTES`], [`TOTAL_SRAM_BYTES`], the defaults of
+//! [`ResourceLimits`] that RE0401/RE0402 enforce) live in `redeye-verify`
+//! and are re-exported here unchanged.
 //!
 //! # Example
 //!
@@ -63,27 +67,26 @@ mod fleet;
 mod partition;
 pub mod pool;
 pub mod rowsim;
-mod sram;
 pub mod stacking;
 
 pub use batch::{BatchExecutor, BatchResult};
 pub use compile::{compile, CompileOptions, VerifyPolicy, WeightBank};
 pub use error::CoreError;
-pub use estimate::{EnergyBreakdown, Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
+pub use estimate::{Estimate, NoisePlan, RedEyeConfig, TimingBreakdown};
 pub use executor::{ExecutionResult, FrameCtx, FrameEngine, FrameOutput};
 pub use fleet::{
     frame_digest, DeviceCalib, DeviceCtx, DeviceFrame, DeviceOutcome, DeviceProfile, DeviceScratch,
     DeviceWork, FleetEngine, FleetExecutor, FleetOptions, FleetReport, FrameStat,
 };
-pub use partition::{partition_googlenet, Depth};
+pub use partition::Depth;
 pub use pool::{auto_workers, run_tasks};
 pub use redeye_analog::cost::EnergyLedger;
 pub use redeye_verify::{
     analyze_cost, analyze_ranges, verify, verify_with_limits, verify_with_options, CostBounds,
     CostBudget, CostEstimate, DiagClass, Diagnostic, Instruction, Program, RangeSummary, Report,
-    ResourceLimits, Severity, VerifyOptions,
+    ResourceLimits, Severity, VerifyOptions, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES,
+    TOTAL_SRAM_BYTES,
 };
-pub use sram::{FeatureSram, ProgramSram, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

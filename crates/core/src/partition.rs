@@ -19,8 +19,6 @@
 //! why the paper's design "is unable to execute further than the first 5
 //! layers".
 
-use crate::{CoreError, Result};
-use redeye_nn::NetworkSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -43,7 +41,9 @@ impl Depth {
     /// All five depths in order.
     pub const ALL: [Depth; 5] = [Depth::D1, Depth::D2, Depth::D3, Depth::D4, Depth::D5];
 
-    /// The name of the last GoogLeNet layer RedEye executes at this depth.
+    /// The name of the last GoogLeNet layer RedEye executes at this depth:
+    /// `spec.prefix_through(cut)` is the RedEye prefix and
+    /// `spec.suffix_after(cut)` the host suffix.
     pub fn cut_layer(self) -> &'static str {
         match self {
             Depth::D1 => "norm1",
@@ -70,21 +70,6 @@ impl fmt::Display for Depth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Depth{}", self.index())
     }
-}
-
-/// Splits a GoogLeNet(-shaped) spec at the given depth into the
-/// (RedEye prefix, host suffix) pair.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Nn`]-wrapped `UnknownLayer` if the spec lacks the
-/// cut layer (i.e. it is not GoogLeNet-shaped).
-pub fn partition_googlenet(spec: &NetworkSpec, depth: Depth) -> Result<(NetworkSpec, NetworkSpec)> {
-    let cut = depth.cut_layer();
-    let unknown = || CoreError::Nn(redeye_nn::NnError::UnknownLayer { name: cut.into() });
-    let prefix = spec.prefix_through(cut).ok_or_else(unknown)?;
-    let suffix = spec.suffix_after(cut).ok_or_else(unknown)?;
-    Ok((prefix, suffix))
 }
 
 #[cfg(test)]
@@ -127,7 +112,8 @@ mod tests {
     fn partition_splits_cleanly() {
         let spec = zoo::googlenet();
         for depth in Depth::ALL {
-            let (prefix, suffix) = partition_googlenet(&spec, depth).unwrap();
+            let prefix = spec.prefix_through(depth.cut_layer()).unwrap();
+            let suffix = spec.suffix_after(depth.cut_layer()).unwrap();
             assert_eq!(
                 prefix.layers.len() + suffix.layers.len(),
                 spec.layers.len(),
@@ -140,12 +126,9 @@ mod tests {
                 .iter()
                 .all(redeye_nn::LayerSpec::analog_executable));
         }
-    }
-
-    #[test]
-    fn partition_rejects_non_googlenet() {
-        let spec = zoo::micronet(8, 10);
-        assert!(partition_googlenet(&spec, Depth::D4).is_err());
+        // A spec without GoogLeNet's layer names has no cut.
+        let micronet = zoo::micronet(8, 10);
+        assert!(micronet.prefix_through(Depth::D4.cut_layer()).is_none());
     }
 
     #[test]

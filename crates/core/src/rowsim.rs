@@ -213,7 +213,7 @@ mod tests {
 
     fn googlenet_program(depth: Depth) -> Program {
         let spec = zoo::googlenet();
-        let (prefix, _) = crate::partition_googlenet(&spec, depth).unwrap();
+        let prefix = spec.prefix_through(depth.cut_layer()).unwrap();
         let mut rng = Rng::seed_from(1);
         let mut net = build_network(&prefix, WeightInit::HeNormal, &mut rng).unwrap();
         let mut bank = WeightBank::from_network(&mut net);

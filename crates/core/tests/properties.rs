@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use redeye_analog::{ProcessCorner, SnrDb};
 use redeye_core::{
-    compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, FeatureSram, Program,
-    RedEyeConfig, WeightBank,
+    compile, estimate, BatchExecutor, CompileOptions, Depth, EnergyLedger, Program, RedEyeConfig,
+    ResourceLimits, WeightBank,
 };
 use redeye_nn::{build_network, zoo, WeightInit};
 use redeye_tensor::{Rng, Tensor};
@@ -78,7 +78,7 @@ proptest! {
     /// Feature payload bytes follow the bit-packing formula for any load.
     #[test]
     fn feature_bytes_formula(values in 0u64..1_000_000, bits in 1u32..16) {
-        let bytes = FeatureSram::bytes_needed(values, bits);
+        let bytes = ResourceLimits::feature_bytes_needed(values, bits);
         prop_assert_eq!(bytes as u64, (values * u64::from(bits)).div_ceil(8));
     }
 

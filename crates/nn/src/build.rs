@@ -197,7 +197,7 @@ mod tests {
         let mut net = build_network(&spec, WeightInit::HeNormal, &mut rng).unwrap();
         let [c, h, w] = spec.input;
         let out = net.forward(&Tensor::zeros(&[c, h, w])).unwrap();
-        assert_eq!(out.dims(), summary.output_shape());
+        assert_eq!(out.dims(), summary.layers.last().unwrap().out_shape);
     }
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
         let [c, h, w] = spec.input;
         let out = net.forward(&Tensor::full(&[c, h, w], 0.1)).unwrap();
         let summary = summarize(&spec).unwrap();
-        assert_eq!(out.dims(), summary.output_shape());
+        assert_eq!(out.dims(), summary.layers.last().unwrap().out_shape);
         // Softmax head: probabilities sum to 1.
         assert!((out.sum() - 1.0).abs() < 1e-5);
     }

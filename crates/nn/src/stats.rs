@@ -55,19 +55,6 @@ impl NetworkSummary {
         self.layers.iter().map(|l| l.params).sum()
     }
 
-    /// Output shape of the final layer (the network's output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network has no layers.
-    pub fn output_shape(&self) -> &[usize] {
-        &self
-            .layers
-            .last()
-            .expect("summary of a non-empty network")
-            .out_shape
-    }
-
     /// Stats row for a named layer, if present.
     pub fn layer(&self, name: &str) -> Option<&LayerStats> {
         self.layers.iter().find(|l| l.name == name)

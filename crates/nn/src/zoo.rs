@@ -271,7 +271,7 @@ mod tests {
             vec![512, 14, 14]
         );
         assert_eq!(s.layer("inception_5b").unwrap().out_shape, vec![1024, 7, 7]);
-        assert_eq!(s.output_shape(), &[1000]);
+        assert_eq!(s.layers.last().unwrap().out_shape, &[1000]);
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
         assert_eq!(s.layer("pool1").unwrap().out_shape, vec![96, 27, 27]);
         assert_eq!(s.layer("conv2").unwrap().out_shape, vec![256, 27, 27]);
         assert_eq!(s.layer("pool5").unwrap().out_shape, vec![256, 6, 6]);
-        assert_eq!(s.output_shape(), &[1000]);
+        assert_eq!(s.layers.last().unwrap().out_shape, &[1000]);
         // AlexNet without grouping: ~60M+ params dominated by fc6.
         assert!(s.total_params() > 50_000_000);
     }
@@ -313,7 +313,7 @@ mod tests {
     fn micronet_is_small() {
         let s = summarize(&micronet(8, 10)).unwrap();
         assert!(s.total_params() < 100_000);
-        assert_eq!(s.output_shape(), &[10]);
+        assert_eq!(s.layers.last().unwrap().out_shape, &[10]);
     }
 
     #[test]

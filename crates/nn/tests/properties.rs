@@ -40,7 +40,7 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let mut net = build_network(&spec, WeightInit::HeNormal, &mut rng).unwrap();
         let out = net.forward(&Tensor::zeros(&[2, 12, 12])).unwrap();
-        prop_assert_eq!(out.dims(), summary.output_shape());
+        prop_assert_eq!(out.dims(), summary.layers.last().unwrap().out_shape);
     }
 
     /// Softmax is a probability distribution for any finite logits.

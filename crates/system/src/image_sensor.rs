@@ -35,16 +35,6 @@ impl ImageSensor {
         }
     }
 
-    /// Returns a copy with different frame geometry, keeping the energy
-    /// model (for payload what-if studies; the 1.1 mJ anchor describes the
-    /// paper's 227×227 part).
-    pub fn with_geometry(mut self, side: usize, channels: usize, bits: u32) -> Self {
-        self.side = side;
-        self.channels = channels;
-        self.bits = bits;
-        self
-    }
-
     /// Samples read out per frame.
     fn samples_per_frame(&self) -> u64 {
         (self.side * self.side * self.channels) as u64
@@ -53,11 +43,6 @@ impl ImageSensor {
     /// Bits produced per frame.
     pub fn bits_per_frame(&self) -> u64 {
         self.samples_per_frame() * u64::from(self.bits)
-    }
-
-    /// Bytes produced per frame (bit-packed).
-    pub fn bytes_per_frame(&self) -> usize {
-        (self.bits_per_frame().div_ceil(8)) as usize
     }
 
     /// Analog readout energy per frame.
@@ -93,7 +78,7 @@ mod tests {
     #[test]
     fn frame_payload_is_193_kb() {
         // The Fig. 7c raw-frame payload the BLE model transmits.
-        let bytes = ImageSensor::paper_baseline().bytes_per_frame();
+        let bytes = ImageSensor::paper_baseline().bits_per_frame().div_ceil(8);
         assert!((190_000..196_000).contains(&bytes), "{bytes}");
     }
 }

@@ -38,12 +38,6 @@ impl ShiDianNao {
         }
     }
 
-    /// Returns a copy with a different tiling stride (what-if studies).
-    pub fn with_stride(mut self, stride: usize) -> Self {
-        self.stride = stride;
-        self
-    }
-
     /// Patch instances needed to tile the frame at the stride, as the paper
     /// counts them (144 for the 227×227 region).
     pub fn patch_instances(&self) -> usize {

@@ -192,12 +192,6 @@ impl Report {
         self.count(Severity::Warning) > 0
     }
 
-    /// Whether the program verified without errors *or* warnings (notes are
-    /// allowed).
-    pub fn is_clean(&self) -> bool {
-        !self.has_errors() && !self.has_warnings()
-    }
-
     /// The error-severity diagnostics.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
@@ -297,7 +291,7 @@ mod tests {
     #[test]
     fn report_counts_and_classes() {
         let mut r = Report::new("p");
-        assert!(r.is_clean() && !r.has_errors());
+        assert!(!r.has_errors() && !r.has_warnings());
         r.push(diag(Severity::Warning));
         r.push(diag(Severity::Error));
         r.push(Diagnostic::new(
@@ -308,7 +302,6 @@ mod tests {
         ));
         assert_eq!(r.count(Severity::Error), 1);
         assert_eq!(r.count(Severity::Warning), 1);
-        assert!(!r.is_clean());
         assert!(r.has_errors() && r.has_warnings());
         assert_eq!(r.errors().count(), 1);
         let classes = r.classes_at(Severity::Warning);

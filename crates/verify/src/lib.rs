@@ -75,7 +75,7 @@ mod signal;
 
 pub use cost::{charge, CostBounds, CostBudget, CostEstimate};
 pub use diag::{DiagClass, Diagnostic, Report, Severity};
-pub use limits::ResourceLimits;
+pub use limits::{ResourceLimits, FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES};
 pub use program::{Instruction, Program};
 pub use signal::RangeSummary;
 
@@ -198,7 +198,10 @@ mod tests {
     #[test]
     fn well_formed_program_is_clean() {
         let report = verify(&small_program());
-        assert!(report.is_clean(), "unexpected diagnostics:\n{report}");
+        assert!(
+            !report.has_errors() && !report.has_warnings(),
+            "unexpected diagnostics:\n{report}"
+        );
     }
 
     #[test]
@@ -267,13 +270,34 @@ mod tests {
     }
 
     #[test]
-    fn kernel_sram_overflow_rejected() {
-        let limits = ResourceLimits {
-            kernel_sram_bytes: 64,
+    fn sram_overflow_rejected() {
+        let has = |report: &Report, code: &str| report.diagnostics.iter().any(|d| d.code == code);
+        let kernel = |bytes| ResourceLimits {
+            kernel_sram_bytes: bytes,
             ..ResourceLimits::default()
         };
-        let report = verify_with_limits(&small_program(), &limits);
-        assert!(report.errors().any(|d| d.code == "RE0401"));
+        let feature = |bytes| ResourceLimits {
+            feature_sram_bytes: bytes,
+            ..ResourceLimits::default()
+        };
+        assert!(has(
+            &verify_with_limits(&small_program(), &kernel(64)),
+            "RE0401"
+        ));
+
+        // 4 output channels of 27-code patches: one channel double-buffered
+        // is a 54 B working set, which fits 54 B exactly and not 53 B.
+        let p = Program::new("t", [3, 8, 8], vec![conv("c", 3, 4, 3, 40.0)], 4);
+        assert_eq!(p.kernel_working_set_bytes(), 54);
+        assert!(!has(&verify_with_limits(&p, &kernel(54)), "RE0401"));
+        assert!(verify_with_limits(&p, &kernel(53))
+            .errors()
+            .any(|d| d.code == "RE0401"));
+
+        // 2×10×10 = 200 features at 4 bits bit-pack into 100 B.
+        let p = Program::new("t", [3, 10, 10], vec![conv("c", 3, 2, 3, 40.0)], 4);
+        assert!(!has(&verify_with_limits(&p, &feature(100)), "RE0402"));
+        assert!(has(&verify_with_limits(&p, &feature(99)), "RE0402"));
     }
 
     #[test]

@@ -1,11 +1,22 @@
 //! Hardware resource envelopes the static passes check against.
 //!
-//! The defaults are the paper's design point (§V-D): a 9-kB kernel/program
-//! SRAM, a 100-kB feature SRAM, and a 227-column sensor array. Callers with
-//! a different floorplan (e.g. the stacked-die exploration) can substitute
-//! their own limits.
+//! The defaults are the paper's design point (§V-D): "RedEye requires
+//! 100-kB memory to store features and 9-kB for kernels, which fit within
+//! the 128-kB on-chip SRAM", over a 227-column sensor array. These are the
+//! only copies of the budgets; the RE0401/RE0402 checks enforce them on
+//! every program. Callers with a different floorplan (e.g. the stacked-die
+//! exploration) can substitute their own limits.
 
 use redeye_analog::calib::COLUMN_COUNT;
+
+/// Total on-chip SRAM (bytes).
+pub const TOTAL_SRAM_BYTES: usize = 128 * 1024;
+
+/// Feature SRAM capacity (bytes).
+pub const FEATURE_SRAM_BYTES: usize = 100 * 1024;
+
+/// Kernel (program) SRAM capacity (bytes).
+pub const KERNEL_SRAM_BYTES: usize = 9 * 1024;
 
 /// Resource limits of one RedEye floorplan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +32,8 @@ pub struct ResourceLimits {
 impl Default for ResourceLimits {
     fn default() -> Self {
         ResourceLimits {
-            kernel_sram_bytes: 9 * 1024,
-            feature_sram_bytes: 100 * 1024,
+            kernel_sram_bytes: KERNEL_SRAM_BYTES,
+            feature_sram_bytes: FEATURE_SRAM_BYTES,
             columns: COLUMN_COUNT,
         }
     }
@@ -46,6 +57,12 @@ mod tests {
         assert_eq!(l.kernel_sram_bytes, 9 * 1024);
         assert_eq!(l.feature_sram_bytes, 100 * 1024);
         assert_eq!(l.columns, 227);
+    }
+
+    #[test]
+    fn budgets_fit_total() {
+        let (f, k, t) = (FEATURE_SRAM_BYTES, KERNEL_SRAM_BYTES, TOTAL_SRAM_BYTES);
+        assert!(f + k <= t);
     }
 
     #[test]

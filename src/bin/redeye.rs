@@ -9,7 +9,7 @@
 //! ```
 
 use redeye::analog::{DampingConfig, ProcessCorner, SnrDb};
-use redeye::core::{estimate, partition_googlenet, Depth, RedEyeConfig};
+use redeye::core::{estimate, Depth, RedEyeConfig};
 use redeye::nn::zoo;
 use redeye::system::scenario;
 use std::process::ExitCode;
@@ -39,11 +39,16 @@ impl Args {
         Ok(Args { pairs, flags })
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
+    /// The value given for `--key`, if any; a bare `--key` is an error.
+    fn get(&self, key: &str) -> Result<Option<&str>, String> {
+        if self.has(key) {
+            return Err(format!("--{key} needs a value"));
+        }
+        Ok(self
+            .pairs
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v.as_str()))
     }
 
     fn has(&self, key: &str) -> bool {
@@ -51,7 +56,7 @@ impl Args {
     }
 
     fn parse_value<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
+        match self.get(key)? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -84,7 +89,7 @@ fn config_from(args: &Args) -> Result<RedEyeConfig, String> {
     if !(1..=10).contains(&bits) {
         return Err(format!("--bits must be 1..=10, got {bits}"));
     }
-    let corner = corner_from(args.get("corner").unwrap_or("TT"))?;
+    let corner = corner_from(args.get("corner")?.unwrap_or("TT"))?;
     Ok(RedEyeConfig {
         snr: SnrDb::new(snr),
         adc_bits: bits,
@@ -141,11 +146,12 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
 
 fn cmd_depths(args: &Args) -> Result<(), String> {
     let config = config_from(args)?;
+    let rows = estimate::estimate_all_depths(&config).map_err(|e| e.to_string())?;
     println!(
         "{:<8} {:>14} {:>12} {:>10} {:>14}",
         "depth", "analog (mJ)", "frame (ms)", "fps", "payload (kB)"
     );
-    for (depth, est) in estimate::estimate_all_depths(&config).map_err(|e| e.to_string())? {
+    for (depth, est) in rows {
         println!(
             "{:<8} {:>14.3} {:>12.1} {:>10.1} {:>14.1}",
             depth.to_string(),
@@ -179,8 +185,11 @@ fn cmd_systems(args: &Args) -> Result<(), String> {
 fn cmd_partition(args: &Args) -> Result<(), String> {
     let depth = depth_from(args.parse_value("depth", 5u32)?)?;
     let spec = zoo::googlenet();
-    let (prefix, suffix) = partition_googlenet(&spec, depth).map_err(|e| e.to_string())?;
-    println!("{depth}: cut after `{}`", depth.cut_layer());
+    let cut = depth.cut_layer();
+    let (Some(prefix), Some(suffix)) = (spec.prefix_through(cut), spec.suffix_after(cut)) else {
+        return Err(format!("GoogLeNet has no layer `{cut}`"));
+    };
+    println!("{depth}: cut after `{cut}`");
     println!(
         "  RedEye prefix ({} layers): {}",
         prefix.layers.len(),

@@ -68,6 +68,14 @@ fn bad_inputs_fail_cleanly() {
     let (ok, _, stderr) = redeye(&["estimate", "--bits", "0"]);
     assert!(!ok);
     assert!(stderr.contains("--bits"), "{stderr}");
+    // A value flag given bare is not silently defaulted.
+    let (ok, _, stderr) = redeye(&["estimate", "--snr", "--depth", "3"]);
+    assert!(!ok);
+    assert!(stderr.contains("--snr"), "{stderr}");
+    // A non-finite SNR is an estimator error, not a NaN table.
+    let (ok, stdout, stderr) = redeye(&["estimate", "--snr", "nan"]);
+    assert!(!ok && stdout.is_empty());
+    assert!(stderr.contains("snr"), "{stderr}");
     let (ok, _, stderr) = redeye(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"), "{stderr}");

@@ -126,9 +126,7 @@ fn estimate_matches_executor_counters_on_googlenet_front() {
     let mut bank = WeightBank::from_network(&mut net);
     let program = compile(&prefix, &mut bank, &CompileOptions::default()).unwrap();
 
-    let summary = redeye::nn::summarize(&spec).unwrap();
-    let totals = summary.prefix_totals("pool2").unwrap();
-    let est = estimate::estimate_prefix(&totals, &RedEyeConfig::default()).unwrap();
+    let est = estimate::estimate_spec_prefix(&spec, "pool2", &RedEyeConfig::default()).unwrap();
 
     let mut executor = BatchExecutor::new(program, 1, 1).unwrap();
     let result = executor.execute(&Tensor::full(&[3, 32, 32], 0.4)).unwrap();
