@@ -10,13 +10,14 @@
 //! [`Comparator::compare`] is the exact per-decision model.
 //! [`Comparator::max_lanes`] runs [`LANES`] pooling windows through the
 //! same decisions in lockstep. It settles every decision whose outcome
-//! provably does not depend on its noise value from the draw's integer
-//! indices alone, and evaluates the Box–Muller transform only for the rest
-//! (see DESIGN.md §15).
+//! provably does not depend on its noise value, or whose noise provably
+//! decides it, from the draw's integer indices alone, and evaluates the
+//! Box–Muller transform only for the rest (see DESIGN.md §15).
 
 use crate::calib::{COMPARATOR_DECISION_TIME, SWING};
 use crate::{Seconds, Volts};
 use redeye_tensor::{box_muller_angle, box_muller_radius, NoiseSource, NoiseStream, LANES};
+use std::sync::OnceLock;
 
 /// Outcome of one comparator decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,10 +126,12 @@ impl Comparator {
     /// Every site's draws are hashed up front, as if no decision were
     /// forced: decision `j` then draws half `j mod 2` of the Box–Muller
     /// pair at uniforms `2⌊j/2⌋` and `2⌊j/2⌋ + 1`. Each decision step
-    /// screens all lanes branch-free, and runs `compare`'s arithmetic only
-    /// on lanes no screen settles. A lane whose decision turns out forced,
-    /// which shifts every later draw, or whose difference is infinite is
-    /// recomputed with the `compare` chain itself.
+    /// screens all lanes branch-free. A step with an unsettled lane bounds
+    /// every lane's noise term from its index buckets, again branch-free,
+    /// and runs `compare`'s arithmetic only on lanes neither settles. A
+    /// lane whose decision turns out forced, which shifts every later
+    /// draw, or whose difference is infinite is recomputed with the
+    /// `compare` chain itself.
     pub fn max_lanes(
         &mut self,
         taps: &[[f32; LANES]],
@@ -151,6 +154,7 @@ impl Comparator {
         // chain is one subtraction, a compare and a select per lane.
         let mut best_volts = first.map(|v| f64::from(v) * volts_per_unit);
         let mut redo = [false; LANES];
+        let bounds = DrawBounds::get();
         for (j, row) in rest.iter().enumerate() {
             let (u1, u2) = (&self.draws[j & !1], &self.draws[j | 1]);
             let sine = j & 1 == 1;
@@ -170,11 +174,24 @@ impl Comparator {
                 next_volts[l] = if greater { volts[l] } else { best_volts[l] };
             }
             if settled.contains(&false) {
-                let mut greater = delta.map(|d| d > 0.0);
-                for l in (0..LANES).filter(|&l| !settled[l]) {
-                    match self.decide(delta[l], u1[l], u2[l], sine) {
-                        Some(g) => greater[l] = g,
-                        None => redo[l] = true,
+                // The index-bucket bounds settle most of the rest, either
+                // way, for all lanes at once; the exact arithmetic runs
+                // only on what they leave open.
+                let radius = &*bounds.radius;
+                let trig = &*bounds.trig[usize::from(sine)];
+                let mut greater = [false; LANES];
+                let mut open = [false; LANES];
+                for l in 0..LANES {
+                    let (proven, g) = self.screen.bounded(radius, trig, delta[l], u1[l], u2[l]);
+                    greater[l] = if settled[l] { delta[l] > 0.0 } else { g };
+                    open[l] = !(settled[l] | proven);
+                }
+                if open.contains(&true) {
+                    for l in (0..LANES).filter(|&l| open[l]) {
+                        match self.decide(delta[l], u1[l], u2[l], sine) {
+                            Some(g) => greater[l] = g,
+                            None => redo[l] = true,
+                        }
                     }
                 }
                 for l in 0..LANES {
@@ -356,6 +373,51 @@ impl Screen {
         abs_delta - f64::from(r) * self.sigma > self.settle
     }
 
+    /// Whether [`DrawBounds`] prove the outcome of a decision on input
+    /// difference `delta` against the Box–Muller pair `(u1, u2)`, and that
+    /// outcome; `radius` is the `u1` table and `trig` the `u2` table of
+    /// the decision's half. Proven when the noisy difference at both ends
+    /// of the noise term's range has the same sign and a magnitude above
+    /// `settle`: the decision is then not forced and takes that sign,
+    /// which may be the opposite of `delta`'s. Branch-free, so the lanes
+    /// of a block vectorize.
+    ///
+    /// The radius and the trig value each lie in their bucket's
+    /// `[lo, hi]`, and the radius is non-negative, so the exact product
+    /// lies between the smallest and largest corner product; rounding the
+    /// product, scaling by `σ` and adding `delta` are each monotone, so
+    /// the noisy difference lies between the two ends computed the same
+    /// way.
+    #[inline(always)]
+    fn bounded(
+        &self,
+        radius: &[[f32; 2]; BOUND_BUCKETS],
+        trig: &[[f32; 2]; BOUND_BUCKETS],
+        delta: f64,
+        u1: u32,
+        u2: u32,
+    ) -> (bool, bool) {
+        let bucket = |u: u32| (u >> BOUND_SHIFT) as usize & (BOUND_BUCKETS - 1);
+        let [r_lo, r_hi] = radius[bucket(u1)];
+        let [t_lo, t_hi] = trig[bucket(u2)];
+        let z_lo = (r_lo * t_lo).min(r_hi * t_lo);
+        let z_hi = (r_lo * t_hi).max(r_hi * t_hi);
+        let sigma = if self.sigma_negative {
+            -self.sigma
+        } else {
+            self.sigma
+        };
+        let (a, b) = (
+            delta + f64::from(z_lo) * sigma,
+            delta + f64::from(z_hi) * sigma,
+        );
+        let settle = self.settle;
+        let above = (a > settle) & (b > settle);
+        let below = (a < -settle) & (b < -settle);
+        // Infinite differences are left to the exact path.
+        ((above | below) & (delta.abs() <= f64::MAX), above)
+    }
+
     /// Whether a decision on input difference `delta`, drawing half `sine`
     /// of the Box–Muller pair with indices `(u1, u2)`, is provably not
     /// forced and decides `delta > 0`; `tie` says the two taps have
@@ -383,6 +445,77 @@ impl Screen {
             & trig_clear
             & (trig_negative(u2, sine) ^ self.sigma_negative == delta.is_sign_negative());
         finite & (beyond | tied | small | signed)
+    }
+}
+
+/// `log2` of the `u1` and `u2` indices per [`DrawBounds`] bucket.
+const BOUND_SHIFT: u32 = 14;
+/// Buckets of [`DrawBounds`], over the 2²⁴ indices.
+const BOUND_BUCKETS: usize = 1 << (24 - BOUND_SHIFT);
+/// How far the trig bounds sit outside their bucket's edge values: four
+/// `f32` ulps of 1, for the rounding of the angle's argument and result
+/// between the edges.
+const TRIG_MARGIN: f32 = 1.0 / (1 << 22) as f32;
+
+/// Bounds on a draw's Box–Muller factors per bucket of
+/// 2^[`BOUND_SHIFT`] consecutive indices, the same for every comparator.
+/// Built once per process from the bucket edges; the tests check them
+/// against every index.
+struct DrawBounds {
+    /// `radius[b]`: `[lo, hi]` of the radius of every `u1` index of bucket
+    /// `b`. Radii do not rise with the index, so `hi` is the radius of the
+    /// bucket's first index and `lo` that of the next bucket's (0 past the
+    /// last).
+    radius: Box<[[f32; 2]; BOUND_BUCKETS]>,
+    /// `trig[h][b]`: `[lo, hi]` of the cosine (`h = 0`) or sine (`h = 1`)
+    /// of every `u2` index of bucket `b`.
+    trig: [Box<[[f32; 2]; BOUND_BUCKETS]>; 2],
+}
+
+impl DrawBounds {
+    /// The process's one table.
+    fn get() -> &'static DrawBounds {
+        static BOUNDS: OnceLock<DrawBounds> = OnceLock::new();
+        BOUNDS.get_or_init(DrawBounds::new)
+    }
+
+    fn new() -> DrawBounds {
+        let width = 1u32 << BOUND_SHIFT;
+        let table = |bound: &dyn Fn(u32) -> [f32; 2]| -> Box<[[f32; 2]; BOUND_BUCKETS]> {
+            let entries: Vec<[f32; 2]> = (0..BOUND_BUCKETS as u32)
+                .map(|b| bound(b * width))
+                .collect();
+            entries
+                .into_boxed_slice()
+                .try_into()
+                .expect("one entry per bucket")
+        };
+        let radius = table(&|first| {
+            let next = first + width;
+            let lo = if next < 1 << 24 {
+                box_muller_radius(next)
+            } else {
+                0.0
+            };
+            [lo, box_muller_radius(first)]
+        });
+        // Between its edges a bucket's angle is monotone: every quarter
+        // turn starts a bucket. The margin covers rounding.
+        let trig = [false, true].map(|sine| {
+            let at = |u2| {
+                let (sin, cos) = box_muller_angle(u2);
+                if sine {
+                    sin
+                } else {
+                    cos
+                }
+            };
+            table(&|first| {
+                let (a, b) = (at(first), at(first + width - 1));
+                [a.min(b) - TRIG_MARGIN, a.max(b) + TRIG_MARGIN]
+            })
+        });
+        DrawBounds { radius, trig }
     }
 }
 
@@ -636,6 +769,81 @@ mod tests {
         }
     }
 
+    /// [`Screen::bounded`]'s proof: every `u1` index's radius and every
+    /// `u2` index's cosine and sine lie within their bucket's bounds.
+    #[test]
+    fn draw_bounds_hold_over_every_index() {
+        let bounds = DrawBounds::get();
+        for i in 0..1u32 << 24 {
+            let b = (i >> BOUND_SHIFT) as usize;
+            let r = box_muller_radius(i);
+            let [lo, hi] = bounds.radius[b];
+            assert!(
+                (lo..=hi).contains(&r),
+                "u1 index {i}: radius {r} outside bucket {b}"
+            );
+            let (sin, cos) = box_muller_angle(i);
+            for (h, t) in [cos, sin].into_iter().enumerate() {
+                let [lo, hi] = bounds.trig[h][b];
+                assert!(
+                    (lo..=hi).contains(&t),
+                    "u2 index {i} (sine {h}): {t} outside [{lo}, {hi}]"
+                );
+            }
+        }
+        // The bounds are tight enough to settle: a bucket's trig range is
+        // at most 2π·2⁻¹⁰ wide.
+        let [lo, hi] = bounds.trig[0][BOUND_BUCKETS / 8];
+        assert!(hi - lo < 7e-3 && lo > 0.5, "[{lo}, {hi}]");
+    }
+
+    /// [`Screen::bounded`] against the exact arithmetic of
+    /// [`Comparator::decide`] on `u1` and `u2` indices at both edges of
+    /// every 31st bucket, both halves and both noise signs, under
+    /// differences either side of where the noisy difference crosses zero
+    /// and `±settle`: every outcome the bounds prove is the exact one.
+    #[test]
+    fn bounded_outcomes_are_exact_at_bucket_edges() {
+        let bounds = DrawBounds::get();
+        let edges: Vec<u32> = (0..BOUND_BUCKETS as u32)
+            .step_by(31)
+            .flat_map(|b| [b << BOUND_SHIFT, ((b + 1) << BOUND_SHIFT) - 1])
+            .collect();
+        let mut proven_count = 0;
+        for c in [
+            Comparator::new(),
+            Comparator::new().with_noise(Volts::new(-3e-4)),
+            Comparator::new().with_noise(Volts::new(2e-3)),
+        ] {
+            let s = &c.screen;
+            for (&u1, &u2, sine) in edges
+                .iter()
+                .flat_map(|u1| edges.iter().map(move |u2| (u1, u2)))
+                .flat_map(|(u1, u2)| [(u1, u2, false), (u1, u2, true)])
+            {
+                let (sin, cos) = box_muller_angle(u2);
+                let z = box_muller_radius(u1) * if sine { sin } else { cos };
+                let noise = f64::from(z) * c.noise_rms.value();
+                let trig = &bounds.trig[usize::from(sine)];
+                for edge in [-noise, s.settle - noise, -s.settle - noise] {
+                    for e in [-1e-3, -1e-4, -1e-6, 1e-6, 1e-4, 1e-3] {
+                        let delta = edge + e * noise.abs().max(s.settle);
+                        let (proven, greater) = s.bounded(&bounds.radius, trig, delta, u1, u2);
+                        if proven {
+                            proven_count += 1;
+                            assert_eq!(
+                                c.decide(delta, u1, u2, sine),
+                                Some(greater),
+                                "u1 {u1}, u2 {u2}, sine {sine}, delta {delta:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(proven_count > 10_000, "proven {proven_count}");
+    }
+
     /// The first site id of `stream` whose first Box–Muller pair has `u1`
     /// and `u2` indices accepted by `accept`.
     fn find_site(stream: NoiseStream, accept: impl Fn(u32, u32) -> bool) -> u64 {
@@ -760,6 +968,74 @@ mod tests {
         // Half the cases are in range, and half of those have the
         // difference's sign: 2 halves · 4 edges · 2 noise signs · 3 sizes.
         assert!(settled_by_sign >= 12, "(d) settled {settled_by_sign}");
+
+        // The bucket bounds of `Screen::bounded`: `u1` indices on both
+        // edges of a radius bucket and `u2` indices on both edges of a trig
+        // bucket, for both noise signs, each against differences that
+        // oppose the noise: just either side of the smallest one the
+        // bounds settle as its own sign, and one small enough that the
+        // bounds settle it as the noise's sign.
+        let edges: [fn(u32, u32) -> bool; 2] = [
+            |u1, u2| {
+                u1 % (1 << BOUND_SHIFT) == 0 && u1 < 1 << 23 && box_muller_angle(u2).1.abs() >= 0.5
+            },
+            |u1, u2| {
+                (u2 + 1) % (1 << BOUND_SHIFT) < 2
+                    && u1 < 1 << 23
+                    && box_muller_angle(u2).1.abs() >= 0.5
+            },
+        ];
+        let mut settled_by_bounds = 0;
+        for edge in edges {
+            let id = find_site(stream, edge);
+            let u2 = stream.at(id).uniform_index(1);
+            for c in [
+                Comparator::new(),
+                Comparator::new().with_noise(Volts::new(-3e-4)),
+            ] {
+                let s = &c.screen;
+                let cos = box_muller_angle(u2).1;
+                // The noise's sign: the draw's cosine times `σ`'s.
+                let noise_sign = if (cos < 0.0) == s.sigma_negative {
+                    1.0
+                } else {
+                    -1.0
+                };
+                // A difference opposing the noise, sized so that the
+                // bounds' far end sits at `±settle`.
+                let bounds = DrawBounds::get();
+                let b = (stream.at(id).uniform_index(0) >> BOUND_SHIFT) as usize;
+                let [lo, hi] = bounds.trig[0][(u2 >> BOUND_SHIFT) as usize];
+                let t_far = lo.abs().max(hi.abs());
+                let far = f64::from(bounds.radius[b][1] * t_far) * s.sigma + s.settle;
+                // Under half the smallest noise term the bounds allow.
+                let t_near = lo.abs().min(hi.abs());
+                let flipped = 0.5 * f64::from(bounds.radius[b][0] * t_near) * s.sigma;
+                assert!(flipped > 2.0 * s.settle, "{flipped}");
+                let (u1, u2) = (
+                    stream.at(id).uniform_index(0),
+                    stream.at(id).uniform_index(1),
+                );
+                let v = (-noise_sign * flipped) as f32;
+                assert_eq!(assert_window_is_exact(&c, &[0.0, v], stream, id), 0);
+                let (proven, greater) =
+                    s.bounded(&bounds.radius, &bounds.trig[0], f64::from(v), u1, u2);
+                assert!(proven && greater == (noise_sign > 0.0), "{v}: not flipped");
+                for scale in [0.999, 0.999_99, 1.000_01, 1.001, 1.1] {
+                    let v = (-noise_sign * far * scale) as f32;
+                    assert_eq!(assert_window_is_exact(&c, &[0.0, v], stream, id), 0);
+                    let (proven, greater) =
+                        s.bounded(&bounds.radius, &bounds.trig[0], f64::from(v), u1, u2);
+                    assert!(
+                        !proven || greater == (v > 0.0),
+                        "{v}: opposing noise flipped"
+                    );
+                    settled_by_bounds += usize::from(proven);
+                }
+            }
+        }
+        // Only the scales above 1 settle: 2 edges · 2 noise signs · 3.
+        assert_eq!(settled_by_bounds, 12, "bounds settled {settled_by_bounds}");
     }
 
     /// Each `compare` is one decision; `FrameCost::compare` charges the

@@ -11,8 +11,9 @@
 //!   Depth3 sample count (per-site Box–Muller vs the blocked polar
 //!   `add_scaled_normal`), the max-pool comparator stage (the screened
 //!   8-lane `max_lanes` kernel vs the exact `compare` chain over one tap
-//!   set), plus whole GoogLeNet frames at Depth1/Depth3/Depth5 per thread
-//!   budget.
+//!   set, and ns per decision of one-instruction pool programs at Depth3's
+//!   four pool geometries, gather included), plus whole GoogLeNet frames
+//!   at Depth1/Depth3/Depth5 per thread budget.
 //! - **Throughput** (`BENCH_throughput.json`): sustained frames/sec over a
 //!   frame stream — the serial per-frame path against the batch executor
 //!   on the task pool per worker count, per depth.
@@ -37,7 +38,7 @@
 use redeye_analog::Comparator;
 use redeye_bench::schema::{write_report, Record};
 use redeye_bench::workload::{self, best_of, parse_workers, wall_ms, worker_counts, DepthScenario};
-use redeye_core::{BatchExecutor, Depth};
+use redeye_core::{BatchExecutor, Depth, Instruction, Program};
 use redeye_nn::{build_network, zoo, Network, NetworkSpec, WeightInit};
 use redeye_sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye_tensor::{
@@ -247,6 +248,80 @@ fn bench_comparator_window(records: &mut Vec<Record>, smoke: bool) {
     );
     records.push(Record::new("comparator_window_screened", screened_ms, "ms"));
     records.push(Record::new("comparator_window_exact", exact_ms, "ms"));
+}
+
+/// Depth3's four max-pool geometries: input side, channels, and
+/// `(window, stride, pad)`.
+const DEPTH3_POOLS: [(usize, usize, (usize, usize, usize)); 4] = [
+    (112, 64, (3, 2, 0)),
+    (56, 192, (3, 2, 0)),
+    (28, 192, (3, 1, 1)),
+    (28, 480, (3, 2, 0)),
+];
+
+/// The comparator pool stage per decision at Depth3's four pool
+/// geometries, window gather included: a one-instruction `MaxPool`
+/// program per geometry on one thread, over channel planes whose row
+/// thirds are texture, exact zeros and near-ties within 2σ of the
+/// comparator noise (the mix of `bench_comparator_window`). The readout
+/// of the pooled plane, timed on a program with no instruction, is
+/// subtracted; the two run interleaved within each rep.
+fn bench_pool_ops(records: &mut Vec<Record>, smoke: bool) {
+    let reps = if smoke { 3 } else { 15 };
+    let adc_bits = 4;
+    print!("pool per decision:");
+    for (side, channels, (window, stride, pad)) in DEPTH3_POOLS {
+        let channels = if smoke { 8 } else { channels };
+        let dims = [channels, side, side];
+        let mut rng = Rng::seed_from(13);
+        // The rail maps the largest magnitude (about 0.4) to 0.9 V, so 2σ
+        // of the comparator noise (6e-4 V) is about 2.7e-4 units.
+        let near = 2.5e-4;
+        let plane: Vec<f32> = (0..channels * side * side)
+            .map(|i| {
+                let y = i / side % side;
+                let base = 0.05 + 0.3 * ((i / 4) % 7) as f32 / 7.0;
+                match 3 * y / side {
+                    0 => rng.uniform(0.0, 0.4),
+                    1 => 0.0,
+                    _ => base + near * rng.uniform(-1.0, 1.0),
+                }
+            })
+            .collect();
+        let input = Tensor::from_vec(plane, &dims).expect("pool plane");
+        let pool = Instruction::MaxPool {
+            name: "pool".into(),
+            window,
+            stride,
+            pad,
+        };
+        let program = Program::new("pool", dims, vec![pool], adc_bits);
+        let mut exec = BatchExecutor::new(program, 5, 1).expect("pool program verifies");
+        let first = exec.execute(&input).expect("pool frame");
+        let decisions = first.ledger.comparisons as f64;
+        let pooled = first.features;
+        let readout = Program::new(
+            "readout",
+            pooled.dims().try_into().expect("3-d"),
+            Vec::new(),
+            adc_bits,
+        );
+        let mut read = BatchExecutor::new(readout, 5, 1).expect("readout verifies");
+        let (mut pool_ms, mut read_ms) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            pool_ms = pool_ms.min(wall_ms(|| {
+                exec.execute(&input).expect("pool frame");
+            }));
+            read_ms = read_ms.min(wall_ms(|| {
+                read.execute(&pooled).expect("readout frame");
+            }));
+        }
+        let ns = (pool_ms - read_ms) * 1e6 / decisions;
+        let name = format!("pool_{side}_{window}s{stride}p{pad}_ns_per_decision");
+        print!(" {name} {ns:.2}");
+        records.push(Record::new(name, ns, "ns"));
+    }
+    println!();
 }
 
 /// Times whole executor frames per depth across thread budgets (GEMM row
@@ -483,6 +558,7 @@ fn main() {
         let mut records = Vec::new();
         bench_noise_kernels(&mut records, budget, smoke);
         bench_comparator_window(&mut records, smoke);
+        bench_pool_ops(&mut records, smoke);
         bench_analog_frames(&mut records, &scenarios, budget, smoke);
         write_report("BENCH_analog.json", records);
     }

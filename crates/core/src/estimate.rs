@@ -18,7 +18,7 @@ use crate::{CoreError, EnergyLedger, ResourceLimits, Result};
 use redeye_analog::calib::COLUMN_COUNT;
 use redeye_analog::cost::FrameCost;
 pub use redeye_analog::cost::{controller_power, TimingBreakdown};
-use redeye_analog::{AnalogError, ProcessCorner, SarAdc, SnrDb};
+use redeye_analog::{snr_admissible, AnalogError, ProcessCorner, SarAdc, SnrDb};
 use redeye_nn::{summarize, NetworkSpec, NetworkSummary, OpCounts};
 use serde::{Deserialize, Serialize};
 
@@ -151,7 +151,8 @@ pub fn predicted_output_snr(spec: &NetworkSpec, cut: &str, plan: &NoisePlan) -> 
 /// # Errors
 ///
 /// Returns an error if `cut` does not name a summarized layer, `adc_bits`
-/// is not a SAR resolution (1–10), or a prefix layer's SNR is not finite.
+/// is not a SAR resolution (1–10), or a prefix layer's SNR lies outside
+/// the damping circuit's admissible [0, 100] dB band.
 pub fn estimate_prefix(
     summary: &NetworkSummary,
     cut: &str,
@@ -168,11 +169,12 @@ pub fn estimate_prefix(
     let mut cost = FrameCost::new(COLUMN_COUNT);
     for layer in &summary.layers[..=pos] {
         let snr = plan.snr_for(&layer.name);
-        if !snr.db().is_finite() {
+        // The verifier refuses any other SNR (RE0301).
+        if !snr_admissible(snr) {
             return Err(AnalogError::OutOfRange {
                 parameter: "snr",
                 value: snr.db().to_string(),
-                allowed: "finite dB",
+                allowed: "0..=100 dB, the damping circuit's admissible band",
             }
             .into());
         }
@@ -270,6 +272,35 @@ mod tests {
                 (mj / expect_mj - 1.0).abs() < 0.15,
                 "{snr} dB: {mj} mJ vs paper {expect_mj} mJ"
             );
+        }
+    }
+
+    #[test]
+    fn snrs_the_verifier_refuses_are_errors() {
+        for db in [150.0, 100.5, -1.0, f64::NAN, f64::INFINITY] {
+            let config = RedEyeConfig {
+                snr: SnrDb::new(db),
+                ..RedEyeConfig::default()
+            };
+            let err = estimate_depth(Depth::D1, &config).expect_err("inadmissible SNR");
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Analog(AnalogError::OutOfRange {
+                        parameter: "snr",
+                        ..
+                    })
+                ),
+                "{db} dB: {err:?}"
+            );
+        }
+        // The band's edges are estimated.
+        for db in [0.0, 100.0] {
+            let config = RedEyeConfig {
+                snr: SnrDb::new(db),
+                ..RedEyeConfig::default()
+            };
+            assert!(estimate_depth(Depth::D1, &config).is_ok(), "{db} dB");
         }
     }
 

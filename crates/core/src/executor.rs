@@ -653,12 +653,20 @@ impl FramePass<'_> {
     /// an exact tie that cannot time out, a draw whose radius is too small
     /// to matter, or noise with the difference's sign — from the draw's
     /// indices, so the output is bit-identical to chaining `compare` over
-    /// each window. A band's short last group repeats its last site in the
-    /// spare lanes and discards them. Sites share no draw state, so the
-    /// output shards freely over the thread budget; per-band
-    /// decision/forced counts are summed in band order and energy is
-    /// charged as a `count × per-decision` product, keeping the ledger
-    /// independent of the thread count.
+    /// each window. Sites share no draw state, so the output shards freely
+    /// over the thread budget; per-band decision/forced counts are summed
+    /// in band order and energy is charged as a `count × per-decision`
+    /// product, keeping the ledger independent of the thread count.
+    ///
+    /// At stride 1 or 2, a band copies each channel it pools into one
+    /// padded plane whose border holds the lower rail, so a window's taps
+    /// need no bounds test; windows that tile the input with no border read
+    /// the input channel in place. A group of windows in one output row
+    /// reads each tap as one run of the plane, contiguous or every other
+    /// element; a group that crosses rows reads each lane at its own
+    /// offset. A group that crosses channels, and any other stride, gathers
+    /// site by site. A group's spare lanes, past a band's end, are decided
+    /// and discarded.
     fn comparator_maxpool(
         &mut self,
         x: &Tensor,
@@ -683,45 +691,48 @@ impl FramePass<'_> {
         let src = x.as_slice();
         let template = &self.engine.comparator;
         let mut out = vec![0.0f32; geom.out_len()];
+        // The padded plane spans every window (ceil-mode overhang
+        // included), which covers the whole input, plus the slack a short
+        // in-row group's spare lanes read past the last window. Windows
+        // that tile the input exactly, with no border, read the input
+        // channel in place instead: the plane would be a copy of it.
+        let use_plane = matches!(stride, 1 | 2);
+        let (padded_h, padded_w) = ((out_h - 1) * stride + window, (out_w - 1) * stride + window);
+        let padded_len = padded_h * padded_w + (LANES - 1) * stride;
+        let in_place = (padded_h, padded_w) == (in_h, in_w);
         // Gathers the window of output site `(c, oy, ox)` into lane `l` of
         // a decision-major block: `block[ky·window + kx][l]` is tap
-        // `(ky, kx)`. Groups whose windows share an output row and lie
-        // inside the plane take the row-run copy below instead.
+        // `(ky, kx)`.
         let gather = |block: &mut [[f32; LANES]], l: usize, (c, oy, ox): (usize, usize, usize)| {
             let plane = &src[c * in_h * in_w..(c + 1) * in_h * in_w];
             // Window origin in padded coordinates; padded row/column `p`
             // is input row/column `p − pad`.
             let (y0, x0) = (oy * stride, ox * stride);
-            let rows = block.chunks_exact_mut(window);
-            if y0 >= pad && x0 >= pad && y0 + window <= in_h + pad && x0 + window <= in_w + pad {
-                let origin = (y0 - pad) * in_w + (x0 - pad);
-                for (ky, taps) in rows.enumerate() {
-                    let row = &plane[origin + ky * in_w..][..window];
-                    for (tap, &v) in taps.iter_mut().zip(row) {
-                        tap[l] = v;
-                    }
-                }
-            } else {
-                // The column pipeline runs a fixed comparison schedule:
-                // every window tap is compared, with out-of-bounds
-                // (padding) taps presenting the lower rail. This keeps the
-                // per-output decision count at window²−1 regardless of
-                // border effects, matching the analytic model.
-                for (ky, taps) in rows.enumerate() {
-                    let y = (y0 + ky).checked_sub(pad).filter(|&y| y < in_h);
-                    for (kx, tap) in taps.iter_mut().enumerate() {
-                        let x = (x0 + kx).checked_sub(pad).filter(|&x| x < in_w);
-                        tap[l] = match y.zip(x) {
-                            Some((y, x)) => plane[y * in_w + x],
-                            None => -max_abs,
-                        };
-                    }
+            // The column pipeline runs a fixed comparison schedule: every
+            // window tap is compared, with out-of-bounds (padding) taps
+            // presenting the lower rail. This keeps the per-output decision
+            // count at window²−1 regardless of border effects, matching
+            // the analytic model.
+            for (ky, taps) in block.chunks_exact_mut(window).enumerate() {
+                let y = (y0 + ky).checked_sub(pad).filter(|&y| y < in_h);
+                for (kx, tap) in taps.iter_mut().enumerate() {
+                    let x = (x0 + kx).checked_sub(pad).filter(|&x| x < in_w);
+                    tap[l] = match y.zip(x) {
+                        Some((y, x)) => plane[y * in_w + x],
+                        None => -max_abs,
+                    };
                 }
             }
         };
         let stats = shard_mut(&mut out, self.engine.threads, 1, |first, band| {
             let mut comparator = template.clone();
             let mut block = vec![[0.0f32; LANES]; window * window];
+            let mut padded = if use_plane && !in_place {
+                vec![-max_abs; padded_len]
+            } else {
+                Vec::new()
+            };
+            let mut loaded = None;
             // The next site's `(channel, row, column)`, stepped along the
             // band so that a band divides once.
             let mut at = (first / plane_out, first % plane_out / out_w, first % out_w);
@@ -733,33 +744,67 @@ impl FramePass<'_> {
             for (g, group) in band.chunks_mut(LANES).enumerate() {
                 let live = group.len();
                 let (c, oy, ox) = at;
-                let (y0, x0, x0_last) = (oy * stride, ox * stride, (ox + live - 1) * stride);
-                if ox + live <= out_w
-                    && y0 >= pad
-                    && x0 >= pad
-                    && y0 + window <= in_h + pad
-                    && x0_last + window <= in_w + pad
-                {
-                    // One output row of windows inside the plane: tap
-                    // (ky, kx) of lane `l` is element `l·stride` of a run
-                    // of input row `y0 − pad + ky`. Spare lanes repeat the
-                    // last site.
-                    let origin = c * in_h * in_w + (y0 - pad) * in_w + (x0 - pad);
-                    for (ky, rows) in block.chunks_exact_mut(window).enumerate() {
-                        for (kx, taps) in rows.iter_mut().enumerate() {
-                            let run = &src[origin + ky * in_w + kx..][..=x0_last - x0];
-                            *taps = std::array::from_fn(|l| run[l.min(live - 1) * stride]);
+                let last_site = first + g * LANES + live - 1;
+                let plane = if !use_plane || last_site / plane_out != c {
+                    None
+                } else if in_place {
+                    Some(&src[c * in_h * in_w..])
+                } else {
+                    if loaded != Some(c) {
+                        // Only the interior changes between channels; the
+                        // border keeps the lower rail.
+                        let plane = src[c * in_h * in_w..].chunks_exact(in_w).take(in_h);
+                        let rows = padded[pad * padded_w..].chunks_exact_mut(padded_w);
+                        for (row, input) in rows.zip(plane) {
+                            row[pad..pad + in_w].copy_from_slice(input);
+                        }
+                        loaded = Some(c);
+                    }
+                    Some(&padded[..])
+                };
+                let origin = (oy * padded_w + ox) * stride;
+                let in_row = ox + live <= out_w;
+                match plane {
+                    // An in-row group's runs end inside the padded plane;
+                    // past an in-place channel they may run into the next,
+                    // but not past the input's end.
+                    Some(plane)
+                        if in_row
+                            && origin + (window - 1) * (padded_w + 1) + LANES * stride
+                                <= plane.len() =>
+                    {
+                        if stride == 1 {
+                            read_runs::<1>(&mut block, &plane[origin..], window, padded_w);
+                        } else {
+                            read_runs::<2>(&mut block, &plane[origin..], window, padded_w);
+                        }
+                        at = step(at, live);
+                    }
+                    Some(plane) if !in_row => {
+                        let mut offsets = [0; LANES];
+                        for offset in &mut offsets[..live] {
+                            let (_, oy, ox) = at;
+                            *offset = (oy * padded_w + ox) * stride;
+                            at = step(at, 1);
+                        }
+                        let last = offsets[live - 1];
+                        offsets[live..].fill(last);
+                        for (ky, taps) in block.chunks_exact_mut(window).enumerate() {
+                            for (kx, lanes) in taps.iter_mut().enumerate() {
+                                let tap = &plane[ky * padded_w + kx..];
+                                *lanes = std::array::from_fn(|l| tap[offsets[l]]);
+                            }
                         }
                     }
-                    at = step(at, live);
-                } else {
-                    for l in 0..live {
-                        gather(&mut block, l, at);
-                        at = step(at, 1);
-                    }
-                    for taps in &mut block {
-                        let last = taps[live - 1];
-                        taps[live..].fill(last);
+                    _ => {
+                        for l in 0..live {
+                            gather(&mut block, l, at);
+                            at = step(at, 1);
+                        }
+                        for taps in &mut block {
+                            let last = taps[live - 1];
+                            taps[live..].fill(last);
+                        }
                     }
                 }
                 let sites = std::array::from_fn(|l| (first + g * LANES + l.min(live - 1)) as u64);
@@ -841,6 +886,20 @@ fn max_fold(xs: &[f32], map: impl Fn(f32) -> f32) -> f32 {
 
 /// Accumulators of [`max_fold`].
 const MAX_LANES: usize = 16;
+
+/// Fills a decision-major block with the windows of [`LANES`] consecutive
+/// output sites of one row at stride `S`: tap `(ky, kx)` of lane `l` is
+/// `plane[ky·row + kx + l·S]`, where `plane` starts at the first window's
+/// origin in a padded plane of row length `row`.
+#[inline(always)]
+fn read_runs<const S: usize>(block: &mut [[f32; LANES]], plane: &[f32], window: usize, row: usize) {
+    for (ky, taps) in block.chunks_exact_mut(window).enumerate() {
+        for (kx, lanes) in taps.iter_mut().enumerate() {
+            let (run, _) = plane[ky * row + kx..][..LANES * S].as_chunks::<S>();
+            *lanes = std::array::from_fn(|l| run[l][0]);
+        }
+    }
+}
 
 /// Runs `f` over bands of `data` whose starts are multiples of `align`
 /// (pair-aligned sharding for the batched normal fills), in parallel when

@@ -1,17 +1,20 @@
 //! Owned transcendentals for the noise path.
 //!
 //! [`ln`] is a port of the Arm optimized-routines `logf`, which glibc has
-//! shipped as its `logf` since 2.28. It is written in plain `f64`
+//! shipped as its `logf` since 2.28, and [`sin_cos`] a port of the same
+//! family's `sinf` and `cosf`. Both are written in plain `f64`
 //! multiplies and adds, with no fused multiply-add and no libm call, so
-//! its bits are the same on every IEEE target and under any `target-cpu`.
-//! It has no branch, so a loop of calls vectorizes (the table reads
-//! become gathers).
+//! their bits are the same on every IEEE target and under any
+//! `target-cpu`. Neither branches on its input, so a loop of calls
+//! vectorizes (the table reads become gathers or selects).
 //!
-//! On every positive normal `f32` it returns exactly the bits of
+//! On every positive normal `f32`, [`ln`] returns exactly the bits of
 //! `f32::ln` as glibc 2.36 computes it; a release-mode test checks all
-//! 2,130,706,432 of them. The noise fill and the Box–Muller radius call it
-//! instead of `f32::ln`, so their bits no longer depend on the platform
-//! libm.
+//! 2,130,706,432 of them. On every one of the 2²⁴ Box–Muller angles,
+//! [`sin_cos`] returns exactly the bits of `f32::sin_cos`; a release-mode
+//! test checks all of them. The noise fill and the Box–Muller radius and
+//! angle call these instead of libm, so their bits no longer depend on the
+//! platform libm.
 
 /// `1/c` for the 16 equal subintervals of the f32 bit range
 /// `[0x3f33_0000, 0x3fb3_0000)` (about `[0.70, 1.40)`),
@@ -88,6 +91,61 @@ pub fn ln(x: f32) -> f32 {
     (y * r2 + (y0 + r)) as f32
 }
 
+/// `2/π·2²⁴`: the quadrant lands in bits 24 and up of the scaled
+/// argument.
+const HPI_INV: f64 = f64::from_bits(0x4164_5f30_6dc9_c883);
+/// `π/2`.
+const HPI: f64 = f64::from_bits(0x3ff9_21fb_5444_2d18);
+/// `(c0, c1, c2, c3, c4)`: `cos x ≈ c0 + c1·x² + c2·x⁴ + c3·x⁶ + c4·x⁸`.
+const C: [f64; 5] = [
+    1.0,
+    f64::from_bits(0xbfdf_ffff_fd0c_621c),
+    f64::from_bits(0x3fa5_5553_e106_8f19),
+    f64::from_bits(0xbf56_c087_e89a_359d),
+    f64::from_bits(0x3ef9_9343_027b_f8c3),
+];
+/// `(s1, s2, s3)`: `sin x ≈ x + s1·x³ + s2·x⁵ + s3·x⁷`.
+const S: [f64; 3] = [
+    f64::from_bits(0xbfc5_5554_5995_a603),
+    f64::from_bits(0x3f81_1076_0523_0bc4),
+    f64::from_bits(0xbf29_94eb_3774_cf24),
+];
+
+/// `(sin a, cos a)` of a finite `f32` with `|a| < 120`, computed as
+/// glibc's `sinf` and `cosf` compute them without FMA (see the module
+/// docs). For `|a| ≤ 2π`, the Box–Muller angle's range, that is also what
+/// glibc's FMA build returns, so it equals `f32::sin_cos` there.
+///
+/// `a = n·π/2 + x` with `|x| ≤ π/4` (one multiply and a scaled integer
+/// conversion pick `n`; one multiply-subtract reduces). Each result is one
+/// of two polynomials in `x`, both evaluated: the sine polynomial of
+/// `±x` for the result of parity `n`, the cosine polynomial, negated in
+/// the second half-turn, for the other. Below `2⁻¹²`, `sin a = a` and
+/// `cos a = 1`. Larger or non-finite inputs return unspecified values.
+#[inline(always)]
+pub fn sin_cos(a: f32) -> (f32, f32) {
+    let [c0, c1, c2, c3, c4] = C;
+    let [s1, s2, s3] = S;
+    let x = f64::from(a);
+    let n = ((x * HPI_INV) as i32 + 0x80_0000) >> 24;
+    let x = x - f64::from(n) * HPI;
+    let x2 = x * x;
+    // The sine polynomial's argument: `x` or `−x` by quadrant.
+    let xs = if (n + 1) & 2 == 0 { x } else { -x };
+    let x3 = xs * x2;
+    let sin = xs + x3 * s1 + x3 * x2 * (s2 + x2 * s3);
+    let x4 = x2 * x2;
+    let cos = c0 + x2 * c1 + x4 * c2 + x4 * x2 * (c3 + x2 * c4);
+    // Negating the sum equals summing the negated coefficients.
+    let cos = if n & 2 == 0 { cos } else { -cos };
+    let (sin, cos) = if n & 1 == 0 { (sin, cos) } else { (cos, sin) };
+    if a.abs() < 1.0 / 4096.0 {
+        (a, 1.0)
+    } else {
+        (sin as f32, cos as f32)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,5 +184,31 @@ mod tests {
                 .count()
         });
         assert_eq!(mismatches, [0, 0]);
+    }
+
+    #[test]
+    fn sin_cos_matches_libm_on_samples() {
+        // Every 4,099th f32 up to 2π in magnitude, both signs, the
+        // quadrant edges and the tiny-argument cutoff. Larger arguments
+        // are left out: glibc's FMA build of `sinf`/`cosf`, which x86-64
+        // hosts with FMA run, reduces them more exactly and can differ by
+        // an ulp (first at 58.119465).
+        let sweep = (0..0x40c9_0fdbu32).step_by(4099);
+        let edges = (0..5).map(|q| (f64::from(q) * HPI) as f32).flat_map(|e| {
+            let b = e.to_bits();
+            [b.saturating_sub(1), b, b + 1]
+        });
+        let cutoff = (1.0f32 / 4096.0).to_bits();
+        for bits in sweep.chain(edges).chain([0, cutoff - 1, cutoff]) {
+            for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                let (sin, cos) = sin_cos(x);
+                let (want_sin, want_cos) = x.sin_cos();
+                assert_eq!(
+                    (sin.to_bits(), cos.to_bits()),
+                    (want_sin.to_bits(), want_cos.to_bits()),
+                    "sin_cos({x:e})"
+                );
+            }
+        }
     }
 }

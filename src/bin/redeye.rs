@@ -8,7 +8,9 @@
 //! redeye modes                                      Table I operation modes
 //! ```
 
-use redeye::analog::{DampingConfig, ProcessCorner, SnrDb};
+use redeye::analog::{
+    snr_admissible, DampingConfig, ProcessCorner, SnrDb, SNR_ADMISSIBLE_MAX, SNR_ADMISSIBLE_MIN,
+};
 use redeye::core::{estimate, Depth, RedEyeConfig};
 use redeye::nn::zoo;
 use redeye::system::scenario;
@@ -21,7 +23,9 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` for `command`, which accepts only the flags
+    /// `accepted`; any other `--key` is an error that lists them.
+    fn parse(command: &str, accepted: &[&str], args: &[String]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut flags = Vec::new();
         let mut iter = args.iter().peekable();
@@ -29,6 +33,16 @@ impl Args {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument `{arg}` (expected --key)"));
             };
+            if !accepted.contains(&key) {
+                let list: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(match list.as_slice() {
+                    [] => format!("`{command}` takes no flags, got `{arg}`"),
+                    _ => format!(
+                        "unknown flag `{arg}` for `{command}` (accepted: {})",
+                        list.join(" ")
+                    ),
+                });
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     pairs.push((key.to_string(), iter.next().expect("peeked").clone()));
@@ -84,14 +98,20 @@ fn corner_from(name: &str) -> Result<ProcessCorner, String> {
 }
 
 fn config_from(args: &Args) -> Result<RedEyeConfig, String> {
-    let snr: f64 = args.parse_value("snr", 40.0)?;
+    let snr = SnrDb::new(args.parse_value("snr", 40.0)?);
+    if !snr_admissible(snr) {
+        return Err(format!(
+            "--snr must lie in the damping circuit's admissible [{SNR_ADMISSIBLE_MIN}, {SNR_ADMISSIBLE_MAX}] band, got {} dB",
+            snr.db()
+        ));
+    }
     let bits: u32 = args.parse_value("bits", 4)?;
     if !(1..=10).contains(&bits) {
         return Err(format!("--bits must be 1..=10, got {bits}"));
     }
     let corner = corner_from(args.get("corner")?.unwrap_or("TT"))?;
     Ok(RedEyeConfig {
-        snr: SnrDb::new(snr),
+        snr,
         adc_bits: bits,
         corner,
     })
@@ -237,12 +257,31 @@ USAGE:
 
 COMMANDS:
     estimate   per-frame energy/timing for one GoogLeNet depth
-               --depth 1..5  --snr dB  --bits 1..10  --corner TT|FF|SS|FS|SF  --json
-    depths     sweep all five depths at one configuration
-    systems    the six system scenarios of Fig. 8
-    partition  show the RedEye/host split at a depth   --depth 1..5
+               --depth 1..5  --snr 0..100 dB  --bits 1..10  --corner TT|FF|SS|FS|SF  --json
+    depths     sweep all five depths at one configuration   --snr  --bits  --corner
+    systems    the six system scenarios of Fig. 8             --snr  --bits  --corner
+    partition  show the RedEye/host split at a depth         --depth 1..5
     modes      Table I operation modes
 ";
+
+/// A subcommand: its name, the flags it accepts and its body.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Args) -> Result<(), String>,
+);
+
+const COMMANDS: [Command; 5] = [
+    (
+        "estimate",
+        &["depth", "snr", "bits", "corner", "json"],
+        cmd_estimate,
+    ),
+    ("depths", &["snr", "bits", "corner"], cmd_depths),
+    ("systems", &["snr", "bits", "corner"], cmd_systems),
+    ("partition", &["depth"], cmd_partition),
+    ("modes", &[], cmd_modes),
+];
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -250,18 +289,16 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = Args::parse(rest).and_then(|args| match command.as_str() {
-        "estimate" => cmd_estimate(&args),
-        "depths" => cmd_depths(&args),
-        "systems" => cmd_systems(&args),
-        "partition" => cmd_partition(&args),
-        "modes" => cmd_modes(&args),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((name, accepted, run)) => {
+            Args::parse(name, accepted, rest).and_then(|args| run(&args))
+        }
+        None if ["help", "--help", "-h"].contains(&command.as_str()) => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    });
+        None => Err(format!("unknown command `{command}`\n{USAGE}")),
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {

@@ -72,10 +72,28 @@ fn bad_inputs_fail_cleanly() {
     let (ok, _, stderr) = redeye(&["estimate", "--snr", "--depth", "3"]);
     assert!(!ok);
     assert!(stderr.contains("--snr"), "{stderr}");
-    // A non-finite SNR is an estimator error, not a NaN table.
+    // A non-finite SNR is an error, not a NaN table.
     let (ok, stdout, stderr) = redeye(&["estimate", "--snr", "nan"]);
     assert!(!ok && stdout.is_empty());
     assert!(stderr.contains("snr"), "{stderr}");
+    // An SNR the verifier refuses (RE0301) is refused here too.
+    let (ok, stdout, stderr) = redeye(&["estimate", "--snr", "150", "--depth", "1"]);
+    assert!(!ok && stdout.is_empty());
+    assert!(stderr.contains("--snr"), "{stderr}");
+    // A misspelled or foreign flag is an error naming the accepted ones,
+    // not a silent default.
+    let (ok, stdout, stderr) = redeye(&["estimate", "--snrr", "60", "--depth", "1"]);
+    assert!(!ok && stdout.is_empty());
+    assert!(
+        stderr.contains("--snrr") && stderr.contains("--snr --bits"),
+        "{stderr}"
+    );
+    let (ok, stdout, stderr) = redeye(&["systems", "--depth", "9"]);
+    assert!(!ok && stdout.is_empty());
+    assert!(
+        stderr.contains("--depth") && stderr.contains("accepted: --snr --bits --corner"),
+        "{stderr}"
+    );
     let (ok, _, stderr) = redeye(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"), "{stderr}");

@@ -58,7 +58,8 @@
 //! programs, every program the verifier accepts runs, and every frame
 //! error is one the verifier or the input check flagged.
 
-use redeye::analog::{Joules, SnrDb};
+use redeye::analog::calib::SWING;
+use redeye::analog::{Comparator, Joules, SnrDb, MAX_RESOLUTION};
 use redeye::core::{
     analyze_cost, compile, frame_digest, run_tasks, verify, verify_with_options, BatchExecutor,
     CompileOptions, CoreError, CostBudget, DeviceScratch, DeviceWork, ExecutionResult, FleetEngine,
@@ -68,8 +69,9 @@ use redeye::core::{
 use redeye::nn::{build_network, zoo, LayerSpec, NetworkSpec, WeightInit};
 use redeye::sim::{extract_params, instrument, AccuracyHarness, InstrumentOptions};
 use redeye::tensor::{
-    box_muller_radius, conv_gemm_into, conv_gemm_packed_into, gemm_into, im2col_into, math, par,
-    ConvGeom, NoiseStream, PackBuffers, PackedWeights, Rng, SimdLevel, Tensor,
+    box_muller_angle, box_muller_radius, conv_gemm_into, conv_gemm_packed_into, gemm_into,
+    im2col_into, math, par, ConvGeom, NoiseStream, PackBuffers, PackedWeights, PoolGeom, Rng,
+    SimdLevel, Tensor,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,6 +92,8 @@ const PINNED_NARROW_FOLD: u64 = 0x75b9_b5b9_4cd0_4343;
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
 /// Fold of the result bits in `the_owned_ln_and_box_muller_radius_are_pinned`.
 const PINNED_LN_FOLD: u64 = 0x695b_054e_86b3_5c66;
+/// Fold of the result bits in `the_owned_box_muller_angle_is_pinned`.
+const PINNED_ANGLE_FOLD: u64 = 0x91be_404f_59ec_d78d;
 
 /// FNV-1a over 64-bit words.
 fn fold(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -372,6 +376,153 @@ fn three_by_three_pools_are_pinned_at_one_and_two_threads() {
     );
 }
 
+/// A program of one `MaxPool` instruction on a `dims` input, read out at
+/// the finest ADC resolution.
+fn pool_only(dims: [usize; 3], (window, stride, pad): (usize, usize, usize)) -> Program {
+    let pool = Instruction::MaxPool {
+        name: "pool".into(),
+        window,
+        stride,
+        pad,
+    };
+    Program::new("pool", dims, vec![pool], MAX_RESOLUTION)
+}
+
+/// The comparator pool by definition: every output site's window, padding
+/// taps at the lower rail `−max|x|`, through a `Comparator::compare` chain
+/// on the site's own generator of `stream`, site = output index. Returns
+/// the pooled plane and the decision and forced counts.
+fn pool_by_compare(x: &Tensor, geom: &PoolGeom, stream: NoiseStream) -> (Tensor, u64, u64) {
+    let max_abs = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let volts_per_unit = if max_abs > 0.0 {
+        SWING.value() / f64::from(max_abs)
+    } else {
+        1.0
+    };
+    let (h, w, window, stride) = (geom.in_h(), geom.in_w(), geom.window(), geom.stride());
+    let (out_h, out_w) = (geom.out_h(), geom.out_w());
+    let tap = |c: usize, y: usize, x_: usize| {
+        let (y, x_) = (y.checked_sub(geom.pad()), x_.checked_sub(geom.pad()));
+        match y.zip(x_).filter(|&(y, x_)| y < h && x_ < w) {
+            Some((y, x_)) => x.as_slice()[(c * h + y) * w + x_],
+            None => -max_abs,
+        }
+    };
+    let mut comparator = Comparator::new();
+    let mut out = Vec::with_capacity(geom.out_len());
+    for c in 0..geom.channels() {
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let mut site = stream.at(out.len() as u64);
+                let mut taps = (0..window * window)
+                    .map(|t| tap(c, oy * stride + t / window, ox * stride + t % window));
+                let first = taps.next().expect("a window has a tap");
+                out.push(taps.fold(first, |best, v| {
+                    let a = f64::from(v) * volts_per_unit;
+                    let b = f64::from(best) * volts_per_unit;
+                    if comparator.compare(a, b, &mut site).a_greater {
+                        v
+                    } else {
+                        best
+                    }
+                }));
+            }
+        }
+    }
+    let out = Tensor::from_vec(out, &[geom.channels(), out_h, out_w]).expect("pool volume");
+    (
+        out,
+        comparator.decisions_made(),
+        comparator.forced_decisions(),
+    )
+}
+
+/// A `[c, h, w]` pool input of 2×2 cells, each exact zeros (ties), a
+/// plateau with near-ties within 2σ of the comparator noise, or texture.
+fn pool_input(dims: [usize; 3], seed: u64) -> Tensor {
+    let [c, h, w] = dims;
+    let mut rng = Rng::seed_from(seed);
+    let cells: Vec<(usize, f32)> = (0..c * h.div_ceil(2) * w.div_ceil(2))
+        .map(|_| {
+            (
+                (rng.uniform(0.0, 3.0) as usize).min(2),
+                rng.uniform(0.05, 0.35),
+            )
+        })
+        .collect();
+    // 2σ of the comparator noise is 6e-4 V, and the rail maps the largest
+    // magnitude (under 0.4) to 0.9 V.
+    let near = 6e-4 * 0.35 / 0.9;
+    let mut t = Tensor::zeros(&dims);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        let (ch, y, x) = (i / (h * w), i / w % h, i % w);
+        let (kind, base) = cells[(ch * h.div_ceil(2) + y / 2) * w.div_ceil(2) + x / 2];
+        *v = match kind {
+            0 => 0.0,
+            1 => base + near * rng.uniform(-1.0, 1.0),
+            _ => rng.uniform(0.0, 0.4),
+        };
+    }
+    t
+}
+
+/// Every read path of the comparator pool against its definition: one
+/// `MaxPool` instruction per shape on `BatchExecutor` at budgets 1, 2 and
+/// 3, two frames each, must give the features, decision count and forced
+/// count of a `compare` chain per window on the instruction's substream,
+/// read out the same way. The shapes cover runs read in place (2×2/2 on
+/// an even plane, whose last run would end past the input) and from a
+/// padded plane at stride 2 and 1, a ceil-mode window one past the edge,
+/// rows narrower than a lane group, groups that cross channels, and a
+/// plane that two and three threads split into bands ending part-way
+/// through a group.
+#[test]
+fn every_pool_read_path_equals_the_compare_chain() {
+    let shapes = [
+        ([4, 32, 32], (2, 2, 0)),
+        ([3, 14, 14], (3, 2, 0)),
+        ([2, 14, 14], (3, 1, 1)),
+        ([1, 7, 7], (3, 1, 1)),
+        ([3, 5, 5], (3, 2, 0)),
+        ([3, 39, 39], (3, 1, 1)),
+    ];
+    for (s, (dims, shape)) in shapes.into_iter().enumerate() {
+        let [c, h, w] = dims;
+        let geom = PoolGeom::new(c, h, w, shape.0, shape.1, shape.2).expect("pool shape");
+        let input = pool_input(dims, s as u64);
+        let out_dims = [c, geom.out_h(), geom.out_w()];
+        let readout = |pooled: &Tensor| {
+            let program = Program::new("readout", out_dims, Vec::new(), MAX_RESOLUTION);
+            let mut exec = BatchExecutor::new(program, SEED, 1).expect("readout verifies");
+            exec.execute(pooled).expect("readout").features
+        };
+        let want: Vec<_> = (0..2)
+            .map(|f| {
+                let stream = NoiseStream::new(SEED).frame_substream(f).substream(0);
+                let (pooled, decisions, forced) = pool_by_compare(&input, &geom, stream);
+                (readout(&pooled), decisions, forced)
+            })
+            .collect();
+        assert!(
+            want.iter().any(|w| w.0.iter().any(|&v| v > 0.0)),
+            "{dims:?} {shape:?}: the readout carries signal"
+        );
+        for threads in 1..=3 {
+            let mut exec =
+                BatchExecutor::new(pool_only(dims, shape), SEED, threads).expect("pool verifies");
+            for (f, (features, decisions, forced)) in want.iter().enumerate() {
+                let got = exec.execute(&input).expect("pool frame");
+                let bits = |t: &Tensor| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let case = format!("{dims:?} {shape:?}, {threads} threads, frame {f}");
+                assert_eq!(bits(&got.features), bits(features), "{case}");
+                assert_eq!(got.ledger.comparisons, *decisions, "{case}");
+                let forced_before = if f == 0 { 0 } else { want[0].2 };
+                assert_eq!(got.forced_decisions - forced_before, *forced, "{case}");
+            }
+        }
+    }
+}
+
 /// GoogLeNet's Depth1 prefix on a 64×64 scene: conv 7×7/2 to 64 channels
 /// (a 64×147×1,024 product, above the GEMM's serial threshold), max pool
 /// 3×3/2, then LRN over 64·16·16 = 16,384 sites. Two threads split the
@@ -545,6 +696,19 @@ fn the_owned_ln_and_box_muller_radius_are_pinned() {
         .map(|i| box_muller_radius(i).to_bits());
     let fold = fold(logs.chain(radii).map(u64::from));
     assert_eq!(fold, PINNED_LN_FOLD, "ln fold {fold:#018x}");
+}
+
+/// The owned Box–Muller angle on every one of its 2²⁴ `u2` indices, both
+/// halves. Plain f64 arithmetic, so the pin holds on every libm; the fold
+/// equals the one libm's `f32::sin_cos` gives on glibc ≥ 2.28.
+#[test]
+fn the_owned_box_muller_angle_is_pinned() {
+    let angles = (0..1u32 << 24).flat_map(|i| {
+        let (sin, cos) = box_muller_angle(i);
+        [sin.to_bits(), cos.to_bits()]
+    });
+    let fold = fold(angles.map(u64::from));
+    assert_eq!(fold, PINNED_ANGLE_FOLD, "angle fold {fold:#018x}");
 }
 
 /// 41 tasks whose first five are ~100× heavier than the rest, at one, two
