@@ -20,7 +20,9 @@
 //! - **Conv** (`BENCH_conv.json`, via `--conv`): the implicit-GEMM conv
 //!   path (pack-once weights, no im2col matrix) against the explicit
 //!   im2col lowering at per-layer shapes, with the peak workspace bytes
-//!   each path staged.
+//!   each path staged and the share of all-zero 16-wide panel rows in
+//!   each input's patch matrix. The two paths must agree bit for bit, or
+//!   the run aborts.
 //!
 //! Usage: `cargo run --release -p redeye-bench --bin perf [-- FLAGS]`
 //!
@@ -433,26 +435,71 @@ fn bench_throughput(
     }
 }
 
+/// A rectified blocky `c×h×w` plane, like a conv output after ReLU:
+/// 16×16 plateaus at levels in (−1, 1) with ±0.1 texture, negatives cut
+/// to 0.
+fn relu_blocks(c: usize, h: usize, w: usize, rng: &mut Rng) -> Tensor {
+    let (rows, cols) = (h.div_ceil(16), w.div_ceil(16));
+    let levels: Vec<f32> = (0..c * rows * cols)
+        .map(|_| rng.uniform(-1.0, 1.0))
+        .collect();
+    let mut x = Tensor::zeros(&[c, h, w]);
+    for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+        let (ch, y, col) = (i / (h * w), i / w % h, i % w);
+        let level = levels[(ch * rows + y / 16) * cols + col / 16];
+        *v = (level + rng.uniform(-0.1, 0.1)).max(0.0);
+    }
+    x
+}
+
+/// The share of 16-wide column panels' rows of `x`'s patch matrix that
+/// are all ±0.0: the rows the conv GEMM skips, counted on the explicit
+/// `im2col` matrix.
+fn zero_row_share(x: &Tensor, geom: &ConvGeom) -> f64 {
+    let mut cols = Vec::new();
+    im2col_into(x, geom, &mut cols).expect("im2col");
+    let n = geom.out_positions();
+    let (mut zero, mut rows) = (0usize, 0usize);
+    for row in cols.chunks_exact(n) {
+        for panel in row.chunks(16) {
+            zero += usize::from(panel.iter().all(|&v| v == 0.0));
+            rows += 1;
+        }
+    }
+    zero as f64 / rows as f64
+}
+
 /// The implicit-GEMM conv path against the explicit im2col lowering, per
 /// conv-layer shape, single thread. Each path runs in its own fresh
 /// [`Workspace`] so the reported `_peak_ws` is exactly the staging
 /// footprint that path requires: the explicit records pay for the im2col
 /// matrix, the implicit records show it gone.
+///
+/// # Panics
+///
+/// Panics if the two paths' outputs differ in any bit.
 fn bench_conv(records: &mut Vec<Record>, smoke: bool) {
-    // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c]): the
-    // micronet and GoogLeNet stems as the zoo builds them, and the Depth3
-    // inception-3a 3x3 branch (m=192, k=576, n=3249).
-    let shapes: &[(&str, [usize; 7])] = &[
-        ("micronet_conv1", [3, 32, 32, 5, 1, 2, 4]),
-        ("googlenet_conv1", [3, 224, 224, 7, 2, 3, 64]),
-        ("depth3_3x3", [64, 57, 57, 3, 1, 1, 192]),
+    // (label, [in_c, in_h, in_w, kernel, stride, pad, out_c], rectified):
+    // the micronet and GoogLeNet stems as the zoo builds them, and the
+    // Depth3 inception-3a 3x3 branch (m=192, k=576, n=3249), on uniform
+    // input and on a rectified blocky plane whose zero panel rows the
+    // implicit path skips.
+    let shapes: &[(&str, [usize; 7], bool)] = &[
+        ("micronet_conv1", [3, 32, 32, 5, 1, 2, 4], false),
+        ("googlenet_conv1", [3, 224, 224, 7, 2, 3, 64], false),
+        ("depth3_3x3", [64, 57, 57, 3, 1, 1, 192], false),
+        ("depth3_3x3_relu", [64, 57, 57, 3, 1, 1, 192], true),
     ];
     let reps = if smoke { 3 } else { 7 };
-    for &(label, [c, h, w, k, stride, pad, out_c]) in shapes {
+    for &(label, [c, h, w, k, stride, pad, out_c], rectified) in shapes {
         let geom = ConvGeom::new(c, h, w, k, k, stride, pad).expect("conv geometry");
         let (patch, positions) = (geom.patch_len(), geom.out_positions());
         let mut rng = Rng::seed_from(11);
-        let x = Tensor::uniform(&[c, h, w], -1.0, 1.0, &mut rng);
+        let x = if rectified {
+            relu_blocks(c, h, w, &mut rng)
+        } else {
+            Tensor::uniform(&[c, h, w], -1.0, 1.0, &mut rng)
+        };
         let weights = Tensor::uniform(&[out_c, patch], -1.0, 1.0, &mut rng);
         let packed = PackedWeights::pack(weights.as_slice(), out_c, patch);
         let mut out = vec![0.0f32; out_c * positions];
@@ -488,7 +535,12 @@ fn bench_conv(records: &mut Vec<Record>, smoke: bool) {
             );
         };
         explicit_pass(&mut ws_explicit, &mut out);
+        let want: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
         implicit_pass(&mut ws_implicit, &mut out);
+        assert!(
+            out.iter().map(|v| v.to_bits()).eq(want.iter().copied()),
+            "conv {label}: the implicit path differs from the im2col lowering"
+        );
 
         // Interleave so host-load drift hits both paths equally.
         let mut explicit_ms = f64::INFINITY;
@@ -506,11 +558,14 @@ fn bench_conv(records: &mut Vec<Record>, smoke: bool) {
 
         let explicit_ws = ws_explicit.peak_bytes();
         let implicit_ws = ws_implicit.peak_bytes() + packed.bytes();
+        let share = zero_row_share(&x, &geom);
         println!(
             "conv {label}: im2col {explicit_ms:.2} ms / {explicit_ws} B ws | \
-             implicit {implicit_ms:.2} ms / {implicit_ws} B ws ({:.2}x, {:.2}x ws)",
+             implicit {implicit_ms:.2} ms / {implicit_ws} B ws ({:.2}x, {:.2}x ws), \
+             zero rows {:.1}%",
             explicit_ms / implicit_ms,
             explicit_ws as f64 / implicit_ws.max(1) as f64,
+            100.0 * share,
         );
         for (path, ms, ws) in [
             ("im2col", explicit_ms, explicit_ws),
@@ -520,6 +575,8 @@ fn bench_conv(records: &mut Vec<Record>, smoke: bool) {
             records.push(Record::new(&name, ms, "ms"));
             records.push(Record::new(format!("{name}_peak_ws"), ws as f64, "B"));
         }
+        let share_name = format!("conv_{label}_zero_row_share");
+        records.push(Record::new(share_name, share, "ratio"));
     }
 }
 

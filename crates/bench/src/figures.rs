@@ -126,7 +126,7 @@ pub fn fig7() {
 pub fn fig8() {
     let config = RedEyeConfig::default();
     section("Fig. 8 — Per-frame system energy (Jetson TK1 / cloud-offload)");
-    let bars = scenario::fig8(&config);
+    let bars = scenario::fig8(&config).expect("the default config estimates");
     let papers = ["1.7 J", "892 mJ", "406 mJ", "226 mJ", "130.5 mJ", "35 mJ"];
     let rows: Vec<Vec<String>> = bars
         .iter()
@@ -296,11 +296,11 @@ pub fn headline() {
         "image sensor {} vs RedEye Depth1 {} → reduction {} (paper: 1.1 mJ → 0.17 mJ, 84.5%)",
         energy(sensor.analog_energy_per_frame()),
         energy(d1.energy.analog_total()),
-        pct(scenario::sensor_energy_reduction(&config)),
+        pct(scenario::sensor_energy_reduction(&config).expect("estimate")),
     );
 
     section("§V-B — ShiDianNao comparison (7 conv layers, Depth4)");
-    let (sdn, redeye, r) = scenario::shidiannao_comparison(&config);
+    let (sdn, redeye, r) = scenario::shidiannao_comparison(&config).expect("estimate");
     let sdn_model = ShiDianNao::paper_configuration();
     println!(
         "ShiDianNao+sensor {} ({} patches) vs RedEye Depth4 {} → reduction {} (paper: 3.2 mJ vs 1.3 mJ, 59%)",

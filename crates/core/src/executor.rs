@@ -543,9 +543,9 @@ impl FramePass<'_> {
                         })?;
                 let mut out = vec![0.0f32; out_len];
                 // The ideal MAC array is a matrix product (each output is
-                // one damped node). The implicit-GEMM packer gathers
-                // B-panels straight from the C×H×W input and multiplies
-                // through the engine's pack-once weight panels,
+                // one damped node). The implicit-GEMM packer copies
+                // B-panels from a padded copy of the C×H×W input and
+                // multiplies through the engine's pack-once weight panels,
                 // bit-identical to the explicit im2col lowering.
                 conv_gemm_packed_into(
                     self.ws.packs_mut(),

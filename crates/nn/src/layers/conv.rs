@@ -106,10 +106,11 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
         let positions = self.geom.out_positions();
-        // Implicit-GEMM: the engine's B packer gathers receptive-field taps
-        // straight from the C×H×W input, so no im2col matrix is staged and
-        // at steady state the only per-call allocation is the returned
-        // output tensor itself. Bit-identical to the im2col lowering.
+        // Implicit-GEMM: the engine's B packer copies receptive-field taps
+        // from one padded copy of the C×H×W input, so no im2col matrix is
+        // staged and at steady state the only per-call allocation is the
+        // returned output tensor itself. Bit-identical to the im2col
+        // lowering.
         let mut out = vec![0.0f32; self.out_c * positions];
         conv_gemm_into(
             self.ws.packs_mut(),

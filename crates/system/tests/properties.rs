@@ -37,7 +37,7 @@ proptest! {
             ..RedEyeConfig::default()
         };
         let raw = scenario::cloudlet_raw();
-        let with = scenario::cloudlet_redeye(Depth::ALL[depth_idx], &config);
+        let with = scenario::cloudlet_redeye(Depth::ALL[depth_idx], &config).unwrap();
         prop_assert!(with.energy < raw.energy, "{}", with.name);
     }
 

@@ -40,30 +40,53 @@
 //! Convolution does not need a materialized `im2col` matrix: the only
 //! consumer of that matrix is the B-panel packer, which immediately
 //! re-copies it into `KC×NR` panels. [`conv_gemm_into`] and
-//! [`conv_gemm_packed_into`] instead pack those panels *directly from the
-//! `C×H×W` input tensor* — the packer walks the receptive-field taps that
-//! `im2col` would have written, emitting zeros for padding taps — which
-//! deletes a full write+read pass over the patch matrix and shrinks the
-//! conv workspace by `patch_len × out_positions` floats. Because the packed
-//! panel bytes are identical to packing an explicit `im2col` matrix, and
-//! blocking and microkernel are shared, the implicit path is bit-identical
-//! to the `im2col` + [`gemm_into`] oracle at every geometry and thread
-//! count.
+//! [`conv_gemm_packed_into`] instead lay the `C×H×W` input out once per
+//! call as one zero-padded copy split into column phases (one per stride
+//! step), shared by every worker. In that layout the taps of one patch row
+//! along one output row are consecutive floats at any stride, so the
+//! packer copies each panel row as one contiguous run, or one run per
+//! output row when the panel's 16 columns cross a row end; columns past
+//! the product's edge are `0.0`. Padding taps read the copy's zero border.
+//! Because the packed panel bytes are identical to packing an explicit
+//! `im2col` matrix, and blocking and microkernel are shared, the implicit
+//! path is bit-identical to the `im2col` + [`gemm_into`] oracle at every
+//! geometry and thread count.
+//!
+//! # Zero rows
+//!
+//! Every conv after the first reads a rectified plane, and about a third
+//! of its 16-wide panel rows are all zero. The packer drops a row whose
+//! `NR` values are all ±0.0 and records the kept rows' step indices; a
+//! panel that dropped rows runs only its kept steps, each reading A at its
+//! own step. This is exact. Each output is `acc = 0 + Σ_k a·b` in `k`
+//! order with a separate multiply and add, and:
+//!
+//! - `acc` starts at +0.0, and under round-to-nearest `x + y` is −0.0 only
+//!   when both are −0.0, so `acc` is never −0.0;
+//! - for a finite `a`, `a·(±0.0)` is ±0.0, and `acc + (±0.0)` equals `acc`
+//!   bit for bit whenever `acc` is not −0.0, a NaN `acc` included;
+//! - an infinite or NaN weight times zero is NaN, so against such weights
+//!   nothing is skipped. [`PackedWeights::pack`] records once whether every
+//!   weight is finite; [`conv_gemm_into`] scans its raw weights per call.
+//!
+//! Skipping is per worker and per panel, so results do not depend on the
+//! thread count, and a panel that dropped nothing runs the dense
+//! microkernel. Nothing selects the path but the data: no option, no
+//! feature, no environment variable. The energy ledger, which charges
+//! every MAC the analog array spends, never sees it.
 //!
 //! # Direct path for narrow convs
 //!
 //! A conv with at most `MR` filters fills at most one A panel, so packing
 //! a `KC×NR` B panel feeds a single row panel of arithmetic, half of it
 //! on zero rows when there are four filters. Such a conv packs no B at all:
-//! the driver lays the input out once per call as a zero-padded copy split
-//! into column phases (one per stride step), in which each tap's run of
-//! output positions along one output row is a contiguous slice. A
-//! `DR×DW` kernel (4 filters × 32 positions, the same eight vector
-//! accumulators as an `MR×NR` tile) reads those slices in place against
-//! the weight panel. Every output still sums `0 + Σ_KC-blocks (0 + Σ_k
-//! a·b)` with `k` ascending and a separate multiply and add, padding taps
-//! included as `a·0.0`, so the result is bit-identical to the packed path
-//! and to the `im2col` oracle.
+//! a `DR×DW` kernel (4 filters × 32 positions, the same eight vector
+//! accumulators as an `MR×NR` tile) reads each tap's run of output
+//! positions in place from the same padded copy, whose rows are then
+//! widened to whole `DW` tiles, against the weight panel. Every output
+//! still sums `0 + Σ_KC-blocks (0 + Σ_k a·b)` with `k` ascending and a
+//! separate multiply and add, padding taps included as `a·0.0`, so the
+//! result is bit-identical to the packed path and to the `im2col` oracle.
 //!
 //! [`PackedWeights`] completes the picture for inference engines that run
 //! the same filters every frame: the A-side (weight) packing is hoisted
@@ -183,16 +206,6 @@ fn pack_b_panel(
     }
 }
 
-/// `⌈a / s⌉`, with no division at stride 1.
-#[inline(always)]
-fn ceil_div(a: usize, s: usize) -> usize {
-    if s == 1 {
-        a
-    } else {
-        a.div_ceil(s)
-    }
-}
-
 /// Copies `dst.len()` taps of one input row, `stride` apart from `row[0]`:
 /// a contiguous copy at stride 1.
 #[inline(always)]
@@ -206,113 +219,86 @@ fn copy_taps(dst: &mut [f32], row: &[f32], stride: usize) {
     }
 }
 
-/// Packs one run of conv B-panel columns into the zeroed `run`: columns
-/// on output row `oy` from output column `ox` on, under tap `(ky, kx)` of
-/// `plane`. A tap row above or below the input stays zero. Otherwise the
-/// run is a zero head left of the input row, an in-bounds body copied from
-/// the row, and a zero tail right of it.
-#[inline(always)]
-fn pack_conv_run(
-    run: &mut [f32],
-    plane: &[f32],
-    geom: &ConvGeom,
-    (ky, kx): (usize, usize),
-    oy: usize,
-    ox: usize,
-) {
-    let (in_h, in_w) = (geom.in_h(), geom.in_w());
-    let (stride, pad) = (geom.stride(), geom.pad());
-    // A row above the input wraps to a huge `y`.
-    let y = (oy * stride + ky).wrapping_sub(pad);
-    if y >= in_h {
-        return;
-    }
-    // `xp` is the input column of the run's first tap, plus `pad`.
-    let xp = ox * stride + kx;
-    let head = ceil_div(pad.saturating_sub(xp), stride);
-    let end = ceil_div((pad + in_w).saturating_sub(xp), stride).min(run.len());
-    if end <= head {
-        // No tap lands inside the row, so there is no body to copy and its
-        // first input column may lie past the row end.
-        return;
-    }
-    let row = &plane[y * in_w..(y + 1) * in_w];
-    copy_taps(
-        &mut run[head..end],
-        &row[xp + head * stride - pad..],
-        stride,
-    );
+/// The rows a packed conv B panel keeps: its first `len` slots hold block
+/// rows `steps[..len]`, in order. `len == kc` means no row was dropped.
+#[derive(Clone, Copy)]
+struct KeptRows {
+    len: usize,
+    /// Step indices within the `KC` block; `kc ≤ KC = 256` fits a `u8`.
+    steps: [u8; KC],
 }
 
-/// Packs the `kc×nc` panel of the *virtual* `im2col` matrix of `src`
-/// (`C×H×W`, per `geom`) starting at (`pc`, `jc`) — the implicit-GEMM
-/// gather. Produces bytes identical to running [`pack_b_panel`] over an
-/// explicit `im2col` matrix: patch row `pc + p` is a channel/tap
-/// `(ch, ky, kx)`, column `jc + col` an output position `(oy, ox)`, and the
-/// packed value is the input pixel under that tap, or `0.0` when the tap
-/// falls in the padding border.
+/// Whether every value of a panel row is ±0.0 (a NaN is not zero): one
+/// vector compare.
+#[inline(always)]
+fn all_zero(row: &[f32; NR]) -> bool {
+    let mut nonzero = 0u32;
+    for &v in row {
+        nonzero |= u32::from(v != 0.0);
+    }
+    nonzero == 0
+}
+
+/// Packs the `kc×nc` panel of the virtual `im2col` matrix of a padded conv
+/// input starting at (`pc`, `jc`). Panel row `p` (tap `taps[pc + p]`) is
+/// one contiguous run of the padded input per output row its columns span,
+/// so a panel inside one output row copies `NR` floats per row at any
+/// stride. Columns past `nc` are `0.0`. The rows equal [`pack_b_panel`]
+/// over an explicit `im2col` matrix.
 ///
-/// The packer copies runs instead of decoding every element. It decodes
-/// the block's first tap once and steps it per panel row, and decodes each
-/// panel's first output position once. A panel row whose `NR` columns sit
-/// on one output row with every tap inside the input is one copy of `NR`
-/// taps. Any other row is zeroed and split into runs on one output row
-/// each, packed by [`pack_conv_run`]. Columns past `nc` stay `0.0`. Beyond
-/// those decodes, only the edge runs of a strided conv divide (by the
-/// stride).
-fn pack_b_conv_panel(
-    src: &[f32],
-    geom: &ConvGeom,
-    jc: usize,
-    nc: usize,
-    pc: usize,
-    kc: usize,
+/// When `skip` holds, a row whose `NR` values are all ±0.0 is dropped and
+/// the next row takes its slot; `kept[pi]` records which rows panel `pi`
+/// kept (see "Zero rows" in the module docs for why that is exact).
+fn pack_b_padded(
+    input: &Padded<'_>,
+    (jc, nc): (usize, usize),
+    (pc, kc): (usize, usize),
+    skip: bool,
     dst: &mut [f32],
+    kept: &mut [KeptRows],
 ) {
-    let (kh, kw) = (geom.kernel_h(), geom.kernel_w());
-    let (in_h, in_w) = (geom.in_h(), geom.in_w());
-    let (stride, pad) = (geom.stride(), geom.pad());
-    let out_w = geom.out_w();
-    let plane_len = in_h * in_w;
-    let (ch0, tap0) = (pc / (kh * kw), pc % (kh * kw));
-    let (ky0, kx0) = (tap0 / kw, tap0 % kw);
+    let taps = &input.taps[pc..pc + kc];
+    let out_w = input.out_w;
     let panels = nc.div_ceil(NR);
-    for (pi, panel) in dst[..panels * NR * kc]
-        .chunks_exact_mut(NR * kc)
-        .enumerate()
-    {
+    let chunks = dst[..panels * NR * kc].chunks_exact_mut(NR * kc);
+    for ((pi, panel), rows) in chunks.enumerate().zip(kept) {
+        // One run per output row: (first column, length, offset of its
+        // first output position in the padded input).
         let cols = NR.min(nc - pi * NR);
-        let j0 = jc + pi * NR;
-        let (oy0, ox0) = (j0 / out_w, j0 % out_w);
-        let one_run = cols == NR && ox0 + NR <= out_w;
-        let (mut ch, mut ky, mut kx) = (ch0, ky0, kx0);
-        for step in panel.as_chunks_mut::<NR>().0 {
-            let plane = &src[ch * plane_len..(ch + 1) * plane_len];
-            let y = (oy0 * stride + ky).wrapping_sub(pad);
-            let xp = ox0 * stride + kx;
-            if one_run && y < in_h && xp >= pad && xp - pad + (NR - 1) * stride < in_w {
-                copy_taps(step, &plane[y * in_w + xp - pad..], stride);
-            } else {
-                *step = [0.0; NR];
-                let (mut c, mut oy, mut ox) = (0, oy0, ox0);
-                while c < cols {
-                    let len = (out_w - ox).min(cols - c);
-                    pack_conv_run(&mut step[c..c + len], plane, geom, (ky, kx), oy, ox);
-                    c += len;
-                    oy += 1;
-                    ox = 0;
-                }
+        let mut runs = [(0, 0, 0); NR];
+        let (mut count, mut c, mut j) = (0, 0, jc + pi * NR);
+        while c < cols {
+            let (oy, ox) = (j / out_w, j % out_w);
+            let len = (out_w - ox).min(cols - c);
+            runs[count] = (c, len, oy * input.row_step + ox);
+            (count, c, j) = (count + 1, c + len, j + len);
+        }
+        let runs = &runs[..count];
+        let slots = panel.as_chunks_mut::<NR>().0;
+        let mut len = 0;
+        // The check reads the copied row, not the slot it went to, so the
+        // next slot's address does not wait on it.
+        if let &[(_, NR, at)] = runs {
+            for (p, &tap) in taps.iter().enumerate() {
+                let row = input.data[at + tap..]
+                    .first_chunk()
+                    .expect("a panel row lies inside the padded input");
+                slots[len] = *row;
+                rows.steps[len] = p as u8;
+                len += usize::from(!(skip && all_zero(row)));
             }
-            kx += 1;
-            if kx == kw {
-                kx = 0;
-                ky += 1;
-                if ky == kh {
-                    ky = 0;
-                    ch += 1;
+        } else {
+            for (p, &tap) in taps.iter().enumerate() {
+                let mut row = [0.0; NR];
+                for &(c, n, at) in runs {
+                    row[c..c + n].copy_from_slice(&input.data[at + tap..][..n]);
                 }
+                slots[len] = row;
+                rows.steps[len] = p as u8;
+                len += usize::from(!(skip && all_zero(&row)));
             }
         }
+        rows.len = len;
     }
 }
 
@@ -330,6 +316,8 @@ pub struct PackedWeights {
     data: Vec<f32>,
     m: usize,
     k: usize,
+    /// Whether every weight is finite, so a zero B row may be skipped.
+    finite: bool,
 }
 
 impl PackedWeights {
@@ -350,7 +338,12 @@ impl PackedWeights {
             pack_a_block(a, false, m, k, 0, m, pc, kc, &mut data[start..]);
             pc += kc;
         }
-        PackedWeights { data, m, k }
+        PackedWeights {
+            data,
+            m,
+            k,
+            finite: a.iter().all(|v| v.is_finite()),
+        }
     }
 
     /// Output-row count (filters).
@@ -393,26 +386,39 @@ enum ASrc<'a> {
     Packed(&'a PackedWeights),
 }
 
-/// The B operand: a raw matrix (with optional transpose) or the virtual
-/// `im2col` matrix of a `C×H×W` input gathered implicitly.
+impl ASrc<'_> {
+    /// Whether every value of A is finite: a raw matrix is scanned, packed
+    /// weights recorded it once.
+    fn finite(self) -> bool {
+        match self {
+            ASrc::Mat { a, .. } => a.iter().all(|v| v.is_finite()),
+            ASrc::Packed(pw) => pw.finite,
+        }
+    }
+}
+
+/// The B operand as an entry point gives it: a raw matrix (with optional
+/// transpose) or the virtual `im2col` matrix of a `C×H×W` input.
 #[derive(Clone, Copy)]
 enum BSrc<'a> {
     Mat { b: &'a [f32], trans: bool },
     Conv { src: &'a [f32], geom: &'a ConvGeom },
 }
 
-/// A conv input laid out so that the direct path reads B rows in place.
+/// A conv input laid out so that the taps of one patch row along one
+/// output row are consecutive floats at any stride.
 ///
 /// Patch row `p` of the virtual `im2col` matrix is a tap `(ch, ky, kx)`.
-/// Over one tile of `DW` output positions `ox0..ox0 + DW` on output row
-/// `oy` it reads padded input row `oy·s + ky`, columns `(ox0 + c)·s + kx`.
-/// Each padded row is stored as `s` column phases of `width` floats, phase
-/// `q` holding padded columns `i·s + q`, so those `DW` columns are
-/// consecutive floats of phase `kx mod s` from index `ox0 + ⌊kx/s⌋`: the
-/// B row starts at `oy·row_step + ox0 + taps[p]`. Padding columns and
-/// rows hold `0.0`, as `im2col` would. `width` covers every tile of a
-/// row, so the tail lanes of a row's last tile stay in bounds; they are
-/// computed and dropped.
+/// Over output positions `ox0..ox0 + w` on output row `oy` it reads padded
+/// input row `oy·s + ky`, columns `(ox0 + c)·s + kx`. Each padded row is
+/// stored as `s` column phases of `width` floats, phase `q` holding padded
+/// columns `i·s + q`, so those columns are consecutive floats of phase
+/// `kx mod s` from index `ox0 + ⌊kx/s⌋`: the run starts at
+/// `oy·row_step + ox0 + taps[p]`. Padding columns and rows hold `0.0`, as
+/// `im2col` would. The B packer copies these runs into panels; the direct
+/// path reads them in place, in tiles of `DW` lanes. `width` covers every
+/// `tile`-wide tile of a row (see [`pad_input`]), so the tail lanes of a
+/// row's last tile stay in bounds; they are computed and dropped.
 #[derive(Clone, Copy)]
 struct Padded<'a> {
     data: &'a [f32],
@@ -424,10 +430,14 @@ struct Padded<'a> {
 }
 
 /// Lays `src` (`C×H×W`, per `geom`) out in [`Padded`] form in `data` and
-/// fills the per-patch-row offsets into `taps`. Both buffers only grow.
+/// fills the per-patch-row offsets into `taps`. Reads run in tiles of
+/// `tile` output positions aligned in each output row: `DW` for the direct
+/// kernel, 1 for the B packer, which reads no lane past a row's end. Both
+/// buffers only grow.
 fn pad_input<'a>(
     src: &[f32],
     geom: &ConvGeom,
+    tile: usize,
     data: &'a mut Vec<f32>,
     taps: &'a mut Vec<usize>,
 ) -> Padded<'a> {
@@ -436,26 +446,32 @@ fn pad_input<'a>(
     let (s, pad) = (geom.stride(), geom.pad());
     let out_w = geom.out_w();
     // The last tile's last lane under tap `kx` reads phase index
-    // `tiles·DW − 1 + ⌊kx/s⌋`.
-    let width = out_w.div_ceil(DW) * DW + (kw - 1) / s;
+    // `tiles·tile − 1 + ⌊kx/s⌋`.
+    let width = out_w.div_ceil(tile) * tile + (kw - 1) / s;
     let rows = (geom.out_h() - 1) * s + kh;
     let row_len = s * width;
     let plane_len = rows * row_len;
     let data = ensure_len(data, geom.in_c() * plane_len);
-    data.fill(0.0);
-    for ch in 0..geom.in_c() {
-        // Input row `y` is padded row `y + pad`; rows no tap reads stay out.
-        for y in 0..in_h.min(rows.saturating_sub(pad)) {
+    // Every float is written once: input values, or 0.0 in the padding.
+    for (ch, plane) in data.chunks_exact_mut(plane_len).enumerate() {
+        for (py, dst) in plane.chunks_exact_mut(row_len).enumerate() {
+            // Padded row `py` is input row `py − pad`; rows no tap reads
+            // stay out.
+            let Some(y) = py.checked_sub(pad).filter(|&y| y < in_h) else {
+                dst.fill(0.0);
+                continue;
+            };
             let row = &src[(ch * in_h + y) * in_w..][..in_w];
-            let dst = &mut data[ch * plane_len + (y + pad) * row_len..][..row_len];
             for (q, phase) in dst.chunks_exact_mut(width).enumerate() {
                 // The indices `i` whose padded column `i·s + q` is an
                 // input column, `i·s + q − pad` in `0..in_w`.
-                let lo = pad.saturating_sub(q).div_ceil(s);
-                let hi = (pad + in_w).saturating_sub(q).div_ceil(s).min(width);
+                let lo = pad.saturating_sub(q).div_ceil(s).min(width);
+                let hi = (pad + in_w).saturating_sub(q).div_ceil(s).clamp(lo, width);
+                phase[..lo].fill(0.0);
                 if lo < hi {
                     copy_taps(&mut phase[lo..hi], &row[lo * s + q - pad..], s);
                 }
+                phase[hi..].fill(0.0);
             }
         }
     }
@@ -475,12 +491,7 @@ fn pad_input<'a>(
     }
 }
 
-/// The register microkernel: one `MR×NR` accumulator tile over a shared
-/// inner extent. `apanel` is `kc` steps of `MR` packed A values, `bpanel`
-/// `kc` steps of `NR` packed B values; the fixed-size accumulator array and
-/// `as_chunks` iteration make the loop body branch- and bounds-check free.
-/// Per element it computes `acc[c] += a * b[c]`: two roundings per step,
-/// `k`-sequential, no FMA.
+/// `acc[c] += a * b[c]` for every lane: two roundings, no FMA.
 #[inline(always)]
 fn mul_add_row<const W: usize>(acc: &mut [f32; W], a: f32, b: &[f32; W]) {
     for c in 0..W {
@@ -488,8 +499,30 @@ fn mul_add_row<const W: usize>(acc: &mut [f32; W], a: f32, b: &[f32; W]) {
     }
 }
 
+/// The register microkernel: one `MR×NR` accumulator tile over a shared
+/// inner extent. `apanel` is `kc` steps of `MR` packed A values, `bpanel`
+/// `kc` steps of `NR` packed B values; the fixed-size accumulator array and
+/// `as_chunks` iteration make the loop body branch- and bounds-check free.
+/// Per element it computes `acc[c] += a * b[c]` with `k` ascending.
 #[inline(always)]
 fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
+    let (asteps, _) = apanel.as_chunks::<MR>();
+    let (bsteps, _) = bpanel.as_chunks::<NR>();
+    tile_kernel(asteps.iter().zip(bsteps))
+}
+
+/// [`microkernel`] over the rows a B panel kept: slot `j` of `bpanel`
+/// meets A step `steps[j]`.
+#[inline(always)]
+fn microkernel_kept(apanel: &[f32], bpanel: &[f32], steps: &[u8]) -> [[f32; NR]; MR] {
+    let (asteps, _) = apanel.as_chunks::<MR>();
+    let (bsteps, _) = bpanel.as_chunks::<NR>();
+    tile_kernel(steps.iter().map(|&p| &asteps[usize::from(p)]).zip(bsteps))
+}
+
+/// One `MR×NR` accumulator tile over a sequence of (A step, B row) pairs.
+#[inline(always)]
+fn tile_kernel<'a>(steps: impl Iterator<Item = (&'a [f32; MR], &'a [f32; NR])>) -> [[f32; NR]; MR] {
     let mut r0 = [0.0f32; NR];
     let mut r1 = [0.0f32; NR];
     let mut r2 = [0.0f32; NR];
@@ -498,9 +531,7 @@ fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
     let mut r5 = [0.0f32; NR];
     let mut r6 = [0.0f32; NR];
     let mut r7 = [0.0f32; NR];
-    let (asteps, _) = apanel.as_chunks::<MR>();
-    let (bsteps, _) = bpanel.as_chunks::<NR>();
-    for (ap, b) in asteps.iter().zip(bsteps.iter()) {
+    for (ap, b) in steps {
         mul_add_row(&mut r0, ap[0], b);
         mul_add_row(&mut r1, ap[1], b);
         mul_add_row(&mut r2, ap[2], b);
@@ -541,22 +572,35 @@ impl OutRows for &mut [&mut [f32]] {
     }
 }
 
+/// Where a worker's packed B panels come from: a raw matrix, or the padded
+/// conv input, whose all-zero panel rows are dropped when `skip` holds.
+#[derive(Clone, Copy)]
+enum BPanels<'a> {
+    Mat { b: &'a [f32], trans: bool },
+    Conv { input: Padded<'a>, skip: bool },
+}
+
 /// Runs the whole product for output columns `[j0, j1)` across all `m`
 /// rows: each `NC` block of the range, each `KC` block of `k` in order.
 /// B panels are packed into the worker-private `bpack`; raw-matrix A
 /// blocks into the worker-private `apack`, while pre-packed A serves
-/// panels straight from its shared buffer. Each `KC` block's products are
-/// added to `out` in `k` order, so no output element depends on which
-/// worker owns its column.
+/// panels straight from its shared buffer. A panel that dropped zero rows
+/// runs only its kept steps. Each `KC` block's products are added to `out`
+/// in `k` order, so no output element depends on which worker owns its
+/// column.
 fn compute_cols(
     asrc: ASrc<'_>,
-    bsrc: BSrc<'_>,
+    bsrc: BPanels<'_>,
     (m, n, k): (usize, usize, usize),
     (j0, j1): (usize, usize),
     apack: &mut [f32],
     bpack: &mut [f32],
     mut out: impl OutRows,
 ) {
+    let mut kept = [KeptRows {
+        len: 0,
+        steps: [0; KC],
+    }; NC / NR];
     let mut jc = j0;
     while jc < j1 {
         let nc = NC.min(j1 - jc);
@@ -566,8 +610,13 @@ fn compute_cols(
             let kc = KC.min(k - pc);
             let bblock = &mut bpack[..col_panels * NR * kc];
             match bsrc {
-                BSrc::Mat { b, trans } => pack_b_panel(b, trans, n, k, jc, nc, pc, kc, bblock),
-                BSrc::Conv { src, geom } => pack_b_conv_panel(src, geom, jc, nc, pc, kc, bblock),
+                BPanels::Mat { b, trans } => {
+                    pack_b_panel(b, trans, n, k, jc, nc, pc, kc, bblock);
+                    kept.iter_mut().for_each(|rows| rows.len = kc);
+                }
+                BPanels::Conv { input, skip } => {
+                    pack_b_padded(&input, (jc, nc), (pc, kc), skip, bblock, &mut kept);
+                }
             }
             let bblock: &[f32] = bblock;
             let mut ic = 0usize;
@@ -587,14 +636,19 @@ fn compute_cols(
                 // Col-panel outer / row-panel inner keeps the `KC×NR` B
                 // slice hot in L1 while successive A panels stream from the
                 // packed L2 block.
-                for pj in 0..col_panels {
+                for (pj, panel_rows) in kept[..col_panels].iter().enumerate() {
                     let bpanel = &bblock[pj * NR * kc..][..NR * kc];
                     let col = jc - j0 + pj * NR;
                     let cols = NR.min(nc - pj * NR);
+                    let steps = &panel_rows.steps[..panel_rows.len];
                     for pi in 0..row_panels {
                         let apanel = &ablock[pi * MR * kc..][..MR * kc];
                         let rows = MR.min(mc - pi * MR);
-                        let acc = microkernel(apanel, bpanel);
+                        let acc = if steps.len() == kc {
+                            microkernel(apanel, bpanel)
+                        } else {
+                            microkernel_kept(apanel, bpanel, steps)
+                        };
                         for (r, acc_row) in acc.iter().enumerate().take(rows) {
                             let dst = &mut out.row(ic + pi * MR + r)[col..col + cols];
                             for (d, &v) in dst.iter_mut().zip(acc_row.iter()) {
@@ -690,7 +744,7 @@ fn compute_direct(
 /// conv with at most `MR` filters) in place from the padded input.
 #[derive(Clone, Copy)]
 enum BRead<'a> {
-    Packed(BSrc<'a>),
+    Packed(BPanels<'a>),
     InPlace(Padded<'a>),
 }
 
@@ -706,18 +760,19 @@ fn compute_range(
     out: impl OutRows,
 ) {
     match bread {
-        BRead::Packed(bsrc) => compute_cols(asrc, bsrc, (m, n, k), cols, apack, bpack, out),
+        BRead::Packed(panels) => compute_cols(asrc, panels, (m, n, k), cols, apack, bpack, out),
         BRead::InPlace(input) => compute_direct(asrc, input, (m, k), cols, apack, out),
     }
 }
 
 /// The shared blocked driver behind every public entry point. Each worker
 /// owns one `NR`-aligned range of output columns across all `m` rows and
-/// runs [`compute_cols`] over it, packing its own B panels (explicit matrix
-/// or implicit conv gather) and A blocks into private regions of `packs`.
-/// A conv with at most `MR` filters runs [`compute_direct`] instead, over
-/// one padded copy of the input shared by every worker. The whole product
-/// is one [`par::fan_out`]; one worker runs inline.
+/// runs [`compute_cols`] over it, packing its own B panels and A blocks
+/// into private regions of `packs`. A conv's input is laid out once per
+/// call as one padded copy shared by every worker: the B packer copies
+/// panel rows from it, and a conv with at most `MR` filters runs
+/// [`compute_direct`] over it instead. The whole product is one
+/// [`par::fan_out`]; one worker runs inline.
 #[allow(clippy::too_many_arguments)]
 fn gemm_driver(
     packs: &mut PackBuffers,
@@ -749,12 +804,28 @@ fn gemm_driver(
     // workers need one A panel and no B panels, and pre-packed weights need
     // no A scratch at all. `chunks_mut` below still takes nonzero lengths,
     // so an unused buffer gets a one-float placeholder per worker.
+    let packed_len = NC.min(width) * KC.min(k);
     let (bread, a_tile, b_len) = match bsrc {
+        BSrc::Mat { b, trans } => (
+            BRead::Packed(BPanels::Mat { b, trans }),
+            MC * KC,
+            packed_len,
+        ),
         BSrc::Conv { src, geom } if m <= MR => {
-            let input = pad_input(src, geom, &mut packs.padded, &mut packs.taps);
+            let input = pad_input(src, geom, DW, &mut packs.padded, &mut packs.taps);
             (BRead::InPlace(input), MR * KC, 1)
         }
-        _ => (BRead::Packed(bsrc), MC * KC, NC.min(width) * KC.min(k)),
+        BSrc::Conv { src, geom } => {
+            let input = pad_input(src, geom, 1, &mut packs.padded, &mut packs.taps);
+            // A zero B row is skipped only against finite weights: an
+            // infinite or NaN weight times zero is NaN.
+            let skip = asrc.finite();
+            (
+                BRead::Packed(BPanels::Conv { input, skip }),
+                MC * KC,
+                packed_len,
+            )
+        }
     };
     let a_len = if matches!(asrc, ASrc::Packed(_)) {
         1
@@ -835,10 +906,10 @@ pub fn gemm_into(
 }
 
 /// Implicit-GEMM convolution: `out = W · im2col(input)` without ever
-/// materializing the `im2col` matrix — the B packer gathers receptive-field
-/// taps (zeros in the padding border) straight from the `C×H×W` input, or,
-/// for at most 8 filters, the kernel reads them in place from a padded
-/// copy of the input.
+/// materializing the `im2col` matrix — the B packer copies panel rows from
+/// one zero-padded copy of the `C×H×W` input, dropping all-zero rows when
+/// every weight is finite (scanned per call), or, for at most 8 filters,
+/// the kernel reads them in place from that copy.
 ///
 /// `weights` is the `(out_c × patch_len)` filter matrix, `input` the
 /// `C×H×W` tensor data per `geom`, `out` the `(out_c × out_positions)`
@@ -1214,21 +1285,43 @@ mod tests {
         assert_eq!(got_packed, want, "pre-packed conv diverged from oracle");
     }
 
-    /// Packs every `(jc, pc)` block of `geom`'s patch matrix two ways: the
-    /// implicit conv packer, and `pack_b_panel` over an explicit `im2col`.
-    /// The buffers start with different sentinels, so a slot either packer
-    /// leaves unwritten fails too.
-    fn assert_conv_packer_matches_im2col(geom: &ConvGeom, seed: u64) {
+    /// A `C×H×W` input like a rectified conv output: uniform values with
+    /// the negatives cut to +0.0 or −0.0, and whole 5×11 blocks of zeros,
+    /// so some patch rows are zero across a panel and others are zero but
+    /// for one lane. With `sparse` off, plain uniform values in (−1, 1).
+    fn conv_input(geom: &ConvGeom, seed: u64, sparse: bool) -> Tensor {
         let mut rng = Rng::seed_from(seed);
-        let input = Tensor::uniform(
-            &[geom.in_c(), geom.in_h(), geom.in_w()],
-            -1.0,
-            1.0,
-            &mut rng,
-        );
+        let dims = [geom.in_c(), geom.in_h(), geom.in_w()];
+        let mut x = Tensor::uniform(&dims, -1.0, 1.0, &mut rng);
+        if sparse {
+            let (h, w) = (geom.in_h(), geom.in_w());
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                let (c, y, col) = (i / (h * w), i / w % h, i % w);
+                if *v < 0.0 || (c + y / 5 + col / 11) % 3 == 0 {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        x
+    }
+
+    /// Packs every `(jc, pc)` block of `geom`'s patch matrix two ways: the
+    /// padded-input packer, and `pack_b_panel` over an explicit `im2col`.
+    /// Without skipping, the buffers start with different sentinels, so a
+    /// slot either packer leaves unwritten fails too. With skipping, each
+    /// panel keeps exactly the oracle's rows that are not all ±0.0, in
+    /// order, each bit-exact.
+    fn assert_conv_packer_matches_im2col(geom: &ConvGeom, seed: u64, sparse: bool) {
+        let input = conv_input(geom, seed, sparse);
         let mut cols = Vec::new();
         im2col_into(&input, geom, &mut cols).unwrap();
+        let (mut data, mut taps) = (Vec::new(), Vec::new());
+        let padded = pad_input(input.as_slice(), geom, 1, &mut data, &mut taps);
         let (k, n) = (geom.patch_len(), geom.out_positions());
+        let mut kept = [KeptRows {
+            len: 0,
+            steps: [0; KC],
+        }; NC / NR];
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
@@ -1237,12 +1330,32 @@ mod tests {
                 let mut want = vec![f32::NAN; len];
                 let mut got = vec![f32::INFINITY; len];
                 pack_b_panel(&cols, false, n, k, jc, nc, pc, kc, &mut want);
-                pack_b_conv_panel(input.as_slice(), geom, jc, nc, pc, kc, &mut got);
+                pack_b_padded(&padded, (jc, nc), (pc, kc), false, &mut got, &mut kept);
                 let first_diff = got
                     .iter()
                     .zip(&want)
                     .position(|(g, w)| g.to_bits() != w.to_bits());
                 assert_eq!(first_diff, None, "{geom}: block (jc {jc}, pc {pc})");
+                assert!(kept.iter().take(nc.div_ceil(NR)).all(|r| r.len == kc));
+
+                pack_b_padded(&padded, (jc, nc), (pc, kc), true, &mut got, &mut kept);
+                let panels = want.chunks_exact(NR * kc).zip(got.chunks_exact(NR * kc));
+                for (pi, (want, got)) in panels.enumerate() {
+                    let nonzero: Vec<usize> = (0..kc)
+                        .filter(|&p| want[p * NR..][..NR].iter().any(|&v| v != 0.0))
+                        .collect();
+                    let rows = &kept[pi];
+                    let steps: Vec<usize> =
+                        rows.steps[..rows.len].iter().map(|&p| p.into()).collect();
+                    assert_eq!(steps, nonzero, "{geom}: (jc {jc}, pc {pc}) panel {pi}");
+                    for (slot, &p) in steps.iter().enumerate() {
+                        let (g, w) = (&got[slot * NR..][..NR], &want[p * NR..][..NR]);
+                        assert!(
+                            g.iter().zip(w).all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "{geom}: (jc {jc}, pc {pc}) panel {pi} row {p}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1273,13 +1386,14 @@ mod tests {
         ];
         for (i, &(c, h, w, kh, kw, s, p)) in cases.iter().enumerate() {
             let geom = ConvGeom::new(c, h, w, kh, kw, s, p).unwrap();
-            assert_conv_packer_matches_im2col(&geom, 90 + i as u64);
+            assert_conv_packer_matches_im2col(&geom, 90 + i as u64, false);
+            assert_conv_packer_matches_im2col(&geom, 190 + i as u64, true);
         }
     }
 
     proptest::proptest! {
         /// Random geometries, wide enough in channels and extent for `k`
-        /// to cross `KC` and `n` to cross `NC`.
+        /// to cross `KC` and `n` to cross `NC`, on dense and sparse inputs.
         #[test]
         fn conv_packer_matches_im2col_packing_on_random_geometries(
             in_c in 1usize..=40,
@@ -1292,7 +1406,8 @@ mod tests {
             seed in 0u64..=1_000_000,
         ) {
             if let Ok(geom) = ConvGeom::new(in_c, in_h, in_w, kh, kw, stride, pad) {
-                assert_conv_packer_matches_im2col(&geom, seed);
+                assert_conv_packer_matches_im2col(&geom, seed, false);
+                assert_conv_packer_matches_im2col(&geom, seed, true);
             }
         }
     }

@@ -10,9 +10,8 @@
 /// Packing scratch for the blocked GEMM engine (see [`crate::gemm`]).
 ///
 /// Holds the packed A row-panels and the packed B column-panels, one
-/// region of each per worker thread, and for a conv narrow enough to read
-/// B in place, its zero-padded input and per-tap offsets. Buffers only
-/// ever grow.
+/// region of each per worker thread, and a conv's zero-padded input and
+/// per-tap offsets, shared by the workers. Buffers only ever grow.
 #[derive(Debug, Default)]
 pub struct PackBuffers {
     pub(crate) a: Vec<f32>,

@@ -6,9 +6,12 @@
 //! 1. **Implicit == explicit lowering.** `conv_gemm_into` (and its
 //!    pack-once variant `conv_gemm_packed_into`) must equal
 //!    `im2col_into` + `gemm_into` *bitwise* at every geometry, because the
-//!    conv B-panel packer gathers exactly the values im2col would have
+//!    conv B-panel packer copies exactly the values im2col would have
 //!    staged — padding taps as literal `0.0` — and the multiply itself is
-//!    the same blocked engine.
+//!    the same blocked engine. That holds on rectified inputs too, whose
+//!    all-zero panel rows the conv path skips and the oracle multiplies,
+//!    and on weights holding an infinity or a NaN, against which nothing
+//!    is skipped.
 //!
 //! 2. **Thread invariance.** A GEMM split over any thread budget must equal
 //!    the serial call bitwise at any shape: each output element is
@@ -47,9 +50,22 @@ fn explicit_conv(geom: &ConvGeom, weights: &[f32], input: &[f32], out_c: usize) 
 fn assert_conv_equivalence(geom: &ConvGeom, out_c: usize, seed: u64) {
     let weights = random_vec(out_c * geom.patch_len(), seed);
     let input = random_vec(geom.in_c() * geom.in_h() * geom.in_w(), seed ^ 0x9e37_79b9);
-    let oracle = explicit_conv(geom, &weights, &input, out_c);
-    let packed = PackedWeights::pack(&weights, out_c, geom.patch_len());
-    for threads in [1usize, 3] {
+    assert_matches_oracle(geom, out_c, &weights, &input, &[1, 3]);
+}
+
+/// Asserts both implicit entry points equal the explicit oracle bitwise on
+/// the given weights and input, at each thread budget.
+fn assert_matches_oracle(
+    geom: &ConvGeom,
+    out_c: usize,
+    weights: &[f32],
+    input: &[f32],
+    budgets: &[usize],
+) {
+    let oracle = explicit_conv(geom, weights, input, out_c);
+    let packed = PackedWeights::pack(weights, out_c, geom.patch_len());
+    let (weights, input) = (weights.to_vec(), input.to_vec());
+    for &threads in budgets {
         let mut packs = PackBuffers::new();
         let mut out = vec![0.0f32; oracle.len()];
         conv_gemm_into(&mut packs, &weights, &input, geom, &mut out, out_c, threads);
@@ -76,6 +92,88 @@ fn assert_conv_equivalence(geom: &ConvGeom, out_c: usize, seed: u64) {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// How [`sparse_input`] zeroes a plane.
+#[derive(Clone, Copy)]
+enum Sparsity {
+    /// A ReLU'd plane: negatives cut to zero, 5×11 blocks zeroed per
+    /// channel, and the top-left third of every channel zeroed, wide enough
+    /// that whole 16-column panels read nothing but zeros.
+    Rectified,
+    /// Zeros but for one pixel in 23, so many panel rows hold exactly one
+    /// nonzero value, in every lane.
+    Spikes,
+}
+
+/// A `C×H×W` input of `geom` whose zeros alternate +0.0 and −0.0.
+fn sparse_input(geom: &ConvGeom, seed: u64, sparsity: Sparsity) -> Vec<f32> {
+    let (h, w) = (geom.in_h(), geom.in_w());
+    let mut x = random_vec(geom.in_c() * h * w, seed);
+    for (i, v) in x.iter_mut().enumerate() {
+        let (c, y, col) = (i / (h * w), i / w % h, i % w);
+        let zero = match sparsity {
+            Sparsity::Rectified => {
+                *v < 0.0 || (c + y / 5 + col / 11) % 3 == 0 || (3 * y < h && 3 * col < 2 * w)
+            }
+            Sparsity::Spikes => !(i * 7919 + seed as usize).is_multiple_of(23),
+        };
+        if zero {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+    }
+    x
+}
+
+/// Convs fed a rectified plane, as every RedEye conv after the first is:
+/// the packed path drops the panel rows that are all ±0.0 and must still
+/// equal the oracle, which multiplies every row, bit for bit. Whole zero
+/// panels, rows zero but for one lane, ragged panels across output rows,
+/// `k` past one and two `KC` blocks, `n` past `NC`, strides 1–3, filter
+/// counts on both sides of the direct path's 8, at budgets 1, 2 and 3.
+#[test]
+fn rectified_inputs_with_zero_rows_are_bit_exact_against_the_oracle() {
+    let cases: &[([usize; 6], usize)] = &[
+        // ([in_c, in_h, in_w, kernel, stride, pad], out_c)
+        ([16, 28, 28, 3, 1, 1], 24), // inception-like 3×3
+        ([32, 12, 12, 3, 1, 1], 9),  // k = 288 > KC
+        ([64, 9, 9, 3, 1, 1], 20),   // k = 576: three KC blocks
+        ([2, 29, 29, 3, 1, 1], 10),  // n = 841 > NC
+        ([3, 40, 40, 5, 2, 2], 12),  // stride 2
+        ([4, 31, 31, 4, 3, 1], 16),  // stride 3
+        ([8, 13, 5, 3, 1, 1], 17),   // 5-wide rows: every panel ragged
+        ([6, 20, 20, 5, 1, 2], 4),   // direct path
+    ];
+    for (i, &([c, h, w, kernel, stride, pad], out_c)) in cases.iter().enumerate() {
+        let geom = ConvGeom::new(c, h, w, kernel, kernel, stride, pad).unwrap();
+        let weights = random_vec(out_c * geom.patch_len(), 0x5EED ^ i as u64);
+        for sparsity in [Sparsity::Rectified, Sparsity::Spikes] {
+            let input = sparse_input(&geom, 0xAB ^ i as u64, sparsity);
+            assert_matches_oracle(&geom, out_c, &weights, &input, &[1, 2, 3]);
+        }
+    }
+}
+
+/// An infinite or NaN weight times a zero B value is NaN, so against such
+/// weights no zero row may be skipped: every output equals the oracle's,
+/// NaNs included, through raw and pre-packed weights.
+#[test]
+fn non_finite_weights_meet_zero_rows_as_the_oracle_does() {
+    let geom = ConvGeom::new(16, 28, 28, 3, 3, 1, 1).unwrap();
+    let input = sparse_input(&geom, 3, Sparsity::Rectified);
+    for (out_c, bad) in [
+        (24, f32::INFINITY),
+        (24, f32::NEG_INFINITY),
+        (9, f32::NAN),
+        (4, f32::INFINITY),
+    ] {
+        let mut weights = random_vec(out_c * geom.patch_len(), 7);
+        // Filter 1, first tap: its B row reads the zeroed top-left corner.
+        weights[geom.patch_len()] = bad;
+        let oracle = explicit_conv(&geom, &weights, &input, out_c);
+        assert!(oracle.iter().any(|v| v.is_nan()), "the oracle holds a NaN");
+        assert_matches_oracle(&geom, out_c, &weights, &input, &[1, 2, 3]);
+    }
 }
 
 /// Fixed geometries from the zoo networks the simulator actually runs:

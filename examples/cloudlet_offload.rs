@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let raw_system = scenario::cloudlet_raw();
     for depth in Depth::ALL {
         let est = estimate::estimate_depth(depth, &config)?;
-        let with = scenario::cloudlet_redeye(depth, &config);
+        let with = scenario::cloudlet_redeye(depth, &config)?;
         println!(
             "{:<8} {:>9.1} kB {:>9.1} mJ {:>10.2} s {:>9.1} mJ {:>9.1}%",
             depth.to_string(),

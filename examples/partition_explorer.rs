@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cloudlet headline.
     let raw = scenario::cloudlet_raw();
-    let re = scenario::cloudlet_redeye(Depth::D4, &config);
+    let re = scenario::cloudlet_redeye(Depth::D4, &config)?;
     println!(
         "cloudlet: {:.1} mJ raw vs {:.1} mJ Depth4 → {:.1}% saved (paper 73.2%)",
         raw.energy.millis(),

@@ -190,7 +190,7 @@ fn cmd_systems(args: &Args) -> Result<(), String> {
         "{:<26} {:>14} {:>12} {:>8}",
         "scenario", "energy (mJ)", "latency", "fps"
     );
-    for bar in scenario::fig8(&config) {
+    for bar in scenario::fig8(&config).map_err(|e| e.to_string())? {
         println!(
             "{:<26} {:>14.2} {:>11.1}ms {:>8.2}",
             bar.name,

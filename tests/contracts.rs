@@ -20,7 +20,9 @@
 //! one, two and three threads: the conv GEMM's output column ranges, the
 //! pool's site bands and the LRN's channel planes all split, and three
 //! threads split the columns unevenly. So is a frame of convs with 8 and 3
-//! filters, fewer than one GEMM tile's rows, which read B in place.
+//! filters, fewer than one GEMM tile's rows, which read B in place, and a
+//! frame whose second conv reads a rectified plane, whose all-zero panel
+//! rows the GEMM skips.
 //!
 //! The micronet program also pins "static cost = dynamic ledger":
 //! `analyze_cost`'s nominal point equals every serial frame's ledger and
@@ -50,9 +52,10 @@
 //! overflow: an LRN with a `usize::MAX` channel window is a shape error
 //! naming the layer, and its frames are refused.
 //!
-//! The implicit-GEMM conv, which packs B panels straight from the input
-//! plane, equals the explicit `im2col` + GEMM bit for bit on a GoogLeNet
-//! shape whose patch matrix crosses the packer's block boundaries.
+//! The implicit-GEMM conv, which packs B panels from a padded copy of the
+//! input plane, equals the explicit `im2col` + GEMM bit for bit on a
+//! GoogLeNet shape whose patch matrix crosses the packer's block
+//! boundaries.
 //!
 //! Verify-clean ⇒ runs: over a corpus of mutated micronet and pool
 //! programs, every program the verifier accepts runs, and every frame
@@ -88,6 +91,8 @@ const PINNED_POOL_FORCED: u64 = 2;
 const PINNED_DEPTH1_FOLD: u64 = 0xafc9_576d_e0a7_02bb;
 /// Fold of the `FRAMES` frame digests of `narrow_conv_program` for `SEED`.
 const PINNED_NARROW_FOLD: u64 = 0x75b9_b5b9_4cd0_4343;
+/// Digest fold of the ReLU-fed conv frames.
+const PINNED_RELU_FED_FOLD: u64 = 0xcda6_af73_bf07_e6f1;
 /// Fold of the noise plane bits in `layer_noise_samples_are_pinned`.
 const PINNED_NOISE_FOLD: u64 = 0x8cfc_f8b8_29dd_15b7;
 /// Fold of the result bits in `the_owned_ln_and_box_muller_radius_are_pinned`.
@@ -590,6 +595,44 @@ fn tile_starved_convs_are_pinned_at_one_two_and_three_threads() {
     assert_eq!(at_threads(&program, &inputs, 3), want, "three threads");
     let fold = fold(want.iter().map(|f| f.digest));
     assert_eq!(fold, PINNED_NARROW_FOLD, "digest fold {fold:#018x}");
+}
+
+/// A conv fed a rectified plane, as RedEye's second conv is: 3×3 to 16
+/// channels with ReLU on a 40×40 scene, then 3×3 to 24 channels, more
+/// filters than the direct path takes, so B is packed. On the scene's
+/// plateaus a filter whose weights sum below zero rectifies to zero, so
+/// many of the second conv's 16-wide panel rows are all zero and skipped.
+/// The product (24×144×1,600) is above the serial threshold, so two and
+/// three threads split its output columns.
+fn relu_fed_conv_program() -> Program {
+    let conv = |name: &str, out_c| LayerSpec::Conv {
+        name: name.into(),
+        out_c,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+        relu: true,
+    };
+    let spec = NetworkSpec::new(
+        "relu_fed",
+        [3, 40, 40],
+        vec![conv("conv1", 16), conv("conv2", 24)],
+    );
+    let mut net = build_network(&spec, WeightInit::HeNormal, &mut Rng::seed_from(59))
+        .expect("relu-fed conv program builds");
+    let mut bank = WeightBank::from_network(&mut net);
+    compile(&spec, &mut bank, &CompileOptions::default()).expect("relu-fed conv program compiles")
+}
+
+#[test]
+fn a_relu_fed_conv_frame_is_pinned_at_one_two_and_three_threads() {
+    let program = relu_fed_conv_program();
+    let inputs = scenes_of(40);
+    let want = at_threads(&program, &inputs, 1);
+    assert_eq!(at_threads(&program, &inputs, 2), want, "two threads");
+    assert_eq!(at_threads(&program, &inputs, 3), want, "three threads");
+    let fold = fold(want.iter().map(|f| f.digest));
+    assert_eq!(fold, PINNED_RELU_FED_FOLD, "digest fold {fold:#018x}");
 }
 
 #[test]

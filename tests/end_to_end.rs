@@ -180,7 +180,7 @@ fn paper_headline_numbers_hold_end_to_end() {
     let config = RedEyeConfig::default();
 
     // 84.5% sensor energy reduction.
-    let r = scenario::sensor_energy_reduction(&config);
+    let r = scenario::sensor_energy_reduction(&config).unwrap();
     assert!((0.80..0.90).contains(&r), "sensor reduction {r}");
 
     // Depth5 Table I anchor.

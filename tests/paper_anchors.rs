@@ -66,7 +66,7 @@ fn section_5b_sensor_comparison() {
     );
     // "This presents an 84.5% sensor energy reduction."
     assert_close(
-        scenario::sensor_energy_reduction(&RedEyeConfig::default()),
+        scenario::sensor_energy_reduction(&RedEyeConfig::default()).unwrap(),
         0.845,
         0.05,
         "sensor energy reduction",
@@ -107,7 +107,9 @@ fn section_5b_cloudlet() {
     // "RedEye saves 73.2% of system energy consumption"
     let saving = scenario::reduction(
         scenario::cloudlet_raw().energy,
-        scenario::cloudlet_redeye(Depth::D4, &RedEyeConfig::default()).energy,
+        scenario::cloudlet_redeye(Depth::D4, &RedEyeConfig::default())
+            .unwrap()
+            .energy,
     );
     assert_close(saving, 0.732, 0.02, "cloudlet system saving");
 }
@@ -159,12 +161,16 @@ fn section_5b_jetson() {
     let config = RedEyeConfig::default();
     let gpu_saving = scenario::reduction(
         scenario::conventional_host(JetsonKind::Gpu).energy,
-        scenario::redeye_host(JetsonKind::Gpu, Depth::D5, &config).energy,
+        scenario::redeye_host(JetsonKind::Gpu, Depth::D5, &config)
+            .unwrap()
+            .energy,
     );
     assert_close(gpu_saving, 0.443, 0.05, "GPU system saving");
     let cpu_saving = scenario::reduction(
         scenario::conventional_host(JetsonKind::Cpu).energy,
-        scenario::redeye_host(JetsonKind::Cpu, Depth::D5, &config).energy,
+        scenario::redeye_host(JetsonKind::Cpu, Depth::D5, &config)
+            .unwrap()
+            .energy,
     );
     assert_close(cpu_saving, 0.456, 0.05, "CPU system saving");
     // "accelerates execution for the CPU from 1.83 fps to 3.36 fps"
@@ -175,7 +181,9 @@ fn section_5b_jetson() {
         "CPU fps before",
     );
     assert_close(
-        scenario::redeye_host(JetsonKind::Cpu, Depth::D5, &config).pipelined_fps,
+        scenario::redeye_host(JetsonKind::Cpu, Depth::D5, &config)
+            .unwrap()
+            .pipelined_fps,
         3.36,
         0.05,
         "CPU fps after",
@@ -194,7 +202,7 @@ fn section_5b_shidiannao() {
         "ShiDianNao system",
     );
     // "system energy consumption is reduced by 59%"
-    let (_, _, saving) = scenario::shidiannao_comparison(&RedEyeConfig::default());
+    let (_, _, saving) = scenario::shidiannao_comparison(&RedEyeConfig::default()).unwrap();
     assert_close(saving, 0.59, 0.05, "ShiDianNao saving");
 }
 
